@@ -56,7 +56,6 @@ func main() {
 	requests := flag.Int("requests", 40, "write/read-back pairs per master")
 	qos := flag.Bool("qos", true, "enable priority arbitration in switches")
 	wb := flag.Bool("wb", false, "NoC only: add the WISHBONE master IP and memory target")
-	shards := flag.Int("shards", 0, "NoC only: partition the fabric across N parallel shards; results are byte-identical to serial (0/1 = serial; ignored with -trace/-heatmap probes)")
 	traceFile := flag.String("trace", "", "NoC only: write a Chrome trace_event file (Perfetto/chrome://tracing)")
 	heatFile := flag.String("heatmap", "", "NoC only: write the per-link congestion heatmap JSON")
 	scenarioFlag := flag.String("scenario", "", "NoC only: build the SoC from a soc-kind scenario — a built-in name or a *.scenario.json file; explicit flags override (docs/SCENARIOS.md)")
@@ -73,9 +72,6 @@ func main() {
 	}
 	if (*traceFile != "" || *heatFile != "") && *system != "noc" {
 		log.Fatal("-trace/-heatmap require -system noc (the Fig-2 bus has no fabric to instrument)")
-	}
-	if *shards > 1 && *system != "noc" {
-		log.Fatal("-shards requires -system noc (the Fig-2 bus has no fabric to partition)")
 	}
 	var rec *obs.SpanRecorder
 	var mon *obs.LinkMonitor
@@ -101,13 +97,7 @@ func main() {
 		reg = metrics.NewRegistry()
 		prof = metrics.NewSimProfile(reg)
 		prog = metrics.NewProgress(reg)
-		// The per-router collector is single-threaded by the probe
-		// contract; implicitly attaching it on a sharded run would
-		// silently force -shards back to serial (BuildNoC's probe gate).
-		// Explicit probes (-trace/-heatmap) still win over -shards.
-		if *shards <= 1 {
-			probes = append(probes, metrics.NewFabricCollector(reg))
-		}
+		probes = append(probes, metrics.NewFabricCollector(reg))
 		if *metricsOut != "" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
@@ -204,11 +194,6 @@ func main() {
 		}
 	}
 	cfg.Probe = obs.Multi(probes...)
-	// Execution-level knob: applied after scenario resolution because the
-	// scenario schema deliberately excludes it (results are shard-count-
-	// invariant; see docs/SCENARIOS.md). BuildNoC drops it when a probe
-	// is attached.
-	cfg.Shards = *shards
 
 	var s *soc.System
 	switch *system {

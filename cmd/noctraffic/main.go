@@ -96,7 +96,7 @@ var (
 	topo       = flag.String("topology", "crossbar", "fabric: crossbar, mesh, torus, ring, or tree")
 	nodes      = flag.Int("nodes", 16, "endpoint count")
 	mode       = flag.String("mode", "wormhole", "switching: wormhole or saf")
-	fidelity   = flag.String("fidelity", "cycle", "execution fidelity: cycle (exact), hybrid (analytic until links heat up), or loose (always analytic); approximate modes force a serial fabric (docs/PERFORMANCE.md)")
+	fidelity   = flag.String("fidelity", "cycle", "execution fidelity: cycle (exact), hybrid (analytic until links heat up), or loose (always analytic) (docs/PERFORMANCE.md)")
 	looseThr   = flag.Float64("loose-threshold", 0, "hybrid/loose: link-utilization fraction above which a region falls back to cycle-accurate (0 = default 0.35)")
 	looseHyst  = flag.Float64("loose-hysteresis", 0, "hybrid/loose: a hot region cools below threshold*hysteresis (0 = default 0.5)")
 	looseWin   = flag.Int64("loose-window", 0, "hybrid/loose: cycles per link-utilization epoch (0 = default 256)")
@@ -123,7 +123,6 @@ var (
 	topoList   = flag.String("topologies", "crossbar,mesh,torus,ring,tree", "campaign: comma-separated topologies")
 	patList    = flag.String("patterns", "uniform,hotspot", "campaign: comma-separated patterns")
 	workers    = flag.Int("workers", 0, "campaign: worker-pool size (default: GOMAXPROCS)")
-	shardsN    = flag.Int("shards", 0, "partition the fabric across N parallel kernel shards; results are byte-identical to serial (0/1 = serial; ignored by -campaign, which parallelizes across points)")
 	trans      = flag.Bool("trans", false, "transaction-level load through the SoC's NIUs")
 	hotspotMem = flag.Bool("hotspot-mem", false, "trans: all masters hammer one memory")
 	wb         = flag.Bool("wb", false, "trans: include the WISHBONE master (and its memory) in the driven SoC")
@@ -196,7 +195,6 @@ func main() {
 			Bytes: *payload, ReadFrac: zeroAsNeg(*readFrac),
 			Hotspot: *hotspotMem, Wishbone: *wb,
 			Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-			Shards: *shardsN,
 		}
 		tc.Net.Fidelity = fid
 		tc.Net.LooseThreshold = *looseThr
@@ -226,7 +224,6 @@ func main() {
 		BurstLen: *burstLen, UrgentFrac: *urgentFrac,
 		ClosedLoop: *closed, Window: *window,
 		Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-		Shards: *shardsN,
 	}
 	cfg.Net.QoS = *qos
 	cfg.Net.Fidelity = fid
@@ -278,22 +275,8 @@ func main() {
 
 // ---- the four run modes, shared by the flag and scenario paths ----
 
-// fabricProbeFor returns the live-metrics per-router collector, or nil
-// for a sharded run: the collector is single-threaded by the probe
-// contract, and implicitly attaching it would silently force -shards
-// back to serial. The metrics registry itself stays attached, so a
-// sharded run still publishes the per-shard occupancy/stall counters
-// (explicitly requested probes — -trace, -heatmap — still win and fall
-// the run back to serial).
-func fabricProbeFor(shards int) obs.Probe {
-	if shards > 1 {
-		return nil
-	}
-	return mx.fabricProbe()
-}
-
 func runSingle(cfg traffic.Config, sk *sinks) {
-	cfg.Probe = obs.Multi(sk.probe(), fabricProbeFor(cfg.Shards))
+	cfg.Probe = obs.Multi(sk.probe(), mx.fabricProbe())
 	mx.attach(&cfg)
 	cfg.CollectWall = *wallOut
 	mx.setTotal(1)
@@ -319,7 +302,7 @@ func runSweep(cfg traffic.Config, rates []float64) {
 	// Sweep points run serially, so sharing one fabric collector across
 	// them is safe (unlike campaign workers); counters accumulate over
 	// the whole curve.
-	cfg.Probe = fabricProbeFor(cfg.Shards)
+	cfg.Probe = mx.fabricProbe()
 	cfg.CollectWall = *wallOut
 	if len(rates) == 0 {
 		mx.setTotal(len(traffic.DefaultRates()))
@@ -376,7 +359,7 @@ func runCampaign(ccfg traffic.CampaignConfig, bucket int64) {
 }
 
 func runTrans(tc traffic.TransConfig, jsonOut bool, sk *sinks) {
-	tc.Probe = obs.Multi(sk.probe(), fabricProbeFor(tc.Shards))
+	tc.Probe = obs.Multi(sk.probe(), mx.fabricProbe())
 	if mx != nil {
 		tc.Prof = mx.prof
 	}
@@ -551,16 +534,12 @@ func runScenario() {
 	}
 	sk := newSinks(*traceFile, *eventsFile, *heatFile, *heatCSV, bucket)
 
-	// -shards is execution-level, not part of the scenario schema (see
-	// docs/SCENARIOS.md): it lands on the run config built from the
-	// scenario, never on the scenario itself, so exports stay portable.
 	switch sc.Mode() {
 	case scenario.ModeTrans:
 		tc, err := sc.TransConfig()
 		if err != nil {
 			log.Fatal(err)
 		}
-		tc.Shards = *shardsN
 		runTrans(tc, *jsonOut, sk)
 	case scenario.ModeCampaign:
 		cc, err := sc.CampaignConfig()
@@ -573,14 +552,12 @@ func runScenario() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Shards = *shardsN
 		runSweep(cfg, sc.Measure.SweepRates)
 	default:
 		cfg, err := sc.PacketConfig()
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Shards = *shardsN
 		runSingle(cfg, sk)
 	}
 }

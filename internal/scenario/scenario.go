@@ -56,8 +56,8 @@ type Fabric struct {
 	// Fidelity selects the execution mode: "cycle" (default) simulates
 	// every flit; "hybrid" prices packets analytically on cool links and
 	// falls back per-region when utilization crosses the threshold;
-	// "loose" prices everything analytically. Approximate modes force a
-	// serial fabric. See docs/PERFORMANCE.md, "Fidelity levels".
+	// "loose" prices everything analytically. See docs/PERFORMANCE.md,
+	// "Fidelity levels".
 	Fidelity        string  `json:"fidelity,omitempty"`         // cycle (default) | hybrid | loose
 	LooseThreshold  float64 `json:"loose_threshold,omitempty"`  // hybrid: per-link utilization that triggers fallback (default 0.35)
 	LooseHysteresis float64 `json:"loose_hysteresis,omitempty"` // hybrid: cool-down ratio of threshold (default 0.5)

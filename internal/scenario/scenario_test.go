@@ -250,52 +250,6 @@ func TestExportTransReproducesRun(t *testing.T) {
 	}
 }
 
-// TestShardsExcludedFromSchema pins the execution-level-knob boundary
-// documented in docs/SCENARIOS.md: Shards is how a host runs an
-// experiment, not what the experiment is, so lifting a config into a
-// scenario must drop it, the serialized document must not mention it,
-// and lowering must always yield a serial config.
-func TestShardsExcludedFromSchema(t *testing.T) {
-	cfg := traffic.Config{Seed: 7, Nodes: 8, Topology: traffic.Ring,
-		Pattern: traffic.UniformRandom, Shards: 4}
-	tc := traffic.TransConfig{Seed: 3, Rate: 0.15, Shards: 4}
-	for _, sc := range []*Scenario{
-		FromPacketConfig("exec-knob-export", cfg, nil, nil),
-		FromTransConfig("exec-knob-export", tc),
-	} {
-		var buf bytes.Buffer
-		if err := sc.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(strings.ToLower(buf.String()), "shard") {
-			t.Fatalf("%s export leaked the shards knob into the schema:\n%s",
-				sc.Mode(), buf.String())
-		}
-		back, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch back.Mode() {
-		case ModeTrans:
-			lowered, err := back.TransConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lowered.Shards != 0 {
-				t.Fatalf("lowered TransConfig.Shards = %d, want 0", lowered.Shards)
-			}
-		default:
-			lowered, err := back.PacketConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lowered.Shards != 0 {
-				t.Fatalf("lowered Config.Shards = %d, want 0", lowered.Shards)
-			}
-		}
-	}
-}
-
 // TestCheckedInScenarioFiles loads every scenario file shipped in the
 // repository (examples/ and testdata/), the same set the CI docs job
 // validates with cmd/nocscenario.

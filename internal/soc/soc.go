@@ -96,16 +96,6 @@ type Config struct {
 	Services    core.ServiceSet
 	Outstanding int // master NIU MaxOutstanding
 
-	// Shards partitions the NoC fabric across N worker goroutines. SoC
-	// builds keep every component — NIUs, protocol engines, memories —
-	// on the single system clock, so this selects the transport layer's
-	// fork-join mode: each fabric tick evaluates its shards in parallel
-	// and merges cross-shard flits in fixed order, leaving results
-	// byte-identical to a serial build. 0 or 1 keeps the serial fabric.
-	// Ignored when Probe is set (instrumentation hooks assume a
-	// single-threaded fabric) and by BuildBus (no fabric to partition).
-	Shards int
-
 	// Bus knobs.
 	BridgeLatency int
 	Arb           bus.Arbitration
@@ -244,10 +234,6 @@ func (s *System) genCfg(master string, n int) ip.GenConfig {
 // BuildNoC assembles the Fig-1 system.
 func BuildNoC(cfg Config) *System {
 	cfg = cfg.withDefaults()
-	if cfg.Probe != nil || cfg.Net.Fidelity != transport.FidelityCycle || cfg.Shards <= 1 {
-		cfg.Shards = 0
-	}
-	cfg.Net.Shards = cfg.Shards
 	s := buildCommon(cfg)
 	s.Kind = "noc"
 

@@ -30,24 +30,6 @@ func (l *Latency) Record(v int64) {
 	l.sum += v
 }
 
-// Merge folds other's samples into l. Because the summary statistics are
-// order-invariant (sum, extrema, and nearest-rank percentiles on a sorted
-// copy), merging per-shard recorders yields byte-identical results to one
-// recorder having seen every sample, regardless of shard count.
-func (l *Latency) Merge(other *Latency) {
-	if other.Count() == 0 {
-		return
-	}
-	if l.Count() == 0 || other.min < l.min {
-		l.min = other.min
-	}
-	if l.Count() == 0 || other.max > l.max {
-		l.max = other.max
-	}
-	l.samples = append(l.samples, other.samples...)
-	l.sum += other.sum
-}
-
 // Count returns the number of samples.
 func (l *Latency) Count() int { return len(l.samples) }
 

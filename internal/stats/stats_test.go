@@ -292,47 +292,3 @@ func TestHistogramJSONBounds(t *testing.T) {
 		t.Fatalf("empty histogram marshals null: %s", data)
 	}
 }
-
-func TestLatencyMerge(t *testing.T) {
-	// Merging shard-local recorders must be indistinguishable from one
-	// recorder having seen all samples, in any grouping.
-	all := []int64{40, 7, 993, 12, 12, 88, 3, 560, 41, 2}
-	var whole Latency
-	for _, v := range all {
-		whole.Record(v)
-	}
-	var a, b, c, merged Latency
-	for i, v := range all {
-		switch i % 3 {
-		case 0:
-			a.Record(v)
-		case 1:
-			b.Record(v)
-		default:
-			c.Record(v)
-		}
-	}
-	merged.Merge(&a)
-	merged.Merge(&b)
-	merged.Merge(&c)
-	merged.Merge(&Latency{}) // empty merge is a no-op
-
-	if merged.Count() != whole.Count() || merged.Mean() != whole.Mean() {
-		t.Fatalf("merged count/mean = %d/%v, want %d/%v", merged.Count(), merged.Mean(), whole.Count(), whole.Mean())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merged extrema = %d/%d, want %d/%d", merged.Min(), merged.Max(), whole.Min(), whole.Max())
-	}
-	for _, p := range []float64{1, 50, 95, 99, 100} {
-		if merged.Percentile(p) != whole.Percentile(p) {
-			t.Fatalf("p%v: merged %d != whole %d", p, merged.Percentile(p), whole.Percentile(p))
-		}
-	}
-
-	// Merging into an empty recorder adopts the extrema.
-	var fresh Latency
-	fresh.Merge(&whole)
-	if fresh.Min() != whole.Min() || fresh.Max() != whole.Max() || fresh.Count() != whole.Count() {
-		t.Fatal("merge into empty recorder lost samples or extrema")
-	}
-}

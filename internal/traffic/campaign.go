@@ -139,11 +139,6 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 				c.Topology, c.Pattern, c.Rate = topo, pat, rate
 				c.ClosedLoop = false
 				c.Probe = nil // probes are per-kernel; see HeatmapBuckets
-				// The worker pool is the campaign's parallelism; sharding
-				// each point on top of it would oversubscribe the host.
-				// Per-point results are shard-count-invariant, so stripping
-				// the knob changes nothing but scheduling.
-				c.Shards = 0
 				c.Seed = pointSeed(root, topo, pat, rate)
 				jobs = append(jobs, job{idx: len(jobs), seed: c.Seed,
 					label: fmt.Sprintf("%s/%s@%g", topo, pat, rate), cfg: c})

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gonoc/internal/transport"
 )
 
 // goldenRuns are the seed-pinned configurations whose full Result JSON
@@ -84,6 +86,34 @@ func TestTopologyGoldenResults(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("%s result diverged from seed-pinned golden; if the model change is intentional, rerun with -update and review the diff\n--- got ---\n%s",
 					g.name, buf.Bytes())
+			}
+		})
+	}
+}
+
+// TestFidelityCycleGoldenInert proves the fidelity knob's off position:
+// an explicit fidelity=cycle run, with loose-mode tuning values that a
+// cycle-accurate fabric must ignore, reproduces every committed topology
+// golden byte for byte.
+func TestFidelityCycleGoldenInert(t *testing.T) {
+	for _, g := range goldenRuns {
+		t.Run(g.name+"/serial", func(t *testing.T) {
+			cfg := g.cfg
+			cfg.Net.Fidelity = transport.FidelityCycle
+			cfg.Net.LooseThreshold, cfg.Net.LooseHysteresis, cfg.Net.LooseWindow = 0.9, 0.9, 64
+			res := Run(cfg)
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(res); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("topology_%s.golden.json", g.name)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s: fidelity=cycle diverged from the committed golden; the knob is not inert", g.name)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"gonoc/internal/noctypes"
@@ -37,14 +36,11 @@ type collector struct {
 }
 
 // rig is one assembled packet-level traffic experiment: a fabric plus a
-// source/reflector per node. With Config.Shards >= 2 the fabric and the
-// sources run partitioned across a sim.ShardGroup (grp non-nil, k nil,
-// clk = shard 0's clock); serially, k owns the single kernel.
+// source/reflector per node.
 type rig struct {
 	cfg  *Config
 	k    *sim.Kernel
 	clk  *sim.Clock
-	grp  *sim.ShardGroup
 	net  *transport.Network
 	srcs []*source
 
@@ -55,33 +51,11 @@ type rig struct {
 	measStart, measEnd int64
 	col                collector
 
-	// cols, on a sharded run, holds one collector per shard: each shard's
-	// sources write only their shard's collector, and result() merges them
-	// into col. Every merged statistic is order-invariant (sums, extrema,
-	// percentiles over pooled samples, per-flow maps disjoint by source),
-	// so the merged result is byte-identical to the serial run's. Nil when
-	// serial — sources then share col directly.
-	cols []*collector
-
 	// Live-metrics state (all nil/zero when profiling is off).
 	mBackpressure          *metrics.Counter
 	lastCycles, lastEvents int64
 	lastBP                 uint64
 	wall                   *WallStats
-
-	// Per-shard horizon instrumentation (nil unless sharded with metrics).
-	mShardEvents, mShardStalls, mShardWait []*metrics.Counter
-	gShardOcc                              []*metrics.Gauge
-	lastShardEvents, lastShardStalls       []uint64
-	lastShardWait                          []int64
-}
-
-// colFor returns the collector a source on the given shard writes into.
-func (r *rig) colFor(shard int) *collector {
-	if r.cols == nil {
-		return &r.col
-	}
-	return r.cols[shard]
 }
 
 // nodeID maps a source index onto a fabric NodeID (0 is reserved as a
@@ -95,28 +69,8 @@ func newRig(cfg *Config) *rig {
 	if cfg.Pattern == Hotspot && (cfg.HotNode < 0 || cfg.HotNode >= cfg.Nodes) {
 		panic(fmt.Sprintf("traffic: hotspot node %d outside [0,%d)", cfg.HotNode, cfg.Nodes))
 	}
-	r := &rig{cfg: cfg}
-	shards := cfg.Shards
-	if cfg.Probe != nil && shards > 1 {
-		// Probes assume a serial fabric (transport.SetProbe enforces it);
-		// an instrumented run silently falls back to one shard rather than
-		// making observability and parallelism a hard conflict.
-		shards = 1
-	}
-	if cfg.Net.Fidelity != transport.FidelityCycle && shards > 1 {
-		// The loose engine keeps global per-link state; approximate
-		// fidelity implies a serial fabric, same policy as probes.
-		shards = 1
-	}
-	if shards > 1 {
-		r.grp = sim.NewShardGroup("traffic", shards, sim.Nanosecond, 0)
-		r.clk = r.grp.Clock(0)
-		cfg.Net.Shards = shards
-	} else {
-		r.k = sim.NewKernel()
-		r.clk = sim.NewClock(r.k, "traffic", sim.Nanosecond, 0)
-		cfg.Net.Shards = 0
-	}
+	r := &rig{cfg: cfg, k: sim.NewKernel()}
+	r.clk = sim.NewClock(r.k, "traffic", sim.Nanosecond, 0)
 	r.measStart = cfg.Warmup
 	r.measEnd = cfg.Warmup + cfg.Measure
 
@@ -170,89 +124,16 @@ func newRig(cfg *Config) *rig {
 			"source-cycles a pending transaction found its endpoint unable to accept (measure phase)")
 	}
 
-	if r.grp != nil {
-		// Move the fabric onto the group's clocks, then give every shard
-		// its own collector. Sources created below land on their
-		// endpoint's shard clock (newSource registers there).
-		r.net.BindShards(r.grp)
-		r.cols = make([]*collector, shards)
-		for s := range r.cols {
-			r.cols[s] = &collector{perFlow: make(map[Flow]*stats.Latency)}
-		}
-		if cfg.Metrics != nil {
-			for s := 0; s < shards; s++ {
-				lbl := metrics.L("shard", strconv.Itoa(s))
-				r.mShardEvents = append(r.mShardEvents, cfg.Metrics.Counter("noc_shard_events_total",
-					"kernel events executed by each shard", lbl))
-				r.mShardStalls = append(r.mShardStalls, cfg.Metrics.Counter("noc_shard_horizon_stalls_total",
-					"clock edges a shard reached the horizon barrier before a peer", lbl))
-				r.mShardWait = append(r.mShardWait, cfg.Metrics.Counter("noc_shard_horizon_wait_ns_total",
-					"wall-clock nanoseconds a shard spent blocked at horizon barriers", lbl))
-				r.gShardOcc = append(r.gShardOcc, cfg.Metrics.Gauge("noc_shard_occupancy",
-					"flits buffered in the shard's lanes at the last publish", lbl))
-			}
-			r.lastShardEvents = make([]uint64, shards)
-			r.lastShardStalls = make([]uint64, shards)
-			r.lastShardWait = make([]int64, shards)
-		}
-	}
-
 	root := sim.NewRNG(cfg.Seed)
 	r.srcs = make([]*source, cfg.Nodes)
 	for i := range r.srcs {
 		r.srcs[i] = newSource(r, i, root.Fork(fmt.Sprintf("src%d", i)))
 	}
-	if r.grp != nil {
-		r.grp.Seal()
-	}
 	return r
 }
 
-// advance runs the whole rig n cycles: the shard group in lockstep when
-// sharded, the single clock otherwise.
-func (r *rig) advance(n int64) {
-	if r.grp != nil {
-		r.grp.RunCycles(n)
-	} else {
-		r.clk.RunCycles(n)
-	}
-}
-
-// steps and pending aggregate kernel activity across shards.
-func (r *rig) steps() uint64 {
-	if r.grp != nil {
-		return r.grp.Steps()
-	}
-	return r.k.Steps()
-}
-
-func (r *rig) pending() int {
-	if r.grp != nil {
-		return r.grp.Pending()
-	}
-	return r.k.Pending()
-}
-
-// measuredOutstanding counts measured txns not yet completed, across
-// every collector. Safe between cycles: all shards are quiesced.
-func (r *rig) measuredOutstanding() uint64 {
-	g, d := r.col.generated, r.col.measDone
-	for _, c := range r.cols {
-		g += c.generated
-		d += c.measDone
-	}
-	return g - d
-}
-
-// backpressureTotal sums the injection-backpressure counter across every
-// collector (between cycles).
-func (r *rig) backpressureTotal() uint64 {
-	t := r.col.backpressure
-	for _, c := range r.cols {
-		t += c.backpressure
-	}
-	return t
-}
+// measuredOutstanding counts measured txns not yet completed.
+func (r *rig) measuredOutstanding() uint64 { return r.col.generated - r.col.measDone }
 
 // profileChunk is the publishing cadence when self-profiling is on:
 // the phase loops run the clock in chunks of this many cycles and
@@ -264,9 +145,6 @@ const profileChunk = 512
 // run executes warmup, measurement, and drain; it returns the total
 // cycles simulated.
 func (r *rig) run() int64 {
-	if r.grp != nil {
-		defer r.grp.Close()
-	}
 	prof := r.cfg.Prof
 	t0 := time.Now()
 	r.genOn = true
@@ -288,14 +166,14 @@ func (r *rig) run() int64 {
 		if c+step > r.cfg.Drain {
 			step = r.cfg.Drain - c
 		}
-		r.advance(step)
+		r.clk.RunCycles(step)
 		c += step
 		r.publish()
 	}
 	prof.SetPhase(metrics.PhaseDone)
 	t3 := time.Now()
 	if r.cfg.CollectWall {
-		r.wall = newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), r.steps(), r.clk.Cycle())
+		r.wall = newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), r.k.Steps(), r.clk.Cycle())
 	}
 	return r.clk.Cycle()
 }
@@ -305,7 +183,7 @@ func (r *rig) run() int64 {
 // identical to the pre-metrics code).
 func (r *rig) runCycles(n int64) {
 	if r.cfg.Prof == nil && r.mBackpressure == nil {
-		r.advance(n)
+		r.clk.RunCycles(n)
 		return
 	}
 	for done := int64(0); done < n; {
@@ -313,7 +191,7 @@ func (r *rig) runCycles(n int64) {
 		if done+step > n {
 			step = n - done
 		}
-		r.advance(step)
+		r.clk.RunCycles(step)
 		done += step
 		r.publish()
 	}
@@ -325,26 +203,14 @@ func (r *rig) runCycles(n int64) {
 // deterministic per-run numbers.
 func (r *rig) publish() {
 	if p := r.cfg.Prof; p != nil {
-		c, e := r.clk.Cycle(), int64(r.steps())
-		p.SetHeapDepth(r.pending())
+		c, e := r.clk.Cycle(), int64(r.k.Steps())
+		p.SetHeapDepth(r.k.Pending())
 		p.Advance(c-r.lastCycles, e-r.lastEvents)
 		r.lastCycles, r.lastEvents = c, e
 	}
 	if r.mBackpressure != nil {
-		bp := r.backpressureTotal()
+		bp := r.col.backpressure
 		r.mBackpressure.Add(bp - r.lastBP)
 		r.lastBP = bp
-	}
-	for s := range r.mShardEvents {
-		ev := r.grp.Kernel(s).Steps()
-		r.mShardEvents[s].Add(ev - r.lastShardEvents[s])
-		r.lastShardEvents[s] = ev
-		st := r.grp.Stalls(s)
-		r.mShardStalls[s].Add(st - r.lastShardStalls[s])
-		r.lastShardStalls[s] = st
-		w := r.grp.WaitNS(s)
-		r.mShardWait[s].Add(uint64(w - r.lastShardWait[s]))
-		r.lastShardWait[s] = w
-		r.gShardOcc[s].Set(float64(r.net.ShardOccupancy(s)))
 	}
 }

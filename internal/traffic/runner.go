@@ -106,28 +106,6 @@ func run(cfg Config) (Result, *stats.Histogram) {
 func (r *rig) result(cycles int64) Result {
 	cfg := r.cfg
 	col := &r.col
-	// Fold the per-shard collectors into the rig collector. Sums, pooled
-	// latency samples (summarized order-invariantly), and per-flow maps
-	// (disjoint by construction: a flow's source lives on one shard) all
-	// merge exactly, so a sharded run's Result is byte-identical to the
-	// serial run's.
-	for _, c := range r.cols {
-		col.agg.Merge(&c.agg)
-		col.hist.Merge(&c.hist)
-		col.netLat.Merge(&c.netLat)
-		for fl, l := range c.perFlow {
-			col.perFlow[fl] = l
-		}
-		col.hops += c.hops
-		col.hopPkts += c.hopPkts
-		col.generated += c.generated
-		col.injected += c.injected
-		col.completed += c.completed
-		col.measDone += c.measDone
-		col.tagCollisions += c.tagCollisions
-		col.backpressure += c.backpressure
-	}
-	r.cols = nil
 	nodeCycles := float64(cfg.Nodes) * float64(cfg.Measure)
 	res := Result{
 		Pattern:       cfg.Pattern.String(),

@@ -32,12 +32,6 @@ type source struct {
 	rng *sim.RNG
 	ch  *chooser
 
-	// col is where this source's statistics accumulate: the rig's single
-	// collector on a serial run, the owning shard's collector on a sharded
-	// one (each shard's sources share one collector, so no write ever
-	// crosses a shard boundary; the rig merges them after the run).
-	col *collector
-
 	q           *sim.Queue[*txn]              // generated, awaiting injection
 	replyQ      *sim.Queue[*transport.Packet] // reflector responses awaiting injection
 	outstanding map[noctypes.Tag]*txn
@@ -60,10 +54,7 @@ func newSource(r *rig, idx int, rng *sim.RNG) *source {
 		tagSpace:    1 << 16,
 	}
 	s.ch = newChooser(r.cfg, idx, rng.Fork("dest"))
-	s.col = r.colFor(s.ep.Shard())
-	// Register on the endpoint's shard clock (the rig clock when serial)
-	// so Eval always runs on the shard that owns the endpoint.
-	s.ep.ShardClock().Register(s)
+	r.clk.Register(s)
 	return s
 }
 
@@ -81,7 +72,7 @@ func (s *source) generate(cycle int64) {
 	}
 	s.q.Push(t)
 	if t.measured {
-		s.col.generated++
+		s.r.col.generated++
 	}
 }
 
@@ -103,7 +94,7 @@ func (s *source) freeTag() (noctypes.Tag, bool) {
 		tag := noctypes.Tag(s.nextTag)
 		s.nextTag = (s.nextTag + 1) % s.tagSpace
 		if _, busy := s.outstanding[tag]; !busy {
-			s.col.tagCollisions += skipped
+			s.r.col.tagCollisions += skipped
 			return tag, true
 		}
 		skipped++
@@ -120,9 +111,8 @@ func payloadFor(read, isRsp bool, dataBytes int) int {
 	return ackBytes
 }
 
-// requestPacket builds a request from the endpoint's shard-local packet
-// pool; the caller recycles it after TrySend (the fabric copies during
-// the call).
+// requestPacket builds a request from the network's packet pool; the
+// caller recycles it after TrySend (the fabric copies during the call).
 func (s *source) requestPacket(t *txn) *transport.Packet {
 	prio := noctypes.PrioDefault
 	if t.urgent {
@@ -132,7 +122,7 @@ func (s *source) requestPacket(t *txn) *transport.Packet {
 	if t.read {
 		user |= txnUserRead
 	}
-	p := s.ep.NewPacket(payloadFor(t.read, false, s.r.cfg.PayloadBytes))
+	p := s.r.net.NewPacket(payloadFor(t.read, false, s.r.cfg.PayloadBytes))
 	p.Header = transport.Header{
 		Kind:     transport.KindReq,
 		Dst:      nodeID(t.dst),
@@ -145,9 +135,9 @@ func (s *source) requestPacket(t *txn) *transport.Packet {
 }
 
 // reflect turns a received request into the matching response, drawn
-// from the endpoint's shard-local packet pool (recycled after injection).
+// from the network's packet pool (recycled after injection).
 func (s *source) reflect(req *transport.Packet) *transport.Packet {
-	p := s.ep.NewPacket(payloadFor(req.User&txnUserRead != 0, true, s.r.cfg.PayloadBytes))
+	p := s.r.net.NewPacket(payloadFor(req.User&txnUserRead != 0, true, s.r.cfg.PayloadBytes))
 	p.Header = transport.Header{
 		Kind:     transport.KindRsp,
 		Dst:      req.Src,
@@ -163,13 +153,13 @@ func (s *source) complete(t *txn, cycle int64) {
 	delete(s.outstanding, t.tag)
 	s.inflight--
 	if s.r.measuring {
-		s.col.completed++
+		s.r.col.completed++
 	}
 	if !t.measured {
 		return
 	}
 	lat := cycle - t.genCycle
-	col := s.col
+	col := &s.r.col
 	col.measDone++
 	col.agg.Record(lat)
 	col.hist.Record(lat)
@@ -195,7 +185,7 @@ func (s *source) Eval(cycle int64) {
 		} else if t, ok := s.outstanding[pkt.Tag]; ok {
 			s.complete(t, cycle)
 		}
-		s.ep.Recycle(pkt)
+		s.r.net.Recycle(pkt)
 	}
 
 	// Generate.
@@ -218,7 +208,7 @@ func (s *source) Eval(cycle int64) {
 			break
 		}
 		s.replyQ.Pop()
-		s.ep.Recycle(rsp)
+		s.r.net.Recycle(rsp)
 	}
 	for {
 		t, ok := s.q.Peek()
@@ -229,7 +219,7 @@ func (s *source) Eval(cycle int64) {
 		// source would otherwise allocate a throwaway packet every cycle.
 		if !s.ep.CanSend() {
 			if s.r.measuring {
-				s.col.backpressure++
+				s.r.col.backpressure++
 			}
 			break
 		}
@@ -243,7 +233,7 @@ func (s *source) Eval(cycle int64) {
 		t.tag = tag
 		req := s.requestPacket(t)
 		sent := s.ep.TrySend(req)
-		s.ep.Recycle(req)
+		s.r.net.Recycle(req)
 		if !sent {
 			break
 		}
@@ -251,7 +241,7 @@ func (s *source) Eval(cycle int64) {
 		s.outstanding[t.tag] = t
 		s.inflight++
 		if s.r.measuring {
-			s.col.injected++
+			s.r.col.injected++
 		}
 	}
 }

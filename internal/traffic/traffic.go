@@ -160,16 +160,6 @@ type Config struct {
 	// Shareable across workers for the same reason as Prof.
 	Metrics *metrics.Registry `json:"-"`
 
-	// Shards partitions the fabric and its sources across N parallel
-	// kernel shards (sim.ShardGroup; see internal/transport/shard.go for
-	// the partition). Results are byte-identical for any value — this is
-	// an execution-level knob like Campaign's Workers, which is why the
-	// scenario schema deliberately excludes it (see docs/SCENARIOS.md).
-	// 0 or 1 keeps the serial kernel. Runs with a Probe attached fall
-	// back to serial: instrumentation hooks assume a single-threaded
-	// fabric.
-	Shards int `json:"-"`
-
 	// CollectWall populates Result.Wall with wall-clock phase timings.
 	// It is opt-in because wall clock is the one measurement that can't
 	// be deterministic: the repo's byte-identical-output convention

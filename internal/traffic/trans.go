@@ -90,12 +90,6 @@ type TransConfig struct {
 	// CollectWall populates TransResult.Wall (same opt-in rationale as
 	// Config.CollectWall).
 	CollectWall bool `json:"-"`
-
-	// Shards forwards to soc.Config.Shards: fork-join parallelism for
-	// the fabric tick, byte-identical to serial. Execution-level only —
-	// like Config.Shards it is excluded from the scenario schema (see
-	// docs/SCENARIOS.md) and ignored when Probe is set.
-	Shards int `json:"-"`
 }
 
 func (c TransConfig) withDefaults() TransConfig {
@@ -250,8 +244,7 @@ func RunTrans(tc TransConfig) TransResult {
 		}
 	}
 	s := soc.BuildNoC(soc.Config{Seed: tc.Seed, Quiet: true, Topology: tc.Topology,
-		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios,
-		Shards: tc.Shards})
+		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios})
 	issuers := s.Issuers()
 	bases := []uint64{soc.BaseAXIMem, soc.BaseOCPMem, soc.BaseAHBMem, soc.BaseBVCIMem}
 	if wishbone {

@@ -134,136 +134,6 @@ func BenchmarkMeshSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkMeshSteadyStateSharded measures the parallel kernel: a 16x16
-// wormhole mesh under the same sustained uniform-random load at 1, 2,
-// and 4 shards. shards=1 is the serial kernel driven exactly like
-// BenchmarkMeshSteadyState (the comparison baseline at this fabric
-// size); shards>1 bind the partitioned fabric to a sim.ShardGroup with
-// one injector Clocked per shard. CI's bench guard requires the 4-shard
-// wall clock to stay at or below serial on multi-core runners; on a
-// single-core host the barrier overhead makes sharding slower, which is
-// expected (docs/PERFORMANCE.md, "Parallel kernel").
-func BenchmarkMeshSteadyStateSharded(b *testing.B) {
-	const W, H = 16, 16
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			spec := MeshSpec{W: W, H: H, Nodes: map[noctypes.NodeID]Coord{}}
-			nodes := make([]noctypes.NodeID, 0, W*H)
-			for y := 0; y < H; y++ {
-				for x := 0; x < W; x++ {
-					id := noctypes.NodeID(y*W + x)
-					spec.Nodes[id] = Coord{X: x, Y: y}
-					nodes = append(nodes, id)
-				}
-			}
-			// Per-endpoint xorshift streams: the offered load is a pure
-			// function of endpoint index, identical at every shard count.
-			rngs := make([]uint64, len(nodes))
-			for i := range rngs {
-				rngs[i] = uint64(i)*0x9E3779B97F4A7C15 + 0x85EBCA6B
-			}
-			drive := func(ep *Endpoint, i int, rxBuf []*Packet, pkt *Packet) []*Packet {
-				rxBuf = ep.RecvAll(rxBuf[:0])
-				for _, rx := range rxBuf {
-					ep.Recycle(rx)
-				}
-				if ep.CanSend() {
-					rngs[i] ^= rngs[i] << 13
-					rngs[i] ^= rngs[i] >> 7
-					rngs[i] ^= rngs[i] << 17
-					d := nodes[rngs[i]%uint64(len(nodes))]
-					if d != ep.ID() {
-						pkt.Dst = d
-						ep.TrySend(pkt)
-					}
-				}
-				return rxBuf
-			}
-
-			if shards <= 1 {
-				k := sim.NewKernel()
-				clk := sim.NewClock(k, "bench", sim.Nanosecond, 0)
-				net := NewMesh(clk, NetConfig{BufDepth: 8}, spec)
-				eps := make([]*Endpoint, len(nodes))
-				pkts := make([]*Packet, len(nodes))
-				for i, id := range nodes {
-					eps[i] = net.Endpoint(id)
-					pkts[i] = &Packet{Header: Header{Kind: KindReq, Src: id}, Payload: make([]byte, 16)}
-				}
-				var rxBuf []*Packet
-				tick := func() {
-					for i, ep := range eps {
-						rxBuf = drive(ep, i, rxBuf, pkts[i])
-					}
-					clk.RunCycles(1)
-				}
-				for c := 0; c < 200; c++ {
-					tick()
-				}
-				startFlits := fabricFlits(net)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tick()
-				}
-				b.StopTimer()
-				moved := fabricFlits(net) - startFlits
-				b.ReportMetric(float64(moved)/b.Elapsed().Seconds(), "flits/sec")
-				if moved == 0 {
-					b.Fatal("mesh moved no flits in measured window")
-				}
-				return
-			}
-
-			grp := sim.NewShardGroup("bench", shards, sim.Nanosecond, 0)
-			defer grp.Close()
-			net := NewMesh(grp.Clock(0), NetConfig{BufDepth: 8, Shards: shards}, spec)
-			net.BindShards(grp)
-			// One injector per shard, registered after BindShards so the
-			// fabric tick evaluates first on each shard clock (the same
-			// relative order the serial loop produces).
-			type injector struct {
-				eps   []*Endpoint
-				idx   []int
-				pkts  []*Packet
-				rxBuf []*Packet
-			}
-			injs := make([]*injector, shards)
-			for s := range injs {
-				injs[s] = &injector{}
-			}
-			for i, id := range nodes {
-				ep := net.Endpoint(id)
-				in := injs[ep.Shard()]
-				in.eps = append(in.eps, ep)
-				in.idx = append(in.idx, i)
-				in.pkts = append(in.pkts,
-					&Packet{Header: Header{Kind: KindReq, Src: id}, Payload: make([]byte, 16)})
-			}
-			for s, in := range injs {
-				in := in
-				grp.Clock(s).Register(sim.ClockedFunc{OnEval: func(int64) {
-					for j, ep := range in.eps {
-						in.rxBuf = drive(ep, in.idx[j], in.rxBuf, in.pkts[j])
-					}
-				}})
-			}
-			grp.Seal()
-			grp.RunCycles(200)
-			startFlits := fabricFlits(net)
-			b.ReportAllocs()
-			b.ResetTimer()
-			grp.RunCycles(int64(b.N))
-			b.StopTimer()
-			moved := fabricFlits(net) - startFlits
-			b.ReportMetric(float64(moved)/b.Elapsed().Seconds(), "flits/sec")
-			if moved == 0 {
-				b.Fatal("sharded mesh moved no flits in measured window")
-			}
-		})
-	}
-}
-
 func fabricFlits(net *Network) uint64 {
 	var total uint64
 	for _, r := range net.Routers() {
@@ -315,7 +185,7 @@ func TestRecycleResetsPacket(t *testing.T) {
 	net := NewCrossbar(clk, NetConfig{}, []noctypes.NodeID{1, 2})
 	p := &Packet{Header: Header{Kind: KindRsp, Dst: 1, Src: 2, Tag: 77}, Payload: []byte{1, 2, 3}, ID: 9}
 	net.Recycle(p)
-	q := net.getPacket()
+	q := net.pool.get()
 	if q != p {
 		t.Fatal("pool did not return the recycled descriptor")
 	}

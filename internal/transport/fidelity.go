@@ -299,7 +299,7 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 		panic(fmt.Sprintf("transport: packet of %d flits exceeds BufDepth %d (whole-packet buffering required)", nf, n.cfg.BufDepth))
 	}
 
-	now := ep.clk.Cycle()
+	now := n.clk.Cycle()
 	pa := le.pathFor(ep, p.Dst)
 	flits := int64(nf)
 
@@ -342,7 +342,7 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	// The fabric owns its copy from the moment of acceptance — the
 	// caller may reuse or Recycle p immediately, same contract as the
 	// flit path (which serializes into flit slots during the call).
-	cl := ep.pool.newPacket(len(p.Payload))
+	cl := n.NewPacket(len(p.Payload))
 	payload := cl.Payload
 	cl.Header = p.Header
 	cl.ID = p.ID

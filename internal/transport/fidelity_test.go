@@ -126,7 +126,7 @@ func runFidelitySchedule(t *testing.T, topo string, cfg NetConfig, bursts []fide
 					At: cycle, Node: nd, Src: p.Src, Tag: p.Tag,
 					PayLen: len(p.Payload), PaySum: sum, Priority: p.Priority,
 				})
-				ep.Recycle(p)
+				net.Recycle(p)
 			}
 		}
 		if done {
@@ -317,7 +317,7 @@ func TestHybridFallbackUnderLoad(t *testing.T) {
 					break
 				}
 				got++
-				ep.Recycle(p)
+				net.Recycle(p)
 			}
 			if nd == hot || cycle > 4000 {
 				continue
@@ -348,7 +348,7 @@ func TestHybridFallbackUnderLoad(t *testing.T) {
 				break
 			}
 			got++
-			ep.Recycle(p)
+			net.Recycle(p)
 		}
 	}
 	if !net.Drained() {

@@ -141,8 +141,8 @@ func (r *Reassembler) Feed(f Flit) (*Packet, error) {
 // ejection reads flit fields straight out of struct-of-arrays slots, so
 // no Flit value is ever materialized. When pool is non-nil, completed
 // packets draw their descriptor and payload storage from that free list
-// (the ejecting endpoint's shard-local pool; see Network.Recycle); a nil
-// pool allocates fresh, matching the exported Feed.
+// (the network's pool; see Network.Recycle); a nil pool allocates fresh,
+// matching the exported Feed.
 func (r *Reassembler) feed(pktID uint64, head, tail bool, data []byte, pool *pktPool) (*Packet, error) {
 	if head {
 		if r.active {

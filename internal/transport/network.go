@@ -17,18 +17,11 @@ type NetConfig struct {
 	MaxPendingPkts int  // per-endpoint send queue depth in packets (default 4)
 	LegacyLock     bool // enable the global legacy-lock token (READEX/LOCK support)
 
-	// Shards partitions the fabric spatially across N >= 2 kernel shards
-	// (see internal/transport/shard.go). 0 or 1 keeps the serial fabric.
-	// Results are byte-identical for any shard count; only wall-clock
-	// behaviour changes. Not compatible with probes.
-	Shards int
-
 	// Fidelity selects the execution mode (see the Fidelity type).
 	// FidelityCycle — the zero value — is the cycle-accurate fabric,
 	// provably inert with respect to this knob; hybrid and loose route
 	// cold-path packets through the analytic latency model in
-	// fidelity.go. Non-cycle fidelity forces a serial fabric (Shards is
-	// ignored): the loose engine is a fabric-global scheduler.
+	// fidelity.go.
 	Fidelity Fidelity
 
 	// LooseThreshold is the per-link utilization (flits/cycle over one
@@ -59,9 +52,6 @@ func (c NetConfig) WithDefaults() NetConfig {
 		c.MaxPendingPkts = 4
 	}
 	if c.Fidelity != FidelityCycle {
-		// The loose engine schedules against fabric-global server state;
-		// a partitioned fabric cannot host it.
-		c.Shards = 0
 		if c.LooseThreshold <= 0 {
 			c.LooseThreshold = DefaultLooseThreshold
 		}
@@ -131,16 +121,8 @@ type Network struct {
 	// pool is the packet-descriptor free list: ejection-side reassembly
 	// draws descriptors (and their payload capacity) from it, and Recycle
 	// returns them. A consumer that never recycles simply sees freshly
-	// allocated packets, exactly as before pooling. Sharded fabrics give
-	// each shard its own pool (shardState.pool); this one serves the
-	// serial fabric and Network-level NewPacket/Recycle callers.
+	// allocated packets, exactly as before pooling.
 	pool pktPool
-
-	// mode, shards and routerShard are set by planShards when
-	// cfg.Shards >= 2 (see shard.go); a serial fabric leaves them zero.
-	mode        netMode
-	shards      []shardState
-	routerShard []int
 
 	// OnTransit, when non-nil, observes every completed packet journey.
 	// Set it after the topology builder returns and before the simulation
@@ -186,66 +168,46 @@ type netTick struct{ n *Network }
 // and endpoints only read lane state committed in earlier cycles (and
 // push into staging), so the iteration order here cannot influence
 // results — the same discipline that made the per-component design
-// registration-order independent, and the same discipline that lets the
-// fork-join mode evaluate shards concurrently with identical results.
+// registration-order independent.
 func (t netTick) Eval(cycle int64) {
-	switch t.n.mode {
-	case modeShardClocks:
-		// Each shard's tick runs on its own ShardGroup clock.
-	case modeForkJoin:
-		t.n.forkJoin(func(s int) { t.n.shardEval(s, cycle) })
-	default:
-		if le := t.n.loose; le != nil {
-			le.tick(cycle)
-			if t.n.looseCycleActive == 0 {
-				// No flit-path packets anywhere in the fabric: every
-				// lane is empty, so the switch/endpoint sweep would be
-				// a no-op. Skipping it is where the loose mode's
-				// speedup comes from.
-				t.n.looseSkippedEval = true
-				return
-			}
-			t.n.looseSkippedEval = false
+	if le := t.n.loose; le != nil {
+		le.tick(cycle)
+		if t.n.looseCycleActive == 0 {
+			// No flit-path packets anywhere in the fabric: every lane is
+			// empty, so the switch/endpoint sweep would be a no-op.
+			// Skipping it is where the loose mode's speedup comes from.
+			t.n.looseSkippedEval = true
+			return
 		}
-		for _, r := range t.n.routers {
-			r.eval(cycle)
-		}
-		for _, ep := range t.n.epList {
-			ep.eval(cycle)
-		}
+		t.n.looseSkippedEval = false
+	}
+	for _, r := range t.n.routers {
+		r.eval(cycle)
+	}
+	for _, ep := range t.n.epList {
+		ep.eval(cycle)
 	}
 }
 
 // Update implements sim.Clocked: commit every lane's staged flits and
 // per-cycle marks in one batch pass.
 func (t netTick) Update(cycle int64) {
-	switch t.n.mode {
-	case modeShardClocks:
-		// Each shard's tick runs on its own ShardGroup clock.
-	case modeForkJoin:
-		if t.n.OnTransit != nil {
-			t.n.resolveTransits(cycle)
+	// When the switch sweep was skipped this cycle and no flit-path send
+	// was staged afterwards (traffic sources run after the fabric tick),
+	// no lane holds staged or committed flits and no output-freed marks
+	// were set — the commit sweep would be a no-op too. The receive
+	// queues still tick: the loose engine stages deliveries into them.
+	if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
+		for _, q := range t.n.qs {
+			q.commit()
 		}
-		t.n.forkJoin(func(s int) { t.n.shardUpdate(s, cycle) })
-	default:
-		// When the switch sweep was skipped this cycle and no flit-path
-		// send was staged afterwards (traffic sources run after the
-		// fabric tick), no lane holds staged or committed flits and no
-		// output-freed marks were set — the commit sweep would be a
-		// no-op too. The receive queues still tick: the loose engine
-		// stages deliveries into them.
-		if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
-			for _, q := range t.n.qs {
-				q.commit()
-			}
-			for _, r := range t.n.routers {
-				r.clearFreed()
-			}
+		for _, r := range t.n.routers {
+			r.clearFreed()
 		}
-		for _, ep := range t.n.epList {
-			if !ep.recvQ.Quiescent() {
-				ep.recvQ.Update(cycle)
-			}
+	}
+	for _, ep := range t.n.epList {
+		if !ep.recvQ.Quiescent() {
+			ep.recvQ.Update(cycle)
 		}
 	}
 }
@@ -284,9 +246,6 @@ func (n *Network) Routers() []*Router { return n.routers }
 // branch per emission site. If the probe wants router names for its
 // reports (obs.RouterNamer), it is fed them here.
 func (n *Network) SetProbe(p obs.Probe) {
-	if p != nil && n.shards != nil {
-		panic("transport: probes require a serial fabric (NetConfig.Shards <= 1): instrumentation hooks are not shard-safe")
-	}
 	n.probe = p
 	for _, r := range n.routers {
 		r.probe = p
@@ -306,37 +265,18 @@ func (n *Network) SetProbe(p obs.Probe) {
 // Probe returns the attached instrumentation probe (nil when disabled).
 func (n *Network) Probe() obs.Probe { return n.probe }
 
-// Injected and Ejected return fabric-wide packet counts (summed across
-// shards when partitioned; read between cycles).
-func (n *Network) Injected() uint64 {
-	t := n.injected
-	for i := range n.shards {
-		t += n.shards[i].injected
-	}
-	return t
-}
-func (n *Network) Ejected() uint64 {
-	t := n.ejected
-	for i := range n.shards {
-		t += n.shards[i].ejected
-	}
-	return t
-}
+// Injected and Ejected return fabric-wide packet counts.
+func (n *Network) Injected() uint64 { return n.injected }
+func (n *Network) Ejected() uint64  { return n.ejected }
 
 // InFlight reports packets injected but not yet ejected.
-func (n *Network) InFlight() int { return int(n.Injected() - n.Ejected()) }
-
-// getPacket pops a pooled packet descriptor, or allocates one the first
-// time through.
-func (n *Network) getPacket() *Packet { return n.pool.get() }
+func (n *Network) InFlight() int { return int(n.injected - n.ejected) }
 
 // NewPacket returns a packet descriptor from the network's free list
 // with a zeroed header and a payload of payloadBytes zero bytes. Paired
 // with Recycle it gives traffic generators and adapters the same
 // zero-alloc steady state the fabric core has: after warmup every
 // send/receive cycle reuses pooled descriptors and payload storage.
-// On a sharded fabric, use Endpoint.NewPacket/Recycle instead so the
-// descriptor stays in the owning shard's pool.
 func (n *Network) NewPacket(payloadBytes int) *Packet {
 	return n.pool.newPacket(payloadBytes)
 }
@@ -349,19 +289,6 @@ func (n *Network) NewPacket(payloadBytes int) *Packet {
 // their packets simply leave the pool empty.
 func (n *Network) Recycle(p *Packet) {
 	n.pool.recycle(p)
-}
-
-// NewPacket is Network.NewPacket against the endpoint's shard-local pool:
-// descriptors drawn here and recycled here never cross shards.
-func (ep *Endpoint) NewPacket(payloadBytes int) *Packet {
-	return ep.pool.newPacket(payloadBytes)
-}
-
-// Recycle returns a packet to the endpoint's shard-local pool. Packets
-// delivered by this endpoint's Recv came from the same pool, so a consumer
-// that recycles what it receives keeps every shard's pool balanced.
-func (ep *Endpoint) Recycle(p *Packet) {
-	ep.pool.recycle(p)
 }
 
 // TryAcquireLock claims the global legacy-lock token for node. The token
@@ -454,8 +381,6 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 		recvQ:  sim.NewUnclockedPipe[*Packet](fmt.Sprintf("recv.%v", node), 64),
 		times:  make(map[uint64]pktTimes),
 		idOrd:  len(n.epList),
-		pool:   &n.pool,
-		clk:    n.clk,
 	}
 	n.qs = append(n.qs, ep.sendQ)
 	n.eps[node] = ep
@@ -491,15 +416,7 @@ type Endpoint struct {
 
 	probe obs.Probe // set by Network.SetProbe; nil = disabled
 
-	// Shard plumbing (see shard.go). On a serial fabric: shard 0, the
-	// network's pool and clock, no injection wires — behaviour identical
-	// to the pre-shard endpoint.
-	shard int
-	idOrd int            // attach order, the base of this endpoint's ID stream
-	idSeq uint64         // per-endpoint packet ID sequence (shard-clock mode)
-	pool  *pktPool       // shard-local descriptor pool
-	clk   *sim.Clock     // the clock domain this endpoint ticks in
-	xinj  [NumVCs]*xwire // cross-shard injection wires (nil = same-shard lane)
+	idOrd int // attach order: indexes the loose engine's per-endpoint state
 }
 
 // pktTimes is a packet's send-side lifecycle, recorded at the source
@@ -539,18 +456,8 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 		// cycle-accurate flit path below.
 		ep.net.looseCycleActive++
 	}
-	if ep.net.mode == modeShardClocks {
-		// Per-endpoint ID streams: the fabric-wide counter would make IDs
-		// depend on cross-shard send interleaving. IDs never surface in
-		// results — they only key reassembly and lifecycle maps — so
-		// determinism needs uniqueness and per-endpoint stability, which
-		// (attach order | sequence) provides without any shared state.
-		ep.idSeq++
-		p.ID = uint64(ep.idOrd+1)<<40 | ep.idSeq
-	} else {
-		ep.net.nextPktID++
-		p.ID = ep.net.nextPktID
-	}
+	ep.net.nextPktID++
+	p.ID = ep.net.nextPktID
 	if p.Src != ep.node {
 		panic(fmt.Sprintf("transport: %v sending packet with Src=%v", ep.node, p.Src))
 	}
@@ -604,11 +511,11 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 	}
 	ep.pending++
 	if ep.net.OnTransit != nil {
-		ep.times[p.ID] = pktTimes{queued: ep.clk.Cycle()}
+		ep.times[p.ID] = pktTimes{queued: ep.net.clk.Cycle()}
 	}
 	if ep.probe != nil {
 		ep.probe.Event(obs.Event{
-			Kind: obs.KindQueued, Cycle: ep.clk.Cycle(),
+			Kind: obs.KindQueued, Cycle: ep.net.clk.Cycle(),
 			PktID: p.ID, Src: p.Src, Dst: p.Dst, Val: n,
 		})
 	}
@@ -637,27 +544,14 @@ func (ep *Endpoint) RecvAll(dst []*Packet) []*Packet {
 // eval runs one endpoint cycle — inject one flit, eject one flit — from
 // the network's fabric tick.
 func (ep *Endpoint) eval(cycle int64) {
-	// Injection. A cross-shard injection lane is reached through its
-	// exchange wire (same credit rule, same staging order) instead of a
-	// direct staged push; see shard.go.
+	// Injection.
 	q := ep.sendQ
 	if q.clen > 0 {
 		hs := q.slot(0)
-		vc := q.ring.vc[hs]
-		lane := ep.router.lanes[ep.port][vc]
-		var dstRing *flitSlots
-		si := -1
-		if xw := ep.xinj[vc]; xw != nil {
-			if xw.canPush(1) {
-				si = xw.stage()
-				dstRing = &xw.ring
-			}
-		} else if lane.canPush(1) {
-			si = lane.stagePush()
-			dstRing = &lane.ring
-		}
-		if si >= 0 {
-			dstRing.copySlot(si, &q.ring, hs, q.stride)
+		lane := ep.router.lanes[ep.port][q.ring.vc[hs]]
+		if lane.canPush(1) {
+			si := lane.stagePush()
+			lane.ring.copySlot(si, &q.ring, hs, q.stride)
 			fl := q.ring.flags[hs]
 			if fl&slotHead != 0 {
 				pktID := q.ring.pktID[hs]
@@ -666,11 +560,7 @@ func (ep *Endpoint) eval(cycle int64) {
 					tm.injected = cycle
 					ep.times[pktID] = tm
 				}
-				if ep.net.shards != nil {
-					ep.net.shards[ep.shard].injected++
-				} else {
-					ep.net.injected++
-				}
+				ep.net.injected++
 				if ep.probe != nil {
 					ep.probe.Event(obs.Event{
 						Kind: obs.KindInject, Cycle: cycle,
@@ -693,7 +583,7 @@ func (ep *Endpoint) eval(cycle int64) {
 			s.flags[hs]&slotHead != 0,
 			s.flags[hs]&slotTail != 0,
 			s.data[hs*ep.ej.stride:hs*ep.ej.stride+int(s.dlen[hs])],
-			ep.pool,
+			&ep.net.pool,
 		)
 		hops := s.hops[hs]
 		ep.ej.pop()
@@ -704,11 +594,7 @@ func (ep *Endpoint) eval(cycle int64) {
 			if ep.net.loose != nil {
 				ep.net.looseCycleActive--
 			}
-			if ep.net.shards != nil {
-				ep.net.shards[ep.shard].ejected++
-			} else {
-				ep.net.ejected++
-			}
+			ep.net.ejected++
 			ep.recvQ.Push(pkt)
 			if ep.probe != nil {
 				ep.probe.Event(obs.Event{
@@ -717,28 +603,19 @@ func (ep *Endpoint) eval(cycle int64) {
 				})
 			}
 			if ep.net.OnTransit != nil {
-				if ep.net.shards != nil {
-					// The source endpoint's lifecycle map may live on
-					// another shard: defer to the serial merge point
-					// (resolveTransits), which runs with all shards
-					// quiesced and in fixed shard order.
-					st := &ep.net.shards[ep.shard]
-					st.transits = append(st.transits, pendingTransit{pkt: pkt, eject: cycle, hops: hops})
-				} else {
-					src := ep.net.eps[pkt.Src]
-					rec := TransitRecord{
-						Pkt:        pkt,
-						EjectCycle: cycle,
-						Hops:       int(hops),
-					}
-					if src != nil {
-						tm := src.times[pkt.ID]
-						rec.QueuedCycle = tm.queued
-						rec.InjectCycle = tm.injected
-						delete(src.times, pkt.ID)
-					}
-					ep.net.OnTransit(rec)
+				src := ep.net.eps[pkt.Src]
+				rec := TransitRecord{
+					Pkt:        pkt,
+					EjectCycle: cycle,
+					Hops:       int(hops),
 				}
+				if src != nil {
+					tm := src.times[pkt.ID]
+					rec.QueuedCycle = tm.queued
+					rec.InjectCycle = tm.injected
+					delete(src.times, pkt.ID)
+				}
+				ep.net.OnTransit(rec)
 			}
 		}
 	}

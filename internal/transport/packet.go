@@ -50,6 +50,43 @@ type Packet struct {
 	ID uint64
 }
 
+// pktPool is a packet-descriptor free list: the fabric draws reassembled
+// packets from it and Network.Recycle returns them.
+type pktPool struct {
+	free []*Packet
+}
+
+func (pl *pktPool) get() *Packet {
+	if k := len(pl.free); k > 0 {
+		p := pl.free[k-1]
+		pl.free[k-1] = nil
+		pl.free = pl.free[:k-1]
+		return p
+	}
+	return &Packet{}
+}
+
+func (pl *pktPool) newPacket(payloadBytes int) *Packet {
+	p := pl.get()
+	if cap(p.Payload) < payloadBytes {
+		p.Payload = make([]byte, payloadBytes)
+	} else {
+		p.Payload = p.Payload[:payloadBytes]
+		clear(p.Payload)
+	}
+	return p
+}
+
+func (pl *pktPool) recycle(p *Packet) {
+	if p == nil {
+		return
+	}
+	payload := p.Payload[:0]
+	*p = Packet{}
+	p.Payload = payload
+	pl.free = append(pl.free, p)
+}
+
 // Wire format constants.
 const (
 	HeaderBytes = 16

@@ -109,14 +109,6 @@ type Router struct {
 	// would otherwise close.
 	vcOut [][]int8
 
-	// xouts, when non-nil, marks outputs whose downstream lane lives on
-	// another shard: xouts[o][vc] is the exchange wire flits leaving
-	// output o on channel vc stage into instead of the lane itself (the
-	// wire's owner drains them at the shard barrier; see shard.go). Nil
-	// on serial fabrics and for same-shard outputs, so the unsharded hot
-	// path pays one nil check.
-	xouts [][]*xwire
-
 	// probe, when non-nil, observes flits, stalls, buffer occupancy and
 	// VC allocations (Network.SetProbe distributes it). Every emission
 	// site is behind a nil check, so disabled instrumentation costs one
@@ -332,28 +324,13 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 	if dst == nil {
 		panic(fmt.Sprintf("transport: router %q output %d has no VC%d buffer", r.name, o, vc))
 	}
-	var dstRing *flitSlots
-	var si int
-	if r.xouts != nil && r.xouts[o][vc] != nil {
-		// Cross-shard hop: stage into the exchange wire. Its credit check
-		// mirrors the downstream lane's exactly, so backpressure behaves
-		// byte-identically to the serial fabric.
-		xw := r.xouts[o][vc]
-		if !xw.canPush(1) {
-			return false // downstream backpressure
-		}
-		si = xw.stage()
-		dstRing = &xw.ring
-	} else {
-		if !dst.canPush(1) {
-			return false // downstream backpressure
-		}
-		si = dst.stagePush()
-		dstRing = &dst.ring
+	if !dst.canPush(1) {
+		return false // downstream backpressure
 	}
-	dstRing.copySlot(si, &lane.ring, hs, lane.stride)
-	dstRing.vc[si] = vc
-	dstRing.hops[si] = lane.ring.hops[hs] + 1
+	si := dst.stagePush()
+	dst.ring.copySlot(si, &lane.ring, hs, lane.stride)
+	dst.ring.vc[si] = vc
+	dst.ring.hops[si] = lane.ring.hops[hs] + 1
 	pktID := lane.ring.pktID[hs]
 	tail := lane.ring.flags[hs]&slotTail != 0
 	lane.pop()
@@ -449,12 +426,7 @@ func (r *Router) arbitrate(o int) laneRef {
 			// consistent with the lanes' one-cycle credit semantics).
 			if r.cfg.CutThrough {
 				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
-				ovc := r.outVC(p, o, lane.ring.vc[hs])
-				if r.xouts != nil && r.xouts[o][ovc] != nil {
-					if !r.xouts[o][ovc].canPush(need) {
-						continue
-					}
-				} else if !r.outs[o][ovc].canPush(need) {
+				if !r.outs[o][r.outVC(p, o, lane.ring.vc[hs])].canPush(need) {
 					continue
 				}
 			}

@@ -25,16 +25,6 @@ func NewCrossbar(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Networ
 		r.setRoute(node, i)
 		n.attach(node, r, i)
 	}
-	if n.cfg.Shards > 1 {
-		// One switch cannot be split, but its endpoints can: the single
-		// router (and so every lane) lands on shard 0 and the endpoints
-		// spread evenly, so injection-side work still parallelizes.
-		eps := make([]int, len(nodes))
-		for i := range eps {
-			eps[i] = i * n.cfg.Shards / len(nodes)
-		}
-		n.planShards([]int{0}, eps)
-	}
 	return n
 }
 
@@ -128,9 +118,6 @@ func NewMesh(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 		c := spec.Nodes[node]
 		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
 	}
-	if n.cfg.Shards > 1 {
-		n.planShards(meshShards(n.cfg.Shards, spec.W, spec.H), nil)
-	}
 	return n
 }
 
@@ -218,9 +205,6 @@ func NewRing(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 	}
 	for i, node := range nodes {
 		n.attach(node, n.routers[i], ringLocal)
-	}
-	if n.cfg.Shards > 1 {
-		n.planShards(arcShards(n.cfg.Shards, N), nil)
 	}
 	return n
 }
@@ -356,9 +340,6 @@ func NewTorus(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 		c := spec.Nodes[node]
 		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
 	}
-	if n.cfg.Shards > 1 {
-		n.planShards(meshShards(n.cfg.Shards, spec.W, spec.H), nil)
-	}
 	return n
 }
 
@@ -430,15 +411,6 @@ func NewTree(clk *sim.Clock, cfg NetConfig, fanout int, nodes []noctypes.NodeID)
 				leaf.setRoute(other, upPort)
 			}
 		}
-	}
-	if n.cfg.Shards > 1 {
-		// Subtree partitioning: leaves spread evenly across shards; the
-		// root (every subtree's shared trunk) lands on shard 0.
-		rs := make([]int, len(n.routers))
-		for l := 0; l < numLeaves; l++ {
-			rs[l+1] = l * n.cfg.Shards / numLeaves
-		}
-		n.planShards(rs, nil)
 	}
 	return n
 }
