@@ -56,8 +56,11 @@ var noLane = laneRef{-1, -1}
 type RouterStats struct {
 	FlitsMoved uint64
 	PktsMoved  uint64
-	LockStalls uint64   // allocation attempts denied by a lock reservation
-	BusyStalls uint64   // allocation attempts denied by a busy output
+	LockStalls uint64 // allocation attempts denied by a lock reservation
+	// BusyStalls counts head flits that lost arbitration for a free
+	// output to another candidate of the same cycle (under QoS, one of
+	// equal priority). Heads waiting on a held output are not counted.
+	BusyStalls uint64
 	OutBusy    []uint64 // per-output busy (flit-moved) cycles
 	OutStall   []uint64 // per-output cycles a granted output moved no flit
 }
@@ -96,9 +99,10 @@ type Router struct {
 
 	table map[noctypes.NodeID]int
 
-	// cands is the arbitration candidate scratch, reused across cycles
-	// so steady-state arbitration never allocates.
-	cands []arbCand
+	// req is the per-output request table of the allocation pass,
+	// allocated once at build time so steady-state allocation never
+	// touches the heap.
+	req []outReq
 
 	// vcOut, when non-nil, rewrites a flit's virtual channel as it leaves
 	// the switch: vcOut[in][out] is the VC flits arriving on input port
@@ -118,9 +122,13 @@ type Router struct {
 	stats RouterStats
 }
 
-type arbCand struct {
-	ln  laneRef
-	pri noctypes.Priority
+// outReq is one output's best requester so far in a cycle's
+// allocation pass.
+type outReq struct {
+	win  laneRef
+	rank int               // round-robin rank of win (lower wins)
+	pri  noctypes.Priority // win's priority (QoS only)
+	n    int               // requesters at pri; all requesters without QoS
 }
 
 // newRouter creates a router with numPorts ports and allocates its
@@ -156,6 +164,7 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 	r.outFreed = make([]bool, numPorts)
 	r.outLock = make([]int32, numPorts)
 	r.rr = make([]int, numPorts)
+	r.req = make([]outReq, numPorts)
 	for o := range r.outHold {
 		r.outHold[o] = noLane
 		r.outLock[o] = -1
@@ -239,18 +248,37 @@ func (r *Router) eval(cycle int64) {
 		}
 	}
 
-	// Phase 2: allocate outputs that were free at cycle start.
-	for o := range r.outHold {
-		if r.outHold[o] != noLane || r.outFreed[o] {
+	r.allocate(cycle)
+}
+
+// allocate is phase 2 of eval: it grants outputs that were free at cycle
+// start. One input-driven pass visits each unallocated lane once; a
+// ready head requests exactly one output, its route, and each output
+// keeps its best requester (see request). Outputs are then granted in
+// ascending order. Granting output o changes only o's state and its
+// winner lane, which requested nothing else, so the result equals
+// arbitrating each free output over every lane in turn — at O(P·V)
+// instead of O(P²·V) per cycle. The one lane that can request twice is
+// a winner whose single-flit packet drained in its grant cycle: its
+// next head requests again, and only outputs after o still listen.
+func (r *Router) allocate(cycle int64) {
+	for o := range r.req {
+		r.req[o].n = 0
+	}
+	for p := range r.lanes {
+		for v := 0; v < NumVCs; v++ {
+			if r.laneAl[p][v] == -1 {
+				r.request(p, v, -1)
+			}
+		}
+	}
+	for o := range r.req {
+		q := &r.req[o]
+		if q.n == 0 {
 			continue
 		}
-		if r.outs[o][VCNormal] == nil {
-			continue // unconnected port (mesh edge)
-		}
-		win := r.arbitrate(o)
-		if win == noLane {
-			continue
-		}
+		r.stats.BusyStalls += uint64(q.n - 1)
+		win := q.win
 		lane := r.lanes[win.port][win.vc]
 		hs := lane.slot(0)
 		r.outHold[o] = win
@@ -267,6 +295,59 @@ func (r *Router) eval(cycle int64) {
 		}
 		if !r.moveFlit(cycle, o, win) {
 			r.noteStall(cycle, o)
+		}
+		if r.laneAl[win.port][win.vc] == -1 {
+			r.request(win.port, win.vc, o)
+		}
+	}
+}
+
+// request files lane (port,vc)'s head packet, if ready, as a request for
+// its route's output, provided that output comes after `after`, was free
+// at cycle start and is connected. A lock reservation for another source
+// denies the request (LockStalls); under CutThrough so does a downstream
+// buffer without room for the whole packet. The output keeps the best
+// requester: highest priority under QoS, then lowest round-robin rank —
+// ports in order from rr[o], VCLocked before VCNormal on one port so
+// unlocking packets are never starved.
+func (r *Router) request(port, vc, after int) {
+	hs, ok := r.ready(port, vc)
+	if !ok {
+		return
+	}
+	lane := r.lanes[port][vc]
+	hdr := &lane.ring.hdr[hs]
+	o := r.routeFor(hdr.Dst)
+	if o <= after || r.outHold[o] != noLane || r.outFreed[o] || r.outs[o][VCNormal] == nil {
+		return
+	}
+	if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
+		r.stats.LockStalls++
+		return
+	}
+	// Virtual-cut-through admission: grant only with space for the whole
+	// packet downstream (canPush keeps the check consistent with the
+	// lanes' one-cycle credit semantics).
+	if r.cfg.CutThrough {
+		need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
+		if !r.outs[o][r.outVC(port, o, lane.ring.vc[hs])].canPush(need) {
+			return
+		}
+	}
+	n := len(r.lanes)
+	rank := ((port-r.rr[o])%n+n)%n*NumVCs + (NumVCs - 1 - vc)
+	q := &r.req[o]
+	var pri noctypes.Priority
+	if r.cfg.QoS {
+		pri = hdr.Priority
+	}
+	switch {
+	case q.n == 0 || pri > q.pri:
+		*q = outReq{win: laneRef{port, vc}, rank: rank, pri: pri, n: 1}
+	case pri == q.pri:
+		q.n++
+		if rank < q.rank {
+			q.win, q.rank = laneRef{port, vc}, rank
 		}
 	}
 }
@@ -398,75 +479,4 @@ func (r *Router) ready(port, vc int) (int, bool) {
 		}
 	}
 	return hs, true
-}
-
-// arbitrate picks the winning lane for free output o, or noLane.
-func (r *Router) arbitrate(o int) laneRef {
-	cands := r.cands[:0]
-	for p := range r.lanes {
-		for v := 0; v < NumVCs; v++ {
-			if r.laneAl[p][v] != -1 {
-				continue
-			}
-			hs, ok := r.ready(p, v)
-			if !ok {
-				continue
-			}
-			lane := r.lanes[p][v]
-			hdr := &lane.ring.hdr[hs]
-			if r.routeFor(hdr.Dst) != o {
-				continue
-			}
-			if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
-				r.stats.LockStalls++
-				continue
-			}
-			// Virtual-cut-through admission: grant only with space for
-			// the whole packet downstream (canPush keeps the check
-			// consistent with the lanes' one-cycle credit semantics).
-			if r.cfg.CutThrough {
-				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
-				if !r.outs[o][r.outVC(p, o, lane.ring.vc[hs])].canPush(need) {
-					continue
-				}
-			}
-			cands = append(cands, arbCand{laneRef{p, v}, hdr.Priority})
-		}
-	}
-	r.cands = cands[:0] // keep the (possibly grown) scratch for next cycle
-	if len(cands) == 0 {
-		return noLane
-	}
-	// QoS: restrict to the highest priority present.
-	if r.cfg.QoS {
-		var max noctypes.Priority
-		for _, c := range cands {
-			if c.pri > max {
-				max = c.pri
-			}
-		}
-		kept := cands[:0]
-		for _, c := range cands {
-			if c.pri == max {
-				kept = append(kept, c)
-			}
-		}
-		cands = kept
-	}
-	// Round-robin across ports starting at rr[o]; VCLocked beats VCNormal
-	// on the same port so unlocking packets are never starved.
-	best := noLane
-	bestRank := 1 << 30
-	n := len(r.lanes)
-	for _, c := range cands {
-		rank := ((c.ln.port-r.rr[o])%n+n)%n*NumVCs + (NumVCs - 1 - c.ln.vc)
-		if rank < bestRank {
-			bestRank = rank
-			best = c.ln
-		}
-	}
-	if len(cands) > 1 {
-		r.stats.BusyStalls += uint64(len(cands) - 1)
-	}
-	return best
 }
