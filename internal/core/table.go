@@ -34,43 +34,82 @@ func (c TableConfig) Validate() error {
 	return nil
 }
 
-// Entry is one outstanding transaction tracked by the NIU.
+// Entry is one outstanding transaction tracked by the NIU. Entries live
+// in the table's fixed pool: a pointer returned by Complete or
+// OldestForTag stays valid only until the table's next Issue.
 type Entry struct {
-	Tag   noctypes.Tag
-	Dst   noctypes.NodeID
-	Cmd   Cmd
-	Seq   uint64
-	Issue int64 // cycle of issue, for latency statistics
-	Meta  any   // NIU-private socket context (AXI ID, OCP thread, ...)
+	Tag noctypes.Tag
+	Dst noctypes.NodeID
+	Cmd Cmd
+	// ProtoID, Size and Len record the socket's ordering handle and the
+	// burst shape the request was issued with, so an adapter can rebuild
+	// its socket response from the entry alone.
+	ProtoID int
+	Size    uint8
+	Len     uint16
+	Seq     uint64
+	Issue   int64 // cycle of issue, for latency statistics
+	// Meta is optional adapter-private context. Storing a non-pointer
+	// value boxes it, which allocates; the built-in adapters need only
+	// the fields above.
+	Meta any
 }
 
 // Table tracks outstanding transactions with per-tag FIFO order. The
 // transport layer guarantees per-(MstAddr,Tag) in-order delivery, so the
 // oldest entry for a tag is, by construction, the one a response for that
 // tag belongs to.
+//
+// Entries come from a pool of MaxOutstanding slots allocated once, and
+// each tag keeps a ring of pool indices, so issuing and completing
+// transactions allocates nothing once every tag in use has been seen.
 type Table struct {
 	cfg     TableConfig
-	perTag  map[noctypes.Tag][]*Entry
+	pool    []Entry   // MaxOutstanding slots
+	free    []int32   // unused pool slots (a stack)
+	perTag  []tagRing // indexed by tag; grown on first use of a tag
 	targets map[noctypes.NodeID]int
 	count   int
 	peak    int
 	issued  uint64
 }
 
+// tagRing is one tag's FIFO of pool indices, oldest first.
+type tagRing struct {
+	idx  []int32 // MaxOutstanding slots, allocated on the tag's first issue
+	head int
+	n    int
+}
+
+func (q *tagRing) at(i int) int32 { return q.idx[(q.head+i)%len(q.idx)] }
+
 // NewTable returns an empty table; cfg must validate.
 func NewTable(cfg TableConfig) *Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Table{
+	t := &Table{
 		cfg:     cfg,
-		perTag:  make(map[noctypes.Tag][]*Entry),
+		pool:    make([]Entry, cfg.MaxOutstanding),
+		free:    make([]int32, cfg.MaxOutstanding),
 		targets: make(map[noctypes.NodeID]int),
 	}
+	for i := range t.free {
+		t.free[i] = int32(cfg.MaxOutstanding - 1 - i)
+	}
+	return t
 }
 
 // Config returns the table's configuration.
 func (t *Table) Config() TableConfig { return t.cfg }
+
+// ring returns tag's FIFO, or nil if the tag has never been issued.
+func (t *Table) ring(tag noctypes.Tag) *tagRing {
+	if int(tag) < len(t.perTag) {
+		return &t.perTag[tag]
+	}
+	return nil
+}
 
 // CanIssue reports whether a transaction with the given tag and target can
 // be accepted now (capacity and target-set checks). Refusal means the NIU
@@ -86,7 +125,7 @@ func (t *Table) CanIssue(tag noctypes.Tag, dst noctypes.NodeID) bool {
 	if t.count >= t.cfg.MaxOutstanding {
 		return false
 	}
-	if q := t.perTag[tag]; len(q) > 0 && q[len(q)-1].Dst != dst {
+	if q := t.ring(tag); q != nil && q.n > 0 && t.pool[q.at(q.n-1)].Dst != dst {
 		return false
 	}
 	if _, known := t.targets[dst]; !known && len(t.targets) >= t.cfg.MaxTargets {
@@ -95,14 +134,25 @@ func (t *Table) CanIssue(tag noctypes.Tag, dst noctypes.NodeID) bool {
 	return true
 }
 
-// Issue records a new outstanding transaction. It panics if CanIssue is
-// false — callers must check first (the check/act split mirrors the
-// ready/valid handshake of the hardware).
+// Issue records a copy of e as a new outstanding transaction. It panics
+// if CanIssue is false — callers must check first (the check/act split
+// mirrors the ready/valid handshake of the hardware).
 func (t *Table) Issue(e *Entry) {
 	if !t.CanIssue(e.Tag, e.Dst) {
 		panic(fmt.Sprintf("core: Issue without CanIssue (tag=%v dst=%v count=%d)", e.Tag, e.Dst, t.count))
 	}
-	t.perTag[e.Tag] = append(t.perTag[e.Tag], e)
+	if int(e.Tag) >= len(t.perTag) {
+		t.perTag = append(t.perTag, make([]tagRing, int(e.Tag)+1-len(t.perTag))...)
+	}
+	q := &t.perTag[e.Tag]
+	if q.idx == nil {
+		q.idx = make([]int32, t.cfg.MaxOutstanding)
+	}
+	i := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
+	t.pool[i] = *e
+	q.idx[(q.head+q.n)%len(q.idx)] = i
+	q.n++
 	t.targets[e.Dst]++
 	t.count++
 	t.issued++
@@ -112,20 +162,19 @@ func (t *Table) Issue(e *Entry) {
 }
 
 // Complete retires the oldest outstanding transaction for tag and returns
-// its entry. It returns an error if no transaction with that tag is
-// outstanding — which, given transport per-tag ordering, indicates a
-// protocol violation somewhere upstream.
+// its entry, valid until the next Issue. It returns an error if no
+// transaction with that tag is outstanding — which, given transport
+// per-tag ordering, indicates a protocol violation somewhere upstream.
 func (t *Table) Complete(tag noctypes.Tag) (*Entry, error) {
-	q := t.perTag[tag]
-	if len(q) == 0 {
+	q := t.ring(tag)
+	if q == nil || q.n == 0 {
 		return nil, fmt.Errorf("core: response for %v with no outstanding transaction", tag)
 	}
-	e := q[0]
-	if len(q) == 1 {
-		delete(t.perTag, tag)
-	} else {
-		t.perTag[tag] = q[1:]
-	}
+	i := q.at(0)
+	q.head = (q.head + 1) % len(q.idx)
+	q.n--
+	t.free = append(t.free, i)
+	e := &t.pool[i]
 	t.targets[e.Dst]--
 	if t.targets[e.Dst] == 0 {
 		delete(t.targets, e.Dst)
@@ -138,12 +187,18 @@ func (t *Table) Complete(tag noctypes.Tag) (*Entry, error) {
 func (t *Table) Outstanding() int { return t.count }
 
 // OutstandingForTag returns in-flight transactions for one tag.
-func (t *Table) OutstandingForTag(tag noctypes.Tag) int { return len(t.perTag[tag]) }
+func (t *Table) OutstandingForTag(tag noctypes.Tag) int {
+	if q := t.ring(tag); q != nil {
+		return q.n
+	}
+	return 0
+}
 
 // OldestForTag returns the entry a response for tag will retire, or nil.
+// The entry is valid until the next Issue.
 func (t *Table) OldestForTag(tag noctypes.Tag) *Entry {
-	if q := t.perTag[tag]; len(q) > 0 {
-		return q[0]
+	if q := t.ring(tag); q != nil && q.n > 0 {
+		return &t.pool[q.at(0)]
 	}
 	return nil
 }

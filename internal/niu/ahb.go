@@ -1,6 +1,8 @@
 package niu
 
 import (
+	"bytes"
+
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/sim"
@@ -35,10 +37,6 @@ type ahbMasterAdapter struct {
 	rspQ []ahb.Rsp
 }
 
-type ahbMeta struct {
-	write bool
-}
-
 // NewAHBMaster creates the NIU and registers it on clk. AHB has no
 // ordering handles: the model is always fully-ordered.
 func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ahb.Port, cfg MasterConfig) *AHBMaster {
@@ -51,10 +49,9 @@ func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap,
 // DeliverResponse implements MasterAdapter: responses come back strictly
 // in order, one per cycle.
 func (a *ahbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(ahbMeta)
 	out := ahb.Rsp{Resp: ahbRespFor(rsp.Status)}
-	if !meta.write {
-		out.Data = rsp.Data
+	if !entry.Cmd.IsWrite() {
+		out.Data = bytes.Clone(rsp.Data)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -63,47 +60,48 @@ func (a *ahbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry
 func (a *ahbMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
 
 // PumpRequests implements MasterAdapter.
-func (a *ahbMasterAdapter) PumpRequests(cycle int64) {
-	a.eng.PumpOne(cycle, func() (Candidate, bool) {
-		hreq, ok := a.port.Req.Peek()
-		if !ok {
-			return Candidate{}, false
-		}
-		beats := hreq.NumBeats()
-		var cmd core.Cmd
-		switch {
-		case hreq.Write && hreq.Lock && hreq.Unlock:
-			cmd = core.CmdWriteUnlk
-		case hreq.Write:
-			cmd = core.CmdWrite
-		case hreq.Lock:
-			cmd = core.CmdReadLock
-		default:
-			cmd = core.CmdRead
-		}
-		req := &core.Request{
-			Cmd: cmd, Addr: hreq.Addr, Size: hreq.Size, Len: uint16(beats),
-			Burst:  ahbBurstToCore(hreq.Burst),
-			Locked: hreq.Lock, Unlock: hreq.Unlock,
-		}
-		if hreq.Write {
-			req.Data = hreq.Data
-		}
-		return Candidate{
-			Req: req, ProtoID: 0, Meta: ahbMeta{write: hreq.Write},
-			Consume: func() { a.port.Req.Pop() },
-			// AHB signals both decode errors and disabled services as
-			// ERROR on the socket (locked transfers without the
-			// LegacyLock service are refused here).
-			LocalError: func() {
-				out := ahb.Rsp{Resp: ahb.RespError}
-				if !hreq.Write {
-					out.Data = make([]byte, beats*int(hreq.Size))
-				}
-				a.rspQ = append(a.rspQ, out)
-			},
-		}, true
-	})
+func (a *ahbMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
+
+// Peek implements SocketHead.
+func (a *ahbMasterAdapter) Peek(c *Candidate) bool {
+	hreq, ok := a.port.Req.Peek()
+	if !ok {
+		return false
+	}
+	var cmd core.Cmd
+	switch {
+	case hreq.Write && hreq.Lock && hreq.Unlock:
+		cmd = core.CmdWriteUnlk
+	case hreq.Write:
+		cmd = core.CmdWrite
+	case hreq.Lock:
+		cmd = core.CmdReadLock
+	default:
+		cmd = core.CmdRead
+	}
+	c.Req = core.Request{
+		Cmd: cmd, Addr: hreq.Addr, Size: hreq.Size, Len: uint16(hreq.NumBeats()),
+		Burst:  ahbBurstToCore(hreq.Burst),
+		Locked: hreq.Lock, Unlock: hreq.Unlock,
+	}
+	if hreq.Write {
+		c.Req.Data = hreq.Data
+	}
+	return true
+}
+
+// Pop implements SocketHead.
+func (a *ahbMasterAdapter) Pop() { a.port.Req.Pop() }
+
+// Refuse implements SocketHead: AHB signals both decode errors and
+// disabled services as ERROR on the socket (locked transfers without
+// the LegacyLock service are refused here).
+func (a *ahbMasterAdapter) Refuse(c *Candidate) {
+	out := ahb.Rsp{Resp: ahb.RespError}
+	if !c.Req.Cmd.IsWrite() {
+		out.Data = make([]byte, c.Req.Bytes())
+	}
+	a.rspQ = append(a.rspQ, out)
 }
 
 // AHBSlave is the slave-side NIU for an AHB target IP. AHB has no FIXED
@@ -117,6 +115,7 @@ type AHBSlave struct {
 // ahbSlaveAdapter executes checked requests against the target socket.
 type ahbSlaveAdapter struct {
 	eng *ahb.Master
+	replier
 }
 
 // NewAHBSlave creates the NIU on clk.
@@ -157,37 +156,39 @@ func coreBurstToAHB(b core.BurstKind, beats int) (ahb.Burst, int) {
 func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	r := req
 	beats := int(req.Len)
+	data, _ := heldWrite(req)
 	if req.Burst == core.BurstFixed && beats > 1 {
-		a.execFixed(r, beats, respond)
+		a.execFixed(r, beats, data, respond)
 		return
 	}
 	burst, incr := coreBurstToAHB(req.Burst, beats)
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(req.Addr, req.Size, burst, incr, func(res ahb.ReadResult) {
-			respond(&core.Response{Status: statusFor(r, res.Resp != ahb.RespOkay), Data: res.Data})
+			a.reply(respond, statusFor(r, res.Resp != ahb.RespOkay), res.Data)
 		})
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(req.Addr, req.Size, burst, req.Data, nil)
+		a.eng.Write(req.Addr, req.Size, burst, data, nil)
 	default:
-		a.eng.Write(req.Addr, req.Size, burst, req.Data, func(resp ahb.Resp) {
-			respond(&core.Response{Status: statusFor(r, resp != ahb.RespOkay)})
+		a.eng.Write(req.Addr, req.Size, burst, data, func(resp ahb.Resp) {
+			a.reply(respond, statusFor(r, resp != ahb.RespOkay), nil)
 		})
 	}
 }
 
-// execFixed adapts a FIXED burst into repeated SINGLE transfers.
-func (a *ahbSlaveAdapter) execFixed(r *core.Request, beats int, respond func(*core.Response)) {
+// execFixed adapts a FIXED burst into repeated SINGLE transfers of data,
+// the request's write bytes.
+func (a *ahbSlaveAdapter) execFixed(r *core.Request, beats int, data []byte, respond func(*core.Response)) {
 	s := int(r.Size)
 	if r.Cmd.IsRead() {
-		data := make([]byte, 0, beats*s)
+		got := make([]byte, 0, beats*s)
 		remaining := beats
 		for i := 0; i < beats; i++ {
 			a.eng.Read(r.Addr, r.Size, ahb.BurstSingle, 0, func(res ahb.ReadResult) {
-				data = append(data, res.Data...)
+				got = append(got, res.Data...)
 				remaining--
 				if remaining == 0 {
-					respond(&core.Response{Status: statusFor(r, false), Data: data})
+					a.reply(respond, statusFor(r, false), got)
 				}
 			})
 		}
@@ -195,11 +196,11 @@ func (a *ahbSlaveAdapter) execFixed(r *core.Request, beats int, respond func(*co
 	}
 	remaining := beats
 	for i := 0; i < beats; i++ {
-		beat := r.Data[i*s : (i+1)*s]
+		beat := data[i*s : (i+1)*s]
 		cb := func(ahb.Resp) {
 			remaining--
 			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				respond(&core.Response{Status: statusFor(r, false)})
+				a.reply(respond, statusFor(r, false), nil)
 			}
 		}
 		if !r.Cmd.ExpectsResponse() {

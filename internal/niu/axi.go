@@ -20,6 +20,9 @@ func axiProtoID(id int, write bool) int {
 	return p
 }
 
+// axiID recovers the AXI transaction ID from axiProtoID's handle.
+func axiID(protoID int) int { return protoID >> 1 }
+
 func axiBurstToCore(b axi.Burst) core.BurstKind {
 	switch b {
 	case axi.BurstFixed:
@@ -75,6 +78,11 @@ type axiMasterAdapter struct {
 	rStream []axiRead   // completed reads streaming R beats
 	rBeat   int
 	bQ      []axi.BBeat
+
+	// Conversion scratch, reused by every issue: Issue encodes the
+	// request before it returns.
+	req        core.Request
+	wData, wBE []byte
 }
 
 type axiRead struct {
@@ -83,14 +91,6 @@ type axiRead struct {
 	size  int
 	beats int
 	resp  axi.Resp
-}
-
-type axiMeta struct {
-	id    int
-	write bool
-	size  uint8
-	beats int
-	excl  bool
 }
 
 // NewAXIMaster creates the NIU and registers it on clk. AXI's natural
@@ -103,14 +103,15 @@ func NewAXIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap,
 
 // DeliverResponse implements MasterAdapter.
 func (a *axiMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(axiMeta)
-	if meta.write {
-		a.bQ = append(a.bQ, axi.BBeat{ID: meta.id, Resp: axiRespFor(rsp.Status)})
+	id := axiID(entry.ProtoID)
+	if entry.Cmd.IsWrite() {
+		a.bQ = append(a.bQ, axi.BBeat{ID: id, Resp: axiRespFor(rsp.Status)})
 		return
 	}
+	beats, size := int(entry.Len), int(entry.Size)
 	a.rStream = append(a.rStream, axiRead{
-		id: meta.id, data: padData(rsp.Data, meta.beats*int(meta.size)),
-		size: int(meta.size), beats: meta.beats,
+		id: id, data: ownData(rsp.Data, beats*size),
+		size: size, beats: beats,
 		resp: axiRespFor(rsp.Status),
 	})
 }
@@ -138,7 +139,7 @@ func (a *axiMasterAdapter) streamR() {
 	last := a.rBeat == r.beats-1
 	a.port.R.Push(axi.RBeat{ID: r.id, Data: r.data[lo : lo+r.size], Resp: r.resp, Last: last})
 	if last {
-		a.rStream = a.rStream[1:]
+		a.rStream = dropFront(a.rStream, 1)
 		a.rBeat = 0
 	} else {
 		a.rBeat++
@@ -168,13 +169,12 @@ func (a *axiMasterAdapter) acceptAR(cycle int64) {
 		cmd = core.CmdReadEx
 		excl = true
 	} // exclusive demoted to plain read when the service is off (AXI: OKAY)
-	req := &core.Request{
+	a.req = core.Request{
 		Cmd: cmd, Addr: ar.Addr, Size: ar.Size, Len: uint16(ar.Beats()),
 		Burst: axiBurstToCore(ar.Burst), Exclusive: excl,
 		Priority: a.priorityFor(ar.QoS),
 	}
-	meta := axiMeta{id: ar.ID, write: false, size: ar.Size, beats: ar.Beats(), excl: excl}
-	switch a.eng.Issue(req, axiProtoID(ar.ID, false), meta, cycle) {
+	switch a.eng.Issue(&a.req, axiProtoID(ar.ID, false), nil, cycle) {
 	case IssueOK:
 		a.port.AR.Pop()
 	case IssueDecodeErr:
@@ -213,8 +213,7 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	if have != need {
 		panic(fmt.Sprintf("niu: %v: WLAST after %d beats, AWLEN wants %d", a.eng.Config().Node, have, need))
 	}
-	data := make([]byte, 0, need*int(aw.Size))
-	be := make([]byte, 0, need*int(aw.Size))
+	data, be := a.wData[:0], a.wBE[:0]
 	hasStrb := false
 	for i := 0; i < need; i++ {
 		w := a.wQ[i]
@@ -234,22 +233,22 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 		cmd = core.CmdWriteEx
 		excl = true
 	}
-	req := &core.Request{
+	a.wData, a.wBE = data, be
+	a.req = core.Request{
 		Cmd: cmd, Addr: aw.Addr, Size: aw.Size, Len: uint16(need),
 		Burst: axiBurstToCore(aw.Burst), Data: data, Exclusive: excl,
 		Priority: a.priorityFor(aw.QoS),
 	}
 	if hasStrb {
-		req.BE = be
+		a.req.BE = be
 	}
-	meta := axiMeta{id: aw.ID, write: true, size: aw.Size, beats: need, excl: excl}
-	switch a.eng.Issue(req, axiProtoID(aw.ID, true), meta, cycle) {
+	switch a.eng.Issue(&a.req, axiProtoID(aw.ID, true), nil, cycle) {
 	case IssueOK:
 		a.port.AW.Pop()
-		a.wQ = a.wQ[need:]
+		a.wQ = dropFront(a.wQ, need)
 	case IssueDecodeErr:
 		a.port.AW.Pop()
-		a.wQ = a.wQ[need:]
+		a.wQ = dropFront(a.wQ, need)
 		a.bQ = append(a.bQ, axi.BBeat{ID: aw.ID, Resp: axi.RespDECERR})
 	case IssueStall, IssueUnsupported:
 	}
@@ -264,6 +263,7 @@ type AXISlave struct {
 
 type axiSlaveAdapter struct {
 	eng *axi.Master
+	replier
 }
 
 // NewAXISlave creates the NIU (and its embedded engine) on clk.
@@ -277,24 +277,25 @@ func NewAXISlave(clk *sim.Clock, net *transport.Network, port *axi.Port, cfg Sla
 func (a *axiSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
 	r := req // capture
+	data, be := heldWrite(req)
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), coreBurstToAXI(req.Burst),
 			func(res axi.ReadResult) {
 				st := statusFor(r, res.Resp == axi.RespSLVERR || res.Resp == axi.RespDECERR)
-				respond(&core.Response{Status: st, Data: res.Data})
+				a.reply(respond, st, res.Data)
 			})
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), req.Data, nil)
+		a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, nil)
 	default: // all response-carrying writes (incl. resolved exclusives)
 		cb := func(resp axi.Resp) {
 			st := statusFor(r, resp == axi.RespSLVERR || resp == axi.RespDECERR)
-			respond(&core.Response{Status: st})
+			a.reply(respond, st, nil)
 		}
-		if r.BE != nil {
-			a.eng.WriteStrobed(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), req.Data, req.BE, cb)
+		if be != nil {
+			a.eng.WriteStrobed(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, be, cb)
 		} else {
-			a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), req.Data, cb)
+			a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, cb)
 		}
 	}
 }

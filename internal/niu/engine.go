@@ -4,6 +4,7 @@
 package niu
 
 import (
+	"bytes"
 	"fmt"
 
 	"gonoc/internal/core"
@@ -34,8 +35,13 @@ const (
 // socket, then one chance to convert socket requests into fabric issues.
 type MasterAdapter interface {
 	// DeliverResponse consumes one fabric response. entry is the
-	// transaction-table entry retired by this response; entry.Meta holds
-	// whatever the adapter stored at issue time.
+	// transaction-table entry retired by this response: it records the
+	// command, socket handle (ProtoID) and burst shape the request was
+	// issued with, and entry.Meta holds whatever the adapter stored at
+	// issue time. The engine owns rsp, entry and rsp.Data, which are
+	// valid only during the call, and entry only until the adapter
+	// next issues: an adapter that answers its socket later must copy
+	// the read data.
 	DeliverResponse(rsp *core.Response, entry *core.Entry)
 	// StreamSocket pushes at most one queued response beat onto the
 	// socket (no-op for adapters that answer the socket elsewhere).
@@ -63,6 +69,13 @@ type MasterEngine struct {
 	seq     uint64
 	stats   MasterStats
 	adapter MasterAdapter
+
+	// Engine-owned messages, reused by every transaction: the request
+	// packet Issue encodes into (TrySend copies it), the response
+	// recvResponse decodes into, and the single-channel candidate.
+	sendPkt transport.Packet
+	rsp     core.Response
+	cand    Candidate
 }
 
 // NewMasterEngine creates the protocol-independent half of a master NIU.
@@ -119,8 +132,10 @@ func (e *MasterEngine) Config() MasterConfig { return e.cfg }
 // then the request pump — the shared transaction-pump cadence every
 // legacy NIU hand-rolled.
 func (e *MasterEngine) Eval(cycle int64) {
-	if rsp, entry := e.recvResponse(cycle); rsp != nil {
-		e.adapter.DeliverResponse(rsp, entry)
+	if pkt, entry := e.recvResponse(cycle); pkt != nil {
+		e.adapter.DeliverResponse(&e.rsp, entry)
+		// e.rsp.Data aliases the packet: recycle it only now.
+		e.net.Recycle(pkt)
 	}
 	e.adapter.StreamSocket()
 	e.adapter.PumpRequests(cycle)
@@ -133,7 +148,8 @@ func (e *MasterEngine) Update(cycle int64) {}
 // protoID is the socket's ordering handle (0 for fully-ordered sockets,
 // thread ID for OCP, direction-qualified transaction ID for AXI/AVCI).
 // meta is adapter-private context stored in the table entry and returned
-// on completion.
+// on completion. The engine encodes req before returning, so the caller
+// may reuse req and its Data at once.
 func (e *MasterEngine) Issue(req *core.Request, protoID int, meta any, cycle int64) IssueResult {
 	// Exclusive-access demotion is a per-protocol decision (AXI demotes
 	// to a plain access per its spec; OCP answers FAIL locally), handled
@@ -179,19 +195,18 @@ func (e *MasterEngine) Issue(req *core.Request, protoID int, meta any, cycle int
 	if req.Priority == 0 {
 		req.Priority = e.cfg.Priority
 	}
-	pkt := &transport.Packet{
-		Header: transport.Header{
-			Kind:     transport.KindReq,
-			Dst:      dst,
-			Src:      e.cfg.Node,
-			Tag:      tag,
-			Priority: req.Priority,
-			Locked:   req.Locked,
-			Unlock:   req.Unlock,
-			User:     e.cfg.Services.UserBitsFor(req),
-		},
-		Payload: core.EncodeRequest(req),
+	pkt := &e.sendPkt
+	pkt.Header = transport.Header{
+		Kind:     transport.KindReq,
+		Dst:      dst,
+		Src:      e.cfg.Node,
+		Tag:      tag,
+		Priority: req.Priority,
+		Locked:   req.Locked,
+		Unlock:   req.Unlock,
+		User:     e.cfg.Services.UserBitsFor(req),
 	}
+	pkt.Payload = core.AppendRequest(pkt.Payload[:0], req)
 	if !e.ep.TrySend(pkt) {
 		if expectsRsp {
 			e.tags.Release(tag)
@@ -200,7 +215,11 @@ func (e *MasterEngine) Issue(req *core.Request, protoID int, meta any, cycle int
 		return IssueStall
 	}
 	if expectsRsp {
-		e.table.Issue(&core.Entry{Tag: tag, Dst: dst, Cmd: req.Cmd, Seq: e.seq, Issue: cycle, Meta: meta})
+		e.table.Issue(&core.Entry{
+			Tag: tag, Dst: dst, Cmd: req.Cmd,
+			ProtoID: protoID, Size: req.Size, Len: req.Len,
+			Seq: e.seq, Issue: cycle, Meta: meta,
+		})
 	} else {
 		e.tags.Release(tag)
 		e.stats.Posted++
@@ -215,43 +234,56 @@ func (e *MasterEngine) Issue(req *core.Request, protoID int, meta any, cycle int
 	return IssueOK
 }
 
-// Candidate is one socket request converted for issue, as produced by a
-// single-channel adapter's decode step.
+// Candidate is one socket request converted for issue by a
+// single-channel adapter's Peek. The engine owns it and hands the same
+// Candidate to every Peek, so converting a request that then stalls
+// allocates nothing.
 type Candidate struct {
-	Req     *core.Request
+	Req     core.Request
 	ProtoID int
-	Meta    any
-	// Consume pops the socket request; it runs on IssueOK and before
-	// LocalError.
-	Consume func()
-	// LocalError answers the socket locally when the request cannot
-	// enter the fabric (address decode error or disabled service).
-	LocalError func()
+}
+
+// SocketHead is the socket side of a single-channel adapter, which
+// PumpOne drives.
+type SocketHead interface {
+	// Peek converts the socket's head request into c, overwriting all of
+	// c.Req, and reports whether there was one. The request stays on the
+	// socket.
+	Peek(c *Candidate) bool
+	// Pop consumes the head request once it has issued, or before Refuse
+	// answers it.
+	Pop()
+	// Refuse answers the popped request locally when it cannot enter the
+	// fabric (address decode error or disabled service); c still holds
+	// it as Peek converted it.
+	Refuse(c *Candidate)
 }
 
 // PumpOne runs the standard single-channel pump shared by every
 // one-request-at-a-time socket (AHB, PVCI, BVCI, AVCI, Wishbone):
-// peek-decode one request, try to issue it, and either consume it,
+// peek-convert one request, try to issue it, and either consume it,
 // answer it locally, or leave it on the socket for the next cycle.
-func (e *MasterEngine) PumpOne(cycle int64, decode func() (Candidate, bool)) {
-	c, ok := decode()
-	if !ok {
+func (e *MasterEngine) PumpOne(cycle int64, s SocketHead) {
+	c := &e.cand
+	if !s.Peek(c) {
 		return
 	}
-	switch e.Issue(c.Req, c.ProtoID, c.Meta, cycle) {
+	switch e.Issue(&c.Req, c.ProtoID, nil, cycle) {
 	case IssueOK:
-		c.Consume()
+		s.Pop()
 	case IssueDecodeErr, IssueUnsupported:
-		c.Consume()
-		c.LocalError()
+		s.Pop()
+		s.Refuse(c)
 	case IssueStall:
 		// Leave the request on the socket; retry next cycle.
 	}
 }
 
-// recvResponse pops and decodes one response packet, retiring its table
-// entry. Returns nil when no response is available this cycle.
-func (e *MasterEngine) recvResponse(cycle int64) (*core.Response, *core.Entry) {
+// recvResponse pops one response packet, decodes it into e.rsp and
+// retires its table entry. It returns the packet, which e.rsp.Data
+// aliases, for the caller to recycle; nil when no response is available
+// this cycle.
+func (e *MasterEngine) recvResponse(cycle int64) (*transport.Packet, *core.Entry) {
 	pkt, ok := e.ep.Recv()
 	if !ok {
 		return nil, nil
@@ -259,8 +291,8 @@ func (e *MasterEngine) recvResponse(cycle int64) (*core.Response, *core.Entry) {
 	if pkt.Kind != transport.KindRsp {
 		panic(fmt.Sprintf("niu: master NIU %v received a request packet", e.cfg.Node))
 	}
-	rsp, err := core.DecodeResponse(pkt.Payload)
-	if err != nil {
+	rsp := &e.rsp
+	if err := core.DecodeResponseInto(rsp, pkt.Payload); err != nil {
 		panic(fmt.Sprintf("niu: %v: corrupt response payload: %v", e.cfg.Node, err))
 	}
 	entry, cerr := e.table.Complete(pkt.Tag)
@@ -283,13 +315,23 @@ func (e *MasterEngine) recvResponse(cycle int64) (*core.Response, *core.Entry) {
 			Src: e.cfg.Node, Dst: pkt.Src, Tag: pkt.Tag,
 		})
 	}
-	return rsp, entry
+	return pkt, entry
 }
 
 // SlaveAdapter is the protocol-specific quarter of a slave NIU: it
 // executes one checked transaction-layer request against the target IP
 // by driving that IP's socket. respond must be invoked exactly once for
 // response-expecting commands, and never for posted writes.
+//
+// The engine owns req. It decodes every request into one of
+// MaxConcurrent slots, and req.Data and req.BE alias the request packet
+// that slot holds. For a response-expecting command the slot is released
+// by respond, so the target IP must have consumed the write data by then
+// (every built-in target answers a write only after committing it). A
+// posted write has no respond call: its slot is released as soon as
+// Execute returns, so an adapter whose IP uses posted data later must
+// copy it first. respond encodes rsp before returning; the adapter may
+// reuse rsp and rsp.Data at once.
 type SlaveAdapter interface {
 	Execute(req *core.Request, respond func(*core.Response))
 }
@@ -305,9 +347,27 @@ type SlaveEngine struct {
 	net      *transport.Network
 	monitor  *core.ExclusiveMonitor
 	inFlight int
-	rspQ     []*transport.Packet
 	stats    SlaveStats
 	adapter  SlaveAdapter
+
+	free []*slaveSlot // request slots not holding a request (a stack)
+	// rspQ is a ring of encoded responses awaiting fabric credit. Its
+	// ResponseQueue+MaxConcurrent entries cannot overflow: admission
+	// stops at ResponseQueue queued responses, and each of at most
+	// MaxConcurrent requests in flight adds one more.
+	rspQ    []*transport.Packet
+	rspHead int
+	rspN    int
+	early   core.Response // execCheck's local answer
+}
+
+// slaveSlot holds one admitted request from decode until release.
+type slaveSlot struct {
+	req core.Request
+	pkt *transport.Packet // the request packet req.Data and req.BE alias
+	// respond answers req and releases the slot; built once per slot.
+	respond func(*core.Response)
+	busy    bool
 }
 
 // NewSlaveEngine creates the protocol-independent half of a slave NIU.
@@ -318,9 +378,18 @@ func NewSlaveEngine(net *transport.Network, cfg SlaveConfig) *SlaveEngine {
 	if ep == nil {
 		panic(fmt.Sprintf("niu: node %v not attached to the network", cfg.Node))
 	}
-	e := &SlaveEngine{cfg: cfg, ep: ep, net: net}
+	e := &SlaveEngine{
+		cfg: cfg, ep: ep, net: net,
+		rspQ: make([]*transport.Packet, cfg.ResponseQueue+cfg.MaxConcurrent),
+	}
 	if cfg.Services.Exclusive {
 		e.monitor = core.NewExclusiveMonitor()
+	}
+	slots := make([]slaveSlot, cfg.MaxConcurrent)
+	for i := range slots {
+		s := &slots[i]
+		s.respond = func(rsp *core.Response) { e.respond(s, rsp) }
+		e.free = append(e.free, s)
 	}
 	return e
 }
@@ -344,36 +413,44 @@ func (e *SlaveEngine) Monitor() *core.ExclusiveMonitor { return e.monitor }
 // request, gate it through the services, and hand it to the adapter.
 func (e *SlaveEngine) Eval(cycle int64) {
 	e.drainResponses()
-	req, ok := e.recvRequest()
-	if !ok {
+	s := e.recvRequest()
+	if s == nil {
 		return
 	}
+	req := &s.req
 	if early := e.execCheck(req); early != nil {
-		e.respond(req, early)
+		s.respond(early)
 		return
 	}
-	r := req
-	e.adapter.Execute(r, func(rsp *core.Response) { e.respond(r, rsp) })
+	posted := !req.Cmd.ExpectsResponse()
+	e.adapter.Execute(req, s.respond)
+	if posted {
+		e.release(s)
+	}
 }
 
 // Update implements sim.Clocked.
 func (e *SlaveEngine) Update(cycle int64) {}
 
-// recvRequest pops and decodes one request packet, respecting the
-// concurrency bound.
-func (e *SlaveEngine) recvRequest() (*core.Request, bool) {
-	if e.inFlight >= e.cfg.MaxConcurrent || len(e.rspQ) >= e.cfg.ResponseQueue {
-		return nil, false
+// recvRequest pops one request packet and decodes it into a free slot,
+// respecting the concurrency bound. Requests in flight hold one slot
+// each, so a free slot exists whenever the bound admits one more.
+func (e *SlaveEngine) recvRequest() *slaveSlot {
+	if e.inFlight >= e.cfg.MaxConcurrent || e.rspN >= e.cfg.ResponseQueue {
+		return nil
 	}
 	pkt, ok := e.ep.Recv()
 	if !ok {
-		return nil, false
+		return nil
 	}
 	if pkt.Kind != transport.KindReq {
 		panic(fmt.Sprintf("niu: slave NIU %v received a response packet", e.cfg.Node))
 	}
-	req, err := core.DecodeRequest(pkt.Payload)
-	if err != nil {
+	s := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	s.pkt, s.busy = pkt, true
+	req := &s.req
+	if err := core.DecodeRequestInto(req, pkt.Payload); err != nil {
 		panic(fmt.Sprintf("niu: %v: corrupt request payload: %v", e.cfg.Node, err))
 	}
 	req.Src = pkt.Src
@@ -389,25 +466,30 @@ func (e *SlaveEngine) recvRequest() (*core.Request, bool) {
 			Src: e.cfg.Node, Dst: pkt.Src, Tag: pkt.Tag,
 		})
 	}
-	return req, true
+	return s
 }
 
-// respond queues a response packet for injection.
-func (e *SlaveEngine) respond(req *core.Request, rsp *core.Response) {
+// respond encodes rsp to s's request into a pooled packet, queues it for
+// injection and releases the slot.
+func (e *SlaveEngine) respond(s *slaveSlot, rsp *core.Response) {
+	req := &s.req
+	if !s.busy || !req.Cmd.ExpectsResponse() {
+		panic(fmt.Sprintf("niu: slave NIU %v: respond after release or for a posted write", e.cfg.Node))
+	}
 	rsp.Src = e.cfg.Node
 	rsp.Dst = req.Src
 	rsp.Tag = req.Tag
-	pkt := &transport.Packet{
-		Header: transport.Header{
-			Kind:     transport.KindRsp,
-			Dst:      req.Src, // responses route back via MstAddr
-			Src:      e.cfg.Node,
-			Tag:      req.Tag,
-			Priority: req.Priority,
-		},
-		Payload: core.EncodeResponse(rsp),
+	pkt := e.net.NewPacket(0)
+	pkt.Header = transport.Header{
+		Kind:     transport.KindRsp,
+		Dst:      req.Src, // responses route back via MstAddr
+		Src:      e.cfg.Node,
+		Tag:      req.Tag,
+		Priority: req.Priority,
 	}
-	e.rspQ = append(e.rspQ, pkt)
+	pkt.Payload = core.AppendResponse(pkt.Payload, rsp)
+	e.rspQ[(e.rspHead+e.rspN)%len(e.rspQ)] = pkt
+	e.rspN++
 	e.inFlight--
 	e.stats.Responses++
 	if p := e.net.Probe(); p != nil {
@@ -416,15 +498,29 @@ func (e *SlaveEngine) respond(req *core.Request, rsp *core.Response) {
 			Src: e.cfg.Node, Dst: req.Src, Tag: req.Tag,
 		})
 	}
+	// Only now: rsp.Data may alias the request packet.
+	e.release(s)
 }
 
-// drainResponses injects queued responses, one TrySend per cycle.
+// release recycles s's request packet and returns s to the free list.
+func (e *SlaveEngine) release(s *slaveSlot) {
+	e.net.Recycle(s.pkt)
+	*s = slaveSlot{respond: s.respond}
+	e.free = append(e.free, s)
+}
+
+// drainResponses injects queued responses, one TrySend per cycle, and
+// recycles each packet once the fabric has copied it.
 func (e *SlaveEngine) drainResponses() {
-	if len(e.rspQ) == 0 {
+	if e.rspN == 0 {
 		return
 	}
-	if e.ep.TrySend(e.rspQ[0]) {
-		e.rspQ = e.rspQ[1:]
+	pkt := e.rspQ[e.rspHead]
+	if e.ep.TrySend(pkt) {
+		e.net.Recycle(pkt)
+		e.rspQ[e.rspHead] = nil
+		e.rspHead = (e.rspHead + 1) % len(e.rspQ)
+		e.rspN--
 	}
 }
 
@@ -439,7 +535,7 @@ func (e *SlaveEngine) execCheck(req *core.Request) *core.Response {
 	case core.CmdReadEx:
 		if e.monitor == nil {
 			e.stats.Unsupported++
-			return &core.Response{Status: core.StErrUnsupported}
+			return e.answer(core.StErrUnsupported)
 		}
 		lo, hi := core.BurstSpan(req.Burst, req.Addr, req.Size, req.Len)
 		e.monitor.Reserve(req.Src, lo, hi)
@@ -447,12 +543,12 @@ func (e *SlaveEngine) execCheck(req *core.Request) *core.Response {
 	case core.CmdWriteEx:
 		if e.monitor == nil {
 			e.stats.Unsupported++
-			return &core.Response{Status: core.StErrUnsupported}
+			return e.answer(core.StErrUnsupported)
 		}
 		lo, hi := core.BurstSpan(req.Burst, req.Addr, req.Size, req.Len)
 		if !e.monitor.TryExclusiveWrite(req.Src, lo, hi) {
 			e.stats.ExclusiveNak++
-			return &core.Response{Status: core.StExFail}
+			return e.answer(core.StExFail)
 		}
 		e.stats.ExclusiveOK++
 		e.monitor.ObserveWrite(lo, hi)
@@ -466,13 +562,42 @@ func (e *SlaveEngine) execCheck(req *core.Request) *core.Response {
 	}
 }
 
-// padData extends read data to want bytes (error responses carry no
-// data; the sockets still expect full-length beats).
-func padData(data []byte, want int) []byte {
-	if len(data) >= want {
-		return data
+// answer returns the engine's local response, set to a data-less st.
+func (e *SlaveEngine) answer(st core.Status) *core.Response {
+	e.early = core.Response{Status: st}
+	return &e.early
+}
+
+// ownData copies read data out of an engine-owned response into a new
+// slice of at least want bytes, zero-padded (error responses carry no
+// data; the sockets still expect full-length beats). This is the one
+// allocation a read costs a master NIU: rsp.Data dies with
+// DeliverResponse, but the socket streams it out later.
+func ownData(data []byte, want int) []byte {
+	out := make([]byte, max(len(data), want))
+	copy(out, data)
+	return out
+}
+
+// heldWrite returns the write data and byte enables a slave adapter may
+// hand its IP for later use: copies for a posted write, whose slot is
+// released when Execute returns, and the slot's own bytes otherwise
+// (respond, which releases them, comes after the IP has committed them).
+func heldWrite(req *core.Request) (data, be []byte) {
+	if req.Cmd.ExpectsResponse() {
+		return req.Data, req.BE
 	}
-	return append(data, make([]byte, want-len(data))...)
+	return bytes.Clone(req.Data), bytes.Clone(req.BE)
+}
+
+// replier is embedded in every slave adapter: one response message
+// reused for every answer, which respond encodes before returning.
+type replier struct{ rsp core.Response }
+
+// reply answers through respond with status st and read data.
+func (p *replier) reply(respond func(*core.Response), st core.Status, data []byte) {
+	p.rsp = core.Response{Status: st, Data: data}
+	respond(&p.rsp)
 }
 
 // pushOne moves the head of q onto pipe if the pipe has room, returning
@@ -481,7 +606,16 @@ func padData(data []byte, want int) []byte {
 func pushOne[T any](q []T, pipe *sim.Pipe[T]) []T {
 	if len(q) > 0 && pipe.CanPush(1) {
 		pipe.Push(q[0])
-		q = q[1:]
+		q = dropFront(q, 1)
 	}
 	return q
+}
+
+// dropFront removes q's first k elements by shifting the rest down, so
+// the queue keeps its backing array and later appends reuse it instead
+// of reallocating as a resliced window would.
+func dropFront[T any](q []T, k int) []T {
+	n := copy(q, q[k:])
+	clear(q[n:])
+	return q[:n]
 }

@@ -58,13 +58,21 @@ type ocpMasterAdapter struct {
 	asm     map[int]*ocpAsm // per-thread request-burst assembly
 	rspQ    []ocpRspStream
 	rspBeat int
+
+	// Conversion scratch, reused by every issue: Issue encodes the
+	// request before it returns.
+	req        core.Request
+	wData, wBE []byte
 }
 
+// ocpAsm assembles one thread's request burst; it is kept and reused
+// for the thread's next burst once this one issues.
 type ocpAsm struct {
-	first ocp.ReqBeat
-	data  []byte
-	be    []byte
-	beats int
+	first  ocp.ReqBeat
+	data   []byte
+	be     []byte
+	beats  int
+	active bool // a burst is being assembled
 }
 
 type ocpRspStream struct {
@@ -76,13 +84,6 @@ type ocpRspStream struct {
 	resp   ocp.SResp
 }
 
-type ocpMeta struct {
-	thread int
-	cmd    core.Cmd
-	size   uint8
-	beats  int
-}
-
 // NewOCPMaster creates the NIU and registers it on clk. OCP's natural
 // ordering model is thread-ordered.
 func NewOCPMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ocp.Port, cfg MasterConfig) *OCPMaster {
@@ -91,20 +92,21 @@ func NewOCPMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap,
 	return &OCPMaster{e}
 }
 
-// DeliverResponse implements MasterAdapter.
+// DeliverResponse implements MasterAdapter. The entry's ProtoID is the
+// request's thread.
 func (a *ocpMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(ocpMeta)
 	st := ocpRespFor(rsp.Status)
-	if meta.cmd.IsRead() {
+	if entry.Cmd.IsRead() {
+		beats, size := int(entry.Len), int(entry.Size)
 		a.rspQ = append(a.rspQ, ocpRspStream{
-			thread: meta.thread, cmd: meta.cmd,
-			data: padData(rsp.Data, meta.beats*int(meta.size)),
-			size: int(meta.size), beats: meta.beats, resp: st,
+			thread: entry.ProtoID, cmd: entry.Cmd,
+			data: ownData(rsp.Data, beats*size),
+			size: size, beats: beats, resp: st,
 		})
 		return
 	}
 	// Writes answer with a single response beat.
-	a.rspQ = append(a.rspQ, ocpRspStream{thread: meta.thread, cmd: meta.cmd, beats: 1, resp: st})
+	a.rspQ = append(a.rspQ, ocpRspStream{thread: entry.ProtoID, cmd: entry.Cmd, beats: 1, resp: st})
 }
 
 // StreamSocket implements MasterAdapter: one response beat per cycle.
@@ -121,7 +123,7 @@ func (a *ocpMasterAdapter) StreamSocket() {
 	}
 	a.port.Resp.Push(beat)
 	if last {
-		a.rspQ = a.rspQ[1:]
+		a.rspQ = dropFront(a.rspQ, 1)
 		a.rspBeat = 0
 	} else {
 		a.rspBeat++
@@ -143,8 +145,12 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	}
 	asm := a.asm[b.ThreadID]
 	if asm == nil {
-		asm = &ocpAsm{first: b}
+		asm = &ocpAsm{}
 		a.asm[b.ThreadID] = asm
+	}
+	if !asm.active {
+		asm.first, asm.active = b, true
+		asm.data, asm.be, asm.beats = asm.data[:0], asm.be[:0], 0
 	}
 	// Assemble the burst one beat per cycle; the conversion happens on
 	// the last beat.
@@ -154,7 +160,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 		if !b.Last {
 			a.port.Req.Pop()
 			asm.data = append(asm.data, b.Data...)
-			asm.be = append(asm.be, beOrFull(b.ByteEn, len(b.Data))...)
+			asm.be = appendBE(asm.be, b.ByteEn, len(b.Data))
 			asm.beats++
 			return
 		}
@@ -167,16 +173,14 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	}
 	// Last beat: build the request.
 	first := asm.first
-	data := append(append([]byte(nil), asm.data...), func() []byte {
-		if b.Cmd.IsWrite() {
-			return b.Data
-		}
-		return nil
-	}()...)
+	data := append(a.wData[:0], asm.data...)
 	be := asm.be
 	if b.Cmd.IsWrite() {
-		be = append(append([]byte(nil), asm.be...), beOrFull(b.ByteEn, len(b.Data))...)
+		data = append(data, b.Data...)
+		be = appendBE(append(a.wBE[:0], asm.be...), b.ByteEn, len(b.Data))
+		a.wBE = be
 	}
+	a.wData = data
 	beats := asm.beats + 1
 
 	var cmd core.Cmd
@@ -199,7 +203,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 			// Without the service a conditional can never succeed; fail
 			// locally rather than silently losing atomicity.
 			a.port.Req.Pop()
-			delete(a.asm, b.ThreadID)
+			asm.active = false
 			a.localFail(b.ThreadID, ocp.RespFAIL)
 			return
 		}
@@ -208,25 +212,24 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 		panic(fmt.Sprintf("niu: OCP NIU cannot convert %v", first.Cmd))
 	}
 
-	req := &core.Request{
+	a.req = core.Request{
 		Cmd: cmd, Addr: first.Addr, Size: first.Size, Len: uint16(beats),
 		Burst: ocpSeqToCore(first.Seq), Exclusive: excl,
 		Posted: cmd == core.CmdWritePost,
 	}
 	if cmd.IsWrite() {
-		req.Data = data
+		a.req.Data = data
 		if anyMasked(be) {
-			req.BE = be
+			a.req.BE = be
 		}
 	}
-	meta := ocpMeta{thread: first.ThreadID, cmd: cmd, size: first.Size, beats: beats}
-	switch a.eng.Issue(req, first.ThreadID, meta, cycle) {
+	switch a.eng.Issue(&a.req, first.ThreadID, nil, cycle) {
 	case IssueOK:
 		a.port.Req.Pop()
-		delete(a.asm, b.ThreadID)
+		asm.active = false
 	case IssueDecodeErr:
 		a.port.Req.Pop()
-		delete(a.asm, b.ThreadID)
+		asm.active = false
 		if cmd.ExpectsResponse() {
 			if cmd.IsRead() {
 				a.rspQ = append(a.rspQ, ocpRspStream{
@@ -243,15 +246,16 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	}
 }
 
-func beOrFull(be []byte, n int) []byte {
+// appendBE appends n byte enables to dst: be itself, or all-enabled when
+// the beat carries none.
+func appendBE(dst, be []byte, n int) []byte {
 	if be != nil {
-		return be
+		return append(dst, be...)
 	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = 0xFF
+	for i := 0; i < n; i++ {
+		dst = append(dst, 0xFF)
 	}
-	return out
+	return dst
 }
 
 func anyMasked(be []byte) bool {
@@ -270,6 +274,7 @@ type OCPSlave struct {
 
 type ocpSlaveAdapter struct {
 	eng *ocp.Master
+	replier
 	// thread allocation: the engine's threads are a hardware resource of
 	// the NIU; requests hash onto them by tag.
 	threads int
@@ -290,18 +295,19 @@ func NewOCPSlave(clk *sim.Clock, net *transport.Network, port *ocp.Port, threads
 func (a *ocpSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	th := int(req.Tag) % a.threads
 	r := req
+	data, _ := heldWrite(req)
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(th, req.Addr, req.Size, int(req.Len), coreBurstToOCP(req.Burst),
 			func(res ocp.ReadResult) {
-				respond(&core.Response{Status: statusFor(r, res.Resp == ocp.RespERR), Data: res.Data})
+				a.reply(respond, statusFor(r, res.Resp == ocp.RespERR), res.Data)
 			})
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), req.Data, nil)
+		a.eng.Write(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), data, nil)
 	default:
-		a.eng.WriteNonPosted(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), req.Data,
+		a.eng.WriteNonPosted(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), data,
 			func(s ocp.SResp) {
-				respond(&core.Response{Status: statusFor(r, s == ocp.RespERR)})
+				a.reply(respond, statusFor(r, s == ocp.RespERR), nil)
 			})
 	}
 }

@@ -13,6 +13,10 @@ import (
 // NIU cuts streams into.
 const propBurstBytes = 64
 
+// propReadID offsets a read stream's ordering handle from the write
+// streams' (a write stream's handle is its stream ID).
+const propReadID = 1000
+
 // PropMaster is the master-side NIU for the proprietary streaming socket.
 // It is the paper's §2 recipe exercised end-to-end: the stream/ack
 // semantics that exist in no standard socket are absorbed entirely into
@@ -32,6 +36,7 @@ type propMasterAdapter struct {
 	rdStreams map[int]*propRdState
 	rdOrder   []int // active read streams, for chunk emission fairness
 	ackQ      []prop.Ack
+	req       core.Request // issue scratch: Issue encodes it before returning
 }
 
 type propWrState struct {
@@ -49,12 +54,6 @@ type propRdState struct {
 	issued  int // bytes requested from the fabric
 	got     []byte
 	emitted int // bytes pushed back to the socket
-}
-
-type propMeta struct {
-	stream int
-	write  bool
-	bytes  int
 }
 
 // NewPropMaster creates the NIU on clk.
@@ -124,14 +123,13 @@ func (a *propMasterAdapter) issueWrites(cycle int64) {
 		if sz > propBurstBytes {
 			sz = propBurstBytes
 		}
-		req := &core.Request{
+		a.req = core.Request{
 			Cmd: core.CmdWrite, Addr: st.d.Addr + uint64(st.sent), Size: 1,
 			Len: uint16(sz), Burst: core.BurstIncr,
-			Data: append([]byte(nil), st.buf[:sz]...),
+			Data: st.buf[:sz],
 		}
-		meta := propMeta{stream: id, write: true, bytes: sz}
-		if a.eng.Issue(req, id, meta, cycle) == IssueOK {
-			st.buf = st.buf[sz:]
+		if a.eng.Issue(&a.req, id, nil, cycle) == IssueOK {
+			st.buf = dropFront(st.buf, sz)
 			st.sent += sz
 		}
 		return // at most one issue per cycle
@@ -149,41 +147,41 @@ func (a *propMasterAdapter) issueReads(cycle int64) {
 		if sz > propBurstBytes {
 			sz = propBurstBytes
 		}
-		req := &core.Request{
+		a.req = core.Request{
 			Cmd: core.CmdRead, Addr: st.d.Addr + uint64(st.issued), Size: 1,
 			Len: uint16(sz), Burst: core.BurstIncr,
 		}
-		meta := propMeta{stream: id, write: false, bytes: sz}
-		if a.eng.Issue(req, 1000+id, meta, cycle) == IssueOK {
+		if a.eng.Issue(&a.req, propReadID+id, nil, cycle) == IssueOK {
 			st.issued += sz
 		}
 		return
 	}
 }
 
-// DeliverResponse implements MasterAdapter.
+// DeliverResponse implements MasterAdapter. The entry's ProtoID names
+// the stream; its burst shape gives the bytes the response covers.
 func (a *propMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(propMeta)
-	if meta.write {
-		st := a.wrStreams[meta.stream]
+	stream, n := entry.ProtoID, int(entry.Len)*int(entry.Size)
+	if entry.Cmd.IsWrite() {
+		st := a.wrStreams[stream]
 		if st == nil {
 			return
 		}
-		st.ackedUp += meta.bytes
-		st.ackPend += (meta.bytes + prop.ChunkBytes - 1) / prop.ChunkBytes
+		st.ackedUp += n
+		st.ackPend += (n + prop.ChunkBytes - 1) / prop.ChunkBytes
 		st.failed = st.failed || !rsp.Status.OK()
 		done := st.gotLast && len(st.buf) == 0 && st.ackedUp == st.sent
 		// Ack coalescing: the NIU state machine reproduces the socket's
 		// every-AckEvery-chunks contract.
 		for st.ackPend >= prop.AckEvery {
-			a.ackQ = append(a.ackQ, prop.Ack{StreamID: meta.stream, Chunks: prop.AckEvery, OK: !st.failed})
+			a.ackQ = append(a.ackQ, prop.Ack{StreamID: stream, Chunks: prop.AckEvery, OK: !st.failed})
 			st.ackPend -= prop.AckEvery
 		}
 		if done {
-			a.ackQ = append(a.ackQ, prop.Ack{StreamID: meta.stream, Chunks: st.ackPend, Done: true, OK: !st.failed})
-			delete(a.wrStreams, meta.stream)
+			a.ackQ = append(a.ackQ, prop.Ack{StreamID: stream, Chunks: st.ackPend, Done: true, OK: !st.failed})
+			delete(a.wrStreams, stream)
 			for i, id := range a.wrOrder {
-				if id == meta.stream {
+				if id == stream {
 					a.wrOrder = append(a.wrOrder[:i], a.wrOrder[i+1:]...)
 					break
 				}
@@ -191,11 +189,11 @@ func (a *propMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 		}
 		return
 	}
-	st := a.rdStreams[meta.stream]
+	st := a.rdStreams[stream-propReadID]
 	if st == nil {
 		return
 	}
-	st.got = append(st.got, rsp.Data...)
+	st.got = append(st.got, rsp.Data...) // copies: rsp.Data dies with this call
 }
 
 // emitChunks streams read data back onto the socket, one chunk per cycle.

@@ -1,6 +1,8 @@
 package niu
 
 import (
+	"bytes"
+
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/vci"
 	"gonoc/internal/sim"
@@ -21,8 +23,6 @@ type pvciMasterAdapter struct {
 	rspQ []vci.PRsp
 }
 
-type pvciMeta struct{ write bool }
-
 // NewPVCIMaster creates the NIU on clk.
 func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.PPort, cfg MasterConfig) *PVCIMaster {
 	cfg.Ordering = OrderFully
@@ -36,10 +36,9 @@ func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 
 // DeliverResponse implements MasterAdapter.
 func (a *pvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(pvciMeta)
 	out := vci.PRsp{Err: !rsp.Status.OK()}
-	if !meta.write {
-		out.Data = rsp.Data
+	if !entry.Cmd.IsWrite() {
+		out.Data = bytes.Clone(rsp.Data)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -48,34 +47,36 @@ func (a *pvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 func (a *pvciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
 
 // PumpRequests implements MasterAdapter.
-func (a *pvciMasterAdapter) PumpRequests(cycle int64) {
-	a.eng.PumpOne(cycle, func() (Candidate, bool) {
-		preq, ok := a.port.Req.Peek()
-		if !ok {
-			return Candidate{}, false
+func (a *pvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
+
+// Peek implements SocketHead.
+func (a *pvciMasterAdapter) Peek(c *Candidate) bool {
+	preq, ok := a.port.Req.Peek()
+	if !ok {
+		return false
+	}
+	if preq.Write {
+		c.Req = core.Request{
+			Cmd: core.CmdWrite, Addr: preq.Addr, Size: uint8(len(preq.Data)), Len: 1,
+			Burst: core.BurstIncr, Data: preq.Data, BE: preq.BE,
 		}
-		var req *core.Request
-		if preq.Write {
-			req = &core.Request{
-				Cmd: core.CmdWrite, Addr: preq.Addr, Size: uint8(len(preq.Data)), Len: 1,
-				Burst: core.BurstIncr, Data: preq.Data, BE: preq.BE,
-			}
-		} else {
-			nBytes := preq.N
-			if nBytes < 1 || nBytes > 4 {
-				nBytes = 4
-			}
-			req = &core.Request{
-				Cmd: core.CmdRead, Addr: preq.Addr, Size: uint8(nBytes), Len: 1, Burst: core.BurstIncr,
-			}
+	} else {
+		nBytes := preq.N
+		if nBytes < 1 || nBytes > 4 {
+			nBytes = 4
 		}
-		return Candidate{
-			Req: req, ProtoID: 0, Meta: pvciMeta{write: preq.Write},
-			Consume:    func() { a.port.Req.Pop() },
-			LocalError: func() { a.rspQ = append(a.rspQ, vci.PRsp{Err: true}) },
-		}, true
-	})
+		c.Req = core.Request{
+			Cmd: core.CmdRead, Addr: preq.Addr, Size: uint8(nBytes), Len: 1, Burst: core.BurstIncr,
+		}
+	}
+	return true
 }
+
+// Pop implements SocketHead.
+func (a *pvciMasterAdapter) Pop() { a.port.Req.Pop() }
+
+// Refuse implements SocketHead.
+func (a *pvciMasterAdapter) Refuse(*Candidate) { a.rspQ = append(a.rspQ, vci.PRsp{Err: true}) }
 
 // PVCISlave is the slave-side NIU for a PVCI target. PVCI moves at most
 // 4 bytes per transaction, so burst requests from richer sockets are
@@ -86,6 +87,7 @@ type PVCISlave struct {
 
 type pvciSlaveAdapter struct {
 	eng *vci.PMaster
+	replier
 }
 
 // NewPVCISlave creates the NIU on clk.
@@ -129,31 +131,32 @@ func (a *pvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 				anyErr = anyErr || err
 				remaining--
 				if remaining == 0 {
-					respond(&core.Response{Status: statusFor(r, anyErr), Data: data})
+					a.reply(respond, statusFor(r, anyErr), data)
 				}
 			})
 		}
 		return
 	}
+	wdata, wbe := heldWrite(req)
 	remaining := len(ops)
 	anyErr := false
 	for _, o := range ops {
 		o := o
 		var be []byte
-		if r.BE != nil {
-			be = r.BE[o.off : o.off+o.n]
+		if wbe != nil {
+			be = wbe[o.off : o.off+o.n]
 		}
 		cb := func(err bool) {
 			anyErr = anyErr || err
 			remaining--
 			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				respond(&core.Response{Status: statusFor(r, anyErr)})
+				a.reply(respond, statusFor(r, anyErr), nil)
 			}
 		}
 		if !r.Cmd.ExpectsResponse() {
 			cb = nil
 		}
-		data := append([]byte(nil), r.Data[o.off:o.off+o.n]...)
+		data := wdata[o.off : o.off+o.n]
 		if be != nil {
 			// PVCI write with byte enables travels as a masked write.
 			a.eng.WriteBE(o.addr, data, be, cb)
@@ -177,8 +180,6 @@ type bvciMasterAdapter struct {
 	rspQ []vci.BRsp
 }
 
-type bvciMeta struct{ write bool }
-
 // NewBVCIMaster creates the NIU on clk.
 func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.BPort, cfg MasterConfig) *BVCIMaster {
 	cfg.Ordering = OrderFully
@@ -189,10 +190,9 @@ func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 
 // DeliverResponse implements MasterAdapter.
 func (a *bvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(bvciMeta)
 	out := vci.BRsp{Err: !rsp.Status.OK()}
-	if !meta.write {
-		out.Data = rsp.Data
+	if !entry.Cmd.IsWrite() {
+		out.Data = bytes.Clone(rsp.Data)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -201,39 +201,37 @@ func (a *bvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 func (a *bvciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
 
 // PumpRequests implements MasterAdapter.
-func (a *bvciMasterAdapter) PumpRequests(cycle int64) {
-	a.eng.PumpOne(cycle, func() (Candidate, bool) {
-		breq, ok := a.port.Req.Peek()
-		if !ok {
-			return Candidate{}, false
-		}
-		burst := core.BurstIncr
-		if breq.Wrap {
-			burst = core.BurstWrap
-		}
-		var req *core.Request
-		if breq.Op == vci.OpWrite {
-			req = &core.Request{
-				Cmd: core.CmdWrite, Addr: breq.Addr, Size: breq.Size, Len: uint16(breq.Beats),
-				Burst: burst, Data: breq.Data,
-			}
-		} else {
-			req = &core.Request{
-				Cmd: core.CmdRead, Addr: breq.Addr, Size: breq.Size, Len: uint16(breq.Beats), Burst: burst,
-			}
-		}
-		return Candidate{
-			Req: req, ProtoID: 0, Meta: bvciMeta{write: breq.Op == vci.OpWrite},
-			Consume: func() { a.port.Req.Pop() },
-			LocalError: func() {
-				out := vci.BRsp{Err: true}
-				if breq.Op == vci.OpRead {
-					out.Data = make([]byte, breq.Beats*int(breq.Size))
-				}
-				a.rspQ = append(a.rspQ, out)
-			},
-		}, true
-	})
+func (a *bvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
+
+// Peek implements SocketHead.
+func (a *bvciMasterAdapter) Peek(c *Candidate) bool {
+	breq, ok := a.port.Req.Peek()
+	if !ok {
+		return false
+	}
+	burst := core.BurstIncr
+	if breq.Wrap {
+		burst = core.BurstWrap
+	}
+	c.Req = core.Request{
+		Cmd: core.CmdRead, Addr: breq.Addr, Size: breq.Size, Len: uint16(breq.Beats), Burst: burst,
+	}
+	if breq.Op == vci.OpWrite {
+		c.Req.Cmd, c.Req.Data = core.CmdWrite, breq.Data
+	}
+	return true
+}
+
+// Pop implements SocketHead.
+func (a *bvciMasterAdapter) Pop() { a.port.Req.Pop() }
+
+// Refuse implements SocketHead.
+func (a *bvciMasterAdapter) Refuse(c *Candidate) {
+	out := vci.BRsp{Err: true}
+	if !c.Req.Cmd.IsWrite() {
+		out.Data = make([]byte, c.Req.Bytes())
+	}
+	a.rspQ = append(a.rspQ, out)
 }
 
 // BVCISlave is the slave-side NIU for a BVCI target IP.
@@ -243,6 +241,7 @@ type BVCISlave struct {
 
 type bvciSlaveAdapter struct {
 	eng *vci.BMaster
+	replier
 }
 
 // NewBVCISlave creates the NIU on clk.
@@ -256,16 +255,17 @@ func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg S
 func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	r := req
 	wrap := req.Burst == core.BurstWrap
+	data, _ := heldWrite(req)
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(req.Addr, req.Size, int(req.Len), wrap, func(d []byte, err bool) {
-			respond(&core.Response{Status: statusFor(r, err), Data: d})
+			a.reply(respond, statusFor(r, err), d)
 		})
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(req.Addr, req.Size, req.Data, nil)
+		a.eng.Write(req.Addr, req.Size, data, nil)
 	default:
-		a.eng.Write(req.Addr, req.Size, req.Data, func(err bool) {
-			respond(&core.Response{Status: statusFor(r, err)})
+		a.eng.Write(req.Addr, req.Size, data, func(err bool) {
+			a.reply(respond, statusFor(r, err), nil)
 		})
 	}
 }
@@ -284,11 +284,6 @@ type avciMasterAdapter struct {
 	rspQ []vci.ARsp
 }
 
-type avciMeta struct {
-	id    int
-	write bool
-}
-
 // NewAVCIMaster creates the NIU on clk.
 func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.APort, cfg MasterConfig) *AVCIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
@@ -296,13 +291,13 @@ func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 	return &AVCIMaster{e}
 }
 
-// DeliverResponse implements MasterAdapter.
+// DeliverResponse implements MasterAdapter. The entry's ProtoID is the
+// packet ID the request was issued with.
 func (a *avciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(avciMeta)
-	out := vci.ARsp{ID: meta.id}
+	out := vci.ARsp{ID: entry.ProtoID}
 	out.Err = !rsp.Status.OK()
-	if !meta.write {
-		out.Data = rsp.Data
+	if !entry.Cmd.IsWrite() {
+		out.Data = bytes.Clone(rsp.Data)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -311,41 +306,39 @@ func (a *avciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 func (a *avciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
 
 // PumpRequests implements MasterAdapter.
-func (a *avciMasterAdapter) PumpRequests(cycle int64) {
-	a.eng.PumpOne(cycle, func() (Candidate, bool) {
-		areq, ok := a.port.Req.Peek()
-		if !ok {
-			return Candidate{}, false
-		}
-		burst := core.BurstIncr
-		if areq.Wrap {
-			burst = core.BurstWrap
-		}
-		var req *core.Request
-		write := areq.Op == vci.OpWrite
-		if write {
-			req = &core.Request{
-				Cmd: core.CmdWrite, Addr: areq.Addr, Size: areq.Size, Len: uint16(areq.Beats),
-				Burst: burst, Data: areq.Data,
-			}
-		} else {
-			req = &core.Request{
-				Cmd: core.CmdRead, Addr: areq.Addr, Size: areq.Size, Len: uint16(areq.Beats), Burst: burst,
-			}
-		}
-		return Candidate{
-			Req: req, ProtoID: areq.ID, Meta: avciMeta{id: areq.ID, write: write},
-			Consume: func() { a.port.Req.Pop() },
-			LocalError: func() {
-				out := vci.ARsp{ID: areq.ID}
-				out.Err = true
-				if !write {
-					out.Data = make([]byte, areq.Beats*int(areq.Size))
-				}
-				a.rspQ = append(a.rspQ, out)
-			},
-		}, true
-	})
+func (a *avciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
+
+// Peek implements SocketHead.
+func (a *avciMasterAdapter) Peek(c *Candidate) bool {
+	areq, ok := a.port.Req.Peek()
+	if !ok {
+		return false
+	}
+	burst := core.BurstIncr
+	if areq.Wrap {
+		burst = core.BurstWrap
+	}
+	c.Req = core.Request{
+		Cmd: core.CmdRead, Addr: areq.Addr, Size: areq.Size, Len: uint16(areq.Beats), Burst: burst,
+	}
+	if areq.Op == vci.OpWrite {
+		c.Req.Cmd, c.Req.Data = core.CmdWrite, areq.Data
+	}
+	c.ProtoID = areq.ID
+	return true
+}
+
+// Pop implements SocketHead.
+func (a *avciMasterAdapter) Pop() { a.port.Req.Pop() }
+
+// Refuse implements SocketHead.
+func (a *avciMasterAdapter) Refuse(c *Candidate) {
+	out := vci.ARsp{ID: c.ProtoID}
+	out.Err = true
+	if !c.Req.Cmd.IsWrite() {
+		out.Data = make([]byte, c.Req.Bytes())
+	}
+	a.rspQ = append(a.rspQ, out)
 }
 
 // AVCISlave is the slave-side NIU for an AVCI target IP.
@@ -355,6 +348,7 @@ type AVCISlave struct {
 
 type avciSlaveAdapter struct {
 	eng *vci.AMaster
+	replier
 }
 
 // NewAVCISlave creates the NIU on clk.
@@ -368,16 +362,17 @@ func NewAVCISlave(clk *sim.Clock, net *transport.Network, port *vci.APort, cfg S
 func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	r := req
 	engID := int(req.Src)<<8 | int(req.Tag)
+	data, _ := heldWrite(req)
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), func(d []byte, err bool) {
-			respond(&core.Response{Status: statusFor(r, err), Data: d})
+			a.reply(respond, statusFor(r, err), d)
 		})
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(engID, req.Addr, req.Size, req.Data, nil)
+		a.eng.Write(engID, req.Addr, req.Size, data, nil)
 	default:
-		a.eng.Write(engID, req.Addr, req.Size, req.Data, func(err bool) {
-			respond(&core.Response{Status: statusFor(r, err)})
+		a.eng.Write(engID, req.Addr, req.Size, data, func(err bool) {
+			a.reply(respond, statusFor(r, err), nil)
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package niu
 
 import (
+	"bytes"
+
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/wishbone"
 	"gonoc/internal/sim"
@@ -68,8 +70,6 @@ type wbMasterAdapter struct {
 	rspQ []wishbone.Rsp
 }
 
-type wbMeta struct{ write bool }
-
 // NewWBMaster creates the NIU on clk. WISHBONE has no ordering handles:
 // the model is always fully-ordered.
 func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *wishbone.Port, cfg MasterConfig) *WBMaster {
@@ -81,10 +81,9 @@ func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, 
 
 // DeliverResponse implements MasterAdapter.
 func (a *wbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	meta := entry.Meta.(wbMeta)
 	out := wishbone.Rsp{Err: !rsp.Status.OK()}
-	if !meta.write {
-		out.Data = rsp.Data
+	if !entry.Cmd.IsWrite() {
+		out.Data = bytes.Clone(rsp.Data)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -92,52 +91,51 @@ func (a *wbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry)
 // StreamSocket implements MasterAdapter.
 func (a *wbMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
 
-// queueErr answers cyc locally with ERR_I (zero-padded data for reads)
-// — the one error shape shared by decode errors, disabled services,
-// and unexpressible wrap windows.
-func (a *wbMasterAdapter) queueErr(cyc wishbone.Cycle) {
+// queueErr answers a cycle of beats×size bytes locally with ERR_I
+// (zero-padded data for reads) — the one error shape shared by decode
+// errors, disabled services, and unexpressible wrap windows.
+func (a *wbMasterAdapter) queueErr(write bool, beats, size int) {
 	out := wishbone.Rsp{Err: true}
-	if !cyc.Write {
-		out.Data = make([]byte, cyc.Beats*int(cyc.Size))
+	if !write {
+		out.Data = make([]byte, beats*size)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // PumpRequests implements MasterAdapter.
-func (a *wbMasterAdapter) PumpRequests(cycle int64) {
-	a.eng.PumpOne(cycle, func() (Candidate, bool) {
-		cyc, ok := a.port.Req.Peek()
-		if !ok {
-			return Candidate{}, false
-		}
-		burst, exprOK := wbCTIToCore(cyc)
-		if !exprOK {
-			// The wrap window is not expressible on the fabric: refuse
-			// the cycle loudly (ERR_I) instead of corrupting addresses.
-			a.port.Req.Pop()
-			a.queueErr(cyc)
-			return Candidate{}, false
-		}
-		var req *core.Request
-		if cyc.Write {
-			req = &core.Request{
-				Cmd: core.CmdWrite, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),
-				Burst: burst, Data: cyc.Data, BE: cyc.Sel,
-			}
-		} else {
-			req = &core.Request{
-				Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),
-				Burst: burst,
-			}
-		}
-		return Candidate{
-			Req: req, ProtoID: 0, Meta: wbMeta{write: cyc.Write},
-			Consume: func() { a.port.Req.Pop() },
-			// WISHBONE signals both decode errors and disabled services
-			// as ERR_I on the socket (PumpOne has already consumed).
-			LocalError: func() { a.queueErr(cyc) },
-		}, true
-	})
+func (a *wbMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
+
+// Peek implements SocketHead.
+func (a *wbMasterAdapter) Peek(c *Candidate) bool {
+	cyc, ok := a.port.Req.Peek()
+	if !ok {
+		return false
+	}
+	burst, exprOK := wbCTIToCore(cyc)
+	if !exprOK {
+		// The wrap window is not expressible on the fabric: refuse the
+		// cycle loudly (ERR_I) instead of corrupting addresses.
+		a.port.Req.Pop()
+		a.queueErr(cyc.Write, cyc.Beats, int(cyc.Size))
+		return false
+	}
+	c.Req = core.Request{
+		Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),
+		Burst: burst,
+	}
+	if cyc.Write {
+		c.Req.Cmd, c.Req.Data, c.Req.BE = core.CmdWrite, cyc.Data, cyc.Sel
+	}
+	return true
+}
+
+// Pop implements SocketHead.
+func (a *wbMasterAdapter) Pop() { a.port.Req.Pop() }
+
+// Refuse implements SocketHead: WISHBONE signals both decode errors and
+// disabled services as ERR_I on the socket.
+func (a *wbMasterAdapter) Refuse(c *Candidate) {
+	a.queueErr(c.Req.Cmd.IsWrite(), int(c.Req.Len), int(c.Req.Size))
 }
 
 // WBSlave is the slave-side NIU for a WISHBONE target IP. Wrap bursts
@@ -149,6 +147,7 @@ type WBSlave struct {
 
 type wbSlaveAdapter struct {
 	eng *wishbone.Master
+	replier
 }
 
 // NewWBSlave creates the NIU on clk.
@@ -162,51 +161,53 @@ func NewWBSlave(clk *sim.Clock, net *transport.Network, port *wishbone.Port, cfg
 func (a *wbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	r := req
 	beats := int(req.Len)
+	data, sel := heldWrite(req)
 	cti, bte, ok := coreBurstToWB(req.Burst, beats)
 	if !ok {
-		a.execBeatwise(r, beats, respond)
+		a.execBeatwise(r, beats, data, sel, respond)
 		return
 	}
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(req.Addr, req.Size, beats, cti, bte, func(d []byte, err bool) {
-			respond(&core.Response{Status: statusFor(r, err), Data: d})
+			a.reply(respond, statusFor(r, err), d)
 		})
 	case req.Cmd == core.CmdWritePost:
-		if r.BE != nil {
-			a.eng.WriteSel(req.Addr, req.Size, req.Data, req.BE, cti, bte, nil)
+		if sel != nil {
+			a.eng.WriteSel(req.Addr, req.Size, data, sel, cti, bte, nil)
 		} else {
-			a.eng.Write(req.Addr, req.Size, req.Data, cti, bte, nil)
+			a.eng.Write(req.Addr, req.Size, data, cti, bte, nil)
 		}
 	default:
 		cb := func(err bool) {
-			respond(&core.Response{Status: statusFor(r, err)})
+			a.reply(respond, statusFor(r, err), nil)
 		}
-		if r.BE != nil {
-			a.eng.WriteSel(req.Addr, req.Size, req.Data, req.BE, cti, bte, cb)
+		if sel != nil {
+			a.eng.WriteSel(req.Addr, req.Size, data, sel, cti, bte, cb)
 		} else {
-			a.eng.Write(req.Addr, req.Size, req.Data, cti, bte, cb)
+			a.eng.Write(req.Addr, req.Size, data, cti, bte, cb)
 		}
 	}
 }
 
 // execBeatwise adapts an unsupported wrap burst into per-beat classic
-// cycles at explicitly computed addresses.
-func (a *wbSlaveAdapter) execBeatwise(r *core.Request, beats int, respond func(*core.Response)) {
+// cycles at explicitly computed addresses; data and sel are the
+// request's write bytes.
+func (a *wbSlaveAdapter) execBeatwise(r *core.Request, beats int, data, sel []byte, respond func(*core.Response)) {
 	s := int(r.Size)
 	if r.Cmd.IsRead() {
-		data := make([]byte, beats*s)
+		got := make([]byte, beats*s)
 		remaining := beats
 		anyErr := false
 		for i := 0; i < beats; i++ {
 			i := i
 			addr := core.BeatAddr(r.Burst, r.Addr, r.Size, r.Len, i)
 			a.eng.Read(addr, r.Size, 1, wishbone.Classic, wishbone.Linear, func(d []byte, err bool) {
-				copy(data[i*s:(i+1)*s], d)
+				copy(got[i*s:(i+1)*s], d)
 				anyErr = anyErr || err
 				remaining--
 				if remaining == 0 {
-					respond(&core.Response{Status: statusFor(r, anyErr), Data: data})
+					a.reply(respond, statusFor(r, anyErr), got)
 				}
 			})
 		}
@@ -216,23 +217,23 @@ func (a *wbSlaveAdapter) execBeatwise(r *core.Request, beats int, respond func(*
 	anyErr := false
 	for i := 0; i < beats; i++ {
 		addr := core.BeatAddr(r.Burst, r.Addr, r.Size, r.Len, i)
-		beat := r.Data[i*s : (i+1)*s]
-		var sel []byte
-		if r.BE != nil {
-			sel = r.BE[i*s : (i+1)*s]
+		beat := data[i*s : (i+1)*s]
+		var beatSel []byte
+		if sel != nil {
+			beatSel = sel[i*s : (i+1)*s]
 		}
 		cb := func(err bool) {
 			anyErr = anyErr || err
 			remaining--
 			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				respond(&core.Response{Status: statusFor(r, anyErr)})
+				a.reply(respond, statusFor(r, anyErr), nil)
 			}
 		}
 		if !r.Cmd.ExpectsResponse() {
 			cb = nil
 		}
-		if sel != nil {
-			a.eng.WriteSel(addr, r.Size, beat, sel, wishbone.Classic, wishbone.Linear, cb)
+		if beatSel != nil {
+			a.eng.WriteSel(addr, r.Size, beat, beatSel, wishbone.Classic, wishbone.Linear, cb)
 		} else {
 			a.eng.Write(addr, r.Size, beat, wishbone.Classic, wishbone.Linear, cb)
 		}

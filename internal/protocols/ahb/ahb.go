@@ -286,7 +286,8 @@ type Memory struct {
 	base  uint64
 	cfg   MemoryConfig
 
-	cur    *Req
+	cur    Req // the transaction being served, valid while busy
+	busy   bool
 	wait   int
 	seen   uint64
 	served uint64
@@ -304,12 +305,12 @@ func (m *Memory) Served() uint64 { return m.served }
 
 // Eval implements sim.Clocked.
 func (m *Memory) Eval(cycle int64) {
-	if m.cur == nil {
+	if !m.busy {
 		req, ok := m.port.Req.Pop()
 		if !ok {
 			return
 		}
-		m.cur = &req
+		m.cur, m.busy = req, true
 		m.seen++
 		// Burst data phase: wait states + one cycle per beat.
 		m.wait = m.cfg.WaitStates + req.NumBeats() - 1
@@ -324,10 +325,10 @@ func (m *Memory) Eval(cycle int64) {
 	if !m.port.Rsp.CanPush(1) {
 		return
 	}
-	req := *m.cur
+	req := &m.cur
 	if m.cfg.RetryEvery > 0 && m.seen%uint64(m.cfg.RetryEvery) == 0 {
 		m.port.Rsp.Push(Rsp{Resp: RespRetry})
-		m.cur = nil
+		m.cur, m.busy = Req{}, false
 		return
 	}
 	beats := req.NumBeats()
@@ -346,7 +347,7 @@ func (m *Memory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(Rsp{Resp: RespOkay, Data: data})
 	}
-	m.cur = nil
+	m.cur, m.busy = Req{}, false
 	m.served++
 }
 

@@ -136,7 +136,8 @@ type PMemory struct {
 	base    uint64
 	latency int
 	wait    int
-	cur     *PReq
+	cur     PReq // the request being served, valid while busy
+	busy    bool
 	served  uint64
 }
 
@@ -152,12 +153,12 @@ func (m *PMemory) Served() uint64 { return m.served }
 
 // Eval implements sim.Clocked.
 func (m *PMemory) Eval(cycle int64) {
-	if m.cur == nil {
+	if !m.busy {
 		req, ok := m.port.Req.Pop()
 		if !ok {
 			return
 		}
-		m.cur = &req
+		m.cur, m.busy = req, true
 		m.wait = m.latency
 	}
 	if m.wait > 0 {
@@ -167,7 +168,7 @@ func (m *PMemory) Eval(cycle int64) {
 	if !m.port.Rsp.CanPush(1) {
 		return
 	}
-	req := *m.cur
+	req := &m.cur
 	if req.Write {
 		m.store.Write(req.Addr-m.base, req.Data, req.BE)
 		m.port.Rsp.Push(PRsp{})
@@ -178,7 +179,7 @@ func (m *PMemory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(PRsp{Data: m.store.Read(req.Addr-m.base, n)})
 	}
-	m.cur = nil
+	m.cur, m.busy = PReq{}, false
 	m.served++
 }
 
@@ -308,7 +309,8 @@ type BMemory struct {
 	store   *mem.Backing
 	base    uint64
 	latency int
-	cur     *BReq
+	cur     BReq // the burst being served, valid while busy
+	busy    bool
 	wait    int
 	served  uint64
 }
@@ -337,12 +339,12 @@ func bvciBeatAddr(req BReq, i int) uint64 {
 
 // Eval implements sim.Clocked.
 func (m *BMemory) Eval(cycle int64) {
-	if m.cur == nil {
+	if !m.busy {
 		req, ok := m.port.Req.Pop()
 		if !ok {
 			return
 		}
-		m.cur = &req
+		m.cur, m.busy = req, true
 		m.wait = m.latency + req.Beats - 1 // one cell per cycle
 	}
 	if m.wait > 0 {
@@ -352,7 +354,7 @@ func (m *BMemory) Eval(cycle int64) {
 	if !m.port.Rsp.CanPush(1) {
 		return
 	}
-	req := *m.cur
+	req := m.cur
 	s := int(req.Size)
 	if req.Op == OpWrite {
 		for i := 0; i < req.Beats; i++ {
@@ -366,7 +368,7 @@ func (m *BMemory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(BRsp{Data: data})
 	}
-	m.cur = nil
+	m.cur, m.busy = BReq{}, false
 	m.served++
 }
 

@@ -253,7 +253,8 @@ type Memory struct {
 	base  uint64
 	cfg   MemoryConfig
 
-	cur    *Cycle
+	cur    Cycle // the cycle being served, valid while busy
+	busy   bool
 	wait   int
 	served uint64
 }
@@ -280,12 +281,12 @@ func (m *Memory) cycleCost(c Cycle) int {
 
 // Eval implements sim.Clocked.
 func (m *Memory) Eval(cycle int64) {
-	if m.cur == nil {
+	if !m.busy {
 		req, ok := m.port.Req.Pop()
 		if !ok {
 			return
 		}
-		m.cur = &req
+		m.cur, m.busy = req, true
 		m.wait = m.cycleCost(req)
 	}
 	if m.wait > 0 {
@@ -295,8 +296,8 @@ func (m *Memory) Eval(cycle int64) {
 	if !m.port.Rsp.CanPush(1) {
 		return
 	}
-	c := *m.cur
-	m.cur = nil
+	c := m.cur
+	m.cur, m.busy = Cycle{}, false
 	m.served++
 	if m.cfg.ErrHi > m.cfg.ErrLo && c.Addr >= m.cfg.ErrLo && c.Addr < m.cfg.ErrHi {
 		m.port.Rsp.Push(Rsp{Err: true})

@@ -1,0 +1,39 @@
+package soc
+
+import "testing"
+
+// quietFig1 builds the quiet Fig 1 system with Wishbone on — every NIU,
+// protocol engine and memory present, no generators — and runs it past
+// start-up.
+func quietFig1(topo Topology) *System {
+	s := BuildNoC(Config{Seed: 1, Quiet: true, Wishbone: true, Topology: topo})
+	s.Clk.RunCycles(100)
+	return s
+}
+
+// TestIdleCycleZeroAlloc pins the idle SoC cycle at zero allocations on
+// the crossbar and the mesh: evaluating every NIU engine, protocol
+// engine and memory slave with nothing to do must not touch the heap.
+func TestIdleCycleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		topo Topology
+	}{{"crossbar", Crossbar}, {"mesh", Mesh}} {
+		s := quietFig1(tc.topo)
+		if n := testing.AllocsPerRun(200, func() { s.Clk.RunCycles(1) }); n != 0 {
+			t.Errorf("%s: idle cycle allocates %.2f objects, want 0", tc.name, n)
+		}
+	}
+}
+
+// BenchmarkIdleSoCCycle measures one idle cycle of the quiet Fig 1
+// crossbar system. CI guards allocs/op at zero (BENCH_transport.json).
+func BenchmarkIdleSoCCycle(b *testing.B) {
+	s := quietFig1(Crossbar)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Clk.RunCycles(int64(b.N))
+}
