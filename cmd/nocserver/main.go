@@ -45,7 +45,7 @@ var (
 	maxBody         = flag.Int64("max-body", 1<<20, "largest accepted scenario document, bytes")
 	campaignWorkers = flag.Int("campaign-workers", 0, "cap on one campaign run's internal worker pool (0 = let the scenario decide)")
 	drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running runs to complete")
-	fidelity        = flag.String("fidelity", "", "default execution fidelity for scenarios that do not declare one: cycle|hybrid|loose (docs/PERFORMANCE.md); explicit scenarios are untouched")
+	fidelity        = flag.String("fidelity", "", "default execution fidelity for scenarios that do not declare one: cycle|hybrid (docs/PERFORMANCE.md); explicit scenarios are untouched")
 )
 
 func main() {

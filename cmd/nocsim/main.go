@@ -51,7 +51,7 @@ func main() {
 	system := flag.String("system", "noc", "interconnect: noc (Fig 1) or bus (Fig 2)")
 	topo := flag.String("topology", "crossbar", "NoC topology: crossbar, mesh, torus, ring, tree")
 	mode := flag.String("mode", "wormhole", "NoC switching: wormhole or saf")
-	fidelity := flag.String("fidelity", "cycle", "NoC execution fidelity: cycle (exact), hybrid, or loose (analytic latency model; docs/PERFORMANCE.md)")
+	fidelity := flag.String("fidelity", "cycle", "NoC execution fidelity: cycle (exact) or hybrid (analytic latency model on cool links; docs/PERFORMANCE.md)")
 	seed := flag.Int64("seed", 1, "random seed")
 	requests := flag.Int("requests", 40, "write/read-back pairs per master")
 	qos := flag.Bool("qos", true, "enable priority arbitration in switches")
@@ -88,27 +88,24 @@ func main() {
 	// Live-metrics stack (-metrics-addr / -metrics-out): shared registry,
 	// simulator self-profile, and per-router fabric collector. Purely
 	// observational — seeded results are identical with it on or off.
-	var reg *metrics.Registry
 	var prof *metrics.SimProfile
 	var prog *metrics.Progress
 	var snap *metrics.Snapshotter
 	var outFile *os.File
 	if *metricsAddr != "" || *metricsOut != "" {
-		reg = metrics.NewRegistry()
-		prof = metrics.NewSimProfile(reg)
-		prog = metrics.NewProgress(reg)
-		probes = append(probes, metrics.NewFabricCollector(reg))
+		rig := metrics.NewRig()
+		prof, prog = rig.Profile, rig.Progress
+		probes = append(probes, rig.Collector)
 		if *metricsOut != "" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
 				log.Fatal(err)
 			}
 			outFile = f
-			snap = metrics.NewSnapshotter(f, *metricsEvery, reg, prof, prog)
-			prof.SetSnapshotter(snap)
+			snap = rig.SnapshotTo(f, *metricsEvery)
 		}
 		if *metricsAddr != "" {
-			srv := metrics.NewServer(reg, prof, prog)
+			srv := metrics.NewServer(rig.Registry, rig.Profile, rig.Progress)
 			addr, err := srv.Start(*metricsAddr)
 			if err != nil {
 				log.Fatal(err)

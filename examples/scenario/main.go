@@ -35,7 +35,7 @@ func main() {
 	// 2. Execute: the resolver lowers the declaration onto the existing
 	// soc/traffic engines — the same code path every flag-driven run
 	// uses, so scenario results are comparable with everything else.
-	rep, err := scenario.Execute(s, nil)
+	rep, err := scenario.Execute(s, scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 
 	// 4. Determinism is part of the contract: same file, same seed,
 	// bit-identical digest (E14 holds this for every built-in).
-	again, err := scenario.Execute(s, nil)
+	again, err := scenario.Execute(s, scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

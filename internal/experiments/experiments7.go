@@ -37,11 +37,11 @@ func E14Scenarios(seed int64) E14Result {
 	for _, name := range scenario.Names() {
 		sc, _ := scenario.Get(name)
 		sc.Seed = seed
-		rep, err := scenario.Execute(sc, nil)
+		rep, err := scenario.Execute(sc, scenario.Options{})
 		if err != nil {
 			panic("experiments: built-in scenario failed: " + err.Error())
 		}
-		again, err := scenario.Execute(sc, nil)
+		again, err := scenario.Execute(sc, scenario.Options{})
 		if err != nil {
 			panic("experiments: built-in scenario failed: " + err.Error())
 		}

@@ -23,8 +23,7 @@ import (
 //     cycle-accurate and hybrid; the per-metric relative errors
 //     (mean/p50/p99 latency, throughput) are asserted under the
 //     declared tolerances and reported next to the wall-clock speedup
-//     the approximation buys. Loose mode rides along informationally:
-//     it is the model with the safety net removed.
+//     the approximation buys.
 //
 //   - The STRESS rows — the packet built-ins at native configuration,
 //     deliberately hot workloads (the hotspot built-ins saturate their
@@ -90,8 +89,6 @@ type E16Point struct {
 	P50Err  float64 `json:"p50_err"`
 	P99Err  float64 `json:"p99_err"`
 	TputErr float64 `json:"tput_err"`
-
-	LooseP99Err float64 `json:"loose_p99_err"` // loose mode, informational
 }
 
 // E16Result carries the sweep, the aggregate bounds the CI guard reads,
@@ -132,12 +129,11 @@ func e16Run(cfg traffic.Config, fid transport.Fidelity) (traffic.Result, float64
 	return res, float64(time.Since(start).Nanoseconds()) / 1e6
 }
 
-// e16Compare runs one workload at all three fidelities and digests the
+// e16Compare runs one workload at both fidelities and digests the
 // relative errors.
 func e16Compare(label string, cfg traffic.Config, asserted bool) E16Point {
 	exact, cms := e16Run(cfg, transport.FidelityCycle)
 	approx, hms := e16Run(cfg, transport.FidelityHybrid)
-	loose, _ := e16Run(cfg, transport.FidelityLoose)
 	return E16Point{
 		Scenario:     label,
 		Rate:         cfg.Rate,
@@ -148,7 +144,6 @@ func e16Compare(label string, cfg traffic.Config, asserted bool) E16Point {
 		P50Err:       relErr(float64(approx.Latency.P50), float64(exact.Latency.P50)),
 		P99Err:       relErr(float64(approx.Latency.P99), float64(exact.Latency.P99)),
 		TputErr:      relErr(approx.Throughput, exact.Throughput),
-		LooseP99Err:  relErr(float64(loose.Latency.P99), float64(exact.Latency.P99)),
 	}
 }
 
@@ -156,7 +151,6 @@ func e16AddRow(t *stats.Table, p E16Point) {
 	t.AddRow(p.Scenario, fmt.Sprintf("%.3f", p.Rate),
 		fmt.Sprintf("%.4f", p.MeanErr), fmt.Sprintf("%.4f", p.P50Err),
 		fmt.Sprintf("%.4f", p.P99Err), fmt.Sprintf("%.4f", p.TputErr),
-		fmt.Sprintf("%.4f", p.LooseP99Err),
 		fmt.Sprintf("%.1f", p.CycleWallMS), fmt.Sprintf("%.1f", p.HybridWallMS),
 		fmt.Sprintf("%.1fx", p.CycleWallMS/math.Max(p.HybridWallMS, 1e-9)))
 }
@@ -169,7 +163,7 @@ func E16FidelitySweep(seed int64) E16Result {
 
 	et := stats.NewTable(
 		fmt.Sprintf("E16 — hybrid-fidelity operating envelope, 64 endpoints (seed %d): relative error vs cycle-accurate, asserted", seed),
-		"workload", "rate", "mean err", "p50 err", "p99 err", "tput err", "loose p99 err", "cycle ms", "hybrid ms", "speedup")
+		"workload", "rate", "mean err", "p50 err", "p99 err", "tput err", "cycle ms", "hybrid ms", "speedup")
 	for _, e := range e16Envelope {
 		cfg := traffic.Config{
 			Seed:         seed,
@@ -208,7 +202,7 @@ func E16FidelitySweep(seed int64) E16Result {
 
 	st := stats.NewTable(
 		fmt.Sprintf("E16 — saturated built-ins at rate %.2f (seed %d): fallback stress rows, informational (hot regions run cycle-accurate, so speedup collapses by design)", e16StressRate, seed),
-		"workload", "rate", "mean err", "p50 err", "p99 err", "tput err", "loose p99 err", "cycle ms", "hybrid ms", "speedup")
+		"workload", "rate", "mean err", "p50 err", "p99 err", "tput err", "cycle ms", "hybrid ms", "speedup")
 	for _, name := range scenario.Names() {
 		sc, ok := scenario.Get(name)
 		if !ok || sc.Workload.Kind != scenario.KindPacket {

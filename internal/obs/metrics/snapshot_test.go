@@ -224,3 +224,27 @@ func TestProgressETA(t *testing.T) {
 		t.Fatalf("wall histogram count = %d", p.wall.Count())
 	}
 }
+
+// TestRig: a nil rig attaches no probe (a true nil interface, so
+// obs.Multi drops it), and a built rig's snapshot stream is paced by
+// its own profile.
+func TestRig(t *testing.T) {
+	var off *Rig
+	if p := off.Probe(); p != nil {
+		t.Fatalf("nil rig probe = %#v, want a nil interface", p)
+	}
+	rig := NewRig()
+	if rig.Probe() != rig.Collector || rig.Collector == nil {
+		t.Fatal("rig probe is not its fabric collector")
+	}
+	var buf bytes.Buffer
+	s := rig.SnapshotTo(&buf, time.Nanosecond)
+	time.Sleep(time.Millisecond)
+	rig.Profile.Advance(10, 20)
+	if s.Lines() == 0 {
+		t.Fatal("profile publishing did not drive the rig's snapshotter")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

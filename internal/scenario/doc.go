@@ -28,9 +28,13 @@
 //
 //   - The resolver (lower.go) — lowers a scenario onto the existing
 //     soc/traffic/obs APIs (traffic.Config, traffic.CampaignConfig,
-//     traffic.TransConfig, soc.Config) and lifts flag-driven configs
-//     back into scenarios; Execute runs whichever mode the measure
-//     section selects (single, sweep, campaign, trans).
+//     traffic.TransConfig, soc.Config).
+//
+//   - The executor (execute.go) — Execute runs whichever mode the
+//     measure section selects (single, sweep, campaign, trans). It is
+//     the one run-mode dispatcher: noctraffic, nocserver and experiment
+//     E14 all call it, so the CLI and the server produce the same
+//     bytes for the same document by construction.
 //
 //   - The registry (registry.go) — built-in named compositions
 //     (cpu-dma-display, camera-isp-pipeline, hotspot-dram,

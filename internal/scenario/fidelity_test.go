@@ -28,6 +28,9 @@ func TestFidelityLoadErrors(t *testing.T) {
 		{"unknown fidelity value",
 			fidelityPacket(`"fidelity": "fast"`),
 			`fabric.fidelity: unknown fidelity "fast"`},
+		{"deleted loose fidelity",
+			fidelityPacket(`"fidelity": "loose"`),
+			`fabric.fidelity: unknown fidelity "loose" (want cycle|hybrid)`},
 		{"misspelled fidelity field with position",
 			fidelityPacket(`"fidelty": "hybrid"`),
 			`unknown field "fidelty"`},
@@ -41,7 +44,7 @@ func TestFidelityLoadErrors(t *testing.T) {
 			fidelityPacket(`"fidelity": "hybrid", "loose_hysteresis": 2`),
 			"fabric.loose_hysteresis: 2 outside [0,1]"},
 		{"negative window",
-			fidelityPacket(`"fidelity": "loose", "loose_window": -64`),
+			fidelityPacket(`"fidelity": "hybrid", "loose_window": -64`),
 			"fabric.loose_window: -64 is negative"},
 		{"threshold of wrong type with position",
 			fidelityPacket(`"fidelity": "hybrid", "loose_threshold": "high"`),
@@ -71,7 +74,6 @@ func TestFidelityLoadErrors(t *testing.T) {
 func TestFidelityRoundTrip(t *testing.T) {
 	docs := []string{
 		fidelityPacket(`"fidelity": "hybrid"`),
-		fidelityPacket(`"fidelity": "loose"`),
 		fidelityPacket(`"fidelity": "hybrid", "loose_threshold": 0.25, "loose_hysteresis": 0.6, "loose_window": 512`),
 		fidelityPacket(`"fidelity": "cycle"`),
 	}
@@ -111,18 +113,5 @@ func TestFidelityLowers(t *testing.T) {
 	}
 	if cfg.Net.LooseThreshold != 0.25 || cfg.Net.LooseWindow != 512 {
 		t.Fatalf("loose tuning lost in lowering: %+v", cfg.Net)
-	}
-	// And back: lifting a fidelity-bearing config reproduces the fields.
-	f := fabricOf(cfg)
-	if f.Fidelity != "hybrid" || f.LooseThreshold != 0.25 || f.LooseWindow != 512 {
-		t.Fatalf("fabricOf dropped fidelity: %+v", f)
-	}
-	// A cycle-accurate config lifts to the implicit default — the field
-	// stays absent so pre-fidelity exports are byte-identical.
-	cfg.Net.Fidelity = transport.FidelityCycle
-	cfg.Net.LooseThreshold = 0
-	cfg.Net.LooseWindow = 0
-	if f := fabricOf(cfg); f.Fidelity != "" {
-		t.Fatalf("cycle fidelity serialized explicitly: %+v", f)
 	}
 }

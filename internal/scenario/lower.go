@@ -4,18 +4,15 @@ import (
 	"fmt"
 
 	"gonoc/internal/noctypes"
-	"gonoc/internal/obs"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
 	"gonoc/internal/transport"
 )
 
 // This file is the resolver: it lowers a validated Scenario onto the
-// concrete soc/traffic configs, and lifts flag-driven configs back into
-// scenarios (the -save-scenario export). Lower∘Lift is the identity on
-// the config fields that affect results, which is what makes an
-// exported scenario reproduce the identical seeded run — the round-trip
-// tests in scenario_test.go pin this.
+// concrete soc/traffic configs. Execute (execute.go) runs the lowered
+// config; the CLIs build scenario documents rather than configs, so the
+// document a run saves is the one it executes.
 
 // DefaultSeed is the seed an omitted "seed" field selects (the same
 // default the CLIs use).
@@ -164,15 +161,6 @@ var socTopologies = map[string]soc.Topology{
 	"tree":     soc.Tree,
 }
 
-func socTopologyName(t soc.Topology) string {
-	for name, v := range socTopologies {
-		if v == t {
-			return name
-		}
-	}
-	return "crossbar"
-}
-
 // TransConfig lowers a soc-kind scenario onto traffic.RunTrans: one
 // TransRole per declared master.
 func (s *Scenario) TransConfig() (traffic.TransConfig, error) {
@@ -242,215 +230,4 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 		cfg.MasterPriority[m.Protocol] = prio
 	}
 	return cfg, nil
-}
-
-// Report is one executed scenario's result: exactly one of the four
-// mode fields is set.
-type Report struct {
-	Scenario string                  `json:"scenario"`
-	Mode     Mode                    `json:"mode"`
-	Single   *traffic.Result         `json:"single,omitempty"`
-	Sweep    *traffic.SweepResult    `json:"sweep,omitempty"`
-	Campaign *traffic.CampaignResult `json:"campaign,omitempty"`
-	Trans    *traffic.TransResult    `json:"trans,omitempty"`
-}
-
-// Execute validates, lowers, and runs the scenario. probe, when
-// non-nil, instruments single and trans runs; sweep and campaign runs
-// ignore it (a probe belongs to one simulation kernel — campaigns build
-// per-point monitors instead, see traffic.CampaignConfig.HeatmapBuckets).
-func Execute(s *Scenario, probe obs.Probe) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{Scenario: s.Name, Mode: s.Mode()}
-	switch rep.Mode {
-	case ModeTrans:
-		tc, err := s.TransConfig()
-		if err != nil {
-			return nil, err
-		}
-		tc.Probe = probe
-		res := traffic.RunTrans(tc)
-		rep.Trans = &res
-	case ModeCampaign:
-		cc, err := s.CampaignConfig()
-		if err != nil {
-			return nil, err
-		}
-		res := traffic.Campaign(cc)
-		rep.Campaign = &res
-	case ModeSweep:
-		cfg, err := s.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		res := traffic.Sweep(cfg, s.Measure.SweepRates)
-		rep.Sweep = &res
-	default:
-		cfg, err := s.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Probe = probe
-		res := traffic.Run(cfg)
-		rep.Single = &res
-	}
-	return rep, nil
-}
-
-// fracPointer is the export inverse of fracSentinel.
-func fracPointer(v float64) *float64 {
-	switch {
-	case v < 0:
-		z := 0.0
-		return &z
-	case v == 0:
-		return nil
-	default:
-		return &v
-	}
-}
-
-func warmupPointer(v int64) *int64 {
-	switch {
-	case v < 0:
-		z := int64(0)
-		return &z
-	case v == 0:
-		return nil
-	default:
-		return &v
-	}
-}
-
-// fabricOf lifts a traffic.Config's fabric side into schema form.
-func fabricOf(cfg traffic.Config) Fabric {
-	f := Fabric{
-		Topology:       cfg.Topology.String(),
-		Nodes:          cfg.Nodes,
-		MeshW:          cfg.MeshW,
-		MeshH:          cfg.MeshH,
-		TreeFanout:     cfg.TreeFanout,
-		QoS:            cfg.Net.QoS,
-		FlitBytes:      cfg.Net.FlitBytes,
-		BufDepth:       cfg.Net.BufDepth,
-		MaxPendingPkts: cfg.Net.MaxPendingPkts,
-		LegacyLock:     cfg.Net.LegacyLock,
-	}
-	if cfg.Net.Mode == transport.StoreAndForward {
-		f.Mode = "saf"
-	}
-	liftFidelity(&f, cfg.Net)
-	return f
-}
-
-// liftFidelity lifts a NetConfig's fidelity knobs into schema form.
-// Cycle-accurate stays the implicit default so lifted scenarios of
-// pre-fidelity runs serialize byte-identically to before.
-func liftFidelity(f *Fabric, n transport.NetConfig) {
-	if n.Fidelity == transport.FidelityCycle {
-		return
-	}
-	f.Fidelity = n.Fidelity.String()
-	f.LooseThreshold = n.LooseThreshold
-	f.LooseHysteresis = n.LooseHysteresis
-	f.LooseWindow = n.LooseWindow
-}
-
-// FromPacketConfig lifts a flag-driven packet run into a scenario:
-// sweepRates non-empty makes it a sweep, campaign non-nil a campaign
-// (its Base is ignored in favour of cfg). The result round-trips: its
-// PacketConfig/CampaignConfig equals what was passed in, so the saved
-// file reproduces the identical seeded run.
-func FromPacketConfig(name string, cfg traffic.Config, sweepRates []float64, campaign *traffic.CampaignConfig) *Scenario {
-	s := &Scenario{
-		Version: Version,
-		Name:    name,
-		Seed:    cfg.Seed,
-		Fabric:  fabricOf(cfg),
-		Workload: Workload{
-			Kind:         KindPacket,
-			Pattern:      cfg.Pattern.String(),
-			Rate:         cfg.Rate,
-			PayloadBytes: cfg.PayloadBytes,
-			ReadFrac:     fracPointer(cfg.ReadFrac),
-			HotFrac:      cfg.HotFrac,
-			HotNode:      cfg.HotNode,
-			BurstLen:     cfg.BurstLen,
-			UrgentFrac:   cfg.UrgentFrac,
-			ClosedLoop:   cfg.ClosedLoop,
-			Window:       cfg.Window,
-		},
-		Measure: Measure{
-			Warmup:     warmupPointer(cfg.Warmup),
-			Measure:    cfg.Measure,
-			Drain:      cfg.Drain,
-			SweepRates: append([]float64(nil), sweepRates...),
-		},
-	}
-	if campaign != nil {
-		c := &Campaign{Rates: append([]float64(nil), campaign.Rates...), Workers: campaign.Workers}
-		for _, t := range campaign.Topologies {
-			c.Topologies = append(c.Topologies, t.String())
-		}
-		for _, p := range campaign.Patterns {
-			c.Patterns = append(c.Patterns, p.String())
-		}
-		s.Measure.SweepRates = nil
-		s.Measure.Campaign = c
-	}
-	return s
-}
-
-// FromTransConfig lifts a flag-driven NIU-level run into a scenario.
-// The uniform run-wide knobs become explicit per-master roles (the list
-// the run would synthesize internally), so lowering the result drives
-// the byte-identical workload.
-func FromTransConfig(name string, tc traffic.TransConfig) *Scenario {
-	rate, window, bytes := tc.Rate, tc.Window, tc.Bytes
-	if rate == 0 {
-		rate = 0.2
-	}
-	if window == 0 {
-		window = 2
-	}
-	if bytes == 0 {
-		bytes = 16
-	}
-	masters := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-	if tc.Wishbone {
-		masters = append(masters, "wb")
-	}
-	w := Workload{Kind: KindSoC, Wishbone: tc.Wishbone, Hotspot: tc.Hotspot}
-	for _, m := range masters {
-		w.Masters = append(w.Masters, MasterRole{
-			Protocol: m,
-			Rate:     rate,
-			Window:   window,
-			Bytes:    bytes,
-			ReadFrac: fracPointer(tc.ReadFrac),
-		})
-	}
-	fab := Fabric{Topology: socTopologyName(tc.Topology), QoS: tc.Net.QoS, FlitBytes: tc.Net.FlitBytes, BufDepth: tc.Net.BufDepth, MaxPendingPkts: tc.Net.MaxPendingPkts, LegacyLock: tc.Net.LegacyLock, Mode: modeName(tc.Net)}
-	liftFidelity(&fab, tc.Net)
-	return &Scenario{
-		Version:  Version,
-		Name:     name,
-		Seed:     tc.Seed,
-		Fabric:   fab,
-		Workload: w,
-		Measure: Measure{
-			Warmup:  warmupPointer(tc.Warmup),
-			Measure: tc.Measure,
-			Drain:   tc.Drain,
-		},
-	}
-}
-
-func modeName(n transport.NetConfig) string {
-	if n.Mode == transport.StoreAndForward {
-		return "saf"
-	}
-	return ""
 }

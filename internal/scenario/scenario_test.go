@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"gonoc/internal/obs"
+	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
 )
 
@@ -182,11 +184,11 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Scenario{packet, socSc} {
-		a, err := Execute(s, nil)
+		a, err := Execute(s, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Mode(), err)
 		}
-		b, err := Execute(s, nil)
+		b, err := Execute(s, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Mode(), err)
 		}
@@ -199,54 +201,6 @@ func TestDeterminism(t *testing.T) {
 		if a.Trans != nil && a.Trans.Throughput == 0 {
 			t.Fatalf("soc scenario measured nothing")
 		}
-	}
-}
-
-// TestExportReproducesRun is the -save-scenario guarantee at library
-// level: lifting a flag-driven config into a scenario and lowering it
-// back must yield the same config, and running both must yield the
-// bit-identical Result.
-func TestExportReproducesRun(t *testing.T) {
-	cfg := traffic.Config{
-		Seed: 7, Nodes: 8, Topology: traffic.Ring,
-		Pattern: traffic.Bursty, Rate: 0.08, PayloadBytes: 16,
-		ReadFrac: -1, // the CLI's "-readfrac 0" sentinel
-		BurstLen: 4, UrgentFrac: 0.25,
-		Warmup: 150, Measure: 600, Drain: 6000,
-	}
-	cfg.Net.QoS = true
-	s := FromPacketConfig("export-test", cfg, nil, nil)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("exported scenario invalid: %v", err)
-	}
-	lowered, err := s.PacketConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cfg, lowered) {
-		t.Fatalf("lower(lift(cfg)) != cfg:\n  in:  %+v\n  out: %+v", cfg, lowered)
-	}
-	if a, b := traffic.Run(cfg), traffic.Run(lowered); !reflect.DeepEqual(a, b) {
-		t.Fatalf("exported scenario does not reproduce the seeded result")
-	}
-}
-
-// TestExportTransReproducesRun: the same guarantee for -trans runs —
-// the exported explicit role list must drive the byte-identical
-// workload the uniform knobs drove.
-func TestExportTransReproducesRun(t *testing.T) {
-	tc := traffic.TransConfig{Seed: 3, Rate: 0.15, Window: 2, Bytes: 16,
-		Hotspot: true, Wishbone: true, Warmup: 100, Measure: 600, Drain: 8000}
-	s := FromTransConfig("trans-export", tc)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("exported scenario invalid: %v", err)
-	}
-	lowered, err := s.TransConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := traffic.RunTrans(tc), traffic.RunTrans(lowered); !reflect.DeepEqual(a, b) {
-		t.Fatalf("exported trans scenario does not reproduce the seeded result")
 	}
 }
 
@@ -294,5 +248,52 @@ func TestCampaignScenarioLowers(t *testing.T) {
 	res := traffic.Campaign(cc)
 	if len(res.Points) != 4 {
 		t.Fatalf("campaign ran %d points, want 4", len(res.Points))
+	}
+}
+
+// TestCampaignBytesIgnoreWorkers is the cache-soundness check for
+// campaigns: the fingerprint ignores the worker count, so the result
+// bytes must too, or the server would serve one pool size's bytes for
+// another's.
+func TestCampaignBytesIgnoreWorkers(t *testing.T) {
+	var out [][]byte
+	for _, workers := range []int{1, 3} {
+		s, err := Load(strings.NewReader(minimalPacket()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Measure.Campaign = &Campaign{Topologies: []string{"crossbar", "ring"}, Rates: []float64{0.02, 0.05}, Workers: workers}
+		rep, err := Execute(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Campaign.Workers != workers {
+			t.Fatalf("campaign ran on %d workers, want %d", rep.Campaign.Workers, workers)
+		}
+		var buf bytes.Buffer
+		if err := stats.WriteJSON(&buf, rep.Result()); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Fatal("campaign result bytes depend on the worker count")
+	}
+}
+
+// TestExecuteRejectsMisplacedSinks: a probe cannot observe concurrent
+// campaign points, and per-point heatmaps exist only for campaigns;
+// both requests fail instead of being dropped.
+func TestExecuteRejectsMisplacedSinks(t *testing.T) {
+	s, err := Load(strings.NewReader(minimalPacket()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(s, Options{Heatmaps: true}); err == nil || !strings.Contains(err.Error(), "campaign") {
+		t.Fatalf("single run with Heatmaps: err = %v", err)
+	}
+	s.Measure.Campaign = &Campaign{Rates: []float64{0.02}}
+	if _, err := Execute(s, Options{Probe: &obs.SpanRecorder{}}); err == nil || !strings.Contains(err.Error(), "probe") {
+		t.Fatalf("campaign with a probe: err = %v", err)
 	}
 }

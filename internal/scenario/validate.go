@@ -132,7 +132,7 @@ func (s *Scenario) validateFabric() error {
 	}
 	fid, err := transport.ParseFidelity(f.Fidelity)
 	if err != nil {
-		return errf("fabric.fidelity", "unknown fidelity %q (want cycle|hybrid|loose)", f.Fidelity)
+		return errf("fabric.fidelity", "unknown fidelity %q (want cycle|hybrid)", f.Fidelity)
 	}
 	if err := validFrac("fabric.loose_threshold", f.LooseThreshold); err != nil {
 		return err
@@ -145,7 +145,7 @@ func (s *Scenario) validateFabric() error {
 	}
 	if fid == transport.FidelityCycle &&
 		(f.LooseThreshold != 0 || f.LooseHysteresis != 0 || f.LooseWindow != 0) {
-		return errf("fabric.loose_threshold", "loose tuning set without fidelity: hybrid|loose (cycle-accurate runs ignore it; delete the fields or set fabric.fidelity)")
+		return errf("fabric.loose_threshold", "loose tuning set without fidelity: hybrid (cycle-accurate runs ignore it; delete the fields or set fabric.fidelity)")
 	}
 	for _, c := range []struct {
 		field string

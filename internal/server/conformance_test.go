@@ -137,9 +137,9 @@ func TestProgressStreamsLive(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	exec := func(r *run) ([]byte, error) {
-		r.prog.SetTotal(3)
-		r.prog.PointStart()
-		r.prog.PointDone("injected/point@1", 1)
+		r.rig.Progress.SetTotal(3)
+		r.rig.Progress.PointStart()
+		r.rig.Progress.PointDone("injected/point@1", 1)
 		close(started)
 		<-release
 		return []byte("{}\n"), nil

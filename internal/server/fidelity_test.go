@@ -46,7 +46,7 @@ func TestFidelityRunsAreDistinct(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2}, nil)
 
 	ids := map[string]string{}
-	for _, fid := range []string{"", "hybrid", "loose"} {
+	for _, fid := range []string{"", "hybrid"} {
 		id := submitID(t, ts, fidelityScenarioBytes(t, fid))
 		for prev, other := range ids {
 			if other == id {
@@ -63,7 +63,7 @@ func TestFidelityRunsAreDistinct(t *testing.T) {
 	}
 
 	// Each cached entry answers only its own fidelity.
-	for _, fid := range []string{"", "hybrid", "loose"} {
+	for _, fid := range []string{"", "hybrid"} {
 		resp := post(t, ts, fidelityScenarioBytes(t, fid))
 		if hit := resp.Header.Get("X-Cache"); hit != "hit" {
 			t.Fatalf("fidelity %q resubmission: X-Cache=%q, want hit", fid, hit)
@@ -109,16 +109,21 @@ func TestDefaultFidelityKnob(t *testing.T) {
 }
 
 // TestBadDefaultFidelityPanics pins the constructor contract: a typo'd
-// operator knob fails loudly at startup, not quietly at submit time.
+// operator knob (or the deleted "loose" level) fails loudly at startup,
+// not quietly at submit time.
 func TestBadDefaultFidelityPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("newServer accepted DefaultFidelity \"fast\"")
-		}
-		if !strings.Contains(r.(string), "fast") {
-			t.Fatalf("panic %v does not name the bad value", r)
-		}
-	}()
-	newServer(Config{DefaultFidelity: "fast"})
+	for _, bad := range []string{"fast", "loose"} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("newServer accepted DefaultFidelity %q", bad)
+				}
+				if !strings.Contains(r.(string), bad) {
+					t.Fatalf("panic %v does not name the bad value", r)
+				}
+			}()
+			newServer(Config{DefaultFidelity: bad})
+		}()
+	}
 }

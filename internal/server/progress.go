@@ -54,7 +54,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	snap := metrics.NewSnapshotter(out, interval, r.reg, r.prof, r.prog)
+	snap := metrics.NewSnapshotter(out, interval, r.rig.Registry, r.rig.Profile, r.rig.Progress)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {

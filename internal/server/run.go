@@ -10,7 +10,6 @@ import (
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/scenario"
 	"gonoc/internal/stats"
-	"gonoc/internal/traffic"
 )
 
 // runState is a run's lifecycle position. Transitions only move
@@ -36,10 +35,7 @@ type run struct {
 	fp string
 	sc *scenario.Scenario
 
-	reg  *metrics.Registry
-	prof *metrics.SimProfile
-	prog *metrics.Progress
-	coll *metrics.FabricCollector
+	rig *metrics.Rig
 
 	submitted time.Time
 
@@ -65,18 +61,13 @@ func runID(fp string) string {
 }
 
 func newRun(id, fp string, sc *scenario.Scenario) *run {
-	reg := metrics.NewRegistry()
-	r := &run{
+	return &run{
 		id: id, fp: fp, sc: sc,
-		reg:       reg,
-		prof:      metrics.NewSimProfile(reg),
+		rig:       metrics.NewRig(),
 		submitted: time.Now(),
 		state:     stateQueued,
 		doneCh:    make(chan struct{}),
 	}
-	r.prog = metrics.NewProgress(reg)
-	r.coll = metrics.NewFabricCollector(reg)
-	return r
 }
 
 func (r *run) currentState() runState {
@@ -177,7 +168,7 @@ func (r *run) statusDoc() statusDoc {
 	r.mu.Lock()
 	state, errMsg := r.state, r.errMsg
 	r.mu.Unlock()
-	ps := r.prog.Snapshot()
+	ps := r.rig.Progress.Snapshot()
 	d := statusDoc{
 		ID:          r.id,
 		Fingerprint: r.fp,
@@ -257,73 +248,36 @@ func (s *Server) execute(r *run) {
 	}
 }
 
-// runScenario executes the run's scenario through the same traffic
-// entry points the noctraffic CLI uses, wired to the run's own metrics
-// rig, and serializes the mode result with stats.WriteJSON — the exact
+// runScenario executes the run's scenario through scenario.Execute,
+// the executor the noctraffic CLI calls, wired to the run's own metrics
+// rig, and serializes the mode result with stats.WriteJSON: the exact
 // bytes `noctraffic -scenario FILE -wall=false -json` prints.
-// CollectWall stays off: the wall-clock self-profile is the one
+// Options.Wall stays off: the wall-clock self-profile is the one
 // nondeterministic result field, and a cacheable result must be
 // deterministic.
 func (s *Server) runScenario(r *run) ([]byte, error) {
-	sc := r.sc
-	var v any
-	switch sc.Mode() {
-	case scenario.ModeTrans:
-		tc, err := sc.TransConfig()
-		if err != nil {
-			return nil, err
-		}
-		tc.Prof = r.prof
-		tc.Probe = r.coll
-		r.prog.SetTotal(1)
-		r.prog.PointStart()
-		start := time.Now()
-		res := traffic.RunTrans(tc)
-		r.prog.PointDone("trans", msSince(start))
-		v = res
-	case scenario.ModeCampaign:
-		cc, err := sc.CampaignConfig()
-		if err != nil {
-			return nil, err
-		}
-		cc.Base.Prof = r.prof
-		cc.Base.Metrics = r.reg
-		cc.Progress = r.prog
-		if limit := s.cfg.CampaignWorkers; limit > 0 && (cc.Workers <= 0 || cc.Workers > limit) {
-			cc.Workers = limit
-		}
-		v = traffic.Campaign(cc)
-	case scenario.ModeSweep:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Prof, cfg.Metrics, cfg.Probe = r.prof, r.reg, r.coll
-		r.prog.SetTotal(len(sc.Measure.SweepRates))
-		v = traffic.SweepProgress(cfg, sc.Measure.SweepRates, func(pd traffic.PointDone) {
-			r.prog.PointStart()
-			r.prog.PointDone(pd.Label, pd.WallMS)
-		})
-	default:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Prof, cfg.Metrics, cfg.Probe = r.prof, r.reg, r.coll
-		r.prog.SetTotal(1)
-		r.prog.PointStart()
-		start := time.Now()
-		res := traffic.Run(cfg)
-		r.prog.PointDone(fmt.Sprintf("%s/%s@%g", cfg.Topology, cfg.Pattern, cfg.Rate), msSince(start))
-		v = res
+	rep, err := scenario.Execute(s.runnable(r.sc), scenario.Options{Metrics: r.rig})
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := stats.WriteJSON(&buf, v); err != nil {
+	if err := stats.WriteJSON(&buf, rep.Result()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1e3
+// runnable returns the scenario that executes: a copy with the
+// CampaignWorkers cap applied to its campaign pool, or the stored one
+// when the cap does not bind. The stored scenario stays as submitted;
+// the worker count is not part of its fingerprint and does not reach
+// the result bytes.
+func (s *Server) runnable(sc *scenario.Scenario) *scenario.Scenario {
+	c, limit := sc.Measure.Campaign, s.cfg.CampaignWorkers
+	if c == nil || limit <= 0 || (c.Workers > 0 && c.Workers <= limit) {
+		return sc
+	}
+	sc = sc.Clone()
+	sc.Measure.Campaign.Workers = limit
+	return sc
 }

@@ -71,7 +71,7 @@ type Config struct {
 	// oversubscribing a host that is also running other submissions.
 	CampaignWorkers int
 
-	// DefaultFidelity, when set to "hybrid" or "loose", is applied to
+	// DefaultFidelity, when set to "hybrid", is applied to
 	// submitted scenarios that do not declare fabric.fidelity — an
 	// operator knob trading accuracy for throughput fleet-wide. The
 	// rewrite happens before fingerprinting, so the run id reflects the
@@ -98,7 +98,7 @@ func (c Config) withDefaults() Config {
 	}
 	fid, err := transport.ParseFidelity(c.DefaultFidelity)
 	if err != nil {
-		panic(fmt.Sprintf("server: bad DefaultFidelity %q (want cycle|hybrid|loose)", c.DefaultFidelity))
+		panic(fmt.Sprintf("server: bad DefaultFidelity %q (want cycle|hybrid)", c.DefaultFidelity))
 	}
 	if fid == transport.FidelityCycle {
 		// Implicit and explicit cycle are the same run; keeping the

@@ -216,7 +216,7 @@ func TestLifecycleAndCacheIdentity(t *testing.T) {
 // expected point count — and that the progress endpoint of a finished
 // run replays at least a final snapshot with the full point count.
 func TestSweepAndCampaignModes(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, CampaignWorkers: 2}, nil)
+	s, ts := newTestServer(t, Config{Workers: 2, CampaignWorkers: 2}, nil)
 	warm := int64(20)
 
 	sweep := &scenario.Scenario{
@@ -261,8 +261,16 @@ func TestSweepAndCampaignModes(t *testing.T) {
 	if len(cr.Points) != 4 {
 		t.Fatalf("campaign result has %d points, want 4", len(cr.Points))
 	}
-	if cr.Workers != 2 {
-		t.Fatalf("campaign ran on %d workers, want the server's cap of 2", cr.Workers)
+	// The worker count stays out of the result bytes; the cap shows in
+	// the scenario copy that executes, and the stored one is untouched.
+	s.mu.Lock()
+	stored := s.runs[cst.ID].sc
+	s.mu.Unlock()
+	if w := s.runnable(stored).Measure.Campaign.Workers; w != 2 {
+		t.Fatalf("campaign executes on %d workers, want the server's cap of 2", w)
+	}
+	if stored.Measure.Campaign.Workers != 0 {
+		t.Fatalf("capping mutated the stored scenario: workers %d", stored.Measure.Campaign.Workers)
 	}
 	if cr.Wall != nil {
 		t.Fatal("campaign result carries a wall-clock block; results must stay deterministic")

@@ -74,11 +74,17 @@ type CampaignPoint struct {
 
 // CampaignResult is the merged campaign report.
 type CampaignResult struct {
-	Nodes   int                `json:"nodes"`
-	Workers int                `json:"workers"`
-	Points  []CampaignPoint    `json:"points"` // topology-major, then pattern, then rate
-	Curves  []SweepResult      `json:"curves"` // one latency-vs-load curve per (topology, pattern)
-	Hist    []stats.HistBucket `json:"hist"`   // latency histogram merged across all points
+	Nodes int `json:"nodes"`
+
+	// Workers is the pool size the campaign ran on. It names the table
+	// but stays out of the JSON: it never changes a point, and the
+	// serialized result must depend only on the scenario (the server
+	// caches it under a fingerprint that ignores the worker count).
+	Workers int `json:"-"`
+
+	Points []CampaignPoint    `json:"points"` // topology-major, then pattern, then rate
+	Curves []SweepResult      `json:"curves"` // one latency-vs-load curve per (topology, pattern)
+	Hist   []stats.HistBucket `json:"hist"`   // latency histogram merged across all points
 
 	// Heatmaps holds one congestion heatmap per point, in point order,
 	// when CampaignConfig.HeatmapBuckets asked for them; each is

@@ -92,7 +92,7 @@ func TestTopologyGoldenResults(t *testing.T) {
 }
 
 // TestFidelityCycleGoldenInert proves the fidelity knob's off position:
-// an explicit fidelity=cycle run, with loose-mode tuning values that a
+// an explicit fidelity=cycle run, with loose-model tuning values that a
 // cycle-accurate fabric must ignore, reproduces every committed topology
 // golden byte for byte.
 func TestFidelityCycleGoldenInert(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // every switch. Most of that work is wasted on uncongested links, where
 // the latency of a packet is a closed-form function of its length and
 // path (the approximately-timed observation of the SystemC TLM
-// literature the paper sits in). The loose path exploits that: packets
+// literature the paper sits in). Hybrid fidelity exploits that: packets
 // whose route is cold are priced by an analytic FIFO-server model and
 // delivered by a timer wheel, never touching a switch.
 type Fidelity uint8
@@ -32,10 +32,6 @@ const (
 	// contention; bounded error under load (experiment E16 measures
 	// the bounds).
 	FidelityHybrid
-
-	// FidelityLoose prices every packet analytically, regardless of
-	// utilization. Fastest, least faithful under congestion.
-	FidelityLoose
 )
 
 // String renders the fidelity level in its scenario-schema spelling.
@@ -43,8 +39,6 @@ func (f Fidelity) String() string {
 	switch f {
 	case FidelityHybrid:
 		return "hybrid"
-	case FidelityLoose:
-		return "loose"
 	default:
 		return "cycle"
 	}
@@ -58,14 +52,12 @@ func ParseFidelity(s string) (Fidelity, error) {
 		return FidelityCycle, nil
 	case "hybrid":
 		return FidelityHybrid, nil
-	case "loose":
-		return FidelityLoose, nil
 	}
-	return 0, fmt.Errorf("unknown fidelity %q (want cycle|hybrid|loose)", s)
+	return 0, fmt.Errorf("unknown fidelity %q (want cycle|hybrid)", s)
 }
 
 // Loose-model defaults (NetConfig zero values resolve to these when
-// Fidelity is hybrid or loose).
+// Fidelity is hybrid).
 const (
 	// DefaultLooseThreshold is the per-link utilization (flits moved
 	// per cycle over one epoch) above which a link is hot and hybrid
@@ -165,7 +157,6 @@ type loosePath struct {
 // the flit path until the link cools below threshold*hysteresis.
 type looseEngine struct {
 	n         *Network
-	level     Fidelity
 	threshold float64
 	hyster    float64
 	window    int64
@@ -195,7 +186,6 @@ type looseEngine struct {
 func newLooseEngine(n *Network, cfg NetConfig) *looseEngine {
 	le := &looseEngine{
 		n:         n,
-		level:     cfg.Fidelity,
 		threshold: cfg.LooseThreshold,
 		hyster:    cfg.LooseHysteresis,
 		window:    cfg.LooseWindow,
@@ -254,13 +244,10 @@ func (le *looseEngine) pathFor(ep *Endpoint, dst noctypes.NodeID) *loosePath {
 // admits reports whether this send may be priced analytically. Legacy
 // lock sequences interact with switch state (path reservations) the
 // model cannot see, so lock-capable fabrics stay entirely on the flit
-// path; hybrid additionally requires the route to be cold.
+// path; otherwise the route must be cold.
 func (le *looseEngine) admits(ep *Endpoint, p *Packet) bool {
 	if le.n.cfg.LegacyLock || p.Locked || p.Unlock {
 		return false
-	}
-	if le.level != FidelityHybrid {
-		return true
 	}
 	if !le.ready {
 		le.init()

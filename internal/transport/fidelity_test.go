@@ -14,8 +14,8 @@ import (
 // model reproduces the cycle-accurate fabric's externally visible
 // behaviour *exactly* — same TransitRecord cycles, same delivery order,
 // same payload bytes, same send-window backpressure. These tests drive
-// identical workloads through a cycle-accurate fabric and a hybrid (or
-// loose) one and require byte-equal observations.
+// identical workloads through a cycle-accurate fabric and a hybrid one
+// and require byte-equal observations.
 
 // transitObs is the comparable projection of one packet journey.
 type transitObs struct {
@@ -230,13 +230,11 @@ func TestLooseExactUncontended(t *testing.T) {
 	}
 	for _, topo := range topos {
 		for mi, cfg := range modes {
-			for _, fid := range []Fidelity{FidelityHybrid, FidelityLoose} {
-				t.Run(fmt.Sprintf("%s/m%d/%v", topo, mi, fid), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(42 + mi)))
-					bursts := seqBursts(rng, 9, 12, 64)
-					compareFidelity(t, topo, cfg, fid, bursts)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/m%d/%v", topo, mi, FidelityHybrid), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(42 + mi)))
+				bursts := seqBursts(rng, 9, 12, 64)
+				compareFidelity(t, topo, cfg, FidelityHybrid, bursts)
+			})
 		}
 	}
 }
@@ -400,7 +398,8 @@ func TestParseFidelity(t *testing.T) {
 		{"", FidelityCycle, true},
 		{"cycle", FidelityCycle, true},
 		{"Hybrid", FidelityHybrid, true},
-		{" loose ", FidelityLoose, true},
+		{" hybrid ", FidelityHybrid, true},
+		{"loose", 0, false},
 		{"fast", 0, false},
 		{"approximate", 0, false},
 	}
@@ -410,7 +409,7 @@ func TestParseFidelity(t *testing.T) {
 			t.Fatalf("ParseFidelity(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
-	for _, f := range []Fidelity{FidelityCycle, FidelityHybrid, FidelityLoose} {
+	for _, f := range []Fidelity{FidelityCycle, FidelityHybrid} {
 		back, err := ParseFidelity(f.String())
 		if err != nil || back != f {
 			t.Fatalf("round trip %v -> %q -> %v, %v", f, f.String(), back, err)
@@ -419,10 +418,10 @@ func TestParseFidelity(t *testing.T) {
 }
 
 // TestLockedFabricStaysCycleAccurate: legacy-lock fabrics carry switch
-// state the model cannot see, so even loose fidelity routes them
-// through the flit path.
+// state the model cannot see, so hybrid fidelity routes them through
+// the flit path even while every link is cold.
 func TestLockedFabricStaysCycleAccurate(t *testing.T) {
-	cfg := NetConfig{Fidelity: FidelityLoose, LegacyLock: true}
+	cfg := NetConfig{Fidelity: FidelityHybrid, LegacyLock: true}
 	clk, net := buildFidelityNet("crossbar", cfg, 3)
 	sentOK := false
 	clk.Register(tickComp{fn: func(cycle int64) {

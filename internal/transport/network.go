@@ -19,9 +19,8 @@ type NetConfig struct {
 
 	// Fidelity selects the execution mode (see the Fidelity type).
 	// FidelityCycle — the zero value — is the cycle-accurate fabric,
-	// provably inert with respect to this knob; hybrid and loose route
-	// cold-path packets through the analytic latency model in
-	// fidelity.go.
+	// provably inert with respect to this knob; hybrid routes cold-path
+	// packets through the analytic latency model in fidelity.go.
 	Fidelity Fidelity
 
 	// LooseThreshold is the per-link utilization (flits/cycle over one
@@ -141,7 +140,7 @@ type Network struct {
 	// existed. looseCycleActive counts flit-path packets between
 	// TrySend acceptance and reassembly completion; when the engine is
 	// on and the count is zero, the per-cycle switch/endpoint sweep is
-	// skipped entirely (looseSkippedEval) — the speedup the loose mode
+	// skipped entirely (looseSkippedEval) — the speedup hybrid fidelity
 	// exists for.
 	loose            *looseEngine
 	looseCycleActive int
@@ -175,7 +174,7 @@ func (t netTick) Eval(cycle int64) {
 		if t.n.looseCycleActive == 0 {
 			// No flit-path packets anywhere in the fabric: every lane is
 			// empty, so the switch/endpoint sweep would be a no-op.
-			// Skipping it is where the loose mode's speedup comes from.
+			// Skipping it is where hybrid fidelity's speedup comes from.
 			t.n.looseSkippedEval = true
 			return
 		}
