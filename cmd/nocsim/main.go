@@ -218,10 +218,7 @@ func main() {
 	fmt.Printf("system=%s topology=%s mode=%s seed=%d: %d masters finished in %d cycles\n\n",
 		*system, *topo, *mode, *seed, len(s.Gens), cycles)
 
-	masters := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-	if *wb {
-		masters = append(masters, "wb")
-	}
+	masters := soc.Masters(*wb)
 	t := stats.NewTable("per-master results",
 		"master", "pairs", "mean lat (cyc)", "p50", "p95", "max", "mismatches")
 	for _, name := range masters {

@@ -86,6 +86,7 @@ import (
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/obs/prof"
 	"gonoc/internal/scenario"
+	"gonoc/internal/soc"
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
 	"gonoc/internal/transport"
@@ -271,10 +272,6 @@ var (
 	socFlags = []string{"wb", "hotspot-mem"}
 )
 
-// sockets is the driven-master order of a fresh -trans document; -wb
-// appends "wb".
-var sockets = []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-
 // given reports whether a flag writes its field: every flag fills a
 // fresh document, only explicit ones override a resolved one.
 func (c *cli) given(name string) bool { return c.fresh || c.set[name] }
@@ -287,11 +284,8 @@ func (c *cli) scenario() (*scenario.Scenario, error) {
 			Workload: scenario.Workload{Kind: scenario.KindPacket}}
 		if c.trans {
 			sc.Workload.Kind = scenario.KindSoC
-			for _, p := range sockets {
+			for _, p := range soc.Masters(c.wb) {
 				sc.Workload.Masters = append(sc.Workload.Masters, scenario.MasterRole{Protocol: p})
-			}
-			if c.wb {
-				sc.Workload.Masters = append(sc.Workload.Masters, scenario.MasterRole{Protocol: "wb"})
 			}
 		}
 	} else {

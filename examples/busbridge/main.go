@@ -32,7 +32,7 @@ func main() {
 
 	t := stats.NewTable("mean transaction latency (cycles)",
 		"socket", "NoC (NIU)", "bus (bridge)", "penalty")
-	for _, name := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+	for _, name := range soc.Masters(false) {
 		n := noc.Gens[name].Stats().Latency.Mean()
 		b := bus.Gens[name].Stats().Latency.Mean()
 		t.AddRow(name, n, b, fmt.Sprintf("%.1fx", b/n))

@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("Fig-1 mixed SoC on a 4x3 mesh NoC: all sockets served in %d cycles\n\n", cycles)
 	t := stats.NewTable("per-socket traffic (write+read-back pairs, self-checked)",
 		"socket", "pairs", "mean lat (cyc)", "p95", "data mismatches")
-	for _, name := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+	for _, name := range soc.Masters(false) {
 		g := s.Gens[name].Stats()
 		t.AddRow(name, g.Completed, g.Latency.Mean(), g.Latency.Percentile(95), g.Mismatches)
 	}
@@ -35,7 +35,7 @@ func main() {
 
 	nt := stats.NewTable("NIU state (the paper's lookup tables at work)",
 		"NIU", "transactions", "posted", "peak outstanding")
-	for _, name := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+	for _, name := range soc.Masters(false) {
 		st := s.MasterNIUs[name].Stats()
 		nt.AddRow(name, st.Issued, st.Posted, st.PeakTable)
 	}

@@ -65,7 +65,10 @@ type BridgeStats struct {
 	Demoted   uint64 // transactions that lost a feature crossing the bridge
 }
 
-// AXIBridge adapts an AXI IP master onto the bus.
+// AXIBridge adapts an AXI IP master onto the bus. Like every bridge
+// here it maps bursts through ahb.BurstFor, so FIXED (and OCP STRM)
+// degrades to INCR — a real bridge feature loss (readers of a FIFO
+// register through a bridge get incrementing addresses).
 type AXIBridge struct {
 	cfg  BridgeConfig
 	port *axi.Port
@@ -150,7 +153,7 @@ func (br *AXIBridge) Eval(cycle int64) {
 			br.busy = true
 			id := aw.ID
 			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.eng.Write(aw.Addr, aw.Size, ahbBurstFor(axiKind(aw.Burst), need), data, func(resp ahb.Resp) {
+				br.eng.Write(aw.Addr, aw.Size, ahb.BurstFor(aw.Burst == axi.BurstWrap, need), data, func(resp ahb.Resp) {
 					br.dq.after(cycle, br.cfg.Latency, func() {
 						br.bQ = append(br.bQ, axi.BBeat{ID: id, Resp: ahbToAXI(resp)})
 						br.busy = false
@@ -169,7 +172,7 @@ func (br *AXIBridge) Eval(cycle int64) {
 		br.busy = true
 		beats := ar.Beats()
 		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Read(ar.Addr, ar.Size, ahbBurstFor(axiKind(ar.Burst), beats), beats, func(res ahb.ReadResult) {
+			br.eng.Read(ar.Addr, ar.Size, ahb.BurstFor(ar.Burst == axi.BurstWrap, beats), beats, func(res ahb.ReadResult) {
 				br.dq.after(cycle, br.cfg.Latency, func() {
 					br.rQ = append(br.rQ, bridgedRead{
 						id: ar.ID, data: padTo(res.Data, beats*int(ar.Size)),
@@ -185,54 +188,6 @@ func (br *AXIBridge) Eval(cycle int64) {
 
 // Update implements sim.Clocked.
 func (br *AXIBridge) Update(cycle int64) {}
-
-type burstKind uint8
-
-const (
-	kindIncr burstKind = iota
-	kindWrap
-	kindFixed
-)
-
-func axiKind(b axi.Burst) burstKind {
-	switch b {
-	case axi.BurstWrap:
-		return kindWrap
-	case axi.BurstFixed:
-		return kindFixed
-	default:
-		return kindIncr
-	}
-}
-
-// ahbBurstFor picks the AHB encoding; FIXED degrades to INCR — a real
-// bridge feature loss (readers of a FIFO register through a bridge get
-// incrementing addresses).
-func ahbBurstFor(k burstKind, beats int) ahb.Burst {
-	if beats == 1 {
-		return ahb.BurstSingle
-	}
-	if k == kindWrap {
-		switch beats {
-		case 4:
-			return ahb.BurstWrap4
-		case 8:
-			return ahb.BurstWrap8
-		case 16:
-			return ahb.BurstWrap16
-		}
-	}
-	switch beats {
-	case 4:
-		return ahb.BurstIncr4
-	case 8:
-		return ahb.BurstIncr8
-	case 16:
-		return ahb.BurstIncr16
-	default:
-		return ahb.BurstIncr
-	}
-}
 
 func ahbToAXI(r ahb.Resp) axi.Resp {
 	if r == ahb.RespOkay {
@@ -361,7 +316,7 @@ func (br *OCPBridge) Eval(cycle int64) {
 	if first.Cmd.IsWrite() {
 		posted := first.Cmd == ocp.CmdWR
 		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(first.Addr, first.Size, ahbBurstFor(ocpKind(first.Seq), beats), data, func(resp ahb.Resp) {
+			br.eng.Write(first.Addr, first.Size, ahb.BurstFor(first.Seq == ocp.SeqWrap, beats), data, func(resp ahb.Resp) {
 				br.dq.after(cycle, br.cfg.Latency, func() {
 					br.busy = false
 					br.stats.Forwarded++
@@ -374,7 +329,7 @@ func (br *OCPBridge) Eval(cycle int64) {
 		return
 	}
 	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(first.Addr, first.Size, ahbBurstFor(ocpKind(first.Seq), beats), beats, func(res ahb.ReadResult) {
+		br.eng.Read(first.Addr, first.Size, ahb.BurstFor(first.Seq == ocp.SeqWrap, beats), beats, func(res ahb.ReadResult) {
 			br.dq.after(cycle, br.cfg.Latency, func() {
 				br.busy = false
 				br.stats.Forwarded++
@@ -389,17 +344,6 @@ func (br *OCPBridge) Eval(cycle int64) {
 
 // Update implements sim.Clocked.
 func (br *OCPBridge) Update(cycle int64) {}
-
-func ocpKind(s ocp.BurstSeq) burstKind {
-	switch s {
-	case ocp.SeqWrap:
-		return kindWrap
-	case ocp.SeqStrm:
-		return kindFixed
-	default:
-		return kindIncr
-	}
-}
 
 func ocpRespFromAHB(r ahb.Resp) ocp.SResp {
 	if r == ahb.RespOkay {
@@ -448,13 +392,9 @@ func (br *AVCIBridge) Eval(cycle int64) {
 	br.port.Req.Pop()
 	br.busy = true
 	br.stats.Demoted++ // ID-based reordering lost: strict FIFO
-	k := kindIncr
-	if areq.Wrap {
-		k = kindWrap
-	}
 	if areq.Op == vci.OpWrite {
 		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(areq.Addr, areq.Size, ahbBurstFor(k, areq.Beats), areq.Data, func(resp ahb.Resp) {
+			br.eng.Write(areq.Addr, areq.Size, ahb.BurstFor(areq.Wrap, areq.Beats), areq.Data, func(resp ahb.Resp) {
 				br.dq.after(cycle, br.cfg.Latency, func() {
 					out := vci.ARsp{ID: areq.ID}
 					out.Err = resp != ahb.RespOkay
@@ -467,7 +407,7 @@ func (br *AVCIBridge) Eval(cycle int64) {
 		return
 	}
 	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(areq.Addr, areq.Size, ahbBurstFor(k, areq.Beats), areq.Beats, func(res ahb.ReadResult) {
+		br.eng.Read(areq.Addr, areq.Size, ahb.BurstFor(areq.Wrap, areq.Beats), areq.Beats, func(res ahb.ReadResult) {
 			br.dq.after(cycle, br.cfg.Latency, func() {
 				out := vci.ARsp{ID: areq.ID}
 				out.Err = res.Resp != ahb.RespOkay
@@ -523,13 +463,9 @@ func (br *BVCIBridge) Eval(cycle int64) {
 	}
 	br.port.Req.Pop()
 	br.busy = true
-	k := kindIncr
-	if breq.Wrap {
-		k = kindWrap
-	}
 	if breq.Op == vci.OpWrite {
 		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(breq.Addr, breq.Size, ahbBurstFor(k, breq.Beats), breq.Data, func(resp ahb.Resp) {
+			br.eng.Write(breq.Addr, breq.Size, ahb.BurstFor(breq.Wrap, breq.Beats), breq.Data, func(resp ahb.Resp) {
 				br.dq.after(cycle, br.cfg.Latency, func() {
 					br.rspQ = append(br.rspQ, vci.BRsp{Err: resp != ahb.RespOkay})
 					br.busy = false
@@ -540,7 +476,7 @@ func (br *BVCIBridge) Eval(cycle int64) {
 		return
 	}
 	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(breq.Addr, breq.Size, ahbBurstFor(k, breq.Beats), breq.Beats, func(res ahb.ReadResult) {
+		br.eng.Read(breq.Addr, breq.Size, ahb.BurstFor(breq.Wrap, breq.Beats), breq.Beats, func(res ahb.ReadResult) {
 			br.dq.after(cycle, br.cfg.Latency, func() {
 				br.rspQ = append(br.rspQ, vci.BRsp{
 					Err:  res.Resp != ahb.RespOkay,

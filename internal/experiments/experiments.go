@@ -72,8 +72,7 @@ func E2Performance(seed int64, requests int) []*stats.Table {
 		panic(err)
 	}
 
-	masters := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-	for _, m := range masters {
+	for _, m := range soc.Masters(false) {
 		n := nocSys.Gens[m].Stats().Latency
 		b := busSys.Gens[m].Stats().Latency
 		ratio := 0.0

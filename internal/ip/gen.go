@@ -1,18 +1,16 @@
-// Package ip provides IP-block models that sit on sockets: traffic
-// generators with self-checking (write-then-read-back scoreboards) for
-// every supported protocol, driving the same protocol master engines
-// whether the far side is an NoC NIU or a bus bridge. Experiments build
-// both systems from one IP set — the Fig-1 vs Fig-2 comparison.
+// Package ip provides the IP side of every socket: one protocol-neutral
+// Initiator adapter per master engine (see Socket), and a
+// self-checking traffic generator (write-then-read-back scoreboard) that
+// drives any Socket, whether the far side is an NoC NIU or a bus bridge.
+// Experiments build both systems from one IP set — the Fig-1 vs Fig-2
+// comparison.
 package ip
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 
-	"gonoc/internal/protocols/ahb"
-	"gonoc/internal/protocols/axi"
-	"gonoc/internal/protocols/ocp"
-	"gonoc/internal/protocols/prop"
-	"gonoc/internal/protocols/vci"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
 )
@@ -27,28 +25,13 @@ type Region struct {
 // GenConfig parameterizes a traffic generator.
 type GenConfig struct {
 	Seed     int64
-	Requests int     // write+read-back pairs to perform
-	Region   Region  // private address window
-	Size     uint8   // bytes per beat
-	MaxBeats int     // burst length upper bound (power of two preferred)
-	Rate     float64 // issue probability per cycle (1.0 = back-to-back)
+	Requests int    // write+read-back pairs to perform (default 50)
+	Region   Region // private address window
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Size == 0 {
-		c.Size = 4
-	}
-	if c.MaxBeats == 0 {
-		c.MaxBeats = 8
-	}
-	if c.Rate == 0 {
-		c.Rate = 1.0
-	}
-	if c.Requests == 0 {
-		c.Requests = 50
-	}
-	return c
-}
+// genMaxBeats bounds a generated burst (the socket's own limit may be
+// lower).
+const genMaxBeats = 8
 
 // GenStats aggregates generator activity.
 type GenStats struct {
@@ -59,434 +42,124 @@ type GenStats struct {
 	Latency    *stats.Latency // write-issue to read-back-verify, cycles
 }
 
-// Generator is the common face of all protocol traffic generators.
-type Generator interface {
-	Done() bool
-	Stats() GenStats
-}
-
-// genCore holds the protocol-independent generator state: a
-// write-then-read-back scoreboard over a private region.
-type genCore struct {
+// Gen is a traffic generator on one Socket: it writes a random burst
+// into its private region, reads it back and compares, issuing back to
+// back with one pair in flight at a time.
+type Gen struct {
+	sock  Socket
 	cfg   GenConfig
 	rng   *sim.RNG
 	cycle int64
 
-	issued    int
-	completed int
-	mismatch  int
-	errs      int
-	lat       stats.Latency
+	issued, completed, mismatches, errs int
+	lat                                 stats.Latency
 
-	inFlight int
+	// The pair in flight. Its two completions are bound once here, so
+	// a pair allocates no callback of its own.
+	busy        bool
+	start       int64
+	id, beats   int
+	addr        uint64
+	data        []byte
+	wrote, read Done
 }
 
-func newGenCore(cfg GenConfig) *genCore {
-	cfg = cfg.withDefaults()
-	return &genCore{cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
-}
-
-// next picks the next transaction shape: an aligned address inside the
-// region and a burst length.
-func (g *genCore) next() (addr uint64, beats int, data []byte) {
-	beats = 1 << uint(g.rng.Intn(4))
-	if beats > g.cfg.MaxBeats {
-		beats = g.cfg.MaxBeats
+// NewGen creates the generator on clk.
+func NewGen(clk *sim.Clock, sock Socket, cfg GenConfig) *Gen {
+	if cfg.Requests == 0 {
+		cfg.Requests = 50
 	}
-	span := uint64(beats) * uint64(g.cfg.Size)
-	slots := g.cfg.Region.Size / span
-	if slots == 0 {
-		slots = 1
+	g := &Gen{sock: sock, cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
+	g.wrote, g.read = g.onWrite, g.verify
+	clk.Register(g)
+	return g
+}
+
+// next draws the next pair's shape: a power-of-two burst at an aligned
+// slot of the region, or, on a byte-granular socket, 32–160 bytes at
+// any offset.
+func (g *Gen) next() {
+	r := g.cfg.Region
+	if g.sock.width == 1 {
+		g.beats = min(g.rng.Range(32, 160), int(r.Size))
+		g.addr = r.Base
+		if maxOff := r.Size - uint64(g.beats); maxOff > 0 {
+			g.addr += uint64(g.rng.Intn(int(maxOff)))
+		}
+	} else {
+		g.beats = min(1<<g.rng.Intn(4), genMaxBeats)
+		if g.sock.maxBeats > 0 {
+			g.beats = min(g.beats, g.sock.maxBeats)
+		}
+		span := uint64(g.beats) * uint64(g.sock.width)
+		g.addr = r.Base + uint64(g.rng.Intn(int(max(r.Size/span, 1))))*span
 	}
-	addr = g.cfg.Region.Base + (uint64(g.rng.Intn(int(slots))) * span)
-	data = make([]byte, span)
-	g.rng.Read(data)
-	return
+	g.data = make([]byte, g.beats*int(g.sock.width))
+	g.rng.Read(g.data)
 }
 
-func (g *genCore) wantIssue() bool {
-	return g.issued < g.cfg.Requests && g.inFlight == 0 && g.rng.Bool(g.cfg.Rate)
+// Eval implements sim.Clocked.
+func (g *Gen) Eval(cycle int64) {
+	g.cycle = cycle
+	if g.busy || g.issued >= g.cfg.Requests {
+		return
+	}
+	g.next()
+	g.id = g.issued
+	if g.sock.ids > 0 {
+		g.id = g.rng.Intn(g.sock.ids)
+	}
+	g.start = cycle
+	g.issued++
+	g.busy = true
+	g.sock.Write(g.id, g.addr, g.sock.width, g.data, g.wrote)
 }
 
-func (g *genCore) done() bool { return g.completed >= g.cfg.Requests }
+// Update implements sim.Clocked.
+func (g *Gen) Update(cycle int64) {}
 
-func (g *genCore) stats() GenStats {
+func (g *Gen) onWrite(_ []byte, err bool) {
+	if err {
+		g.verify(nil, true)
+		return
+	}
+	g.sock.Read(g.id, g.addr, g.sock.width, g.beats, g.read)
+}
+
+func (g *Gen) verify(got []byte, err bool) {
+	g.completed++
+	g.busy = false
+	g.lat.Record(g.cycle - g.start)
+	switch {
+	case err:
+		g.errs++
+	case !bytes.Equal(g.data, got):
+		g.mismatches++
+	}
+}
+
+// Done reports whether every pair has completed.
+func (g *Gen) Done() bool { return g.completed >= g.cfg.Requests }
+
+// Stats returns the generator's counters.
+func (g *Gen) Stats() GenStats {
 	return GenStats{
 		Issued: g.issued, Completed: g.completed,
-		Mismatches: g.mismatch, Errors: g.errs, Latency: &g.lat,
+		Mismatches: g.mismatches, Errors: g.errs, Latency: &g.lat,
 	}
 }
-
-func (g *genCore) verify(start int64, want, got []byte, protoErr bool) {
-	g.completed++
-	g.inFlight--
-	g.lat.Record(g.cycle - start)
-	if protoErr {
-		g.errs++
-		return
-	}
-	if !equal(want, got) {
-		g.mismatch++
-	}
-}
-
-func equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AXIGen drives an AXI master engine.
-type AXIGen struct {
-	*genCore
-	eng *axi.Master
-}
-
-// NewAXIGen creates the generator on clk.
-func NewAXIGen(clk *sim.Clock, eng *axi.Master, cfg GenConfig) *AXIGen {
-	g := &AXIGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *AXIGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, beats, data := g.next()
-	id := g.rng.Intn(4)
-	start := cycle
-	g.issued++
-	g.inFlight++
-	g.eng.Write(id, addr, g.cfg.Size, axi.BurstIncr, data, func(wr axi.Resp) {
-		if wr != axi.RespOKAY {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(id, addr, g.cfg.Size, beats, axi.BurstIncr, func(res axi.ReadResult) {
-			g.verify(start, data, res.Data, res.Resp != axi.RespOKAY)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *AXIGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *AXIGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *AXIGen) Stats() GenStats { return g.stats() }
-
-// OCPGen drives an OCP master engine.
-type OCPGen struct {
-	*genCore
-	eng     *ocp.Master
-	threads int
-}
-
-// NewOCPGen creates the generator on clk.
-func NewOCPGen(clk *sim.Clock, eng *ocp.Master, threads int, cfg GenConfig) *OCPGen {
-	if threads <= 0 {
-		threads = 1
-	}
-	g := &OCPGen{genCore: newGenCore(cfg), eng: eng, threads: threads}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *OCPGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, beats, data := g.next()
-	th := g.rng.Intn(g.threads)
-	start := cycle
-	g.issued++
-	g.inFlight++
-	g.eng.WriteNonPosted(th, addr, g.cfg.Size, ocp.SeqIncr, data, func(s ocp.SResp) {
-		if s != ocp.RespDVA {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(th, addr, g.cfg.Size, beats, ocp.SeqIncr, func(res ocp.ReadResult) {
-			g.verify(start, data, res.Data, res.Resp != ocp.RespDVA)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *OCPGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *OCPGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *OCPGen) Stats() GenStats { return g.stats() }
-
-// AHBGen drives an AHB master engine.
-type AHBGen struct {
-	*genCore
-	eng *ahb.Master
-}
-
-// NewAHBGen creates the generator on clk.
-func NewAHBGen(clk *sim.Clock, eng *ahb.Master, cfg GenConfig) *AHBGen {
-	g := &AHBGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-func ahbBurstForBeats(beats int) ahb.Burst {
-	switch beats {
-	case 1:
-		return ahb.BurstSingle
-	case 4:
-		return ahb.BurstIncr4
-	case 8:
-		return ahb.BurstIncr8
-	case 16:
-		return ahb.BurstIncr16
-	default:
-		return ahb.BurstIncr
-	}
-}
-
-// Eval implements sim.Clocked.
-func (g *AHBGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, beats, data := g.next()
-	start := cycle
-	g.issued++
-	g.inFlight++
-	b := ahbBurstForBeats(beats)
-	g.eng.Write(addr, g.cfg.Size, b, data, func(wr ahb.Resp) {
-		if wr != ahb.RespOkay {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(addr, g.cfg.Size, b, beats, func(res ahb.ReadResult) {
-			g.verify(start, data, res.Data, res.Resp != ahb.RespOkay)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *AHBGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *AHBGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *AHBGen) Stats() GenStats { return g.stats() }
-
-// PVCIGen drives a PVCI master engine (single-word operations).
-type PVCIGen struct {
-	*genCore
-	eng *vci.PMaster
-}
-
-// NewPVCIGen creates the generator on clk.
-func NewPVCIGen(clk *sim.Clock, eng *vci.PMaster, cfg GenConfig) *PVCIGen {
-	cfg.MaxBeats = 1
-	cfg.Size = 4
-	g := &PVCIGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *PVCIGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, _, data := g.next()
-	start := cycle
-	g.issued++
-	g.inFlight++
-	g.eng.Write(addr, data, func(err bool) {
-		if err {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(addr, len(data), func(d []byte, rerr bool) {
-			g.verify(start, data, d, rerr)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *PVCIGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *PVCIGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *PVCIGen) Stats() GenStats { return g.stats() }
-
-// BVCIGen drives a BVCI master engine.
-type BVCIGen struct {
-	*genCore
-	eng *vci.BMaster
-}
-
-// NewBVCIGen creates the generator on clk.
-func NewBVCIGen(clk *sim.Clock, eng *vci.BMaster, cfg GenConfig) *BVCIGen {
-	g := &BVCIGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *BVCIGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, beats, data := g.next()
-	start := cycle
-	g.issued++
-	g.inFlight++
-	g.eng.Write(addr, g.cfg.Size, data, func(err bool) {
-		if err {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(addr, g.cfg.Size, beats, false, func(d []byte, rerr bool) {
-			g.verify(start, data, d, rerr)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *BVCIGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *BVCIGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *BVCIGen) Stats() GenStats { return g.stats() }
-
-// AVCIGen drives an AVCI master engine.
-type AVCIGen struct {
-	*genCore
-	eng *vci.AMaster
-}
-
-// NewAVCIGen creates the generator on clk.
-func NewAVCIGen(clk *sim.Clock, eng *vci.AMaster, cfg GenConfig) *AVCIGen {
-	g := &AVCIGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *AVCIGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	addr, beats, data := g.next()
-	id := g.rng.Intn(4)
-	start := cycle
-	g.issued++
-	g.inFlight++
-	g.eng.Write(id, addr, g.cfg.Size, data, func(err bool) {
-		if err {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.Read(id, addr, g.cfg.Size, beats, func(d []byte, rerr bool) {
-			g.verify(start, data, d, rerr)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *AVCIGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *AVCIGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *AVCIGen) Stats() GenStats { return g.stats() }
-
-// PropGen drives the proprietary streaming engine: stream write then
-// stream read-back.
-type PropGen struct {
-	*genCore
-	eng    *prop.Master
-	nextID int
-}
-
-// NewPropGen creates the generator on clk.
-func NewPropGen(clk *sim.Clock, eng *prop.Master, cfg GenConfig) *PropGen {
-	g := &PropGen{genCore: newGenCore(cfg), eng: eng}
-	clk.Register(g)
-	return g
-}
-
-// Eval implements sim.Clocked.
-func (g *PropGen) Eval(cycle int64) {
-	g.cycle = cycle
-	if !g.wantIssue() {
-		return
-	}
-	nBytes := g.rng.Range(32, 160)
-	if uint64(nBytes) > g.cfg.Region.Size {
-		nBytes = int(g.cfg.Region.Size)
-	}
-	maxOff := g.cfg.Region.Size - uint64(nBytes)
-	addr := g.cfg.Region.Base
-	if maxOff > 0 {
-		addr += uint64(g.rng.Intn(int(maxOff)))
-	}
-	data := make([]byte, nBytes)
-	g.rng.Read(data)
-	start := cycle
-	g.issued++
-	g.inFlight++
-	wid := g.nextID
-	rid := g.nextID + 1
-	g.nextID += 2
-	g.eng.StreamWrite(wid, addr, data, func(ok bool) {
-		if !ok {
-			g.verify(start, data, nil, true)
-			return
-		}
-		g.eng.StreamRead(rid, addr, len(data), func(d []byte) {
-			g.verify(start, data, d, false)
-		})
-	})
-}
-
-// Update implements sim.Clocked.
-func (g *PropGen) Update(cycle int64) {}
-
-// Done implements Generator.
-func (g *PropGen) Done() bool { return g.done() }
-
-// Stats implements Generator.
-func (g *PropGen) Stats() GenStats { return g.stats() }
 
 // CheckAll fails with a descriptive error if any generator saw data
-// mismatches or protocol errors, or is not done.
-func CheckAll(gens map[string]Generator) error {
-	for name, g := range gens {
+// mismatches or protocol errors, or is not done. Generators are checked
+// in name order, so the error names the same one on every run.
+func CheckAll(gens map[string]*Gen) error {
+	names := make([]string, 0, len(gens))
+	for name := range gens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		g := gens[name]
 		s := g.Stats()
 		if !g.Done() {
 			return fmt.Errorf("ip: generator %s incomplete: %d/%d", name, s.Completed, s.Issued)

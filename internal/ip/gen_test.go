@@ -9,24 +9,88 @@ import (
 	"gonoc/internal/protocols/ocp"
 	"gonoc/internal/protocols/prop"
 	"gonoc/internal/protocols/vci"
+	"gonoc/internal/protocols/wishbone"
 	"gonoc/internal/sim"
 )
 
-// The generators are validated here against direct socket connections
-// (no interconnect): every write/read-back pair must verify, proving the
-// scoreboard itself is sound before it judges interconnects.
+// The generator is validated here against direct socket connections
+// (no interconnect): every write/read-back pair must verify on every
+// socket, proving the scoreboard and each adapter sound before they
+// judge interconnects.
+
+// direct wires each socket's master engine straight to a memory of the
+// same protocol.
+var direct = []struct {
+	name string
+	wire func(clk *sim.Clock, st *mem.Backing) Socket
+}{
+	{"axi", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := axi.NewPort(clk, "axi", 4)
+		m := axi.NewMaster(clk, port, nil)
+		axi.NewMemory(clk, port, st, 0, axi.MemoryConfig{Latency: 1})
+		return AXI(m)
+	}},
+	{"ocp", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := ocp.NewPort(clk, "ocp", 4)
+		m := ocp.NewMaster(clk, port)
+		ocp.NewMemory(clk, port, st, 0, ocp.MemoryConfig{Threads: 4})
+		return OCP(m)
+	}},
+	{"ahb", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := ahb.NewPort(clk, "ahb", 4)
+		m := ahb.NewMaster(clk, port, 2)
+		ahb.NewMemory(clk, port, st, 0, ahb.MemoryConfig{WaitStates: 1})
+		return AHB(m)
+	}},
+	{"pvci", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := vci.NewPPort(clk, "pvci", 4)
+		m := vci.NewPMaster(clk, port)
+		vci.NewPMemory(clk, port, st, 0, 1)
+		return PVCI(m)
+	}},
+	{"bvci", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := vci.NewBPort(clk, "bvci", 4)
+		m := vci.NewBMaster(clk, port, 2)
+		vci.NewBMemory(clk, port, st, 0, 1)
+		return BVCI(m)
+	}},
+	{"avci", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := vci.NewAPort(clk, "avci", 4)
+		m := vci.NewAMaster(clk, port)
+		vci.NewAMemory(clk, port, st, 0, 1, true)
+		return AVCI(m)
+	}},
+	{"prop", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := prop.NewPort(clk, "prop", 8)
+		m := prop.NewMaster(clk, port)
+		prop.NewMemory(clk, port, st, 0)
+		return Prop(m)
+	}},
+	{"wb", func(clk *sim.Clock, st *mem.Backing) Socket {
+		port := wishbone.NewPort(clk, "wb", 4)
+		m := wishbone.NewMaster(clk, port)
+		wishbone.NewMemory(clk, port, st, 0, wishbone.MemoryConfig{Latency: 1, RegisteredFeedback: true})
+		return WB(m)
+	}},
+}
 
 func newClk() *sim.Clock {
 	k := sim.NewKernel()
 	return sim.NewClock(k, "clk", sim.Nanosecond, 0)
 }
 
-func runGen(t *testing.T, clk *sim.Clock, g Generator, maxCycles int) {
+func region() Region { return Region{Base: 0x1000, Size: 0x4000} }
+
+// directGen puts a generator on socket i of direct, wired to its memory.
+func directGen(i int, cfg GenConfig) (*sim.Clock, *Gen) {
+	clk := newClk()
+	sock := direct[i].wire(clk, mem.NewBacking(1<<20))
+	return clk, NewGen(clk, sock, cfg)
+}
+
+func runGen(t *testing.T, clk *sim.Clock, g *Gen, maxCycles int) {
 	t.Helper()
-	for c := 0; c < maxCycles; c++ {
-		if g.Done() {
-			break
-		}
+	for c := 0; c < maxCycles && !g.Done(); c++ {
 		clk.RunCycles(1)
 	}
 	s := g.Stats()
@@ -41,78 +105,18 @@ func runGen(t *testing.T, clk *sim.Clock, g Generator, maxCycles int) {
 	}
 }
 
-func region() Region { return Region{Base: 0x1000, Size: 0x4000} }
-
-func TestAXIGenDirect(t *testing.T) {
-	clk := newClk()
-	port := axi.NewPort(clk, "axi", 4)
-	eng := axi.NewMaster(clk, port, nil)
-	axi.NewMemory(clk, port, mem.NewBacking(1<<20), 0, axi.MemoryConfig{Latency: 1})
-	g := NewAXIGen(clk, eng, GenConfig{Seed: 1, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestOCPGenDirect(t *testing.T) {
-	clk := newClk()
-	port := ocp.NewPort(clk, "ocp", 4)
-	eng := ocp.NewMaster(clk, port)
-	ocp.NewMemory(clk, port, mem.NewBacking(1<<20), 0, ocp.MemoryConfig{Threads: 4})
-	g := NewOCPGen(clk, eng, 4, GenConfig{Seed: 2, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestAHBGenDirect(t *testing.T) {
-	clk := newClk()
-	port := ahb.NewPort(clk, "ahb", 4)
-	eng := ahb.NewMaster(clk, port, 2)
-	ahb.NewMemory(clk, port, mem.NewBacking(1<<20), 0, ahb.MemoryConfig{WaitStates: 1})
-	g := NewAHBGen(clk, eng, GenConfig{Seed: 3, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestPVCIGenDirect(t *testing.T) {
-	clk := newClk()
-	port := vci.NewPPort(clk, "pvci", 4)
-	eng := vci.NewPMaster(clk, port)
-	vci.NewPMemory(clk, port, mem.NewBacking(1<<20), 0, 1)
-	g := NewPVCIGen(clk, eng, GenConfig{Seed: 4, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestBVCIGenDirect(t *testing.T) {
-	clk := newClk()
-	port := vci.NewBPort(clk, "bvci", 4)
-	eng := vci.NewBMaster(clk, port, 2)
-	vci.NewBMemory(clk, port, mem.NewBacking(1<<20), 0, 1)
-	g := NewBVCIGen(clk, eng, GenConfig{Seed: 5, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestAVCIGenDirect(t *testing.T) {
-	clk := newClk()
-	port := vci.NewAPort(clk, "avci", 4)
-	eng := vci.NewAMaster(clk, port)
-	vci.NewAMemory(clk, port, mem.NewBacking(1<<20), 0, 1, true)
-	g := NewAVCIGen(clk, eng, GenConfig{Seed: 6, Requests: 25, Region: region()})
-	runGen(t, clk, g, 100_000)
-}
-
-func TestPropGenDirect(t *testing.T) {
-	clk := newClk()
-	port := prop.NewPort(clk, "prop", 8)
-	eng := prop.NewMaster(clk, port)
-	prop.NewMemory(clk, port, mem.NewBacking(1<<20), 0)
-	g := NewPropGen(clk, eng, GenConfig{Seed: 7, Requests: 15, Region: Region{Base: 0x1000, Size: 0x8000}})
-	runGen(t, clk, g, 200_000)
+func TestGenDirect(t *testing.T) {
+	for i, d := range direct {
+		t.Run(d.name, func(t *testing.T) {
+			clk, g := directGen(i, GenConfig{Seed: int64(i + 1), Requests: 25, Region: region()})
+			runGen(t, clk, g, 200_000)
+		})
+	}
 }
 
 func TestGenDeterminism(t *testing.T) {
 	run := func() float64 {
-		clk := newClk()
-		port := axi.NewPort(clk, "axi", 4)
-		eng := axi.NewMaster(clk, port, nil)
-		axi.NewMemory(clk, port, mem.NewBacking(1<<20), 0, axi.MemoryConfig{Latency: 1})
-		g := NewAXIGen(clk, eng, GenConfig{Seed: 11, Requests: 20, Region: region()})
+		clk, g := directGen(0, GenConfig{Seed: 11, Requests: 20, Region: region()})
 		for c := 0; c < 100_000 && !g.Done(); c++ {
 			clk.RunCycles(1)
 		}
@@ -124,12 +128,8 @@ func TestGenDeterminism(t *testing.T) {
 }
 
 func TestCheckAll(t *testing.T) {
-	clk := newClk()
-	port := axi.NewPort(clk, "axi", 4)
-	eng := axi.NewMaster(clk, port, nil)
-	axi.NewMemory(clk, port, mem.NewBacking(1<<20), 0, axi.MemoryConfig{})
-	g := NewAXIGen(clk, eng, GenConfig{Seed: 1, Requests: 5, Region: region()})
-	gens := map[string]Generator{"axi": g}
+	clk, g := directGen(0, GenConfig{Seed: 1, Requests: 5, Region: region()})
+	gens := map[string]*Gen{"axi": g}
 	if err := CheckAll(gens); err == nil {
 		t.Fatal("incomplete generator accepted")
 	}
@@ -141,9 +141,32 @@ func TestCheckAll(t *testing.T) {
 	}
 }
 
+// TestCheckAllNamesSameGenerator: with several failing generators,
+// CheckAll must report the same one on every call, not whichever map
+// iteration happens to reach first.
+func TestCheckAllNamesSameGenerator(t *testing.T) {
+	_, a := directGen(0, GenConfig{Seed: 1, Requests: 5, Region: region()})
+	_, b := directGen(1, GenConfig{Seed: 2, Requests: 5, Region: region()})
+	gens := map[string]*Gen{"ocp": b, "axi": a}
+	want := CheckAll(gens)
+	if want == nil {
+		t.Fatal("incomplete generators accepted")
+	}
+	for i := 0; i < 20; i++ {
+		if err := CheckAll(gens); err == nil || err.Error() != want.Error() {
+			t.Fatalf("call %d reported %v, first call %v", i, err, want)
+		}
+	}
+	if want.Error() != "ip: generator axi incomplete: 0/0" {
+		t.Fatalf("reported %q, want the first name in order", want)
+	}
+}
+
+// TestGenConfigDefaults: a zero Requests performs 50 pairs.
 func TestGenConfigDefaults(t *testing.T) {
-	c := GenConfig{}.withDefaults()
-	if c.Size != 4 || c.MaxBeats != 8 || c.Rate != 1.0 || c.Requests != 50 {
-		t.Fatalf("defaults wrong: %+v", c)
+	clk, g := directGen(0, GenConfig{Seed: 1, Region: region()})
+	runGen(t, clk, g, 200_000)
+	if s := g.Stats(); s.Completed != 50 || s.Issued != 50 {
+		t.Fatalf("zero Requests ran %d/%d pairs, want 50", s.Completed, s.Issued)
 	}
 }

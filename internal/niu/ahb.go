@@ -125,33 +125,6 @@ func NewAHBSlave(clk *sim.Clock, net *transport.Network, port *ahb.Port, cfg Sla
 	return &AHBSlave{e}
 }
 
-// coreBurstToAHB picks the AHB burst encoding for a request.
-func coreBurstToAHB(b core.BurstKind, beats int) (ahb.Burst, int) {
-	if beats == 1 {
-		return ahb.BurstSingle, 0
-	}
-	if b == core.BurstWrap {
-		switch beats {
-		case 4:
-			return ahb.BurstWrap4, 0
-		case 8:
-			return ahb.BurstWrap8, 0
-		case 16:
-			return ahb.BurstWrap16, 0
-		}
-	}
-	switch beats {
-	case 4:
-		return ahb.BurstIncr4, 0
-	case 8:
-		return ahb.BurstIncr8, 0
-	case 16:
-		return ahb.BurstIncr16, 0
-	default:
-		return ahb.BurstIncr, beats
-	}
-}
-
 // Execute implements SlaveAdapter.
 func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	r := req
@@ -161,7 +134,10 @@ func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response
 		a.execFixed(r, beats, data, respond)
 		return
 	}
-	burst, incr := coreBurstToAHB(req.Burst, beats)
+	burst, incr := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0
+	if burst == ahb.BurstIncr {
+		incr = beats // only undefined-length INCR carries its length
+	}
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(req.Addr, req.Size, burst, incr, func(res ahb.ReadResult) {

@@ -82,6 +82,30 @@ func (b Burst) Wraps() bool {
 	return b == BurstWrap4 || b == BurstWrap8 || b == BurstWrap16
 }
 
+// BurstFor picks the encoding of a beats-long burst: SINGLE for one
+// beat, the fixed-length INCRx or WRAPx when one matches, and
+// undefined-length INCR otherwise (a wrapping length AHB cannot encode
+// degrades to INCR).
+func BurstFor(wrap bool, beats int) Burst {
+	switch {
+	case beats == 1:
+		return BurstSingle
+	case beats == 4 && wrap:
+		return BurstWrap4
+	case beats == 8 && wrap:
+		return BurstWrap8
+	case beats == 16 && wrap:
+		return BurstWrap16
+	case beats == 4:
+		return BurstIncr4
+	case beats == 8:
+		return BurstIncr8
+	case beats == 16:
+		return BurstIncr16
+	}
+	return BurstIncr
+}
+
 // Resp is an AHB slave response (HRESP).
 type Resp uint8
 

@@ -32,7 +32,7 @@ func errf(field, format string, args ...any) error {
 }
 
 // protocols is the socket vocabulary of the SoC build, in driving order.
-var protocols = []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop", "wb"}
+var protocols = soc.Masters(true)
 
 func knownProtocol(p string) bool {
 	for _, q := range protocols {

@@ -15,9 +15,10 @@
 //
 // Beyond the self-checking generator workload (Config.RequestsPerMaster,
 // driven by System.Run), the package exposes two measurement hooks the
-// workload layers build on: System.Issuers returns one rate-controllable
-// "perform a transaction" closure per master engine (how
-// traffic.RunTrans drives load through the NIUs), and Config.Probe
+// workload layers build on: System.Sockets returns every master engine
+// as an ip.Socket, whose Issue performs one transaction (how
+// traffic.RunTrans drives load through the NIUs; System.Issuers wraps
+// it as a bool-callback closure per master), and Config.Probe
 // attaches an internal/obs instrumentation probe to the NoC fabric and
 // every NIU engine from cycle 0. Config.MasterPriority lets individual
 // master NIUs inject at a non-default QoS priority, which is how the

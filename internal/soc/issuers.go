@@ -1,158 +1,54 @@
 package soc
 
-import (
-	"gonoc/internal/protocols/ahb"
-	"gonoc/internal/protocols/axi"
-	"gonoc/internal/protocols/ocp"
-	"gonoc/internal/protocols/wishbone"
-)
+import "gonoc/internal/ip"
 
-// Issuer abstracts "perform one transaction" over a protocol master
-// engine: a write or read of n bytes at addr, with done invoked on
-// completion (ok=false on a protocol-level error response). It is the
-// hook rate-controlled traffic sources use to drive load through the
-// existing NIUs without speaking each socket's native API.
+// Masters is the socket order of a build: the seven historical masters,
+// then "wb" when the Wishbone master is present. Generators are built,
+// and reports list sockets, in this order.
+func Masters(wishbone bool) []string {
+	m := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
+	if wishbone {
+		m = append(m, "wb")
+	}
+	return m
+}
+
+// Sockets returns every master engine behind its ip.Socket adapter,
+// keyed by socket name. The Wishbone master exists only when the system
+// was built with Config.Wishbone; callers discover it by key presence.
+func (s *System) Sockets() map[string]ip.Socket {
+	socks := map[string]ip.Socket{
+		"axi": ip.AXI(s.AXIM), "ocp": ip.OCP(s.OCPM), "ahb": ip.AHB(s.AHBM),
+		"pvci": ip.PVCI(s.PVCIM), "bvci": ip.BVCI(s.BVCIM), "avci": ip.AVCI(s.AVCIM),
+		"prop": ip.Prop(s.PropM),
+	}
+	if s.WBM != nil {
+		socks["wb"] = ip.WB(s.WBM)
+	}
+	return socks
+}
+
+// Issuer performs one transaction on a socket: a write or read of n
+// bytes at addr, with done invoked on completion (ok=false on a
+// protocol-level error response).
 //
-// addr should be size-aligned and inside a mapped region; n is rounded
-// to whole 4-byte beats (PVCI, a single-word socket, clamps to 4).
+// addr should be size-aligned and inside a mapped region. n is rounded
+// up to whole beats: 4-byte beats on every socket but the proprietary
+// streamer, which is byte-granular; PVCI, a single-word socket, clamps
+// to one beat.
 type Issuer func(write bool, addr uint64, n int, done func(ok bool))
 
-// fill synthesizes a deterministic payload; traffic issuers do not
-// verify data (the ip generators' scoreboards cover correctness), so an
-// address-derived pattern is enough.
-func fill(addr uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(addr>>2) + byte(i)
-	}
-	return b
-}
-
-// beatsFor rounds n up to whole 4-byte beats.
-func beatsFor(n int) int {
-	beats := (n + 3) / 4
-	if beats < 1 {
-		beats = 1
-	}
-	return beats
-}
-
-// Issuers returns one Issuer per master engine, keyed by the same names
-// as Gens/MasterNIUs. Each issuer rotates tags/threads/IDs so
-// out-of-order-capable sockets keep multiple transactions in flight.
+// Issuers wraps ip.Socket.Issue as an Issuer per socket, keyed like
+// Sockets. Each Issuer numbers its own transactions, so a socket that
+// interleaves rotates through its IDs.
 func (s *System) Issuers() map[string]Issuer {
-	var axiID, ocpTh, avciID, propID int
-	issuers := map[string]Issuer{
-		"axi": func(write bool, addr uint64, n int, done func(bool)) {
-			id := axiID % 4
-			axiID++
-			beats := beatsFor(n)
-			if write {
-				s.AXIM.Write(id, addr, 4, axi.BurstIncr, fill(addr, beats*4), func(r axi.Resp) {
-					done(r == axi.RespOKAY)
-				})
-				return
-			}
-			s.AXIM.Read(id, addr, 4, beats, axi.BurstIncr, func(r axi.ReadResult) {
-				done(r.Resp == axi.RespOKAY)
-			})
-		},
-		"ocp": func(write bool, addr uint64, n int, done func(bool)) {
-			th := ocpTh % 4
-			ocpTh++
-			beats := beatsFor(n)
-			if write {
-				s.OCPM.WriteNonPosted(th, addr, 4, ocp.SeqIncr, fill(addr, beats*4), func(r ocp.SResp) {
-					done(r == ocp.RespDVA)
-				})
-				return
-			}
-			s.OCPM.Read(th, addr, 4, beats, ocp.SeqIncr, func(r ocp.ReadResult) {
-				done(r.Resp == ocp.RespDVA)
-			})
-		},
-		"ahb": func(write bool, addr uint64, n int, done func(bool)) {
-			beats := beatsFor(n)
-			b := ahbBurst(beats)
-			if write {
-				s.AHBM.Write(addr, 4, b, fill(addr, beats*4), func(r ahb.Resp) {
-					done(r == ahb.RespOkay)
-				})
-				return
-			}
-			s.AHBM.Read(addr, 4, b, beats, func(r ahb.ReadResult) {
-				done(r.Resp == ahb.RespOkay)
-			})
-		},
-		"pvci": func(write bool, addr uint64, n int, done func(bool)) {
-			if write {
-				s.PVCIM.Write(addr, fill(addr, 4), func(err bool) { done(!err) })
-				return
-			}
-			s.PVCIM.Read(addr, 4, func(_ []byte, err bool) { done(!err) })
-		},
-		"bvci": func(write bool, addr uint64, n int, done func(bool)) {
-			beats := beatsFor(n)
-			if write {
-				s.BVCIM.Write(addr, 4, fill(addr, beats*4), func(err bool) { done(!err) })
-				return
-			}
-			s.BVCIM.Read(addr, 4, beats, false, func(_ []byte, err bool) { done(!err) })
-		},
-		"avci": func(write bool, addr uint64, n int, done func(bool)) {
-			id := avciID % 4
-			avciID++
-			beats := beatsFor(n)
-			if write {
-				s.AVCIM.Write(id, addr, 4, fill(addr, beats*4), func(err bool) { done(!err) })
-				return
-			}
-			s.AVCIM.Read(id, addr, 4, beats, func(_ []byte, err bool) { done(!err) })
-		},
-		"prop": func(write bool, addr uint64, n int, done func(bool)) {
-			id := propID
-			propID += 2
-			if n < 1 {
-				n = 1
-			}
-			if write {
-				s.PropM.StreamWrite(id, addr, fill(addr, n), func(ok bool) { done(ok) })
-				return
-			}
-			s.PropM.StreamRead(id+1, addr, n, func(_ []byte) { done(true) })
-		},
-	}
-	// The Wishbone master exists only when the system was built with
-	// Config.Wishbone; callers discover it by key presence.
-	if s.WBM != nil {
-		issuers["wb"] = func(write bool, addr uint64, n int, done func(bool)) {
-			beats := beatsFor(n)
-			cti := wishbone.Classic
-			if beats > 1 {
-				cti = wishbone.Incrementing
-			}
-			if write {
-				s.WBM.Write(addr, 4, fill(addr, beats*4), cti, wishbone.Linear, func(err bool) { done(!err) })
-				return
-			}
-			s.WBM.Read(addr, 4, beats, cti, wishbone.Linear, func(_ []byte, err bool) { done(!err) })
+	issuers := map[string]Issuer{}
+	for name, sock := range s.Sockets() {
+		k := 0
+		issuers[name] = func(write bool, addr uint64, n int, done func(ok bool)) {
+			k++
+			sock.Issue(k-1, write, addr, n, func(_ []byte, err bool) { done(!err) })
 		}
 	}
 	return issuers
-}
-
-// ahbBurst maps a beat count onto the nearest AHB burst encoding.
-func ahbBurst(beats int) ahb.Burst {
-	switch beats {
-	case 1:
-		return ahb.BurstSingle
-	case 4:
-		return ahb.BurstIncr4
-	case 8:
-		return ahb.BurstIncr8
-	case 16:
-		return ahb.BurstIncr16
-	default:
-		return ahb.BurstIncr
-	}
 }

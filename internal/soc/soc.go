@@ -65,8 +65,6 @@ const (
 type Config struct {
 	Seed              int64
 	RequestsPerMaster int
-	Rate              float64
-	MemLatency        int
 	// Quiet builds the system without traffic generators, for
 	// experiments that drive the protocol engines directly.
 	Quiet bool
@@ -91,28 +89,22 @@ type Config struct {
 	MasterPriority map[string]noctypes.Priority
 
 	// NoC knobs.
-	Net         transport.NetConfig
-	Topology    Topology
-	Services    core.ServiceSet
-	Outstanding int // master NIU MaxOutstanding
-
-	// Bus knobs.
-	BridgeLatency int
-	Arb           bus.Arbitration
+	Net      transport.NetConfig
+	Topology Topology
+	Services core.ServiceSet
 }
+
+// Fixed build parameters: every memory's latency in cycles (wait states
+// on AHB) and the master NIUs' MaxOutstanding. The bus and its bridges
+// keep their own defaults.
+const (
+	memLatency  = 2
+	outstanding = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.RequestsPerMaster == 0 {
 		c.RequestsPerMaster = 40
-	}
-	if c.Rate == 0 {
-		c.Rate = 1.0
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = 2
-	}
-	if c.Outstanding == 0 {
-		c.Outstanding = 8
 	}
 	if c.Net.BufDepth == 0 {
 		c.Net.BufDepth = 16
@@ -150,7 +142,7 @@ type System struct {
 	WBM   *wishbone.Master // nil unless Config.Wishbone (NoC builds only)
 
 	// Generators keyed by protocol name.
-	Gens map[string]ip.Generator
+	Gens map[string]*ip.Gen
 
 	// NoC-side NIU handles for stats (nil on bus systems).
 	MasterNIUs map[string]NIUStatser
@@ -182,7 +174,7 @@ func buildCommon(cfg Config) *System {
 	amap.Freeze()
 	s := &System{
 		Cfg: cfg, K: k, Clk: clk, AMap: amap,
-		Gens:       make(map[string]ip.Generator),
+		Gens:       make(map[string]*ip.Gen),
 		MasterNIUs: make(map[string]NIUStatser),
 		Stores: map[string]*mem.Backing{
 			"axi":  mem.NewBacking(MemSize),
@@ -220,15 +212,6 @@ func genRegion(master string) ip.Region {
 		return ip.Region{Base: BaseWBMem, Size: 0x10000}
 	}
 	panic("soc: unknown master " + master)
-}
-
-func (s *System) genCfg(master string, n int) ip.GenConfig {
-	return ip.GenConfig{
-		Seed:     s.Cfg.Seed ^ int64(n*7919),
-		Requests: s.Cfg.RequestsPerMaster,
-		Region:   genRegion(master),
-		Rate:     s.Cfg.Rate,
-	}
 }
 
 // BuildNoC assembles the Fig-1 system.
@@ -275,7 +258,7 @@ func BuildNoC(cfg Config) *System {
 		return niu.MasterConfig{
 			Node:     node,
 			Services: cfg.Services,
-			Table:    core.TableConfig{MaxOutstanding: cfg.Outstanding, MaxTargets: 4},
+			Table:    core.TableConfig{MaxOutstanding: outstanding, MaxTargets: 4},
 			NumTags:  4,
 			Priority: prio,
 		}
@@ -321,25 +304,25 @@ func BuildNoC(cfg Config) *System {
 		return niu.SlaveConfig{Node: node, Services: cfg.Services, MaxConcurrent: 4}
 	}
 	axiSP := axi.NewPort(s.Clk, "s.axi", 4)
-	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: cfg.MemLatency})
+	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: memLatency})
 	niu.NewAXISlave(s.Clk, s.Net, axiSP, scfg(NodeAXIMem))
 
 	ocpSP := ocp.NewPort(s.Clk, "s.ocp", 4)
-	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: cfg.MemLatency, Threads: 4, LazySync: true})
+	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: memLatency, Threads: 4, LazySync: true})
 	niu.NewOCPSlave(s.Clk, s.Net, ocpSP, 4, scfg(NodeOCPMem))
 
 	ahbSP := ahb.NewPort(s.Clk, "s.ahb", 4)
-	ahb.NewMemory(s.Clk, ahbSP, s.Stores["ahb"], BaseAHBMem, ahb.MemoryConfig{WaitStates: cfg.MemLatency})
+	ahb.NewMemory(s.Clk, ahbSP, s.Stores["ahb"], BaseAHBMem, ahb.MemoryConfig{WaitStates: memLatency})
 	niu.NewAHBSlave(s.Clk, s.Net, ahbSP, scfg(NodeAHBMem))
 
 	bvciSP := vci.NewBPort(s.Clk, "s.bvci", 4)
-	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, cfg.MemLatency)
+	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, memLatency)
 	niu.NewBVCISlave(s.Clk, s.Net, bvciSP, scfg(NodeBVCIMem))
 
 	if cfg.Wishbone {
 		wbSP := wishbone.NewPort(s.Clk, "s.wb", 4)
 		wishbone.NewMemory(s.Clk, wbSP, s.Stores["wb"], BaseWBMem,
-			wishbone.MemoryConfig{Latency: cfg.MemLatency, RegisteredFeedback: true})
+			wishbone.MemoryConfig{Latency: memLatency, RegisteredFeedback: true})
 		niu.NewWBSlave(s.Clk, s.Net, wbSP, scfg(NodeWBMem))
 	}
 
@@ -354,8 +337,8 @@ func BuildBus(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	s := buildCommon(cfg)
 	s.Kind = "bus"
-	s.Bus = bus.New(s.Clk, s.AMap, bus.Config{Arb: cfg.Arb})
-	bcfg := bus.BridgeConfig{Latency: cfg.BridgeLatency}
+	s.Bus = bus.New(s.Clk, s.AMap, bus.Config{})
+	bcfg := bus.BridgeConfig{}
 
 	// Masters: AHB connects natively (it IS the reference socket);
 	// everything else crosses a bridge.
@@ -389,19 +372,19 @@ func BuildBus(cfg Config) *System {
 
 	// Slaves: AHB memory native, the rest behind slave bridges.
 	ahbSP := ahb.NewPort(s.Clk, "s.ahb", 2)
-	ahb.NewMemory(s.Clk, ahbSP, s.Stores["ahb"], BaseAHBMem, ahb.MemoryConfig{WaitStates: cfg.MemLatency})
+	ahb.NewMemory(s.Clk, ahbSP, s.Stores["ahb"], BaseAHBMem, ahb.MemoryConfig{WaitStates: memLatency})
 	s.Bus.AddSlave(NodeAHBMem, ahbSP)
 
 	axiSP := axi.NewPort(s.Clk, "s.axi", 4)
-	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: cfg.MemLatency})
+	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: memLatency})
 	bus.NewAXISlaveBridge(s.Clk, s.Bus, NodeAXIMem, axiSP, bcfg)
 
 	ocpSP := ocp.NewPort(s.Clk, "s.ocp", 4)
-	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: cfg.MemLatency, Threads: 1})
+	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: memLatency, Threads: 1})
 	bus.NewOCPSlaveBridge(s.Clk, s.Bus, NodeOCPMem, ocpSP, bcfg)
 
 	bvciSP := vci.NewBPort(s.Clk, "s.bvci", 4)
-	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, cfg.MemLatency)
+	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, memLatency)
 	bus.NewBVCISlaveBridge(s.Clk, s.Bus, NodeBVCIMem, bvciSP, bcfg)
 
 	if !cfg.Quiet {
@@ -410,16 +393,16 @@ func BuildBus(cfg Config) *System {
 	return s
 }
 
+// makeGens puts one generator on every socket, in Masters order; the
+// n-th (from 1) draws from seed Seed^(n·7919).
 func (s *System) makeGens() {
-	s.Gens["axi"] = ip.NewAXIGen(s.Clk, s.AXIM, s.genCfg("axi", 1))
-	s.Gens["ocp"] = ip.NewOCPGen(s.Clk, s.OCPM, 4, s.genCfg("ocp", 2))
-	s.Gens["ahb"] = ip.NewAHBGen(s.Clk, s.AHBM, s.genCfg("ahb", 3))
-	s.Gens["pvci"] = ip.NewPVCIGen(s.Clk, s.PVCIM, s.genCfg("pvci", 4))
-	s.Gens["bvci"] = ip.NewBVCIGen(s.Clk, s.BVCIM, s.genCfg("bvci", 5))
-	s.Gens["avci"] = ip.NewAVCIGen(s.Clk, s.AVCIM, s.genCfg("avci", 6))
-	s.Gens["prop"] = ip.NewPropGen(s.Clk, s.PropM, s.genCfg("prop", 7))
-	if s.WBM != nil {
-		s.Gens["wb"] = ip.NewWBGen(s.Clk, s.WBM, s.genCfg("wb", 8))
+	socks := s.Sockets()
+	for i, name := range Masters(s.WBM != nil) {
+		s.Gens[name] = ip.NewGen(s.Clk, socks[name], ip.GenConfig{
+			Seed:     s.Cfg.Seed ^ int64((i+1)*7919),
+			Requests: s.Cfg.RequestsPerMaster,
+			Region:   genRegion(name),
+		})
 	}
 }
 

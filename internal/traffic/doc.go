@@ -21,7 +21,7 @@
 //     E12, cmd/noctraffic); Campaign fans a (topology × pattern × rate)
 //     product of such runs across a worker pool;
 //   - RunTrans drives the full mixed-protocol SoC through its existing
-//     NIUs via soc.Issuers, measuring transaction latency end-to-end
+//     NIUs via ip.Socket.Issue, measuring transaction latency end-to-end
 //     through the protocol engines — uniformly (the run-wide knobs), or
 //     per master via TransConfig.Roles: each TransRole names a socket
 //     and sets its own rate, outstanding window, burst shape, NIU

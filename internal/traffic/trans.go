@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"gonoc/internal/ip"
 	"gonoc/internal/noctypes"
 	"gonoc/internal/obs"
 	"gonoc/internal/obs/metrics"
@@ -46,7 +47,7 @@ type TransRole struct {
 
 // TransConfig parameterizes a transaction-level load run: the full
 // mixed-protocol SoC is built (Fig-1 NoC), and protocol masters are
-// driven through their existing NIUs by rate-controlled issuers — open
+// driven through their existing NIUs by rate-controlled Socket.Issue — open
 // loop in arrival (Bernoulli at Rate), bounded by Window outstanding.
 //
 // With Roles empty every master in the build is driven with the uniform
@@ -151,23 +152,16 @@ type TransResult struct {
 // socket's encoding and costs at most a few spare flits of buffer.
 const reqWireOverhead = 32
 
-// transMasters is the driving order (also the report order); "wb" joins
-// at the end when TransConfig.Wishbone is set, so the established
-// seven-master seeds are undisturbed.
-var transMasters = []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-
 // resolveRoles normalizes a defaulted TransConfig into the concrete role
 // list RunTrans drives: explicit Roles with inherited fields filled, or
-// the synthesized uniform role per built master when Roles is empty. The
-// synthesized list is what the historical uniform code path drove, so
-// both forms execute identically.
+// the synthesized uniform role per built master, in soc.Masters order,
+// when Roles is empty ("wb" last, so the seven-master seeds are
+// undisturbed). The synthesized list is what the historical uniform code
+// path drove, so both forms execute identically.
 func resolveRoles(tc TransConfig) []TransRole {
 	roles := tc.Roles
 	if len(roles) == 0 {
-		names := transMasters
-		if tc.Wishbone {
-			names = append(append([]string(nil), transMasters...), "wb")
-		}
+		names := soc.Masters(tc.Wishbone)
 		roles = make([]TransRole, len(names))
 		for i, n := range names {
 			roles[i] = TransRole{Master: n}
@@ -245,7 +239,7 @@ func RunTrans(tc TransConfig) TransResult {
 	}
 	s := soc.BuildNoC(soc.Config{Seed: tc.Seed, Quiet: true, Topology: tc.Topology,
 		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios})
-	issuers := s.Issuers()
+	socks := s.Sockets()
 	bases := []uint64{soc.BaseAXIMem, soc.BaseOCPMem, soc.BaseAHBMem, soc.BaseBVCIMem}
 	if wishbone {
 		bases = append(bases, soc.BaseWBMem)
@@ -253,7 +247,7 @@ func RunTrans(tc TransConfig) TransResult {
 
 	type mstate struct {
 		name     string
-		issue    soc.Issuer
+		sock     ip.Socket
 		rng      *sim.RNG
 		inflight int
 		k        int
@@ -270,11 +264,11 @@ func RunTrans(tc TransConfig) TransResult {
 	)
 	states := make([]*mstate, 0, len(roles))
 	for i, role := range roles {
-		issue, ok := issuers[role.Master]
+		sock, ok := socks[role.Master]
 		if !ok {
 			panic(fmt.Sprintf("traffic: unknown trans master %q", role.Master))
 		}
-		st := &mstate{name: role.Master, issue: issue, rng: root.Fork("trans." + role.Master)}
+		st := &mstate{name: role.Master, sock: sock, rng: root.Fork("trans." + role.Master)}
 		// Default addressing: each master owns a private 16 KiB lane
 		// inside each memory so bursts stay window-local without
 		// aliasing another master's. An explicit role target replaces
@@ -313,10 +307,10 @@ func RunTrans(tc TransConfig) TransResult {
 			st2.inflight++
 			measured := measuring
 			start := cycle
-			st2.issue(write, addr, role2.Bytes, func(ok bool) {
+			st2.sock.Issue(st2.k-1, write, addr, role2.Bytes, func(_ []byte, err bool) {
 				st2.inflight--
 				st2.done++
-				if !ok {
+				if err {
 					st2.errs++
 				}
 				if measuring {
