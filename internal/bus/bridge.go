@@ -186,9 +186,6 @@ func (br *AXIBridge) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (br *AXIBridge) Update(cycle int64) {}
-
 func ahbToAXI(r ahb.Resp) axi.Resp {
 	if r == ahb.RespOkay {
 		return axi.RespOKAY
@@ -342,9 +339,6 @@ func (br *OCPBridge) Eval(cycle int64) {
 	})
 }
 
-// Update implements sim.Clocked.
-func (br *OCPBridge) Update(cycle int64) {}
-
 func ocpRespFromAHB(r ahb.Resp) ocp.SResp {
 	if r == ahb.RespOkay {
 		return ocp.RespDVA
@@ -420,9 +414,6 @@ func (br *AVCIBridge) Eval(cycle int64) {
 	})
 }
 
-// Update implements sim.Clocked.
-func (br *AVCIBridge) Update(cycle int64) {}
-
 // BVCIBridge adapts a BVCI master onto the bus (orderings match; only
 // latency is lost).
 type BVCIBridge struct {
@@ -488,9 +479,6 @@ func (br *BVCIBridge) Eval(cycle int64) {
 		})
 	})
 }
-
-// Update implements sim.Clocked.
-func (br *BVCIBridge) Update(cycle int64) {}
 
 // PVCIBridge adapts a PVCI master onto the bus.
 type PVCIBridge struct {
@@ -558,9 +546,6 @@ func (br *PVCIBridge) Eval(cycle int64) {
 		})
 	})
 }
-
-// Update implements sim.Clocked.
-func (br *PVCIBridge) Update(cycle int64) {}
 
 // PropBridge adapts the proprietary streaming socket onto the bus: one
 // stream at a time, one 64-byte burst in flight, acks synthesized by the
@@ -731,6 +716,3 @@ func (br *PropBridge) emitReadChunk() {
 		br.rd = nil
 	}
 }
-
-// Update implements sim.Clocked.
-func (br *PropBridge) Update(cycle int64) {}

@@ -94,9 +94,6 @@ func axiToAHB(r axi.Resp) ahb.Resp {
 	return ahb.RespError
 }
 
-// Update implements sim.Clocked.
-func (br *AXISlaveBridge) Update(cycle int64) {}
-
 // OCPSlaveBridge puts an OCP target IP behind the bus.
 type OCPSlaveBridge struct {
 	cfg     BridgeConfig
@@ -174,9 +171,6 @@ func ocpToAHB(s ocp.SResp) ahb.Resp {
 	return ahb.RespError
 }
 
-// Update implements sim.Clocked.
-func (br *OCPSlaveBridge) Update(cycle int64) {}
-
 // BVCISlaveBridge puts a BVCI target IP behind the bus.
 type BVCISlaveBridge struct {
 	cfg     BridgeConfig
@@ -246,6 +240,3 @@ func (br *BVCISlaveBridge) reply(err bool, data []byte) {
 	br.busy = false
 	br.stats.Forwarded++
 }
-
-// Update implements sim.Clocked.
-func (br *BVCISlaveBridge) Update(cycle int64) {}

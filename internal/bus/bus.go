@@ -122,9 +122,6 @@ func (b *Bus) Eval(cycle int64) {
 	b.grant()
 }
 
-// Update implements sim.Clocked.
-func (b *Bus) Update(cycle int64) {}
-
 // finish completes the in-flight transaction when its response arrives.
 func (b *Bus) finish() {
 	t := b.cur

@@ -46,10 +46,10 @@ type GenStats struct {
 // into its private region, reads it back and compares, issuing back to
 // back with one pair in flight at a time.
 type Gen struct {
-	sock  Socket
-	cfg   GenConfig
-	rng   *sim.RNG
-	cycle int64
+	sock Socket
+	cfg  GenConfig
+	rng  *sim.RNG
+	wake sim.Waker
 
 	issued, completed, mismatches, errs int
 	lat                                 stats.Latency
@@ -71,7 +71,7 @@ func NewGen(clk *sim.Clock, sock Socket, cfg GenConfig) *Gen {
 	}
 	g := &Gen{sock: sock, cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
 	g.wrote, g.read = g.onWrite, g.verify
-	clk.Register(g)
+	g.wake = clk.Register(g)
 	return g
 }
 
@@ -100,7 +100,6 @@ func (g *Gen) next() {
 
 // Eval implements sim.Clocked.
 func (g *Gen) Eval(cycle int64) {
-	g.cycle = cycle
 	if g.busy || g.issued >= g.cfg.Requests {
 		return
 	}
@@ -115,8 +114,9 @@ func (g *Gen) Eval(cycle int64) {
 	g.sock.Write(g.id, g.addr, g.sock.width, g.data, g.wrote)
 }
 
-// Update implements sim.Clocked.
-func (g *Gen) Update(cycle int64) {}
+// Idle implements sim.Idler: a pair is in flight (its read-back
+// completion wakes the generator) or every pair is done.
+func (g *Gen) Idle() bool { return g.busy || g.issued >= g.cfg.Requests }
 
 func (g *Gen) onWrite(_ []byte, err bool) {
 	if err {
@@ -129,7 +129,10 @@ func (g *Gen) onWrite(_ []byte, err bool) {
 func (g *Gen) verify(got []byte, err bool) {
 	g.completed++
 	g.busy = false
-	g.lat.Record(g.cycle - g.start)
+	// Latency ends at the cycle of the generator's last Eval, which the
+	// clock knows even while the generator sleeps.
+	g.lat.Record(g.wake.LastEval() - g.start)
+	g.wake.Wake()
 	switch {
 	case err:
 		g.errs++

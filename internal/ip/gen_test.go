@@ -170,3 +170,66 @@ func TestGenConfigDefaults(t *testing.T) {
 		t.Fatalf("zero Requests ran %d/%d pairs, want 50", s.Completed, s.Issued)
 	}
 }
+
+// delayed is an Initiator that completes every transaction a fixed
+// number of cycles after issue, from a clocked component of its own.
+type delayed struct {
+	clk   *sim.Clock
+	delay int64
+	mem   map[uint64][]byte
+	due   []func()
+	at    []int64
+}
+
+func (d *delayed) Write(_ int, addr uint64, _ uint8, data []byte, done Done) {
+	d.mem[addr] = append([]byte(nil), data...)
+	d.due = append(d.due, func() { done(nil, false) })
+	d.at = append(d.at, d.clk.Cycle()+d.delay)
+}
+
+func (d *delayed) Read(_ int, addr uint64, _ uint8, _ int, done Done) {
+	d.due = append(d.due, func() { done(d.mem[addr], false) })
+	d.at = append(d.at, d.clk.Cycle()+d.delay)
+}
+
+func (d *delayed) Eval(cycle int64) {
+	if len(d.at) > 0 && d.at[0] == cycle {
+		f := d.due[0]
+		d.due, d.at = d.due[1:], d.at[1:]
+		f()
+	}
+}
+
+// TestGenLatencyStamp pins the generator's latency stamp while it
+// sleeps through a pair: a completion is stamped with the cycle of the
+// generator's last Eval had it run every cycle — the completion's own
+// cycle when the completing component comes after the generator in
+// registration order, the cycle before when it comes first.
+func TestGenLatencyStamp(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		first      bool // completer registered before the generator
+		wantCycles int64
+	}{
+		// Issue at cycle 1; write done at 4, read issued then, done at 7.
+		{"completer first", true, 5},
+		{"generator first", false, 6},
+	} {
+		k := sim.NewKernel()
+		clk := sim.NewClock(k, "clk", sim.Nanosecond, 0)
+		d := &delayed{clk: clk, delay: 3, mem: map[uint64][]byte{}}
+		if tc.first {
+			clk.Register(d)
+		}
+		g := NewGen(clk, Socket{Initiator: d, width: 4}, GenConfig{Seed: 1, Requests: 1, Region: Region{Size: 64}})
+		if !tc.first {
+			clk.Register(d)
+		}
+		clk.RunCycles(20)
+		st := g.Stats()
+		if st.Completed != 1 || st.Mismatches != 0 || st.Latency.Max() != tc.wantCycles {
+			t.Errorf("%s: %d pairs, %d mismatches, latency %d; want 1, 0, %d",
+				tc.name, st.Completed, st.Mismatches, st.Latency.Max(), tc.wantCycles)
+		}
+	}
+}

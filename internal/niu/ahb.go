@@ -43,8 +43,12 @@ func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap,
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, &ahbMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.Req)
 	return &AHBMaster{e}
 }
+
+// Idle implements sim.Idler.
+func (a *ahbMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter: responses come back strictly
 // in order, one per cycle.

@@ -98,7 +98,16 @@ type axiRead struct {
 func NewAXIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *axi.Port, cfg MasterConfig) *AXIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
 	e.Bind(clk, &axiMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.AR, port.AW, port.W)
 	return &AXIMaster{e}
+}
+
+// Idle implements sim.Idler: no request on the socket and no R or B
+// beat left to stream. Write data buffered without its AW waits for the
+// AW pipe.
+func (a *axiMasterAdapter) Idle() bool {
+	return a.port.AR.Empty() && a.port.AW.Empty() && a.port.W.Empty() &&
+		len(a.rStream) == 0 && len(a.bQ) == 0
 }
 
 // DeliverResponse implements MasterAdapter.

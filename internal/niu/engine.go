@@ -33,6 +33,13 @@ const (
 // DeliverResponse, StreamSocket, PumpRequests — so an adapter sees at
 // most one fabric response, then gets one chance to move a beat onto the
 // socket, then one chance to convert socket requests into fabric issues.
+//
+// An adapter that also implements sim.Idler lets its engine sleep: Idle
+// reports that the three methods would do nothing — no request on the
+// socket, no response left to stream. Such an adapter names its engine
+// as the consumer of its socket request pipes, so that a request on the
+// socket wakes it. An adapter without Idle works unchanged but keeps its
+// engine awake on every cycle.
 type MasterAdapter interface {
 	// DeliverResponse consumes one fabric response. entry is the
 	// transaction-table entry retired by this response: it records the
@@ -69,6 +76,8 @@ type MasterEngine struct {
 	seq     uint64
 	stats   MasterStats
 	adapter MasterAdapter
+	idler   sim.Idler // adapter's Idle, nil if it has none
+	wake    sim.Waker
 
 	// Engine-owned messages, reused by every transaction: the request
 	// packet Issue encodes into (TrySend copies it), the response
@@ -109,7 +118,9 @@ func (e *MasterEngine) Bind(clk *sim.Clock, a MasterAdapter) {
 		panic("niu: master engine already bound")
 	}
 	e.adapter = a
-	clk.Register(e)
+	e.idler, _ = a.(sim.Idler)
+	e.wake = clk.Register(e)
+	e.wake.Consumes(e.ep)
 }
 
 // Model returns the resolved ordering model.
@@ -141,8 +152,11 @@ func (e *MasterEngine) Eval(cycle int64) {
 	e.adapter.PumpRequests(cycle)
 }
 
-// Update implements sim.Clocked.
-func (e *MasterEngine) Update(cycle int64) {}
+// Idle implements sim.Idler: no response waiting in the endpoint and an
+// idle adapter. An engine whose adapter has no Idle never sleeps.
+func (e *MasterEngine) Idle() bool {
+	return e.idler != nil && e.ep.Received() == 0 && e.idler.Idle()
+}
 
 // Issue attempts to convert and inject one transaction-layer request.
 // protoID is the socket's ordering handle (0 for fully-ordered sockets,
@@ -349,6 +363,7 @@ type SlaveEngine struct {
 	inFlight int
 	stats    SlaveStats
 	adapter  SlaveAdapter
+	wake     sim.Waker
 
 	free []*slaveSlot // request slots not holding a request (a stack)
 	// rspQ is a ring of encoded responses awaiting fabric credit. Its
@@ -400,7 +415,8 @@ func (e *SlaveEngine) Bind(clk *sim.Clock, a SlaveAdapter) {
 		panic("niu: slave engine already bound")
 	}
 	e.adapter = a
-	clk.Register(e)
+	e.wake = clk.Register(e)
+	e.wake.Consumes(e.ep)
 }
 
 // Stats returns a copy of the NIU's counters.
@@ -429,8 +445,10 @@ func (e *SlaveEngine) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (e *SlaveEngine) Update(cycle int64) {}
+// Idle implements sim.Idler: no response queued and no request waiting
+// in the endpoint. A request in the target IP wakes the engine through
+// respond.
+func (e *SlaveEngine) Idle() bool { return e.rspN == 0 && e.ep.Received() == 0 }
 
 // recvRequest pops one request packet and decodes it into a free slot,
 // respecting the concurrency bound. Requests in flight hold one slot
@@ -492,6 +510,7 @@ func (e *SlaveEngine) respond(s *slaveSlot, rsp *core.Response) {
 	e.rspN++
 	e.inFlight--
 	e.stats.Responses++
+	e.wake.Wake()
 	if p := e.net.Probe(); p != nil {
 		p.Event(obs.Event{
 			Kind: obs.KindSlaveResp, Cycle: e.net.Clock().Cycle(),

@@ -89,8 +89,14 @@ type ocpRspStream struct {
 func NewOCPMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ocp.Port, cfg MasterConfig) *OCPMaster {
 	e := NewMasterEngine(net, amap, cfg, core.ThreadOrdered)
 	e.Bind(clk, &ocpMasterAdapter{eng: e, port: port, asm: make(map[int]*ocpAsm)})
+	e.wake.Consumes(port.Req)
 	return &OCPMaster{e}
 }
+
+// Idle implements sim.Idler: no request beat on the socket and no
+// response beat left to stream. A burst being assembled waits for its
+// next beat on the socket.
+func (a *ocpMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter. The entry's ProtoID is the
 // request's thread.

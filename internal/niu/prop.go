@@ -65,7 +65,28 @@ func NewPropMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 		wrStreams: make(map[int]*propWrState),
 		rdStreams: make(map[int]*propRdState),
 	})
+	e.wake.Consumes(port.Desc, port.Wr)
 	return &PropMaster{e}
+}
+
+// Idle implements sim.Idler: nothing on the socket, no ack to send, no
+// write bytes buffered and no read stream with a burst left to issue or
+// data left to emit. A stream waiting only for fabric responses sleeps.
+func (a *propMasterAdapter) Idle() bool {
+	if !a.port.Desc.Empty() || !a.port.Wr.Empty() || len(a.ackQ) > 0 {
+		return false
+	}
+	for _, st := range a.wrStreams {
+		if len(st.buf) > 0 {
+			return false
+		}
+	}
+	for _, st := range a.rdStreams {
+		if st.issued < st.d.Bytes || len(st.got) > st.emitted {
+			return false
+		}
+	}
+	return true
 }
 
 // StreamSocket implements MasterAdapter: the proprietary socket is fed

@@ -31,8 +31,12 @@ func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 	}
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, &pvciMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.Req)
 	return &PVCIMaster{e}
 }
+
+// Idle implements sim.Idler.
+func (a *pvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter.
 func (a *pvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
@@ -185,8 +189,12 @@ func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, &bvciMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.Req)
 	return &BVCIMaster{e}
 }
+
+// Idle implements sim.Idler.
+func (a *bvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter.
 func (a *bvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
@@ -288,8 +296,12 @@ type avciMasterAdapter struct {
 func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.APort, cfg MasterConfig) *AVCIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
 	e.Bind(clk, &avciMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.Req)
 	return &AVCIMaster{e}
 }
+
+// Idle implements sim.Idler.
+func (a *avciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter. The entry's ProtoID is the
 // packet ID the request was issued with.

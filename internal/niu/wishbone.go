@@ -76,8 +76,12 @@ func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, 
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, &wbMasterAdapter{eng: e, port: port})
+	e.wake.Consumes(port.Req)
 	return &WBMaster{e}
 }
+
+// Idle implements sim.Idler.
+func (a *wbMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
 
 // DeliverResponse implements MasterAdapter.
 func (a *wbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {

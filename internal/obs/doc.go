@@ -24,8 +24,8 @@
 //     concrete-typed parameter — nothing escapes). The transport
 //     hot-path allocation guard in CI (BENCH_transport.json) pins this.
 //
-//   - Hot path: Event is called from inside sim.Clocked Eval/Update
-//     phases, up to once per flit per switch output per cycle. An
+//   - Hot path: Event is called from inside sim.Clocked Eval phases,
+//     up to once per flit per switch output per cycle. An
 //     implementation must not block, must not panic on unknown Kinds
 //     (new kinds may be added), and should be O(1)-ish per call.
 //

@@ -175,9 +175,6 @@ func (l *Link) receivePhit(ph Phit, cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (l *Link) Update(cycle int64) {}
-
 // CyclesPerFlit returns the serialization cost of a flit of dataBytes on
 // this link.
 func (l *Link) CyclesPerFlit(dataBytes int) int {

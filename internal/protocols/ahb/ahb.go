@@ -197,6 +197,8 @@ type Master struct {
 	pend []*ahbCtx
 
 	issued, completed, retries uint64
+
+	wake sim.Waker
 }
 
 type ahbCtx struct {
@@ -211,7 +213,8 @@ func NewMaster(clk *sim.Clock, port *Port, pipeline int) *Master {
 		pipeline = 1
 	}
 	m := &Master{port: port, pipeline: pipeline}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rsp)
 	return m
 }
 
@@ -255,6 +258,7 @@ func (m *Master) enqueue(r Req, rdCb func(ReadResult), wrCb func(Resp)) {
 	m.reqQ = append(m.reqQ, r)
 	m.pendAdd(&ahbCtx{req: r, rdCb: rdCb, wrCb: wrCb})
 	m.issued++
+	m.wake.Wake()
 }
 
 func (m *Master) pendAdd(c *ahbCtx) { m.pend = append(m.pend, c) }
@@ -291,8 +295,12 @@ func (m *Master) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Master) Update(cycle int64) {}
+// Idle implements sim.Idler: no response on the socket, and no request
+// queued that the pipeline would let out (a full pipeline waits for a
+// response).
+func (m *Master) Idle() bool {
+	return m.port.Rsp.Empty() && (len(m.reqQ) == 0 || len(m.pend)-len(m.reqQ) >= m.pipeline)
+}
 
 // MemoryConfig parameterizes an AHB memory slave.
 type MemoryConfig struct {
@@ -320,7 +328,7 @@ type Memory struct {
 // NewMemory creates an AHB memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
 	m := &Memory{port: port, store: store, base: base, cfg: cfg}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -375,5 +383,5 @@ func (m *Memory) Eval(cycle int64) {
 	m.served++
 }
 
-// Update implements sim.Clocked.
-func (m *Memory) Update(cycle int64) {}
+// Idle implements sim.Idler: no transaction in service or on the socket.
+func (m *Memory) Idle() bool { return !m.busy && m.port.Req.Empty() }

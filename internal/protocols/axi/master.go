@@ -30,6 +30,8 @@ type Master struct {
 	outstanding int
 	issued      uint64
 	completed   uint64
+
+	wake sim.Waker
 }
 
 type readCtx struct {
@@ -51,7 +53,8 @@ func NewMaster(clk *sim.Clock, port *Port, checker *Checker) *Master {
 		reads:   make(map[int][]*readCtx),
 		writes:  make(map[int][]*writeCtx),
 	}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.R, port.B)
 	return m
 }
 
@@ -82,6 +85,7 @@ func (m *Master) read(id int, addr uint64, size uint8, beats int, burst Burst, l
 	m.reads[id] = append(m.reads[id], &readCtx{beats: beats, cb: cb})
 	m.outstanding++
 	m.issued++
+	m.wake.Wake()
 }
 
 // Write queues a write burst; data length determines the beat count.
@@ -120,6 +124,7 @@ func (m *Master) write(id int, addr uint64, size uint8, burst Burst, data, strb 
 	m.writes[id] = append(m.writes[id], &writeCtx{cb: cb})
 	m.outstanding++
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked: one beat per channel per cycle.
@@ -185,5 +190,8 @@ func (m *Master) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Master) Update(cycle int64) {}
+// Idle implements sim.Idler: no beat queued for the socket and no
+// response beat waiting on it.
+func (m *Master) Idle() bool {
+	return len(m.arQ) == 0 && len(m.awQ) == 0 && len(m.wQ) == 0 && m.port.R.Empty() && m.port.B.Empty()
+}

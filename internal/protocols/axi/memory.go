@@ -64,7 +64,7 @@ type exclSpan struct{ lo, hi uint64 }
 // absolute and base is subtracted before indexing the backing store.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
 	m := &Memory{port: port, store: store, base: base, cfg: cfg, excl: make(map[int]exclSpan)}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.AR, port.AW, port.W)
 	return m
 }
 
@@ -242,8 +242,13 @@ func (m *Memory) serveWrites() {
 	m.writes++
 }
 
-// Update implements sim.Clocked.
-func (m *Memory) Update(cycle int64) {}
+// Idle implements sim.Idler: no request on the socket and no burst
+// accepted, in service or awaiting its response beat. Write data beats
+// that arrived ahead of their AW wait for the AW pipe.
+func (m *Memory) Idle() bool {
+	return m.port.AR.Empty() && m.port.AW.Empty() && m.port.W.Empty() &&
+		m.cur == nil && len(m.rq) == 0 && len(m.wq) == 0 && len(m.bq) == 0
+}
 
 // Served returns cumulative read and write burst counts.
 func (m *Memory) Served() (reads, writes uint64) { return m.reads, m.writes }

@@ -28,6 +28,8 @@ type Master struct {
 	posted      uint64
 	issued      uint64
 	completed   uint64
+
+	wake sim.Waker
 }
 
 type ocpCtx struct {
@@ -42,7 +44,8 @@ type ocpCtx struct {
 // NewMaster creates a master engine on port and registers it on clk.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
 	m := &Master{port: port, pending: make(map[int][]*ocpCtx)}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Resp)
 	return m
 }
 
@@ -69,6 +72,7 @@ func (m *Master) Read(thread int, addr uint64, size uint8, beats int, seq BurstS
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
 		})
 	}
+	m.wake.Wake()
 }
 
 // ReadLinked queues a lazy-synchronization linked read (single beat).
@@ -79,6 +83,7 @@ func (m *Master) ReadLinked(thread int, addr uint64, size uint8, cb func(ReadRes
 	m.reqQ = append(m.reqQ, ReqBeat{
 		Cmd: CmdRDL, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true,
 	})
+	m.wake.Wake()
 }
 
 // Write queues a POSTED write burst: cb (optional) fires when the last
@@ -101,6 +106,7 @@ func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data [
 		last := &m.reqQ[len(m.reqQ)-1]
 		last.onAccept = cb
 	}
+	m.wake.Wake()
 }
 
 // WriteNonPosted queues a write that receives a DVA response.
@@ -116,6 +122,7 @@ func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSe
 			Data: data[i*int(size) : (i+1)*int(size)],
 		})
 	}
+	m.wake.Wake()
 }
 
 // WriteConditional queues a lazy-synchronization conditional write
@@ -131,6 +138,7 @@ func (m *Master) WriteConditional(thread int, addr uint64, size uint8, data []by
 	m.reqQ = append(m.reqQ, ReqBeat{
 		Cmd: CmdWRC, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true, Data: data,
 	})
+	m.wake.Wake()
 }
 
 func (m *Master) wbeats(size uint8, data []byte) int {
@@ -179,5 +187,6 @@ func (m *Master) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Master) Update(cycle int64) {}
+// Idle implements sim.Idler: no request beat queued and no response
+// beat waiting on the socket.
+func (m *Master) Idle() bool { return len(m.reqQ) == 0 && m.port.Resp.Empty() }

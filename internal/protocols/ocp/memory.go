@@ -66,7 +66,7 @@ func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg 
 	for i := range m.threads {
 		m.threads[i] = &threadEngine{}
 	}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -215,5 +215,16 @@ func (m *Memory) commitWrite(txn *ocpTxn) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Memory) Update(cycle int64) {}
+// Idle implements sim.Idler: no request beat on the socket and no
+// transaction queued or in service on any thread.
+func (m *Memory) Idle() bool {
+	if !m.port.Req.Empty() {
+		return false
+	}
+	for _, te := range m.threads {
+		if te.cur != nil || len(te.q) > 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -97,6 +97,8 @@ type Master struct {
 	writes map[int]*writeStream
 
 	issued, completed uint64
+
+	wake sim.Waker
 }
 
 type readStream struct {
@@ -114,7 +116,8 @@ type writeStream struct {
 // NewMaster creates a master engine.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
 	m := &Master{port: port, reads: make(map[int]*readStream), writes: make(map[int]*writeStream)}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rd, port.Ack)
 	return m
 }
 
@@ -148,6 +151,7 @@ func (m *Master) StreamWrite(id int, addr uint64, data []byte, cb func(ok bool))
 	}
 	m.writes[id] = &writeStream{chunks: n, cb: cb}
 	m.issued++
+	m.wake.Wake()
 }
 
 // StreamRead posts a read stream; cb fires with the assembled bytes.
@@ -161,6 +165,7 @@ func (m *Master) StreamRead(id int, addr uint64, n int, cb func([]byte)) {
 	m.descQ = append(m.descQ, Descriptor{Op: OpStreamRead, Addr: addr, Bytes: n, StreamID: id})
 	m.reads[id] = &readStream{want: n, cb: cb}
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked.
@@ -209,8 +214,11 @@ func (m *Master) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Master) Update(cycle int64) {}
+// Idle implements sim.Idler: no descriptor or chunk queued for the
+// socket and no chunk or ack waiting on it.
+func (m *Master) Idle() bool {
+	return len(m.descQ) == 0 && len(m.wrQ) == 0 && m.port.Rd.Empty() && m.port.Ack.Empty()
+}
 
 // Memory is the slave engine: executes streams against a backing store.
 type Memory struct {
@@ -239,7 +247,7 @@ type rdState struct {
 // NewMemory creates the slave engine.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64) *Memory {
 	m := &Memory{port: port, store: store, base: base}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Desc, port.Wr)
 	return m
 }
 
@@ -313,5 +321,8 @@ func (m *Memory) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Memory) Update(cycle int64) {}
+// Idle implements sim.Idler: no stream in service, no descriptor queued
+// and nothing on the socket.
+func (m *Memory) Idle() bool {
+	return m.wr == nil && m.rd == nil && len(m.descQ) == 0 && m.port.Desc.Empty() && m.port.Wr.Empty()
+}

@@ -54,6 +54,8 @@ type PMaster struct {
 	wait *pReqCtx
 
 	issued, completed uint64
+
+	wake sim.Waker
 }
 
 type pReqCtx struct {
@@ -65,7 +67,8 @@ type pReqCtx struct {
 // NewPMaster creates a PVCI master.
 func NewPMaster(clk *sim.Clock, port *PPort) *PMaster {
 	m := &PMaster{port: port}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rsp)
 	return m
 }
 
@@ -83,6 +86,7 @@ func (m *PMaster) Read(addr uint64, n int, cb func(data []byte, err bool)) {
 	}
 	m.q = append(m.q, pReqCtx{req: PReq{Addr: addr, N: n}, rdCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Write queues a single-word write.
@@ -100,6 +104,7 @@ func (m *PMaster) WriteBE(addr uint64, data, be []byte, cb func(err bool)) {
 	}
 	m.q = append(m.q, pReqCtx{req: PReq{Addr: addr, Write: true, Data: data, BE: be}, wrCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked.
@@ -126,8 +131,9 @@ func (m *PMaster) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *PMaster) Update(cycle int64) {}
+// Idle implements sim.Idler: no response on the socket, and no request
+// queued that could issue (one is outstanding at a time).
+func (m *PMaster) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait != nil) }
 
 // PMemory is a PVCI memory slave.
 type PMemory struct {
@@ -144,7 +150,7 @@ type PMemory struct {
 // NewPMemory creates a PVCI memory slave.
 func NewPMemory(clk *sim.Clock, port *PPort, store *mem.Backing, base uint64, latency int) *PMemory {
 	m := &PMemory{port: port, store: store, base: base, latency: latency}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -183,8 +189,8 @@ func (m *PMemory) Eval(cycle int64) {
 	m.served++
 }
 
-// Update implements sim.Clocked.
-func (m *PMemory) Update(cycle int64) {}
+// Idle implements sim.Idler: no request in service or on the socket.
+func (m *PMemory) Idle() bool { return !m.busy && m.port.Req.Empty() }
 
 // ---------------------------------------------------------------- BVCI --
 
@@ -235,6 +241,8 @@ type BMaster struct {
 	pend     []bReqCtx
 
 	issued, completed uint64
+
+	wake sim.Waker
 }
 
 type bReqCtx struct {
@@ -249,7 +257,8 @@ func NewBMaster(clk *sim.Clock, port *BPort, pipeline int) *BMaster {
 		pipeline = 1
 	}
 	m := &BMaster{port: port, pipeline: pipeline}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rsp)
 	return m
 }
 
@@ -264,6 +273,7 @@ func (m *BMaster) Completed() uint64 { return m.completed }
 func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
 	m.q = append(m.q, bReqCtx{req: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, rdCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Write queues a burst write.
@@ -274,6 +284,7 @@ func (m *BMaster) Write(addr uint64, size uint8, data []byte, cb func(bool)) {
 	m.q = append(m.q, bReqCtx{req: BReq{Op: OpWrite, Addr: addr, Size: size,
 		Beats: len(data) / int(size), Data: data}, wrCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked.
@@ -300,8 +311,11 @@ func (m *BMaster) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *BMaster) Update(cycle int64) {}
+// Idle implements sim.Idler: no response on the socket, and no request
+// queued that the pipeline would let out.
+func (m *BMaster) Idle() bool {
+	return m.port.Rsp.Empty() && (len(m.q) == 0 || len(m.pend) >= m.pipeline)
+}
 
 // BMemory is a BVCI memory slave: in-order, one cell per cycle.
 type BMemory struct {
@@ -318,7 +332,7 @@ type BMemory struct {
 // NewBMemory creates a BVCI memory slave.
 func NewBMemory(clk *sim.Clock, port *BPort, store *mem.Backing, base uint64, latency int) *BMemory {
 	m := &BMemory{port: port, store: store, base: base, latency: latency}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -372,8 +386,8 @@ func (m *BMemory) Eval(cycle int64) {
 	m.served++
 }
 
-// Update implements sim.Clocked.
-func (m *BMemory) Update(cycle int64) {}
+// Idle implements sim.Idler: no burst in service or on the socket.
+func (m *BMemory) Idle() bool { return !m.busy && m.port.Req.Empty() }
 
 // ---------------------------------------------------------------- AVCI --
 
@@ -411,6 +425,8 @@ type AMaster struct {
 	pend map[int][]aReqCtx
 
 	issued, completed uint64
+
+	wake sim.Waker
 }
 
 type aReqCtx struct {
@@ -422,7 +438,8 @@ type aReqCtx struct {
 // NewAMaster creates an AVCI master.
 func NewAMaster(clk *sim.Clock, port *APort) *AMaster {
 	m := &AMaster{port: port, pend: make(map[int][]aReqCtx)}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rsp)
 	return m
 }
 
@@ -447,6 +464,7 @@ func (m *AMaster) Completed() uint64 { return m.completed }
 func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, cb func([]byte, bool)) {
 	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats}, ID: id}, rdCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Write queues a burst write on an ID.
@@ -454,6 +472,7 @@ func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, cb func(bo
 	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpWrite, Addr: addr, Size: size,
 		Beats: len(data) / int(size), Data: data}, ID: id}, wrCb: cb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked.
@@ -481,8 +500,9 @@ func (m *AMaster) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *AMaster) Update(cycle int64) {}
+// Idle implements sim.Idler: no request queued and no response on the
+// socket.
+func (m *AMaster) Idle() bool { return len(m.q) == 0 && m.port.Rsp.Empty() }
 
 // AMemory is an AVCI memory slave; with Reorder it services queued bursts
 // LIFO across IDs (never reordering within an ID).
@@ -502,7 +522,7 @@ type AMemory struct {
 // NewAMemory creates an AVCI memory slave.
 func NewAMemory(clk *sim.Clock, port *APort, store *mem.Backing, base uint64, latency int, reorder bool) *AMemory {
 	m := &AMemory{port: port, store: store, base: base, latency: latency, reorder: reorder}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -564,5 +584,6 @@ func (m *AMemory) Eval(cycle int64) {
 	m.served++
 }
 
-// Update implements sim.Clocked.
-func (m *AMemory) Update(cycle int64) {}
+// Idle implements sim.Idler: no request queued, in service or on the
+// socket.
+func (m *AMemory) Idle() bool { return m.cur == nil && len(m.q) == 0 && m.port.Req.Empty() }

@@ -151,6 +151,8 @@ type Master struct {
 	wait *wbCtx
 
 	issued, completed uint64
+
+	wake sim.Waker
 }
 
 type wbCtx struct {
@@ -162,7 +164,8 @@ type wbCtx struct {
 // NewMaster creates a WISHBONE master on clk.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
 	m := &Master{port: port}
-	clk.Register(m)
+	m.wake = clk.Register(m)
+	m.wake.Consumes(port.Rsp)
 	return m
 }
 
@@ -202,6 +205,7 @@ func (m *Master) enqueue(c Cycle, rdCb func([]byte, bool), wrCb func(bool)) {
 	}
 	m.q = append(m.q, wbCtx{cyc: c, rdCb: rdCb, wrCb: wrCb})
 	m.issued++
+	m.wake.Wake()
 }
 
 // Eval implements sim.Clocked.
@@ -228,8 +232,9 @@ func (m *Master) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Master) Update(cycle int64) {}
+// Idle implements sim.Idler: no response on the socket, and no cycle
+// queued that could start (one cycle is open at a time).
+func (m *Master) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait != nil) }
 
 // MemoryConfig parameterizes a WISHBONE memory slave.
 type MemoryConfig struct {
@@ -262,7 +267,7 @@ type Memory struct {
 // NewMemory creates a WISHBONE memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
 	m := &Memory{port: port, store: store, base: base, cfg: cfg}
-	clk.Register(m)
+	clk.Register(m).Consumes(port.Req)
 	return m
 }
 
@@ -322,5 +327,5 @@ func (m *Memory) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked.
-func (m *Memory) Update(cycle int64) {}
+// Idle implements sim.Idler: no cycle in service or on the socket.
+func (m *Memory) Idle() bool { return !m.busy && m.port.Req.Empty() }

@@ -1,28 +1,30 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
+// TestClockEvalBeforeUpdate checks the edge's two phases: every
+// component's Eval runs, in registration order, before the commit list
+// publishes anything staged during the edge.
 func TestClockEvalBeforeUpdate(t *testing.T) {
 	k := NewKernel()
 	clk := NewClock(k, "clk", Nanosecond, 0)
+	p := NewPipe[int](clk, "p", 4)
 	var trace []string
-	clk.Register(ClockedFunc{
-		OnEval:   func(c int64) { trace = append(trace, "a.eval") },
-		OnUpdate: func(c int64) { trace = append(trace, "a.update") },
-	})
-	clk.Register(ClockedFunc{
-		OnEval:   func(c int64) { trace = append(trace, "b.eval") },
-		OnUpdate: func(c int64) { trace = append(trace, "b.update") },
-	})
-	clk.RunCycles(1)
-	want := []string{"a.eval", "b.eval", "a.update", "b.update"}
-	if len(trace) != len(want) {
+	clk.Register(ClockedFunc{OnEval: func(c int64) {
+		trace = append(trace, "a.eval")
+		p.Push(int(c))
+	}})
+	clk.Register(ClockedFunc{OnEval: func(c int64) {
+		trace = append(trace, fmt.Sprintf("b.eval sees %d", p.Len()))
+	}})
+	clk.OnCommit(func(c int64) { trace = append(trace, fmt.Sprintf("commit %d", c)) })
+	clk.RunCycles(2)
+	want := []string{"a.eval", "b.eval sees 0", "commit 1", "a.eval", "b.eval sees 1"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
 	}
 }
 

@@ -1,8 +1,26 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that every other layer of the NoC model is built on: an event queue with
-// picosecond resolution, clock domains with two-phase (Eval/Update) clocked
-// components, staged FIFOs with register semantics, and seeded random
-// number generation.
+// picosecond resolution, clock domains that drive clocked components,
+// staged FIFOs with register semantics, and seeded random number
+// generation.
+//
+// Each clock edge has two phases. First the clock calls Eval on every
+// awake component, in registration order; Eval reads state committed in
+// earlier cycles and stages its own pushes and pops. Then the clock runs
+// the edge's commit list: every Pipe (and any other staged state, see
+// Clock.OnCommit) touched during the edge publishes its pushes and
+// refreshes its credit. Nothing a component stages is visible to another
+// component in the same edge, so results do not depend on registration
+// order.
+//
+// Evaluation is activity-driven. A component that implements Idler
+// leaves the active set when its Idle reports that its next Eval would
+// do nothing, and a Waker brings it back: a commit that publishes a push
+// on a pipe it consumes, or an explicit Wake from the call that hands it
+// work. A wake is timed so that the component runs at exactly the edge at
+// which evaluating every component on every edge would first have seen
+// the change, so sleeping changes no result. Clock.EvalEveryCycle is that
+// evaluate-everything reference, kept for differential tests.
 //
 // Determinism is a design requirement: two runs with the same seed and the
 // same configuration produce bit-identical results, regardless of component

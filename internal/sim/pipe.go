@@ -3,19 +3,27 @@ package sim
 import "fmt"
 
 // Pipe is a bounded FIFO with register semantics: values pushed during a
-// cycle become visible to consumers only at the start of the next cycle
-// (the push is committed by the Pipe's Update phase). This models a
-// hardware FIFO with a one-cycle forward latency and gives deterministic,
-// registration-order-independent behaviour.
+// cycle become visible to consumers only at the start of the next cycle.
+// This models a hardware FIFO with a one-cycle forward latency and gives
+// deterministic, registration-order-independent behaviour.
 //
 // Capacity accounting also has register semantics: a slot freed by a Pop
 // this cycle cannot be reused by a Push until the next cycle (one-cycle
 // credit turnaround), matching typical synchronous FIFO implementations.
 //
-// A Pipe must be registered on the Clock whose domain it belongs to; the
-// NewPipe constructor does this automatically.
+// A Pipe is not a clocked component. The first Push, Pop or Consume of an
+// edge puts it on its clock's commit list, and the clock commits it after
+// every component's Eval: the commit publishes the edge's pushes,
+// refreshes the credit snapshot and wakes the consumer (SetConsumer) when
+// a push was published. A pipe nobody touches costs nothing; its
+// occupancy statistics for the untouched cycles are credited in closed
+// form at the next commit, so Stats stays exact.
 type Pipe[T any] struct {
-	name    string
+	name     string
+	clk      *Clock
+	consumer Waker
+	staged   bool // on clk's commit list for this edge
+
 	buf     []T // committed entries; the FIFO window starts at head
 	head    int // index of the oldest committed entry in buf
 	pending []T // pushed this cycle, not yet visible
@@ -26,32 +34,37 @@ type Pipe[T any] struct {
 	// Pop and Push racing in the same cycle do not depend on Eval order.
 	startLen int
 
-	// statistics
+	// statistics; sumOcc and occTicks cover cycles up to ticked
 	pushes   uint64
 	pops     uint64
 	maxOcc   int
 	sumOcc   uint64
 	occTicks uint64
+	ticked   int64
 }
 
-// NewPipe creates a Pipe with the given capacity and registers it on clk.
+// NewPipe creates a Pipe with the given capacity in clk's domain: clk
+// commits it.
 func NewPipe[T any](clk *Clock, name string, capacity int) *Pipe[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: pipe %q: capacity must be positive, got %d", name, capacity))
 	}
-	p := &Pipe[T]{name: name, cap: capacity}
-	clk.Register(p)
+	p := &Pipe[T]{name: name, clk: clk, cap: capacity, ticked: clk.done}
+	clk.pipes = append(clk.pipes, p)
 	return p
 }
 
-// NewUnclockedPipe creates a Pipe that is not attached to any clock; the
-// owner must call Update itself each cycle. Used by components that manage
-// internal pipes explicitly.
-func NewUnclockedPipe[T any](name string, capacity int) *Pipe[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("sim: pipe %q: capacity must be positive, got %d", name, capacity))
+// SetConsumer names the component that reads the pipe: every commit that
+// publishes a push wakes it. A component that sleeps (Idler) must name
+// itself on every pipe it reads.
+func (p *Pipe[T]) SetConsumer(w Waker) { p.consumer = w }
+
+// stage puts the pipe on its clock's commit list, once per edge.
+func (p *Pipe[T]) stage() {
+	if !p.staged {
+		p.staged = true
+		p.clk.commit = append(p.clk.commit, p)
 	}
-	return &Pipe[T]{name: name, cap: capacity}
 }
 
 // Name returns the pipe's name.
@@ -73,6 +86,7 @@ func (p *Pipe[T]) Push(v T) bool {
 	}
 	p.pending = append(p.pending, v)
 	p.pushes++
+	p.stage()
 	return true
 }
 
@@ -106,9 +120,8 @@ func (p *Pipe[T]) PeekAt(i int) (T, bool) {
 // Pop removes and returns the oldest committed entry. The freed slot is
 // zeroed (releasing any references) and its storage reclaimed in place:
 // popping advances a head index instead of re-slicing, so the backing
-// array is reused forever instead of creeping forward and forcing
-// Update's append to reallocate — the fabric's flit pipes push and pop
-// every cycle, making this the simulator's hottest allocation site.
+// array is reused forever instead of creeping forward and forcing the
+// commit's append to reallocate.
 func (p *Pipe[T]) Pop() (T, bool) {
 	var zero T
 	if p.Len() == 0 {
@@ -122,21 +135,15 @@ func (p *Pipe[T]) Pop() (T, bool) {
 		p.head = 0
 	}
 	p.pops++
+	p.stage()
 	return v, true
-}
-
-// Quiescent reports whether an Update would be a no-op beyond stats
-// bookkeeping: nothing staged and the credit snapshot already current.
-// Owners driving many unclocked pipes per edge use it to skip idle ones.
-func (p *Pipe[T]) Quiescent() bool {
-	return len(p.pending) == 0 && p.startLen == p.Len()
 }
 
 // Window returns the committed entries as a slice, oldest first, without
 // removing them. It is the batch form of Peek: a consumer that drains the
 // pipe every cycle reads the window once and Consumes its length — one
 // call per (pipe, edge) instead of one Pop per entry. The slice aliases
-// internal storage and is invalidated by Pop, Consume, or Update.
+// internal storage and is invalidated by Pop, Consume, or the commit.
 func (p *Pipe[T]) Window() []T { return p.buf[p.head:] }
 
 // Consume removes the n oldest committed entries (freed slots are zeroed,
@@ -152,15 +159,20 @@ func (p *Pipe[T]) Consume(n int) {
 		p.head = 0
 	}
 	p.pops += uint64(n)
+	p.stage()
 }
 
-// Eval implements Clocked; Pipes do no work in the Eval phase.
-func (p *Pipe[T]) Eval(cycle int64) {}
-
-// Update implements Clocked: it commits this cycle's pushes and refreshes
-// the capacity snapshot.
-func (p *Pipe[T]) Update(cycle int64) {
-	if len(p.pending) > 0 {
+// commit publishes this edge's pushes, refreshes the capacity snapshot,
+// credits the occupancy of the cycles since the last commit, and wakes
+// the consumer if anything was published.
+func (p *Pipe[T]) commit(cycle int64) {
+	p.staged = false
+	if n := cycle - 1 - p.ticked; n > 0 {
+		p.sumOcc += uint64(p.startLen) * uint64(n)
+		p.occTicks += uint64(n)
+	}
+	published := len(p.pending) > 0
+	if published {
 		if p.head > 0 {
 			// Compact the live window to the front so the append below
 			// reuses the backing array's full capacity.
@@ -178,6 +190,10 @@ func (p *Pipe[T]) Update(cycle int64) {
 	}
 	p.sumOcc += uint64(p.startLen)
 	p.occTicks++
+	p.ticked = cycle
+	if published {
+		p.consumer.Wake()
+	}
 }
 
 // Stats describes cumulative pipe activity.
@@ -189,11 +205,17 @@ type PipeStats struct {
 	AvgOcc float64
 }
 
-// Stats returns cumulative counters for the pipe.
+// Stats returns cumulative counters for the pipe, through the clock's
+// last committed edge.
 func (p *Pipe[T]) Stats() PipeStats {
+	sum, ticks := p.sumOcc, p.occTicks
+	if n := p.clk.done - p.ticked; n > 0 {
+		sum += uint64(p.startLen) * uint64(n)
+		ticks += uint64(n)
+	}
 	avg := 0.0
-	if p.occTicks > 0 {
-		avg = float64(p.sumOcc) / float64(p.occTicks)
+	if ticks > 0 {
+		avg = float64(sum) / float64(ticks)
 	}
 	return PipeStats{Name: p.name, Pushes: p.pushes, Pops: p.pops, MaxOcc: p.maxOcc, AvgOcc: avg}
 }

@@ -147,7 +147,7 @@ func TestPipePeekAt(t *testing.T) {
 	p := NewPipe[int](clk, "p", 8)
 	p.Push(10)
 	p.Push(20)
-	p.Update(1) // commit manually
+	clk.RunCycles(1) // commit
 	if v, ok := p.PeekAt(1); !ok || v != 20 {
 		t.Fatalf("PeekAt(1) = %d,%v want 20,true", v, ok)
 	}
@@ -238,16 +238,16 @@ func TestPipeWindowBatchAPI(t *testing.T) {
 	clk := NewClock(k, "clk", Nanosecond, 0)
 	p := NewPipe[int](clk, "p", 8)
 
-	// Empty pipe: empty window, quiescent.
+	// Empty pipe: empty window, nothing on the commit list.
 	if w := p.Window(); len(w) != 0 {
 		t.Fatalf("empty pipe Window() len = %d, want 0", len(w))
 	}
-	if !p.Quiescent() {
-		t.Fatal("empty pipe is not Quiescent")
+	if p.staged || len(clk.commit) != 0 {
+		t.Fatal("untouched pipe is on the commit list")
 	}
 
-	// Staged-but-uncommitted entries are invisible to Window and break
-	// quiescence until Update publishes them.
+	// Staged-but-uncommitted entries are invisible to Window, and the
+	// pipe joins the commit list once however often it is pushed.
 	for _, v := range []int{10, 20, 30} {
 		if !p.Push(v) {
 			t.Fatalf("Push(%d) refused with free capacity", v)
@@ -256,8 +256,8 @@ func TestPipeWindowBatchAPI(t *testing.T) {
 	if w := p.Window(); len(w) != 0 {
 		t.Fatalf("Window() sees %d staged entries before commit, want 0", len(w))
 	}
-	if p.Quiescent() {
-		t.Fatal("Quiescent with staged pushes pending")
+	if !p.staged || len(clk.commit) != 1 {
+		t.Fatalf("after 3 pushes: staged=%v, commit list %d entries; want true, 1", p.staged, len(clk.commit))
 	}
 
 	clk.RunCycles(1) // commit
@@ -265,22 +265,22 @@ func TestPipeWindowBatchAPI(t *testing.T) {
 	if len(w) != 3 || w[0] != 10 || w[1] != 20 || w[2] != 30 {
 		t.Fatalf("Window() after commit = %v, want [10 20 30]", w)
 	}
-	if !p.Quiescent() {
-		t.Fatal("pipe not Quiescent after commit with nothing staged")
+	if p.staged || len(clk.commit) != 0 {
+		t.Fatal("pipe still on the commit list after the commit")
 	}
 
-	// Consume removes oldest-first and invalidates the credit snapshot
-	// until the next Update (the freed slot has register semantics).
+	// Consume removes oldest-first and stages the pipe again: the freed
+	// slots return as credit only at the commit (register semantics).
 	p.Consume(2)
 	if w := p.Window(); len(w) != 1 || w[0] != 30 {
 		t.Fatalf("Window() after Consume(2) = %v, want [30]", w)
 	}
-	if p.Quiescent() {
-		t.Fatal("Quiescent immediately after Consume (credit snapshot is stale)")
+	if !p.staged || p.CanPush(6) {
+		t.Fatalf("after Consume: staged=%v, CanPush(6)=%v; want true, false (credit returns at the commit)", p.staged, p.CanPush(6))
 	}
 	clk.RunCycles(1)
-	if !p.Quiescent() {
-		t.Fatal("pipe not Quiescent one cycle after Consume")
+	if p.staged || !p.CanPush(6) {
+		t.Fatalf("one cycle after Consume: staged=%v, CanPush(6)=%v; want false, true", p.staged, p.CanPush(6))
 	}
 
 	// Consume beyond the committed count panics.

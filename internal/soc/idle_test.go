@@ -29,6 +29,24 @@ func TestIdleCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIdleCycleEvaluatesNothing guards the active set independently of
+// host speed: once the quiet Fig 1 SoC has settled, every NIU engine,
+// protocol engine, memory and the empty fabric sleep, so idle cycles
+// evaluate no component at all.
+func TestIdleCycleEvaluatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo Topology
+	}{{"crossbar", Crossbar}, {"mesh", Mesh}} {
+		s := quietFig1(tc.topo)
+		before := s.Clk.Evals()
+		s.Clk.RunCycles(1000)
+		if n := s.Clk.Evals() - before; n != 0 {
+			t.Errorf("%s: 1000 idle cycles evaluated %d components, want 0", tc.name, n)
+		}
+	}
+}
+
 // BenchmarkIdleSoCCycle measures one idle cycle of the quiet Fig 1
 // crossbar system. CI guards allocs/op at zero (BENCH_transport.json).
 func BenchmarkIdleSoCCycle(b *testing.B) {

@@ -144,8 +144,10 @@ type System struct {
 	// Generators keyed by protocol name.
 	Gens map[string]*ip.Gen
 
-	// NoC-side NIU handles for stats (nil on bus systems).
+	// NoC-side NIU handles for stats (empty on bus systems): masters
+	// keyed like Gens, slaves like Stores.
 	MasterNIUs map[string]NIUStatser
+	SlaveNIUs  map[string]*niu.SlaveEngine
 
 	// Shared memory backings keyed by slave name.
 	Stores map[string]*mem.Backing
@@ -176,6 +178,7 @@ func buildCommon(cfg Config) *System {
 		Cfg: cfg, K: k, Clk: clk, AMap: amap,
 		Gens:       make(map[string]*ip.Gen),
 		MasterNIUs: make(map[string]NIUStatser),
+		SlaveNIUs:  make(map[string]*niu.SlaveEngine),
 		Stores: map[string]*mem.Backing{
 			"axi":  mem.NewBacking(MemSize),
 			"ocp":  mem.NewBacking(MemSize),
@@ -305,25 +308,25 @@ func BuildNoC(cfg Config) *System {
 	}
 	axiSP := axi.NewPort(s.Clk, "s.axi", 4)
 	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: memLatency})
-	niu.NewAXISlave(s.Clk, s.Net, axiSP, scfg(NodeAXIMem))
+	s.SlaveNIUs["axi"] = niu.NewAXISlave(s.Clk, s.Net, axiSP, scfg(NodeAXIMem)).SlaveEngine
 
 	ocpSP := ocp.NewPort(s.Clk, "s.ocp", 4)
 	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: memLatency, Threads: 4, LazySync: true})
-	niu.NewOCPSlave(s.Clk, s.Net, ocpSP, 4, scfg(NodeOCPMem))
+	s.SlaveNIUs["ocp"] = niu.NewOCPSlave(s.Clk, s.Net, ocpSP, 4, scfg(NodeOCPMem)).SlaveEngine
 
 	ahbSP := ahb.NewPort(s.Clk, "s.ahb", 4)
 	ahb.NewMemory(s.Clk, ahbSP, s.Stores["ahb"], BaseAHBMem, ahb.MemoryConfig{WaitStates: memLatency})
-	niu.NewAHBSlave(s.Clk, s.Net, ahbSP, scfg(NodeAHBMem))
+	s.SlaveNIUs["ahb"] = niu.NewAHBSlave(s.Clk, s.Net, ahbSP, scfg(NodeAHBMem)).SlaveEngine
 
 	bvciSP := vci.NewBPort(s.Clk, "s.bvci", 4)
 	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, memLatency)
-	niu.NewBVCISlave(s.Clk, s.Net, bvciSP, scfg(NodeBVCIMem))
+	s.SlaveNIUs["bvci"] = niu.NewBVCISlave(s.Clk, s.Net, bvciSP, scfg(NodeBVCIMem)).SlaveEngine
 
 	if cfg.Wishbone {
 		wbSP := wishbone.NewPort(s.Clk, "s.wb", 4)
 		wishbone.NewMemory(s.Clk, wbSP, s.Stores["wb"], BaseWBMem,
 			wishbone.MemoryConfig{Latency: memLatency, RegisteredFeedback: true})
-		niu.NewWBSlave(s.Clk, s.Net, wbSP, scfg(NodeWBMem))
+		s.SlaveNIUs["wb"] = niu.NewWBSlave(s.Clk, s.Net, wbSP, scfg(NodeWBMem)).SlaveEngine
 	}
 
 	if !cfg.Quiet {

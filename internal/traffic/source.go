@@ -245,6 +245,3 @@ func (s *source) Eval(cycle int64) {
 		}
 	}
 }
-
-// Update implements sim.Clocked.
-func (s *source) Update(cycle int64) {}

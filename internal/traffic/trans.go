@@ -194,7 +194,12 @@ func resolveRoles(tc TransConfig) []TransRole {
 // transaction latency per master. It panics on malformed role lists
 // (unknown socket, duplicate socket, bad target window) — the scenario
 // layer validates these with field-level errors before lowering here.
-func RunTrans(tc TransConfig) TransResult {
+func RunTrans(tc TransConfig) TransResult { return runTrans(tc, nil) }
+
+// runTrans is RunTrans with a hook: built, when non-nil, sees the SoC
+// after it is built and before it runs. The differential tests use it
+// to select the clock's reference mode and to read the SoC's stats.
+func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	tc = tc.withDefaults()
 	roles := resolveRoles(tc)
 	wishbone := tc.Wishbone
@@ -239,6 +244,9 @@ func RunTrans(tc TransConfig) TransResult {
 	}
 	s := soc.BuildNoC(soc.Config{Seed: tc.Seed, Quiet: true, Topology: tc.Topology,
 		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios})
+	if built != nil {
+		built(s)
+	}
 	socks := s.Sockets()
 	bases := []uint64{soc.BaseAXIMem, soc.BaseOCPMem, soc.BaseAHBMem, soc.BaseBVCIMem}
 	if wishbone {

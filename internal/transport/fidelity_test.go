@@ -52,8 +52,7 @@ type fidelityBurst struct {
 // send from Eval context, like traffic sources and NIUs do.
 type tickComp struct{ fn func(cycle int64) }
 
-func (t tickComp) Eval(cycle int64)   { t.fn(cycle) }
-func (t tickComp) Update(cycle int64) {}
+func (t tickComp) Eval(cycle int64) { t.fn(cycle) }
 
 func buildFidelityNet(topo string, cfg NetConfig, n int) (*sim.Clock, *Network) {
 	k := sim.NewKernel()

@@ -104,10 +104,10 @@ func (s *flitSlots) setFromFlit(i int, f Flit, stride int) {
 // flitQ is a flit FIFO over flitSlots with sim.Pipe register semantics:
 // values staged during a cycle become consumable at the next cycle, and
 // a slot freed by a pop cannot be refilled until the next cycle
-// (one-cycle credit turnaround via the startLen snapshot). It is not a
-// clocked component — the owning Network commits every lane in one
-// batch pass per clock edge, replacing the per-pipe virtual Update
-// calls of the AoS design.
+// (one-cycle credit turnaround via the startLen snapshot). It is not on
+// the clock's commit list itself — the owning Network commits every lane
+// in one batch pass per edge it is touched in, replacing the per-pipe
+// commits of the AoS design.
 //
 // Committed slots live in a power-of-two ring [head, head+clen); slots
 // staged this cycle are written in place directly behind them, at
@@ -181,9 +181,6 @@ func (q *flitQ) canPush(n int) bool {
 // len returns the number of committed (consumable) slots.
 func (q *flitQ) len() int { return q.clen }
 
-// occupancy returns committed plus staged slots (total storage in use).
-func (q *flitQ) occupancy() int { return q.clen + q.pend }
-
 // slot returns the ring index of the i-th oldest committed slot.
 func (q *flitQ) slot(i int) int { return (q.head + i) & q.mask }
 
@@ -237,8 +234,9 @@ func (q *flitQ) Len() int { return q.clen }
 
 // commit publishes this cycle's staged slots (already written in place
 // behind the committed window) and refreshes the credit snapshot. The
-// Network calls it for every lane on every edge; the cost is a few
-// integer stores whether the lane moved flits or sat idle.
+// Network calls it for every lane on every edge the fabric is awake or
+// accepts a packet; the cost is a few integer stores whether the lane
+// moved flits or sat idle.
 func (q *flitQ) commit() {
 	q.clen += q.pend
 	q.pend = 0

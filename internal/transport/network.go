@@ -91,11 +91,12 @@ type LinkID struct {
 // to construct one.
 //
 // The whole fabric is driven by a single clocked component: one Eval
-// call steps every switch and endpoint, and one Update call commits
-// every flit lane in a tight batch loop. Compared to registering each
-// lane as its own component, this removes per-lane interface dispatch
-// from the per-cycle path — the "one call per (link, edge)" batching
-// the hot path is built around.
+// call steps every switch and endpoint, and one entry on the clock's
+// commit list commits every flit lane in a tight batch loop. Compared to
+// registering each lane as its own component, this removes per-lane
+// interface dispatch from the per-cycle path — the "one call per (link,
+// edge)" batching the hot path is built around. A fabric that holds no
+// packet sleeps until TrySend wakes it.
 type Network struct {
 	clk *sim.Clock
 	cfg NetConfig
@@ -140,13 +141,16 @@ type Network struct {
 	// existed. looseCycleActive counts flit-path packets between
 	// TrySend acceptance and reassembly completion; when the engine is
 	// on and the count is zero, the per-cycle switch/endpoint sweep is
-	// skipped entirely (looseSkippedEval) — the speedup hybrid fidelity
-	// exists for.
+	// skipped entirely — the speedup hybrid fidelity exists for.
 	loose            *looseEngine
 	looseCycleActive int
-	looseSkippedEval bool
 
 	injected, ejected uint64
+	queued            int // flit-path packets accepted by TrySend, tail not yet injected
+
+	wake     sim.Waker         // the fabric tick's handle: TrySend wakes a sleeping fabric
+	staged   bool              // the lane commit is on this edge's commit list
+	commitFn func(cycle int64) // cached n.commit; a method value per edge would allocate
 }
 
 func newNetwork(clk *sim.Clock, cfg NetConfig) *Network {
@@ -154,13 +158,13 @@ func newNetwork(clk *sim.Clock, cfg NetConfig) *Network {
 	if n.cfg.Fidelity != FidelityCycle {
 		n.loose = newLooseEngine(n, n.cfg)
 	}
-	clk.Register(netTick{n})
+	n.commitFn = n.commit
+	n.wake = clk.Register(netTick{n})
 	return n
 }
 
 // netTick is the fabric's single clocked component: it batches every
-// switch, endpoint, and lane of one Network into one Eval and one
-// Update per clock edge.
+// switch and endpoint of one Network into one Eval per clock edge.
 type netTick struct{ n *Network }
 
 // Eval implements sim.Clocked: one cycle of fabric operation. Switches
@@ -173,13 +177,14 @@ func (t netTick) Eval(cycle int64) {
 		le.tick(cycle)
 		if t.n.looseCycleActive == 0 {
 			// No flit-path packets anywhere in the fabric: every lane is
-			// empty, so the switch/endpoint sweep would be a no-op.
-			// Skipping it is where hybrid fidelity's speedup comes from.
-			t.n.looseSkippedEval = true
+			// empty, so the switch/endpoint sweep and the lane commit
+			// would be no-ops. Skipping them is where hybrid fidelity's
+			// speedup comes from. (A flit-path TrySend later in the edge
+			// stages the commit itself.)
 			return
 		}
-		t.n.looseSkippedEval = false
 	}
+	t.n.stage()
 	for _, r := range t.n.routers {
 		r.eval(cycle)
 	}
@@ -188,26 +193,33 @@ func (t netTick) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked: commit every lane's staged flits and
-// per-cycle marks in one batch pass.
-func (t netTick) Update(cycle int64) {
-	// When the switch sweep was skipped this cycle and no flit-path send
-	// was staged afterwards (traffic sources run after the fabric tick),
-	// no lane holds staged or committed flits and no output-freed marks
-	// were set — the commit sweep would be a no-op too. The receive
-	// queues still tick: the loose engine stages deliveries into them.
-	if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
-		for _, q := range t.n.qs {
-			q.commit()
-		}
-		for _, r := range t.n.routers {
-			r.clearFreed()
-		}
+// Idle implements sim.Idler: a fabric with no packet anywhere — none
+// waiting in a send queue, none between injection and ejection — has
+// nothing to move, so its Eval would be a no-op until TrySend wakes it.
+// A probe samples every buffer on every cycle and the loose engine
+// keeps time, so a fabric with either never sleeps.
+func (t netTick) Idle() bool {
+	n := t.n
+	return n.queued == 0 && n.injected == n.ejected && n.probe == nil && n.loose == nil
+}
+
+// stage puts the lane commit on the clock's commit list, once per edge.
+func (n *Network) stage() {
+	if !n.staged {
+		n.staged = true
+		n.clk.OnCommit(n.commitFn)
 	}
-	for _, ep := range t.n.epList {
-		if !ep.recvQ.Quiescent() {
-			ep.recvQ.Update(cycle)
-		}
+}
+
+// commit publishes every lane's staged flits and clears the per-cycle
+// output-freed marks in one batch pass.
+func (n *Network) commit(int64) {
+	n.staged = false
+	for _, q := range n.qs {
+		q.commit()
+	}
+	for _, r := range n.routers {
+		r.clearFreed()
 	}
 }
 
@@ -246,6 +258,7 @@ func (n *Network) Routers() []*Router { return n.routers }
 // reports (obs.RouterNamer), it is fed them here.
 func (n *Network) SetProbe(p obs.Probe) {
 	n.probe = p
+	n.wake.Wake() // a probed fabric samples every cycle
 	for _, r := range n.routers {
 		r.probe = p
 	}
@@ -349,18 +362,7 @@ func (n *Network) Path(src, dst noctypes.NodeID) []LinkID {
 // Drained reports whether no packets are in flight and all endpoints have
 // empty send queues.
 func (n *Network) Drained() bool {
-	if n.InFlight() != 0 {
-		return false
-	}
-	if n.loose != nil && !n.loose.idle() {
-		return false
-	}
-	for _, ep := range n.epList {
-		if ep.sendQ.occupancy() > 0 {
-			return false
-		}
-	}
-	return true
+	return n.InFlight() == 0 && n.queued == 0 && (n.loose == nil || n.loose.idle())
 }
 
 // attach creates and registers an endpoint on router r's port.
@@ -377,7 +379,7 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 		port:   port,
 		sendQ:  newFlitDeq(fmt.Sprintf("send.%v", node), n.cfg.FlitBytes),
 		ej:     ej,
-		recvQ:  sim.NewUnclockedPipe[*Packet](fmt.Sprintf("recv.%v", node), 64),
+		recvQ:  sim.NewPipe[*Packet](n.clk, fmt.Sprintf("recv.%v", node), 64),
 		times:  make(map[uint64]pktTimes),
 		idOrd:  len(n.epList),
 	}
@@ -509,6 +511,9 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 		}
 	}
 	ep.pending++
+	ep.net.queued++
+	ep.net.stage()
+	ep.net.wake.Wake()
 	if ep.net.OnTransit != nil {
 		ep.times[p.ID] = pktTimes{queued: ep.net.clk.Cycle()}
 	}
@@ -520,6 +525,13 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 	}
 	return true
 }
+
+// SetConsumer names the component that receives from this endpoint:
+// every delivery wakes it (see sim.Idler).
+func (ep *Endpoint) SetConsumer(w sim.Waker) { ep.recvQ.SetConsumer(w) }
+
+// Received returns the number of delivered packets waiting for Recv.
+func (ep *Endpoint) Received() int { return ep.recvQ.Len() }
 
 // Recv pops the next received packet, if any. The packet belongs to the
 // caller; returning it with Network.Recycle when done keeps the fabric
@@ -569,6 +581,7 @@ func (ep *Endpoint) eval(cycle int64) {
 			}
 			if fl&slotTail != 0 {
 				ep.pending--
+				ep.net.queued--
 			}
 			q.pop()
 		}
