@@ -11,77 +11,131 @@ import (
 	"gonoc/internal/sim"
 )
 
-// Master-side bridges: a foreign-socket IP master on one side, an AHB
-// master engine on the bus side. Every bridge here embodies the paper's
-// Fig-2 criticism:
+// Bridges: a foreign socket on one side, the bus's AHB reference socket
+// on the other. Every bridge embodies the paper's Fig-2 criticism:
 //
-//   - one outstanding transaction (the reference socket is single-
+//   - one transaction in flight (the reference socket is single-
 //     outstanding): AXI/AVCI out-of-order and OCP threads serialize;
 //   - posted writes become blocking;
 //   - exclusive access and lazy synchronization are not expressible:
 //     AXI exclusives demote (OKAY, never EXOKAY), OCP WriteConditional
 //     fails unconditionally;
 //   - QoS hints are dropped on the floor;
-//   - every crossing costs conversion latency in each direction.
+//   - every crossing costs conversion latency.
+//
+// What they share is a crossing; a bridge itself only decodes its socket
+// into one AHB request and encodes the AHB response back onto it. Master
+// bridges put a foreign IP master on the bus through an AHB master
+// engine; a SlaveBridge puts a foreign target behind it.
 
-// BridgeConfig parameterizes a bridge.
-type BridgeConfig struct {
-	// Latency is conversion cycles added in each direction.
-	Latency int
+// latency is the conversion cost of one crossing, in cycles.
+const latency = 2
+
+// crossing is what every bridge shares: the one transaction in flight,
+// held in the bus's terms as an AHB request and response; the call that
+// issues it on the far side's master; the conversion latency; and the
+// count of transactions that lost a feature crossing the bridge.
+type crossing struct {
+	clk  *sim.Clock
+	call func(ahb.Req) // issues req on the far side's master, whose completion calls done
+
+	req   ahb.Req
+	rsp   ahb.Rsp
+	phase crossPhase
+	at    int64 // cycle the pending step is due
+
+	demoted uint64
 }
 
-func (c BridgeConfig) withDefaults() BridgeConfig {
-	if c.Latency == 0 {
-		c.Latency = 2
+// crossPhase is where a crossing's transaction is.
+type crossPhase uint8
+
+const (
+	crossIdle crossPhase = iota
+	crossIn              // waiting out the latency before the far side's call
+	crossFar             // the far side's master holds it
+	crossBack            // done on the far side; handed back at the due cycle
+)
+
+// Demoted counts the transactions that lost a feature crossing the
+// bridge (an exclusive, a reservation, a posted write, a thread or an ID
+// order, a stream's concurrency).
+func (x *crossing) Demoted() uint64 { return x.demoted }
+
+func (x *crossing) busy() bool { return x.phase != crossIdle }
+
+// start puts req in flight; the far side sees it latency cycles later.
+func (x *crossing) start(cycle int64, req ahb.Req) {
+	x.req, x.phase, x.at = req, crossIn, cycle+latency
+}
+
+// done is the far side's completion: the response is handed back at the
+// bridge's next Eval.
+func (x *crossing) done(rsp ahb.Rsp) {
+	x.rsp, x.phase, x.at = rsp, crossBack, x.clk.Cycle()
+}
+
+// advance runs the step due at cycle. It returns the response, and frees
+// the crossing, once the transaction has crossed back.
+func (x *crossing) advance(cycle int64) (ahb.Rsp, bool) {
+	if x.at > cycle {
+		return ahb.Rsp{}, false
 	}
-	return c
+	switch x.phase {
+	case crossIn:
+		x.phase = crossFar
+		x.call(x.req)
+	case crossBack:
+		x.phase = crossIdle
+		return x.rsp, true
+	}
+	return ahb.Rsp{}, false
 }
 
-// delayLine sequences delayed actions deterministically.
-type delayLine struct {
-	items []delayedFn
-}
-
-type delayedFn struct {
-	at int64
-	fn func()
-}
-
-func (d *delayLine) after(cycle int64, delay int, fn func()) {
-	d.items = append(d.items, delayedFn{at: cycle + int64(delay), fn: fn})
-}
-
-func (d *delayLine) run(cycle int64) {
-	for len(d.items) > 0 && d.items[0].at <= cycle {
-		fn := d.items[0].fn
-		d.items = d.items[1:]
-		fn()
+// toBus makes an AHB master engine on bus b the crossing's far side: the
+// bus side of a master bridge. The engine registers before the bridge,
+// so it completes a transaction earlier in the same cycle.
+func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
+	port := ahb.NewPort(clk, name, 2)
+	b.AddMaster(port)
+	eng := ahb.NewMaster(clk, port, 1)
+	wrote := func(r ahb.Resp) { x.done(ahb.Rsp{Resp: r}) }
+	// A read that comes back short (an error) is zero-padded to the
+	// length asked for; PVCI asks with 0 beats and takes its word as is.
+	read := func(r ahb.ReadResult) {
+		x.done(ahb.Rsp{Resp: r.Resp, Data: padTo(r.Data, x.req.Beats*int(x.req.Size))})
+	}
+	x.clk = clk
+	x.call = func(req ahb.Req) {
+		if req.Write {
+			eng.Write(req.Addr, req.Size, req.Burst, req.Data, wrote)
+		} else {
+			eng.Read(req.Addr, req.Size, req.Burst, req.Beats, read)
+		}
 	}
 }
 
-// BridgeStats aggregates bridge activity.
-type BridgeStats struct {
-	Forwarded uint64
-	Demoted   uint64 // transactions that lost a feature crossing the bridge
+func padTo(data []byte, n int) []byte {
+	if len(data) >= n {
+		return data
+	}
+	return append(data, make([]byte, n-len(data))...)
 }
 
-// AXIBridge adapts an AXI IP master onto the bus. Like every bridge
-// here it maps bursts through ahb.BurstFor, so FIXED (and OCP STRM)
-// degrades to INCR — a real bridge feature loss (readers of a FIFO
-// register through a bridge get incrementing addresses).
+// AXIBridge adapts an AXI IP master onto the bus: it collects a write
+// burst's W beats before crossing and streams a read back beat by beat.
+// Like every bridge it maps bursts through ahb.BurstFor, so FIXED (and
+// OCP STRM) degrades to INCR — a real bridge feature loss (readers of a
+// FIFO register through a bridge get incrementing addresses).
 type AXIBridge struct {
-	cfg  BridgeConfig
+	crossing
 	port *axi.Port
-	eng  *ahb.Master
-	dq   delayLine
+	id   int // AXI ID of the transaction in flight
 
 	wQ    []axi.WBeat
 	rQ    []bridgedRead
 	rBeat int
 	bQ    []axi.BBeat
-	busy  bool
-
-	stats BridgeStats
 }
 
 type bridgedRead struct {
@@ -93,20 +147,23 @@ type bridgedRead struct {
 }
 
 // NewAXIBridge creates the bridge, registering its bus master port.
-func NewAXIBridge(clk *sim.Clock, b *Bus, port *axi.Port, cfg BridgeConfig) *AXIBridge {
-	busPort := ahb.NewPort(clk, "brg.axi", 2)
-	b.AddMaster(busPort)
-	br := &AXIBridge{cfg: cfg.withDefaults(), port: port, eng: ahb.NewMaster(clk, busPort, 1)}
+func NewAXIBridge(clk *sim.Clock, b *Bus, port *axi.Port) *AXIBridge {
+	br := &AXIBridge{port: port}
+	br.toBus(clk, b, "brg.axi")
 	clk.Register(br)
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *AXIBridge) Stats() BridgeStats { return br.stats }
-
 // Eval implements sim.Clocked.
 func (br *AXIBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
+	if rsp, ok := br.advance(cycle); ok {
+		if br.req.Write {
+			br.bQ = append(br.bQ, axi.BBeat{ID: br.id, Resp: ahbToAXI(rsp.Resp)})
+		} else {
+			br.rQ = append(br.rQ, bridgedRead{id: br.id, data: rsp.Data,
+				size: int(br.req.Size), beats: br.req.Beats, resp: ahbToAXI(rsp.Resp)})
+		}
+	}
 	// Stream buffered responses to the IP.
 	if len(br.rQ) > 0 && br.port.R.CanPush(1) {
 		r := &br.rQ[0]
@@ -127,7 +184,7 @@ func (br *AXIBridge) Eval(cycle int64) {
 	if w, ok := br.port.W.Pop(); ok {
 		br.wQ = append(br.wQ, w)
 	}
-	if br.busy {
+	if br.busy() {
 		return // serialization: ONE outstanding, unlike the NoC NIU
 	}
 	// Prefer a complete write burst, else a read.
@@ -148,41 +205,22 @@ func (br *AXIBridge) Eval(cycle int64) {
 			}
 			br.wQ = br.wQ[need:]
 			if aw.Lock {
-				br.stats.Demoted++ // exclusive write demoted to plain write
+				br.demoted++ // exclusive write demoted to plain write
 			}
-			br.busy = true
-			id := aw.ID
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.eng.Write(aw.Addr, aw.Size, ahb.BurstFor(aw.Burst == axi.BurstWrap, need), data, func(resp ahb.Resp) {
-					br.dq.after(cycle, br.cfg.Latency, func() {
-						br.bQ = append(br.bQ, axi.BBeat{ID: id, Resp: ahbToAXI(resp)})
-						br.busy = false
-						br.stats.Forwarded++
-					})
-				})
-			})
+			br.id = aw.ID
+			br.start(cycle, ahb.Req{Write: true, Addr: aw.Addr, Size: aw.Size,
+				Burst: ahb.BurstFor(aw.Burst == axi.BurstWrap, need), Data: data})
 			return
 		}
 	}
-	if ar, ok := br.port.AR.Peek(); ok {
-		br.port.AR.Pop()
+	if ar, ok := br.port.AR.Pop(); ok {
 		if ar.Lock {
-			br.stats.Demoted++ // exclusive read demoted
+			br.demoted++ // exclusive read demoted
 		}
-		br.busy = true
 		beats := ar.Beats()
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Read(ar.Addr, ar.Size, ahb.BurstFor(ar.Burst == axi.BurstWrap, beats), beats, func(res ahb.ReadResult) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.rQ = append(br.rQ, bridgedRead{
-						id: ar.ID, data: padTo(res.Data, beats*int(ar.Size)),
-						size: int(ar.Size), beats: beats, resp: ahbToAXI(res.Resp),
-					})
-					br.busy = false
-					br.stats.Forwarded++
-				})
-			})
-		})
+		br.id = ar.ID
+		br.start(cycle, ahb.Req{Addr: ar.Addr, Size: ar.Size,
+			Burst: ahb.BurstFor(ar.Burst == axi.BurstWrap, beats), Beats: beats})
 	}
 }
 
@@ -193,27 +231,19 @@ func ahbToAXI(r ahb.Resp) axi.Resp {
 	return axi.RespSLVERR // the bridge cannot distinguish DECERR
 }
 
-func padTo(data []byte, n int) []byte {
-	if len(data) >= n {
-		return data
-	}
-	return append(data, make([]byte, n-len(data))...)
-}
-
-// OCPBridge adapts an OCP IP master onto the bus: threads collapse into
-// one stream, posted writes block, lazy synchronization is refused.
+// OCPBridge adapts an OCP IP master onto the bus: it assembles a burst
+// from its request beats before crossing; threads collapse into one
+// stream, posted writes block, a linked read loses its reservation and
+// lazy synchronization is refused without crossing.
 type OCPBridge struct {
-	cfg  BridgeConfig
-	port *ocp.Port
-	eng  *ahb.Master
-	dq   delayLine
+	crossing
+	port   *ocp.Port
+	thread int  // thread of the transaction in flight
+	posted bool // the transaction in flight is a posted write: no response
 
 	asm   map[int]*ocpBridgeAsm
 	rspQ  []bridgedOCPRsp
 	rBeat int
-	busy  bool
-
-	stats BridgeStats
 }
 
 type ocpBridgeAsm struct {
@@ -231,24 +261,22 @@ type bridgedOCPRsp struct {
 }
 
 // NewOCPBridge creates the bridge.
-func NewOCPBridge(clk *sim.Clock, b *Bus, port *ocp.Port, cfg BridgeConfig) *OCPBridge {
-	busPort := ahb.NewPort(clk, "brg.ocp", 2)
-	b.AddMaster(busPort)
-	br := &OCPBridge{
-		cfg: cfg.withDefaults(), port: port,
-		eng: ahb.NewMaster(clk, busPort, 1),
-		asm: make(map[int]*ocpBridgeAsm),
-	}
+func NewOCPBridge(clk *sim.Clock, b *Bus, port *ocp.Port) *OCPBridge {
+	br := &OCPBridge{port: port, asm: make(map[int]*ocpBridgeAsm)}
+	br.toBus(clk, b, "brg.ocp")
 	clk.Register(br)
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *OCPBridge) Stats() BridgeStats { return br.stats }
-
 // Eval implements sim.Clocked.
 func (br *OCPBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
+	if rsp, ok := br.advance(cycle); ok && !br.posted {
+		r := bridgedOCPRsp{thread: br.thread, beats: 1, resp: ocpRespFromAHB(rsp.Resp)}
+		if !br.req.Write {
+			r.data, r.size, r.beats = rsp.Data, int(br.req.Size), br.req.Beats
+		}
+		br.rspQ = append(br.rspQ, r)
+	}
 	if len(br.rspQ) > 0 && br.port.Resp.CanPush(1) {
 		r := &br.rspQ[0]
 		last := br.rBeat == r.beats-1
@@ -265,7 +293,7 @@ func (br *OCPBridge) Eval(cycle int64) {
 			br.rBeat++
 		}
 	}
-	if br.busy {
+	if br.busy() {
 		return
 	}
 	beat, ok := br.port.Req.Peek()
@@ -294,49 +322,21 @@ func (br *OCPBridge) Eval(cycle int64) {
 	if beat.Cmd.IsWrite() {
 		data = append(append([]byte(nil), a.data...), beat.Data...)
 	}
-	thread := first.ThreadID
-	size := int(first.Size)
 
 	switch first.Cmd {
 	case ocp.CmdWRC:
 		// Lazy synchronization cannot cross the bridge: fail closed.
-		br.stats.Demoted++
-		br.rspQ = append(br.rspQ, bridgedOCPRsp{thread: thread, beats: 1, resp: ocp.RespFAIL})
+		br.demoted++
+		br.rspQ = append(br.rspQ, bridgedOCPRsp{thread: first.ThreadID, beats: 1, resp: ocp.RespFAIL})
 		return
 	case ocp.CmdRDL:
-		br.stats.Demoted++ // reservation silently dropped: plain read
+		br.demoted++ // reservation silently dropped: plain read
 	case ocp.CmdWR:
-		br.stats.Demoted++ // posted write becomes blocking below
+		br.demoted++ // posted write becomes blocking
 	}
-
-	br.busy = true
-	if first.Cmd.IsWrite() {
-		posted := first.Cmd == ocp.CmdWR
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(first.Addr, first.Size, ahb.BurstFor(first.Seq == ocp.SeqWrap, beats), data, func(resp ahb.Resp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.busy = false
-					br.stats.Forwarded++
-					if !posted {
-						br.rspQ = append(br.rspQ, bridgedOCPRsp{thread: thread, beats: 1, resp: ocpRespFromAHB(resp)})
-					}
-				})
-			})
-		})
-		return
-	}
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(first.Addr, first.Size, ahb.BurstFor(first.Seq == ocp.SeqWrap, beats), beats, func(res ahb.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.busy = false
-				br.stats.Forwarded++
-				br.rspQ = append(br.rspQ, bridgedOCPRsp{
-					thread: thread, data: padTo(res.Data, beats*size),
-					size: size, beats: beats, resp: ocpRespFromAHB(res.Resp),
-				})
-			})
-		})
-	})
+	br.thread, br.posted = first.ThreadID, first.Cmd == ocp.CmdWR
+	br.start(cycle, ahb.Req{Write: first.Cmd.IsWrite(), Addr: first.Addr, Size: first.Size,
+		Burst: ahb.BurstFor(first.Seq == ocp.SeqWrap, beats), Beats: beats, Data: data})
 }
 
 func ocpRespFromAHB(r ahb.Resp) ocp.SResp {
@@ -346,221 +346,102 @@ func ocpRespFromAHB(r ahb.Resp) ocp.SResp {
 	return ocp.RespERR
 }
 
-// AVCIBridge adapts an AVCI master onto the bus, serializing IDs.
-type AVCIBridge struct {
-	cfg   BridgeConfig
-	port  *vci.APort
-	eng   *ahb.Master
-	dq    delayLine
-	rspQ  []vci.ARsp
-	busy  bool
-	stats BridgeStats
+// VCIBridge adapts a VCI master onto the bus. One type serves the three
+// VCI flavours, which differ only in their request and response types:
+// PVCI and BVCI orderings match the bus, so they lose only latency; AVCI
+// loses its ID-based reordering (strict FIFO).
+type VCIBridge[Req, Rsp any] struct {
+	crossing
+	req     *sim.Pipe[Req]
+	rsp     *sim.Pipe[Rsp]
+	decode  func(Req) ahb.Req
+	encode  func(Req, ahb.Rsp) Rsp
+	demotes bool // every transaction loses a feature (AVCI's ID order)
+
+	cur  Req // the request in flight
+	rspQ []Rsp
 }
 
-// NewAVCIBridge creates the bridge.
-func NewAVCIBridge(clk *sim.Clock, b *Bus, port *vci.APort, cfg BridgeConfig) *AVCIBridge {
-	busPort := ahb.NewPort(clk, "brg.avci", 2)
-	b.AddMaster(busPort)
-	br := &AVCIBridge{cfg: cfg.withDefaults(), port: port, eng: ahb.NewMaster(clk, busPort, 1)}
+func newVCIBridge[Req, Rsp any](clk *sim.Clock, b *Bus, name string, req *sim.Pipe[Req], rsp *sim.Pipe[Rsp],
+	decode func(Req) ahb.Req, encode func(Req, ahb.Rsp) Rsp) *VCIBridge[Req, Rsp] {
+	br := &VCIBridge[Req, Rsp]{req: req, rsp: rsp, decode: decode, encode: encode}
+	br.toBus(clk, b, name)
 	clk.Register(br)
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *AVCIBridge) Stats() BridgeStats { return br.stats }
-
-// Eval implements sim.Clocked.
-func (br *AVCIBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if len(br.rspQ) > 0 && br.port.Rsp.CanPush(1) {
-		br.port.Rsp.Push(br.rspQ[0])
-		br.rspQ = br.rspQ[1:]
-	}
-	if br.busy {
-		return
-	}
-	areq, ok := br.port.Req.Peek()
-	if !ok {
-		return
-	}
-	br.port.Req.Pop()
-	br.busy = true
-	br.stats.Demoted++ // ID-based reordering lost: strict FIFO
-	if areq.Op == vci.OpWrite {
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(areq.Addr, areq.Size, ahb.BurstFor(areq.Wrap, areq.Beats), areq.Data, func(resp ahb.Resp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					out := vci.ARsp{ID: areq.ID}
-					out.Err = resp != ahb.RespOkay
-					br.rspQ = append(br.rspQ, out)
-					br.busy = false
-					br.stats.Forwarded++
-				})
-			})
-		})
-		return
-	}
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(areq.Addr, areq.Size, ahb.BurstFor(areq.Wrap, areq.Beats), areq.Beats, func(res ahb.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				out := vci.ARsp{ID: areq.ID}
-				out.Err = res.Resp != ahb.RespOkay
-				out.Data = padTo(res.Data, areq.Beats*int(areq.Size))
-				br.rspQ = append(br.rspQ, out)
-				br.busy = false
-				br.stats.Forwarded++
-			})
-		})
-	})
+// NewPVCIBridge creates the bridge for a PVCI master: a single word
+// crosses as one SINGLE transfer of its byte count.
+func NewPVCIBridge(clk *sim.Clock, b *Bus, port *vci.PPort) *VCIBridge[vci.PReq, vci.PRsp] {
+	return newVCIBridge(clk, b, "brg.pvci", port.Req, port.Rsp, pvciToAHB,
+		func(_ vci.PReq, r ahb.Rsp) vci.PRsp { return vci.PRsp{Data: r.Data, Err: r.Resp != ahb.RespOkay} })
 }
 
-// BVCIBridge adapts a BVCI master onto the bus (orderings match; only
-// latency is lost).
-type BVCIBridge struct {
-	cfg   BridgeConfig
-	port  *vci.BPort
-	eng   *ahb.Master
-	dq    delayLine
-	rspQ  []vci.BRsp
-	busy  bool
-	stats BridgeStats
+// NewBVCIBridge creates the bridge for a BVCI master.
+func NewBVCIBridge(clk *sim.Clock, b *Bus, port *vci.BPort) *VCIBridge[vci.BReq, vci.BRsp] {
+	return newVCIBridge(clk, b, "brg.bvci", port.Req, port.Rsp, bvciToAHB,
+		func(_ vci.BReq, r ahb.Rsp) vci.BRsp { return bvciFromAHB(r) })
 }
 
-// NewBVCIBridge creates the bridge.
-func NewBVCIBridge(clk *sim.Clock, b *Bus, port *vci.BPort, cfg BridgeConfig) *BVCIBridge {
-	busPort := ahb.NewPort(clk, "brg.bvci", 2)
-	b.AddMaster(busPort)
-	br := &BVCIBridge{cfg: cfg.withDefaults(), port: port, eng: ahb.NewMaster(clk, busPort, 1)}
-	clk.Register(br)
+// NewAVCIBridge creates the bridge for an AVCI master, serializing IDs.
+func NewAVCIBridge(clk *sim.Clock, b *Bus, port *vci.APort) *VCIBridge[vci.AReq, vci.ARsp] {
+	br := newVCIBridge(clk, b, "brg.avci", port.Req, port.Rsp,
+		func(r vci.AReq) ahb.Req { return bvciToAHB(r.BReq) },
+		func(r vci.AReq, rsp ahb.Rsp) vci.ARsp { return vci.ARsp{BRsp: bvciFromAHB(rsp), ID: r.ID} })
+	br.demotes = true
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *BVCIBridge) Stats() BridgeStats { return br.stats }
+func pvciToAHB(r vci.PReq) ahb.Req {
+	if r.Write {
+		return ahb.Req{Write: true, Addr: r.Addr, Size: uint8(len(r.Data)), Burst: ahb.BurstSingle, Data: r.Data}
+	}
+	n := r.N
+	if n < 1 || n > 4 {
+		n = 4
+	}
+	return ahb.Req{Addr: r.Addr, Size: uint8(n), Burst: ahb.BurstSingle}
+}
+
+func bvciToAHB(r vci.BReq) ahb.Req {
+	return ahb.Req{Write: r.Op == vci.OpWrite, Addr: r.Addr, Size: r.Size,
+		Burst: ahb.BurstFor(r.Wrap, r.Beats), Beats: r.Beats, Data: r.Data}
+}
+
+func bvciFromAHB(r ahb.Rsp) vci.BRsp { return vci.BRsp{Data: r.Data, Err: r.Resp != ahb.RespOkay} }
 
 // Eval implements sim.Clocked.
-func (br *BVCIBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if len(br.rspQ) > 0 && br.port.Rsp.CanPush(1) {
-		br.port.Rsp.Push(br.rspQ[0])
+func (br *VCIBridge[Req, Rsp]) Eval(cycle int64) {
+	if rsp, ok := br.advance(cycle); ok {
+		br.rspQ = append(br.rspQ, br.encode(br.cur, rsp))
+	}
+	if len(br.rspQ) > 0 && br.rsp.CanPush(1) {
+		br.rsp.Push(br.rspQ[0])
 		br.rspQ = br.rspQ[1:]
 	}
-	if br.busy {
+	if br.busy() {
 		return
 	}
-	breq, ok := br.port.Req.Peek()
-	if !ok {
-		return
+	if req, ok := br.req.Pop(); ok {
+		if br.demotes {
+			br.demoted++
+		}
+		br.cur = req
+		br.start(cycle, br.decode(req))
 	}
-	br.port.Req.Pop()
-	br.busy = true
-	if breq.Op == vci.OpWrite {
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(breq.Addr, breq.Size, ahb.BurstFor(breq.Wrap, breq.Beats), breq.Data, func(resp ahb.Resp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.rspQ = append(br.rspQ, vci.BRsp{Err: resp != ahb.RespOkay})
-					br.busy = false
-					br.stats.Forwarded++
-				})
-			})
-		})
-		return
-	}
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(breq.Addr, breq.Size, ahb.BurstFor(breq.Wrap, breq.Beats), breq.Beats, func(res ahb.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.rspQ = append(br.rspQ, vci.BRsp{
-					Err:  res.Resp != ahb.RespOkay,
-					Data: padTo(res.Data, breq.Beats*int(breq.Size)),
-				})
-				br.busy = false
-				br.stats.Forwarded++
-			})
-		})
-	})
-}
-
-// PVCIBridge adapts a PVCI master onto the bus.
-type PVCIBridge struct {
-	cfg   BridgeConfig
-	port  *vci.PPort
-	eng   *ahb.Master
-	dq    delayLine
-	rspQ  []vci.PRsp
-	busy  bool
-	stats BridgeStats
-}
-
-// NewPVCIBridge creates the bridge.
-func NewPVCIBridge(clk *sim.Clock, b *Bus, port *vci.PPort, cfg BridgeConfig) *PVCIBridge {
-	busPort := ahb.NewPort(clk, "brg.pvci", 2)
-	b.AddMaster(busPort)
-	br := &PVCIBridge{cfg: cfg.withDefaults(), port: port, eng: ahb.NewMaster(clk, busPort, 1)}
-	clk.Register(br)
-	return br
-}
-
-// Stats returns bridge counters.
-func (br *PVCIBridge) Stats() BridgeStats { return br.stats }
-
-// Eval implements sim.Clocked.
-func (br *PVCIBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if len(br.rspQ) > 0 && br.port.Rsp.CanPush(1) {
-		br.port.Rsp.Push(br.rspQ[0])
-		br.rspQ = br.rspQ[1:]
-	}
-	if br.busy {
-		return
-	}
-	preq, ok := br.port.Req.Peek()
-	if !ok {
-		return
-	}
-	br.port.Req.Pop()
-	br.busy = true
-	if preq.Write {
-		data := preq.Data
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(preq.Addr, uint8(len(data)), ahb.BurstSingle, data, func(resp ahb.Resp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.rspQ = append(br.rspQ, vci.PRsp{Err: resp != ahb.RespOkay})
-					br.busy = false
-					br.stats.Forwarded++
-				})
-			})
-		})
-		return
-	}
-	nBytes := preq.N
-	if nBytes < 1 || nBytes > 4 {
-		nBytes = 4
-	}
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(preq.Addr, uint8(nBytes), ahb.BurstSingle, 0, func(res ahb.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.rspQ = append(br.rspQ, vci.PRsp{Err: res.Resp != ahb.RespOkay, Data: res.Data})
-				br.busy = false
-				br.stats.Forwarded++
-			})
-		})
-	})
 }
 
 // PropBridge adapts the proprietary streaming socket onto the bus: one
-// stream at a time, one 64-byte burst in flight, acks synthesized by the
-// bridge.
+// stream each way at a time, one chunk of at most 64 bytes crossing at a
+// time, acks synthesized by the bridge. A chunk crosses as a size-1 INCR
+// of its byte count.
 type PropBridge struct {
-	cfg  BridgeConfig
+	crossing
 	port *prop.Port
-	eng  *ahb.Master
-	dq   delayLine
 
-	wr    *propBridgeWr
-	rd    *propBridgeRd
-	ackQ  []prop.Ack
-	busy  bool
-	stats BridgeStats
+	wr   *propBridgeWr
+	rd   *propBridgeRd
+	ackQ []prop.Ack
 }
 
 type propBridgeWr struct {
@@ -580,20 +461,22 @@ type propBridgeRd struct {
 }
 
 // NewPropBridge creates the bridge.
-func NewPropBridge(clk *sim.Clock, b *Bus, port *prop.Port, cfg BridgeConfig) *PropBridge {
-	busPort := ahb.NewPort(clk, "brg.prop", 2)
-	b.AddMaster(busPort)
-	br := &PropBridge{cfg: cfg.withDefaults(), port: port, eng: ahb.NewMaster(clk, busPort, 1)}
+func NewPropBridge(clk *sim.Clock, b *Bus, port *prop.Port) *PropBridge {
+	br := &PropBridge{port: port}
+	br.toBus(clk, b, "brg.prop")
 	clk.Register(br)
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *PropBridge) Stats() BridgeStats { return br.stats }
-
 // Eval implements sim.Clocked.
 func (br *PropBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
+	if rsp, ok := br.advance(cycle); ok {
+		if br.req.Write {
+			br.acked(len(br.req.Data), rsp.Resp == ahb.RespOkay)
+		} else {
+			br.rd.got = append(br.rd.got, rsp.Data...)
+		}
+	}
 	if len(br.ackQ) > 0 && br.port.Ack.CanPush(1) {
 		br.port.Ack.Push(br.ackQ[0])
 		br.ackQ = br.ackQ[1:]
@@ -605,13 +488,13 @@ func (br *PropBridge) Eval(cycle int64) {
 				panic("bus: prop bridge supports one write stream at a time")
 			}
 			br.wr = &propBridgeWr{d: d}
-			br.stats.Demoted++ // concurrency lost vs the socket's contract
+			br.demoted++ // concurrency lost vs the socket's contract
 		case prop.OpStreamRead:
 			if br.rd != nil {
 				panic("bus: prop bridge supports one read stream at a time")
 			}
 			br.rd = &propBridgeRd{d: d}
-			br.stats.Demoted++
+			br.demoted++
 		}
 	}
 	if c, ok := br.port.Wr.Pop(); ok {
@@ -622,12 +505,27 @@ func (br *PropBridge) Eval(cycle int64) {
 		br.wr.gotLast = br.wr.gotLast || c.Last
 	}
 	br.emitReadChunk()
-	if br.busy {
+	if br.busy() {
 		return
 	}
 	br.issueWrite(cycle)
-	if !br.busy {
+	if !br.busy() {
 		br.issueRead(cycle)
+	}
+}
+
+// acked settles a write chunk of sz bytes that crossed back.
+func (br *PropBridge) acked(sz int, ok bool) {
+	st := br.wr
+	st.acked += sz
+	st.ackPend += (sz + prop.ChunkBytes - 1) / prop.ChunkBytes
+	for st.ackPend >= prop.AckEvery {
+		br.ackQ = append(br.ackQ, prop.Ack{StreamID: st.d.StreamID, Chunks: prop.AckEvery, OK: ok})
+		st.ackPend -= prop.AckEvery
+	}
+	if st.gotLast && len(st.buf) == 0 && st.acked == st.sent {
+		br.ackQ = append(br.ackQ, prop.Ack{StreamID: st.d.StreamID, Chunks: st.ackPend, Done: true, OK: ok})
+		br.wr = nil
 	}
 }
 
@@ -647,26 +545,7 @@ func (br *PropBridge) issueWrite(cycle int64) {
 	st.buf = st.buf[sz:]
 	addr := st.d.Addr + uint64(st.sent)
 	st.sent += sz
-	br.busy = true
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Write(addr, 1, ahb.BurstIncr, data, func(resp ahb.Resp) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.busy = false
-				br.stats.Forwarded++
-				st.acked += sz
-				st.ackPend += (sz + prop.ChunkBytes - 1) / prop.ChunkBytes
-				done := st.gotLast && len(st.buf) == 0 && st.acked == st.sent
-				for st.ackPend >= prop.AckEvery {
-					br.ackQ = append(br.ackQ, prop.Ack{StreamID: st.d.StreamID, Chunks: prop.AckEvery, OK: resp == ahb.RespOkay})
-					st.ackPend -= prop.AckEvery
-				}
-				if done {
-					br.ackQ = append(br.ackQ, prop.Ack{StreamID: st.d.StreamID, Chunks: st.ackPend, Done: true, OK: resp == ahb.RespOkay})
-					br.wr = nil
-				}
-			})
-		})
-	})
+	br.start(cycle, ahb.Req{Write: true, Addr: addr, Size: 1, Burst: ahb.BurstIncr, Data: data})
 }
 
 func (br *PropBridge) issueRead(cycle int64) {
@@ -680,16 +559,7 @@ func (br *PropBridge) issueRead(cycle int64) {
 	}
 	addr := st.d.Addr + uint64(st.issued)
 	st.issued += sz
-	br.busy = true
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(addr, 1, ahb.BurstIncr, sz, func(res ahb.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.busy = false
-				br.stats.Forwarded++
-				st.got = append(st.got, res.Data...)
-			})
-		})
-	})
+	br.start(cycle, ahb.Req{Addr: addr, Size: 1, Burst: ahb.BurstIncr, Beats: sz})
 }
 
 func (br *PropBridge) emitReadChunk() {

@@ -9,82 +9,61 @@ import (
 	"gonoc/internal/sim"
 )
 
-// Slave-side bridges: the bus's AHB reference socket on one side, a
-// foreign-socket target IP on the other (Fig 2's lower row of bridges).
-// Like their master-side cousins they serialize (one transaction in
-// flight) and add conversion latency in both directions.
-
-// AXISlaveBridge puts an AXI target IP behind the bus.
-type AXISlaveBridge struct {
-	cfg     BridgeConfig
-	busPort *ahb.Port
-	eng     *axi.Master
-	dq      delayLine
-	busy    bool
-	stats   BridgeStats
+// SlaveBridge puts a foreign-socket target IP behind the bus (Fig 2's
+// lower row of bridges). It takes one transaction at a time off its AHB
+// socket and replays it on the target through the target's own protocol
+// master; that master call is the only part that differs per target.
+type SlaveBridge struct {
+	crossing
+	port *ahb.Port
 }
 
-// NewAXISlaveBridge creates the bridge and attaches it to the bus at the
-// address-map node.
-func NewAXISlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *axi.Port, cfg BridgeConfig) *AXISlaveBridge {
-	busPort := ahb.NewPort(clk, "sbrg.axi", 2)
-	b.AddSlave(node, busPort)
-	br := &AXISlaveBridge{
-		cfg:     cfg.withDefaults(),
-		busPort: busPort,
-		eng:     axi.NewMaster(clk, ipPort, nil),
+// newSlaveBridge attaches the bridge's AHB socket to bus b at node. The
+// caller creates the target's master, sets call, and then registers the
+// bridge, so that the master completes earlier in the same cycle.
+func newSlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, name string) *SlaveBridge {
+	port := ahb.NewPort(clk, name, 2)
+	b.AddSlave(node, port)
+	return &SlaveBridge{crossing: crossing{clk: clk}, port: port}
+}
+
+// Eval implements sim.Clocked.
+func (br *SlaveBridge) Eval(cycle int64) {
+	if rsp, ok := br.advance(cycle); ok {
+		// The bus consumes exactly one response per forwarded request;
+		// its pipe has room by construction (single outstanding).
+		if !br.port.Rsp.Push(rsp) {
+			panic("bus: slave bridge response pipe full")
+		}
+	}
+	if br.busy() {
+		return
+	}
+	if req, ok := br.port.Req.Pop(); ok {
+		br.start(cycle, req)
+	}
+}
+
+// NewAXISlaveBridge puts an AXI target behind the bus at the address-map
+// node.
+func NewAXISlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *axi.Port) *SlaveBridge {
+	br := newSlaveBridge(clk, b, node, "sbrg.axi")
+	eng := axi.NewMaster(clk, ipPort, nil)
+	wrote := func(r axi.Resp) { br.done(ahb.Rsp{Resp: axiToAHB(r)}) }
+	read := func(r axi.ReadResult) { br.done(ahb.Rsp{Resp: axiToAHB(r.Resp), Data: r.Data}) }
+	br.call = func(req ahb.Req) {
+		burst := axi.BurstIncr
+		if req.Burst.Wraps() {
+			burst = axi.BurstWrap
+		}
+		if req.Write {
+			eng.Write(0, req.Addr, req.Size, burst, req.Data, wrote)
+		} else {
+			eng.Read(0, req.Addr, req.Size, req.NumBeats(), burst, read)
+		}
 	}
 	clk.Register(br)
 	return br
-}
-
-// Stats returns bridge counters.
-func (br *AXISlaveBridge) Stats() BridgeStats { return br.stats }
-
-// Eval implements sim.Clocked.
-func (br *AXISlaveBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if br.busy {
-		return
-	}
-	req, ok := br.busPort.Req.Peek()
-	if !ok {
-		return
-	}
-	br.busPort.Req.Pop()
-	br.busy = true
-	beats := req.NumBeats()
-	burst := axi.BurstIncr
-	if req.Burst.Wraps() {
-		burst = axi.BurstWrap
-	}
-	if req.Write {
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(0, req.Addr, req.Size, burst, req.Data, func(resp axi.Resp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.reply(ahb.Rsp{Resp: axiToAHB(resp)})
-				})
-			})
-		})
-		return
-	}
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(0, req.Addr, req.Size, beats, burst, func(res axi.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.reply(ahb.Rsp{Resp: axiToAHB(res.Resp), Data: res.Data})
-			})
-		})
-	})
-}
-
-func (br *AXISlaveBridge) reply(rsp ahb.Rsp) {
-	// The bus consumes exactly one response per forwarded request; its
-	// pipe has room by construction (single outstanding).
-	if !br.busPort.Rsp.Push(rsp) {
-		panic("bus: slave bridge response pipe full")
-	}
-	br.busy = false
-	br.stats.Forwarded++
 }
 
 func axiToAHB(r axi.Resp) ahb.Resp {
@@ -94,74 +73,26 @@ func axiToAHB(r axi.Resp) ahb.Resp {
 	return ahb.RespError
 }
 
-// OCPSlaveBridge puts an OCP target IP behind the bus.
-type OCPSlaveBridge struct {
-	cfg     BridgeConfig
-	busPort *ahb.Port
-	eng     *ocp.Master
-	dq      delayLine
-	busy    bool
-	stats   BridgeStats
-}
-
-// NewOCPSlaveBridge creates the bridge.
-func NewOCPSlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *ocp.Port, cfg BridgeConfig) *OCPSlaveBridge {
-	busPort := ahb.NewPort(clk, "sbrg.ocp", 2)
-	b.AddSlave(node, busPort)
-	br := &OCPSlaveBridge{
-		cfg:     cfg.withDefaults(),
-		busPort: busPort,
-		eng:     ocp.NewMaster(clk, ipPort),
+// NewOCPSlaveBridge puts an OCP target behind the bus at the address-map
+// node.
+func NewOCPSlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *ocp.Port) *SlaveBridge {
+	br := newSlaveBridge(clk, b, node, "sbrg.ocp")
+	eng := ocp.NewMaster(clk, ipPort)
+	wrote := func(s ocp.SResp) { br.done(ahb.Rsp{Resp: ocpToAHB(s)}) }
+	read := func(r ocp.ReadResult) { br.done(ahb.Rsp{Resp: ocpToAHB(r.Resp), Data: r.Data}) }
+	br.call = func(req ahb.Req) {
+		seq := ocp.SeqIncr
+		if req.Burst.Wraps() {
+			seq = ocp.SeqWrap
+		}
+		if req.Write {
+			eng.WriteNonPosted(0, req.Addr, req.Size, seq, req.Data, wrote)
+		} else {
+			eng.Read(0, req.Addr, req.Size, req.NumBeats(), seq, read)
+		}
 	}
 	clk.Register(br)
 	return br
-}
-
-// Stats returns bridge counters.
-func (br *OCPSlaveBridge) Stats() BridgeStats { return br.stats }
-
-// Eval implements sim.Clocked.
-func (br *OCPSlaveBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if br.busy {
-		return
-	}
-	req, ok := br.busPort.Req.Peek()
-	if !ok {
-		return
-	}
-	br.busPort.Req.Pop()
-	br.busy = true
-	seq := ocp.SeqIncr
-	if req.Burst.Wraps() {
-		seq = ocp.SeqWrap
-	}
-	if req.Write {
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.WriteNonPosted(0, req.Addr, req.Size, seq, req.Data, func(s ocp.SResp) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.reply(ahb.Rsp{Resp: ocpToAHB(s)})
-				})
-			})
-		})
-		return
-	}
-	beats := req.NumBeats()
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(0, req.Addr, req.Size, beats, seq, func(res ocp.ReadResult) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.reply(ahb.Rsp{Resp: ocpToAHB(res.Resp), Data: res.Data})
-			})
-		})
-	})
-}
-
-func (br *OCPSlaveBridge) reply(rsp ahb.Rsp) {
-	if !br.busPort.Rsp.Push(rsp) {
-		panic("bus: slave bridge response pipe full")
-	}
-	br.busy = false
-	br.stats.Forwarded++
 }
 
 func ocpToAHB(s ocp.SResp) ahb.Resp {
@@ -171,72 +102,27 @@ func ocpToAHB(s ocp.SResp) ahb.Resp {
 	return ahb.RespError
 }
 
-// BVCISlaveBridge puts a BVCI target IP behind the bus.
-type BVCISlaveBridge struct {
-	cfg     BridgeConfig
-	busPort *ahb.Port
-	eng     *vci.BMaster
-	dq      delayLine
-	busy    bool
-	stats   BridgeStats
-}
-
-// NewBVCISlaveBridge creates the bridge.
-func NewBVCISlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *vci.BPort, cfg BridgeConfig) *BVCISlaveBridge {
-	busPort := ahb.NewPort(clk, "sbrg.bvci", 2)
-	b.AddSlave(node, busPort)
-	br := &BVCISlaveBridge{
-		cfg:     cfg.withDefaults(),
-		busPort: busPort,
-		eng:     vci.NewBMaster(clk, ipPort, 1),
+// NewBVCISlaveBridge puts a BVCI target behind the bus at the
+// address-map node.
+func NewBVCISlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *vci.BPort) *SlaveBridge {
+	br := newSlaveBridge(clk, b, node, "sbrg.bvci")
+	eng := vci.NewBMaster(clk, ipPort, 1)
+	wrote := func(err bool) { br.done(ahb.Rsp{Resp: vciToAHB(err)}) }
+	read := func(d []byte, err bool) { br.done(ahb.Rsp{Resp: vciToAHB(err), Data: d}) }
+	br.call = func(req ahb.Req) {
+		if req.Write {
+			eng.Write(req.Addr, req.Size, req.Data, wrote)
+		} else {
+			eng.Read(req.Addr, req.Size, req.NumBeats(), req.Burst.Wraps(), read)
+		}
 	}
 	clk.Register(br)
 	return br
 }
 
-// Stats returns bridge counters.
-func (br *BVCISlaveBridge) Stats() BridgeStats { return br.stats }
-
-// Eval implements sim.Clocked.
-func (br *BVCISlaveBridge) Eval(cycle int64) {
-	br.dq.run(cycle)
-	if br.busy {
-		return
-	}
-	req, ok := br.busPort.Req.Peek()
-	if !ok {
-		return
-	}
-	br.busPort.Req.Pop()
-	br.busy = true
-	if req.Write {
-		br.dq.after(cycle, br.cfg.Latency, func() {
-			br.eng.Write(req.Addr, req.Size, req.Data, func(err bool) {
-				br.dq.after(cycle, br.cfg.Latency, func() {
-					br.reply(err, nil)
-				})
-			})
-		})
-		return
-	}
-	beats := req.NumBeats()
-	br.dq.after(cycle, br.cfg.Latency, func() {
-		br.eng.Read(req.Addr, req.Size, beats, req.Burst.Wraps(), func(d []byte, err bool) {
-			br.dq.after(cycle, br.cfg.Latency, func() {
-				br.reply(err, d)
-			})
-		})
-	})
-}
-
-func (br *BVCISlaveBridge) reply(err bool, data []byte) {
-	rsp := ahb.Rsp{Resp: ahb.RespOkay, Data: data}
+func vciToAHB(err bool) ahb.Resp {
 	if err {
-		rsp.Resp = ahb.RespError
+		return ahb.RespError
 	}
-	if !br.busPort.Rsp.Push(rsp) {
-		panic("bus: slave bridge response pipe full")
-	}
-	br.busy = false
-	br.stats.Forwarded++
+	return ahb.RespOkay
 }

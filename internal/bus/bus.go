@@ -1,10 +1,12 @@
 // Package bus implements the paper's Fig-2 baseline: a traditional
-// shared-bus interconnect with its own reference socket (AHB-like) plus
-// per-VC bridges. IP blocks with foreign sockets reach the bus through
-// bridges that cost latency and silently drop the features the reference
-// socket cannot express — out-of-order responses, threads, posted
-// writes, exclusive access, QoS. Experiment E2 measures exactly these
-// penalties against the Fig-1 NoC.
+// shared-bus interconnect with its own reference socket (AHB-like),
+// which IP blocks with foreign sockets reach through bridges. Every
+// bridge is one crossing: a single transaction in flight, carried in the
+// bus's terms, that pays a conversion latency and silently drops the
+// features the reference socket cannot express — out-of-order
+// responses, threads, posted writes, exclusive access, QoS. A bridge
+// itself only decodes its socket. Experiment E2 measures these penalties
+// against the Fig-1 NoC.
 package bus
 
 import (
@@ -15,20 +17,6 @@ import (
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/sim"
 )
-
-// Arbitration selects the bus arbiter policy.
-type Arbitration uint8
-
-// Arbitration policies.
-const (
-	RoundRobin    Arbitration = iota
-	FixedPriority             // lower master index wins
-)
-
-// Config parameterizes the bus.
-type Config struct {
-	Arb Arbitration
-}
 
 // BusStats aggregates interconnect activity.
 type BusStats struct {
@@ -43,7 +31,6 @@ type BusStats struct {
 // address+data path from grant to response, the classic AHB 2.0
 // behaviour that makes bridged systems serialize.
 type Bus struct {
-	cfg  Config
 	amap *core.AddressMap
 
 	masters []*ahb.Port // bus side of each master socket
@@ -64,8 +51,9 @@ type busTxn struct {
 }
 
 // New creates a bus over the given address map and registers it on clk.
-func New(clk *sim.Clock, amap *core.AddressMap, cfg Config) *Bus {
-	b := &Bus{cfg: cfg, amap: amap, slaves: make(map[noctypes.NodeID]*ahb.Port), lockOwner: -1}
+// It arbitrates round robin among the masters that have a request.
+func New(clk *sim.Clock, amap *core.AddressMap) *Bus {
+	b := &Bus{amap: amap, slaves: make(map[noctypes.NodeID]*ahb.Port), lockOwner: -1}
 	clk.Register(b)
 	return b
 }
@@ -93,9 +81,6 @@ func (b *Bus) Stats() BusStats {
 	s.Grants = append([]uint64(nil), b.stats.Grants...)
 	return s
 }
-
-// Busy reports whether a transaction is in flight.
-func (b *Bus) Busy() bool { return b.cur != nil }
 
 // LockOwner returns the locked master index, or -1.
 func (b *Bus) LockOwner() int { return b.lockOwner }
@@ -172,21 +157,11 @@ func (b *Bus) grant() {
 			pick = b.lockOwner
 		}
 	} else {
-		switch b.cfg.Arb {
-		case FixedPriority:
-			for i := 0; i < n; i++ {
-				if _, ok := b.masters[i].Req.Peek(); ok {
-					pick = i
-					break
-				}
-			}
-		default: // RoundRobin
-			for i := 0; i < n; i++ {
-				m := (b.rr + i) % n
-				if _, ok := b.masters[m].Req.Peek(); ok {
-					pick = m
-					break
-				}
+		for i := 0; i < n; i++ {
+			m := (b.rr + i) % n
+			if _, ok := b.masters[m].Req.Peek(); ok {
+				pick = m
+				break
 			}
 		}
 	}

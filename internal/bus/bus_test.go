@@ -24,14 +24,14 @@ type busRig struct {
 	store *mem.Backing
 }
 
-func newBusRig(arb Arbitration) *busRig {
+func newBusRig() *busRig {
 	k := sim.NewKernel()
 	clk := sim.NewClock(k, "bus", sim.Nanosecond, 0)
 	amap := core.NewAddressMap()
 	amap.MustAdd("mem", memBase, 1<<20, 100)
 	amap.Freeze()
 	r := &busRig{k: k, clk: clk, amap: amap, store: mem.NewBacking(1 << 20)}
-	r.b = New(clk, amap, Config{Arb: arb})
+	r.b = New(clk, amap)
 	return r
 }
 
@@ -54,7 +54,7 @@ func (r *busRig) run(t *testing.T, max int, done func() bool) {
 }
 
 func TestNativeAHBMasterOnBus(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(1)
 	port := ahb.NewPort(r.clk, "m0", 2)
 	ip := ahb.NewMaster(r.clk, port, 1)
@@ -73,7 +73,7 @@ func TestNativeAHBMasterOnBus(t *testing.T) {
 }
 
 func TestBusDefaultSlaveErrors(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(0)
 	port := ahb.NewPort(r.clk, "m0", 2)
 	ip := ahb.NewMaster(r.clk, port, 1)
@@ -91,7 +91,7 @@ func TestBusDefaultSlaveErrors(t *testing.T) {
 }
 
 func TestBusSerializesMasters(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(3)
 	portA := ahb.NewPort(r.clk, "mA", 2)
 	ipA := ahb.NewMaster(r.clk, portA, 1)
@@ -116,7 +116,7 @@ func TestBusSerializesMasters(t *testing.T) {
 }
 
 func TestBusLockHoldsGrant(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(0)
 	portA := ahb.NewPort(r.clk, "mA", 2)
 	ipA := ahb.NewMaster(r.clk, portA, 1)
@@ -155,11 +155,11 @@ func TestBusLockHoldsGrant(t *testing.T) {
 }
 
 func TestAXIBridgeRoundTripAndDemotion(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(1)
 	port := axi.NewPort(r.clk, "m.axi", 4)
 	ip := axi.NewMaster(r.clk, port, nil)
-	br := NewAXIBridge(r.clk, r.b, port, BridgeConfig{Latency: 2})
+	br := NewAXIBridge(r.clk, r.b, port)
 
 	want := []byte{9, 8, 7, 6, 5, 4, 3, 2}
 	var wr axi.Resp = 0xFF
@@ -182,17 +182,17 @@ func TestAXIBridgeRoundTripAndDemotion(t *testing.T) {
 	if exRsp != axi.RespOKAY {
 		t.Fatalf("bridged exclusive read = %v, want OKAY (demoted)", exRsp)
 	}
-	if br.Stats().Demoted == 0 {
+	if br.Demoted() == 0 {
 		t.Fatal("demotion not counted")
 	}
 }
 
 func TestOCPBridgeLazySyncRefused(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(0)
 	port := ocp.NewPort(r.clk, "m.ocp", 4)
 	ip := ocp.NewMaster(r.clk, port)
-	NewOCPBridge(r.clk, r.b, port, BridgeConfig{})
+	NewOCPBridge(r.clk, r.b, port)
 
 	var wrc ocp.SResp
 	ip.WriteConditional(0, memBase+0x50, 4, []byte{1, 1, 1, 1}, func(s ocp.SResp) { wrc = s })
@@ -216,20 +216,20 @@ func TestOCPBridgeLazySyncRefused(t *testing.T) {
 }
 
 func TestVCIBridges(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(0)
 
 	pport := vci.NewPPort(r.clk, "m.pvci", 2)
 	pip := vci.NewPMaster(r.clk, pport)
-	NewPVCIBridge(r.clk, r.b, pport, BridgeConfig{})
+	NewPVCIBridge(r.clk, r.b, pport)
 
 	bport := vci.NewBPort(r.clk, "m.bvci", 2)
 	bip := vci.NewBMaster(r.clk, bport, 1)
-	NewBVCIBridge(r.clk, r.b, bport, BridgeConfig{})
+	NewBVCIBridge(r.clk, r.b, bport)
 
 	aport := vci.NewAPort(r.clk, "m.avci", 2)
 	aip := vci.NewAMaster(r.clk, aport)
-	NewAVCIBridge(r.clk, r.b, aport, BridgeConfig{})
+	NewAVCIBridge(r.clk, r.b, aport)
 
 	done := 0
 	pip.Write(memBase+0x60, []byte{1, 1, 1, 1}, func(bool) { done++ })
@@ -250,11 +250,11 @@ func TestVCIBridges(t *testing.T) {
 }
 
 func TestPropBridgeStreams(t *testing.T) {
-	r := newBusRig(RoundRobin)
+	r := newBusRig()
 	r.addAHBMemory(0)
 	port := prop.NewPort(r.clk, "m.prop", 8)
 	ip := prop.NewMaster(r.clk, port)
-	NewPropBridge(r.clk, r.b, port, BridgeConfig{})
+	NewPropBridge(r.clk, r.b, port)
 
 	data := make([]byte, 100)
 	for i := range data {
@@ -280,22 +280,22 @@ func TestSlaveBridges(t *testing.T) {
 	amap.MustAdd("ocp", 0x2000_0000, 0x1000, 2)
 	amap.MustAdd("bvci", 0x3000_0000, 0x1000, 3)
 	amap.Freeze()
-	b := New(clk, amap, Config{})
+	b := New(clk, amap)
 
 	axiStore := mem.NewBacking(0x1000)
 	axiPort := axi.NewPort(clk, "s.axi", 4)
 	axi.NewMemory(clk, axiPort, axiStore, 0x1000_0000, axi.MemoryConfig{Latency: 1})
-	NewAXISlaveBridge(clk, b, 1, axiPort, BridgeConfig{})
+	NewAXISlaveBridge(clk, b, 1, axiPort)
 
 	ocpStore := mem.NewBacking(0x1000)
 	ocpPort := ocp.NewPort(clk, "s.ocp", 4)
 	ocp.NewMemory(clk, ocpPort, ocpStore, 0x2000_0000, ocp.MemoryConfig{Threads: 1})
-	NewOCPSlaveBridge(clk, b, 2, ocpPort, BridgeConfig{})
+	NewOCPSlaveBridge(clk, b, 2, ocpPort)
 
 	bvciStore := mem.NewBacking(0x1000)
 	bvciPort := vci.NewBPort(clk, "s.bvci", 4)
 	vci.NewBMemory(clk, bvciPort, bvciStore, 0x3000_0000, 1)
-	NewBVCISlaveBridge(clk, b, 3, bvciPort, BridgeConfig{})
+	NewBVCISlaveBridge(clk, b, 3, bvciPort)
 
 	mport := ahb.NewPort(clk, "m0", 2)
 	ip := ahb.NewMaster(clk, mport, 1)
@@ -334,13 +334,13 @@ func TestBridgeSerializationSlowerThanNative(t *testing.T) {
 	// outstanding) than natively — the paper's bridge-penalty claim in
 	// unit form.
 	elapsed := func(bridged bool) int64 {
-		r := newBusRig(RoundRobin)
+		r := newBusRig()
 		r.addAHBMemory(1)
 		done := 0
 		if bridged {
 			port := axi.NewPort(r.clk, "m.axi", 4)
 			ip := axi.NewMaster(r.clk, port, nil)
-			NewAXIBridge(r.clk, r.b, port, BridgeConfig{Latency: 2})
+			NewAXIBridge(r.clk, r.b, port)
 			for i := 0; i < 8; i++ {
 				ip.Read(i, memBase+uint64(i*8), 4, 1, axi.BurstIncr, func(axi.ReadResult) { done++ })
 			}
@@ -372,17 +372,17 @@ func TestBridgesKeepWrapOrder(t *testing.T) {
 		"axi": func(r *busRig) {
 			port := axi.NewPort(r.clk, "s.axi", 4)
 			axi.NewMemory(r.clk, port, r.store, memBase, axi.MemoryConfig{Latency: 1})
-			NewAXISlaveBridge(r.clk, r.b, 100, port, BridgeConfig{})
+			NewAXISlaveBridge(r.clk, r.b, 100, port)
 		},
 		"ocp": func(r *busRig) {
 			port := ocp.NewPort(r.clk, "s.ocp", 4)
 			ocp.NewMemory(r.clk, port, r.store, memBase, ocp.MemoryConfig{Threads: 1})
-			NewOCPSlaveBridge(r.clk, r.b, 100, port, BridgeConfig{})
+			NewOCPSlaveBridge(r.clk, r.b, 100, port)
 		},
 		"bvci": func(r *busRig) {
 			port := vci.NewBPort(r.clk, "s.bvci", 4)
 			vci.NewBMemory(r.clk, port, r.store, memBase, 1)
-			NewBVCISlaveBridge(r.clk, r.b, 100, port, BridgeConfig{})
+			NewBVCISlaveBridge(r.clk, r.b, 100, port)
 		},
 	}
 	readers := map[string]func(r *busRig, done func([]byte)){
@@ -395,19 +395,19 @@ func TestBridgesKeepWrapOrder(t *testing.T) {
 		"axi": func(r *busRig, done func([]byte)) {
 			port := axi.NewPort(r.clk, "m.axi", 4)
 			ip := axi.NewMaster(r.clk, port, nil)
-			NewAXIBridge(r.clk, r.b, port, BridgeConfig{})
+			NewAXIBridge(r.clk, r.b, port)
 			ip.Read(0, addr, 4, 4, axi.BurstWrap, func(res axi.ReadResult) { done(res.Data) })
 		},
 		"ocp": func(r *busRig, done func([]byte)) {
 			port := ocp.NewPort(r.clk, "m.ocp", 4)
 			ip := ocp.NewMaster(r.clk, port)
-			NewOCPBridge(r.clk, r.b, port, BridgeConfig{})
+			NewOCPBridge(r.clk, r.b, port)
 			ip.Read(0, addr, 4, 4, ocp.SeqWrap, func(res ocp.ReadResult) { done(res.Data) })
 		},
 		"bvci": func(r *busRig, done func([]byte)) {
 			port := vci.NewBPort(r.clk, "m.bvci", 2)
 			ip := vci.NewBMaster(r.clk, port, 1)
-			NewBVCIBridge(r.clk, r.b, port, BridgeConfig{})
+			NewBVCIBridge(r.clk, r.b, port)
 			ip.Read(addr, 4, 4, true, func(d []byte, _ bool) { done(d) })
 		},
 	}
@@ -415,7 +415,7 @@ func TestBridgesKeepWrapOrder(t *testing.T) {
 		{"axi", "axi"}, {"ocp", "ahb"}, {"bvci", "ahb"}, {"ahb", "ocp"}, {"ahb", "bvci"},
 	} {
 		t.Run(p.reader+"-to-"+p.target, func(t *testing.T) {
-			r := newBusRig(RoundRobin)
+			r := newBusRig()
 			r.store.Write(0, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, nil)
 			targets[p.target](r)
 			var got []byte

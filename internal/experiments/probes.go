@@ -194,7 +194,7 @@ func buildLockProbeBus() *lockProbeSystem {
 	amap.MustAdd("mem", 0x1000, 0x1000, 9)
 	amap.Freeze()
 	store := mem.NewBacking(0x2000)
-	b := busipkg.New(clk, amap, busipkg.Config{})
+	b := busipkg.New(clk, amap)
 	mk := func(name string) *ahb.Master {
 		port := ahb.NewPort(clk, name, 4)
 		m := ahb.NewMaster(clk, port, 1)

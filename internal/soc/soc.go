@@ -95,8 +95,8 @@ type Config struct {
 }
 
 // Fixed build parameters: every memory's latency in cycles (wait states
-// on AHB) and the master NIUs' MaxOutstanding. The bus and its bridges
-// keep their own defaults.
+// on AHB) and the master NIUs' MaxOutstanding. A bus bridge's conversion
+// latency is a constant of internal/bus.
 const (
 	memLatency  = 2
 	outstanding = 8
@@ -340,18 +340,17 @@ func BuildBus(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	s := buildCommon(cfg)
 	s.Kind = "bus"
-	s.Bus = bus.New(s.Clk, s.AMap, bus.Config{})
-	bcfg := bus.BridgeConfig{}
+	s.Bus = bus.New(s.Clk, s.AMap)
 
 	// Masters: AHB connects natively (it IS the reference socket);
 	// everything else crosses a bridge.
 	axiPort := axi.NewPort(s.Clk, "m.axi", 4)
 	s.AXIM = axi.NewMaster(s.Clk, axiPort, nil)
-	bus.NewAXIBridge(s.Clk, s.Bus, axiPort, bcfg)
+	bus.NewAXIBridge(s.Clk, s.Bus, axiPort)
 
 	ocpPort := ocp.NewPort(s.Clk, "m.ocp", 4)
 	s.OCPM = ocp.NewMaster(s.Clk, ocpPort)
-	bus.NewOCPBridge(s.Clk, s.Bus, ocpPort, bcfg)
+	bus.NewOCPBridge(s.Clk, s.Bus, ocpPort)
 
 	ahbPort := ahb.NewPort(s.Clk, "m.ahb", 2)
 	s.AHBM = ahb.NewMaster(s.Clk, ahbPort, 1)
@@ -359,19 +358,19 @@ func BuildBus(cfg Config) *System {
 
 	pvciPort := vci.NewPPort(s.Clk, "m.pvci", 4)
 	s.PVCIM = vci.NewPMaster(s.Clk, pvciPort)
-	bus.NewPVCIBridge(s.Clk, s.Bus, pvciPort, bcfg)
+	bus.NewPVCIBridge(s.Clk, s.Bus, pvciPort)
 
 	bvciPort := vci.NewBPort(s.Clk, "m.bvci", 4)
 	s.BVCIM = vci.NewBMaster(s.Clk, bvciPort, 2)
-	bus.NewBVCIBridge(s.Clk, s.Bus, bvciPort, bcfg)
+	bus.NewBVCIBridge(s.Clk, s.Bus, bvciPort)
 
 	avciPort := vci.NewAPort(s.Clk, "m.avci", 4)
 	s.AVCIM = vci.NewAMaster(s.Clk, avciPort)
-	bus.NewAVCIBridge(s.Clk, s.Bus, avciPort, bcfg)
+	bus.NewAVCIBridge(s.Clk, s.Bus, avciPort)
 
 	propPort := prop.NewPort(s.Clk, "m.prop", 8)
 	s.PropM = prop.NewMaster(s.Clk, propPort)
-	bus.NewPropBridge(s.Clk, s.Bus, propPort, bcfg)
+	bus.NewPropBridge(s.Clk, s.Bus, propPort)
 
 	// Slaves: AHB memory native, the rest behind slave bridges.
 	ahbSP := ahb.NewPort(s.Clk, "s.ahb", 2)
@@ -380,15 +379,15 @@ func BuildBus(cfg Config) *System {
 
 	axiSP := axi.NewPort(s.Clk, "s.axi", 4)
 	axi.NewMemory(s.Clk, axiSP, s.Stores["axi"], BaseAXIMem, axi.MemoryConfig{Latency: memLatency})
-	bus.NewAXISlaveBridge(s.Clk, s.Bus, NodeAXIMem, axiSP, bcfg)
+	bus.NewAXISlaveBridge(s.Clk, s.Bus, NodeAXIMem, axiSP)
 
 	ocpSP := ocp.NewPort(s.Clk, "s.ocp", 4)
 	ocp.NewMemory(s.Clk, ocpSP, s.Stores["ocp"], BaseOCPMem, ocp.MemoryConfig{Latency: memLatency, Threads: 1})
-	bus.NewOCPSlaveBridge(s.Clk, s.Bus, NodeOCPMem, ocpSP, bcfg)
+	bus.NewOCPSlaveBridge(s.Clk, s.Bus, NodeOCPMem, ocpSP)
 
 	bvciSP := vci.NewBPort(s.Clk, "s.bvci", 4)
 	vci.NewBMemory(s.Clk, bvciSP, s.Stores["bvci"], BaseBVCIMem, memLatency)
-	bus.NewBVCISlaveBridge(s.Clk, s.Bus, NodeBVCIMem, bvciSP, bcfg)
+	bus.NewBVCISlaveBridge(s.Clk, s.Bus, NodeBVCIMem, bvciSP)
 
 	if !cfg.Quiet {
 		s.makeGens()
