@@ -21,14 +21,15 @@ import (
 //     AXI exclusives demote (OKAY, never EXOKAY), OCP WriteConditional
 //     fails unconditionally;
 //   - QoS hints are dropped on the floor;
-//   - every crossing costs conversion latency.
+//   - every crossing costs conversion latency in each direction.
 //
 // What they share is a crossing; a bridge itself only decodes its socket
 // into one AHB request and encodes the AHB response back onto it. Master
 // bridges put a foreign IP master on the bus through an AHB master
 // engine; a SlaveBridge puts a foreign target behind it.
 
-// latency is the conversion cost of one crossing, in cycles.
+// latency is the conversion cost of a crossing in cycles, charged on the
+// way to the far side and again on the way back.
 const latency = 2
 
 // crossing is what every bridge shares: the one transaction in flight,
@@ -52,9 +53,9 @@ type crossPhase uint8
 
 const (
 	crossIdle crossPhase = iota
-	crossIn              // waiting out the latency before the far side's call
+	crossIn              // waiting out the latency to the far side
 	crossFar             // the far side's master holds it
-	crossBack            // done on the far side; handed back at the due cycle
+	crossBack            // waiting out the latency back
 )
 
 // Demoted counts the transactions that lost a feature crossing the
@@ -69,10 +70,10 @@ func (x *crossing) start(cycle int64, req ahb.Req) {
 	x.req, x.phase, x.at = req, crossIn, cycle+latency
 }
 
-// done is the far side's completion: the response is handed back at the
-// bridge's next Eval.
+// done is the far side's completion: the response crosses back latency
+// cycles after the cycle the far side completes in.
 func (x *crossing) done(rsp ahb.Rsp) {
-	x.rsp, x.phase, x.at = rsp, crossBack, x.clk.Cycle()
+	x.rsp, x.phase, x.at = rsp, crossBack, x.clk.Cycle()+latency
 }
 
 // advance runs the step due at cycle. It returns the response, and frees

@@ -2,8 +2,8 @@
 // shared-bus interconnect with its own reference socket (AHB-like),
 // which IP blocks with foreign sockets reach through bridges. Every
 // bridge is one crossing: a single transaction in flight, carried in the
-// bus's terms, that pays a conversion latency and silently drops the
-// features the reference socket cannot express — out-of-order
+// bus's terms, that pays a conversion latency each way and silently
+// drops the features the reference socket cannot express — out-of-order
 // responses, threads, posted writes, exclusive access, QoS. A bridge
 // itself only decodes its socket. Experiment E2 measures these penalties
 // against the Fig-1 NoC.

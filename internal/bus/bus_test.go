@@ -329,6 +329,37 @@ func TestSlaveBridges(t *testing.T) {
 	}
 }
 
+// TestBridgeChargesLatencyBothWays times one 4-byte read of the native
+// AHB memory, natively and from a BVCI master through its bridge. The
+// bridged read pays the conversion latency on the way in and again on
+// the way back, plus three hops the native read does not take: the BVCI
+// request pipe, the wake of the bridge's bus-side engine and the BVCI
+// response pipe.
+func TestBridgeChargesLatencyBothWays(t *testing.T) {
+	elapsed := func(bridged bool) int64 {
+		r := newBusRig()
+		r.addAHBMemory(1)
+		var got []byte
+		if bridged {
+			port := vci.NewBPort(r.clk, "m.bvci", 2)
+			ip := vci.NewBMaster(r.clk, port, 1)
+			NewBVCIBridge(r.clk, r.b, port)
+			ip.Read(memBase, 4, 1, false, func(d []byte, _ bool) { got = d })
+		} else {
+			port := ahb.NewPort(r.clk, "m0", 2)
+			ip := ahb.NewMaster(r.clk, port, 1)
+			r.b.AddMaster(port)
+			ip.Read(memBase, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { got = res.Data })
+		}
+		r.run(t, 100, func() bool { return got != nil })
+		return r.clk.Cycle()
+	}
+	native, bridged := elapsed(false), elapsed(true)
+	if want := native + 2*latency + 3; native != 6 || bridged != want {
+		t.Fatalf("read took %d cycles native and %d bridged, want 6 and %d", native, bridged, want)
+	}
+}
+
 func TestBridgeSerializationSlowerThanNative(t *testing.T) {
 	// The same 8 reads take longer through a bridge (latency + single
 	// outstanding) than natively — the paper's bridge-penalty claim in

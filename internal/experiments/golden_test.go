@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the suite golden")
 // what `nocbench -only E1,...,E14 -json` prints at its default seed and
 // request count. E15 and E16 are left out because they carry wall-clock
 // numbers. Regenerate (only when an intentional model change lands) with
-// `go test -run SuiteGolden -update ./internal/experiments` and review
+// `go test -run SuiteGolden ./internal/experiments -update` and review
 // the diff.
 func TestSuiteGolden(t *testing.T) {
 	if raceEnabled {
