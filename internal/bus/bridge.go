@@ -125,9 +125,10 @@ func padTo(data []byte, n int) []byte {
 
 // AXIBridge adapts an AXI IP master onto the bus: it collects a write
 // burst's W beats before crossing and streams a read back beat by beat.
-// Like every bridge it maps bursts through ahb.BurstFor, so FIXED (and
-// OCP STRM) degrades to INCR — a real bridge feature loss (readers of a
-// FIFO register through a bridge get incrementing addresses).
+// Like the OCP and VCI bridges it maps bursts through ahb.BurstFor, so
+// FIXED (and OCP STRM) degrades to INCR — a real bridge feature loss
+// (readers of a FIFO register through a bridge get incrementing
+// addresses).
 type AXIBridge struct {
 	crossing
 	port *axi.Port
@@ -353,8 +354,8 @@ func ocpRespFromAHB(r ahb.Resp) ocp.SResp {
 // loses its ID-based reordering (strict FIFO).
 type VCIBridge[Req, Rsp any] struct {
 	crossing
-	req     *sim.Pipe[Req]
-	rsp     *sim.Pipe[Rsp]
+	ipReq   *sim.Pipe[Req]
+	ipRsp   *sim.Pipe[Rsp]
 	decode  func(Req) ahb.Req
 	encode  func(Req, ahb.Rsp) Rsp
 	demotes bool // every transaction loses a feature (AVCI's ID order)
@@ -363,9 +364,9 @@ type VCIBridge[Req, Rsp any] struct {
 	rspQ []Rsp
 }
 
-func newVCIBridge[Req, Rsp any](clk *sim.Clock, b *Bus, name string, req *sim.Pipe[Req], rsp *sim.Pipe[Rsp],
+func newVCIBridge[Req, Rsp any](clk *sim.Clock, b *Bus, name string, ipReq *sim.Pipe[Req], ipRsp *sim.Pipe[Rsp],
 	decode func(Req) ahb.Req, encode func(Req, ahb.Rsp) Rsp) *VCIBridge[Req, Rsp] {
-	br := &VCIBridge[Req, Rsp]{req: req, rsp: rsp, decode: decode, encode: encode}
+	br := &VCIBridge[Req, Rsp]{ipReq: ipReq, ipRsp: ipRsp, decode: decode, encode: encode}
 	br.toBus(clk, b, name)
 	clk.Register(br)
 	return br
@@ -416,14 +417,14 @@ func (br *VCIBridge[Req, Rsp]) Eval(cycle int64) {
 	if rsp, ok := br.advance(cycle); ok {
 		br.rspQ = append(br.rspQ, br.encode(br.cur, rsp))
 	}
-	if len(br.rspQ) > 0 && br.rsp.CanPush(1) {
-		br.rsp.Push(br.rspQ[0])
+	if len(br.rspQ) > 0 && br.ipRsp.CanPush(1) {
+		br.ipRsp.Push(br.rspQ[0])
 		br.rspQ = br.rspQ[1:]
 	}
 	if br.busy() {
 		return
 	}
-	if req, ok := br.req.Pop(); ok {
+	if req, ok := br.ipReq.Pop(); ok {
 		if br.demotes {
 			br.demoted++
 		}
