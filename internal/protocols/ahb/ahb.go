@@ -188,13 +188,16 @@ type ReadResult struct {
 // Master is a transfer-level AHB master: fully ordered, with a
 // configurable pipeline depth (real AHB masters overlap the address
 // phase of transfer N+1 with the data phase of N, i.e. depth 2).
-// RETRY responses are re-issued automatically.
+// RETRY and SPLIT responses are re-issued automatically.
 type Master struct {
 	port     *Port
 	pipeline int
 
 	reqQ []Req
 	pend []*ahbCtx
+	// cancelled counts transfers pipelined behind a RETRY or SPLIT: they
+	// were re-queued, and the responses they still receive are dropped.
+	cancelled int
 
 	issued, completed, retries uint64
 
@@ -267,21 +270,33 @@ func (m *Master) pendAdd(c *ahbCtx) { m.pend = append(m.pend, c) }
 func (m *Master) Eval(cycle int64) {
 	// Issue while the pipeline has room. AHB is fully ordered: requests
 	// go out strictly in order, limited by pipeline depth.
-	inFlight := len(m.pend) - len(m.reqQ) // issued but unanswered
+	inFlight := len(m.pend) - len(m.reqQ) + m.cancelled // issued but unanswered
 	if len(m.reqQ) > 0 && inFlight < m.pipeline && m.port.Req.CanPush(1) {
 		m.port.Req.Push(m.reqQ[0])
 		m.reqQ = m.reqQ[1:]
 	}
 	// Responses arrive strictly in order.
 	if rsp, ok := m.port.Rsp.Pop(); ok {
+		if m.cancelled > 0 {
+			m.cancelled--
+			return
+		}
 		if len(m.pend) == 0 {
 			panic("ahb: response with nothing outstanding")
 		}
 		ctx := m.pend[0]
 		if rsp.Resp == RespRetry || rsp.Resp == RespSplit {
-			// Re-issue the transaction at the head of the queue.
+			// Re-issue the transaction, and cancel and re-issue the
+			// transfers pipelined behind it, in order: their responses
+			// would otherwise complete the wrong transaction.
 			m.retries++
-			m.reqQ = append([]Req{ctx.req}, m.reqQ...)
+			issued := len(m.pend) - len(m.reqQ)
+			re := make([]Req, 0, len(m.pend))
+			for _, c := range m.pend[:issued] {
+				re = append(re, c.req)
+			}
+			m.reqQ = append(re, m.reqQ...)
+			m.cancelled = issued - 1
 			return
 		}
 		m.pend = m.pend[1:]
@@ -299,7 +314,7 @@ func (m *Master) Eval(cycle int64) {
 // queued that the pipeline would let out (a full pipeline waits for a
 // response).
 func (m *Master) Idle() bool {
-	return m.port.Rsp.Empty() && (len(m.reqQ) == 0 || len(m.pend)-len(m.reqQ) >= m.pipeline)
+	return m.port.Rsp.Empty() && (len(m.reqQ) == 0 || len(m.pend)-len(m.reqQ)+m.cancelled >= m.pipeline)
 }
 
 // MemoryConfig parameterizes an AHB memory slave.

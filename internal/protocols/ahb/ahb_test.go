@@ -2,6 +2,7 @@ package ahb
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"gonoc/internal/mem"
@@ -104,26 +105,40 @@ func TestFullyOrderedCompletions(t *testing.T) {
 	}
 }
 
+// TestRetryIsTransparent queues eight writes and eight reads of distinct
+// words behind a slave that answers every third transfer with RETRY:
+// each must complete in order, and each read with its own word, also
+// when a second transfer is pipelined behind the retried one.
 func TestRetryIsTransparent(t *testing.T) {
-	r := newRig(1, MemoryConfig{RetryEvery: 3})
-	var got []byte
-	done := 0
-	for i := 0; i < 6; i++ {
-		addr := uint64(0x100 + i*4)
-		data := []byte{byte(i), 0, 0, 0}
-		r.m.Write(addr, 4, BurstSingle, data, func(Resp) { done++ })
-	}
-	r.run(t, 2000)
-	if done != 6 {
-		t.Fatalf("completed %d/6 writes", done)
-	}
-	if r.m.Retries() == 0 {
-		t.Fatal("no retries exercised")
-	}
-	r.m.Read(0x100, 4, BurstSingle, 0, func(res ReadResult) { got = res.Data })
-	r.run(t, 2000)
-	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
-		t.Fatalf("data after retries = %v", got)
+	for _, pipeline := range []int{1, 2} {
+		t.Run(fmt.Sprintf("pipeline%d", pipeline), func(t *testing.T) {
+			r := newRig(pipeline, MemoryConfig{RetryEvery: 3})
+			const n = 8
+			wrote, read := 0, 0
+			for i := 0; i < n; i++ {
+				r.m.Write(uint64(0x100+i*4), 4, BurstSingle, []byte{byte(i + 1), 0, 0, 0}, func(resp Resp) {
+					if resp != RespOkay || wrote != i {
+						t.Errorf("write %d completed as write %d with %v", i, wrote, resp)
+					}
+					wrote++
+				})
+			}
+			for i := 0; i < n; i++ {
+				r.m.Read(uint64(0x100+i*4), 4, BurstSingle, 0, func(res ReadResult) {
+					if want := []byte{byte(i + 1), 0, 0, 0}; read != i || res.Resp != RespOkay || !bytes.Equal(res.Data, want) {
+						t.Errorf("read %d completed as read %d with %v %v, want %v", i, read, res.Resp, res.Data, want)
+					}
+					read++
+				})
+			}
+			r.run(t, 4000)
+			if wrote != n || read != n {
+				t.Fatalf("completed %d/%d writes and %d/%d reads", wrote, n, read, n)
+			}
+			if r.m.Retries() == 0 {
+				t.Fatal("no retries exercised")
+			}
+		})
 	}
 }
 
