@@ -278,13 +278,18 @@ func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]
 
 // Write queues a burst write.
 func (m *BMaster) Write(addr uint64, size uint8, data []byte, cb func(bool)) {
-	if len(data) == 0 || len(data)%int(size) != 0 {
-		panic(fmt.Sprintf("vci: BVCI write %dB not a multiple of %d", len(data), size))
-	}
-	m.q = append(m.q, bReqCtx{req: BReq{Op: OpWrite, Addr: addr, Size: size,
-		Beats: len(data) / int(size), Data: data}, wrCb: cb})
+	m.q = append(m.q, bReqCtx{req: writeReq(addr, size, data), wrCb: cb})
 	m.issued++
 	m.wake.Wake()
+}
+
+// writeReq builds a BVCI or AVCI burst write of data in cells of size
+// bytes; data must be a whole, non-zero number of cells.
+func writeReq(addr uint64, size uint8, data []byte) BReq {
+	if size == 0 || len(data) == 0 || len(data)%int(size) != 0 {
+		panic(fmt.Sprintf("vci: burst write %dB not a multiple of %d", len(data), size))
+	}
+	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Data: data}
 }
 
 // Eval implements sim.Clocked.
@@ -469,8 +474,7 @@ func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, cb func([]byt
 
 // Write queues a burst write on an ID.
 func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, cb func(bool)) {
-	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpWrite, Addr: addr, Size: size,
-		Beats: len(data) / int(size), Data: data}, ID: id}, wrCb: cb})
+	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data), ID: id}, wrCb: cb})
 	m.issued++
 	m.wake.Wake()
 }

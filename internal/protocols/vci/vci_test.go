@@ -205,3 +205,35 @@ func TestAVCIWriteReadBack(t *testing.T) {
 		t.Fatalf("AVCI round trip: %v", got)
 	}
 }
+
+// TestMalformedWritePanics: a burst write that is empty or not a whole
+// number of cells panics on both burst masters, instead of losing bytes.
+func TestMalformedWritePanics(t *testing.T) {
+	clk := newClk()
+	b := NewBMaster(clk, NewBPort(clk, "bvci", 4), 1)
+	a := NewAMaster(clk, NewAPort(clk, "avci", 4))
+	writes := map[string]func(size uint8, data []byte){
+		"bvci": func(size uint8, data []byte) { b.Write(0x100, size, data, nil) },
+		"avci": func(size uint8, data []byte) { a.Write(0, 0x100, size, data, nil) },
+	}
+	for _, master := range []string{"bvci", "avci"} {
+		for _, tc := range []struct {
+			name string
+			size uint8
+			data []byte
+		}{
+			{"partial cell", 4, []byte{1, 2, 3, 4, 5, 6}},
+			{"empty", 4, nil},
+			{"zero size", 0, []byte{1, 2, 3, 4}},
+		} {
+			t.Run(master+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%d-byte write at size %d accepted", len(tc.data), tc.size)
+					}
+				}()
+				writes[master](tc.size, tc.data)
+			})
+		}
+	}
+}
