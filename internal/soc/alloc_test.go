@@ -26,6 +26,36 @@ var ipAllocCeilings = map[string]struct{ issue, gen float64 }{
 	"wb":   {18, 17},
 }
 
+// roundTrip issues one 16 B write and then one 16 B read through
+// Socket.Issue, each run to completion. Its completion is bound once.
+type roundTrip struct {
+	s            *System
+	busy, failed bool
+	done         ip.Done
+}
+
+func newRoundTrip(s *System) *roundTrip {
+	r := &roundTrip{s: s}
+	r.done = func(_ []byte, err bool) { r.busy, r.failed = false, r.failed || err }
+	return r
+}
+
+// run performs the pair as transaction k at addr and reports whether
+// both completed without error.
+func (r *roundTrip) run(sock ip.Socket, k int, addr uint64) bool {
+	for _, write := range [2]bool{true, false} {
+		r.busy = true
+		sock.Issue(k, write, addr, 16, r.done)
+		for c := 0; r.busy && c < 100_000; c++ {
+			r.s.Clk.RunCycles(1)
+		}
+		if r.busy {
+			return false
+		}
+	}
+	return !r.failed
+}
+
 func TestIPAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -35,20 +65,14 @@ func TestIPAllocCeilings(t *testing.T) {
 			ceil := ipAllocCeilings[name]
 			s := quietFig1(Crossbar)
 			sock := s.Sockets()[name]
-			addr := genRegion(name).Base
-			k, busy, failed := 0, false, false
-			done := ip.Done(func(_ []byte, err bool) { busy, failed = false, failed || err })
-			run := func(write bool) {
-				busy = true
-				sock.Issue(k, write, addr, 16, done)
+			rt := newRoundTrip(s)
+			k, ok := 0, true
+			n := testing.AllocsPerRun(50, func() {
+				ok = ok && rt.run(sock, k, genRegion(name).Base)
 				k++
-				for c := 0; busy && c < 100_000; c++ {
-					s.Clk.RunCycles(1)
-				}
-			}
-			n := testing.AllocsPerRun(50, func() { run(true); run(false) })
-			if busy || failed {
-				t.Fatalf("issue: transaction %d failed or hung", k)
+			})
+			if !ok {
+				t.Fatalf("issue: transaction pair %d failed or hung", k)
 			}
 			if n > ceil.issue {
 				t.Errorf("issue: a 16 B write and read allocate %.0f objects, ceiling %.0f", n, ceil.issue)
@@ -69,5 +93,25 @@ func TestIPAllocCeilings(t *testing.T) {
 				t.Errorf("gen: a write/read-back pair allocates %.0f objects, ceiling %.0f", n, ceil.gen)
 			}
 		})
+	}
+}
+
+// BenchmarkSocketRoundTrip measures the protocol layer end to end: one
+// op is one 16 B write and one 16 B read through Socket.Issue on each
+// of the eight sockets of the quiet Fig 1 crossbar SoC, each run to
+// completion. CI guards allocs/op at zero (BENCH_transport.json).
+func BenchmarkSocketRoundTrip(b *testing.B) {
+	s := quietFig1(Crossbar)
+	socks := s.Sockets()
+	names := Masters(true)
+	rt := newRoundTrip(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, name := range names {
+			if !rt.run(socks[name], i, genRegion(name).Base) {
+				b.Fatalf("%s: transaction pair %d failed or hung", name, i)
+			}
+		}
 	}
 }
