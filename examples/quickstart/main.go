@@ -4,6 +4,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 		fmt.Printf("cycle %4d: write completed (%v)\n", clk.Cycle(), r)
 		cpu.Read(0, 0x8000_0100, 4, len(payload)/4, axi.BurstIncr, func(res axi.ReadResult) {
 			readDone = true
-			got = res.Data
+			got = bytes.Clone(res.Data) // the data is valid only during the callback
 			fmt.Printf("cycle %4d: read  completed (%v)\n", clk.Cycle(), res.Resp)
 		})
 	})

@@ -101,8 +101,10 @@ func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
 	b.AddMaster(port)
 	eng := ahb.NewMaster(clk, port, 1)
 	wrote := func(r ahb.Resp) { x.done(ahb.Rsp{Resp: r}) }
-	// A read that comes back short (an error) is zero-padded to the
-	// length asked for; PVCI asks with 0 beats and takes its word as is.
+	// The crossing holds a read's data, which is valid only during this
+	// completion, across cycles, so it copies it; a read that comes back
+	// short (an error) is zero-padded to the length asked for. PVCI asks
+	// with 0 beats and takes its word as is.
 	read := func(r ahb.ReadResult) {
 		x.done(ahb.Rsp{Resp: r.Resp, Data: padTo(r.Data, x.req.Beats*int(x.req.Size))})
 	}
@@ -116,11 +118,11 @@ func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
 	}
 }
 
+// padTo returns a copy of data zero-padded to at least n bytes.
 func padTo(data []byte, n int) []byte {
-	if len(data) >= n {
-		return data
-	}
-	return append(data, make([]byte, n-len(data))...)
+	out := make([]byte, max(len(data), n))
+	copy(out, data)
+	return out
 }
 
 // AXIBridge adapts an AXI IP master onto the bus: it collects a write

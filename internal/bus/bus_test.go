@@ -65,7 +65,7 @@ func TestNativeAHBMasterOnBus(t *testing.T) {
 	ip.Write(memBase+0x10, 4, ahb.BurstSingle, want, func(resp ahb.Resp) { wr = resp })
 	r.run(t, 200, func() bool { return wr != 0xFF })
 	var got []byte
-	ip.Read(memBase+0x10, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { got = res.Data })
+	ip.Read(memBase+0x10, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("bus round trip: %v", got)
@@ -131,7 +131,7 @@ func TestBusLockHoldsGrant(t *testing.T) {
 	r.run(t, 200, func() bool { return seeded })
 
 	var lockedVal []byte
-	ipA.ReadLocked(memBase+0x20, 4, func(res ahb.ReadResult) { lockedVal = res.Data })
+	ipA.ReadLocked(memBase+0x20, 4, func(res ahb.ReadResult) { lockedVal = bytes.Clone(res.Data) })
 	r.run(t, 200, func() bool { return lockedVal != nil })
 
 	bDone := false
@@ -169,7 +169,7 @@ func TestAXIBridgeRoundTripAndDemotion(t *testing.T) {
 		t.Fatalf("bridged write resp = %v", wr)
 	}
 	var got []byte
-	ip.Read(5, memBase+0x40, 4, 2, axi.BurstIncr, func(res axi.ReadResult) { got = res.Data })
+	ip.Read(5, memBase+0x40, 4, 2, axi.BurstIncr, func(res axi.ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 500, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("bridged read back: %v", got)
@@ -208,7 +208,7 @@ func TestOCPBridgeLazySyncRefused(t *testing.T) {
 		t.Fatalf("bridged WRNP = %v", wr)
 	}
 	var got []byte
-	ip.Read(0, memBase+0x54, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = res.Data })
+	ip.Read(0, memBase+0x54, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 500, func() bool { return got != nil })
 	if !bytes.Equal(got, []byte{2, 2, 2, 2}) {
 		t.Fatalf("bridged OCP read: %v", got)
@@ -238,9 +238,9 @@ func TestVCIBridges(t *testing.T) {
 	r.run(t, 2000, func() bool { return done == 3 })
 
 	var pv, bv, av []byte
-	pip.Read(memBase+0x60, 4, func(d []byte, _ bool) { pv = d })
-	bip.Read(memBase+0x70, 4, 2, false, func(d []byte, _ bool) { bv = d })
-	aip.Read(2, memBase+0x80, 4, 1, func(d []byte, _ bool) { av = d })
+	pip.Read(memBase+0x60, 4, func(d []byte, _ bool) { pv = bytes.Clone(d) })
+	bip.Read(memBase+0x70, 4, 2, false, func(d []byte, _ bool) { bv = bytes.Clone(d) })
+	aip.Read(2, memBase+0x80, 4, 1, func(d []byte, _ bool) { av = bytes.Clone(d) })
 	r.run(t, 2000, func() bool { return pv != nil && bv != nil && av != nil })
 	if !bytes.Equal(pv, []byte{1, 1, 1, 1}) ||
 		!bytes.Equal(bv, []byte{2, 2, 2, 2, 3, 3, 3, 3}) ||
@@ -264,7 +264,7 @@ func TestPropBridgeStreams(t *testing.T) {
 	ip.StreamWrite(1, memBase+0x100, data, func(o bool) { ok = o })
 	r.run(t, 3000, func() bool { return ok })
 	var got []byte
-	ip.StreamRead(2, memBase+0x100, 100, func(d []byte) { got = d })
+	ip.StreamRead(2, memBase+0x100, 100, func(d []byte) { got = bytes.Clone(d) })
 	r.run(t, 3000, func() bool { return got != nil })
 	if !bytes.Equal(got, data) {
 		t.Fatal("prop bridge stream round trip failed")
@@ -318,11 +318,11 @@ func TestSlaveBridges(t *testing.T) {
 	run(3000, func() bool { return done == 3 })
 
 	var a, o, v []byte
-	ip.Read(0x1000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { a = res.Data })
+	ip.Read(0x1000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { a = bytes.Clone(res.Data) })
 	run(3000, func() bool { return a != nil })
-	ip.Read(0x2000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { o = res.Data })
+	ip.Read(0x2000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { o = bytes.Clone(res.Data) })
 	run(3000, func() bool { return o != nil })
-	ip.Read(0x3000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { v = res.Data })
+	ip.Read(0x3000_0010, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { v = bytes.Clone(res.Data) })
 	run(3000, func() bool { return v != nil })
 	if a[0] != 0xA || o[0] != 0xB || v[0] != 0xC {
 		t.Fatalf("slave bridge round trips: %v %v %v", a, o, v)
@@ -344,12 +344,12 @@ func TestBridgeChargesLatencyBothWays(t *testing.T) {
 			port := vci.NewBPort(r.clk, "m.bvci", 2)
 			ip := vci.NewBMaster(r.clk, port, 1)
 			NewBVCIBridge(r.clk, r.b, port)
-			ip.Read(memBase, 4, 1, false, func(d []byte, _ bool) { got = d })
+			ip.Read(memBase, 4, 1, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 		} else {
 			port := ahb.NewPort(r.clk, "m0", 2)
 			ip := ahb.NewMaster(r.clk, port, 1)
 			r.b.AddMaster(port)
-			ip.Read(memBase, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { got = res.Data })
+			ip.Read(memBase, 4, ahb.BurstSingle, 0, func(res ahb.ReadResult) { got = bytes.Clone(res.Data) })
 		}
 		r.run(t, 100, func() bool { return got != nil })
 		return r.clk.Cycle()
@@ -450,7 +450,7 @@ func TestBridgesKeepWrapOrder(t *testing.T) {
 			r.store.Write(0, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, nil)
 			targets[p.target](r)
 			var got []byte
-			readers[p.reader](r, func(d []byte) { got = d })
+			readers[p.reader](r, func(d []byte) { got = bytes.Clone(d) })
 			r.run(t, 500, func() bool { return got != nil })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("wrap read returned %v, want %v", got, want)

@@ -9,6 +9,7 @@ package ip
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gonoc/internal/sim"
@@ -94,7 +95,10 @@ func (g *Gen) next() {
 		span := uint64(g.beats) * uint64(g.sock.width)
 		g.addr = r.Base + uint64(g.rng.Intn(int(max(r.Size/span, 1))))*span
 	}
-	g.data = make([]byte, g.beats*int(g.sock.width))
+	// A pair completes before the next starts, so one payload buffer
+	// serves them all.
+	n := g.beats * int(g.sock.width)
+	g.data = slices.Grow(g.data[:0], n)[:n]
 	g.rng.Read(g.data)
 }
 

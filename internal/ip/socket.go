@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"slices"
+
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/protocols/axi"
 	"gonoc/internal/protocols/ocp"
@@ -10,13 +12,18 @@ import (
 )
 
 // Done completes one transaction: data holds a read's bytes (nil for a
-// write) and err reports a protocol-level error response.
+// write) and err reports a protocol-level error response. data is valid
+// only during the call: the masters, memories and NIUs behind a socket
+// reuse their buffers for later reads, so a completion that keeps the
+// bytes must copy them.
 type Done func(data []byte, err bool)
 
 // Initiator is the one transaction vocabulary the IP side speaks: a
 // write of data, or a read of beats beats of size bytes, at addr. id
 // selects the transaction's ID, thread or stream; each adapter maps it
-// into its socket's own space, and in-order sockets ignore it.
+// into its socket's own space, and in-order sockets ignore it. A write's
+// data must stay unchanged until its done runs; a read's data is valid
+// only during its done (see Done).
 type Initiator interface {
 	Write(id int, addr uint64, size uint8, data []byte, done Done)
 	Read(id int, addr uint64, size uint8, beats int, done Done)
@@ -28,6 +35,46 @@ type Socket struct {
 	ids      int   // IDs or threads it interleaves; 0 = in order
 	maxBeats int   // longest burst; 0 = no limit
 	width    uint8 // bytes per beat; 1 = byte-granular
+	iss      *issuer
+}
+
+// newSocket builds the Socket of an adapter.
+func newSocket(i Initiator, ids, maxBeats int, width uint8) Socket {
+	return Socket{Initiator: i, ids: ids, maxBeats: maxBeats, width: width, iss: new(issuer)}
+}
+
+// issuer keeps a Socket's Issue writes: a write's payload lives in its
+// context until the write completes.
+type issuer struct{ free []*issueWrite }
+
+// issueWrite is one Issue write in flight. Like every adapter's
+// transaction context it is drawn from its owner's free list, its
+// completion is bound once, when it is made, and it returns to the free
+// list before the caller's completion runs, which may issue again.
+type issueWrite struct {
+	is    *issuer
+	data  []byte
+	done  Done
+	wrote Done
+}
+
+func (is *issuer) write(done Done) *issueWrite {
+	var c *issueWrite
+	if n := len(is.free); n > 0 {
+		c, is.free = is.free[n-1], is.free[:n-1]
+	} else {
+		c = &issueWrite{is: is}
+		c.wrote = c.onWrite
+	}
+	c.done = done
+	return c
+}
+
+func (c *issueWrite) onWrite(data []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.is.free = append(c.is.free, c)
+	done(data, err)
 }
 
 // numIDs is the ID (or thread) count of the interleaving sockets.
@@ -48,113 +95,286 @@ func (s Socket) Issue(k int, write bool, addr uint64, n int, done Done) {
 		s.Read(k, addr, s.width, beats, done)
 		return
 	}
-	data := make([]byte, beats*w)
-	for i := range data {
-		data[i] = byte(addr>>2) + byte(i)
+	c := s.iss.write(done)
+	c.data = slices.Grow(c.data[:0], beats*w)[:beats*w]
+	for i := range c.data {
+		c.data[i] = byte(addr>>2) + byte(i)
 	}
-	s.Write(k, addr, s.width, data, done)
+	s.Write(k, addr, s.width, c.data, c.wrote)
 }
 
 // AXI adapts an AXI master: INCR bursts on ID id%4.
-func AXI(m *axi.Master) Socket { return Socket{Initiator: axiSocket{m}, ids: numIDs, width: 4} }
+func AXI(m *axi.Master) Socket { return newSocket(&axiSocket{m: m}, numIDs, 0, 4) }
 
-type axiSocket struct{ m *axi.Master }
-
-func (a axiSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	a.m.Write(id%numIDs, addr, size, axi.BurstIncr, data, func(r axi.Resp) { done(nil, r != axi.RespOKAY) })
+type axiSocket struct {
+	m    *axi.Master
+	free []*axiCall
 }
 
-func (a axiSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
-	a.m.Read(id%numIDs, addr, size, beats, axi.BurstIncr, func(r axi.ReadResult) { done(r.Data, r.Resp != axi.RespOKAY) })
+// axiCall is one transaction in flight on an AXI socket (see
+// issueWrite).
+type axiCall struct {
+	a     *axiSocket
+	done  Done
+	wrote func(axi.Resp)
+	read  func(axi.ReadResult)
+}
+
+func (a *axiSocket) call(done Done) *axiCall {
+	var c *axiCall
+	if n := len(a.free); n > 0 {
+		c, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		c = &axiCall{a: a}
+		c.wrote = func(r axi.Resp) { c.finish(nil, r != axi.RespOKAY) }
+		c.read = func(r axi.ReadResult) { c.finish(r.Data, r.Resp != axi.RespOKAY) }
+	}
+	c.done = done
+	return c
+}
+
+func (c *axiCall) finish(data []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.a.free = append(c.a.free, c)
+	done(data, err)
+}
+
+func (a *axiSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
+	a.m.Write(id%numIDs, addr, size, axi.BurstIncr, data, a.call(done).wrote)
+}
+
+func (a *axiSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
+	a.m.Read(id%numIDs, addr, size, beats, axi.BurstIncr, a.call(done).read)
 }
 
 // OCP adapts an OCP master: non-posted writes and incrementing reads on
 // thread id%4.
-func OCP(m *ocp.Master) Socket { return Socket{Initiator: ocpSocket{m}, ids: numIDs, width: 4} }
+func OCP(m *ocp.Master) Socket { return newSocket(&ocpSocket{m: m}, numIDs, 0, 4) }
 
-type ocpSocket struct{ m *ocp.Master }
-
-func (o ocpSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	o.m.WriteNonPosted(id%numIDs, addr, size, ocp.SeqIncr, data, func(r ocp.SResp) { done(nil, r != ocp.RespDVA) })
+type ocpSocket struct {
+	m    *ocp.Master
+	free []*ocpCall
 }
 
-func (o ocpSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
-	o.m.Read(id%numIDs, addr, size, beats, ocp.SeqIncr, func(r ocp.ReadResult) { done(r.Data, r.Resp != ocp.RespDVA) })
+// ocpCall is one transaction in flight on an OCP socket (see
+// issueWrite).
+type ocpCall struct {
+	o     *ocpSocket
+	done  Done
+	wrote func(ocp.SResp)
+	read  func(ocp.ReadResult)
+}
+
+func (o *ocpSocket) call(done Done) *ocpCall {
+	var c *ocpCall
+	if n := len(o.free); n > 0 {
+		c, o.free = o.free[n-1], o.free[:n-1]
+	} else {
+		c = &ocpCall{o: o}
+		c.wrote = func(r ocp.SResp) { c.finish(nil, r != ocp.RespDVA) }
+		c.read = func(r ocp.ReadResult) { c.finish(r.Data, r.Resp != ocp.RespDVA) }
+	}
+	c.done = done
+	return c
+}
+
+func (c *ocpCall) finish(data []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.o.free = append(c.o.free, c)
+	done(data, err)
+}
+
+func (o *ocpSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
+	o.m.WriteNonPosted(id%numIDs, addr, size, ocp.SeqIncr, data, o.call(done).wrote)
+}
+
+func (o *ocpSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
+	o.m.Read(id%numIDs, addr, size, beats, ocp.SeqIncr, o.call(done).read)
 }
 
 // AHB adapts an AHB master: in order, each burst encoded by
 // ahb.BurstFor.
-func AHB(m *ahb.Master) Socket { return Socket{Initiator: ahbSocket{m}, width: 4} }
+func AHB(m *ahb.Master) Socket { return newSocket(&ahbSocket{m: m}, 0, 0, 4) }
 
-type ahbSocket struct{ m *ahb.Master }
-
-func (a ahbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	a.m.Write(addr, size, ahb.BurstFor(false, len(data)/int(size)), data, func(r ahb.Resp) { done(nil, r != ahb.RespOkay) })
+type ahbSocket struct {
+	m    *ahb.Master
+	free []*ahbCall
 }
 
-func (a ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	a.m.Read(addr, size, ahb.BurstFor(false, beats), beats, func(r ahb.ReadResult) { done(r.Data, r.Resp != ahb.RespOkay) })
+// ahbCall is one transaction in flight on an AHB socket (see
+// issueWrite).
+type ahbCall struct {
+	a     *ahbSocket
+	done  Done
+	wrote func(ahb.Resp)
+	read  func(ahb.ReadResult)
+}
+
+func (a *ahbSocket) call(done Done) *ahbCall {
+	var c *ahbCall
+	if n := len(a.free); n > 0 {
+		c, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		c = &ahbCall{a: a}
+		c.wrote = func(r ahb.Resp) { c.finish(nil, r != ahb.RespOkay) }
+		c.read = func(r ahb.ReadResult) { c.finish(r.Data, r.Resp != ahb.RespOkay) }
+	}
+	c.done = done
+	return c
+}
+
+func (c *ahbCall) finish(data []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.a.free = append(c.a.free, c)
+	done(data, err)
+}
+
+func (a *ahbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
+	a.m.Write(addr, size, ahb.BurstFor(false, len(data)/int(size)), data, a.call(done).wrote)
+}
+
+func (a *ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
+	a.m.Read(addr, size, ahb.BurstFor(false, beats), beats, a.call(done).read)
+}
+
+// flagWrites adapts the write completions of the VCI and WISHBONE
+// masters, which report only an error flag. Their reads complete with
+// (data, err) already, so the adapters pass done straight through.
+type flagWrites struct{ free []*flagWrite }
+
+// flagWrite is one write in flight on a VCI or WISHBONE socket (see
+// issueWrite).
+type flagWrite struct {
+	fw    *flagWrites
+	done  Done
+	wrote func(err bool)
+}
+
+func (fw *flagWrites) call(done Done) func(err bool) {
+	var c *flagWrite
+	if n := len(fw.free); n > 0 {
+		c, fw.free = fw.free[n-1], fw.free[:n-1]
+	} else {
+		c = &flagWrite{fw: fw}
+		c.wrote = c.onWrite
+	}
+	c.done = done
+	return c.wrote
+}
+
+func (c *flagWrite) onWrite(err bool) {
+	done := c.done
+	c.done = nil
+	c.fw.free = append(c.fw.free, c)
+	done(nil, err)
 }
 
 // PVCI adapts a PVCI master: single-word, in order.
-func PVCI(m *vci.PMaster) Socket { return Socket{Initiator: pvciSocket{m}, maxBeats: 1, width: 4} }
+func PVCI(m *vci.PMaster) Socket { return newSocket(&pvciSocket{m: m}, 0, 1, 4) }
 
-type pvciSocket struct{ m *vci.PMaster }
-
-func (p pvciSocket) Write(_ int, addr uint64, _ uint8, data []byte, done Done) {
-	p.m.Write(addr, data, func(err bool) { done(nil, err) })
+type pvciSocket struct {
+	m *vci.PMaster
+	flagWrites
 }
 
-func (p pvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
+func (p *pvciSocket) Write(_ int, addr uint64, _ uint8, data []byte, done Done) {
+	p.m.Write(addr, data, p.call(done))
+}
+
+func (p *pvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 	p.m.Read(addr, int(size)*beats, done)
 }
 
 // BVCI adapts a BVCI master: contiguous bursts, in order.
-func BVCI(m *vci.BMaster) Socket { return Socket{Initiator: bvciSocket{m}, width: 4} }
+func BVCI(m *vci.BMaster) Socket { return newSocket(&bvciSocket{m: m}, 0, 0, 4) }
 
-type bvciSocket struct{ m *vci.BMaster }
-
-func (b bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	b.m.Write(addr, size, data, func(err bool) { done(nil, err) })
+type bvciSocket struct {
+	m *vci.BMaster
+	flagWrites
 }
 
-func (b bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
+func (b *bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
+	b.m.Write(addr, size, data, b.call(done))
+}
+
+func (b *bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 	b.m.Read(addr, size, beats, false, done)
 }
 
 // AVCI adapts an AVCI master: bursts on transaction ID id%4.
-func AVCI(m *vci.AMaster) Socket { return Socket{Initiator: avciSocket{m}, ids: numIDs, width: 4} }
+func AVCI(m *vci.AMaster) Socket { return newSocket(&avciSocket{m: m}, numIDs, 0, 4) }
 
-type avciSocket struct{ m *vci.AMaster }
-
-func (a avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	a.m.Write(id%numIDs, addr, size, data, func(err bool) { done(nil, err) })
+type avciSocket struct {
+	m *vci.AMaster
+	flagWrites
 }
 
-func (a avciSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
+func (a *avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
+	a.m.Write(id%numIDs, addr, size, data, a.call(done))
+}
+
+func (a *avciSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
 	a.m.Read(id%numIDs, addr, size, beats, done)
 }
 
 // Prop adapts the proprietary streaming master: byte-granular streams,
 // writes on stream 2·id and reads on 2·id+1, so a write and its read
 // back never share a stream.
-func Prop(m *prop.Master) Socket { return Socket{Initiator: propSocket{m}, width: 1} }
+func Prop(m *prop.Master) Socket { return newSocket(&propSocket{m: m}, 0, 0, 1) }
 
-type propSocket struct{ m *prop.Master }
-
-func (p propSocket) Write(id int, addr uint64, _ uint8, data []byte, done Done) {
-	p.m.StreamWrite(2*id, addr, data, func(ok bool) { done(nil, !ok) })
+type propSocket struct {
+	m    *prop.Master
+	free []*propCall
 }
 
-func (p propSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
-	p.m.StreamRead(2*id+1, addr, int(size)*beats, func(d []byte) { done(d, false) })
+// propCall is one stream in flight on the proprietary socket (see
+// issueWrite).
+type propCall struct {
+	p     *propSocket
+	done  Done
+	wrote func(ok bool)
+	read  func(data []byte)
+}
+
+func (p *propSocket) call(done Done) *propCall {
+	var c *propCall
+	if n := len(p.free); n > 0 {
+		c, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		c = &propCall{p: p}
+		c.wrote = func(ok bool) { c.finish(nil, !ok) }
+		c.read = func(data []byte) { c.finish(data, false) }
+	}
+	c.done = done
+	return c
+}
+
+func (c *propCall) finish(data []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.p.free = append(c.p.free, c)
+	done(data, err)
+}
+
+func (p *propSocket) Write(id int, addr uint64, _ uint8, data []byte, done Done) {
+	p.m.StreamWrite(2*id, addr, data, p.call(done).wrote)
+}
+
+func (p *propSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
+	p.m.StreamRead(2*id+1, addr, int(size)*beats, p.call(done).read)
 }
 
 // WB adapts a WISHBONE master: single accesses as classic cycles,
 // bursts as linear incrementing registered-feedback cycles.
-func WB(m *wishbone.Master) Socket { return Socket{Initiator: wbSocket{m}, width: 4} }
+func WB(m *wishbone.Master) Socket { return newSocket(&wbSocket{m: m}, 0, 0, 4) }
 
-type wbSocket struct{ m *wishbone.Master }
+type wbSocket struct {
+	m *wishbone.Master
+	flagWrites
+}
 
 func wbCTI(beats int) wishbone.CTI {
 	if beats == 1 {
@@ -163,10 +383,10 @@ func wbCTI(beats int) wishbone.CTI {
 	return wishbone.Incrementing
 }
 
-func (w wbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	w.m.Write(addr, size, data, wbCTI(len(data)/int(size)), wishbone.Linear, func(err bool) { done(nil, err) })
+func (w *wbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
+	w.m.Write(addr, size, data, wbCTI(len(data)/int(size)), wishbone.Linear, w.call(done))
 }
 
-func (w wbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
+func (w *wbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 	w.m.Read(addr, size, beats, wbCTI(beats), wishbone.Linear, done)
 }

@@ -47,26 +47,32 @@ func (b *Backing) page(addr uint64, create bool) []byte {
 	return p
 }
 
-// Read copies n bytes starting at addr.
+// Read copies n bytes starting at addr into a new slice.
 func (b *Backing) Read(addr uint64, n int) []byte {
+	out := make([]byte, n)
+	b.ReadInto(addr, out)
+	return out
+}
+
+// ReadInto copies len(dst) bytes starting at addr into dst, so a caller
+// that reuses its buffer reads without allocating.
+func (b *Backing) ReadInto(addr uint64, dst []byte) {
+	n := len(dst)
 	if !b.InBounds(addr, n) {
 		panic(fmt.Sprintf("mem: read [%#x,+%d) out of bounds (size %#x)", addr, n, b.size))
 	}
-	out := make([]byte, n)
 	for i := 0; i < n; {
 		p := b.page(addr+uint64(i), false)
 		off := int((addr + uint64(i)) & (pageSize - 1))
-		chunk := pageSize - off
-		if chunk > n-i {
-			chunk = n - i
-		}
+		chunk := min(pageSize-off, n-i)
 		if p != nil {
-			copy(out[i:i+chunk], p[off:off+chunk])
+			copy(dst[i:i+chunk], p[off:off+chunk])
+		} else {
+			clear(dst[i : i+chunk])
 		}
 		i += chunk
 	}
 	b.reads++
-	return out
 }
 
 // Write stores data at addr. If be is non-nil, only bytes with a non-zero

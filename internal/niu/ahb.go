@@ -1,8 +1,6 @@
 package niu
 
 import (
-	"bytes"
-
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/sim"
@@ -32,9 +30,10 @@ type AHBMaster struct {
 
 // ahbMasterAdapter converts between the AHB socket and the engine.
 type ahbMasterAdapter struct {
-	eng  *MasterEngine
-	port *ahb.Port
-	rspQ []ahb.Rsp
+	eng     *MasterEngine
+	port    *ahb.Port
+	rspQ    []ahb.Rsp
+	rspBufs readBufs // rspQ's read data
 }
 
 // NewAHBMaster creates the NIU and registers it on clk. AHB has no
@@ -42,7 +41,7 @@ type ahbMasterAdapter struct {
 func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ahb.Port, cfg MasterConfig) *AHBMaster {
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &ahbMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &ahbMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &AHBMaster{e}
 }
@@ -55,13 +54,18 @@ func (a *ahbMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ
 func (a *ahbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
 	out := ahb.Rsp{Resp: ahbRespFor(rsp.Status)}
 	if !entry.Cmd.IsWrite() {
-		out.Data = bytes.Clone(rsp.Data)
+		out.Data = a.rspBufs.hold(rsp.Data, 0)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // StreamSocket implements MasterAdapter.
-func (a *ahbMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
+func (a *ahbMasterAdapter) StreamSocket() {
+	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
+		a.rspBufs.pushed(a.rspQ[0].Data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
+	}
+}
 
 // PumpRequests implements MasterAdapter.
 func (a *ahbMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
@@ -103,7 +107,7 @@ func (a *ahbMasterAdapter) Pop() { a.port.Req.Pop() }
 func (a *ahbMasterAdapter) Refuse(c *Candidate) {
 	out := ahb.Rsp{Resp: ahb.RespError}
 	if !c.Req.Cmd.IsWrite() {
-		out.Data = make([]byte, c.Req.Bytes())
+		out.Data = a.rspBufs.hold(nil, c.Req.Bytes())
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -120,6 +124,14 @@ type AHBSlave struct {
 type ahbSlaveAdapter struct {
 	eng *ahb.Master
 	replier
+	free []*ahbExec
+}
+
+// ahbExec is one request the AHB target is executing (see slaveExec).
+type ahbExec struct {
+	slaveExec
+	read  func(ahb.ReadResult)
+	wrote func(ahb.Resp)
 }
 
 // NewAHBSlave creates the NIU on clk.
@@ -129,63 +141,46 @@ func NewAHBSlave(clk *sim.Clock, net *transport.Network, port *ahb.Port, cfg Sla
 	return &AHBSlave{e}
 }
 
-// Execute implements SlaveAdapter.
-func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	r := req
-	beats := int(req.Len)
-	data, _ := heldWrite(req)
-	if req.Burst == core.BurstFixed && beats > 1 {
-		a.execFixed(r, beats, data, respond)
-		return
+func (a *ahbSlaveAdapter) exec(cmd core.Cmd, respond func(*core.Response), parts int) *ahbExec {
+	var x *ahbExec
+	if n := len(a.free); n > 0 {
+		x, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		x = &ahbExec{}
+		x.rep, x.release = &a.replier, func() { a.free = append(a.free, x) }
+		x.read = func(r ahb.ReadResult) { x.part(r.Data, r.Resp != ahb.RespOkay) }
+		x.wrote = func(r ahb.Resp) { x.done(r != ahb.RespOkay) }
 	}
-	burst, incr := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0
-	if burst == ahb.BurstIncr {
-		incr = beats // only undefined-length INCR carries its length
-	}
-	switch {
-	case req.Cmd.IsRead():
-		a.eng.Read(req.Addr, req.Size, burst, incr, func(res ahb.ReadResult) {
-			a.reply(respond, statusFor(r, res.Resp != ahb.RespOkay), res.Data)
-		})
-	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(req.Addr, req.Size, burst, data, nil)
-	default:
-		a.eng.Write(req.Addr, req.Size, burst, data, func(resp ahb.Resp) {
-			a.reply(respond, statusFor(r, resp != ahb.RespOkay), nil)
-		})
-	}
+	x.start(cmd, respond, parts)
+	return x
 }
 
-// execFixed adapts a FIXED burst into repeated SINGLE transfers of data,
-// the request's write bytes.
-func (a *ahbSlaveAdapter) execFixed(r *core.Request, beats int, data []byte, respond func(*core.Response)) {
-	s := int(r.Size)
-	if r.Cmd.IsRead() {
-		got := make([]byte, 0, beats*s)
-		remaining := beats
-		for i := 0; i < beats; i++ {
-			a.eng.Read(r.Addr, r.Size, ahb.BurstSingle, 0, func(res ahb.ReadResult) {
-				got = append(got, res.Data...)
-				remaining--
-				if remaining == 0 {
-					a.reply(respond, statusFor(r, false), got)
-				}
-			})
-		}
-		return
+// Execute implements SlaveAdapter. AHB has no FIXED burst: a
+// fixed-address burst runs as one SINGLE transfer per beat.
+func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
+	beats := int(req.Len)
+	data, _ := heldWrite(req)
+	burst, incr, parts := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0, 1
+	switch {
+	case req.Burst == core.BurstFixed && beats > 1:
+		burst, parts = ahb.BurstSingle, beats
+	case burst == ahb.BurstIncr:
+		incr = beats // only undefined-length INCR carries its length
 	}
-	remaining := beats
-	for i := 0; i < beats; i++ {
-		beat := data[i*s : (i+1)*s]
-		cb := func(ahb.Resp) {
-			remaining--
-			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				a.reply(respond, statusFor(r, false), nil)
-			}
+	var x *ahbExec
+	if req.Cmd.ExpectsResponse() {
+		x = a.exec(req.Cmd, respond, parts)
+	}
+	var wrote func(ahb.Resp)
+	if x != nil {
+		wrote = x.wrote
+	}
+	n := len(data) / parts
+	for i := 0; i < parts; i++ {
+		if req.Cmd.IsRead() {
+			a.eng.Read(req.Addr, req.Size, burst, incr, x.read)
+		} else {
+			a.eng.Write(req.Addr, req.Size, burst, data[i*n:(i+1)*n], wrote)
 		}
-		if !r.Cmd.ExpectsResponse() {
-			cb = nil
-		}
-		a.eng.Write(r.Addr, r.Size, ahb.BurstSingle, beat, cb)
 	}
 }

@@ -77,6 +77,7 @@ type axiMasterAdapter struct {
 	wQ      []axi.WBeat // buffered write data awaiting its AW
 	rStream []axiRead   // completed reads streaming R beats
 	rBeat   int
+	rBufs   readBufs // rStream's data
 	bQ      []axi.BBeat
 
 	// Conversion scratch, reused by every issue: Issue encodes the
@@ -97,7 +98,7 @@ type axiRead struct {
 // ordering model is ID-ordered.
 func NewAXIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *axi.Port, cfg MasterConfig) *AXIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
-	e.Bind(clk, &axiMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &axiMasterAdapter{eng: e, port: port, rBufs: newReadBufs(port.R.Cap())})
 	e.wake.Consumes(port.AR, port.AW, port.W)
 	return &AXIMaster{e}
 }
@@ -119,7 +120,7 @@ func (a *axiMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry
 	}
 	beats, size := int(entry.Len), int(entry.Size)
 	a.rStream = append(a.rStream, axiRead{
-		id: id, data: ownData(rsp.Data, beats*size),
+		id: id, data: a.rBufs.hold(rsp.Data, beats*size),
 		size: size, beats: beats,
 		resp: axiRespFor(rsp.Status),
 	})
@@ -148,7 +149,8 @@ func (a *axiMasterAdapter) streamR() {
 	last := a.rBeat == r.beats-1
 	a.port.R.Push(axi.RBeat{ID: r.id, Data: r.data[lo : lo+r.size], Resp: r.resp, Last: last})
 	if last {
-		a.rStream = dropFront(a.rStream, 1)
+		a.rBufs.pushed(r.data)
+		a.rStream = sim.DropFront(a.rStream, 1)
 		a.rBeat = 0
 	} else {
 		a.rBeat++
@@ -189,7 +191,7 @@ func (a *axiMasterAdapter) acceptAR(cycle int64) {
 	case IssueDecodeErr:
 		a.port.AR.Pop()
 		a.rStream = append(a.rStream, axiRead{
-			id: ar.ID, data: make([]byte, ar.Beats()*int(ar.Size)),
+			id: ar.ID, data: a.rBufs.hold(nil, ar.Beats()*int(ar.Size)),
 			size: int(ar.Size), beats: ar.Beats(), resp: axi.RespDECERR,
 		})
 	case IssueStall, IssueUnsupported:
@@ -254,10 +256,10 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	switch a.eng.Issue(&a.req, axiProtoID(aw.ID, true), nil, cycle) {
 	case IssueOK:
 		a.port.AW.Pop()
-		a.wQ = dropFront(a.wQ, need)
+		a.wQ = sim.DropFront(a.wQ, need)
 	case IssueDecodeErr:
 		a.port.AW.Pop()
-		a.wQ = dropFront(a.wQ, need)
+		a.wQ = sim.DropFront(a.wQ, need)
 		a.bQ = append(a.bQ, axi.BBeat{ID: aw.ID, Resp: axi.RespDECERR})
 	case IssueStall, IssueUnsupported:
 	}
@@ -273,6 +275,14 @@ type AXISlave struct {
 type axiSlaveAdapter struct {
 	eng *axi.Master
 	replier
+	free []*axiExec
+}
+
+// axiExec is one request the AXI target is executing (see slaveExec).
+type axiExec struct {
+	slaveExec
+	read  func(axi.ReadResult)
+	wrote func(axi.Resp)
 }
 
 // NewAXISlave creates the NIU (and its embedded engine) on clk.
@@ -282,29 +292,33 @@ func NewAXISlave(clk *sim.Clock, net *transport.Network, port *axi.Port, cfg Sla
 	return &AXISlave{e}
 }
 
+func (a *axiSlaveAdapter) exec(cmd core.Cmd, respond func(*core.Response)) *axiExec {
+	var x *axiExec
+	if n := len(a.free); n > 0 {
+		x, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		x = &axiExec{}
+		x.rep, x.release = &a.replier, func() { a.free = append(a.free, x) }
+		x.read = func(r axi.ReadResult) { x.part(r.Data, r.Resp == axi.RespSLVERR || r.Resp == axi.RespDECERR) }
+		x.wrote = func(r axi.Resp) { x.done(r == axi.RespSLVERR || r == axi.RespDECERR) }
+	}
+	x.start(cmd, respond, 1)
+	return x
+}
+
 // Execute implements SlaveAdapter.
 func (a *axiSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
-	r := req // capture
 	data, be := heldWrite(req)
+	burst := coreBurstToAXI(req.Burst)
 	switch {
 	case req.Cmd.IsRead():
-		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), coreBurstToAXI(req.Burst),
-			func(res axi.ReadResult) {
-				st := statusFor(r, res.Resp == axi.RespSLVERR || res.Resp == axi.RespDECERR)
-				a.reply(respond, st, res.Data)
-			})
+		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), burst, a.exec(req.Cmd, respond).read)
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, nil)
-	default: // all response-carrying writes (incl. resolved exclusives)
-		cb := func(resp axi.Resp) {
-			st := statusFor(r, resp == axi.RespSLVERR || resp == axi.RespDECERR)
-			a.reply(respond, st, nil)
-		}
-		if be != nil {
-			a.eng.WriteStrobed(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, be, cb)
-		} else {
-			a.eng.Write(engID, req.Addr, req.Size, coreBurstToAXI(req.Burst), data, cb)
-		}
+		a.eng.Write(engID, req.Addr, req.Size, burst, data, nil)
+	case be != nil: // all response-carrying writes (incl. resolved exclusives)
+		a.eng.WriteStrobed(engID, req.Addr, req.Size, burst, data, be, a.exec(req.Cmd, respond).wrote)
+	default:
+		a.eng.Write(engID, req.Addr, req.Size, burst, data, a.exec(req.Cmd, respond).wrote)
 	}
 }

@@ -6,6 +6,7 @@ package niu
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"gonoc/internal/core"
 	"gonoc/internal/obs"
@@ -587,15 +588,46 @@ func (e *SlaveEngine) answer(st core.Status) *core.Response {
 	return &e.early
 }
 
-// ownData copies read data out of an engine-owned response into a new
-// slice of at least want bytes, zero-padded (error responses carry no
-// data; the sockets still expect full-length beats). This is the one
-// allocation a read costs a master NIU: rsp.Data dies with
-// DeliverResponse, but the socket streams it out later.
-func ownData(data []byte, want int) []byte {
-	out := make([]byte, max(len(data), want))
-	copy(out, data)
-	return out
+// readBufs recycles the read data a master adapter streams onto its
+// socket: rsp.Data dies with DeliverResponse, but the socket takes the
+// beats in later cycles. hold copies a response into a free buffer. When
+// the last beat reading a buffer is pushed, pushed parks it: the
+// socket's master may pop that beat only after the pipe's depth of later
+// pushes, so the buffer is free again once depth+1 more buffers have
+// been pushed after it.
+type readBufs struct {
+	free   [][]byte
+	parked [][]byte // the last depth+1 buffers pushed, a ring
+	next   int
+}
+
+func newReadBufs(depth int) readBufs { return readBufs{parked: make([][]byte, depth+1)} }
+
+// hold returns a copy of data zero-padded to at least n bytes (error
+// responses carry no data; the sockets still expect full-length beats),
+// or nil when both are empty.
+func (b *readBufs) hold(data []byte, n int) []byte {
+	n = max(n, len(data))
+	if n == 0 {
+		return nil
+	}
+	var buf []byte
+	if k := len(b.free); k > 0 {
+		buf, b.free = b.free[k-1], b.free[:k-1]
+	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf[copy(buf, data):])
+	return buf
+}
+
+// pushed parks buf, whose last beat the socket's response pipe has just
+// taken, and frees the buffer parked depth+1 pushes ago.
+func (b *readBufs) pushed(buf []byte) {
+	if old := b.parked[b.next]; old != nil {
+		b.free = append(b.free, old)
+	}
+	b.parked[b.next] = buf
+	b.next = (b.next + 1) % len(b.parked)
 }
 
 // heldWrite returns the write data and byte enables a slave adapter may
@@ -619,22 +651,83 @@ func (p *replier) reply(respond func(*core.Response), st core.Status, data []byt
 	respond(&p.rsp)
 }
 
+// slaveExec is one request a slave adapter's target IP is executing,
+// and the part of it every adapter's context shares. An adapter keeps
+// a free list of its own contexts, each embedding a slaveExec; the
+// completions its target's master takes are bound once, when a context
+// is made, and a context returns to the free list before it answers.
+// A request runs as one or more parts (transfers on the target socket);
+// it answers when the last part completes.
+type slaveExec struct {
+	rep     *replier
+	release func() // returns the context to its adapter's free list
+	cmd     core.Cmd
+	respond func(*core.Response)
+	parts   int
+	ipErr   bool
+	got     []byte // the read data of the parts so far
+}
+
+func (x *slaveExec) start(cmd core.Cmd, respond func(*core.Response), parts int) {
+	x.cmd, x.respond, x.parts, x.ipErr, x.got = cmd, respond, parts, false, x.got[:0]
+}
+
+// part completes one part with its read data (nil for a write). The
+// last part answers, with every part's data joined.
+func (x *slaveExec) part(data []byte, ipErr bool) {
+	x.ipErr = x.ipErr || ipErr
+	if x.parts > 1 || len(x.got) > 0 {
+		x.got = append(x.got, data...)
+		data = x.got
+	}
+	if x.parts--; x.parts > 0 {
+		return
+	}
+	respond, st := x.respond, statusFor(x.cmd, x.ipErr)
+	x.respond = nil
+	x.release()
+	x.rep.reply(respond, st, data)
+}
+
+// done completes a part that carries no read data.
+func (x *slaveExec) done(ipErr bool) { x.part(nil, ipErr) }
+
+// flagExec is a request on a target whose master completes a read with
+// its data and an error flag, and a write with the flag alone: BVCI and
+// WISHBONE.
+type flagExec struct {
+	slaveExec
+	read  func(data []byte, ipErr bool)
+	wrote func(ipErr bool)
+}
+
+// flagExecs is the free list of flagExec contexts a BVCI or WISHBONE
+// slave adapter keeps, beside its replier.
+type flagExecs struct {
+	replier
+	free []*flagExec
+}
+
+func (f *flagExecs) exec(cmd core.Cmd, respond func(*core.Response), parts int) *flagExec {
+	var x *flagExec
+	if n := len(f.free); n > 0 {
+		x, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		x = &flagExec{}
+		x.rep, x.release = &f.replier, func() { f.free = append(f.free, x) }
+		x.read, x.wrote = x.part, x.done
+	}
+	x.start(cmd, respond, parts)
+	return x
+}
+
 // pushOne moves the head of q onto pipe if the pipe has room, returning
 // the (possibly shortened) queue — the one-beat-per-cycle socket
 // response drain every adapter shares.
 func pushOne[T any](q []T, pipe *sim.Pipe[T]) []T {
 	if len(q) > 0 && pipe.CanPush(1) {
 		pipe.Push(q[0])
-		q = dropFront(q, 1)
+		q = sim.DropFront(q, 1)
 	}
 	return q
-}
-
-// dropFront removes q's first k elements by shifting the rest down, so
-// the queue keeps its backing array and later appends reuse it instead
-// of reallocating as a resliced window would.
-func dropFront[T any](q []T, k int) []T {
-	n := copy(q, q[k:])
-	clear(q[n:])
-	return q[:n]
 }

@@ -190,7 +190,7 @@ func TestPairingMatrix(t *testing.T) {
 				}
 				var got []byte
 				rdErr := false
-				ops.read(memBase+0x100, 8, func(d []byte, err bool) { got, rdErr = d, err })
+				ops.read(memBase+0x100, 8, func(d []byte, err bool) { got, rdErr = bytes.Clone(d), err })
 				f.run(t, 8000, func() bool { return got != nil })
 				if rdErr {
 					t.Fatalf("%s->%s read errored", m.name, s.name)
@@ -286,7 +286,7 @@ func TestWBUnexpressibleWrapRefused(t *testing.T) {
 	f.run(t, 4000, func() bool { return wrDone })
 	var got []byte
 	ip.Read(memBase+0x28, 4, 4, wishbone.Incrementing, wishbone.Wrap4,
-		func(d []byte, _ bool) { got = d })
+		func(d []byte, _ bool) { got = bytes.Clone(d) })
 	f.run(t, 4000, func() bool { return got != nil })
 	wantWrap := append(append([]byte(nil), want[8:]...), want[:8]...)
 	if !bytes.Equal(got, wantWrap) {

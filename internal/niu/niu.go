@@ -114,13 +114,13 @@ type SlaveStats struct {
 	Unsupported  uint64
 }
 
-// statusFor converts an IP-level error flag into a transaction status,
-// upgrading successful exclusives to StExOK.
-func statusFor(req *core.Request, ipErr bool) core.Status {
+// statusFor converts an IP-level error flag on a cmd request into a
+// transaction status, upgrading successful exclusives to StExOK.
+func statusFor(cmd core.Cmd, ipErr bool) core.Status {
 	switch {
 	case ipErr:
 		return core.StErrSlave
-	case req.Cmd == core.CmdWriteEx || req.Cmd == core.CmdReadEx:
+	case cmd == core.CmdWriteEx || cmd == core.CmdReadEx:
 		return core.StExOK
 	default:
 		return core.StOK

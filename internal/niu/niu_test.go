@@ -83,7 +83,7 @@ func TestAXIMasterOverFabric(t *testing.T) {
 		t.Fatalf("write resp = %v", wr)
 	}
 	var got []byte
-	ip.Read(1, memBase+0x100, 4, 4, axi.BurstIncr, func(res axi.ReadResult) { got = res.Data })
+	ip.Read(1, memBase+0x100, 4, 4, axi.BurstIncr, func(res axi.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read back %v, want %v", got, want)
@@ -189,7 +189,7 @@ func TestOCPMasterOverFabric(t *testing.T) {
 		t.Fatalf("WRNP resp = %v", wr)
 	}
 	var got []byte
-	ip.Read(1, memBase+0x200, 4, 2, ocp.SeqIncr, func(res ocp.ReadResult) { got = res.Data })
+	ip.Read(1, memBase+0x200, 4, 2, ocp.SeqIncr, func(res ocp.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read back %v", got)
@@ -208,7 +208,7 @@ func TestOCPPostedWriteOverFabric(t *testing.T) {
 	f.run(t, 2000, func() bool { return accepted })
 	// Data lands even though no response exists.
 	var got []byte
-	ip.Read(0, memBase+0x300, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = res.Data })
+	ip.Read(0, memBase+0x300, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("posted write lost: %v", got)
@@ -264,7 +264,7 @@ func TestAHBMasterOverFabric(t *testing.T) {
 		t.Fatalf("AHB write resp = %v", wr)
 	}
 	var got []byte
-	ip.Read(memBase+0x400, 4, ahb.BurstIncr4, 0, func(res ahb.ReadResult) { got = res.Data })
+	ip.Read(memBase+0x400, 4, ahb.BurstIncr4, 0, func(res ahb.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, data) {
 		t.Fatalf("AHB read back %v", got)
@@ -288,7 +288,7 @@ func TestAHBLockedSequenceOverFabric(t *testing.T) {
 
 	// A runs a locked read-modify-write; B tries to write in between.
 	var lockedVal []byte
-	ipA.ReadLocked(memBase+0x600, 4, func(res ahb.ReadResult) { lockedVal = res.Data })
+	ipA.ReadLocked(memBase+0x600, 4, func(res ahb.ReadResult) { lockedVal = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return lockedVal != nil })
 
 	bDone := false
@@ -369,9 +369,9 @@ func TestVCIMastersOverFabric(t *testing.T) {
 	f.run(t, 4000, func() bool { return done == 3 })
 
 	var pv, bv, av []byte
-	pip.Read(memBase+0x700, 4, func(d []byte, _ bool) { pv = d })
-	bip.Read(memBase+0x710, 4, 2, false, func(d []byte, _ bool) { bv = d })
-	aip.Read(5, memBase+0x720, 4, 1, func(d []byte, _ bool) { av = d })
+	pip.Read(memBase+0x700, 4, func(d []byte, _ bool) { pv = bytes.Clone(d) })
+	bip.Read(memBase+0x710, 4, 2, false, func(d []byte, _ bool) { bv = bytes.Clone(d) })
+	aip.Read(5, memBase+0x720, 4, 1, func(d []byte, _ bool) { av = bytes.Clone(d) })
 	f.run(t, 4000, func() bool { return pv != nil && bv != nil && av != nil })
 
 	if !bytes.Equal(pv, []byte{1, 2, 3, 4}) ||
@@ -397,7 +397,7 @@ func TestPropMasterOverFabric(t *testing.T) {
 	f.run(t, 5000, func() bool { return ok })
 
 	var got []byte
-	ip.StreamRead(2, memBase+0x2000, 200, func(d []byte) { got = d })
+	ip.StreamRead(2, memBase+0x2000, 200, func(d []byte) { got = bytes.Clone(d) })
 	f.run(t, 5000, func() bool { return got != nil })
 	if !bytes.Equal(got, data) {
 		t.Fatal("prop stream round trip over fabric failed")
@@ -421,7 +421,7 @@ func TestAXIMasterToOCPSlave(t *testing.T) {
 	ip.Write(2, memBase+0x800, 4, axi.BurstIncr, want, func(r axi.Resp) { wr = r })
 	f.run(t, 2000, func() bool { return wr != 0xFF })
 	var got []byte
-	ip.Read(2, memBase+0x800, 4, 2, axi.BurstIncr, func(res axi.ReadResult) { got = res.Data })
+	ip.Read(2, memBase+0x800, 4, 2, axi.BurstIncr, func(res axi.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AXI->OCP slave round trip: %v", got)
@@ -443,7 +443,7 @@ func TestOCPMasterToAHBSlave(t *testing.T) {
 	ip.WriteNonPosted(0, memBase+0x900, 4, ocp.SeqIncr, want, func(s ocp.SResp) { wr = s })
 	f.run(t, 2000, func() bool { return wr != 0 })
 	var got []byte
-	ip.Read(0, memBase+0x900, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = res.Data })
+	ip.Read(0, memBase+0x900, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("OCP->AHB slave round trip: %v", got)
@@ -491,7 +491,7 @@ func TestBigBurstToPVCISlave(t *testing.T) {
 	ip.Write(0, memBase+0xB00, 4, axi.BurstIncr, data, func(r axi.Resp) { wr = r })
 	f.run(t, 4000, func() bool { return wr != 0xFF })
 	var got []byte
-	ip.Read(0, memBase+0xB00, 4, 8, axi.BurstIncr, func(res axi.ReadResult) { got = res.Data })
+	ip.Read(0, memBase+0xB00, 4, 8, axi.BurstIncr, func(res axi.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 4000, func() bool { return got != nil })
 	if !bytes.Equal(got, data) {
 		t.Fatalf("PVCI-split round trip: %v", got)
@@ -516,7 +516,7 @@ func TestAHBMasterToBVCISlave(t *testing.T) {
 	ip.Write(memBase+0xC00, 4, ahb.BurstIncr8, data, func(r ahb.Resp) { wr = r })
 	f.run(t, 2000, func() bool { return wr != 0xFF })
 	var got []byte
-	ip.Read(memBase+0xC00, 4, ahb.BurstIncr8, 0, func(res ahb.ReadResult) { got = res.Data })
+	ip.Read(memBase+0xC00, 4, ahb.BurstIncr8, 0, func(res ahb.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, data) {
 		t.Fatalf("AHB->BVCI round trip: %v", got)
@@ -538,7 +538,7 @@ func TestAVCISlaveOverFabric(t *testing.T) {
 	ip.Write(0, memBase+0xD00, 4, axi.BurstIncr, want, func(r axi.Resp) { wr = r })
 	f.run(t, 2000, func() bool { return wr != 0xFF })
 	var got []byte
-	ip.Read(0, memBase+0xD00, 4, 1, axi.BurstIncr, func(res axi.ReadResult) { got = res.Data })
+	ip.Read(0, memBase+0xD00, 4, 1, axi.BurstIncr, func(res axi.ReadResult) { got = bytes.Clone(res.Data) })
 	f.run(t, 2000, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AVCI slave round trip: %v", got)

@@ -58,6 +58,7 @@ type ocpMasterAdapter struct {
 	asm     map[int]*ocpAsm // per-thread request-burst assembly
 	rspQ    []ocpRspStream
 	rspBeat int
+	rspBufs readBufs // rspQ's read data
 
 	// Conversion scratch, reused by every issue: Issue encodes the
 	// request before it returns.
@@ -88,7 +89,7 @@ type ocpRspStream struct {
 // ordering model is thread-ordered.
 func NewOCPMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ocp.Port, cfg MasterConfig) *OCPMaster {
 	e := NewMasterEngine(net, amap, cfg, core.ThreadOrdered)
-	e.Bind(clk, &ocpMasterAdapter{eng: e, port: port, asm: make(map[int]*ocpAsm)})
+	e.Bind(clk, &ocpMasterAdapter{eng: e, port: port, asm: make(map[int]*ocpAsm), rspBufs: newReadBufs(port.Resp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &OCPMaster{e}
 }
@@ -106,7 +107,7 @@ func (a *ocpMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry
 		beats, size := int(entry.Len), int(entry.Size)
 		a.rspQ = append(a.rspQ, ocpRspStream{
 			thread: entry.ProtoID, cmd: entry.Cmd,
-			data: ownData(rsp.Data, beats*size),
+			data: a.rspBufs.hold(rsp.Data, beats*size),
 			size: size, beats: beats, resp: st,
 		})
 		return
@@ -129,7 +130,8 @@ func (a *ocpMasterAdapter) StreamSocket() {
 	}
 	a.port.Resp.Push(beat)
 	if last {
-		a.rspQ = dropFront(a.rspQ, 1)
+		a.rspBufs.pushed(r.data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
 		a.rspBeat = 0
 	} else {
 		a.rspBeat++
@@ -240,7 +242,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 			if cmd.IsRead() {
 				a.rspQ = append(a.rspQ, ocpRspStream{
 					thread: first.ThreadID, cmd: cmd,
-					data: make([]byte, beats*int(first.Size)), size: int(first.Size),
+					data: a.rspBufs.hold(nil, beats*int(first.Size)), size: int(first.Size),
 					beats: beats, resp: ocp.RespERR,
 				})
 			} else {
@@ -284,6 +286,14 @@ type ocpSlaveAdapter struct {
 	// thread allocation: the engine's threads are a hardware resource of
 	// the NIU; requests hash onto them by tag.
 	threads int
+	free    []*ocpExec
+}
+
+// ocpExec is one request the OCP target is executing (see slaveExec).
+type ocpExec struct {
+	slaveExec
+	read  func(ocp.ReadResult)
+	wrote func(ocp.SResp)
 }
 
 // NewOCPSlave creates the NIU; threads is the target socket's thread
@@ -297,23 +307,31 @@ func NewOCPSlave(clk *sim.Clock, net *transport.Network, port *ocp.Port, threads
 	return &OCPSlave{e}
 }
 
+func (a *ocpSlaveAdapter) exec(cmd core.Cmd, respond func(*core.Response)) *ocpExec {
+	var x *ocpExec
+	if n := len(a.free); n > 0 {
+		x, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		x = &ocpExec{}
+		x.rep, x.release = &a.replier, func() { a.free = append(a.free, x) }
+		x.read = func(r ocp.ReadResult) { x.part(r.Data, r.Resp == ocp.RespERR) }
+		x.wrote = func(r ocp.SResp) { x.done(r == ocp.RespERR) }
+	}
+	x.start(cmd, respond, 1)
+	return x
+}
+
 // Execute implements SlaveAdapter.
 func (a *ocpSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	th := int(req.Tag) % a.threads
-	r := req
 	data, _ := heldWrite(req)
+	seq := coreBurstToOCP(req.Burst)
 	switch {
 	case req.Cmd.IsRead():
-		a.eng.Read(th, req.Addr, req.Size, int(req.Len), coreBurstToOCP(req.Burst),
-			func(res ocp.ReadResult) {
-				a.reply(respond, statusFor(r, res.Resp == ocp.RespERR), res.Data)
-			})
+		a.eng.Read(th, req.Addr, req.Size, int(req.Len), seq, a.exec(req.Cmd, respond).read)
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), data, nil)
+		a.eng.Write(th, req.Addr, req.Size, seq, data, nil)
 	default:
-		a.eng.WriteNonPosted(th, req.Addr, req.Size, coreBurstToOCP(req.Burst), data,
-			func(s ocp.SResp) {
-				a.reply(respond, statusFor(r, s == ocp.RespERR), nil)
-			})
+		a.eng.WriteNonPosted(th, req.Addr, req.Size, seq, data, a.exec(req.Cmd, respond).wrote)
 	}
 }

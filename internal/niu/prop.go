@@ -37,6 +37,12 @@ type propMasterAdapter struct {
 	rdOrder   []int // active read streams, for chunk emission fairness
 	ackQ      []prop.Ack
 	req       core.Request // issue scratch: Issue encodes it before returning
+
+	// Stream states of finished streams, reused by later ones (a write
+	// stream's keeps its buffer), and the read streams' data.
+	wrFree []*propWrState
+	rdFree []*propRdState
+	rdBufs readBufs
 }
 
 type propWrState struct {
@@ -64,6 +70,7 @@ func NewPropMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 		port:      port,
 		wrStreams: make(map[int]*propWrState),
 		rdStreams: make(map[int]*propRdState),
+		rdBufs:    newReadBufs(port.Rd.Cap()),
 	})
 	e.wake.Consumes(port.Desc, port.Wr)
 	return &PropMaster{e}
@@ -110,13 +117,27 @@ func (a *propMasterAdapter) acceptSocket() {
 			if _, dup := a.wrStreams[d.StreamID]; dup {
 				panic(fmt.Sprintf("niu: prop stream %d already writing", d.StreamID))
 			}
-			a.wrStreams[d.StreamID] = &propWrState{d: d}
+			var st *propWrState
+			if n := len(a.wrFree); n > 0 {
+				st, a.wrFree = a.wrFree[n-1], a.wrFree[:n-1]
+			} else {
+				st = new(propWrState)
+			}
+			*st = propWrState{d: d, buf: st.buf[:0]}
+			a.wrStreams[d.StreamID] = st
 			a.wrOrder = append(a.wrOrder, d.StreamID)
 		case prop.OpStreamRead:
 			if _, dup := a.rdStreams[d.StreamID]; dup {
 				panic(fmt.Sprintf("niu: prop stream %d already reading", d.StreamID))
 			}
-			a.rdStreams[d.StreamID] = &propRdState{d: d}
+			var st *propRdState
+			if n := len(a.rdFree); n > 0 {
+				st, a.rdFree = a.rdFree[n-1], a.rdFree[:n-1]
+			} else {
+				st = new(propRdState)
+			}
+			*st = propRdState{d: d, got: a.rdBufs.hold(nil, d.Bytes)[:0]}
+			a.rdStreams[d.StreamID] = st
 			a.rdOrder = append(a.rdOrder, d.StreamID)
 		}
 	}
@@ -150,7 +171,7 @@ func (a *propMasterAdapter) issueWrites(cycle int64) {
 			Data: st.buf[:sz],
 		}
 		if a.eng.Issue(&a.req, id, nil, cycle) == IssueOK {
-			st.buf = dropFront(st.buf, sz)
+			st.buf = sim.DropFront(st.buf, sz)
 			st.sent += sz
 		}
 		return // at most one issue per cycle
@@ -201,6 +222,7 @@ func (a *propMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 		if done {
 			a.ackQ = append(a.ackQ, prop.Ack{StreamID: stream, Chunks: st.ackPend, Done: true, OK: !st.failed})
 			delete(a.wrStreams, stream)
+			a.wrFree = append(a.wrFree, st)
 			for i, id := range a.wrOrder {
 				if id == stream {
 					a.wrOrder = append(a.wrOrder[:i], a.wrOrder[i+1:]...)
@@ -243,7 +265,9 @@ func (a *propMasterAdapter) emitChunks() {
 		a.port.Rd.Push(prop.Chunk{StreamID: id, Data: st.got[st.emitted : st.emitted+sz], Last: last})
 		st.emitted += sz
 		if last {
+			a.rdBufs.pushed(st.got)
 			delete(a.rdStreams, id)
+			a.rdFree = append(a.rdFree, st)
 			a.rdOrder = append(a.rdOrder[:i], a.rdOrder[i+1:]...)
 		}
 		return

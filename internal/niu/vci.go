@@ -1,8 +1,6 @@
 package niu
 
 import (
-	"bytes"
-
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/vci"
 	"gonoc/internal/sim"
@@ -18,9 +16,10 @@ type PVCIMaster struct {
 }
 
 type pvciMasterAdapter struct {
-	eng  *MasterEngine
-	port *vci.PPort
-	rspQ []vci.PRsp
+	eng     *MasterEngine
+	port    *vci.PPort
+	rspQ    []vci.PRsp
+	rspBufs readBufs // rspQ's read data
 }
 
 // NewPVCIMaster creates the NIU on clk.
@@ -30,7 +29,7 @@ func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 		cfg.Table.MaxOutstanding = 1 // PVCI is single-outstanding by nature
 	}
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &pvciMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &pvciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &PVCIMaster{e}
 }
@@ -42,13 +41,18 @@ func (a *pvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rsp
 func (a *pvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
 	out := vci.PRsp{Err: !rsp.Status.OK()}
 	if !entry.Cmd.IsWrite() {
-		out.Data = bytes.Clone(rsp.Data)
+		out.Data = a.rspBufs.hold(rsp.Data, 0)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // StreamSocket implements MasterAdapter.
-func (a *pvciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
+func (a *pvciMasterAdapter) StreamSocket() {
+	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
+		a.rspBufs.pushed(a.rspQ[0].Data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
+	}
+}
 
 // PumpRequests implements MasterAdapter.
 func (a *pvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
@@ -135,7 +139,7 @@ func (a *pvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 				anyErr = anyErr || err
 				remaining--
 				if remaining == 0 {
-					a.reply(respond, statusFor(r, anyErr), data)
+					a.reply(respond, statusFor(r.Cmd, anyErr), data)
 				}
 			})
 		}
@@ -154,7 +158,7 @@ func (a *pvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 			anyErr = anyErr || err
 			remaining--
 			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				a.reply(respond, statusFor(r, anyErr), nil)
+				a.reply(respond, statusFor(r.Cmd, anyErr), nil)
 			}
 		}
 		if !r.Cmd.ExpectsResponse() {
@@ -179,16 +183,17 @@ type BVCIMaster struct {
 }
 
 type bvciMasterAdapter struct {
-	eng  *MasterEngine
-	port *vci.BPort
-	rspQ []vci.BRsp
+	eng     *MasterEngine
+	port    *vci.BPort
+	rspQ    []vci.BRsp
+	rspBufs readBufs // rspQ's read data
 }
 
 // NewBVCIMaster creates the NIU on clk.
 func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.BPort, cfg MasterConfig) *BVCIMaster {
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &bvciMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &bvciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &BVCIMaster{e}
 }
@@ -200,13 +205,18 @@ func (a *bvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rsp
 func (a *bvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
 	out := vci.BRsp{Err: !rsp.Status.OK()}
 	if !entry.Cmd.IsWrite() {
-		out.Data = bytes.Clone(rsp.Data)
+		out.Data = a.rspBufs.hold(rsp.Data, 0)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // StreamSocket implements MasterAdapter.
-func (a *bvciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
+func (a *bvciMasterAdapter) StreamSocket() {
+	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
+		a.rspBufs.pushed(a.rspQ[0].Data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
+	}
+}
 
 // PumpRequests implements MasterAdapter.
 func (a *bvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
@@ -237,7 +247,7 @@ func (a *bvciMasterAdapter) Pop() { a.port.Req.Pop() }
 func (a *bvciMasterAdapter) Refuse(c *Candidate) {
 	out := vci.BRsp{Err: true}
 	if !c.Req.Cmd.IsWrite() {
-		out.Data = make([]byte, c.Req.Bytes())
+		out.Data = a.rspBufs.hold(nil, c.Req.Bytes())
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -249,7 +259,7 @@ type BVCISlave struct {
 
 type bvciSlaveAdapter struct {
 	eng *vci.BMaster
-	replier
+	flagExecs
 }
 
 // NewBVCISlave creates the NIU on clk.
@@ -261,20 +271,15 @@ func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg S
 
 // Execute implements SlaveAdapter.
 func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	r := req
 	wrap := req.Burst == core.BurstWrap
 	data, _ := heldWrite(req)
 	switch {
 	case req.Cmd.IsRead():
-		a.eng.Read(req.Addr, req.Size, int(req.Len), wrap, func(d []byte, err bool) {
-			a.reply(respond, statusFor(r, err), d)
-		})
+		a.eng.Read(req.Addr, req.Size, int(req.Len), wrap, a.exec(req.Cmd, respond, 1).read)
 	case req.Cmd == core.CmdWritePost:
 		a.eng.Write(req.Addr, req.Size, data, nil)
 	default:
-		a.eng.Write(req.Addr, req.Size, data, func(err bool) {
-			a.reply(respond, statusFor(r, err), nil)
-		})
+		a.eng.Write(req.Addr, req.Size, data, a.exec(req.Cmd, respond, 1).wrote)
 	}
 }
 
@@ -287,15 +292,16 @@ type AVCIMaster struct {
 }
 
 type avciMasterAdapter struct {
-	eng  *MasterEngine
-	port *vci.APort
-	rspQ []vci.ARsp
+	eng     *MasterEngine
+	port    *vci.APort
+	rspQ    []vci.ARsp
+	rspBufs readBufs // rspQ's read data
 }
 
 // NewAVCIMaster creates the NIU on clk.
 func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.APort, cfg MasterConfig) *AVCIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
-	e.Bind(clk, &avciMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &avciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &AVCIMaster{e}
 }
@@ -309,13 +315,18 @@ func (a *avciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 	out := vci.ARsp{ID: entry.ProtoID}
 	out.Err = !rsp.Status.OK()
 	if !entry.Cmd.IsWrite() {
-		out.Data = bytes.Clone(rsp.Data)
+		out.Data = a.rspBufs.hold(rsp.Data, 0)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // StreamSocket implements MasterAdapter.
-func (a *avciMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
+func (a *avciMasterAdapter) StreamSocket() {
+	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
+		a.rspBufs.pushed(a.rspQ[0].Data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
+	}
+}
 
 // PumpRequests implements MasterAdapter.
 func (a *avciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
@@ -348,7 +359,7 @@ func (a *avciMasterAdapter) Refuse(c *Candidate) {
 	out := vci.ARsp{ID: c.ProtoID}
 	out.Err = true
 	if !c.Req.Cmd.IsWrite() {
-		out.Data = make([]byte, c.Req.Bytes())
+		out.Data = a.rspBufs.hold(nil, c.Req.Bytes())
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -378,13 +389,13 @@ func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), func(d []byte, err bool) {
-			a.reply(respond, statusFor(r, err), d)
+			a.reply(respond, statusFor(r.Cmd, err), d)
 		})
 	case req.Cmd == core.CmdWritePost:
 		a.eng.Write(engID, req.Addr, req.Size, data, nil)
 	default:
 		a.eng.Write(engID, req.Addr, req.Size, data, func(err bool) {
-			a.reply(respond, statusFor(r, err), nil)
+			a.reply(respond, statusFor(r.Cmd, err), nil)
 		})
 	}
 }

@@ -1,8 +1,6 @@
 package niu
 
 import (
-	"bytes"
-
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/wishbone"
 	"gonoc/internal/sim"
@@ -65,9 +63,10 @@ type WBMaster struct {
 }
 
 type wbMasterAdapter struct {
-	eng  *MasterEngine
-	port *wishbone.Port
-	rspQ []wishbone.Rsp
+	eng     *MasterEngine
+	port    *wishbone.Port
+	rspQ    []wishbone.Rsp
+	rspBufs readBufs // rspQ's read data
 }
 
 // NewWBMaster creates the NIU on clk. WISHBONE has no ordering handles:
@@ -75,7 +74,7 @@ type wbMasterAdapter struct {
 func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *wishbone.Port, cfg MasterConfig) *WBMaster {
 	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &wbMasterAdapter{eng: e, port: port})
+	e.Bind(clk, &wbMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
 	e.wake.Consumes(port.Req)
 	return &WBMaster{e}
 }
@@ -87,13 +86,18 @@ func (a *wbMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ)
 func (a *wbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
 	out := wishbone.Rsp{Err: !rsp.Status.OK()}
 	if !entry.Cmd.IsWrite() {
-		out.Data = bytes.Clone(rsp.Data)
+		out.Data = a.rspBufs.hold(rsp.Data, 0)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
 
 // StreamSocket implements MasterAdapter.
-func (a *wbMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) }
+func (a *wbMasterAdapter) StreamSocket() {
+	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
+		a.rspBufs.pushed(a.rspQ[0].Data)
+		a.rspQ = sim.DropFront(a.rspQ, 1)
+	}
+}
 
 // queueErr answers a cycle of beats×size bytes locally with ERR_I
 // (zero-padded data for reads) — the one error shape shared by decode
@@ -101,7 +105,7 @@ func (a *wbMasterAdapter) StreamSocket() { a.rspQ = pushOne(a.rspQ, a.port.Rsp) 
 func (a *wbMasterAdapter) queueErr(write bool, beats, size int) {
 	out := wishbone.Rsp{Err: true}
 	if !write {
-		out.Data = make([]byte, beats*size)
+		out.Data = a.rspBufs.hold(nil, beats*size)
 	}
 	a.rspQ = append(a.rspQ, out)
 }
@@ -151,7 +155,7 @@ type WBSlave struct {
 
 type wbSlaveAdapter struct {
 	eng *wishbone.Master
-	replier
+	flagExecs
 }
 
 // NewWBSlave creates the NIU on clk.
@@ -161,85 +165,36 @@ func NewWBSlave(clk *sim.Clock, net *transport.Network, port *wishbone.Port, cfg
 	return &WBSlave{e}
 }
 
-// Execute implements SlaveAdapter.
+// Execute implements SlaveAdapter. A wrap burst the BTE vocabulary
+// cannot express runs as one classic cycle per beat, at explicitly
+// wrapped addresses.
 func (a *wbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	r := req
 	beats := int(req.Len)
 	data, sel := heldWrite(req)
 	cti, bte, ok := coreBurstToWB(req.Burst, beats)
+	cycles, n := 1, beats // cycles, and beats per cycle
 	if !ok {
-		a.execBeatwise(r, beats, data, sel, respond)
-		return
+		cti, bte, cycles, n = wishbone.Classic, wishbone.Linear, beats, 1
 	}
-	switch {
-	case req.Cmd.IsRead():
-		a.eng.Read(req.Addr, req.Size, beats, cti, bte, func(d []byte, err bool) {
-			a.reply(respond, statusFor(r, err), d)
-		})
-	case req.Cmd == core.CmdWritePost:
-		if sel != nil {
-			a.eng.WriteSel(req.Addr, req.Size, data, sel, cti, bte, nil)
-		} else {
-			a.eng.Write(req.Addr, req.Size, data, cti, bte, nil)
-		}
-	default:
-		cb := func(err bool) {
-			a.reply(respond, statusFor(r, err), nil)
-		}
-		if sel != nil {
-			a.eng.WriteSel(req.Addr, req.Size, data, sel, cti, bte, cb)
-		} else {
-			a.eng.Write(req.Addr, req.Size, data, cti, bte, cb)
-		}
+	var x *flagExec
+	if req.Cmd.ExpectsResponse() {
+		x = a.exec(req.Cmd, respond, cycles)
 	}
-}
-
-// execBeatwise adapts an unsupported wrap burst into per-beat classic
-// cycles at explicitly computed addresses; data and sel are the
-// request's write bytes.
-func (a *wbSlaveAdapter) execBeatwise(r *core.Request, beats int, data, sel []byte, respond func(*core.Response)) {
-	s := int(r.Size)
-	if r.Cmd.IsRead() {
-		got := make([]byte, beats*s)
-		remaining := beats
-		anyErr := false
-		for i := 0; i < beats; i++ {
-			i := i
-			addr := core.BeatAddr(r.Burst, r.Addr, r.Size, r.Len, i)
-			a.eng.Read(addr, r.Size, 1, wishbone.Classic, wishbone.Linear, func(d []byte, err bool) {
-				copy(got[i*s:(i+1)*s], d)
-				anyErr = anyErr || err
-				remaining--
-				if remaining == 0 {
-					a.reply(respond, statusFor(r, anyErr), got)
-				}
-			})
-		}
-		return
+	var wrote func(bool)
+	if x != nil {
+		wrote = x.wrote
 	}
-	remaining := beats
-	anyErr := false
-	for i := 0; i < beats; i++ {
-		addr := core.BeatAddr(r.Burst, r.Addr, r.Size, r.Len, i)
-		beat := data[i*s : (i+1)*s]
-		var beatSel []byte
-		if sel != nil {
-			beatSel = sel[i*s : (i+1)*s]
-		}
-		cb := func(err bool) {
-			anyErr = anyErr || err
-			remaining--
-			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				a.reply(respond, statusFor(r, anyErr), nil)
-			}
-		}
-		if !r.Cmd.ExpectsResponse() {
-			cb = nil
-		}
-		if beatSel != nil {
-			a.eng.WriteSel(addr, r.Size, beat, beatSel, wishbone.Classic, wishbone.Linear, cb)
-		} else {
-			a.eng.Write(addr, r.Size, beat, wishbone.Classic, wishbone.Linear, cb)
+	span := n * int(req.Size)
+	for i := 0; i < cycles; i++ {
+		addr := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*n)
+		lo, hi := i*span, (i+1)*span
+		switch {
+		case req.Cmd.IsRead():
+			a.eng.Read(addr, req.Size, n, cti, bte, x.read)
+		case sel != nil:
+			a.eng.WriteSel(addr, req.Size, data[lo:hi], sel[lo:hi], cti, bte, wrote)
+		default:
+			a.eng.Write(addr, req.Size, data[lo:hi], cti, bte, wrote)
 		}
 	}
 }

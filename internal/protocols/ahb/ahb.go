@@ -11,6 +11,7 @@ package ahb
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -193,8 +194,10 @@ type Master struct {
 	port     *Port
 	pipeline int
 
-	reqQ []Req
-	pend []*ahbCtx
+	// pend holds the transactions in order: the first sent of them are
+	// issued and await their responses, the rest wait to issue.
+	pend []ahbCtx
+	sent int
 	// cancelled counts transfers pipelined behind a RETRY or SPLIT: they
 	// were re-queued, and the responses they still receive are dropped.
 	cancelled int
@@ -222,7 +225,7 @@ func NewMaster(clk *sim.Clock, port *Port, pipeline int) *Master {
 }
 
 // Busy reports whether work remains.
-func (m *Master) Busy() bool { return len(m.reqQ) > 0 || len(m.pend) > 0 }
+func (m *Master) Busy() bool { return len(m.pend) > 0 }
 
 // Outstanding returns in-flight transactions.
 func (m *Master) Outstanding() int { return len(m.pend) }
@@ -232,7 +235,8 @@ func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 func (m *Master) Retries() uint64   { return m.retries }
 
-// Read queues a read burst.
+// Read queues a read burst. cb's data is valid only during the call: the
+// socket's slave reuses its buffer for a later read.
 func (m *Master) Read(addr uint64, size uint8, burst Burst, beats int, cb func(ReadResult)) {
 	m.enqueue(Req{Addr: addr, Size: size, Burst: burst, Beats: beats}, cb, nil)
 }
@@ -242,7 +246,7 @@ func (m *Master) ReadLocked(addr uint64, size uint8, cb func(ReadResult)) {
 	m.enqueue(Req{Addr: addr, Size: size, Burst: BurstSingle, Lock: true}, cb, nil)
 }
 
-// Write queues a write burst.
+// Write queues a write burst. data must stay unchanged until cb runs.
 func (m *Master) Write(addr uint64, size uint8, burst Burst, data []byte, cb func(Resp)) {
 	m.enqueue(Req{Write: true, Addr: addr, Size: size, Burst: burst,
 		Beats: len(data) / int(size), Data: data}, nil, cb)
@@ -258,22 +262,18 @@ func (m *Master) enqueue(r Req, rdCb func(ReadResult), wrCb func(Resp)) {
 	if r.Write && len(r.Data) != r.NumBeats()*int(r.Size) {
 		panic(fmt.Sprintf("ahb: write data %dB != %d beats x %dB", len(r.Data), r.NumBeats(), r.Size))
 	}
-	m.reqQ = append(m.reqQ, r)
-	m.pendAdd(&ahbCtx{req: r, rdCb: rdCb, wrCb: wrCb})
+	m.pend = append(m.pend, ahbCtx{req: r, rdCb: rdCb, wrCb: wrCb})
 	m.issued++
 	m.wake.Wake()
 }
-
-func (m *Master) pendAdd(c *ahbCtx) { m.pend = append(m.pend, c) }
 
 // Eval implements sim.Clocked.
 func (m *Master) Eval(cycle int64) {
 	// Issue while the pipeline has room. AHB is fully ordered: requests
 	// go out strictly in order, limited by pipeline depth.
-	inFlight := len(m.pend) - len(m.reqQ) + m.cancelled // issued but unanswered
-	if len(m.reqQ) > 0 && inFlight < m.pipeline && m.port.Req.CanPush(1) {
-		m.port.Req.Push(m.reqQ[0])
-		m.reqQ = m.reqQ[1:]
+	if m.sent < len(m.pend) && m.sent+m.cancelled < m.pipeline && m.port.Req.CanPush(1) {
+		m.port.Req.Push(m.pend[m.sent].req)
+		m.sent++
 	}
 	// Responses arrive strictly in order.
 	if rsp, ok := m.port.Rsp.Pop(); ok {
@@ -281,25 +281,20 @@ func (m *Master) Eval(cycle int64) {
 			m.cancelled--
 			return
 		}
-		if len(m.pend) == 0 {
+		if m.sent == 0 {
 			panic("ahb: response with nothing outstanding")
 		}
-		ctx := m.pend[0]
 		if rsp.Resp == RespRetry || rsp.Resp == RespSplit {
 			// Re-issue the transaction, and cancel and re-issue the
 			// transfers pipelined behind it, in order: their responses
 			// would otherwise complete the wrong transaction.
 			m.retries++
-			issued := len(m.pend) - len(m.reqQ)
-			re := make([]Req, 0, len(m.pend))
-			for _, c := range m.pend[:issued] {
-				re = append(re, c.req)
-			}
-			m.reqQ = append(re, m.reqQ...)
-			m.cancelled = issued - 1
+			m.cancelled, m.sent = m.sent-1, 0
 			return
 		}
-		m.pend = m.pend[1:]
+		ctx := m.pend[0]
+		m.pend = sim.DropFront(m.pend, 1)
+		m.sent--
 		m.completed++
 		if ctx.rdCb != nil {
 			ctx.rdCb(ReadResult{Data: rsp.Data, Resp: rsp.Resp})
@@ -314,7 +309,7 @@ func (m *Master) Eval(cycle int64) {
 // queued that the pipeline would let out (a full pipeline waits for a
 // response).
 func (m *Master) Idle() bool {
-	return m.port.Rsp.Empty() && (len(m.reqQ) == 0 || len(m.pend)-len(m.reqQ)+m.cancelled >= m.pipeline)
+	return m.port.Rsp.Empty() && (m.sent == len(m.pend) || m.sent+m.cancelled >= m.pipeline)
 }
 
 // MemoryConfig parameterizes an AHB memory slave.
@@ -338,11 +333,17 @@ type Memory struct {
 	wait   int
 	seen   uint64
 	served uint64
+
+	// The read data ring: a response's buffer is reused only after the
+	// response pipe's depth of later responses, when its reader has
+	// popped it.
+	rbuf  [][]byte
+	rnext int
 }
 
 // NewMemory creates an AHB memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, rbuf: make([][]byte, port.Rsp.Cap()+1)}
 	clk.Register(m).Consumes(port.Req)
 	return m
 }
@@ -387,10 +388,13 @@ func (m *Memory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(Rsp{Resp: RespOkay})
 	} else {
-		data := make([]byte, 0, beats*int(req.Size))
+		s := int(req.Size)
+		data := slices.Grow(m.rbuf[m.rnext][:0], beats*s)[:beats*s]
+		m.rbuf[m.rnext] = data
+		m.rnext = (m.rnext + 1) % len(m.rbuf)
 		for i := 0; i < beats; i++ {
 			addr := BeatAddr(req.Burst, req.Addr, req.Size, beats, i) - m.base
-			data = append(data, m.store.Read(addr, int(req.Size))...)
+			m.store.ReadInto(addr, data[i*s:(i+1)*s])
 		}
 		m.port.Rsp.Push(Rsp{Resp: RespOkay, Data: data})
 	}

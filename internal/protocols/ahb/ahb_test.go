@@ -49,7 +49,7 @@ func TestWriteReadBack(t *testing.T) {
 		t.Fatalf("write resp = %v", wr)
 	}
 	var got ReadResult
-	r.m.Read(0x100, 4, BurstIncr, 2, func(res ReadResult) { got = res })
+	r.m.Read(0x100, 4, BurstIncr, 2, func(res ReadResult) { got = ReadResult{Data: bytes.Clone(res.Data), Resp: res.Resp} })
 	r.run(t, 200)
 	if !bytes.Equal(got.Data, want) || got.Resp != RespOkay {
 		t.Fatalf("read back %v %v", got.Data, got.Resp)
@@ -65,7 +65,7 @@ func TestFixedBursts(t *testing.T) {
 	r.m.Write(0x200, 4, BurstIncr4, data, nil)
 	r.run(t, 200)
 	var got []byte
-	r.m.Read(0x200, 4, BurstIncr4, 0, func(res ReadResult) { got = res.Data })
+	r.m.Read(0x200, 4, BurstIncr4, 0, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	if !bytes.Equal(got, data) {
 		t.Fatal("INCR4 round trip failed")
@@ -82,7 +82,7 @@ func TestWrap8(t *testing.T) {
 	r.run(t, 300)
 	// WRAP8 from 0x110 (middle of the 32-byte window [0x100,0x120)).
 	var got []byte
-	r.m.Read(0x110, 4, BurstWrap8, 0, func(res ReadResult) { got = res.Data })
+	r.m.Read(0x110, 4, BurstWrap8, 0, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 300)
 	want := append(append([]byte{}, seq[16:]...), seq[:16]...)
 	if !bytes.Equal(got, want) {

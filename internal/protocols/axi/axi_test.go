@@ -57,7 +57,7 @@ func TestWriteThenReadBack(t *testing.T) {
 		t.Fatalf("write resp = %v", wr)
 	}
 	var got []byte
-	r.m.Read(0, 0x100, 4, 2, BurstIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x100, 4, 2, BurstIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read back %v, want %v", got, want)
@@ -73,7 +73,7 @@ func TestBurst16Beats(t *testing.T) {
 	r.m.Write(3, 0x200, 4, BurstIncr, data, nil)
 	r.run(t, 500)
 	var got []byte
-	r.m.Read(3, 0x200, 4, 16, BurstIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(3, 0x200, 4, 16, BurstIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 500)
 	if !bytes.Equal(got, data) {
 		t.Fatal("16-beat burst round trip failed")
@@ -89,7 +89,7 @@ func TestWrapBurst(t *testing.T) {
 	r.run(t, 200)
 	// WRAP4 from 0x108 reads 0xC, 0xD, 0xA, 0xB beat-leading bytes.
 	var got []byte
-	r.m.Read(0, 0x108, 4, 4, BurstWrap, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x108, 4, 4, BurstWrap, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	want := []byte{0xC, 0, 0, 0, 0xD, 0, 0, 0, 0xA, 0, 0, 0, 0xB, 0, 0, 0}
 	if !bytes.Equal(got, want) {
@@ -103,7 +103,7 @@ func TestFixedBurst(t *testing.T) {
 	r.m.Write(0, 0x40, 4, BurstFixed, []byte{1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, nil)
 	r.run(t, 200)
 	var got []byte
-	r.m.Read(0, 0x40, 4, 1, BurstIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x40, 4, 1, BurstIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	if !bytes.Equal(got, []byte{3, 3, 3, 3}) {
 		t.Fatalf("fixed write result = %v", got)
@@ -119,7 +119,7 @@ func TestWriteStrobes(t *testing.T) {
 		[]byte{0x11, 0x22, 0x33, 0x44}, []byte{0, 0xFF, 0xFF, 0}, nil)
 	r.run(t, 100)
 	var got []byte
-	r.m.Read(0, 0x80, 4, 1, BurstIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x80, 4, 1, BurstIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 100)
 	if !bytes.Equal(got, []byte{0xAA, 0x22, 0x33, 0xDD}) {
 		t.Fatalf("strobed write result = %v", got)
@@ -202,7 +202,7 @@ func TestExclusiveFailsAfterInterveningWrite(t *testing.T) {
 	}
 	// The exclusive write must not have taken effect.
 	var got []byte
-	r.m.Read(1, 0x100, 4, 1, BurstIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(1, 0x100, 4, 1, BurstIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 100)
 	if !bytes.Equal(got, []byte{7, 7, 7, 7}) {
 		t.Fatalf("failed exclusive write modified memory: %v", got)

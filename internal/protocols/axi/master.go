@@ -2,6 +2,7 @@ package axi
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/sim"
 )
@@ -26,6 +27,10 @@ type Master struct {
 
 	reads  map[int][]*readCtx // per-ID FIFO of outstanding reads
 	writes map[int][]*writeCtx
+	// Contexts of completed transactions, reused by later ones; a read's
+	// keeps its data buffer.
+	freeReads  []*readCtx
+	freeWrites []*writeCtx
 
 	outstanding int
 	issued      uint64
@@ -66,7 +71,8 @@ func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 
 // Read queues a read burst. beats must be in [1,256]; cb receives the
-// assembled data when the last R beat arrives.
+// assembled data when the last R beat arrives. The data is valid only
+// during the call: the master reuses its buffer for a later read.
 func (m *Master) Read(id int, addr uint64, size uint8, beats int, burst Burst, cb func(ReadResult)) {
 	m.read(id, addr, size, beats, burst, false, cb)
 }
@@ -82,13 +88,21 @@ func (m *Master) read(id int, addr uint64, size uint8, beats int, burst Burst, l
 	}
 	ar := ARBeat{ID: id, Addr: addr, Len: uint8(beats - 1), Size: size, Burst: burst, Lock: lock}
 	m.arQ = append(m.arQ, ar)
-	m.reads[id] = append(m.reads[id], &readCtx{beats: beats, cb: cb})
+	var c *readCtx
+	if n := len(m.freeReads); n > 0 {
+		c, m.freeReads = m.freeReads[n-1], m.freeReads[:n-1]
+	} else {
+		c = new(readCtx)
+	}
+	*c = readCtx{beats: beats, got: slices.Grow(c.got[:0], beats*int(size)), cb: cb}
+	m.reads[id] = append(m.reads[id], c)
 	m.outstanding++
 	m.issued++
 	m.wake.Wake()
 }
 
 // Write queues a write burst; data length determines the beat count.
+// data must stay unchanged until cb runs.
 func (m *Master) Write(id int, addr uint64, size uint8, burst Burst, data []byte, cb func(Resp)) {
 	m.write(id, addr, size, burst, data, nil, false, cb)
 }
@@ -121,7 +135,14 @@ func (m *Master) write(id int, addr uint64, size uint8, burst Burst, data, strb 
 		}
 		m.wQ = append(m.wQ, w)
 	}
-	m.writes[id] = append(m.writes[id], &writeCtx{cb: cb})
+	var c *writeCtx
+	if n := len(m.freeWrites); n > 0 {
+		c, m.freeWrites = m.freeWrites[n-1], m.freeWrites[:n-1]
+	} else {
+		c = new(writeCtx)
+	}
+	c.cb = cb
+	m.writes[id] = append(m.writes[id], c)
 	m.outstanding++
 	m.issued++
 	m.wake.Wake()
@@ -134,21 +155,21 @@ func (m *Master) Eval(cycle int64) {
 		if m.checker != nil {
 			m.checker.OnAR(m.arQ[0])
 		}
-		m.arQ = m.arQ[1:]
+		m.arQ = sim.DropFront(m.arQ, 1)
 	}
 	if len(m.awQ) > 0 && m.port.AW.CanPush(1) {
 		m.port.AW.Push(m.awQ[0])
 		if m.checker != nil {
 			m.checker.OnAW(m.awQ[0])
 		}
-		m.awQ = m.awQ[1:]
+		m.awQ = sim.DropFront(m.awQ, 1)
 	}
 	if len(m.wQ) > 0 && m.port.W.CanPush(1) {
 		m.port.W.Push(m.wQ[0])
 		if m.checker != nil {
 			m.checker.OnW(m.wQ[0])
 		}
-		m.wQ = m.wQ[1:]
+		m.wQ = sim.DropFront(m.wQ, 1)
 	}
 	if r, ok := m.port.R.Pop(); ok {
 		if m.checker != nil {
@@ -164,11 +185,14 @@ func (m *Master) Eval(cycle int64) {
 			ctx.resp = r.Resp // first non-OKAY beat wins (incl. EXOKAY)
 		}
 		if r.Last {
-			m.reads[r.ID] = q[1:]
+			m.reads[r.ID] = sim.DropFront(q, 1)
 			m.outstanding--
 			m.completed++
-			if ctx.cb != nil {
-				ctx.cb(ReadResult{Data: ctx.got, Resp: ctx.resp})
+			res, cb := ReadResult{Data: ctx.got, Resp: ctx.resp}, ctx.cb
+			ctx.cb = nil
+			m.freeReads = append(m.freeReads, ctx)
+			if cb != nil {
+				cb(res)
 			}
 		}
 	}
@@ -180,12 +204,14 @@ func (m *Master) Eval(cycle int64) {
 		if len(q) == 0 {
 			panic(fmt.Sprintf("axi: B beat for ID %d with no outstanding write", b.ID))
 		}
-		ctx := q[0]
-		m.writes[b.ID] = q[1:]
+		cb := q[0].cb
+		q[0].cb = nil
+		m.freeWrites = append(m.freeWrites, q[0])
+		m.writes[b.ID] = sim.DropFront(q, 1)
 		m.outstanding--
 		m.completed++
-		if ctx.cb != nil {
-			ctx.cb(b.Resp)
+		if cb != nil {
+			cb(b.Resp)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package axi
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -39,6 +40,15 @@ type Memory struct {
 	wdata []WBeat
 	bq    []BBeat // responses ready to send
 
+	// Bursts served, reused by later ones (a write's keeps its data
+	// buffers), and the R data ring: an R beat's buffer is reused only
+	// after the R pipe's depth of later beats, when its reader has
+	// popped it.
+	freeReads  []*memRead
+	freeWrites []*memWrite
+	rbuf       [][]byte
+	rnext      int
+
 	excl map[int]exclSpan // ID -> reservation
 
 	reads, writes uint64
@@ -63,7 +73,8 @@ type exclSpan struct{ lo, hi uint64 }
 // NewMemory creates an AXI memory slave; addresses on the port are
 // absolute and base is subtracted before indexing the backing store.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, excl: make(map[int]exclSpan)}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, excl: make(map[int]exclSpan),
+		rbuf: make([][]byte, port.R.Cap()+1)}
 	clk.Register(m).Consumes(port.AR, port.AW, port.W)
 	return m
 }
@@ -104,11 +115,26 @@ func burstSpan(burst Burst, addr uint64, size uint8, beats int) (lo, hi uint64) 
 func (m *Memory) Eval(cycle int64) {
 	// Accept one AR per cycle.
 	if ar, ok := m.port.AR.Pop(); ok {
-		m.rq = append(m.rq, &memRead{ar: ar, wait: m.cfg.Latency})
+		var r *memRead
+		if n := len(m.freeReads); n > 0 {
+			r, m.freeReads = m.freeReads[n-1], m.freeReads[:n-1]
+		} else {
+			r = new(memRead)
+		}
+		*r = memRead{ar: ar, wait: m.cfg.Latency}
+		m.rq = append(m.rq, r)
 	}
 	// Accept one AW per cycle.
 	if aw, ok := m.port.AW.Pop(); ok {
-		m.wq = append(m.wq, &memWrite{aw: aw, beats: aw.Beats(), wait: m.cfg.Latency})
+		var w *memWrite
+		if n := len(m.freeWrites); n > 0 {
+			w, m.freeWrites = m.freeWrites[n-1], m.freeWrites[:n-1]
+		} else {
+			w = new(memWrite)
+		}
+		n := aw.Beats() * int(aw.Size)
+		*w = memWrite{aw: aw, beats: aw.Beats(), data: slices.Grow(w.data[:0], n), strb: slices.Grow(w.strb[:0], n), wait: m.cfg.Latency}
+		m.wq = append(m.wq, w)
 	}
 	// Accept one W beat per cycle; write data follows AW order.
 	if w, ok := m.port.W.Pop(); ok {
@@ -121,7 +147,7 @@ func (m *Memory) Eval(cycle int64) {
 	// Emit one B per cycle.
 	if len(m.bq) > 0 && m.port.B.CanPush(1) {
 		m.port.B.Push(m.bq[0])
-		m.bq = m.bq[1:]
+		m.bq = sim.DropFront(m.bq, 1)
 	}
 }
 
@@ -161,7 +187,10 @@ func (m *Memory) serveReads() {
 	r := m.cur
 	ar := r.ar
 	addr := beatAddr(ar.Burst, ar.Addr, ar.Size, ar.Beats(), r.beat) - m.base
-	data := m.store.Read(addr, int(ar.Size))
+	data := slices.Grow(m.rbuf[m.rnext][:0], int(ar.Size))[:ar.Size]
+	m.rbuf[m.rnext] = data
+	m.rnext = (m.rnext + 1) % len(m.rbuf)
+	m.store.ReadInto(addr, data)
 	resp := RespOKAY
 	if ar.Lock && m.cfg.Exclusive {
 		if r.beat == 0 {
@@ -174,6 +203,7 @@ func (m *Memory) serveReads() {
 	m.port.R.Push(RBeat{ID: ar.ID, Data: data, Resp: resp, Last: last})
 	r.beat++
 	if last {
+		m.freeReads = append(m.freeReads, r)
 		m.cur = nil
 		m.reads++
 	}
@@ -187,7 +217,7 @@ func (m *Memory) serveWrites() {
 	// Collect this burst's beats from the in-order W stream.
 	for len(m.wdata) > 0 && len(w.data) < w.beats*int(w.aw.Size) {
 		beat := m.wdata[0]
-		m.wdata = m.wdata[1:]
+		m.wdata = sim.DropFront(m.wdata, 1)
 		if len(beat.Data) != int(w.aw.Size) {
 			panic(fmt.Sprintf("axi: W beat of %dB for size-%d burst", len(beat.Data), w.aw.Size))
 		}
@@ -238,7 +268,8 @@ func (m *Memory) serveWrites() {
 		}
 	}
 	m.bq = append(m.bq, BBeat{ID: aw.ID, Resp: resp})
-	m.wq = m.wq[1:]
+	m.freeWrites = append(m.freeWrites, w)
+	m.wq = sim.DropFront(m.wq, 1)
 	m.writes++
 }
 

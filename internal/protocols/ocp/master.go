@@ -2,6 +2,7 @@ package ocp
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/sim"
 )
@@ -23,6 +24,9 @@ type Master struct {
 
 	// Per-thread FIFO of expected responses.
 	pending map[int][]*ocpCtx
+	// Contexts of completed transactions, reused by later ones; a read's
+	// keeps its data buffer.
+	free []*ocpCtx
 
 	outstanding int // transactions with responses still due
 	posted      uint64
@@ -61,11 +65,12 @@ func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 func (m *Master) Posted() uint64    { return m.posted }
 
-// Read queues a burst read on a thread.
+// Read queues a burst read on a thread. cb's data is valid only during
+// the call: the master reuses its buffer for a later read.
 func (m *Master) Read(thread int, addr uint64, size uint8, beats int, seq BurstSeq, cb func(ReadResult)) {
 	m.issued++
 	m.outstanding++
-	m.pending[thread] = append(m.pending[thread], &ocpCtx{cmd: CmdRD, beats: beats, rdCb: cb})
+	m.expect(thread, ocpCtx{cmd: CmdRD, beats: beats, rdCb: cb}, beats*int(size))
 	for i := 0; i < beats; i++ {
 		m.reqQ = append(m.reqQ, ReqBeat{
 			Cmd: CmdRD, Addr: addr, ThreadID: thread, Size: size,
@@ -79,7 +84,7 @@ func (m *Master) Read(thread int, addr uint64, size uint8, beats int, seq BurstS
 func (m *Master) ReadLinked(thread int, addr uint64, size uint8, cb func(ReadResult)) {
 	m.issued++
 	m.outstanding++
-	m.pending[thread] = append(m.pending[thread], &ocpCtx{cmd: CmdRDL, beats: 1, rdCb: cb})
+	m.expect(thread, ocpCtx{cmd: CmdRDL, beats: 1, rdCb: cb}, int(size))
 	m.reqQ = append(m.reqQ, ReqBeat{
 		Cmd: CmdRDL, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true,
 	})
@@ -109,12 +114,13 @@ func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data [
 	m.wake.Wake()
 }
 
-// WriteNonPosted queues a write that receives a DVA response.
+// WriteNonPosted queues a write that receives a DVA response. data must
+// stay unchanged until cb runs.
 func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSeq, data []byte, cb func(SResp)) {
 	beats := m.wbeats(size, data)
 	m.issued++
 	m.outstanding++
-	m.pending[thread] = append(m.pending[thread], &ocpCtx{cmd: CmdWRNP, beats: 1, wrCb: cb})
+	m.expect(thread, ocpCtx{cmd: CmdWRNP, beats: 1, wrCb: cb}, 0)
 	for i := 0; i < beats; i++ {
 		m.reqQ = append(m.reqQ, ReqBeat{
 			Cmd: CmdWRNP, Addr: addr, ThreadID: thread, Size: size,
@@ -134,11 +140,25 @@ func (m *Master) WriteConditional(thread int, addr uint64, size uint8, data []by
 	}
 	m.issued++
 	m.outstanding++
-	m.pending[thread] = append(m.pending[thread], &ocpCtx{cmd: CmdWRC, beats: 1, wrCb: cb})
+	m.expect(thread, ocpCtx{cmd: CmdWRC, beats: 1, wrCb: cb}, 0)
 	m.reqQ = append(m.reqQ, ReqBeat{
 		Cmd: CmdWRC, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true, Data: data,
 	})
 	m.wake.Wake()
+}
+
+// expect queues c's response on thread in a context from the free list,
+// with room for n bytes of read data.
+func (m *Master) expect(thread int, c ocpCtx, n int) {
+	var p *ocpCtx
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = new(ocpCtx)
+	}
+	c.got = slices.Grow(p.got[:0], n)
+	*p = c
+	m.pending[thread] = append(m.pending[thread], p)
 }
 
 func (m *Master) wbeats(size uint8, data []byte) int {
@@ -154,7 +174,7 @@ func (m *Master) Eval(cycle int64) {
 	if len(m.reqQ) > 0 && m.port.Req.CanPush(1) {
 		b := m.reqQ[0]
 		m.port.Req.Push(b)
-		m.reqQ = m.reqQ[1:]
+		m.reqQ = sim.DropFront(m.reqQ, 1)
 		if b.onAccept != nil {
 			b.onAccept()
 		}
@@ -170,18 +190,21 @@ func (m *Master) Eval(cycle int64) {
 			ctx.resp = r.Resp
 		}
 		if r.Last {
-			m.pending[r.ThreadID] = q[1:]
+			m.pending[r.ThreadID] = sim.DropFront(q, 1)
 			m.outstanding--
 			m.completed++
 			resp := ctx.resp
 			if resp == RespNull {
 				resp = RespDVA
 			}
-			if ctx.rdCb != nil {
-				ctx.rdCb(ReadResult{Data: ctx.got, Resp: resp})
+			got, rdCb, wrCb := ctx.got, ctx.rdCb, ctx.wrCb
+			ctx.rdCb, ctx.wrCb = nil, nil
+			m.free = append(m.free, ctx)
+			if rdCb != nil {
+				rdCb(ReadResult{Data: got, Resp: resp})
 			}
-			if ctx.wrCb != nil {
-				ctx.wrCb(resp)
+			if wrCb != nil {
+				wrCb(resp)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ocp
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -33,6 +34,14 @@ type Memory struct {
 
 	monitor map[int]ocpSpan // thread -> reservation
 
+	// Transactions served, reused by later ones (a write's keeps its
+	// data buffers), and the read data ring: a response beat's buffer is
+	// reused only after the response pipe's depth of later beats, when
+	// its reader has popped it.
+	free  []*ocpTxn
+	rbuf  [][]byte
+	rnext int
+
 	served uint64
 }
 
@@ -61,7 +70,8 @@ func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg 
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, monitor: make(map[int]ocpSpan)}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, monitor: make(map[int]ocpSpan),
+		rbuf: make([][]byte, port.Resp.Cap()+1)}
 	m.threads = make([]*threadEngine, cfg.Threads)
 	for i := range m.threads {
 		m.threads[i] = &threadEngine{}
@@ -89,9 +99,19 @@ func (m *Memory) collect() {
 		txn = te.q[n-1] // burst in progress
 	}
 	if txn == nil {
-		txn = &ocpTxn{
-			cmd: b.Cmd, addr: b.Addr, size: b.Size, beats: b.BurstLen,
-			seq: b.Seq, th: b.ThreadID, wait: m.cfg.Latency,
+		if n := len(m.free); n > 0 {
+			txn, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			txn = new(ocpTxn)
+		}
+		n := 0
+		if b.Cmd.IsWrite() {
+			n = b.BurstLen * int(b.Size)
+		}
+		*txn = ocpTxn{
+			cmd: b.Cmd, addr: b.Addr, size: b.Size, beats: b.BurstLen, seq: b.Seq,
+			data: slices.Grow(txn.data[:0], n), be: slices.Grow(txn.be[:0], n),
+			th: b.ThreadID, wait: m.cfg.Latency,
 		}
 		te.q = append(te.q, txn)
 	}
@@ -130,7 +150,7 @@ func (m *Memory) Eval(cycle int64) {
 				continue // nothing complete on this thread
 			}
 			te.cur = te.q[0]
-			te.q = te.q[1:]
+			te.q = sim.DropFront(te.q, 1)
 			te.cur.beat = 0
 		}
 		txn := te.cur
@@ -139,6 +159,7 @@ func (m *Memory) Eval(cycle int64) {
 			continue
 		}
 		if m.respond(txn) {
+			m.free = append(m.free, txn)
 			te.cur = nil
 			m.served++
 		}
@@ -175,19 +196,26 @@ func (m *Memory) respond(txn *ocpTxn) bool {
 		if m.cfg.LazySync {
 			m.monitor[txn.th] = ocpSpan{txn.addr, txn.addr + uint64(txn.size)}
 		}
-		data := m.store.Read(txn.addr-m.base, int(txn.size))
-		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: data, ThreadID: txn.th, Last: true})
+		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: m.read(txn.addr-m.base, txn.size), ThreadID: txn.th, Last: true})
 		return true
 	case CmdRD:
 		addr := BeatAddr(txn.seq, txn.addr, txn.size, txn.beats, txn.beat) - m.base
-		data := m.store.Read(addr, int(txn.size))
 		last := txn.beat == txn.beats-1
-		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: data, ThreadID: txn.th, Last: last})
+		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: m.read(addr, txn.size), ThreadID: txn.th, Last: last})
 		txn.beat++
 		return last
 	default:
 		panic(fmt.Sprintf("ocp: memory cannot serve %v", txn.cmd))
 	}
+}
+
+// read reads one beat into the next buffer of the read ring.
+func (m *Memory) read(addr uint64, size uint8) []byte {
+	data := slices.Grow(m.rbuf[m.rnext][:0], int(size))[:size]
+	m.rbuf[m.rnext] = data
+	m.rnext = (m.rnext + 1) % len(m.rbuf)
+	m.store.ReadInto(addr, data)
+	return data
 }
 
 func (m *Memory) commitWrite(txn *ocpTxn) {

@@ -51,7 +51,7 @@ func TestNonPostedWriteReadBack(t *testing.T) {
 		t.Fatalf("WRNP resp = %v", wr)
 	}
 	var got []byte
-	r.m.Read(0, 0x100, 4, 1, SeqIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x100, 4, 1, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read back %v", got)
@@ -78,7 +78,7 @@ func TestPostedWriteCompletesOnAcceptance(t *testing.T) {
 		r.clk.RunCycles(1)
 	}
 	var got []byte
-	r.m.Read(0, 0x40, 4, 1, SeqIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x40, 4, 1, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 500)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("posted write never committed: %v", got)
@@ -94,7 +94,7 @@ func TestBurstRead(t *testing.T) {
 	r.m.WriteNonPosted(0, 0x200, 4, SeqIncr, data, nil)
 	r.run(t, 300)
 	var got []byte
-	r.m.Read(0, 0x200, 4, 8, SeqIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x200, 4, 8, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 300)
 	if !bytes.Equal(got, data) {
 		t.Fatal("burst read mismatch")
@@ -156,7 +156,7 @@ func TestLazySynchronizationFailure(t *testing.T) {
 	}
 	// Failed WRC must not write.
 	var got []byte
-	r.m.Read(1, 0x100, 4, 1, SeqIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(1, 0x100, 4, 1, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 100)
 	if !bytes.Equal(got, []byte{9, 9, 9, 9}) {
 		t.Fatalf("failed WRC modified memory: %v", got)
@@ -181,7 +181,7 @@ func TestStreamingBurst(t *testing.T) {
 	r.m.WriteNonPosted(0, 0x300, 4, SeqStrm, []byte{1, 0, 0, 0, 2, 0, 0, 0}, nil)
 	r.run(t, 200)
 	var got []byte
-	r.m.Read(0, 0x300, 4, 1, SeqIncr, func(res ReadResult) { got = res.Data })
+	r.m.Read(0, 0x300, 4, 1, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
 	r.run(t, 200)
 	if !bytes.Equal(got, []byte{2, 0, 0, 0}) {
 		t.Fatalf("STRM result = %v", got)

@@ -15,6 +15,7 @@ package prop
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -95,6 +96,10 @@ type Master struct {
 	wrQ    []Chunk
 	reads  map[int]*readStream
 	writes map[int]*writeStream
+	// Streams finished, reused by later ones; a read's keeps its data
+	// buffer.
+	freeReads  []*readStream
+	freeWrites []*writeStream
 
 	issued, completed uint64
 
@@ -131,6 +136,7 @@ func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 
 // StreamWrite posts a write stream; cb fires when the final ack arrives.
+// data must stay unchanged until then.
 func (m *Master) StreamWrite(id int, addr uint64, data []byte, cb func(ok bool)) {
 	if len(data) == 0 {
 		panic("prop: empty stream write")
@@ -149,12 +155,21 @@ func (m *Master) StreamWrite(id int, addr uint64, data []byte, cb func(ok bool))
 		}
 		m.wrQ = append(m.wrQ, Chunk{StreamID: id, Data: data[lo:hi], Last: i == n-1})
 	}
-	m.writes[id] = &writeStream{chunks: n, cb: cb}
+	var ws *writeStream
+	if k := len(m.freeWrites); k > 0 {
+		ws, m.freeWrites = m.freeWrites[k-1], m.freeWrites[:k-1]
+	} else {
+		ws = new(writeStream)
+	}
+	*ws = writeStream{chunks: n, cb: cb}
+	m.writes[id] = ws
 	m.issued++
 	m.wake.Wake()
 }
 
-// StreamRead posts a read stream; cb fires with the assembled bytes.
+// StreamRead posts a read stream; cb fires with the assembled bytes,
+// which are valid only during the call: the master reuses its buffer
+// for a later stream.
 func (m *Master) StreamRead(id int, addr uint64, n int, cb func([]byte)) {
 	if n <= 0 {
 		panic("prop: empty stream read")
@@ -163,7 +178,14 @@ func (m *Master) StreamRead(id int, addr uint64, n int, cb func([]byte)) {
 		panic(fmt.Sprintf("prop: stream ID %d already reading", id))
 	}
 	m.descQ = append(m.descQ, Descriptor{Op: OpStreamRead, Addr: addr, Bytes: n, StreamID: id})
-	m.reads[id] = &readStream{want: n, cb: cb}
+	var rs *readStream
+	if k := len(m.freeReads); k > 0 {
+		rs, m.freeReads = m.freeReads[k-1], m.freeReads[:k-1]
+	} else {
+		rs = new(readStream)
+	}
+	*rs = readStream{want: n, got: slices.Grow(rs.got[:0], n), cb: cb}
+	m.reads[id] = rs
 	m.issued++
 	m.wake.Wake()
 }
@@ -172,11 +194,11 @@ func (m *Master) StreamRead(id int, addr uint64, n int, cb func([]byte)) {
 func (m *Master) Eval(cycle int64) {
 	if len(m.descQ) > 0 && m.port.Desc.CanPush(1) {
 		m.port.Desc.Push(m.descQ[0])
-		m.descQ = m.descQ[1:]
+		m.descQ = sim.DropFront(m.descQ, 1)
 	}
 	if len(m.wrQ) > 0 && m.port.Wr.CanPush(1) {
 		m.port.Wr.Push(m.wrQ[0])
-		m.wrQ = m.wrQ[1:]
+		m.wrQ = sim.DropFront(m.wrQ, 1)
 	}
 	if c, ok := m.port.Rd.Pop(); ok {
 		rs := m.reads[c.StreamID]
@@ -190,8 +212,11 @@ func (m *Master) Eval(cycle int64) {
 			}
 			delete(m.reads, c.StreamID)
 			m.completed++
-			if rs.cb != nil {
-				rs.cb(rs.got)
+			got, cb := rs.got, rs.cb
+			rs.cb = nil
+			m.freeReads = append(m.freeReads, rs)
+			if cb != nil {
+				cb(got)
 			}
 		}
 	}
@@ -207,8 +232,11 @@ func (m *Master) Eval(cycle int64) {
 			}
 			delete(m.writes, a.StreamID)
 			m.completed++
-			if ws.cb != nil {
-				ws.cb(a.OK)
+			cb := ws.cb
+			ws.cb = nil
+			m.freeWrites = append(m.freeWrites, ws)
+			if cb != nil {
+				cb(a.OK)
 			}
 		}
 	}

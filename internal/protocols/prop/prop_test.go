@@ -46,7 +46,7 @@ func TestStreamWriteRead(t *testing.T) {
 		t.Fatal("stream write not acked")
 	}
 	var got []byte
-	r.m.StreamRead(2, 0x1000, 100, func(d []byte) { got = d })
+	r.m.StreamRead(2, 0x1000, 100, func(d []byte) { got = bytes.Clone(d) })
 	r.run(t, 500)
 	if !bytes.Equal(got, data) {
 		t.Fatal("stream round trip failed")
@@ -82,7 +82,7 @@ func TestConcurrentReadAndWriteStreams(t *testing.T) {
 	var got []byte
 	wrOK := false
 	r.m.StreamWrite(3, 0x3000, wdata, func(o bool) { wrOK = o })
-	r.m.StreamRead(4, 0x2000, 64, func(d []byte) { got = d })
+	r.m.StreamRead(4, 0x2000, 64, func(d []byte) { got = bytes.Clone(d) })
 	r.run(t, 500)
 	if !wrOK || !bytes.Equal(got, wdata) {
 		t.Fatal("concurrent streams failed")

@@ -11,6 +11,7 @@ package vci
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -50,8 +51,8 @@ func NewPPort(clk *sim.Clock, name string, depth int) *PPort {
 // PMaster is a PVCI master engine: strictly one outstanding request.
 type PMaster struct {
 	port *PPort
-	q    []pReqCtx
-	wait *pReqCtx
+	q    []pReqCtx // in order; q[0] is outstanding while waiting
+	wait bool
 
 	issued, completed uint64
 
@@ -73,13 +74,14 @@ func NewPMaster(clk *sim.Clock, port *PPort) *PMaster {
 }
 
 // Busy reports whether work remains.
-func (m *PMaster) Busy() bool { return len(m.q) > 0 || m.wait != nil }
+func (m *PMaster) Busy() bool { return len(m.q) > 0 }
 
 // Issued and Completed return cumulative counters.
 func (m *PMaster) Issued() uint64    { return m.issued }
 func (m *PMaster) Completed() uint64 { return m.completed }
 
-// Read queues a single-word read.
+// Read queues a single-word read. cb's data is valid only during the
+// call: the socket's slave reuses its buffer for a later read.
 func (m *PMaster) Read(addr uint64, n int, cb func(data []byte, err bool)) {
 	if n < 1 || n > 4 {
 		panic(fmt.Sprintf("vci: PVCI read of %d bytes", n))
@@ -89,7 +91,8 @@ func (m *PMaster) Read(addr uint64, n int, cb func(data []byte, err bool)) {
 	m.wake.Wake()
 }
 
-// Write queues a single-word write.
+// Write queues a single-word write. data must stay unchanged until cb
+// runs.
 func (m *PMaster) Write(addr uint64, data []byte, cb func(err bool)) {
 	m.WriteBE(addr, data, nil, cb)
 }
@@ -109,18 +112,17 @@ func (m *PMaster) WriteBE(addr uint64, data, be []byte, cb func(err bool)) {
 
 // Eval implements sim.Clocked.
 func (m *PMaster) Eval(cycle int64) {
-	if m.wait == nil && len(m.q) > 0 && m.port.Req.CanPush(1) {
-		ctx := m.q[0]
-		m.q = m.q[1:]
-		m.port.Req.Push(ctx.req)
-		m.wait = &ctx
+	if !m.wait && len(m.q) > 0 && m.port.Req.CanPush(1) {
+		m.port.Req.Push(m.q[0].req)
+		m.wait = true
 	}
 	if rsp, ok := m.port.Rsp.Pop(); ok {
-		if m.wait == nil {
+		if !m.wait {
 			panic("vci: PVCI response with nothing outstanding")
 		}
-		ctx := m.wait
-		m.wait = nil
+		ctx := m.q[0]
+		m.q = sim.DropFront(m.q, 1)
+		m.wait = false
 		m.completed++
 		if ctx.rdCb != nil {
 			ctx.rdCb(rsp.Data, rsp.Err)
@@ -133,7 +135,7 @@ func (m *PMaster) Eval(cycle int64) {
 
 // Idle implements sim.Idler: no response on the socket, and no request
 // queued that could issue (one is outstanding at a time).
-func (m *PMaster) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait != nil) }
+func (m *PMaster) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait) }
 
 // PMemory is a PVCI memory slave.
 type PMemory struct {
@@ -269,14 +271,15 @@ func (m *BMaster) Busy() bool { return len(m.q) > 0 || len(m.pend) > 0 }
 func (m *BMaster) Issued() uint64    { return m.issued }
 func (m *BMaster) Completed() uint64 { return m.completed }
 
-// Read queues a burst read.
+// Read queues a burst read. cb's data is valid only during the call:
+// the socket's slave reuses its buffer for a later read.
 func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
 	m.q = append(m.q, bReqCtx{req: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, rdCb: cb})
 	m.issued++
 	m.wake.Wake()
 }
 
-// Write queues a burst write.
+// Write queues a burst write. data must stay unchanged until cb runs.
 func (m *BMaster) Write(addr uint64, size uint8, data []byte, cb func(bool)) {
 	m.q = append(m.q, bReqCtx{req: writeReq(addr, size, data), wrCb: cb})
 	m.issued++
@@ -296,7 +299,7 @@ func writeReq(addr uint64, size uint8, data []byte) BReq {
 func (m *BMaster) Eval(cycle int64) {
 	if len(m.q) > 0 && len(m.pend) < m.pipeline && m.port.Req.CanPush(1) {
 		ctx := m.q[0]
-		m.q = m.q[1:]
+		m.q = sim.DropFront(m.q, 1)
 		m.port.Req.Push(ctx.req)
 		m.pend = append(m.pend, ctx)
 	}
@@ -305,7 +308,7 @@ func (m *BMaster) Eval(cycle int64) {
 			panic("vci: BVCI response with nothing outstanding")
 		}
 		ctx := m.pend[0]
-		m.pend = m.pend[1:]
+		m.pend = sim.DropFront(m.pend, 1)
 		m.completed++
 		if ctx.rdCb != nil {
 			ctx.rdCb(rsp.Data, rsp.Err)
@@ -332,11 +335,17 @@ type BMemory struct {
 	busy    bool
 	wait    int
 	served  uint64
+
+	// The read data ring: a response's buffer is reused only after the
+	// response pipe's depth of later responses, when its reader has
+	// popped it.
+	rbuf  [][]byte
+	rnext int
 }
 
 // NewBMemory creates a BVCI memory slave.
 func NewBMemory(clk *sim.Clock, port *BPort, store *mem.Backing, base uint64, latency int) *BMemory {
-	m := &BMemory{port: port, store: store, base: base, latency: latency}
+	m := &BMemory{port: port, store: store, base: base, latency: latency, rbuf: make([][]byte, port.Rsp.Cap()+1)}
 	clk.Register(m).Consumes(port.Req)
 	return m
 }
@@ -381,9 +390,11 @@ func (m *BMemory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(BRsp{})
 	} else {
-		data := make([]byte, 0, req.Beats*s)
+		data := slices.Grow(m.rbuf[m.rnext][:0], req.Beats*s)[:req.Beats*s]
+		m.rbuf[m.rnext] = data
+		m.rnext = (m.rnext + 1) % len(m.rbuf)
 		for i := 0; i < req.Beats; i++ {
-			data = append(data, m.store.Read(bvciBeatAddr(req, i)-m.base, s)...)
+			m.store.ReadInto(bvciBeatAddr(req, i)-m.base, data[i*s:(i+1)*s])
 		}
 		m.port.Rsp.Push(BRsp{Data: data})
 	}
@@ -465,14 +476,16 @@ func (m *AMaster) Busy() bool {
 func (m *AMaster) Issued() uint64    { return m.issued }
 func (m *AMaster) Completed() uint64 { return m.completed }
 
-// Read queues a burst read on an ID.
+// Read queues a burst read on an ID. cb's data is valid only during the
+// call: the socket's slave reuses its buffer for a later read.
 func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, cb func([]byte, bool)) {
 	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats}, ID: id}, rdCb: cb})
 	m.issued++
 	m.wake.Wake()
 }
 
-// Write queues a burst write on an ID.
+// Write queues a burst write on an ID. data must stay unchanged until
+// cb runs.
 func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, cb func(bool)) {
 	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data), ID: id}, wrCb: cb})
 	m.issued++
@@ -483,7 +496,7 @@ func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, cb func(bo
 func (m *AMaster) Eval(cycle int64) {
 	if len(m.q) > 0 && m.port.Req.CanPush(1) {
 		ctx := m.q[0]
-		m.q = m.q[1:]
+		m.q = sim.DropFront(m.q, 1)
 		m.port.Req.Push(ctx.req)
 		m.pend[ctx.req.ID] = append(m.pend[ctx.req.ID], ctx)
 	}
@@ -493,7 +506,7 @@ func (m *AMaster) Eval(cycle int64) {
 			panic(fmt.Sprintf("vci: AVCI response for ID %d with nothing outstanding", rsp.ID))
 		}
 		ctx := q[0]
-		m.pend[rsp.ID] = q[1:]
+		m.pend[rsp.ID] = sim.DropFront(q, 1)
 		m.completed++
 		if ctx.rdCb != nil {
 			ctx.rdCb(rsp.Data, rsp.Err)

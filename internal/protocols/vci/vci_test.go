@@ -29,7 +29,7 @@ func TestPVCIWriteReadBack(t *testing.T) {
 		t.Fatal("PVCI write errored")
 	}
 	var got []byte
-	m.Read(0x40, 4, func(data []byte, err bool) { got = data })
+	m.Read(0x40, 4, func(data []byte, err bool) { got = bytes.Clone(data) })
 	for c := 0; c < 100 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -75,7 +75,7 @@ func TestPVCIByteEnables(t *testing.T) {
 	// Partial write via BE using the raw port convention.
 	store.Write(0x10, []byte{0xAA, 0, 0, 0xBB}, []byte{0xFF, 0, 0, 0xFF})
 	var got []byte
-	m.Read(0x10, 4, func(d []byte, _ bool) { got = d })
+	m.Read(0x10, 4, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 50 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -97,7 +97,7 @@ func TestBVCIBurstRoundTrip(t *testing.T) {
 	}
 	m.Write(0x100, 4, data, nil)
 	var got []byte
-	m.Read(0x100, 4, 8, false, func(d []byte, _ bool) { got = d })
+	m.Read(0x100, 4, 8, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 500 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -138,7 +138,7 @@ func TestBVCIWrapBurst(t *testing.T) {
 	}
 	m.Write(0x100, 4, seq, nil)
 	var got []byte
-	m.Read(0x108, 4, 4, true, func(d []byte, _ bool) { got = d })
+	m.Read(0x108, 4, 4, true, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -197,7 +197,7 @@ func TestAVCIWriteReadBack(t *testing.T) {
 
 	m.Write(4, 0x300, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
 	var got []byte
-	m.Read(4, 0x300, 4, 2, func(d []byte, _ bool) { got = d })
+	m.Read(4, 0x300, 4, 2, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}

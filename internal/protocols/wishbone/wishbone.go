@@ -21,6 +21,7 @@ package wishbone
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/sim"
@@ -147,8 +148,8 @@ func BeatAddr(c Cycle, i int) uint64 {
 // outstanding.
 type Master struct {
 	port *Port
-	q    []wbCtx
-	wait *wbCtx
+	q    []wbCtx // in order; q[0] is open while waiting
+	wait bool
 
 	issued, completed uint64
 
@@ -170,18 +171,19 @@ func NewMaster(clk *sim.Clock, port *Port) *Master {
 }
 
 // Busy reports whether work remains.
-func (m *Master) Busy() bool { return len(m.q) > 0 || m.wait != nil }
+func (m *Master) Busy() bool { return len(m.q) > 0 }
 
 // Issued and Completed return cumulative counters.
 func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 
-// Read queues a read cycle.
+// Read queues a read cycle. cb's data is valid only during the call:
+// the socket's slave reuses its buffer for a later read.
 func (m *Master) Read(addr uint64, size uint8, beats int, cti CTI, bte BTE, cb func(data []byte, err bool)) {
 	m.enqueue(Cycle{Addr: addr, Size: size, Beats: beats, CTI: cti, BTE: bte}, cb, nil)
 }
 
-// Write queues a write cycle.
+// Write queues a write cycle. data must stay unchanged until cb runs.
 func (m *Master) Write(addr uint64, size uint8, data []byte, cti CTI, bte BTE, cb func(err bool)) {
 	m.enqueue(Cycle{Write: true, Addr: addr, Size: size, Beats: len(data) / int(size),
 		CTI: cti, BTE: bte, Data: data}, nil, cb)
@@ -210,18 +212,17 @@ func (m *Master) enqueue(c Cycle, rdCb func([]byte, bool), wrCb func(bool)) {
 
 // Eval implements sim.Clocked.
 func (m *Master) Eval(cycle int64) {
-	if m.wait == nil && len(m.q) > 0 && m.port.Req.CanPush(1) {
-		ctx := m.q[0]
-		m.q = m.q[1:]
-		m.port.Req.Push(ctx.cyc)
-		m.wait = &ctx
+	if !m.wait && len(m.q) > 0 && m.port.Req.CanPush(1) {
+		m.port.Req.Push(m.q[0].cyc)
+		m.wait = true
 	}
 	if rsp, ok := m.port.Rsp.Pop(); ok {
-		if m.wait == nil {
+		if !m.wait {
 			panic("wishbone: response with nothing outstanding")
 		}
-		ctx := m.wait
-		m.wait = nil
+		ctx := m.q[0]
+		m.q = sim.DropFront(m.q, 1)
+		m.wait = false
 		m.completed++
 		if ctx.rdCb != nil {
 			ctx.rdCb(rsp.Data, rsp.Err)
@@ -234,7 +235,7 @@ func (m *Master) Eval(cycle int64) {
 
 // Idle implements sim.Idler: no response on the socket, and no cycle
 // queued that could start (one cycle is open at a time).
-func (m *Master) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait != nil) }
+func (m *Master) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait) }
 
 // MemoryConfig parameterizes a WISHBONE memory slave.
 type MemoryConfig struct {
@@ -262,11 +263,17 @@ type Memory struct {
 	busy   bool
 	wait   int
 	served uint64
+
+	// The read data ring: a response's buffer is reused only after the
+	// response pipe's depth of later responses, when its reader has
+	// popped it.
+	rbuf  [][]byte
+	rnext int
 }
 
 // NewMemory creates a WISHBONE memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, rbuf: make([][]byte, port.Rsp.Cap()+1)}
 	clk.Register(m).Consumes(port.Req)
 	return m
 }
@@ -319,9 +326,11 @@ func (m *Memory) Eval(cycle int64) {
 		}
 		m.port.Rsp.Push(Rsp{})
 	} else {
-		data := make([]byte, 0, c.Beats*s)
+		data := slices.Grow(m.rbuf[m.rnext][:0], c.Beats*s)[:c.Beats*s]
+		m.rbuf[m.rnext] = data
+		m.rnext = (m.rnext + 1) % len(m.rbuf)
 		for i := 0; i < c.Beats; i++ {
-			data = append(data, m.store.Read(BeatAddr(c, i)-m.base, s)...)
+			m.store.ReadInto(BeatAddr(c, i)-m.base, data[i*s:(i+1)*s])
 		}
 		m.port.Rsp.Push(Rsp{Data: data})
 	}

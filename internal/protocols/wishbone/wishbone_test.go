@@ -40,7 +40,7 @@ func TestClassicRoundTrip(t *testing.T) {
 	})
 	run(t, clk, 100, func() bool { return wr })
 	var got []byte
-	m.Read(0x100, 4, 1, Classic, Linear, func(d []byte, err bool) { got = d })
+	m.Read(0x100, 4, 1, Classic, Linear, func(d []byte, err bool) { got = bytes.Clone(d) })
 	run(t, clk, 100, func() bool { return got != nil })
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read back %v, want %v", got, want)
@@ -59,7 +59,7 @@ func TestIncrementingBurstAndWrap(t *testing.T) {
 
 	// Wrap4 read starting mid-window: beats visit 0x208,0x20C,0x200,0x204.
 	var got []byte
-	m.Read(0x208, 4, 4, Incrementing, Wrap4, func(d []byte, _ bool) { got = d })
+	m.Read(0x208, 4, 4, Incrementing, Wrap4, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	run(t, clk, 100, func() bool { return got != nil })
 	want := append(append([]byte(nil), data[8:]...), data[:8]...)
 	if !bytes.Equal(got, want) {

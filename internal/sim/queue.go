@@ -57,3 +57,12 @@ func (q *Queue[T]) Drain() []T {
 	q.buf = nil
 	return out
 }
+
+// DropFront removes q's first k elements by shifting the rest down, so
+// a slice used as a FIFO keeps its backing array and later appends
+// reuse it, where a resliced window would creep forward and reallocate.
+func DropFront[T any](q []T, k int) []T {
+	n := copy(q, q[k:])
+	clear(q[n:])
+	return q[:n]
+}

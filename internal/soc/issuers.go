@@ -44,11 +44,44 @@ type Issuer func(write bool, addr uint64, n int, done func(ok bool))
 func (s *System) Issuers() map[string]Issuer {
 	issuers := map[string]Issuer{}
 	for name, sock := range s.Sockets() {
-		k := 0
-		issuers[name] = func(write bool, addr uint64, n int, done func(ok bool)) {
-			k++
-			sock.Issue(k-1, write, addr, n, func(_ []byte, err bool) { done(!err) })
-		}
+		issuers[name] = (&issuer{sock: sock}).issue
 	}
 	return issuers
+}
+
+// issuer is one socket's Issuer: its transaction count and a free list
+// of the contexts of its transactions in flight.
+type issuer struct {
+	sock ip.Socket
+	k    int
+	free []*issued
+}
+
+// issued is one Issuer transaction in flight. Its completion is bound
+// once, when it is made, and it returns to the free list before the
+// caller's done runs, which may issue again.
+type issued struct {
+	is       *issuer
+	done     func(ok bool)
+	complete ip.Done
+}
+
+func (is *issuer) issue(write bool, addr uint64, n int, done func(ok bool)) {
+	var c *issued
+	if k := len(is.free); k > 0 {
+		c, is.free = is.free[k-1], is.free[:k-1]
+	} else {
+		c = &issued{is: is}
+		c.complete = c.onComplete
+	}
+	c.done = done
+	is.k++
+	is.sock.Issue(is.k-1, write, addr, n, c.complete)
+}
+
+func (c *issued) onComplete(_ []byte, err bool) {
+	done := c.done
+	c.done = nil
+	c.is.free = append(c.is.free, c)
+	done(!err)
 }

@@ -253,6 +253,14 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		bases = append(bases, soc.BaseWBMem)
 	}
 
+	// transCall is one transaction in flight: its issue cycle and
+	// whether it was issued while measuring. Its completion is bound
+	// once, when it is made, and it returns to its master's free list.
+	type transCall struct {
+		start    int64
+		measured bool
+		done     ip.Done
+	}
 	type mstate struct {
 		name     string
 		sock     ip.Socket
@@ -263,6 +271,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		done     int
 		errs     int
 		lat      stats.Latency
+		free     []*transCall
 	}
 	root := sim.NewRNG(tc.Seed)
 	var (
@@ -313,21 +322,29 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 			st2.k++
 			st2.issued++
 			st2.inflight++
-			measured := measuring
-			start := cycle
-			st2.sock.Issue(st2.k-1, write, addr, role2.Bytes, func(_ []byte, err bool) {
-				st2.inflight--
-				st2.done++
-				if err {
-					st2.errs++
+			var c *transCall
+			if n := len(st2.free); n > 0 {
+				c, st2.free = st2.free[n-1], st2.free[:n-1]
+			} else {
+				c = new(transCall)
+				c.done = func(_ []byte, err bool) {
+					start, measured := c.start, c.measured
+					st2.free = append(st2.free, c)
+					st2.inflight--
+					st2.done++
+					if err {
+						st2.errs++
+					}
+					if measuring {
+						cmplMeas++
+					}
+					if measured {
+						st2.lat.Record(s.Clk.Cycle() - start)
+					}
 				}
-				if measuring {
-					cmplMeas++
-				}
-				if measured {
-					st2.lat.Record(s.Clk.Cycle() - start)
-				}
-			})
+			}
+			c.start, c.measured = cycle, measuring
+			st2.sock.Issue(st2.k-1, write, addr, role2.Bytes, c.done)
 		}})
 		states = append(states, st)
 	}
