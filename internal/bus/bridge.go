@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"bytes"
 	"fmt"
 
 	"gonoc/internal/protocols/ahb"
@@ -71,8 +72,10 @@ func (x *crossing) start(cycle int64, req ahb.Req) {
 }
 
 // done is the far side's completion: the response crosses back latency
-// cycles after the cycle the far side completes in.
+// cycles after the cycle the far side completes in. A completion's read
+// data is valid only during the call, so the crossing keeps a copy.
 func (x *crossing) done(rsp ahb.Rsp) {
+	rsp.Data = bytes.Clone(rsp.Data)
 	x.rsp, x.phase, x.at = rsp, crossBack, x.clk.Cycle()+latency
 }
 
@@ -101,10 +104,8 @@ func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
 	b.AddMaster(port)
 	eng := ahb.NewMaster(clk, port, 1)
 	wrote := func(r ahb.Resp) { x.done(ahb.Rsp{Resp: r}) }
-	// The crossing holds a read's data, which is valid only during this
-	// completion, across cycles, so it copies it; a read that comes back
-	// short (an error) is zero-padded to the length asked for. PVCI asks
-	// with 0 beats and takes its word as is.
+	// A read that comes back short (an error) is zero-padded to the
+	// length asked for; PVCI asks with 0 beats and takes its word as is.
 	read := func(r ahb.ReadResult) {
 		x.done(ahb.Rsp{Resp: r.Resp, Data: padTo(r.Data, x.req.Beats*int(x.req.Size))})
 	}
@@ -118,11 +119,13 @@ func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
 	}
 }
 
-// padTo returns a copy of data zero-padded to at least n bytes.
+// padTo returns data zero-padded to at least n bytes, in a new slice
+// when it pads.
 func padTo(data []byte, n int) []byte {
-	out := make([]byte, max(len(data), n))
-	copy(out, data)
-	return out
+	if len(data) >= n {
+		return data
+	}
+	return append(data[:len(data):len(data)], make([]byte, n-len(data))...)
 }
 
 // AXIBridge adapts an AXI IP master onto the bus: it collects a write
