@@ -43,18 +43,30 @@ func newSocket(i Initiator, ids, maxBeats int, width uint8) Socket {
 	return Socket{Initiator: i, ids: ids, maxBeats: maxBeats, width: width, iss: new(issuer)}
 }
 
+// pending is the part every transaction context on the IP side shares.
+// A context is drawn from its owner's free list, its completions are
+// bound once, when it is made, and finish returns it to the free list
+// (release, also bound once) before the caller's done runs, which may
+// issue again and draw the same context.
+type pending struct {
+	done    Done
+	release func()
+}
+
+func (p *pending) finish(data []byte, err bool) {
+	done := p.done
+	p.done = nil
+	p.release()
+	done(data, err)
+}
+
 // issuer keeps a Socket's Issue writes: a write's payload lives in its
 // context until the write completes.
 type issuer struct{ free []*issueWrite }
 
-// issueWrite is one Issue write in flight. Like every adapter's
-// transaction context it is drawn from its owner's free list, its
-// completion is bound once, when it is made, and it returns to the free
-// list before the caller's completion runs, which may issue again.
 type issueWrite struct {
-	is    *issuer
+	pending
 	data  []byte
-	done  Done
 	wrote Done
 }
 
@@ -63,18 +75,12 @@ func (is *issuer) write(done Done) *issueWrite {
 	if n := len(is.free); n > 0 {
 		c, is.free = is.free[n-1], is.free[:n-1]
 	} else {
-		c = &issueWrite{is: is}
-		c.wrote = c.onWrite
+		c = &issueWrite{}
+		c.release = func() { is.free = append(is.free, c) }
+		c.wrote = c.finish
 	}
 	c.done = done
 	return c
-}
-
-func (c *issueWrite) onWrite(data []byte, err bool) {
-	done := c.done
-	c.done = nil
-	c.is.free = append(c.is.free, c)
-	done(data, err)
 }
 
 // numIDs is the ID (or thread) count of the interleaving sockets.
@@ -111,11 +117,9 @@ type axiSocket struct {
 	free []*axiCall
 }
 
-// axiCall is one transaction in flight on an AXI socket (see
-// issueWrite).
+// axiCall is one transaction in flight on an AXI socket.
 type axiCall struct {
-	a     *axiSocket
-	done  Done
+	pending
 	wrote func(axi.Resp)
 	read  func(axi.ReadResult)
 }
@@ -125,19 +129,13 @@ func (a *axiSocket) call(done Done) *axiCall {
 	if n := len(a.free); n > 0 {
 		c, a.free = a.free[n-1], a.free[:n-1]
 	} else {
-		c = &axiCall{a: a}
+		c = &axiCall{}
+		c.release = func() { a.free = append(a.free, c) }
 		c.wrote = func(r axi.Resp) { c.finish(nil, r != axi.RespOKAY) }
 		c.read = func(r axi.ReadResult) { c.finish(r.Data, r.Resp != axi.RespOKAY) }
 	}
 	c.done = done
 	return c
-}
-
-func (c *axiCall) finish(data []byte, err bool) {
-	done := c.done
-	c.done = nil
-	c.a.free = append(c.a.free, c)
-	done(data, err)
 }
 
 func (a *axiSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
@@ -157,11 +155,9 @@ type ocpSocket struct {
 	free []*ocpCall
 }
 
-// ocpCall is one transaction in flight on an OCP socket (see
-// issueWrite).
+// ocpCall is one transaction in flight on an OCP socket.
 type ocpCall struct {
-	o     *ocpSocket
-	done  Done
+	pending
 	wrote func(ocp.SResp)
 	read  func(ocp.ReadResult)
 }
@@ -171,19 +167,13 @@ func (o *ocpSocket) call(done Done) *ocpCall {
 	if n := len(o.free); n > 0 {
 		c, o.free = o.free[n-1], o.free[:n-1]
 	} else {
-		c = &ocpCall{o: o}
+		c = &ocpCall{}
+		c.release = func() { o.free = append(o.free, c) }
 		c.wrote = func(r ocp.SResp) { c.finish(nil, r != ocp.RespDVA) }
 		c.read = func(r ocp.ReadResult) { c.finish(r.Data, r.Resp != ocp.RespDVA) }
 	}
 	c.done = done
 	return c
-}
-
-func (c *ocpCall) finish(data []byte, err bool) {
-	done := c.done
-	c.done = nil
-	c.o.free = append(c.o.free, c)
-	done(data, err)
 }
 
 func (o *ocpSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
@@ -203,11 +193,9 @@ type ahbSocket struct {
 	free []*ahbCall
 }
 
-// ahbCall is one transaction in flight on an AHB socket (see
-// issueWrite).
+// ahbCall is one transaction in flight on an AHB socket.
 type ahbCall struct {
-	a     *ahbSocket
-	done  Done
+	pending
 	wrote func(ahb.Resp)
 	read  func(ahb.ReadResult)
 }
@@ -217,19 +205,13 @@ func (a *ahbSocket) call(done Done) *ahbCall {
 	if n := len(a.free); n > 0 {
 		c, a.free = a.free[n-1], a.free[:n-1]
 	} else {
-		c = &ahbCall{a: a}
+		c = &ahbCall{}
+		c.release = func() { a.free = append(a.free, c) }
 		c.wrote = func(r ahb.Resp) { c.finish(nil, r != ahb.RespOkay) }
 		c.read = func(r ahb.ReadResult) { c.finish(r.Data, r.Resp != ahb.RespOkay) }
 	}
 	c.done = done
 	return c
-}
-
-func (c *ahbCall) finish(data []byte, err bool) {
-	done := c.done
-	c.done = nil
-	c.a.free = append(c.a.free, c)
-	done(data, err)
 }
 
 func (a *ahbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
@@ -245,11 +227,9 @@ func (a *ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 // (data, err) already, so the adapters pass done straight through.
 type flagWrites struct{ free []*flagWrite }
 
-// flagWrite is one write in flight on a VCI or WISHBONE socket (see
-// issueWrite).
+// flagWrite is one write in flight on a VCI or WISHBONE socket.
 type flagWrite struct {
-	fw    *flagWrites
-	done  Done
+	pending
 	wrote func(err bool)
 }
 
@@ -258,18 +238,12 @@ func (fw *flagWrites) call(done Done) func(err bool) {
 	if n := len(fw.free); n > 0 {
 		c, fw.free = fw.free[n-1], fw.free[:n-1]
 	} else {
-		c = &flagWrite{fw: fw}
-		c.wrote = c.onWrite
+		c = &flagWrite{}
+		c.release = func() { fw.free = append(fw.free, c) }
+		c.wrote = func(err bool) { c.finish(nil, err) }
 	}
 	c.done = done
 	return c.wrote
-}
-
-func (c *flagWrite) onWrite(err bool) {
-	done := c.done
-	c.done = nil
-	c.fw.free = append(c.fw.free, c)
-	done(nil, err)
 }
 
 // PVCI adapts a PVCI master: single-word, in order.
@@ -330,11 +304,9 @@ type propSocket struct {
 	free []*propCall
 }
 
-// propCall is one stream in flight on the proprietary socket (see
-// issueWrite).
+// propCall is one stream in flight on the proprietary socket.
 type propCall struct {
-	p     *propSocket
-	done  Done
+	pending
 	wrote func(ok bool)
 	read  func(data []byte)
 }
@@ -344,19 +316,13 @@ func (p *propSocket) call(done Done) *propCall {
 	if n := len(p.free); n > 0 {
 		c, p.free = p.free[n-1], p.free[:n-1]
 	} else {
-		c = &propCall{p: p}
+		c = &propCall{}
+		c.release = func() { p.free = append(p.free, c) }
 		c.wrote = func(ok bool) { c.finish(nil, !ok) }
 		c.read = func(data []byte) { c.finish(data, false) }
 	}
 	c.done = done
 	return c
-}
-
-func (c *propCall) finish(data []byte, err bool) {
-	done := c.done
-	c.done = nil
-	c.p.free = append(c.p.free, c)
-	done(data, err)
 }
 
 func (p *propSocket) Write(id int, addr uint64, _ uint8, data []byte, done Done) {
