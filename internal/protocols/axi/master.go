@@ -25,12 +25,9 @@ type Master struct {
 	awQ []AWBeat
 	wQ  []WBeat // flattened write data, strictly in AW issue order
 
-	reads  map[int][]*readCtx // per-ID FIFO of outstanding reads
-	writes map[int][]*writeCtx
-	// Contexts of completed transactions, reused by later ones; a read's
-	// keeps its data buffer.
-	freeReads  []*readCtx
-	freeWrites []*writeCtx
+	reads     map[int][]*readCtx   // per-ID FIFO of outstanding reads
+	writes    map[int][]func(Resp) // per-ID FIFO of outstanding writes' callbacks
+	freeReads []*readCtx           // completed reads, reused with their data buffers
 
 	outstanding int
 	issued      uint64
@@ -46,17 +43,13 @@ type readCtx struct {
 	cb    func(ReadResult)
 }
 
-type writeCtx struct {
-	cb func(Resp)
-}
-
 // NewMaster creates a master engine on port and registers it on clk.
 func NewMaster(clk *sim.Clock, port *Port, checker *Checker) *Master {
 	m := &Master{
 		port:    port,
 		checker: checker,
 		reads:   make(map[int][]*readCtx),
-		writes:  make(map[int][]*writeCtx),
+		writes:  make(map[int][]func(Resp)),
 	}
 	m.wake = clk.Register(m)
 	m.wake.Consumes(port.R, port.B)
@@ -135,14 +128,7 @@ func (m *Master) write(id int, addr uint64, size uint8, burst Burst, data, strb 
 		}
 		m.wQ = append(m.wQ, w)
 	}
-	var c *writeCtx
-	if n := len(m.freeWrites); n > 0 {
-		c, m.freeWrites = m.freeWrites[n-1], m.freeWrites[:n-1]
-	} else {
-		c = new(writeCtx)
-	}
-	c.cb = cb
-	m.writes[id] = append(m.writes[id], c)
+	m.writes[id] = append(m.writes[id], cb)
 	m.outstanding++
 	m.issued++
 	m.wake.Wake()
@@ -204,9 +190,7 @@ func (m *Master) Eval(cycle int64) {
 		if len(q) == 0 {
 			panic(fmt.Sprintf("axi: B beat for ID %d with no outstanding write", b.ID))
 		}
-		cb := q[0].cb
-		q[0].cb = nil
-		m.freeWrites = append(m.freeWrites, q[0])
+		cb := q[0]
 		m.writes[b.ID] = sim.DropFront(q, 1)
 		m.outstanding--
 		m.completed++

@@ -92,14 +92,11 @@ func NewPort(clk *sim.Clock, name string, depth int) *Port {
 type Master struct {
 	port *Port
 
-	descQ  []Descriptor
-	wrQ    []Chunk
-	reads  map[int]*readStream
-	writes map[int]*writeStream
-	// Streams finished, reused by later ones; a read's keeps its data
-	// buffer.
-	freeReads  []*readStream
-	freeWrites []*writeStream
+	descQ     []Descriptor
+	wrQ       []Chunk
+	reads     map[int]*readStream
+	writes    map[int]writeStream
+	freeReads []*readStream // finished streams, reused with their data buffers
 
 	issued, completed uint64
 
@@ -120,7 +117,7 @@ type writeStream struct {
 
 // NewMaster creates a master engine.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
-	m := &Master{port: port, reads: make(map[int]*readStream), writes: make(map[int]*writeStream)}
+	m := &Master{port: port, reads: make(map[int]*readStream), writes: make(map[int]writeStream)}
 	m.wake = clk.Register(m)
 	m.wake.Consumes(port.Rd, port.Ack)
 	return m
@@ -155,14 +152,7 @@ func (m *Master) StreamWrite(id int, addr uint64, data []byte, cb func(ok bool))
 		}
 		m.wrQ = append(m.wrQ, Chunk{StreamID: id, Data: data[lo:hi], Last: i == n-1})
 	}
-	var ws *writeStream
-	if k := len(m.freeWrites); k > 0 {
-		ws, m.freeWrites = m.freeWrites[k-1], m.freeWrites[:k-1]
-	} else {
-		ws = new(writeStream)
-	}
-	*ws = writeStream{chunks: n, cb: cb}
-	m.writes[id] = ws
+	m.writes[id] = writeStream{chunks: n, cb: cb}
 	m.issued++
 	m.wake.Wake()
 }
@@ -221,22 +211,21 @@ func (m *Master) Eval(cycle int64) {
 		}
 	}
 	if a, ok := m.port.Ack.Pop(); ok {
-		ws := m.writes[a.StreamID]
-		if ws == nil {
+		ws, ok := m.writes[a.StreamID]
+		if !ok {
 			panic(fmt.Sprintf("prop: ack for unknown stream %d", a.StreamID))
 		}
 		ws.acked += a.Chunks
-		if a.Done {
+		if !a.Done {
+			m.writes[a.StreamID] = ws
+		} else {
 			if ws.acked != ws.chunks {
 				panic(fmt.Sprintf("prop: stream %d acked %d/%d chunks", a.StreamID, ws.acked, ws.chunks))
 			}
 			delete(m.writes, a.StreamID)
 			m.completed++
-			cb := ws.cb
-			ws.cb = nil
-			m.freeWrites = append(m.freeWrites, ws)
-			if cb != nil {
-				cb(a.OK)
+			if ws.cb != nil {
+				ws.cb(a.OK)
 			}
 		}
 	}
