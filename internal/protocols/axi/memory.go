@@ -32,19 +32,18 @@ type Memory struct {
 	base  uint64
 	cfg   MemoryConfig
 
-	rq   []*memRead // accepted reads
-	cur  *memRead   // read burst currently streaming
-	wait int
+	rq        []memRead // accepted reads
+	cur       memRead   // read burst currently streaming, while streaming
+	streaming bool
+	wait      int
 
 	wq    []*memWrite // accepted writes awaiting data/latency
 	wdata []WBeat
 	bq    []BBeat // responses ready to send
 
-	// Bursts served, reused by later ones (a write's keeps its data
-	// buffers), and the R data ring: an R beat's buffer is reused only
-	// after the R pipe's depth of later beats, when its reader has
-	// popped it.
-	freeReads  []*memRead
+	// Write bursts served, reused with their data buffers by later ones,
+	// and the R data ring: an R beat's buffer is reused only after the R
+	// pipe's depth of later beats, when its reader has popped it.
 	freeWrites []*memWrite
 	rbuf       [][]byte
 	rnext      int
@@ -115,14 +114,7 @@ func burstSpan(burst Burst, addr uint64, size uint8, beats int) (lo, hi uint64) 
 func (m *Memory) Eval(cycle int64) {
 	// Accept one AR per cycle.
 	if ar, ok := m.port.AR.Pop(); ok {
-		var r *memRead
-		if n := len(m.freeReads); n > 0 {
-			r, m.freeReads = m.freeReads[n-1], m.freeReads[:n-1]
-		} else {
-			r = new(memRead)
-		}
-		*r = memRead{ar: ar, wait: m.cfg.Latency}
-		m.rq = append(m.rq, r)
+		m.rq = append(m.rq, memRead{ar: ar, wait: m.cfg.Latency})
 	}
 	// Accept one AW per cycle.
 	if aw, ok := m.port.AW.Pop(); ok {
@@ -152,7 +144,7 @@ func (m *Memory) Eval(cycle int64) {
 }
 
 func (m *Memory) serveReads() {
-	if m.cur == nil && len(m.rq) > 0 {
+	if !m.streaming && len(m.rq) > 0 {
 		pick := 0
 		if m.cfg.Reorder {
 			// LIFO across bursts, but never past an older burst with the
@@ -171,10 +163,10 @@ func (m *Memory) serveReads() {
 				}
 			}
 		}
-		m.cur = m.rq[pick]
+		m.cur, m.streaming = m.rq[pick], true
 		m.rq = append(m.rq[:pick], m.rq[pick+1:]...)
 	}
-	if m.cur == nil {
+	if !m.streaming {
 		return
 	}
 	if m.cur.wait > 0 {
@@ -184,7 +176,7 @@ func (m *Memory) serveReads() {
 	if !m.port.R.CanPush(1) {
 		return
 	}
-	r := m.cur
+	r := &m.cur
 	ar := r.ar
 	addr := beatAddr(ar.Burst, ar.Addr, ar.Size, ar.Beats(), r.beat) - m.base
 	data := slices.Grow(m.rbuf[m.rnext][:0], int(ar.Size))[:ar.Size]
@@ -203,8 +195,7 @@ func (m *Memory) serveReads() {
 	m.port.R.Push(RBeat{ID: ar.ID, Data: data, Resp: resp, Last: last})
 	r.beat++
 	if last {
-		m.freeReads = append(m.freeReads, r)
-		m.cur = nil
+		m.streaming = false
 		m.reads++
 	}
 }
@@ -278,7 +269,7 @@ func (m *Memory) serveWrites() {
 // that arrived ahead of their AW wait for the AW pipe.
 func (m *Memory) Idle() bool {
 	return m.port.AR.Empty() && m.port.AW.Empty() && m.port.W.Empty() &&
-		m.cur == nil && len(m.rq) == 0 && len(m.wq) == 0 && len(m.bq) == 0
+		!m.streaming && len(m.rq) == 0 && len(m.wq) == 0 && len(m.bq) == 0
 }
 
 // Served returns cumulative read and write burst counts.
