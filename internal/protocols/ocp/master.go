@@ -148,15 +148,15 @@ func (m *Master) WriteConditional(thread int, addr uint64, size uint8, data []by
 }
 
 // expect queues c's response on thread in a context from the free list,
-// with room for n bytes of read data.
-func (m *Master) expect(thread int, c ocpCtx, n int) {
+// with room for room bytes of read data.
+func (m *Master) expect(thread int, c ocpCtx, room int) {
 	var p *ocpCtx
 	if n := len(m.free); n > 0 {
 		p, m.free = m.free[n-1], m.free[:n-1]
 	} else {
 		p = new(ocpCtx)
 	}
-	c.got = slices.Grow(p.got[:0], n)
+	c.got = slices.Grow(p.got[:0], room)
 	*p = c
 	m.pending[thread] = append(m.pending[thread], p)
 }
