@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"gonoc/internal/mem"
+	"gonoc/internal/protocols"
 	"gonoc/internal/sim"
 )
 
@@ -50,35 +51,15 @@ func NewPPort(clk *sim.Clock, name string, depth int) *PPort {
 
 // PMaster is a PVCI master engine: strictly one outstanding request.
 type PMaster struct {
-	port *PPort
-	q    []pReqCtx // in order; q[0] is outstanding while waiting
-	wait bool
-
-	issued, completed uint64
-
-	wake sim.Waker
-}
-
-type pReqCtx struct {
-	req  PReq
-	rdCb func([]byte, bool)
-	wrCb func(bool)
+	protocols.InOrder[PReq, PRsp]
 }
 
 // NewPMaster creates a PVCI master.
 func NewPMaster(clk *sim.Clock, port *PPort) *PMaster {
-	m := &PMaster{port: port}
-	m.wake = clk.Register(m)
-	m.wake.Consumes(port.Rsp)
+	m := &PMaster{}
+	m.Bind(clk, port.Req, port.Rsp, 1, func(r PRsp) ([]byte, bool) { return r.Data, r.Err })
 	return m
 }
-
-// Busy reports whether work remains.
-func (m *PMaster) Busy() bool { return len(m.q) > 0 }
-
-// Issued and Completed return cumulative counters.
-func (m *PMaster) Issued() uint64    { return m.issued }
-func (m *PMaster) Completed() uint64 { return m.completed }
 
 // Read queues a single-word read. cb's data is valid only during the
 // call: the socket's slave reuses its buffer for a later read.
@@ -86,9 +67,7 @@ func (m *PMaster) Read(addr uint64, n int, cb func(data []byte, err bool)) {
 	if n < 1 || n > 4 {
 		panic(fmt.Sprintf("vci: PVCI read of %d bytes", n))
 	}
-	m.q = append(m.q, pReqCtx{req: PReq{Addr: addr, N: n}, rdCb: cb})
-	m.issued++
-	m.wake.Wake()
+	m.Enqueue(PReq{Addr: addr, N: n}, cb, nil)
 }
 
 // Write queues a single-word write. data must stay unchanged until cb
@@ -105,37 +84,8 @@ func (m *PMaster) WriteBE(addr uint64, data, be []byte, cb func(err bool)) {
 	if be != nil && len(be) != len(data) {
 		panic(fmt.Sprintf("vci: PVCI byte-enable length %d != data %d", len(be), len(data)))
 	}
-	m.q = append(m.q, pReqCtx{req: PReq{Addr: addr, Write: true, Data: data, BE: be}, wrCb: cb})
-	m.issued++
-	m.wake.Wake()
+	m.Enqueue(PReq{Addr: addr, Write: true, Data: data, BE: be}, nil, cb)
 }
-
-// Eval implements sim.Clocked.
-func (m *PMaster) Eval(cycle int64) {
-	if !m.wait && len(m.q) > 0 && m.port.Req.CanPush(1) {
-		m.port.Req.Push(m.q[0].req)
-		m.wait = true
-	}
-	if rsp, ok := m.port.Rsp.Pop(); ok {
-		if !m.wait {
-			panic("vci: PVCI response with nothing outstanding")
-		}
-		ctx := m.q[0]
-		m.q = sim.DropFront(m.q, 1)
-		m.wait = false
-		m.completed++
-		if ctx.rdCb != nil {
-			ctx.rdCb(rsp.Data, rsp.Err)
-		}
-		if ctx.wrCb != nil {
-			ctx.wrCb(rsp.Err)
-		}
-	}
-}
-
-// Idle implements sim.Idler: no response on the socket, and no request
-// queued that could issue (one is outstanding at a time).
-func (m *PMaster) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait) }
 
 // PMemory is a PVCI memory slave.
 type PMemory struct {
@@ -237,53 +187,25 @@ func NewBPort(clk *sim.Clock, name string, depth int) *BPort {
 
 // BMaster is a BVCI master: fully ordered, pipelined.
 type BMaster struct {
-	port     *BPort
-	pipeline int
-	q        []bReqCtx
-	pend     []bReqCtx
-
-	issued, completed uint64
-
-	wake sim.Waker
-}
-
-type bReqCtx struct {
-	req  BReq
-	rdCb func([]byte, bool)
-	wrCb func(bool)
+	protocols.InOrder[BReq, BRsp]
 }
 
 // NewBMaster creates a BVCI master with the given pipeline depth.
 func NewBMaster(clk *sim.Clock, port *BPort, pipeline int) *BMaster {
-	if pipeline < 1 {
-		pipeline = 1
-	}
-	m := &BMaster{port: port, pipeline: pipeline}
-	m.wake = clk.Register(m)
-	m.wake.Consumes(port.Rsp)
+	m := &BMaster{}
+	m.Bind(clk, port.Req, port.Rsp, pipeline, func(r BRsp) ([]byte, bool) { return r.Data, r.Err })
 	return m
 }
-
-// Busy reports whether work remains.
-func (m *BMaster) Busy() bool { return len(m.q) > 0 || len(m.pend) > 0 }
-
-// Issued and Completed return cumulative counters.
-func (m *BMaster) Issued() uint64    { return m.issued }
-func (m *BMaster) Completed() uint64 { return m.completed }
 
 // Read queues a burst read. cb's data is valid only during the call:
 // the socket's slave reuses its buffer for a later read.
 func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
-	m.q = append(m.q, bReqCtx{req: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, rdCb: cb})
-	m.issued++
-	m.wake.Wake()
+	m.Enqueue(BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, cb, nil)
 }
 
 // Write queues a burst write. data must stay unchanged until cb runs.
 func (m *BMaster) Write(addr uint64, size uint8, data []byte, cb func(bool)) {
-	m.q = append(m.q, bReqCtx{req: writeReq(addr, size, data), wrCb: cb})
-	m.issued++
-	m.wake.Wake()
+	m.Enqueue(writeReq(addr, size, data), nil, cb)
 }
 
 // writeReq builds a BVCI or AVCI burst write of data in cells of size
@@ -293,36 +215,6 @@ func writeReq(addr uint64, size uint8, data []byte) BReq {
 		panic(fmt.Sprintf("vci: burst write %dB not a multiple of %d", len(data), size))
 	}
 	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Data: data}
-}
-
-// Eval implements sim.Clocked.
-func (m *BMaster) Eval(cycle int64) {
-	if len(m.q) > 0 && len(m.pend) < m.pipeline && m.port.Req.CanPush(1) {
-		ctx := m.q[0]
-		m.q = sim.DropFront(m.q, 1)
-		m.port.Req.Push(ctx.req)
-		m.pend = append(m.pend, ctx)
-	}
-	if rsp, ok := m.port.Rsp.Pop(); ok {
-		if len(m.pend) == 0 {
-			panic("vci: BVCI response with nothing outstanding")
-		}
-		ctx := m.pend[0]
-		m.pend = sim.DropFront(m.pend, 1)
-		m.completed++
-		if ctx.rdCb != nil {
-			ctx.rdCb(rsp.Data, rsp.Err)
-		}
-		if ctx.wrCb != nil {
-			ctx.wrCb(rsp.Err)
-		}
-	}
-}
-
-// Idle implements sim.Idler: no response on the socket, and no request
-// queued that the pipeline would let out.
-func (m *BMaster) Idle() bool {
-	return m.port.Rsp.Empty() && (len(m.q) == 0 || len(m.pend) >= m.pipeline)
 }
 
 // BMemory is a BVCI memory slave: in-order, one cell per cycle.

@@ -24,6 +24,7 @@ import (
 	"slices"
 
 	"gonoc/internal/mem"
+	"gonoc/internal/protocols"
 	"gonoc/internal/sim"
 )
 
@@ -147,35 +148,15 @@ func BeatAddr(c Cycle, i int) uint64 {
 // classic handshake (CYC_O held for the whole cycle), single
 // outstanding.
 type Master struct {
-	port *Port
-	q    []wbCtx // in order; q[0] is open while waiting
-	wait bool
-
-	issued, completed uint64
-
-	wake sim.Waker
-}
-
-type wbCtx struct {
-	cyc  Cycle
-	rdCb func([]byte, bool)
-	wrCb func(bool)
+	protocols.InOrder[Cycle, Rsp]
 }
 
 // NewMaster creates a WISHBONE master on clk.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
-	m := &Master{port: port}
-	m.wake = clk.Register(m)
-	m.wake.Consumes(port.Rsp)
+	m := &Master{}
+	m.Bind(clk, port.Req, port.Rsp, 1, func(r Rsp) ([]byte, bool) { return r.Data, r.Err })
 	return m
 }
-
-// Busy reports whether work remains.
-func (m *Master) Busy() bool { return len(m.q) > 0 }
-
-// Issued and Completed return cumulative counters.
-func (m *Master) Issued() uint64    { return m.issued }
-func (m *Master) Completed() uint64 { return m.completed }
 
 // Read queues a read cycle. cb's data is valid only during the call:
 // the socket's slave reuses its buffer for a later read.
@@ -205,37 +186,8 @@ func (m *Master) enqueue(c Cycle, rdCb func([]byte, bool), wrCb func(bool)) {
 	if c.Write && len(c.Data) != c.Beats*int(c.Size) {
 		panic(fmt.Sprintf("wishbone: write data %dB != %d beats x %dB", len(c.Data), c.Beats, c.Size))
 	}
-	m.q = append(m.q, wbCtx{cyc: c, rdCb: rdCb, wrCb: wrCb})
-	m.issued++
-	m.wake.Wake()
+	m.Enqueue(c, rdCb, wrCb)
 }
-
-// Eval implements sim.Clocked.
-func (m *Master) Eval(cycle int64) {
-	if !m.wait && len(m.q) > 0 && m.port.Req.CanPush(1) {
-		m.port.Req.Push(m.q[0].cyc)
-		m.wait = true
-	}
-	if rsp, ok := m.port.Rsp.Pop(); ok {
-		if !m.wait {
-			panic("wishbone: response with nothing outstanding")
-		}
-		ctx := m.q[0]
-		m.q = sim.DropFront(m.q, 1)
-		m.wait = false
-		m.completed++
-		if ctx.rdCb != nil {
-			ctx.rdCb(rsp.Data, rsp.Err)
-		}
-		if ctx.wrCb != nil {
-			ctx.wrCb(rsp.Err)
-		}
-	}
-}
-
-// Idle implements sim.Idler: no response on the socket, and no cycle
-// queued that could start (one cycle is open at a time).
-func (m *Master) Idle() bool { return m.port.Rsp.Empty() && (len(m.q) == 0 || m.wait) }
 
 // MemoryConfig parameterizes a WISHBONE memory slave.
 type MemoryConfig struct {
