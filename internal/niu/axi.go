@@ -274,51 +274,37 @@ type AXISlave struct {
 
 type axiSlaveAdapter struct {
 	eng *axi.Master
-	replier
-	free []*axiExec
-}
-
-// axiExec is one request the AXI target is executing (see slaveExec).
-type axiExec struct {
-	slaveExec
-	read  func(axi.ReadResult)
-	wrote func(axi.Resp)
+	execs[func(axi.Resp), func(axi.ReadResult)]
 }
 
 // NewAXISlave creates the NIU (and its embedded engine) on clk.
 func NewAXISlave(clk *sim.Clock, net *transport.Network, port *axi.Port, cfg SlaveConfig) *AXISlave {
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &axiSlaveAdapter{eng: axi.NewMaster(clk, port, nil)})
+	a := &axiSlaveAdapter{eng: axi.NewMaster(clk, port, nil)}
+	a.bind = func(part func([]byte, bool)) (func(axi.Resp), func(axi.ReadResult)) {
+		return func(r axi.Resp) { part(nil, axiErr(r)) },
+			func(r axi.ReadResult) { part(r.Data, axiErr(r.Resp)) }
+	}
+	e.Bind(clk, a)
 	return &AXISlave{e}
 }
 
-func (a *axiSlaveAdapter) exec(cmd core.Cmd, respond func(*core.Response)) *axiExec {
-	var x *axiExec
-	if n := len(a.free); n > 0 {
-		x, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		x = &axiExec{}
-		x.rep, x.release = &a.replier, func() { a.free = append(a.free, x) }
-		x.read = func(r axi.ReadResult) { x.part(r.Data, r.Resp == axi.RespSLVERR || r.Resp == axi.RespDECERR) }
-		x.wrote = func(r axi.Resp) { x.done(r == axi.RespSLVERR || r == axi.RespDECERR) }
-	}
-	x.start(cmd, respond, 1)
-	return x
-}
+func axiErr(r axi.Resp) bool { return r == axi.RespSLVERR || r == axi.RespDECERR }
 
 // Execute implements SlaveAdapter.
 func (a *axiSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
 	data, be := heldWrite(req)
 	burst := coreBurstToAXI(req.Burst)
+	wrote, read := a.exec(req, respond, 1).completions()
 	switch {
 	case req.Cmd.IsRead():
-		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), burst, a.exec(req.Cmd, respond).read)
+		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), burst, read)
 	case req.Cmd == core.CmdWritePost:
 		a.eng.Write(engID, req.Addr, req.Size, burst, data, nil)
 	case be != nil: // all response-carrying writes (incl. resolved exclusives)
-		a.eng.WriteStrobed(engID, req.Addr, req.Size, burst, data, be, a.exec(req.Cmd, respond).wrote)
+		a.eng.WriteStrobed(engID, req.Addr, req.Size, burst, data, be, wrote)
 	default:
-		a.eng.Write(engID, req.Addr, req.Size, burst, data, a.exec(req.Cmd, respond).wrote)
+		a.eng.Write(engID, req.Addr, req.Size, burst, data, wrote)
 	}
 }

@@ -651,16 +651,24 @@ func (p *replier) reply(respond func(*core.Response), st core.Status, data []byt
 	respond(&p.rsp)
 }
 
-// slaveExec is one request a slave adapter's target IP is executing,
-// and the part of it every adapter's context shares. An adapter keeps
-// a free list of its own contexts, each embedding a slaveExec; the
-// completions its target's master takes are bound once, when a context
-// is made, and a context returns to the free list before it answers.
-// A request runs as one or more parts (transfers on the target socket);
-// it answers when the last part completes.
-type slaveExec struct {
-	rep     *replier
-	release func() // returns the context to its adapter's free list
+// execs is a slave adapter's pool of exec contexts, beside its replier.
+// W and R are the completion types its target's master takes for a
+// write and a read: bind makes a new context's pair from the context's
+// part, once.
+type execs[W, R any] struct {
+	replier
+	free []*slaveExec[W, R]
+	bind func(part func(data []byte, ipErr bool)) (wrote W, read R)
+}
+
+// slaveExec is one request a slave adapter's target IP is executing. A
+// request runs as one or more parts (transfers on the target socket);
+// it answers when the last part completes, after the context has gone
+// back to its pool.
+type slaveExec[W, R any] struct {
+	pool    *execs[W, R]
+	wrote   W
+	read    R
 	cmd     core.Cmd
 	respond func(*core.Response)
 	parts   int
@@ -668,13 +676,35 @@ type slaveExec struct {
 	got     []byte // the read data of the parts so far
 }
 
-func (x *slaveExec) start(cmd core.Cmd, respond func(*core.Response), parts int) {
-	x.cmd, x.respond, x.parts, x.ipErr, x.got = cmd, respond, parts, false, x.got[:0]
+// exec draws a context for req, which runs as parts parts; a posted
+// write gets none (nil).
+func (p *execs[W, R]) exec(req *core.Request, respond func(*core.Response), parts int) *slaveExec[W, R] {
+	if !req.Cmd.ExpectsResponse() {
+		return nil
+	}
+	var x *slaveExec[W, R]
+	if n := len(p.free); n > 0 {
+		x, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		x = &slaveExec[W, R]{pool: p}
+		x.wrote, x.read = p.bind(x.part)
+	}
+	x.cmd, x.respond, x.parts, x.ipErr, x.got = req.Cmd, respond, parts, false, x.got[:0]
+	return x
+}
+
+// completions returns the completions to hand the target's master: x's,
+// or none for a posted write.
+func (x *slaveExec[W, R]) completions() (wrote W, read R) {
+	if x == nil {
+		return wrote, read
+	}
+	return x.wrote, x.read
 }
 
 // part completes one part with its read data (nil for a write). The
 // last part answers, with every part's data joined.
-func (x *slaveExec) part(data []byte, ipErr bool) {
+func (x *slaveExec[W, R]) part(data []byte, ipErr bool) {
 	x.ipErr = x.ipErr || ipErr
 	if x.parts > 1 || len(x.got) > 0 {
 		x.got = append(x.got, data...)
@@ -685,40 +715,15 @@ func (x *slaveExec) part(data []byte, ipErr bool) {
 	}
 	respond, st := x.respond, statusFor(x.cmd, x.ipErr)
 	x.respond = nil
-	x.release()
-	x.rep.reply(respond, st, data)
+	x.pool.free = append(x.pool.free, x)
+	x.pool.reply(respond, st, data)
 }
 
-// done completes a part that carries no read data.
-func (x *slaveExec) done(ipErr bool) { x.part(nil, ipErr) }
-
-// flagExec is a request on a target whose master completes a read with
-// its data and an error flag, and a write with the flag alone: BVCI and
-// WISHBONE.
-type flagExec struct {
-	slaveExec
-	read  func(data []byte, ipErr bool)
-	wrote func(ipErr bool)
-}
-
-// flagExecs is the free list of flagExec contexts a BVCI or WISHBONE
-// slave adapter keeps, beside its replier.
-type flagExecs struct {
-	replier
-	free []*flagExec
-}
-
-func (f *flagExecs) exec(cmd core.Cmd, respond func(*core.Response), parts int) *flagExec {
-	var x *flagExec
-	if n := len(f.free); n > 0 {
-		x, f.free = f.free[n-1], f.free[:n-1]
-	} else {
-		x = &flagExec{}
-		x.rep, x.release = &f.replier, func() { f.free = append(f.free, x) }
-		x.read, x.wrote = x.part, x.done
-	}
-	x.start(cmd, respond, parts)
-	return x
+// flagCompletions binds the completions of a master that completes a
+// read with its data and an error flag, and a write with the flag
+// alone: PVCI, BVCI, AVCI and WISHBONE.
+func flagCompletions(part func([]byte, bool)) (func(bool), func([]byte, bool)) {
+	return func(err bool) { part(nil, err) }, part
 }
 
 // pushOne moves the head of q onto pipe if the pipe has room, returning

@@ -282,18 +282,10 @@ type OCPSlave struct {
 
 type ocpSlaveAdapter struct {
 	eng *ocp.Master
-	replier
+	execs[func(ocp.SResp), func(ocp.ReadResult)]
 	// thread allocation: the engine's threads are a hardware resource of
 	// the NIU; requests hash onto them by tag.
 	threads int
-	free    []*ocpExec
-}
-
-// ocpExec is one request the OCP target is executing (see slaveExec).
-type ocpExec struct {
-	slaveExec
-	read  func(ocp.ReadResult)
-	wrote func(ocp.SResp)
 }
 
 // NewOCPSlave creates the NIU; threads is the target socket's thread
@@ -303,22 +295,13 @@ func NewOCPSlave(clk *sim.Clock, net *transport.Network, port *ocp.Port, threads
 		threads = 1
 	}
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &ocpSlaveAdapter{eng: ocp.NewMaster(clk, port), threads: threads})
-	return &OCPSlave{e}
-}
-
-func (a *ocpSlaveAdapter) exec(cmd core.Cmd, respond func(*core.Response)) *ocpExec {
-	var x *ocpExec
-	if n := len(a.free); n > 0 {
-		x, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		x = &ocpExec{}
-		x.rep, x.release = &a.replier, func() { a.free = append(a.free, x) }
-		x.read = func(r ocp.ReadResult) { x.part(r.Data, r.Resp == ocp.RespERR) }
-		x.wrote = func(r ocp.SResp) { x.done(r == ocp.RespERR) }
+	a := &ocpSlaveAdapter{eng: ocp.NewMaster(clk, port), threads: threads}
+	a.bind = func(part func([]byte, bool)) (func(ocp.SResp), func(ocp.ReadResult)) {
+		return func(r ocp.SResp) { part(nil, r == ocp.RespERR) },
+			func(r ocp.ReadResult) { part(r.Data, r.Resp == ocp.RespERR) }
 	}
-	x.start(cmd, respond, 1)
-	return x
+	e.Bind(clk, a)
+	return &OCPSlave{e}
 }
 
 // Execute implements SlaveAdapter.
@@ -326,12 +309,13 @@ func (a *ocpSlaveAdapter) Execute(req *core.Request, respond func(*core.Response
 	th := int(req.Tag) % a.threads
 	data, _ := heldWrite(req)
 	seq := coreBurstToOCP(req.Burst)
+	wrote, read := a.exec(req, respond, 1).completions()
 	switch {
 	case req.Cmd.IsRead():
-		a.eng.Read(th, req.Addr, req.Size, int(req.Len), seq, a.exec(req.Cmd, respond).read)
+		a.eng.Read(th, req.Addr, req.Size, int(req.Len), seq, read)
 	case req.Cmd == core.CmdWritePost:
 		a.eng.Write(th, req.Addr, req.Size, seq, data, nil)
 	default:
-		a.eng.WriteNonPosted(th, req.Addr, req.Size, seq, data, a.exec(req.Cmd, respond).wrote)
+		a.eng.WriteNonPosted(th, req.Addr, req.Size, seq, data, wrote)
 	}
 }

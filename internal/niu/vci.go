@@ -15,76 +15,32 @@ type PVCIMaster struct {
 	*MasterEngine
 }
 
-type pvciMasterAdapter struct {
-	eng     *MasterEngine
-	port    *vci.PPort
-	rspQ    []vci.PRsp
-	rspBufs readBufs // rspQ's read data
-}
-
 // NewPVCIMaster creates the NIU on clk.
 func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.PPort, cfg MasterConfig) *PVCIMaster {
 	cfg.Ordering = OrderFully
 	if cfg.Table.MaxOutstanding == 0 {
 		cfg.Table.MaxOutstanding = 1 // PVCI is single-outstanding by nature
 	}
-	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &pvciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
-	e.wake.Consumes(port.Req)
-	return &PVCIMaster{e}
+	return &PVCIMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, pvciRequest, pvciResponse)}
 }
 
-// Idle implements sim.Idler.
-func (a *pvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
-
-// DeliverResponse implements MasterAdapter.
-func (a *pvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	out := vci.PRsp{Err: !rsp.Status.OK()}
-	if !entry.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(rsp.Data, 0)
-	}
-	a.rspQ = append(a.rspQ, out)
-}
-
-// StreamSocket implements MasterAdapter.
-func (a *pvciMasterAdapter) StreamSocket() {
-	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
-		a.rspBufs.pushed(a.rspQ[0].Data)
-		a.rspQ = sim.DropFront(a.rspQ, 1)
-	}
-}
-
-// PumpRequests implements MasterAdapter.
-func (a *pvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-// Peek implements SocketHead.
-func (a *pvciMasterAdapter) Peek(c *Candidate) bool {
-	preq, ok := a.port.Req.Peek()
-	if !ok {
-		return false
-	}
+func pvciRequest(preq vci.PReq, c *Candidate) bool {
 	if preq.Write {
 		c.Req = core.Request{
 			Cmd: core.CmdWrite, Addr: preq.Addr, Size: uint8(len(preq.Data)), Len: 1,
 			Burst: core.BurstIncr, Data: preq.Data, BE: preq.BE,
 		}
-	} else {
-		nBytes := preq.N
-		if nBytes < 1 || nBytes > 4 {
-			nBytes = 4
-		}
-		c.Req = core.Request{
-			Cmd: core.CmdRead, Addr: preq.Addr, Size: uint8(nBytes), Len: 1, Burst: core.BurstIncr,
-		}
+		return true
 	}
+	nBytes := preq.N
+	if nBytes < 1 || nBytes > 4 {
+		nBytes = 4
+	}
+	c.Req = core.Request{Cmd: core.CmdRead, Addr: preq.Addr, Size: uint8(nBytes), Len: 1, Burst: core.BurstIncr}
 	return true
 }
 
-// Pop implements SocketHead.
-func (a *pvciMasterAdapter) Pop() { a.port.Req.Pop() }
-
-// Refuse implements SocketHead.
-func (a *pvciMasterAdapter) Refuse(*Candidate) { a.rspQ = append(a.rspQ, vci.PRsp{Err: true}) }
+func pvciResponse(_ int, err bool, data []byte) vci.PRsp { return vci.PRsp{Data: data, Err: err} }
 
 // PVCISlave is the slave-side NIU for a PVCI target. PVCI moves at most
 // 4 bytes per transaction, so burst requests from richer sockets are
@@ -95,81 +51,37 @@ type PVCISlave struct {
 
 type pvciSlaveAdapter struct {
 	eng *vci.PMaster
-	replier
+	execs[func(bool), func([]byte, bool)]
 }
 
 // NewPVCISlave creates the NIU on clk.
 func NewPVCISlave(clk *sim.Clock, net *transport.Network, port *vci.PPort, cfg SlaveConfig) *PVCISlave {
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &pvciSlaveAdapter{eng: vci.NewPMaster(clk, port)})
+	a := &pvciSlaveAdapter{eng: vci.NewPMaster(clk, port)}
+	a.bind = flagCompletions
+	e.Bind(clk, a)
 	return &PVCISlave{e}
 }
 
-// Execute implements SlaveAdapter.
+// Execute implements SlaveAdapter: each beat runs as one PVCI operation
+// per word of it.
 func (a *pvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	r := req
-	beats := int(req.Len)
-	// Word-split each beat into <=4-byte PVCI operations.
-	type op struct {
-		addr uint64
-		off  int
-		n    int
-	}
-	var ops []op
-	for i := 0; i < beats; i++ {
+	size := int(req.Size)
+	data, be := heldWrite(req)
+	wrote, read := a.exec(req, respond, int(req.Len)*((size+3)/4)).completions()
+	for i := 0; i < int(req.Len); i++ {
 		base := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i)
-		off := i * int(req.Size)
-		for rem := int(req.Size); rem > 0; {
-			chunk := rem
-			if chunk > 4 {
-				chunk = 4
+		for off := 0; off < size; off += 4 {
+			addr, lo, n := base+uint64(off), i*size+off, min(size-off, 4)
+			switch {
+			case req.Cmd.IsRead():
+				a.eng.Read(addr, n, read)
+			case be != nil:
+				// PVCI write with byte enables travels as a masked write.
+				a.eng.WriteBE(addr, data[lo:lo+n], be[lo:lo+n], wrote)
+			default:
+				a.eng.Write(addr, data[lo:lo+n], wrote)
 			}
-			ops = append(ops, op{addr: base + uint64(int(req.Size)-rem), off: off + int(req.Size) - rem, n: chunk})
-			rem -= chunk
-		}
-	}
-	if r.Cmd.IsRead() {
-		data := make([]byte, beats*int(req.Size))
-		remaining := len(ops)
-		anyErr := false
-		for _, o := range ops {
-			o := o
-			a.eng.Read(o.addr, o.n, func(d []byte, err bool) {
-				copy(data[o.off:o.off+o.n], d)
-				anyErr = anyErr || err
-				remaining--
-				if remaining == 0 {
-					a.reply(respond, statusFor(r.Cmd, anyErr), data)
-				}
-			})
-		}
-		return
-	}
-	wdata, wbe := heldWrite(req)
-	remaining := len(ops)
-	anyErr := false
-	for _, o := range ops {
-		o := o
-		var be []byte
-		if wbe != nil {
-			be = wbe[o.off : o.off+o.n]
-		}
-		cb := func(err bool) {
-			anyErr = anyErr || err
-			remaining--
-			if remaining == 0 && r.Cmd.ExpectsResponse() {
-				a.reply(respond, statusFor(r.Cmd, anyErr), nil)
-			}
-		}
-		if !r.Cmd.ExpectsResponse() {
-			cb = nil
-		}
-		data := wdata[o.off : o.off+o.n]
-		if be != nil {
-			// PVCI write with byte enables travels as a masked write.
-			a.eng.WriteBE(o.addr, data, be, cb)
-		} else {
-			a.eng.Write(o.addr, data, cb)
 		}
 	}
 }
@@ -182,51 +94,14 @@ type BVCIMaster struct {
 	*MasterEngine
 }
 
-type bvciMasterAdapter struct {
-	eng     *MasterEngine
-	port    *vci.BPort
-	rspQ    []vci.BRsp
-	rspBufs readBufs // rspQ's read data
-}
-
 // NewBVCIMaster creates the NIU on clk.
 func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.BPort, cfg MasterConfig) *BVCIMaster {
 	cfg.Ordering = OrderFully
-	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &bvciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
-	e.wake.Consumes(port.Req)
-	return &BVCIMaster{e}
+	return &BVCIMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, bvciRequest, bvciResponse)}
 }
 
-// Idle implements sim.Idler.
-func (a *bvciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
-
-// DeliverResponse implements MasterAdapter.
-func (a *bvciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	out := vci.BRsp{Err: !rsp.Status.OK()}
-	if !entry.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(rsp.Data, 0)
-	}
-	a.rspQ = append(a.rspQ, out)
-}
-
-// StreamSocket implements MasterAdapter.
-func (a *bvciMasterAdapter) StreamSocket() {
-	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
-		a.rspBufs.pushed(a.rspQ[0].Data)
-		a.rspQ = sim.DropFront(a.rspQ, 1)
-	}
-}
-
-// PumpRequests implements MasterAdapter.
-func (a *bvciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-// Peek implements SocketHead.
-func (a *bvciMasterAdapter) Peek(c *Candidate) bool {
-	breq, ok := a.port.Req.Peek()
-	if !ok {
-		return false
-	}
+// bvciRequest converts a BVCI burst; AVCI's carries a packet ID on top.
+func bvciRequest(breq vci.BReq, c *Candidate) bool {
 	burst := core.BurstIncr
 	if breq.Wrap {
 		burst = core.BurstWrap
@@ -240,17 +115,7 @@ func (a *bvciMasterAdapter) Peek(c *Candidate) bool {
 	return true
 }
 
-// Pop implements SocketHead.
-func (a *bvciMasterAdapter) Pop() { a.port.Req.Pop() }
-
-// Refuse implements SocketHead.
-func (a *bvciMasterAdapter) Refuse(c *Candidate) {
-	out := vci.BRsp{Err: true}
-	if !c.Req.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(nil, c.Req.Bytes())
-	}
-	a.rspQ = append(a.rspQ, out)
-}
+func bvciResponse(_ int, err bool, data []byte) vci.BRsp { return vci.BRsp{Data: data, Err: err} }
 
 // BVCISlave is the slave-side NIU for a BVCI target IP.
 type BVCISlave struct {
@@ -259,27 +124,26 @@ type BVCISlave struct {
 
 type bvciSlaveAdapter struct {
 	eng *vci.BMaster
-	flagExecs
+	execs[func(bool), func([]byte, bool)]
 }
 
 // NewBVCISlave creates the NIU on clk.
 func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg SlaveConfig) *BVCISlave {
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &bvciSlaveAdapter{eng: vci.NewBMaster(clk, port, 2)})
+	a := &bvciSlaveAdapter{eng: vci.NewBMaster(clk, port, 2)}
+	a.bind = flagCompletions
+	e.Bind(clk, a)
 	return &BVCISlave{e}
 }
 
 // Execute implements SlaveAdapter.
 func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	wrap := req.Burst == core.BurstWrap
 	data, _ := heldWrite(req)
-	switch {
-	case req.Cmd.IsRead():
-		a.eng.Read(req.Addr, req.Size, int(req.Len), wrap, a.exec(req.Cmd, respond, 1).read)
-	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(req.Addr, req.Size, data, nil)
-	default:
-		a.eng.Write(req.Addr, req.Size, data, a.exec(req.Cmd, respond, 1).wrote)
+	wrote, read := a.exec(req, respond, 1).completions()
+	if req.Cmd.IsRead() {
+		a.eng.Read(req.Addr, req.Size, int(req.Len), req.Burst == core.BurstWrap, read)
+	} else {
+		a.eng.Write(req.Addr, req.Size, data, wrote)
 	}
 }
 
@@ -291,77 +155,20 @@ type AVCIMaster struct {
 	*MasterEngine
 }
 
-type avciMasterAdapter struct {
-	eng     *MasterEngine
-	port    *vci.APort
-	rspQ    []vci.ARsp
-	rspBufs readBufs // rspQ's read data
-}
-
 // NewAVCIMaster creates the NIU on clk.
 func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.APort, cfg MasterConfig) *AVCIMaster {
-	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
-	e.Bind(clk, &avciMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
-	e.wake.Consumes(port.Req)
-	return &AVCIMaster{e}
+	return &AVCIMaster{newSingle(clk, net, amap, cfg, core.IDOrdered, port.Req, port.Rsp, avciRequest, avciResponse)}
 }
 
-// Idle implements sim.Idler.
-func (a *avciMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
-
-// DeliverResponse implements MasterAdapter. The entry's ProtoID is the
-// packet ID the request was issued with.
-func (a *avciMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	out := vci.ARsp{ID: entry.ProtoID}
-	out.Err = !rsp.Status.OK()
-	if !entry.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(rsp.Data, 0)
-	}
-	a.rspQ = append(a.rspQ, out)
-}
-
-// StreamSocket implements MasterAdapter.
-func (a *avciMasterAdapter) StreamSocket() {
-	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
-		a.rspBufs.pushed(a.rspQ[0].Data)
-		a.rspQ = sim.DropFront(a.rspQ, 1)
-	}
-}
-
-// PumpRequests implements MasterAdapter.
-func (a *avciMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-// Peek implements SocketHead.
-func (a *avciMasterAdapter) Peek(c *Candidate) bool {
-	areq, ok := a.port.Req.Peek()
-	if !ok {
-		return false
-	}
-	burst := core.BurstIncr
-	if areq.Wrap {
-		burst = core.BurstWrap
-	}
-	c.Req = core.Request{
-		Cmd: core.CmdRead, Addr: areq.Addr, Size: areq.Size, Len: uint16(areq.Beats), Burst: burst,
-	}
-	if areq.Op == vci.OpWrite {
-		c.Req.Cmd, c.Req.Data = core.CmdWrite, areq.Data
-	}
+// avciRequest converts an AVCI burst; its packet ID is the ordering
+// handle, which the response carries back.
+func avciRequest(areq vci.AReq, c *Candidate) bool {
 	c.ProtoID = areq.ID
-	return true
+	return bvciRequest(areq.BReq, c)
 }
 
-// Pop implements SocketHead.
-func (a *avciMasterAdapter) Pop() { a.port.Req.Pop() }
-
-// Refuse implements SocketHead.
-func (a *avciMasterAdapter) Refuse(c *Candidate) {
-	out := vci.ARsp{ID: c.ProtoID}
-	out.Err = true
-	if !c.Req.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(nil, c.Req.Bytes())
-	}
-	a.rspQ = append(a.rspQ, out)
+func avciResponse(id int, err bool, data []byte) vci.ARsp {
+	return vci.ARsp{BRsp: vci.BRsp{Data: data, Err: err}, ID: id}
 }
 
 // AVCISlave is the slave-side NIU for an AVCI target IP.
@@ -371,31 +178,26 @@ type AVCISlave struct {
 
 type avciSlaveAdapter struct {
 	eng *vci.AMaster
-	replier
+	execs[func(bool), func([]byte, bool)]
 }
 
 // NewAVCISlave creates the NIU on clk.
 func NewAVCISlave(clk *sim.Clock, net *transport.Network, port *vci.APort, cfg SlaveConfig) *AVCISlave {
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &avciSlaveAdapter{eng: vci.NewAMaster(clk, port)})
+	a := &avciSlaveAdapter{eng: vci.NewAMaster(clk, port)}
+	a.bind = flagCompletions
+	e.Bind(clk, a)
 	return &AVCISlave{e}
 }
 
 // Execute implements SlaveAdapter.
 func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	r := req
 	engID := int(req.Src)<<8 | int(req.Tag)
 	data, _ := heldWrite(req)
-	switch {
-	case req.Cmd.IsRead():
-		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), func(d []byte, err bool) {
-			a.reply(respond, statusFor(r.Cmd, err), d)
-		})
-	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(engID, req.Addr, req.Size, data, nil)
-	default:
-		a.eng.Write(engID, req.Addr, req.Size, data, func(err bool) {
-			a.reply(respond, statusFor(r.Cmd, err), nil)
-		})
+	wrote, read := a.exec(req, respond, 1).completions()
+	if req.Cmd.IsRead() {
+		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), read)
+	} else {
+		a.eng.Write(engID, req.Addr, req.Size, data, wrote)
 	}
 }

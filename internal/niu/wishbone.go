@@ -62,71 +62,18 @@ type WBMaster struct {
 	*MasterEngine
 }
 
-type wbMasterAdapter struct {
-	eng     *MasterEngine
-	port    *wishbone.Port
-	rspQ    []wishbone.Rsp
-	rspBufs readBufs // rspQ's read data
-}
-
 // NewWBMaster creates the NIU on clk. WISHBONE has no ordering handles:
 // the model is always fully-ordered.
 func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *wishbone.Port, cfg MasterConfig) *WBMaster {
 	cfg.Ordering = OrderFully
-	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
-	e.Bind(clk, &wbMasterAdapter{eng: e, port: port, rspBufs: newReadBufs(port.Rsp.Cap())})
-	e.wake.Consumes(port.Req)
-	return &WBMaster{e}
+	return &WBMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, wbRequest, wbResponse)}
 }
 
-// Idle implements sim.Idler.
-func (a *wbMasterAdapter) Idle() bool { return a.port.Req.Empty() && len(a.rspQ) == 0 }
-
-// DeliverResponse implements MasterAdapter.
-func (a *wbMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
-	out := wishbone.Rsp{Err: !rsp.Status.OK()}
-	if !entry.Cmd.IsWrite() {
-		out.Data = a.rspBufs.hold(rsp.Data, 0)
-	}
-	a.rspQ = append(a.rspQ, out)
-}
-
-// StreamSocket implements MasterAdapter.
-func (a *wbMasterAdapter) StreamSocket() {
-	if len(a.rspQ) > 0 && a.port.Rsp.Push(a.rspQ[0]) {
-		a.rspBufs.pushed(a.rspQ[0].Data)
-		a.rspQ = sim.DropFront(a.rspQ, 1)
-	}
-}
-
-// queueErr answers a cycle of beats×size bytes locally with ERR_I
-// (zero-padded data for reads) — the one error shape shared by decode
-// errors, disabled services, and unexpressible wrap windows.
-func (a *wbMasterAdapter) queueErr(write bool, beats, size int) {
-	out := wishbone.Rsp{Err: true}
-	if !write {
-		out.Data = a.rspBufs.hold(nil, beats*size)
-	}
-	a.rspQ = append(a.rspQ, out)
-}
-
-// PumpRequests implements MasterAdapter.
-func (a *wbMasterAdapter) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-// Peek implements SocketHead.
-func (a *wbMasterAdapter) Peek(c *Candidate) bool {
-	cyc, ok := a.port.Req.Peek()
-	if !ok {
-		return false
-	}
-	burst, exprOK := wbCTIToCore(cyc)
-	if !exprOK {
-		// The wrap window is not expressible on the fabric: refuse the
-		// cycle loudly (ERR_I) instead of corrupting addresses.
-		a.port.Req.Pop()
-		a.queueErr(cyc.Write, cyc.Beats, int(cyc.Size))
-		return false
-	}
+// wbRequest converts a WISHBONE cycle. A wrap window the fabric cannot
+// express is refused with ERR_I instead of corrupting addresses, as are
+// decode errors and disabled services.
+func wbRequest(cyc wishbone.Cycle, c *Candidate) bool {
+	burst, ok := wbCTIToCore(cyc)
 	c.Req = core.Request{
 		Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),
 		Burst: burst,
@@ -134,17 +81,10 @@ func (a *wbMasterAdapter) Peek(c *Candidate) bool {
 	if cyc.Write {
 		c.Req.Cmd, c.Req.Data, c.Req.BE = core.CmdWrite, cyc.Data, cyc.Sel
 	}
-	return true
+	return ok
 }
 
-// Pop implements SocketHead.
-func (a *wbMasterAdapter) Pop() { a.port.Req.Pop() }
-
-// Refuse implements SocketHead: WISHBONE signals both decode errors and
-// disabled services as ERR_I on the socket.
-func (a *wbMasterAdapter) Refuse(c *Candidate) {
-	a.queueErr(c.Req.Cmd.IsWrite(), int(c.Req.Len), int(c.Req.Size))
-}
+func wbResponse(_ int, err bool, data []byte) wishbone.Rsp { return wishbone.Rsp{Data: data, Err: err} }
 
 // WBSlave is the slave-side NIU for a WISHBONE target IP. Wrap bursts
 // outside the BTE vocabulary (e.g. an AXI 2-beat wrap) are adapted into
@@ -155,13 +95,15 @@ type WBSlave struct {
 
 type wbSlaveAdapter struct {
 	eng *wishbone.Master
-	flagExecs
+	execs[func(bool), func([]byte, bool)]
 }
 
 // NewWBSlave creates the NIU on clk.
 func NewWBSlave(clk *sim.Clock, net *transport.Network, port *wishbone.Port, cfg SlaveConfig) *WBSlave {
 	e := NewSlaveEngine(net, cfg)
-	e.Bind(clk, &wbSlaveAdapter{eng: wishbone.NewMaster(clk, port)})
+	a := &wbSlaveAdapter{eng: wishbone.NewMaster(clk, port)}
+	a.bind = flagCompletions
+	e.Bind(clk, a)
 	return &WBSlave{e}
 }
 
@@ -176,21 +118,14 @@ func (a *wbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)
 	if !ok {
 		cti, bte, cycles, n = wishbone.Classic, wishbone.Linear, beats, 1
 	}
-	var x *flagExec
-	if req.Cmd.ExpectsResponse() {
-		x = a.exec(req.Cmd, respond, cycles)
-	}
-	var wrote func(bool)
-	if x != nil {
-		wrote = x.wrote
-	}
+	wrote, read := a.exec(req, respond, cycles).completions()
 	span := n * int(req.Size)
 	for i := 0; i < cycles; i++ {
 		addr := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*n)
 		lo, hi := i*span, (i+1)*span
 		switch {
 		case req.Cmd.IsRead():
-			a.eng.Read(addr, req.Size, n, cti, bte, x.read)
+			a.eng.Read(addr, req.Size, n, cti, bte, read)
 		case sel != nil:
 			a.eng.WriteSel(addr, req.Size, data[lo:hi], sel[lo:hi], cti, bte, wrote)
 		default:
