@@ -109,33 +109,55 @@ func (s Socket) Issue(k int, write bool, addr uint64, n int, done Done) {
 	s.Write(k, addr, s.width, c.data, c.wrote)
 }
 
-// AXI adapts an AXI master: INCR bursts on ID id%4.
-func AXI(m *axi.Master) Socket { return newSocket(&axiSocket{m: m}, numIDs, 0, 4) }
-
-type axiSocket struct {
-	m    *axi.Master
-	free []*axiCall
-}
-
-// axiCall is one transaction in flight on an AXI socket.
-type axiCall struct {
+// call is one transaction in flight on a socket whose master takes
+// completions of type W for a write and R for a read. Both are bound
+// once, when the call is made, from its pending.
+type call[W, R any] struct {
 	pending
-	wrote func(axi.Resp)
-	read  func(axi.ReadResult)
+	wrote W
+	read  R
 }
 
-func (a *axiSocket) call(done Done) *axiCall {
-	var c *axiCall
-	if n := len(a.free); n > 0 {
-		c, a.free = a.free[n-1], a.free[:n-1]
+// calls is a socket's free list of calls, and how it binds a new
+// call's completions onto (data, err).
+type calls[W, R any] struct {
+	free []*call[W, R]
+	bind func(p *pending) (wrote W, read R)
+}
+
+func (cs *calls[W, R]) call(done Done) *call[W, R] {
+	var c *call[W, R]
+	if n := len(cs.free); n > 0 {
+		c, cs.free = cs.free[n-1], cs.free[:n-1]
 	} else {
-		c = &axiCall{}
-		c.release = func() { a.free = append(a.free, c) }
-		c.wrote = func(r axi.Resp) { c.finish(nil, r != axi.RespOKAY) }
-		c.read = func(r axi.ReadResult) { c.finish(r.Data, r.Resp != axi.RespOKAY) }
+		c = &call[W, R]{}
+		c.release = func() { cs.free = append(cs.free, c) }
+		c.wrote, c.read = cs.bind(&c.pending)
 	}
 	c.done = done
 	return c
+}
+
+// flagCalls binds the completions of the VCI and WISHBONE masters,
+// which complete a read with (data, err) already and a write with its
+// error flag alone.
+func flagCalls(p *pending) (func(bool), func([]byte, bool)) {
+	return func(err bool) { p.finish(nil, err) }, p.finish
+}
+
+// AXI adapts an AXI master: INCR bursts on ID id%4.
+func AXI(m *axi.Master) Socket {
+	return newSocket(&axiSocket{m: m, calls: calls[func(axi.Resp), func(axi.ReadResult)]{
+		bind: func(p *pending) (func(axi.Resp), func(axi.ReadResult)) {
+			return func(r axi.Resp) { p.finish(nil, r != axi.RespOKAY) },
+				func(r axi.ReadResult) { p.finish(r.Data, r.Resp != axi.RespOKAY) }
+		},
+	}}, numIDs, 0, 4)
+}
+
+type axiSocket struct {
+	m *axi.Master
+	calls[func(axi.Resp), func(axi.ReadResult)]
 }
 
 func (a *axiSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
@@ -148,32 +170,18 @@ func (a *axiSocket) Read(id int, addr uint64, size uint8, beats int, done Done) 
 
 // OCP adapts an OCP master: non-posted writes and incrementing reads on
 // thread id%4.
-func OCP(m *ocp.Master) Socket { return newSocket(&ocpSocket{m: m}, numIDs, 0, 4) }
+func OCP(m *ocp.Master) Socket {
+	return newSocket(&ocpSocket{m: m, calls: calls[func(ocp.SResp), func(ocp.ReadResult)]{
+		bind: func(p *pending) (func(ocp.SResp), func(ocp.ReadResult)) {
+			return func(r ocp.SResp) { p.finish(nil, r != ocp.RespDVA) },
+				func(r ocp.ReadResult) { p.finish(r.Data, r.Resp != ocp.RespDVA) }
+		},
+	}}, numIDs, 0, 4)
+}
 
 type ocpSocket struct {
-	m    *ocp.Master
-	free []*ocpCall
-}
-
-// ocpCall is one transaction in flight on an OCP socket.
-type ocpCall struct {
-	pending
-	wrote func(ocp.SResp)
-	read  func(ocp.ReadResult)
-}
-
-func (o *ocpSocket) call(done Done) *ocpCall {
-	var c *ocpCall
-	if n := len(o.free); n > 0 {
-		c, o.free = o.free[n-1], o.free[:n-1]
-	} else {
-		c = &ocpCall{}
-		c.release = func() { o.free = append(o.free, c) }
-		c.wrote = func(r ocp.SResp) { c.finish(nil, r != ocp.RespDVA) }
-		c.read = func(r ocp.ReadResult) { c.finish(r.Data, r.Resp != ocp.RespDVA) }
-	}
-	c.done = done
-	return c
+	m *ocp.Master
+	calls[func(ocp.SResp), func(ocp.ReadResult)]
 }
 
 func (o *ocpSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
@@ -186,32 +194,18 @@ func (o *ocpSocket) Read(id int, addr uint64, size uint8, beats int, done Done) 
 
 // AHB adapts an AHB master: in order, each burst encoded by
 // ahb.BurstFor.
-func AHB(m *ahb.Master) Socket { return newSocket(&ahbSocket{m: m}, 0, 0, 4) }
+func AHB(m *ahb.Master) Socket {
+	return newSocket(&ahbSocket{m: m, calls: calls[func(ahb.Resp), func(ahb.ReadResult)]{
+		bind: func(p *pending) (func(ahb.Resp), func(ahb.ReadResult)) {
+			return func(r ahb.Resp) { p.finish(nil, r != ahb.RespOkay) },
+				func(r ahb.ReadResult) { p.finish(r.Data, r.Resp != ahb.RespOkay) }
+		},
+	}}, 0, 0, 4)
+}
 
 type ahbSocket struct {
-	m    *ahb.Master
-	free []*ahbCall
-}
-
-// ahbCall is one transaction in flight on an AHB socket.
-type ahbCall struct {
-	pending
-	wrote func(ahb.Resp)
-	read  func(ahb.ReadResult)
-}
-
-func (a *ahbSocket) call(done Done) *ahbCall {
-	var c *ahbCall
-	if n := len(a.free); n > 0 {
-		c, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		c = &ahbCall{}
-		c.release = func() { a.free = append(a.free, c) }
-		c.wrote = func(r ahb.Resp) { c.finish(nil, r != ahb.RespOkay) }
-		c.read = func(r ahb.ReadResult) { c.finish(r.Data, r.Resp != ahb.RespOkay) }
-	}
-	c.done = done
-	return c
+	m *ahb.Master
+	calls[func(ahb.Resp), func(ahb.ReadResult)]
 }
 
 func (a *ahbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
@@ -222,107 +216,78 @@ func (a *ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 	a.m.Read(addr, size, ahb.BurstFor(false, beats), beats, a.call(done).read)
 }
 
-// flagWrites adapts the write completions of the VCI and WISHBONE
-// masters, which report only an error flag. Their reads complete with
-// (data, err) already, so the adapters pass done straight through.
-type flagWrites struct{ free []*flagWrite }
-
-// flagWrite is one write in flight on a VCI or WISHBONE socket.
-type flagWrite struct {
-	pending
-	wrote func(err bool)
-}
-
-func (fw *flagWrites) call(done Done) func(err bool) {
-	var c *flagWrite
-	if n := len(fw.free); n > 0 {
-		c, fw.free = fw.free[n-1], fw.free[:n-1]
-	} else {
-		c = &flagWrite{}
-		c.release = func() { fw.free = append(fw.free, c) }
-		c.wrote = func(err bool) { c.finish(nil, err) }
-	}
-	c.done = done
-	return c.wrote
-}
+// flagSocket is the calls of a VCI or WISHBONE socket.
+type flagSocket = calls[func(bool), func([]byte, bool)]
 
 // PVCI adapts a PVCI master: single-word, in order.
-func PVCI(m *vci.PMaster) Socket { return newSocket(&pvciSocket{m: m}, 0, 1, 4) }
+func PVCI(m *vci.PMaster) Socket {
+	return newSocket(&pvciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 1, 4)
+}
 
 type pvciSocket struct {
 	m *vci.PMaster
-	flagWrites
+	flagSocket
 }
 
 func (p *pvciSocket) Write(_ int, addr uint64, _ uint8, data []byte, done Done) {
-	p.m.Write(addr, data, p.call(done))
+	p.m.Write(addr, data, p.call(done).wrote)
 }
 
 func (p *pvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	p.m.Read(addr, int(size)*beats, done)
+	p.m.Read(addr, int(size)*beats, p.call(done).read)
 }
 
 // BVCI adapts a BVCI master: contiguous bursts, in order.
-func BVCI(m *vci.BMaster) Socket { return newSocket(&bvciSocket{m: m}, 0, 0, 4) }
+func BVCI(m *vci.BMaster) Socket {
+	return newSocket(&bvciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 0, 4)
+}
 
 type bvciSocket struct {
 	m *vci.BMaster
-	flagWrites
+	flagSocket
 }
 
 func (b *bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	b.m.Write(addr, size, data, b.call(done))
+	b.m.Write(addr, size, data, b.call(done).wrote)
 }
 
 func (b *bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	b.m.Read(addr, size, beats, false, done)
+	b.m.Read(addr, size, beats, false, b.call(done).read)
 }
 
 // AVCI adapts an AVCI master: bursts on transaction ID id%4.
-func AVCI(m *vci.AMaster) Socket { return newSocket(&avciSocket{m: m}, numIDs, 0, 4) }
+func AVCI(m *vci.AMaster) Socket {
+	return newSocket(&avciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, numIDs, 0, 4)
+}
 
 type avciSocket struct {
 	m *vci.AMaster
-	flagWrites
+	flagSocket
 }
 
 func (a *avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	a.m.Write(id%numIDs, addr, size, data, a.call(done))
+	a.m.Write(id%numIDs, addr, size, data, a.call(done).wrote)
 }
 
 func (a *avciSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
-	a.m.Read(id%numIDs, addr, size, beats, done)
+	a.m.Read(id%numIDs, addr, size, beats, a.call(done).read)
 }
 
 // Prop adapts the proprietary streaming master: byte-granular streams,
 // writes on stream 2·id and reads on 2·id+1, so a write and its read
 // back never share a stream.
-func Prop(m *prop.Master) Socket { return newSocket(&propSocket{m: m}, 0, 0, 1) }
+func Prop(m *prop.Master) Socket {
+	return newSocket(&propSocket{m: m, calls: calls[func(bool), func([]byte)]{
+		bind: func(p *pending) (func(bool), func([]byte)) {
+			return func(ok bool) { p.finish(nil, !ok) },
+				func(data []byte) { p.finish(data, false) }
+		},
+	}}, 0, 0, 1)
+}
 
 type propSocket struct {
-	m    *prop.Master
-	free []*propCall
-}
-
-// propCall is one stream in flight on the proprietary socket.
-type propCall struct {
-	pending
-	wrote func(ok bool)
-	read  func(data []byte)
-}
-
-func (p *propSocket) call(done Done) *propCall {
-	var c *propCall
-	if n := len(p.free); n > 0 {
-		c, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		c = &propCall{}
-		c.release = func() { p.free = append(p.free, c) }
-		c.wrote = func(ok bool) { c.finish(nil, !ok) }
-		c.read = func(data []byte) { c.finish(data, false) }
-	}
-	c.done = done
-	return c
+	m *prop.Master
+	calls[func(bool), func([]byte)]
 }
 
 func (p *propSocket) Write(id int, addr uint64, _ uint8, data []byte, done Done) {
@@ -335,11 +300,13 @@ func (p *propSocket) Read(id int, addr uint64, size uint8, beats int, done Done)
 
 // WB adapts a WISHBONE master: single accesses as classic cycles,
 // bursts as linear incrementing registered-feedback cycles.
-func WB(m *wishbone.Master) Socket { return newSocket(&wbSocket{m: m}, 0, 0, 4) }
+func WB(m *wishbone.Master) Socket {
+	return newSocket(&wbSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 0, 4)
+}
 
 type wbSocket struct {
 	m *wishbone.Master
-	flagWrites
+	flagSocket
 }
 
 func wbCTI(beats int) wishbone.CTI {
@@ -350,9 +317,9 @@ func wbCTI(beats int) wishbone.CTI {
 }
 
 func (w *wbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	w.m.Write(addr, size, data, wbCTI(len(data)/int(size)), wishbone.Linear, w.call(done))
+	w.m.Write(addr, size, data, wbCTI(len(data)/int(size)), wishbone.Linear, w.call(done).wrote)
 }
 
 func (w *wbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	w.m.Read(addr, size, beats, wbCTI(beats), wishbone.Linear, done)
+	w.m.Read(addr, size, beats, wbCTI(beats), wishbone.Linear, w.call(done).read)
 }
