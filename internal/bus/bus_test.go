@@ -233,14 +233,14 @@ func TestVCIBridges(t *testing.T) {
 
 	done := 0
 	pip.Write(memBase+0x60, []byte{1, 1, 1, 1}, func(bool) { done++ })
-	bip.Write(memBase+0x70, 4, []byte{2, 2, 2, 2, 3, 3, 3, 3}, func(bool) { done++ })
-	aip.Write(9, memBase+0x80, 4, []byte{4, 4, 4, 4}, func(bool) { done++ })
+	bip.Write(memBase+0x70, 4, []byte{2, 2, 2, 2, 3, 3, 3, 3}, false, func(bool) { done++ })
+	aip.Write(9, memBase+0x80, 4, []byte{4, 4, 4, 4}, false, func(bool) { done++ })
 	r.run(t, 2000, func() bool { return done == 3 })
 
 	var pv, bv, av []byte
 	pip.Read(memBase+0x60, 4, func(d []byte, _ bool) { pv = bytes.Clone(d) })
 	bip.Read(memBase+0x70, 4, 2, false, func(d []byte, _ bool) { bv = bytes.Clone(d) })
-	aip.Read(2, memBase+0x80, 4, 1, func(d []byte, _ bool) { av = bytes.Clone(d) })
+	aip.Read(2, memBase+0x80, 4, 1, false, func(d []byte, _ bool) { av = bytes.Clone(d) })
 	r.run(t, 2000, func() bool { return pv != nil && bv != nil && av != nil })
 	if !bytes.Equal(pv, []byte{1, 1, 1, 1}) ||
 		!bytes.Equal(bv, []byte{2, 2, 2, 2, 3, 3, 3, 3}) ||

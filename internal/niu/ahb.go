@@ -57,9 +57,9 @@ func ahbResponse(_ int, err bool, data []byte) ahb.Rsp {
 }
 
 // AHBSlave is the slave-side NIU for an AHB target IP. AHB has no FIXED
-// burst: fixed-address bursts from other sockets are adapted into
-// repeated SINGLE transfers — the kind of per-socket impedance matching
-// NIUs exist for.
+// burst and no 2- or 32-beat wrap: such bursts from other sockets are
+// adapted into SINGLE transfers — the kind of per-socket impedance
+// matching NIUs exist for.
 type AHBSlave struct {
 	*SlaveEngine
 }
@@ -82,25 +82,29 @@ func NewAHBSlave(clk *sim.Clock, net *transport.Network, port *ahb.Port, cfg Sla
 	return &AHBSlave{e}
 }
 
-// Execute implements SlaveAdapter. AHB has no FIXED burst: a
-// fixed-address burst runs as one SINGLE transfer per beat.
+// Execute implements SlaveAdapter. AHB has no FIXED burst and wraps
+// only 4, 8 or 16 beats: any other multi-beat FIXED or WRAP burst runs
+// as one SINGLE transfer per beat.
 func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	beats := int(req.Len)
 	data, _ := heldWrite(req)
-	burst, incr, parts := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0, 1
+	burst, incr := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0
+	native := req.Burst == core.BurstIncr || burst.Wraps() || beats == 1
 	switch {
-	case req.Burst == core.BurstFixed && beats > 1:
-		burst, parts = ahb.BurstSingle, beats
+	case !native:
+		burst = ahb.BurstSingle
 	case burst == ahb.BurstIncr:
 		incr = beats // only undefined-length INCR carries its length
 	}
+	parts, per := transfers(req, native)
 	wrote, read := a.exec(req, respond, parts).completions()
 	n := len(data) / parts
 	for i := 0; i < parts; i++ {
+		addr := partAddr(req, i, per)
 		if req.Cmd.IsRead() {
-			a.eng.Read(req.Addr, req.Size, burst, incr, read)
+			a.eng.Read(addr, req.Size, burst, incr, read)
 		} else {
-			a.eng.Write(req.Addr, req.Size, burst, data[i*n:(i+1)*n], wrote)
+			a.eng.Write(addr, req.Size, burst, data[i*n:(i+1)*n], wrote)
 		}
 	}
 }

@@ -726,6 +726,24 @@ func flagCompletions(part func([]byte, bool)) (func(bool), func([]byte, bool)) {
 	return func(err bool) { part(nil, err) }, part
 }
 
+// transfers splits req into the transfers a target socket runs: one of
+// every beat when the socket can express req's burst (native), else one
+// single-beat transfer per beat. It returns the transfer count and the
+// beats per transfer.
+func transfers(req *core.Request, native bool) (parts, beats int) {
+	if native {
+		return 1, int(req.Len)
+	}
+	return int(req.Len), 1
+}
+
+// partAddr is the start address of transfer i of req, each transfer
+// beats beats long: core.BeatAddr, so a split burst lands where the
+// whole one would.
+func partAddr(req *core.Request, i, beats int) uint64 {
+	return core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*beats)
+}
+
 // pushOne moves the head of q onto pipe if the pipe has room, returning
 // the (possibly shortened) queue — the one-beat-per-cycle socket
 // response drain every adapter shares.

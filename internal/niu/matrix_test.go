@@ -81,7 +81,7 @@ var matrixMasters = []struct {
 		NewBVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 		return matrixOps{
 			write: func(addr uint64, data []byte, done func(bool)) {
-				ip.Write(addr, 4, data, done)
+				ip.Write(addr, 4, data, false, done)
 			},
 			read: func(addr uint64, beats int, done func([]byte, bool)) {
 				ip.Read(addr, 4, beats, false, done)
@@ -94,10 +94,10 @@ var matrixMasters = []struct {
 		NewAVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 		return matrixOps{
 			write: func(addr uint64, data []byte, done func(bool)) {
-				ip.Write(1, addr, 4, data, done)
+				ip.Write(1, addr, 4, data, false, done)
 			},
 			read: func(addr uint64, beats int, done func([]byte, bool)) {
-				ip.Read(2, addr, 4, beats, done)
+				ip.Read(2, addr, 4, beats, false, done)
 			},
 		}
 	}},

@@ -354,13 +354,13 @@ func TestVCIMastersOverFabric(t *testing.T) {
 		}
 		done++
 	})
-	bip.Write(memBase+0x710, 4, []byte{5, 6, 7, 8, 9, 10, 11, 12}, func(err bool) {
+	bip.Write(memBase+0x710, 4, []byte{5, 6, 7, 8, 9, 10, 11, 12}, false, func(err bool) {
 		if err {
 			t.Error("BVCI write errored")
 		}
 		done++
 	})
-	aip.Write(3, memBase+0x720, 4, []byte{13, 14, 15, 16}, func(err bool) {
+	aip.Write(3, memBase+0x720, 4, []byte{13, 14, 15, 16}, false, func(err bool) {
 		if err {
 			t.Error("AVCI write errored")
 		}
@@ -371,7 +371,7 @@ func TestVCIMastersOverFabric(t *testing.T) {
 	var pv, bv, av []byte
 	pip.Read(memBase+0x700, 4, func(d []byte, _ bool) { pv = bytes.Clone(d) })
 	bip.Read(memBase+0x710, 4, 2, false, func(d []byte, _ bool) { bv = bytes.Clone(d) })
-	aip.Read(5, memBase+0x720, 4, 1, func(d []byte, _ bool) { av = bytes.Clone(d) })
+	aip.Read(5, memBase+0x720, 4, 1, false, func(d []byte, _ bool) { av = bytes.Clone(d) })
 	f.run(t, 4000, func() bool { return pv != nil && bv != nil && av != nil })
 
 	if !bytes.Equal(pv, []byte{1, 2, 3, 4}) ||

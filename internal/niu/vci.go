@@ -136,14 +136,21 @@ func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg S
 	return &BVCISlave{e}
 }
 
-// Execute implements SlaveAdapter.
+// Execute implements SlaveAdapter. BVCI wraps natively but has no
+// FIXED burst: a fixed-address burst runs as one single-cell burst per
+// beat.
 func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	data, _ := heldWrite(req)
-	wrote, read := a.exec(req, respond, 1).completions()
-	if req.Cmd.IsRead() {
-		a.eng.Read(req.Addr, req.Size, int(req.Len), req.Burst == core.BurstWrap, read)
-	} else {
-		a.eng.Write(req.Addr, req.Size, data, wrote)
+	parts, beats := transfers(req, req.Burst != core.BurstFixed)
+	wrote, read := a.exec(req, respond, parts).completions()
+	wrap, n := req.Burst == core.BurstWrap, len(data)/parts
+	for i := 0; i < parts; i++ {
+		addr := partAddr(req, i, beats)
+		if req.Cmd.IsRead() {
+			a.eng.Read(addr, req.Size, beats, wrap, read)
+		} else {
+			a.eng.Write(addr, req.Size, data[i*n:(i+1)*n], wrap, wrote)
+		}
 	}
 }
 
@@ -190,14 +197,20 @@ func NewAVCISlave(clk *sim.Clock, net *transport.Network, port *vci.APort, cfg S
 	return &AVCISlave{e}
 }
 
-// Execute implements SlaveAdapter.
+// Execute implements SlaveAdapter. Like BVCI, AVCI runs a FIXED burst
+// as one single-cell burst per beat, all on the request's ID.
 func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
 	data, _ := heldWrite(req)
-	wrote, read := a.exec(req, respond, 1).completions()
-	if req.Cmd.IsRead() {
-		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), read)
-	} else {
-		a.eng.Write(engID, req.Addr, req.Size, data, wrote)
+	parts, beats := transfers(req, req.Burst != core.BurstFixed)
+	wrote, read := a.exec(req, respond, parts).completions()
+	wrap, n := req.Burst == core.BurstWrap, len(data)/parts
+	for i := 0; i < parts; i++ {
+		addr := partAddr(req, i, beats)
+		if req.Cmd.IsRead() {
+			a.eng.Read(engID, addr, req.Size, beats, wrap, read)
+		} else {
+			a.eng.Write(engID, addr, req.Size, data[i*n:(i+1)*n], wrap, wrote)
+		}
 	}
 }

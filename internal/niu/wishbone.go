@@ -111,17 +111,16 @@ func NewWBSlave(clk *sim.Clock, net *transport.Network, port *wishbone.Port, cfg
 // cannot express runs as one classic cycle per beat, at explicitly
 // wrapped addresses.
 func (a *wbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	beats := int(req.Len)
 	data, sel := heldWrite(req)
-	cti, bte, ok := coreBurstToWB(req.Burst, beats)
-	cycles, n := 1, beats // cycles, and beats per cycle
+	cti, bte, ok := coreBurstToWB(req.Burst, int(req.Len))
 	if !ok {
-		cti, bte, cycles, n = wishbone.Classic, wishbone.Linear, beats, 1
+		cti, bte = wishbone.Classic, wishbone.Linear
 	}
+	cycles, n := transfers(req, ok) // cycles, and beats per cycle
 	wrote, read := a.exec(req, respond, cycles).completions()
 	span := n * int(req.Size)
 	for i := 0; i < cycles; i++ {
-		addr := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*n)
+		addr := partAddr(req, i, n)
 		lo, hi := i*span, (i+1)*span
 		switch {
 		case req.Cmd.IsRead():

@@ -197,24 +197,26 @@ func NewBMaster(clk *sim.Clock, port *BPort, pipeline int) *BMaster {
 	return m
 }
 
-// Read queues a burst read. cb's data is valid only during the call:
-// the socket's slave reuses its buffer for a later read.
+// Read queues a burst read, wrapping at its beats×size window if wrap.
+// cb's data is valid only during the call: the socket's slave reuses
+// its buffer for a later read.
 func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
 	m.Enqueue(BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, cb, nil)
 }
 
-// Write queues a burst write. data must stay unchanged until cb runs.
-func (m *BMaster) Write(addr uint64, size uint8, data []byte, cb func(bool)) {
-	m.Enqueue(writeReq(addr, size, data), nil, cb)
+// Write queues a burst write, wrapping like Read. data must stay
+// unchanged until cb runs.
+func (m *BMaster) Write(addr uint64, size uint8, data []byte, wrap bool, cb func(bool)) {
+	m.Enqueue(writeReq(addr, size, data, wrap), nil, cb)
 }
 
 // writeReq builds a BVCI or AVCI burst write of data in cells of size
 // bytes; data must be a whole, non-zero number of cells.
-func writeReq(addr uint64, size uint8, data []byte) BReq {
+func writeReq(addr uint64, size uint8, data []byte, wrap bool) BReq {
 	if size == 0 || len(data) == 0 || len(data)%int(size) != 0 {
 		panic(fmt.Sprintf("vci: burst write %dB not a multiple of %d", len(data), size))
 	}
-	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Data: data}
+	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Wrap: wrap, Data: data}
 }
 
 // BMemory is a BVCI memory slave: in-order, one cell per cycle.
@@ -368,18 +370,19 @@ func (m *AMaster) Busy() bool {
 func (m *AMaster) Issued() uint64    { return m.issued }
 func (m *AMaster) Completed() uint64 { return m.completed }
 
-// Read queues a burst read on an ID. cb's data is valid only during the
-// call: the socket's slave reuses its buffer for a later read.
-func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, cb func([]byte, bool)) {
-	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats}, ID: id}, rdCb: cb})
+// Read queues a burst read on an ID, wrapping like BMaster.Read. cb's
+// data is valid only during the call: the socket's slave reuses its
+// buffer for a later read.
+func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
+	m.q = append(m.q, aReqCtx{req: AReq{BReq: BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, ID: id}, rdCb: cb})
 	m.issued++
 	m.wake.Wake()
 }
 
-// Write queues a burst write on an ID. data must stay unchanged until
-// cb runs.
-func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, cb func(bool)) {
-	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data), ID: id}, wrCb: cb})
+// Write queues a burst write on an ID, wrapping like BMaster.Read. data
+// must stay unchanged until cb runs.
+func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, wrap bool, cb func(bool)) {
+	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data, wrap), ID: id}, wrCb: cb})
 	m.issued++
 	m.wake.Wake()
 }

@@ -95,7 +95,7 @@ func TestBVCIBurstRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(0x40 + i)
 	}
-	m.Write(0x100, 4, data, nil)
+	m.Write(0x100, 4, data, false, nil)
 	var got []byte
 	m.Read(0x100, 4, 8, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 500 && m.Busy(); c++ {
@@ -136,7 +136,7 @@ func TestBVCIWrapBurst(t *testing.T) {
 	for i := range seq {
 		seq[i] = byte(i)
 	}
-	m.Write(0x100, 4, seq, nil)
+	m.Write(0x100, 4, seq, false, nil)
 	var got []byte
 	m.Read(0x108, 4, 4, true, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
@@ -156,9 +156,9 @@ func TestAVCIOutOfOrderAcrossIDs(t *testing.T) {
 	NewAMemory(clk, port, store, 0, 0, true)
 
 	var order []int
-	m.Read(1, 0x0, 4, 8, func([]byte, bool) { order = append(order, 1) })
-	m.Read(2, 0x100, 4, 1, func([]byte, bool) { order = append(order, 2) })
-	m.Read(3, 0x200, 4, 1, func([]byte, bool) { order = append(order, 3) })
+	m.Read(1, 0x0, 4, 8, false, func([]byte, bool) { order = append(order, 1) })
+	m.Read(2, 0x100, 4, 1, false, func([]byte, bool) { order = append(order, 2) })
+	m.Read(3, 0x200, 4, 1, false, func([]byte, bool) { order = append(order, 3) })
 	for c := 0; c < 500 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -178,8 +178,8 @@ func TestAVCIPerIDOrder(t *testing.T) {
 	NewAMemory(clk, port, store, 0, 0, true)
 
 	var order []string
-	m.Read(7, 0x0, 4, 2, func([]byte, bool) { order = append(order, "a") })
-	m.Read(7, 0x10, 4, 2, func([]byte, bool) { order = append(order, "b") })
+	m.Read(7, 0x0, 4, 2, false, func([]byte, bool) { order = append(order, "a") })
+	m.Read(7, 0x10, 4, 2, false, func([]byte, bool) { order = append(order, "b") })
 	for c := 0; c < 300 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -195,9 +195,9 @@ func TestAVCIWriteReadBack(t *testing.T) {
 	m := NewAMaster(clk, port)
 	NewAMemory(clk, port, store, 0, 1, false)
 
-	m.Write(4, 0x300, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
+	m.Write(4, 0x300, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, nil)
 	var got []byte
-	m.Read(4, 0x300, 4, 2, func(d []byte, _ bool) { got = bytes.Clone(d) })
+	m.Read(4, 0x300, 4, 2, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
 		clk.RunCycles(1)
 	}
@@ -213,8 +213,8 @@ func TestMalformedWritePanics(t *testing.T) {
 	b := NewBMaster(clk, NewBPort(clk, "bvci", 4), 1)
 	a := NewAMaster(clk, NewAPort(clk, "avci", 4))
 	writes := map[string]func(size uint8, data []byte){
-		"bvci": func(size uint8, data []byte) { b.Write(0x100, size, data, nil) },
-		"avci": func(size uint8, data []byte) { a.Write(0, 0x100, size, data, nil) },
+		"bvci": func(size uint8, data []byte) { b.Write(0x100, size, data, false, nil) },
+		"avci": func(size uint8, data []byte) { a.Write(0, 0x100, size, data, false, nil) },
 	}
 	for _, master := range []string{"bvci", "avci"} {
 		for _, tc := range []struct {
