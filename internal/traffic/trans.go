@@ -398,8 +398,12 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		}
 		return total
 	}
-	for c := int64(0); c < tc.Drain && outstanding() > 0; c += 64 {
-		s.Clk.RunCycles(64)
+	// The completion check runs every 64 cycles, with the last step
+	// clipped so the cap is exact, as in rig.run.
+	for c := int64(0); c < tc.Drain && outstanding() > 0; {
+		step := min(int64(64), tc.Drain-c)
+		s.Clk.RunCycles(step)
+		c += step
 		publish()
 	}
 	tc.Prof.SetPhase(metrics.PhaseDone)

@@ -3,6 +3,8 @@ package traffic
 import (
 	"strings"
 	"testing"
+
+	"gonoc/internal/obs/metrics"
 )
 
 func TestTransLoadThroughNIUs(t *testing.T) {
@@ -84,5 +86,25 @@ func TestTransWishbone(t *testing.T) {
 	}
 	if tr.Incomplete != 0 {
 		t.Fatalf("%d transactions stuck at drain", tr.Incomplete)
+	}
+}
+
+// TestTransDrainCapIsExact pins the drain cap: a run whose transactions
+// outlast it simulates exactly Drain cycles of drain, as the packet
+// rig does, not the cap rounded up to the 64-cycle completion check.
+func TestTransDrainCapIsExact(t *testing.T) {
+	const measure = 200
+	for _, drain := range []int64{1, 10, 63, 64, 65} {
+		prof := metrics.NewSimProfile(metrics.NewRegistry())
+		res := RunTrans(TransConfig{
+			Seed: 1, Rate: 1, Window: 4, Bytes: 64,
+			Warmup: -1, Measure: measure, Drain: drain, Prof: prof,
+		})
+		if res.Incomplete == 0 {
+			t.Fatalf("drain %d: every transaction finished; the cap never bound", drain)
+		}
+		if got := prof.Cycles() - measure; got != drain {
+			t.Errorf("drain cap %d simulated %d drain cycles", drain, got)
+		}
 	}
 }
