@@ -138,11 +138,12 @@ func (cs *calls[W, R]) call(done Done) *call[W, R] {
 	return c
 }
 
-// flagCalls binds the completions of the VCI and WISHBONE masters,
-// which complete a read with (data, err) already and a write with its
-// error flag alone.
-func flagCalls(p *pending) (func(bool), func([]byte, bool)) {
-	return func(err bool) { p.finish(nil, err) }, p.finish
+// flagCalls binds the write completion of the VCI and WISHBONE
+// masters, which report only an error flag. Their reads complete with
+// (data, err) already, so those sockets pass done straight through and
+// bind no read.
+func flagCalls(p *pending) (func(bool), Done) {
+	return func(err bool) { p.finish(nil, err) }, nil
 }
 
 // AXI adapts an AXI master: INCR bursts on ID id%4.
@@ -217,7 +218,7 @@ func (a *ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 }
 
 // flagSocket is the calls of a VCI or WISHBONE socket.
-type flagSocket = calls[func(bool), func([]byte, bool)]
+type flagSocket = calls[func(bool), Done]
 
 // PVCI adapts a PVCI master: single-word, in order.
 func PVCI(m *vci.PMaster) Socket {
@@ -234,7 +235,7 @@ func (p *pvciSocket) Write(_ int, addr uint64, _ uint8, data []byte, done Done) 
 }
 
 func (p *pvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	p.m.Read(addr, int(size)*beats, p.call(done).read)
+	p.m.Read(addr, int(size)*beats, done)
 }
 
 // BVCI adapts a BVCI master: contiguous bursts, in order.
@@ -252,7 +253,7 @@ func (b *bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Don
 }
 
 func (b *bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	b.m.Read(addr, size, beats, false, b.call(done).read)
+	b.m.Read(addr, size, beats, false, done)
 }
 
 // AVCI adapts an AVCI master: bursts on transaction ID id%4.
@@ -270,7 +271,7 @@ func (a *avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Do
 }
 
 func (a *avciSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {
-	a.m.Read(id%numIDs, addr, size, beats, false, a.call(done).read)
+	a.m.Read(id%numIDs, addr, size, beats, false, done)
 }
 
 // Prop adapts the proprietary streaming master: byte-granular streams,
@@ -321,5 +322,5 @@ func (w *wbSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done)
 }
 
 func (w *wbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
-	w.m.Read(addr, size, beats, wbCTI(beats), wishbone.Linear, w.call(done).read)
+	w.m.Read(addr, size, beats, wbCTI(beats), wishbone.Linear, done)
 }
