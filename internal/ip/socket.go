@@ -217,17 +217,18 @@ func (a *ahbSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
 	a.m.Read(addr, size, ahb.BurstFor(false, beats), beats, a.call(done).read)
 }
 
-// flagSocket is the calls of a VCI or WISHBONE socket.
-type flagSocket = calls[func(bool), Done]
+// writeCalls is the call pool of a VCI or WISHBONE socket, whose reads
+// draw none.
+type writeCalls = calls[func(bool), Done]
 
 // PVCI adapts a PVCI master: single-word, in order.
 func PVCI(m *vci.PMaster) Socket {
-	return newSocket(&pvciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 1, 4)
+	return newSocket(&pvciSocket{m: m, writeCalls: writeCalls{bind: flagCalls}}, 0, 1, 4)
 }
 
 type pvciSocket struct {
 	m *vci.PMaster
-	flagSocket
+	writeCalls
 }
 
 func (p *pvciSocket) Write(_ int, addr uint64, _ uint8, data []byte, done Done) {
@@ -240,12 +241,12 @@ func (p *pvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) 
 
 // BVCI adapts a BVCI master: contiguous bursts, in order.
 func BVCI(m *vci.BMaster) Socket {
-	return newSocket(&bvciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 0, 4)
+	return newSocket(&bvciSocket{m: m, writeCalls: writeCalls{bind: flagCalls}}, 0, 0, 4)
 }
 
 type bvciSocket struct {
 	m *vci.BMaster
-	flagSocket
+	writeCalls
 }
 
 func (b *bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
@@ -258,12 +259,12 @@ func (b *bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) 
 
 // AVCI adapts an AVCI master: bursts on transaction ID id%4.
 func AVCI(m *vci.AMaster) Socket {
-	return newSocket(&avciSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, numIDs, 0, 4)
+	return newSocket(&avciSocket{m: m, writeCalls: writeCalls{bind: flagCalls}}, numIDs, 0, 4)
 }
 
 type avciSocket struct {
 	m *vci.AMaster
-	flagSocket
+	writeCalls
 }
 
 func (a *avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
@@ -302,12 +303,12 @@ func (p *propSocket) Read(id int, addr uint64, size uint8, beats int, done Done)
 // WB adapts a WISHBONE master: single accesses as classic cycles,
 // bursts as linear incrementing registered-feedback cycles.
 func WB(m *wishbone.Master) Socket {
-	return newSocket(&wbSocket{m: m, flagSocket: flagSocket{bind: flagCalls}}, 0, 0, 4)
+	return newSocket(&wbSocket{m: m, writeCalls: writeCalls{bind: flagCalls}}, 0, 0, 4)
 }
 
 type wbSocket struct {
 	m *wishbone.Master
-	flagSocket
+	writeCalls
 }
 
 func wbCTI(beats int) wishbone.CTI {
