@@ -11,9 +11,12 @@
 // exclusive monitor — while each socket protocol supplies only a small
 // adapter (decode socket request → core.Request, encode core.Response →
 // socket signals). Adding a protocol to the NoC is writing one
-// MasterAdapter and/or one SlaveAdapter; the Wishbone adapter in
-// wishbone.go is the worked example, and the top-level README's "Adding
-// a protocol adapter" section is the walkthrough.
+// MasterAdapter and/or one SlaveAdapter. A single-channel socket — one
+// request pipe and one in-order response pipe — writes no MasterAdapter
+// at all: it hands the shared adapter in single.go a request converter
+// and a response constructor. The Wishbone adapters in wishbone.go are
+// the worked example, and the top-level README's "Adding a protocol
+// adapter" section is the walkthrough.
 //
 // Both engines emit transaction-lifecycle spans (issue → complete on
 // the master side, admit → respond on the slave side) into the fabric's

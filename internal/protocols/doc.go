@@ -19,6 +19,7 @@
 // these sockets and the VC-neutral transaction layer, and the bridges
 // in internal/bus translate them onto the reference bus.
 //
-// This package itself contains no code — it exists to document the
-// family.
+// The package itself holds InOrder, the master engine of a socket with
+// one request pipe and one in-order response pipe, which the PVCI, BVCI
+// and WISHBONE masters share.
 package protocols
