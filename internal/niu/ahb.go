@@ -57,9 +57,9 @@ func ahbResponse(_ int, err bool, data []byte) ahb.Rsp {
 }
 
 // AHBSlave is the slave-side NIU for an AHB target IP. AHB has no FIXED
-// burst and no 2- or 32-beat wrap: such bursts from other sockets are
-// adapted into SINGLE transfers — the kind of per-socket impedance
-// matching NIUs exist for.
+// burst and wraps only 4, 8 or 16 beats: other such bursts from other
+// sockets are adapted into SINGLE transfers — the kind of per-socket
+// impedance matching NIUs exist for.
 type AHBSlave struct {
 	*SlaveEngine
 }
