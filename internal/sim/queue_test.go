@@ -72,3 +72,30 @@ func TestQueueDrain(t *testing.T) {
 		t.Fatalf("second Drain = %v", got)
 	}
 }
+
+// TestQueueSteadyStateAllocatesNothing: a queue cycling through a few
+// entries, as a traffic source's queues do, keeps its backing array
+// and stays FIFO across the compactions.
+func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := NewQueue[int](0)
+	next, want := 0, 0
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			q.Push(next)
+			next++
+		}
+		for q.Len() > 1 {
+			if v, _ := q.Pop(); v != want {
+				t.Fatalf("Pop = %d, want %d", v, want)
+			}
+			want++
+		}
+	}
+	cycle() // the array grows here, once
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady push/pop allocates %.2f objects per cycle, want 0", allocs)
+	}
+	if got := q.Drain(); len(got) != 1 || got[0] != want {
+		t.Fatalf("Drain = %v, want [%d]", got, want)
+	}
+}
