@@ -86,7 +86,7 @@ func NewOCPSlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *ocp
 			seq = ocp.SeqWrap
 		}
 		if req.Write {
-			eng.WriteNonPosted(0, req.Addr, req.Size, seq, req.Data, wrote)
+			eng.WriteNonPosted(0, req.Addr, req.Size, seq, req.Data, nil, wrote)
 		} else {
 			eng.Read(0, req.Addr, req.Size, req.NumBeats(), seq, read)
 		}

@@ -202,7 +202,7 @@ func TestOCPBridgeLazySyncRefused(t *testing.T) {
 	}
 	// Plain traffic still works.
 	var wr ocp.SResp
-	ip.WriteNonPosted(0, memBase+0x54, 4, ocp.SeqIncr, []byte{2, 2, 2, 2}, func(s ocp.SResp) { wr = s })
+	ip.WriteNonPosted(0, memBase+0x54, 4, ocp.SeqIncr, []byte{2, 2, 2, 2}, nil, func(s ocp.SResp) { wr = s })
 	r.run(t, 500, func() bool { return wr != 0 })
 	if wr != ocp.RespDVA {
 		t.Fatalf("bridged WRNP = %v", wr)

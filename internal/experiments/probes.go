@@ -83,7 +83,7 @@ func probePosted(s *soc.System) probeResult {
 	start := s.Clk.Cycle()
 	for i := 0; i < writes; i++ {
 		s.OCPM.Write(0, soc.BaseOCPMem+0x40000+uint64(i*64), 4, ocp.SeqIncr,
-			[]byte{1, 2, 3, 4}, func() { accepted++ })
+			[]byte{1, 2, 3, 4}, nil, func() { accepted++ })
 	}
 	if !runUntil(s.Clk, func() bool { return accepted == writes }, 100_000) {
 		return probeResult{false, "timeout"}

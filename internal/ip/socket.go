@@ -186,7 +186,7 @@ type ocpSocket struct {
 }
 
 func (o *ocpSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	o.m.WriteNonPosted(id%numIDs, addr, size, ocp.SeqIncr, data, o.call(done).wrote)
+	o.m.WriteNonPosted(id%numIDs, addr, size, ocp.SeqIncr, data, nil, o.call(done).wrote)
 }
 
 func (o *ocpSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {

@@ -51,7 +51,7 @@ var matrixMasters = []struct {
 		NewOCPMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 		return matrixOps{
 			write: func(addr uint64, data []byte, done func(bool)) {
-				ip.WriteNonPosted(0, addr, 4, ocp.SeqIncr, data, func(s ocp.SResp) { done(s != ocp.RespDVA) })
+				ip.WriteNonPosted(0, addr, 4, ocp.SeqIncr, data, nil, func(s ocp.SResp) { done(s != ocp.RespDVA) })
 			},
 			read: func(addr uint64, beats int, done func([]byte, bool)) {
 				ip.Read(0, addr, 4, beats, ocp.SeqIncr, func(res ocp.ReadResult) {
@@ -232,6 +232,45 @@ func TestPairingMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSparseByteEnables: an AXI write whose strobes disable some bytes
+// leaves those bytes untouched in every slave memory that takes byte
+// enables. The AHB socket has none, and vci.BReq carries none, so the
+// AHB and BVCI slaves write every byte.
+func TestSparseByteEnables(t *testing.T) {
+	const off = 0x100
+	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	strb := []byte{0xFF, 0, 0, 0xFF, 0, 0xFF, 0xFF, 0}
+	want := []byte{1, 0xBB, 0xCC, 4, 0xEE, 6, 7, 0xF2}
+	for _, s := range matrixSlaves {
+		if s.name == "ahb" || s.name == "bvci" {
+			continue
+		}
+		t.Run(s.name, func(t *testing.T) {
+			f := newFab(2, 1, 2)
+			port := axi.NewPort(f.clk, "m.axi", 4)
+			ip := axi.NewMaster(f.clk, port, nil)
+			NewAXIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			s.attach(f)
+			f.store.Write(off, old, nil)
+
+			done := false
+			ip.WriteStrobed(0, memBase+off, 4, axi.BurstIncr, data, strb, func(r axi.Resp) {
+				if r != axi.RespOKAY {
+					t.Errorf("write answered %v", r)
+				}
+				done = true
+			})
+			f.run(t, 8000, func() bool { return done })
+			got := make([]byte, len(want))
+			f.store.ReadInto(off, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("memory holds % x, want % x", got, want)
+			}
+		})
 	}
 }
 

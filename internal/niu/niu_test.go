@@ -183,7 +183,7 @@ func TestOCPMasterOverFabric(t *testing.T) {
 
 	want := []byte{0xCA, 0xFE, 0xBA, 0xBE, 1, 2, 3, 4}
 	var wr ocp.SResp
-	ip.WriteNonPosted(0, memBase+0x200, 4, ocp.SeqIncr, want, func(s ocp.SResp) { wr = s })
+	ip.WriteNonPosted(0, memBase+0x200, 4, ocp.SeqIncr, want, nil, func(s ocp.SResp) { wr = s })
 	f.run(t, 2000, func() bool { return wr != 0 })
 	if wr != ocp.RespDVA {
 		t.Fatalf("WRNP resp = %v", wr)
@@ -204,7 +204,7 @@ func TestOCPPostedWriteOverFabric(t *testing.T) {
 	f.attachAXISlave(2)
 
 	accepted := false
-	ip.Write(0, memBase+0x300, 4, ocp.SeqIncr, []byte{1, 2, 3, 4}, func() { accepted = true })
+	ip.Write(0, memBase+0x300, 4, ocp.SeqIncr, []byte{1, 2, 3, 4}, nil, func() { accepted = true })
 	f.run(t, 2000, func() bool { return accepted })
 	// Data lands even though no response exists.
 	var got []byte
@@ -440,7 +440,7 @@ func TestOCPMasterToAHBSlave(t *testing.T) {
 
 	want := []byte{0xAA, 0xBB, 0xCC, 0xDD}
 	var wr ocp.SResp
-	ip.WriteNonPosted(0, memBase+0x900, 4, ocp.SeqIncr, want, func(s ocp.SResp) { wr = s })
+	ip.WriteNonPosted(0, memBase+0x900, 4, ocp.SeqIncr, want, nil, func(s ocp.SResp) { wr = s })
 	f.run(t, 2000, func() bool { return wr != 0 })
 	var got []byte
 	ip.Read(0, memBase+0x900, 4, 1, ocp.SeqIncr, func(res ocp.ReadResult) { got = bytes.Clone(res.Data) })

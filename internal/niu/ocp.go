@@ -307,15 +307,15 @@ func NewOCPSlave(clk *sim.Clock, net *transport.Network, port *ocp.Port, threads
 // Execute implements SlaveAdapter.
 func (a *ocpSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	th := int(req.Tag) % a.threads
-	data, _ := heldWrite(req)
+	data, be := heldWrite(req)
 	seq := coreBurstToOCP(req.Burst)
 	wrote, read := a.exec(req, respond, 1).completions()
 	switch {
 	case req.Cmd.IsRead():
 		a.eng.Read(th, req.Addr, req.Size, int(req.Len), seq, read)
 	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(th, req.Addr, req.Size, seq, data, nil)
+		a.eng.Write(th, req.Addr, req.Size, seq, data, be, nil)
 	default:
-		a.eng.WriteNonPosted(th, req.Addr, req.Size, seq, data, wrote)
+		a.eng.WriteNonPosted(th, req.Addr, req.Size, seq, data, be, wrote)
 	}
 }

@@ -92,16 +92,17 @@ func (m *Master) ReadLinked(thread int, addr uint64, size uint8, cb func(ReadRes
 }
 
 // Write queues a POSTED write burst: cb (optional) fires when the last
-// beat is accepted by the socket; no response will arrive.
-func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data []byte, cb func()) {
-	beats := m.wbeats(size, data)
+// beat is accepted by the socket; no response will arrive. be holds one
+// enable per data byte (nil enables every byte).
+func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data, be []byte, cb func()) {
+	beats := m.wbeats(size, data, be)
 	m.issued++
 	m.posted++
 	for i := 0; i < beats; i++ {
 		b := ReqBeat{
 			Cmd: CmdWR, Addr: addr, ThreadID: thread, Size: size,
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
-			Data: data[i*int(size) : (i+1)*int(size)],
+			Data: beat(data, i, size), ByteEn: beat(be, i, size),
 		}
 		m.reqQ = append(m.reqQ, b)
 	}
@@ -114,10 +115,11 @@ func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data [
 	m.wake.Wake()
 }
 
-// WriteNonPosted queues a write that receives a DVA response. data must
+// WriteNonPosted queues a write that receives a DVA response. be holds
+// one enable per data byte (nil enables every byte). data and be must
 // stay unchanged until cb runs.
-func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSeq, data []byte, cb func(SResp)) {
-	beats := m.wbeats(size, data)
+func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSeq, data, be []byte, cb func(SResp)) {
+	beats := m.wbeats(size, data, be)
 	m.issued++
 	m.outstanding++
 	m.expect(thread, ocpCtx{cmd: CmdWRNP, beats: 1, wrCb: cb}, 0)
@@ -125,7 +127,7 @@ func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSe
 		m.reqQ = append(m.reqQ, ReqBeat{
 			Cmd: CmdWRNP, Addr: addr, ThreadID: thread, Size: size,
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
-			Data: data[i*int(size) : (i+1)*int(size)],
+			Data: beat(data, i, size), ByteEn: beat(be, i, size),
 		})
 	}
 	m.wake.Wake()
@@ -161,11 +163,22 @@ func (m *Master) expect(thread int, c ocpCtx, room int) {
 	m.pending[thread] = append(m.pending[thread], p)
 }
 
-func (m *Master) wbeats(size uint8, data []byte) int {
+func (m *Master) wbeats(size uint8, data, be []byte) int {
 	if size == 0 || len(data) == 0 || len(data)%int(size) != 0 {
 		panic(fmt.Sprintf("ocp: write data %dB not a multiple of size %d", len(data), size))
 	}
+	if be != nil && len(be) != len(data) {
+		panic(fmt.Sprintf("ocp: %d byte enables for %dB of write data", len(be), len(data)))
+	}
 	return len(data) / int(size)
+}
+
+// beat returns beat i of a burst's data or enables, nil for nil.
+func beat(b []byte, i int, size uint8) []byte {
+	if b == nil {
+		return nil
+	}
+	return b[i*int(size) : (i+1)*int(size)]
 }
 
 // Eval implements sim.Clocked: one request beat out, one response beat in

@@ -45,7 +45,7 @@ func TestNonPostedWriteReadBack(t *testing.T) {
 	r := newRig(MemoryConfig{Latency: 1, Threads: 1})
 	want := []byte{10, 20, 30, 40}
 	var wr SResp
-	r.m.WriteNonPosted(0, 0x100, 4, SeqIncr, want, func(s SResp) { wr = s })
+	r.m.WriteNonPosted(0, 0x100, 4, SeqIncr, want, nil, func(s SResp) { wr = s })
 	r.run(t, 200)
 	if wr != RespDVA {
 		t.Fatalf("WRNP resp = %v", wr)
@@ -61,7 +61,7 @@ func TestNonPostedWriteReadBack(t *testing.T) {
 func TestPostedWriteCompletesOnAcceptance(t *testing.T) {
 	r := newRig(MemoryConfig{Latency: 50, Threads: 1}) // slow memory
 	accepted := false
-	r.m.Write(0, 0x40, 4, SeqIncr, []byte{1, 2, 3, 4}, func() { accepted = true })
+	r.m.Write(0, 0x40, 4, SeqIncr, []byte{1, 2, 3, 4}, nil, func() { accepted = true })
 	// Posted write requires no response: master goes idle as soon as the
 	// beats are accepted, long before the memory commits.
 	for c := 0; c < 20 && r.m.Busy(); c++ {
@@ -91,7 +91,7 @@ func TestBurstRead(t *testing.T) {
 	for i := range data {
 		data[i] = byte(0x80 + i)
 	}
-	r.m.WriteNonPosted(0, 0x200, 4, SeqIncr, data, nil)
+	r.m.WriteNonPosted(0, 0x200, 4, SeqIncr, data, nil, nil)
 	r.run(t, 300)
 	var got []byte
 	r.m.Read(0, 0x200, 4, 8, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
@@ -146,7 +146,7 @@ func TestLazySynchronizationFailure(t *testing.T) {
 	r.m.ReadLinked(0, 0x100, 4, nil)
 	r.run(t, 100)
 	// Thread 1 writes the same location: thread 0's reservation dies.
-	r.m.WriteNonPosted(1, 0x100, 4, SeqIncr, []byte{9, 9, 9, 9}, nil)
+	r.m.WriteNonPosted(1, 0x100, 4, SeqIncr, []byte{9, 9, 9, 9}, nil, nil)
 	r.run(t, 100)
 	var wr SResp
 	r.m.WriteConditional(0, 0x100, 4, []byte{1, 1, 1, 1}, func(s SResp) { wr = s })
@@ -178,7 +178,7 @@ func TestLazySyncDisabledFails(t *testing.T) {
 func TestStreamingBurst(t *testing.T) {
 	r := newRig(MemoryConfig{Threads: 1})
 	// STRM write: all beats to one address (FIFO port semantics).
-	r.m.WriteNonPosted(0, 0x300, 4, SeqStrm, []byte{1, 0, 0, 0, 2, 0, 0, 0}, nil)
+	r.m.WriteNonPosted(0, 0x300, 4, SeqStrm, []byte{1, 0, 0, 0, 2, 0, 0, 0}, nil, nil)
 	r.run(t, 200)
 	var got []byte
 	r.m.Read(0, 0x300, 4, 1, SeqIncr, func(res ReadResult) { got = bytes.Clone(res.Data) })
@@ -190,7 +190,7 @@ func TestStreamingBurst(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	r := newRig(MemoryConfig{Threads: 1})
-	r.m.Write(0, 0, 4, SeqIncr, []byte{1, 2, 3, 4}, nil)
+	r.m.Write(0, 0, 4, SeqIncr, []byte{1, 2, 3, 4}, nil, nil)
 	r.m.Read(0, 0, 4, 1, SeqIncr, nil)
 	r.run(t, 200)
 	if r.m.Issued() != 2 || r.m.Posted() != 1 || r.m.Completed() != 1 {
