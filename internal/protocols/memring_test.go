@@ -1,0 +1,133 @@
+package protocols_test
+
+import (
+	"bytes"
+	"testing"
+
+	"gonoc/internal/mem"
+	"gonoc/internal/protocols/ahb"
+	"gonoc/internal/protocols/axi"
+	"gonoc/internal/protocols/ocp"
+	"gonoc/internal/protocols/vci"
+	"gonoc/internal/protocols/wishbone"
+	"gonoc/internal/sim"
+)
+
+// memPort drives one protocol memory's port directly: push offers a
+// one-beat 4-byte read, pop takes one response beat's data, and full
+// reports whether the response pipe holds its capacity.
+type memPort struct {
+	push func(addr uint64) bool
+	pop  func() ([]byte, bool)
+	full func() bool
+}
+
+// ringMemories: the memories that read into a ring of response-pipe
+// depth + 1 buffers. Every pipe holds 4 entries.
+var ringMemories = []struct {
+	name  string
+	build func(clk *sim.Clock, store *mem.Backing) memPort
+}{
+	{"axi", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := axi.NewPort(clk, "axi", 4)
+		axi.NewMemory(clk, port, store, 0, axi.MemoryConfig{Latency: 1})
+		return memPort{
+			push: func(addr uint64) bool { return port.AR.Push(axi.ARBeat{Addr: addr, Size: 4, Burst: axi.BurstIncr}) },
+			pop:  func() ([]byte, bool) { r, ok := port.R.Pop(); return r.Data, ok },
+			full: func() bool { return port.R.Len() == port.R.Cap() },
+		}
+	}},
+	{"ocp", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := ocp.NewPort(clk, "ocp", 4)
+		ocp.NewMemory(clk, port, store, 0, ocp.MemoryConfig{Latency: 1})
+		return memPort{
+			push: func(addr uint64) bool {
+				return port.Req.Push(ocp.ReqBeat{Cmd: ocp.CmdRD, Addr: addr, Size: 4, BurstLen: 1, Seq: ocp.SeqIncr, Last: true})
+			},
+			pop:  func() ([]byte, bool) { r, ok := port.Resp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Resp.Len() == port.Resp.Cap() },
+		}
+	}},
+	{"ahb", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := ahb.NewPort(clk, "ahb", 4)
+		ahb.NewMemory(clk, port, store, 0, ahb.MemoryConfig{WaitStates: 1})
+		return memPort{
+			push: func(addr uint64) bool { return port.Req.Push(ahb.Req{Addr: addr, Size: 4, Burst: ahb.BurstSingle}) },
+			pop:  func() ([]byte, bool) { r, ok := port.Rsp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
+		}
+	}},
+	{"bvci", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := vci.NewBPort(clk, "bvci", 4)
+		vci.NewBMemory(clk, port, store, 0, 1)
+		return memPort{
+			push: func(addr uint64) bool { return port.Req.Push(vci.BReq{Op: vci.OpRead, Addr: addr, Size: 4, Beats: 1}) },
+			pop:  func() ([]byte, bool) { r, ok := port.Rsp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
+		}
+	}},
+	{"wb", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := wishbone.NewPort(clk, "wb", 4)
+		wishbone.NewMemory(clk, port, store, 0, wishbone.MemoryConfig{Latency: 1})
+		return memPort{
+			push: func(addr uint64) bool {
+				return port.Req.Push(wishbone.Cycle{Addr: addr, Size: 4, Beats: 1, CTI: wishbone.Classic})
+			},
+			pop:  func() ([]byte, bool) { r, ok := port.Rsp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
+		}
+	}},
+}
+
+// TestMemoryReadRingSurvivesFullPipe guards each memory's read ring
+// against reuse while a response still sits in a full response pipe.
+// The reader queues more reads of distinct words than the pipe holds
+// and pops nothing until the pipe is full; then it pops one response
+// per cycle while the memory keeps serving the rest, and each response
+// must still carry its own word.
+func TestMemoryReadRingSurvivesFullPipe(t *testing.T) {
+	const reads = 12
+	for _, m := range ringMemories {
+		t.Run(m.name, func(t *testing.T) {
+			clk := sim.NewClock(sim.NewKernel(), "clk", sim.Nanosecond, 0)
+			store := mem.NewBacking(1 << 12)
+			want := make([]byte, 4*reads)
+			for i := range want {
+				want[i] = byte(i*13 + 1)
+			}
+			store.Write(0, want, nil)
+			p := m.build(clk, store)
+
+			pushed := 0
+			offer := func() {
+				if pushed < reads && p.push(uint64(4*pushed)) {
+					pushed++
+				}
+			}
+			for cycle := 0; !p.full(); cycle++ {
+				if cycle == 1000 {
+					t.Fatalf("response pipe never filled (%d reads offered)", pushed)
+				}
+				offer()
+				clk.RunCycles(1)
+			}
+			if pushed == reads {
+				t.Fatalf("all %d reads were queued before the pipe filled; the test needs more", reads)
+			}
+			for i, idle := 0, 0; i < reads; clk.RunCycles(1) {
+				offer()
+				got, ok := p.pop()
+				if !ok {
+					if idle++; idle == 1000 {
+						t.Fatalf("response %d never arrived", i)
+					}
+					continue
+				}
+				if exp := want[4*i : 4*i+4]; !bytes.Equal(got, exp) {
+					t.Fatalf("response %d carries % x, want % x", i, got, exp)
+				}
+				i, idle = i+1, 0
+			}
+		})
+	}
+}
