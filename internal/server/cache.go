@@ -4,6 +4,8 @@ package server
 // store. The store doubles as the result cache: a finished run IS its
 // cache entry (the fingerprint-derived id is the key, the stored
 // bytes the value), so eviction and run bookkeeping share one map.
+// The digest index (Server.digests) holds one entry per stored run and
+// leaves with it, so it needs no policy of its own.
 
 // evictLocked drops the oldest terminal runs until the store fits
 // CacheEntries. Queued and running runs are never evicted — a client
@@ -27,9 +29,12 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// deleteLocked removes one run from the store and the insertion-order
-// index. Call with s.mu held.
+// deleteLocked removes one run from the store, the digest index and
+// the insertion-order index. Call with s.mu held.
 func (s *Server) deleteLocked(id string) {
+	if r, ok := s.runs[id]; ok {
+		delete(s.digests, r.digest)
+	}
 	delete(s.runs, id)
 	for i, v := range s.order {
 		if v == id {

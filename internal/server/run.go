@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -25,15 +26,16 @@ const (
 )
 
 // run is one accepted scenario: its identity (the fingerprint-derived
-// id), its own metrics rig (registry + self-profile + progress, the
-// backing of the /progress stream), and the state machine the workers
-// and handlers share. The result bytes are written once, on the
-// queued→done transition, and never mutated — handlers hand them out
-// by reference.
+// id, and the sha256 of the request body that created it), its own
+// metrics rig (registry + self-profile + progress, the backing of the
+// /progress stream), and the state machine the workers and handlers
+// share. The result bytes are written once, on the queued→done
+// transition, and never mutated — handlers hand them out by reference.
 type run struct {
-	id string
-	fp string
-	sc *scenario.Scenario
+	id     string
+	fp     string
+	digest [sha256.Size]byte
+	sc     *scenario.Scenario
 
 	rig *metrics.Rig
 
@@ -60,9 +62,9 @@ func runID(fp string) string {
 	return "r" + hex
 }
 
-func newRun(id, fp string, sc *scenario.Scenario) *run {
+func newRun(id, fp string, digest [sha256.Size]byte, sc *scenario.Scenario) *run {
 	return &run{
-		id: id, fp: fp, sc: sc,
+		id: id, fp: fp, digest: digest, sc: sc,
 		rig:       metrics.NewRig(),
 		submitted: time.Now(),
 		state:     stateQueued,

@@ -9,7 +9,9 @@
 // fingerprint (scenario.Fingerprint) is a complete key for the result.
 // Submitting the same scenario twice runs it once; the second response
 // is the stored bytes, identical to the first and to what
-// `noctraffic -scenario FILE -wall=false -json` prints.
+// `noctraffic -scenario FILE -wall=false -json` prints. Scenario
+// decoding is a pure function of the request body, so a byte-identical
+// resubmission finds its run by a sha256 of the body, without decoding.
 //
 // API (docs/SERVER.md is the reference):
 //
@@ -25,6 +27,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,6 +138,9 @@ type Server struct {
 	runs     map[string]*run
 	order    []string // insertion order, for oldest-terminal-first eviction
 	draining bool
+	// digests maps the sha256 of the body that created each stored run
+	// to its id: one entry per run, dropped with it (deleteLocked).
+	digests map[[sha256.Size]byte]string
 
 	queue chan *run
 	wg    sync.WaitGroup
@@ -152,10 +158,11 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		reg:   metrics.NewRegistry(),
-		runs:  make(map[string]*run),
-		queue: make(chan *run, cfg.QueueDepth),
+		cfg:     cfg,
+		reg:     metrics.NewRegistry(),
+		runs:    make(map[string]*run),
+		digests: make(map[[sha256.Size]byte]string),
+		queue:   make(chan *run, cfg.QueueDepth),
 	}
 	s.exec = s.runScenario
 	s.submitted = s.reg.Counter("noc_server_runs_submitted_total", "scenario submissions accepted (new runs enqueued)")
@@ -201,9 +208,12 @@ func (s *Server) Handler() http.Handler {
 
 // handleSubmit is the front door. Semantics, in order:
 //
-//	draining            503 + Retry-After
 //	oversized body      413
+//	resubmitted body    the answer below for a finished or in-flight
+//	                    duplicate, found by the body's digest before
+//	                    decoding (not while draining)
 //	malformed scenario  400 with line:column or field path
+//	draining            503 + Retry-After
 //	finished duplicate  200, X-Cache: hit, the stored result bytes
 //	in-flight duplicate 202, X-Cache: pending, the existing run's status
 //	failed/cancelled    retried as a fresh run (errors are not cached)
@@ -222,6 +232,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.apiError(w, http.StatusBadRequest, "reading request body: "+err.Error(), nil)
 		return
 	}
+	// The same bytes always decode to the same fingerprint, so the body
+	// that created a run finds it again without scenario.Load and
+	// Fingerprint. An unknown digest gives the id "", which names no run.
+	digest := sha256.Sum256(data)
+	s.mu.Lock()
+	dup, st := s.answeringLocked(s.digests[digest])
+	s.mu.Unlock()
+	if dup != nil {
+		s.answerDuplicate(w, dup, st)
+		return
+	}
+
 	sc, err := scenario.Load(bytes.NewReader(data))
 	if err != nil {
 		s.apiError(w, http.StatusBadRequest, err.Error(), err)
@@ -244,28 +266,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.apiError(w, http.StatusServiceUnavailable, "server is draining", nil)
 		return
 	}
-	if r, ok := s.runs[id]; ok {
-		switch r.currentState() {
-		case stateDone:
-			s.cacheHits.Inc()
-			s.mu.Unlock()
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(r.resultBytes())
-			return
-		case stateQueued, stateRunning:
-			s.mu.Unlock()
-			w.Header().Set("X-Cache", "pending")
-			w.Header().Set("Location", "/v1/runs/"+id)
-			writeJSON(w, http.StatusAccepted, r.statusDoc())
-			return
-		default:
-			// A failed or cancelled run is not a result: resubmission
-			// retries it under the same id with a fresh run.
-			s.deleteLocked(id)
-		}
+	if dup, st := s.answeringLocked(id); dup != nil {
+		s.mu.Unlock()
+		s.answerDuplicate(w, dup, st)
+		return
 	}
-	r := newRun(id, fp, sc)
+	if _, ok := s.runs[id]; ok {
+		// A failed or cancelled run is not a result: resubmission
+		// retries it under the same id with a fresh run.
+		s.deleteLocked(id)
+	}
+	r := newRun(id, fp, digest, sc)
 	select {
 	case s.queue <- r:
 	default:
@@ -276,6 +287,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.runs[id] = r
+	s.digests[digest] = id
 	s.order = append(s.order, id)
 	s.evictLocked()
 	s.submitted.Inc()
@@ -283,6 +295,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 	w.Header().Set("X-Cache", "miss")
 	w.Header().Set("Location", "/v1/runs/"+id)
+	writeJSON(w, http.StatusAccepted, r.statusDoc())
+}
+
+// answeringLocked returns the stored run with this id, and its state,
+// when that run answers a submission of its content: the server is not
+// draining, and the run is finished or still queued or running. It
+// returns nil otherwise, for a failed or cancelled run as for an
+// unknown id. Call with s.mu held.
+func (s *Server) answeringLocked(id string) (*run, runState) {
+	r, ok := s.runs[id]
+	if !ok || s.draining {
+		return nil, ""
+	}
+	switch st := r.currentState(); st {
+	case stateDone, stateQueued, stateRunning:
+		return r, st
+	}
+	return nil, ""
+}
+
+// answerDuplicate answers a submission of r's content from r, which was
+// in state st under s.mu: a finished run's stored bytes as a cache hit,
+// or a queued or running run's status.
+func (s *Server) answerDuplicate(w http.ResponseWriter, r *run, st runState) {
+	if st == stateDone {
+		s.cacheHits.Inc()
+		w.Header().Set("X-Cache", "hit")
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(r.resultBytes())
+		return
+	}
+	w.Header().Set("X-Cache", "pending")
+	w.Header().Set("Location", "/v1/runs/"+r.id)
 	writeJSON(w, http.StatusAccepted, r.statusDoc())
 }
 
