@@ -111,7 +111,7 @@ func NewBVCISlaveBridge(clk *sim.Clock, b *Bus, node noctypes.NodeID, ipPort *vc
 	read := func(d []byte, err bool) { br.done(ahb.Rsp{Resp: vciToAHB(err), Data: d}) }
 	br.call = func(req ahb.Req) {
 		if req.Write {
-			eng.Write(req.Addr, req.Size, req.Data, req.Burst.Wraps(), wrote)
+			eng.Write(req.Addr, req.Size, req.Data, nil, req.Burst.Wraps(), wrote)
 		} else {
 			eng.Read(req.Addr, req.Size, req.NumBeats(), req.Burst.Wraps(), read)
 		}

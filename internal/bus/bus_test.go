@@ -233,8 +233,8 @@ func TestVCIBridges(t *testing.T) {
 
 	done := 0
 	pip.Write(memBase+0x60, []byte{1, 1, 1, 1}, func(bool) { done++ })
-	bip.Write(memBase+0x70, 4, []byte{2, 2, 2, 2, 3, 3, 3, 3}, false, func(bool) { done++ })
-	aip.Write(9, memBase+0x80, 4, []byte{4, 4, 4, 4}, false, func(bool) { done++ })
+	bip.Write(memBase+0x70, 4, []byte{2, 2, 2, 2, 3, 3, 3, 3}, nil, false, func(bool) { done++ })
+	aip.Write(9, memBase+0x80, 4, []byte{4, 4, 4, 4}, nil, false, func(bool) { done++ })
 	r.run(t, 2000, func() bool { return done == 3 })
 
 	var pv, bv, av []byte

@@ -88,7 +88,7 @@ func e11Lat(proto string, n int) float64 {
 		ip := vci.NewBMaster(f.clk, port, 2)
 		niu.NewBVCIMaster(f.clk, f.net, f.amap, port, e11MasterCfg())
 		write = func(addr uint64, data []byte, done func()) {
-			ip.Write(addr, 4, data, false, func(bool) { done() })
+			ip.Write(addr, 4, data, nil, false, func(bool) { done() })
 		}
 		read = func(addr uint64, beats int, done func()) {
 			ip.Read(addr, 4, beats, false, func([]byte, bool) { done() })

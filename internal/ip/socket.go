@@ -250,7 +250,7 @@ type bvciSocket struct {
 }
 
 func (b *bvciSocket) Write(_ int, addr uint64, size uint8, data []byte, done Done) {
-	b.m.Write(addr, size, data, false, b.call(done).wrote)
+	b.m.Write(addr, size, data, nil, false, b.call(done).wrote)
 }
 
 func (b *bvciSocket) Read(_ int, addr uint64, size uint8, beats int, done Done) {
@@ -268,7 +268,7 @@ type avciSocket struct {
 }
 
 func (a *avciSocket) Write(id int, addr uint64, size uint8, data []byte, done Done) {
-	a.m.Write(id%numIDs, addr, size, data, false, a.call(done).wrote)
+	a.m.Write(id%numIDs, addr, size, data, nil, false, a.call(done).wrote)
 }
 
 func (a *avciSocket) Read(id int, addr uint64, size uint8, beats int, done Done) {

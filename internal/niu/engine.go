@@ -744,6 +744,15 @@ func partAddr(req *core.Request, i, beats int) uint64 {
 	return core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*beats)
 }
 
+// partOf is transfer i of a request's bytes b, n bytes per transfer, or
+// nil when b is nil (a write without byte enables).
+func partOf(b []byte, i, n int) []byte {
+	if b == nil {
+		return nil
+	}
+	return b[i*n : (i+1)*n]
+}
+
 // pushOne moves the head of q onto pipe if the pipe has room, returning
 // the (possibly shortened) queue — the one-beat-per-cycle socket
 // response drain every adapter shares.

@@ -81,7 +81,7 @@ var matrixMasters = []struct {
 		NewBVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 		return matrixOps{
 			write: func(addr uint64, data []byte, done func(bool)) {
-				ip.Write(addr, 4, data, false, done)
+				ip.Write(addr, 4, data, nil, false, done)
 			},
 			read: func(addr uint64, beats int, done func([]byte, bool)) {
 				ip.Read(addr, 4, beats, false, done)
@@ -94,7 +94,7 @@ var matrixMasters = []struct {
 		NewAVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 		return matrixOps{
 			write: func(addr uint64, data []byte, done func(bool)) {
-				ip.Write(1, addr, 4, data, false, done)
+				ip.Write(1, addr, 4, data, nil, false, done)
 			},
 			read: func(addr uint64, beats int, done func([]byte, bool)) {
 				ip.Read(2, addr, 4, beats, false, done)
@@ -237,16 +237,33 @@ func TestPairingMatrix(t *testing.T) {
 
 // TestSparseByteEnables: an AXI write whose strobes disable some bytes
 // leaves those bytes untouched in every slave memory that takes byte
-// enables. The AHB socket has none, and vci.BReq carries none, so the
-// AHB and BVCI slaves write every byte.
+// enables: every burst target but AHB, whose socket has none and so
+// writes every byte. The BVCI and AVCI masters' enables cross their
+// master NIUs the same way, into an AXI target.
 func TestSparseByteEnables(t *testing.T) {
 	const off = 0x100
 	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	strb := []byte{0xFF, 0, 0, 0xFF, 0, 0xFF, 0xFF, 0}
 	want := []byte{1, 0xBB, 0xCC, 4, 0xEE, 6, 7, 0xF2}
-	for _, s := range matrixSlaves {
-		if s.name == "ahb" || s.name == "bvci" {
+	check := func(t *testing.T, f *fab, write func(done func(err bool))) {
+		f.store.Write(off, old, nil)
+		done := false
+		write(func(err bool) {
+			if err {
+				t.Error("write answered an error")
+			}
+			done = true
+		})
+		f.run(t, 8000, func() bool { return done })
+		got := make([]byte, len(want))
+		f.store.ReadInto(off, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("memory holds % x, want % x", got, want)
+		}
+	}
+	for _, s := range burstTargets {
+		if s.name == "ahb" {
 			continue
 		}
 		t.Run(s.name, func(t *testing.T) {
@@ -255,21 +272,33 @@ func TestSparseByteEnables(t *testing.T) {
 			ip := axi.NewMaster(f.clk, port, nil)
 			NewAXIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
 			s.attach(f)
-			f.store.Write(off, old, nil)
-
-			done := false
-			ip.WriteStrobed(0, memBase+off, 4, axi.BurstIncr, data, strb, func(r axi.Resp) {
-				if r != axi.RespOKAY {
-					t.Errorf("write answered %v", r)
-				}
-				done = true
+			check(t, f, func(done func(bool)) {
+				ip.WriteStrobed(0, memBase+off, 4, axi.BurstIncr, data, strb, func(r axi.Resp) { done(r != axi.RespOKAY) })
 			})
-			f.run(t, 8000, func() bool { return done })
-			got := make([]byte, len(want))
-			f.store.ReadInto(off, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("memory holds % x, want % x", got, want)
-			}
+		})
+	}
+	for _, m := range []struct {
+		name   string
+		attach func(f *fab) func(done func(bool))
+	}{
+		{"from-bvci", func(f *fab) func(func(bool)) {
+			port := vci.NewBPort(f.clk, "m.bvci", 4)
+			ip := vci.NewBMaster(f.clk, port, 2)
+			NewBVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			return func(done func(bool)) { ip.Write(memBase+off, 4, data, strb, false, done) }
+		}},
+		{"from-avci", func(f *fab) func(func(bool)) {
+			port := vci.NewAPort(f.clk, "m.avci", 4)
+			ip := vci.NewAMaster(f.clk, port)
+			NewAVCIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			return func(done func(bool)) { ip.Write(1, memBase+off, 4, data, strb, false, done) }
+		}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			f := newFab(2, 1, 2)
+			write := m.attach(f)
+			matrixSlaves[0].attach(f) // the AXI target
+			check(t, f, write)
 		})
 	}
 }

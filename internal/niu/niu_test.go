@@ -354,13 +354,13 @@ func TestVCIMastersOverFabric(t *testing.T) {
 		}
 		done++
 	})
-	bip.Write(memBase+0x710, 4, []byte{5, 6, 7, 8, 9, 10, 11, 12}, false, func(err bool) {
+	bip.Write(memBase+0x710, 4, []byte{5, 6, 7, 8, 9, 10, 11, 12}, nil, false, func(err bool) {
 		if err {
 			t.Error("BVCI write errored")
 		}
 		done++
 	})
-	aip.Write(3, memBase+0x720, 4, []byte{13, 14, 15, 16}, false, func(err bool) {
+	aip.Write(3, memBase+0x720, 4, []byte{13, 14, 15, 16}, nil, false, func(err bool) {
 		if err {
 			t.Error("AVCI write errored")
 		}

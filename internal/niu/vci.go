@@ -110,7 +110,7 @@ func bvciRequest(breq vci.BReq, c *Candidate) bool {
 		Cmd: core.CmdRead, Addr: breq.Addr, Size: breq.Size, Len: uint16(breq.Beats), Burst: burst,
 	}
 	if breq.Op == vci.OpWrite {
-		c.Req.Cmd, c.Req.Data = core.CmdWrite, breq.Data
+		c.Req.Cmd, c.Req.Data, c.Req.BE = core.CmdWrite, breq.Data, breq.BE
 	}
 	return true
 }
@@ -140,7 +140,7 @@ func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg S
 // FIXED burst: a fixed-address burst runs as one single-cell burst per
 // beat.
 func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	data, _ := heldWrite(req)
+	data, be := heldWrite(req)
 	parts, beats := transfers(req, req.Burst != core.BurstFixed)
 	wrote, read := a.exec(req, respond, parts).completions()
 	wrap, n := req.Burst == core.BurstWrap, len(data)/parts
@@ -149,7 +149,7 @@ func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 		if req.Cmd.IsRead() {
 			a.eng.Read(addr, req.Size, beats, wrap, read)
 		} else {
-			a.eng.Write(addr, req.Size, data[i*n:(i+1)*n], wrap, wrote)
+			a.eng.Write(addr, req.Size, partOf(data, i, n), partOf(be, i, n), wrap, wrote)
 		}
 	}
 }
@@ -201,7 +201,7 @@ func NewAVCISlave(clk *sim.Clock, net *transport.Network, port *vci.APort, cfg S
 // as one single-cell burst per beat, all on the request's ID.
 func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
-	data, _ := heldWrite(req)
+	data, be := heldWrite(req)
 	parts, beats := transfers(req, req.Burst != core.BurstFixed)
 	wrote, read := a.exec(req, respond, parts).completions()
 	wrap, n := req.Burst == core.BurstWrap, len(data)/parts
@@ -210,7 +210,7 @@ func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 		if req.Cmd.IsRead() {
 			a.eng.Read(engID, addr, req.Size, beats, wrap, read)
 		} else {
-			a.eng.Write(engID, addr, req.Size, data[i*n:(i+1)*n], wrap, wrote)
+			a.eng.Write(engID, addr, req.Size, partOf(data, i, n), partOf(be, i, n), wrap, wrote)
 		}
 	}
 }

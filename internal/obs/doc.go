@@ -29,6 +29,14 @@
 //     implementation must not block, must not panic on unknown Kinds
 //     (new kinds may be added), and should be O(1)-ish per call.
 //
+//   - Buffer samples are opt-out. KindBufSample is the one kind the
+//     fabric emits on every cycle, with or without a packet moving, so
+//     an empty fabric stays awake for a probe that reads it. A probe
+//     that does not implements BufferSampler and answers false; the
+//     fabric then emits no samples and sleeps when empty. Every other
+//     kind marks a packet or transaction moving, so such a probe sees
+//     the same events either way.
+//
 //   - No reentrancy. An implementation must not call back into the
 //     simulator (no TrySend, no RunCycles, no Register) and must not
 //     mutate the Event's originating structures; it sees a value copy

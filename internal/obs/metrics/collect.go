@@ -110,6 +110,10 @@ func (c *FabricCollector) niu(node noctypes.NodeID) *niuCounters {
 	return n
 }
 
+// SamplesBuffers implements obs.BufferSampler: no counter reads buffer
+// occupancy, so the fabric need not emit samples (nor stay awake to).
+func (c *FabricCollector) SamplesBuffers() bool { return false }
+
 // Event implements obs.Probe.
 func (c *FabricCollector) Event(ev obs.Event) {
 	switch ev.Kind {

@@ -108,6 +108,28 @@ type Probe interface {
 	Event(ev Event)
 }
 
+// BufferSampler is implemented by probes that can say whether they read
+// KindBufSample events. Buffer samples are the one kind the fabric
+// emits on every cycle, packet or not, so only a sampling probe keeps
+// an empty fabric awake. LinkMonitor's heatmap reads them; SpanRecorder
+// and the live-metrics FabricCollector answer false.
+type BufferSampler interface {
+	SamplesBuffers() bool
+}
+
+// SamplesBuffers reports whether p reads buffer samples: false for nil,
+// p's own answer when it implements BufferSampler, and true otherwise,
+// so a probe that does not say gets the full event stream.
+func SamplesBuffers(p Probe) bool {
+	if p == nil {
+		return false
+	}
+	if s, ok := p.(BufferSampler); ok {
+		return s.SamplesBuffers()
+	}
+	return true
+}
+
 // multi fans events out to several probes.
 type multi []Probe
 
@@ -115,6 +137,17 @@ func (m multi) Event(ev Event) {
 	for _, p := range m {
 		p.Event(ev)
 	}
+}
+
+// SamplesBuffers implements BufferSampler: the fan-out samples when any
+// member does.
+func (m multi) SamplesBuffers() bool {
+	for _, p := range m {
+		if SamplesBuffers(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // NameRouters implements RouterNamer by forwarding to every member that

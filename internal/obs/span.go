@@ -28,6 +28,10 @@ func (r *SpanRecorder) Event(ev Event) {
 	r.events = append(r.events, ev)
 }
 
+// SamplesBuffers implements BufferSampler: the recorder drops buffer
+// samples, so the fabric need not emit them.
+func (r *SpanRecorder) SamplesBuffers() bool { return false }
+
 // Events returns the recorded events in arrival order. The slice is the
 // recorder's own backing store; callers must not mutate it.
 func (r *SpanRecorder) Events() []Event { return r.events }

@@ -163,6 +163,7 @@ type BReq struct {
 	Beats int
 	Wrap  bool
 	Data  []byte // writes
+	BE    []byte // writes: per-byte enables, nil enables every byte
 }
 
 // BRsp is one BVCI burst response.
@@ -204,19 +205,33 @@ func (m *BMaster) Read(addr uint64, size uint8, beats int, wrap bool, cb func([]
 	m.Enqueue(BReq{Op: OpRead, Addr: addr, Size: size, Beats: beats, Wrap: wrap}, cb, nil)
 }
 
-// Write queues a burst write, wrapping like Read. data must stay
-// unchanged until cb runs.
-func (m *BMaster) Write(addr uint64, size uint8, data []byte, wrap bool, cb func(bool)) {
-	m.Enqueue(writeReq(addr, size, data, wrap), nil, cb)
+// Write queues a burst write, wrapping like Read, with per-byte enables
+// be (nil enables every byte). data and be must stay unchanged until cb
+// runs.
+func (m *BMaster) Write(addr uint64, size uint8, data, be []byte, wrap bool, cb func(bool)) {
+	m.Enqueue(writeReq(addr, size, data, be, wrap), nil, cb)
 }
 
 // writeReq builds a BVCI or AVCI burst write of data in cells of size
-// bytes; data must be a whole, non-zero number of cells.
-func writeReq(addr uint64, size uint8, data []byte, wrap bool) BReq {
+// bytes; data must be a whole, non-zero number of cells, and be nil or
+// one enable per data byte.
+func writeReq(addr uint64, size uint8, data, be []byte, wrap bool) BReq {
 	if size == 0 || len(data) == 0 || len(data)%int(size) != 0 {
 		panic(fmt.Sprintf("vci: burst write %dB not a multiple of %d", len(data), size))
 	}
-	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Wrap: wrap, Data: data}
+	if be != nil && len(be) != len(data) {
+		panic(fmt.Sprintf("vci: burst byte-enable length %d != data %d", len(be), len(data)))
+	}
+	return BReq{Op: OpWrite, Addr: addr, Size: size, Beats: len(data) / int(size), Wrap: wrap, Data: data, BE: be}
+}
+
+// cell is cell i of a burst's bytes b, s bytes per cell, or nil when b
+// is nil (a write without byte enables).
+func cell(b []byte, i, s int) []byte {
+	if b == nil {
+		return nil
+	}
+	return b[i*s : (i+1)*s]
 }
 
 // BMemory is a BVCI memory slave: in-order, one cell per cycle.
@@ -280,7 +295,7 @@ func (m *BMemory) Eval(cycle int64) {
 	s := int(req.Size)
 	if req.Op == OpWrite {
 		for i := 0; i < req.Beats; i++ {
-			m.store.Write(bvciBeatAddr(req, i)-m.base, req.Data[i*s:(i+1)*s], nil)
+			m.store.Write(bvciBeatAddr(req, i)-m.base, cell(req.Data, i, s), cell(req.BE, i, s))
 		}
 		m.port.Rsp.Push(BRsp{})
 	} else {
@@ -379,10 +394,11 @@ func (m *AMaster) Read(id int, addr uint64, size uint8, beats int, wrap bool, cb
 	m.wake.Wake()
 }
 
-// Write queues a burst write on an ID, wrapping like BMaster.Read. data
-// must stay unchanged until cb runs.
-func (m *AMaster) Write(id int, addr uint64, size uint8, data []byte, wrap bool, cb func(bool)) {
-	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data, wrap), ID: id}, wrCb: cb})
+// Write queues a burst write on an ID, wrapping like BMaster.Read, with
+// per-byte enables be (nil enables every byte). data and be must stay
+// unchanged until cb runs.
+func (m *AMaster) Write(id int, addr uint64, size uint8, data, be []byte, wrap bool, cb func(bool)) {
+	m.q = append(m.q, aReqCtx{req: AReq{BReq: writeReq(addr, size, data, be, wrap), ID: id}, wrCb: cb})
 	m.issued++
 	m.wake.Wake()
 }
@@ -482,7 +498,7 @@ func (m *AMemory) Eval(cycle int64) {
 	s := int(req.Size)
 	if req.Op == OpWrite {
 		for i := 0; i < req.Beats; i++ {
-			m.store.Write(bvciBeatAddr(req.BReq, i)-m.base, req.Data[i*s:(i+1)*s], nil)
+			m.store.Write(bvciBeatAddr(req.BReq, i)-m.base, cell(req.Data, i, s), cell(req.BE, i, s))
 		}
 		m.port.Rsp.Push(ARsp{ID: req.ID})
 	} else {

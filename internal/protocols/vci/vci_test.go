@@ -95,7 +95,7 @@ func TestBVCIBurstRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(0x40 + i)
 	}
-	m.Write(0x100, 4, data, false, nil)
+	m.Write(0x100, 4, data, nil, false, nil)
 	var got []byte
 	m.Read(0x100, 4, 8, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 500 && m.Busy(); c++ {
@@ -136,7 +136,7 @@ func TestBVCIWrapBurst(t *testing.T) {
 	for i := range seq {
 		seq[i] = byte(i)
 	}
-	m.Write(0x100, 4, seq, false, nil)
+	m.Write(0x100, 4, seq, nil, false, nil)
 	var got []byte
 	m.Read(0x108, 4, 4, true, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
@@ -195,7 +195,7 @@ func TestAVCIWriteReadBack(t *testing.T) {
 	m := NewAMaster(clk, port)
 	NewAMemory(clk, port, store, 0, 1, false)
 
-	m.Write(4, 0x300, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, nil)
+	m.Write(4, 0x300, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil, false, nil)
 	var got []byte
 	m.Read(4, 0x300, 4, 2, false, func(d []byte, _ bool) { got = bytes.Clone(d) })
 	for c := 0; c < 300 && m.Busy(); c++ {
@@ -206,33 +206,35 @@ func TestAVCIWriteReadBack(t *testing.T) {
 	}
 }
 
-// TestMalformedWritePanics: a burst write that is empty or not a whole
-// number of cells panics on both burst masters, instead of losing bytes.
+// TestMalformedWritePanics: a burst write that is empty, not a whole
+// number of cells, or whose enables do not match its data panics on
+// both burst masters, instead of losing bytes.
 func TestMalformedWritePanics(t *testing.T) {
 	clk := newClk()
 	b := NewBMaster(clk, NewBPort(clk, "bvci", 4), 1)
 	a := NewAMaster(clk, NewAPort(clk, "avci", 4))
-	writes := map[string]func(size uint8, data []byte){
-		"bvci": func(size uint8, data []byte) { b.Write(0x100, size, data, false, nil) },
-		"avci": func(size uint8, data []byte) { a.Write(0, 0x100, size, data, false, nil) },
+	writes := map[string]func(size uint8, data, be []byte){
+		"bvci": func(size uint8, data, be []byte) { b.Write(0x100, size, data, be, false, nil) },
+		"avci": func(size uint8, data, be []byte) { a.Write(0, 0x100, size, data, be, false, nil) },
 	}
 	for _, master := range []string{"bvci", "avci"} {
 		for _, tc := range []struct {
-			name string
-			size uint8
-			data []byte
+			name     string
+			size     uint8
+			data, be []byte
 		}{
-			{"partial cell", 4, []byte{1, 2, 3, 4, 5, 6}},
-			{"empty", 4, nil},
-			{"zero size", 0, []byte{1, 2, 3, 4}},
+			{"partial cell", 4, []byte{1, 2, 3, 4, 5, 6}, nil},
+			{"empty", 4, nil, nil},
+			{"zero size", 0, []byte{1, 2, 3, 4}, nil},
+			{"short enables", 4, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0xFF, 0, 0, 0xFF}},
 		} {
 			t.Run(master+"/"+tc.name, func(t *testing.T) {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("%d-byte write at size %d accepted", len(tc.data), tc.size)
+						t.Fatalf("%d-byte write at size %d with %d enables accepted", len(tc.data), tc.size, len(tc.be))
 					}
 				}()
-				writes[master](tc.size, tc.data)
+				writes[master](tc.size, tc.data, tc.be)
 			})
 		}
 	}

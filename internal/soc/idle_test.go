@@ -1,12 +1,20 @@
 package soc
 
-import "testing"
+import (
+	"testing"
+
+	"gonoc/internal/obs"
+	"gonoc/internal/obs/metrics"
+)
 
 // quietFig1 builds the quiet Fig 1 system with Wishbone on — every NIU,
 // protocol engine and memory present, no generators — and runs it past
 // start-up.
-func quietFig1(topo Topology) *System {
-	s := BuildNoC(Config{Seed: 1, Quiet: true, Wishbone: true, Topology: topo})
+func quietFig1(topo Topology) *System { return quietProbed(topo, nil) }
+
+// quietProbed is quietFig1 with probe attached to the fabric.
+func quietProbed(topo Topology, probe obs.Probe) *System {
+	s := BuildNoC(Config{Seed: 1, Quiet: true, Wishbone: true, Topology: topo, Probe: probe})
 	s.Clk.RunCycles(100)
 	return s
 }
@@ -32,13 +40,21 @@ func TestIdleCycleZeroAlloc(t *testing.T) {
 // TestIdleCycleEvaluatesNothing guards the active set independently of
 // host speed: once the quiet Fig 1 SoC has settled, every NIU engine,
 // protocol engine, memory and the empty fabric sleep, so idle cycles
-// evaluate no component at all.
+// evaluate no component at all. A live-metrics collector reads no
+// buffer samples, so it must not keep the fabric awake either.
 func TestIdleCycleEvaluatesNothing(t *testing.T) {
+	collector := func() obs.Probe { return metrics.NewFabricCollector(metrics.NewRegistry()) }
 	for _, tc := range []struct {
-		name string
-		topo Topology
-	}{{"crossbar", Crossbar}, {"mesh", Mesh}} {
-		s := quietFig1(tc.topo)
+		name  string
+		topo  Topology
+		probe obs.Probe
+	}{
+		{"crossbar", Crossbar, nil},
+		{"mesh", Mesh, nil},
+		{"crossbar+collector", Crossbar, collector()},
+		{"mesh+collector", Mesh, collector()},
+	} {
+		s := quietProbed(tc.topo, tc.probe)
 		before := s.Clk.Evals()
 		s.Clk.RunCycles(1000)
 		if n := s.Clk.Evals() - before; n != 0 {

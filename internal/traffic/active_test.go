@@ -19,6 +19,34 @@ type recorder []obs.Event
 
 func (r *recorder) Event(ev obs.Event) { *r = append(*r, ev) }
 
+// declining is a recorder that declines buffer samples, so the fabric
+// it watches may sleep while it holds no packet.
+type declining struct{ *recorder }
+
+func (declining) SamplesBuffers() bool { return false }
+
+// probeMode selects the probe a differential run attaches.
+type probeMode int
+
+const (
+	noProbe   probeMode = iota
+	allKinds            // a recorder of every event, buffer samples too
+	noSamples           // a recorder that declines buffer samples
+)
+
+func (m probeMode) String() string { return [...]string{"none", "all", "no-samples"}[m] }
+
+// attach returns the mode's probe, recording into tr (nil for none).
+func (m probeMode) attach(tr *socTrace) obs.Probe {
+	switch m {
+	case allKinds:
+		return &tr.Events
+	case noSamples:
+		return declining{&tr.Events}
+	}
+	return nil
+}
+
 // socTrace is everything a differential run compares: the result bytes,
 // every stats struct the build exposes, every pipe's statistics and the
 // probe's event stream.
@@ -73,11 +101,9 @@ func sysStats(t *testing.T, s *soc.System) (nius, routers string) {
 
 // runGens runs the generator workload (nocsim's) on one build; topo 5
 // is the Fig 2 bus.
-func runGens(t *testing.T, cfg soc.Config, topo int, probe bool, every bool) socTrace {
+func runGens(t *testing.T, cfg soc.Config, topo int, probe probeMode, every bool) socTrace {
 	var tr socTrace
-	if probe {
-		cfg.Probe = &tr.Events
-	}
+	cfg.Probe = probe.attach(&tr)
 	var s *soc.System
 	if topo == 5 {
 		s = soc.BuildBus(cfg)
@@ -108,11 +134,9 @@ func runGens(t *testing.T, cfg soc.Config, topo int, probe bool, every bool) soc
 	return tr
 }
 
-func runTransTrace(t *testing.T, tc TransConfig, probe, every bool) socTrace {
+func runTransTrace(t *testing.T, tc TransConfig, probe probeMode, every bool) socTrace {
 	var tr socTrace
-	if probe {
-		tc.Probe = &tr.Events
-	}
+	tc.Probe = probe.attach(&tr)
 	var sys *soc.System
 	res := runTrans(tc, func(s *soc.System) {
 		sys = s
@@ -126,11 +150,9 @@ func runTransTrace(t *testing.T, tc TransConfig, probe, every bool) socTrace {
 	return tr
 }
 
-func runPacketTrace(t *testing.T, cfg Config, probe, every bool) socTrace {
+func runPacketTrace(t *testing.T, cfg Config, probe probeMode, every bool) socTrace {
 	var tr socTrace
-	if probe {
-		cfg.Probe = &tr.Events
-	}
+	cfg.Probe = probe.attach(&tr)
 	cfg = cfg.withDefaults()
 	r := newRig(&cfg)
 	if every {
@@ -176,10 +198,12 @@ func compareTraces(t *testing.T, what string, ref, got socTrace) {
 // socket, switching mode, seed and request count (whose top bit selects
 // hybrid fidelity, where the fabric never sleeps but the NIUs and IP
 // do) — and runs the generator workload on it, plus one RunTrans run
-// and one packet Run on the same fabric shape, each with and without a
-// recording probe. Result bytes, every NIU, generator and router stats
-// struct, every pipe's statistics and the probe's full event stream
-// must be identical.
+// and one packet Run on the same fabric shape, each with no probe, with
+// a recorder of every event (whose fabric never sleeps) and with a
+// recorder that declines buffer samples (whose fabric sleeps when
+// empty). Result bytes, every NIU, generator and router stats struct,
+// every pipe's statistics and the probe's full event stream must be
+// identical.
 func FuzzActiveSetMatchesReference(f *testing.F) {
 	for topo := 0; topo < 6; topo++ {
 		f.Add(uint8(topo), topo%2 == 0, topo%3 == 1, int64(topo+1), uint8(3+topo))
@@ -197,7 +221,7 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 			net.BufDepth = 64 // whole packets, as nocsim sizes them
 		}
 		cfg := soc.Config{Seed: seed, RequestsPerMaster: 1 + int(reqRaw%10), Wishbone: wishbone, Net: net}
-		for _, probe := range []bool{false, true} {
+		for _, probe := range []probeMode{noProbe, allKinds, noSamples} {
 			what := fmt.Sprintf("gens topo=%d wb=%v saf=%v seed=%d req=%d fidelity=%v probe=%v", topo, wishbone, saf, seed, cfg.RequestsPerMaster, net.Fidelity, probe)
 			compareTraces(t, what, runGens(t, cfg, topo, probe, true), runGens(t, cfg, topo, probe, false))
 		}
@@ -213,7 +237,7 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 			Seed: seed, Nodes: 8, Topology: []Topology{Crossbar, Mesh, Tree, Torus, Ring}[topo], Net: net,
 			Rate: 0.01 + float64(reqRaw%3)*0.02, Warmup: 50, Measure: 300, Drain: 20_000,
 		}
-		for _, probe := range []bool{false, true} {
+		for _, probe := range []probeMode{noProbe, allKinds, noSamples} {
 			what := fmt.Sprintf("trans topo=%d wb=%v saf=%v seed=%d fidelity=%v probe=%v", topo, wishbone, saf, seed, net.Fidelity, probe)
 			compareTraces(t, what, runTransTrace(t, tc, probe, true), runTransTrace(t, tc, probe, false))
 			what = fmt.Sprintf("packet topo=%d saf=%v seed=%d fidelity=%v probe=%v", topo, saf, seed, net.Fidelity, probe)

@@ -24,8 +24,9 @@
 //
 // The fabric is observable without being perturbable: Network.SetProbe
 // attaches an internal/obs probe, after which switches report flits,
-// stalls, buffer occupancy and VC allocations and endpoints report
-// packet lifecycles (queued/injected/ejected). With no probe attached —
-// the default — every hook is a single nil check, pinned by the CI
-// allocation guard.
+// stalls and VC allocations, and buffer occupancy if the probe reads it
+// (obs.SamplesBuffers), and endpoints report packet lifecycles
+// (queued/injected/ejected). Only a sampling probe keeps an empty
+// fabric awake. With no probe attached — the default — every hook is a
+// single branch, pinned by the CI allocation guard.
 package transport

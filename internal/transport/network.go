@@ -132,8 +132,11 @@ type Network struct {
 	OnTransit func(TransitRecord)
 
 	// probe, when non-nil, receives instrumentation events from the
-	// fabric (see SetProbe).
-	probe obs.Probe
+	// fabric (see SetProbe); sample records whether it reads buffer
+	// samples (obs.SamplesBuffers), the only events an empty fabric
+	// emits.
+	probe  obs.Probe
+	sample bool
 
 	// loose is the analytic fast path; nil on a cycle-accurate fabric,
 	// which keeps the flit path's behaviour (and its zero-alloc
@@ -196,11 +199,13 @@ func (t netTick) Eval(cycle int64) {
 // Idle implements sim.Idler: a fabric with no packet anywhere — none
 // waiting in a send queue, none between injection and ejection — has
 // nothing to move, so its Eval would be a no-op until TrySend wakes it.
-// A probe samples every buffer on every cycle and the loose engine
-// keeps time, so a fabric with either never sleeps.
+// A sampling probe reads every buffer on every cycle and the loose
+// engine keeps time, so a fabric with either never sleeps. Every other
+// event marks a packet moving, so a probe that declines buffer samples
+// sees the same stream from a fabric that sleeps.
 func (t netTick) Idle() bool {
 	n := t.n
-	return n.queued == 0 && n.injected == n.ejected && n.probe == nil && n.loose == nil
+	return n.queued == 0 && n.injected == n.ejected && !n.sample && n.loose == nil
 }
 
 // stage puts the lane commit on the clock's commit list, once per edge.
@@ -250,17 +255,20 @@ func (n *Network) Routers() []*Router { return n.routers }
 
 // SetProbe attaches an instrumentation probe (see internal/obs for the
 // contract) to the fabric: every switch and endpoint starts emitting
-// flit, stall, occupancy and packet-lifecycle events into it, and the
-// NIU engines pick it up via Probe for transaction spans. Call it after
-// the topology builder returns and before the simulation runs; a nil
-// probe (the default) disables instrumentation at the cost of one
-// branch per emission site. If the probe wants router names for its
-// reports (obs.RouterNamer), it is fed them here.
+// flit, stall and packet-lifecycle events into it, occupancy samples
+// too if the probe reads them (obs.SamplesBuffers), and the NIU engines
+// pick it up via Probe for transaction spans. Call it after the
+// topology builder returns and before the simulation runs; a nil probe
+// (the default) disables instrumentation at the cost of one branch per
+// emission site. If the probe wants router names for its reports
+// (obs.RouterNamer), it is fed them here.
 func (n *Network) SetProbe(p obs.Probe) {
-	n.probe = p
-	n.wake.Wake() // a probed fabric samples every cycle
+	n.probe, n.sample = p, obs.SamplesBuffers(p)
+	if n.sample {
+		n.wake.Wake() // a sampling fabric samples every cycle
+	}
 	for _, r := range n.routers {
-		r.probe = p
+		r.probe, r.sample = p, n.sample
 	}
 	for _, ep := range n.epList {
 		ep.probe = p

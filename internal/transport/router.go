@@ -113,11 +113,12 @@ type Router struct {
 	// would otherwise close.
 	vcOut [][]int8
 
-	// probe, when non-nil, observes flits, stalls, buffer occupancy and
-	// VC allocations (Network.SetProbe distributes it). Every emission
-	// site is behind a nil check, so disabled instrumentation costs one
-	// branch and no allocations on the hot path.
-	probe obs.Probe
+	// probe, when non-nil, observes flits, stalls and VC allocations,
+	// and buffer occupancy when sample is set (Network.SetProbe
+	// distributes both). Every emission site is behind one branch, so
+	// disabled instrumentation costs no allocations on the hot path.
+	probe  obs.Probe
+	sample bool
 
 	stats RouterStats
 }
@@ -233,7 +234,7 @@ func (r *Router) connectOut(o int, vcBufs [NumVCs]*flitQ) {
 // eval runs one cycle of switch operation; the Network's fabric tick
 // calls it once per clock edge.
 func (r *Router) eval(cycle int64) {
-	if r.probe != nil {
+	if r.sample {
 		r.sampleBuffers(cycle)
 	}
 
@@ -370,9 +371,9 @@ func (r *Router) noteStall(cycle int64, o int) {
 
 // sampleBuffers reports the start-of-cycle occupancy of every buffer
 // downstream of this switch's outputs — the congestion a link's flits
-// run into. Runs only with a probe attached. Endpoint ejection ports
-// alias one buffer across both VCs; the duplicate sample is skipped so
-// the heatmap's VC1 column stays meaningful.
+// run into. Runs only for a probe that reads samples. Endpoint
+// ejection ports alias one buffer across both VCs; the duplicate sample
+// is skipped so the heatmap's VC1 column stays meaningful.
 func (r *Router) sampleBuffers(cycle int64) {
 	for o := range r.outs {
 		for v := 0; v < NumVCs; v++ {
