@@ -25,13 +25,16 @@ type Clocked interface {
 // true is not evaluated again until something wakes it. Idle must
 // answer true only when the component's next Eval would do nothing at
 // all — change no state, count no stall, emit no event — and stay so
-// until its Waker fires. A component opts in with three steps:
+// until its Waker fires. A component opts in with three steps, and a
+// fourth when it has work of its own that falls due later:
 //   - implement Idle, including "every input pipe is empty": a
 //     component stalled on a pipe it reads counts stall cycles;
 //   - name itself as the consumer of every pipe it reads
 //     (Pipe.SetConsumer), so that a committed push wakes it;
 //   - call Wake from every method that hands it work from outside its
-//     own Eval, such as a transaction request or a completion.
+//     own Eval, such as a transaction request or a completion;
+//   - arm WakeAt for the edge at which its own next work falls due,
+//     such as an injection decision drawn ahead of time.
 //
 // A component that polls time-based inputs (an asynchronous FIFO, a pipe
 // of another clock domain, a per-cycle sampler) must not implement it.
@@ -83,7 +86,8 @@ type Clock struct {
 	every  bool     // reference mode: evaluate every component on every edge
 	evals  uint64   // evaluated component-cycles
 	commit []committer
-	done   int64 // last cycle whose commit list has run
+	timers []timer // WakeAt's armed wakes, a min-heap by cycle
+	done   int64   // last cycle whose commit list has run
 	pipes  []interface{ Stats() PipeStats }
 
 	started bool
@@ -159,6 +163,52 @@ func (c *Clock) Register(comp Clocked) Waker {
 
 func (c *Clock) setAwake(i int) { c.awake[i>>6] |= 1 << (i & 63) }
 
+// timer is one armed WakeAt: component i wakes at the edge of cycle.
+type timer struct {
+	cycle int64
+	i     int
+}
+
+// arm pushes t onto the timer heap.
+func (c *Clock) arm(t timer) {
+	h := append(c.timers, t)
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if h[p].cycle <= h[j].cycle {
+			break
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+	c.timers = h
+}
+
+// fire wakes every component armed for this edge or an earlier one.
+func (c *Clock) fire() {
+	h := c.timers
+	for len(h) > 0 && h[0].cycle <= c.cycle {
+		c.setAwake(h[0].i)
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		for j := 0; ; {
+			l := 2*j + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r].cycle < h[l].cycle {
+				l = r
+			}
+			if h[j].cycle <= h[l].cycle {
+				break
+			}
+			h[j], h[l] = h[l], h[j]
+			j = l
+		}
+	}
+	c.timers = h
+}
+
 // OnCommit puts fn on this edge's commit list: the clock calls it once,
 // after every component's Eval. Outside an edge, fn runs at the end of
 // the next one. Staged state that is not a Pipe uses it, once per edge
@@ -199,6 +249,7 @@ func (c *Clock) next(i int) int {
 
 func (c *Clock) edge() {
 	c.cycle++
+	c.fire()
 	c.scan, c.cur = true, -1
 	// A component registered during the scan first runs in the next edge.
 	n := len(c.comps)
@@ -254,6 +305,24 @@ type Waker struct {
 func (w Waker) Wake() {
 	if w.c != nil {
 		w.c.setAwake(w.i)
+	}
+}
+
+// WakeAt makes the component evaluate at the edge of the given cycle:
+// the timed form of Wake, for a component that knows when its own next
+// work falls due and sleeps until then. The clock keeps the armed wakes
+// in a min-heap and sets the component's awake bit at the start of that
+// edge. It schedules no kernel event, and once the heap has grown to
+// the most wakes armed at once it allocates nothing. A cycle already
+// reached acts as Wake. A wake fires once; a component woken earlier
+// by something else still runs at the armed edge.
+func (w Waker) WakeAt(cycle int64) {
+	switch {
+	case w.c == nil:
+	case cycle <= w.c.cycle:
+		w.c.setAwake(w.i)
+	default:
+		w.c.arm(timer{cycle: cycle, i: w.i})
 	}
 }
 

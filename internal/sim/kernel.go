@@ -16,10 +16,11 @@
 // Evaluation is activity-driven. A component that implements Idler
 // leaves the active set when its Idle reports that its next Eval would
 // do nothing, and a Waker brings it back: a commit that publishes a push
-// on a pipe it consumes, or an explicit Wake from the call that hands it
-// work. A wake is timed so that the component runs at exactly the edge at
-// which evaluating every component on every edge would first have seen
-// the change, so sleeping changes no result. Clock.EvalEveryCycle is that
+// on a pipe it consumes, an explicit Wake from the call that hands it
+// work, or a WakeAt it armed itself for the edge at which its own next
+// work falls due. A wake is timed so that the component runs at exactly
+// the edge at which evaluating every component on every edge would first
+// have seen the change, so sleeping changes no result. Clock.EvalEveryCycle is that
 // evaluate-everything reference, kept for differential tests.
 //
 // Determinism is a design requirement: two runs with the same seed and the
