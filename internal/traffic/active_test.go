@@ -198,9 +198,10 @@ func compareTraces(t *testing.T, what string, ref, got socTrace) {
 // socket, switching mode, seed and request count (whose top bit selects
 // hybrid fidelity, where the fabric never sleeps but the NIUs and IP
 // do) — and runs the generator workload on it, plus one RunTrans run
-// and one packet Run on the same fabric shape, each with no probe, with
-// a recorder of every event (whose fabric never sleeps) and with a
-// recorder that declines buffer samples (whose fabric sleeps when
+// and one packet Run on the same fabric shape (open or closed loop, at
+// rates down to 0.002, where sources sleep between draws), each with no
+// probe, with a recorder of every event (whose fabric never sleeps) and
+// with a recorder that declines buffer samples (whose fabric sleeps when
 // empty). Result bytes, every NIU, generator and router stats struct,
 // every pipe's statistics and the probe's full event stream must be
 // identical.
@@ -210,6 +211,8 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 	}
 	f.Add(uint8(1), true, true, int64(97), uint8(9))
 	f.Add(uint8(0), true, false, int64(11), uint8(0x85))
+	f.Add(uint8(1), false, false, int64(5), uint8(0x44))
+	f.Add(uint8(4), true, true, int64(8), uint8(0x4b))
 	f.Fuzz(func(t *testing.T, topoRaw uint8, wishbone, saf bool, seed int64, reqRaw uint8) {
 		topo := int(topoRaw % 6)
 		var net transport.NetConfig
@@ -235,13 +238,43 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 		}
 		pc := Config{
 			Seed: seed, Nodes: 8, Topology: []Topology{Crossbar, Mesh, Tree, Torus, Ring}[topo], Net: net,
-			Rate: 0.01 + float64(reqRaw%3)*0.02, Warmup: 50, Measure: 300, Drain: 20_000,
+			Rate: []float64{0.002, 0.01, 0.03, 0.05}[reqRaw%4], Warmup: 50, Measure: 300, Drain: 20_000,
+			ClosedLoop: reqRaw&0x40 != 0, Window: 1 + int(reqRaw%3),
 		}
 		for _, probe := range []probeMode{noProbe, allKinds, noSamples} {
 			what := fmt.Sprintf("trans topo=%d wb=%v saf=%v seed=%d fidelity=%v probe=%v", topo, wishbone, saf, seed, net.Fidelity, probe)
 			compareTraces(t, what, runTransTrace(t, tc, probe, true), runTransTrace(t, tc, probe, false))
-			what = fmt.Sprintf("packet topo=%d saf=%v seed=%d fidelity=%v probe=%v", topo, saf, seed, net.Fidelity, probe)
+			what = fmt.Sprintf("packet topo=%d saf=%v seed=%d rate=%v closed=%v fidelity=%v probe=%v", topo, saf, seed, pc.Rate, pc.ClosedLoop, net.Fidelity, probe)
 			compareTraces(t, what, runPacketTrace(t, pc, probe, true), runPacketTrace(t, pc, probe, false))
 		}
 	})
+}
+
+// TestSourcesSleepBetweenDraws: an open-loop source draws its injection
+// decisions ahead and sleeps until the next one, so a lightly loaded
+// 64-node mesh evaluates under a tenth of the component-cycles the
+// evaluate-everything reference does, with identical result bytes.
+func TestSourcesSleepBetweenDraws(t *testing.T) {
+	cfg := Config{
+		Seed: 3, Nodes: 64, Topology: Mesh, Pattern: UniformRandom, Rate: 0.002,
+		Warmup: 500, Measure: 4000, Drain: 20_000,
+	}
+	run := func(every bool) (string, uint64) {
+		c := cfg.withDefaults()
+		r := newRig(&c)
+		if every {
+			r.clk.EvalEveryCycle()
+		}
+		res := mustJSON(t, r.result(r.run()))
+		return res, r.clk.Evals()
+	}
+	ref, refEvals := run(true)
+	got, evals := run(false)
+	if got != ref {
+		t.Fatalf("result differs\nreference  %s\nactive set %s", ref, got)
+	}
+	if evals*10 >= refEvals {
+		t.Fatalf("evaluated %d component-cycles, the reference %d: sources do not sleep between draws", evals, refEvals)
+	}
+	t.Logf("evaluated %d component-cycles, the reference %d (%.3f)", evals, refEvals, float64(evals)/float64(refEvals))
 }

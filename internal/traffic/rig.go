@@ -44,10 +44,10 @@ type rig struct {
 	net  *transport.Network
 	srcs []*source
 
-	genOn     bool
 	measuring bool
 	// The measurement window in fabric cycles, [measStart, measEnd).
-	// Known statically: warmup runs from cycle 0.
+	// Known statically: warmup runs from cycle 0. Sources generate on
+	// cycles 1..measEnd, the edges of warmup and measurement.
 	measStart, measEnd int64
 	col                collector
 
@@ -147,7 +147,6 @@ const profileChunk = 512
 func (r *rig) run() int64 {
 	prof := r.cfg.Prof
 	t0 := time.Now()
-	r.genOn = true
 	prof.SetPhase(metrics.PhaseWarmup)
 	r.runCycles(r.cfg.Warmup)
 	t1 := time.Now()
@@ -156,7 +155,6 @@ func (r *rig) run() int64 {
 	r.runCycles(r.cfg.Measure)
 	t2 := time.Now()
 	r.measuring = false
-	r.genOn = false
 	prof.SetPhase(metrics.PhaseDrain)
 	// Drain: finish the measured transactions, up to the cap. The
 	// completion check runs every 64 cycles, with the last step clipped

@@ -68,7 +68,6 @@ func TestTagsUniqueAmongOutstanding(t *testing.T) {
 	for _, s := range r.srcs {
 		s.tagSpace = 8
 	}
-	r.genOn = true
 	for cyc := 0; cyc < 600; cyc++ {
 		r.clk.RunCycles(1)
 		for i, s := range r.srcs {
@@ -99,12 +98,10 @@ func TestDrainCompletionsInNetLat(t *testing.T) {
 
 	// Replicate run()'s phases so the sample size at measure-end is
 	// observable.
-	r.genOn = true
 	r.clk.RunCycles(c.Warmup)
 	r.measuring = true
 	r.clk.RunCycles(c.Measure)
 	r.measuring = false
-	r.genOn = false
 	atMeasureEnd := r.col.netLat.Count()
 	for cyc := int64(0); cyc < c.Drain && r.measuredOutstanding() > 0; cyc += 64 {
 		r.clk.RunCycles(64)

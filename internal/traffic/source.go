@@ -25,12 +25,22 @@ type txn struct {
 // (open- or closed-loop), injects request packets, reflects requests
 // arriving from other nodes into responses, and completes its own
 // transactions when responses return.
+//
+// It sleeps while nothing waits to be injected (sim.Idler). An open-loop
+// source makes its Bool(Rate) draws ahead, in cycle order, up to the
+// next success, and arms a WakeAt for that cycle: the draws are the ones
+// a per-cycle draw would make, in the same order on the same stream, so
+// every seeded result stays the same.
 type source struct {
 	r   *rig
 	idx int
 	ep  *transport.Endpoint
 	rng *sim.RNG
 	ch  *chooser
+	w   sim.Waker
+
+	due   int64 // open loop: the cycle of the next successful draw, 0 when none is left
+	drawn int64 // open loop: the last cycle whose draw has been made
 
 	q           *sim.Queue[*txn]              // generated, awaiting injection
 	replyQ      *sim.Queue[*transport.Packet] // reflector responses awaiting injection
@@ -54,9 +64,36 @@ func newSource(r *rig, idx int, rng *sim.RNG) *source {
 		tagSpace:    1 << 16,
 	}
 	s.ch = newChooser(r.cfg, idx, rng.Fork("dest"))
-	r.clk.Register(s)
+	s.w = r.clk.Register(s)
+	s.w.Consumes(s.ep)
+	if !r.cfg.ClosedLoop {
+		s.drawAhead()
+	}
 	return s
 }
+
+// drawAhead makes the open-loop Bool(Rate) draws of the cycles after
+// the last one drawn, in cycle order, up to the first success or
+// measEnd, the rig's last generating cycle. It keeps the success's cycle
+// in due (0 when none is left) and arms the source's wake for it.
+func (s *source) drawAhead() {
+	s.due = 0
+	for s.drawn < s.r.measEnd {
+		s.drawn++
+		if s.rng.Bool(s.r.cfg.Rate) {
+			s.due = s.drawn
+			s.w.WakeAt(s.due)
+			return
+		}
+	}
+}
+
+// Idle implements sim.Idler: nothing waits to be injected. A delivery
+// wakes the source through its endpoint, and an open-loop source's next
+// generation through the WakeAt drawAhead armed. A closed-loop source
+// sleeps with a full window: only the response that completes one of
+// its transactions, a delivery, frees a slot.
+func (s *source) Idle() bool { return s.q.Len() == 0 && s.replyQ.Len() == 0 }
 
 // backlog counts transactions generated but not completed.
 func (s *source) backlog() int { return s.q.Len() + s.inflight }
@@ -188,15 +225,16 @@ func (s *source) Eval(cycle int64) {
 		s.r.net.Recycle(pkt)
 	}
 
-	// Generate.
-	if s.r.genOn {
-		if s.r.cfg.ClosedLoop {
+	// Generate, on the rig's generating cycles 1..measEnd.
+	if s.r.cfg.ClosedLoop {
+		if cycle <= s.r.measEnd {
 			for s.backlog() < s.r.cfg.Window {
 				s.generate(cycle)
 			}
-		} else if s.rng.Bool(s.r.cfg.Rate) {
-			s.generate(cycle)
 		}
+	} else if cycle == s.due {
+		s.generate(cycle)
+		s.drawAhead()
 	}
 
 	// Inject: responses first (they complete someone else's

@@ -253,99 +253,32 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		bases = append(bases, soc.BaseWBMem)
 	}
 
-	// transCall is one transaction in flight: its issue cycle and
-	// whether it was issued while measuring. Its completion is bound
-	// once, when it is made, and it returns to its master's free list.
-	type transCall struct {
-		start    int64
-		measured bool
-		done     ip.Done
-	}
-	type mstate struct {
-		name     string
-		sock     ip.Socket
-		rng      *sim.RNG
-		inflight int
-		k        int
-		issued   int
-		done     int
-		errs     int
-		lat      stats.Latency
-		free     []*transCall
-	}
+	run := &transRun{clk: s.Clk, hotspot: tc.Hotspot, bases: bases, genEnd: s.Clk.Cycle() + tc.Warmup + tc.Measure}
 	root := sim.NewRNG(tc.Seed)
-	var (
-		genOn     bool
-		measuring bool
-		cmplMeas  int
-	)
 	states := make([]*mstate, 0, len(roles))
 	for i, role := range roles {
 		sock, ok := socks[role.Master]
 		if !ok {
 			panic(fmt.Sprintf("traffic: unknown trans master %q", role.Master))
 		}
-		st := &mstate{name: role.Master, sock: sock, rng: root.Fork("trans." + role.Master)}
 		// Default addressing: each master owns a private 16 KiB lane
 		// inside each memory so bursts stay window-local without
 		// aliasing another master's. An explicit role target replaces
 		// the lane with a stride walk of [Base, Base+Size).
-		lane := uint64(0x60000 + i*0x4000)
-		var stride, slots uint64
+		st := &mstate{run: run, role: role, sock: sock, rng: root.Fork("trans." + role.Master),
+			lane: uint64(0x60000 + i*0x4000)}
 		if role.Size != 0 {
-			stride = (uint64(role.Bytes) + 63) / 64 * 64
-			if stride == 0 {
-				stride = 64
+			st.stride = (uint64(role.Bytes) + 63) / 64 * 64
+			if st.stride == 0 {
+				st.stride = 64
 			}
-			slots = role.Size / stride
-			if slots == 0 || role.Size%64 != 0 {
+			st.slots = role.Size / st.stride
+			if st.slots == 0 || role.Size%64 != 0 {
 				panic(fmt.Sprintf("traffic: trans role %q target size %#x cannot hold a %d-byte stride (want a multiple of 64 >= the transaction size)",
-					role.Master, role.Size, stride))
+					role.Master, role.Size, st.stride))
 			}
 		}
-		st2, role2 := st, role
-		s.Clk.Register(sim.ClockedFunc{OnEval: func(cycle int64) {
-			if !genOn || st2.inflight >= role2.Window || !st2.rng.Bool(role2.Rate) {
-				return
-			}
-			var addr uint64
-			if role2.Size != 0 {
-				addr = role2.Base + uint64(st2.k)%slots*stride
-			} else {
-				var base uint64 = soc.BaseAXIMem
-				if !tc.Hotspot {
-					base = bases[st2.k%len(bases)]
-				}
-				addr = base + lane + uint64((st2.k*64)%0x4000)
-			}
-			write := !st2.rng.Bool(role2.ReadFrac)
-			st2.k++
-			st2.issued++
-			st2.inflight++
-			var c *transCall
-			if n := len(st2.free); n > 0 {
-				c, st2.free = st2.free[n-1], st2.free[:n-1]
-			} else {
-				c = new(transCall)
-				c.done = func(_ []byte, err bool) {
-					start, measured := c.start, c.measured
-					st2.free = append(st2.free, c)
-					st2.inflight--
-					st2.done++
-					if err {
-						st2.errs++
-					}
-					if measuring {
-						cmplMeas++
-					}
-					if measured {
-						st2.lat.Record(s.Clk.Cycle() - start)
-					}
-				}
-			}
-			c.start, c.measured = cycle, measuring
-			st2.sock.Issue(st2.k-1, write, addr, role2.Bytes, c.done)
-		}})
+		st.w = s.Clk.Register(st)
 		states = append(states, st)
 	}
 
@@ -380,16 +313,14 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	}
 
 	t0 := time.Now()
-	genOn = true
 	tc.Prof.SetPhase(metrics.PhaseWarmup)
 	runPhase(tc.Warmup)
 	t1 := time.Now()
-	measuring = true
+	run.measuring = true
 	tc.Prof.SetPhase(metrics.PhaseMeasure)
 	runPhase(tc.Measure)
 	t2 := time.Now()
-	measuring = false
-	genOn = false
+	run.measuring = false
 	tc.Prof.SetPhase(metrics.PhaseDrain)
 	outstanding := func() int {
 		total := 0
@@ -422,17 +353,148 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	}
 	for _, st := range states {
 		res.PerMaster = append(res.PerMaster, TransMaster{
-			Master: st.name, Issued: st.issued, Done: st.done, Errors: st.errs,
+			Master: st.role.Master, Issued: st.issued, Done: st.done, Errors: st.errs,
 			Latency: st.lat.Summary(),
 		})
 	}
 	sort.Slice(res.PerMaster, func(i, j int) bool { return res.PerMaster[i].Master < res.PerMaster[j].Master })
-	res.Throughput = float64(cmplMeas) * 1000 / float64(tc.Measure)
+	res.Throughput = float64(run.cmplMeas) * 1000 / float64(tc.Measure)
 	res.Incomplete = outstanding()
 	if tc.CollectWall {
 		res.Wall = newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), k.Steps(), s.Clk.Cycle())
 	}
 	return res
+}
+
+// transRun is the state a RunTrans run's issuers share.
+type transRun struct {
+	clk       *sim.Clock
+	hotspot   bool
+	bases     []uint64 // the memories the default lanes rotate over
+	genEnd    int64    // the last generating cycle: the end of measurement
+	measuring bool
+	cmplMeas  int // completions while measuring, every master
+}
+
+// mstate is one master's issuer: on the run's generating cycles it
+// issues a transaction through its socket with probability Rate per
+// cycle, while fewer than Window are in flight.
+//
+// It sleeps between issues (sim.Idler). While the window has room it
+// makes its Bool(Rate) draws ahead, in cycle order, up to the next
+// success, and arms a WakeAt for that cycle; with the window full it
+// draws nothing, and the completion that frees a slot wakes it. These
+// are the draws a per-cycle issuer makes, in the same order on the same
+// stream, so every seeded result stays the same.
+type mstate struct {
+	run  *transRun
+	role TransRole
+	sock ip.Socket
+	rng  *sim.RNG
+	w    sim.Waker
+
+	lane, stride, slots uint64 // addressing: the default lane, or the role's window
+
+	due   int64 // the cycle of the next successful draw, 0 when none is drawn
+	drawn int64 // the last cycle whose draw has been made
+
+	inflight, k, issued, done, errs int
+	lat                             stats.Latency
+	free                            []*transCall
+}
+
+// transCall is one transaction in flight: its issue cycle and whether
+// it was issued while measuring. Its completion is bound once, when it
+// is made, and it returns to its master's free list.
+type transCall struct {
+	m        *mstate
+	start    int64
+	measured bool
+	done     ip.Done
+}
+
+// Eval implements sim.Clocked: issue the transaction drawn for this
+// cycle, and draw ahead while the window has room.
+func (m *mstate) Eval(cycle int64) {
+	if m.due == 0 && m.inflight < m.role.Window {
+		m.drawAhead(cycle)
+	}
+	if m.due != cycle {
+		return
+	}
+	m.issue(cycle)
+	m.due = 0
+	if m.inflight < m.role.Window {
+		m.drawAhead(cycle + 1)
+	}
+}
+
+// Idle implements sim.Idler. After an Eval the issuer has nothing to do
+// before its drawn cycle, which it armed, or a completion, which wakes
+// it.
+func (m *mstate) Idle() bool { return true }
+
+// drawAhead makes the Bool(Rate) draws of the cycles from from on, past
+// any already drawn, up to the first success or genEnd. It keeps the
+// success's cycle in due and arms the issuer's wake for it.
+func (m *mstate) drawAhead(from int64) {
+	for c := max(from, m.drawn+1); c <= m.run.genEnd; c++ {
+		m.drawn = c
+		if m.rng.Bool(m.role.Rate) {
+			m.due = c
+			m.w.WakeAt(c)
+			return
+		}
+	}
+}
+
+// issue starts one transaction: the read/write draw right after the
+// successful rate draw, then the next address of the master's walk.
+func (m *mstate) issue(cycle int64) {
+	var addr uint64
+	if m.role.Size != 0 {
+		addr = m.role.Base + uint64(m.k)%m.slots*m.stride
+	} else {
+		var base uint64 = soc.BaseAXIMem
+		if !m.run.hotspot {
+			base = m.run.bases[m.k%len(m.run.bases)]
+		}
+		addr = base + m.lane + uint64((m.k*64)%0x4000)
+	}
+	write := !m.rng.Bool(m.role.ReadFrac)
+	m.k++
+	m.issued++
+	m.inflight++
+	var c *transCall
+	if n := len(m.free); n > 0 {
+		c, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		c = &transCall{m: m}
+		c.done = c.complete
+	}
+	c.start, c.measured = cycle, m.run.measuring
+	m.sock.Issue(m.k-1, write, addr, m.role.Bytes, c.done)
+}
+
+// complete is a transaction's completion: it records the latency of a
+// measured one, returns the call to the free list and wakes the issuer,
+// whose window now has room.
+func (c *transCall) complete(_ []byte, err bool) {
+	m := c.m
+	start, measured := c.start, c.measured
+	m.free = append(m.free, c)
+	m.inflight--
+	m.done++
+	if err {
+		m.errs++
+	}
+	if m.run.measuring {
+		m.run.cmplMeas++
+	}
+	if measured {
+		m.lat.Record(m.run.clk.Cycle() - start)
+	}
+	m.w.Wake()
 }
 
 // Table renders the per-master digests as a text table.
