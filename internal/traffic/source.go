@@ -11,7 +11,8 @@ import (
 // byte (carried, never interpreted by the fabric).
 const txnUserRead uint8 = 1 << 0
 
-// txn is one in-flight request/response transaction.
+// txn is one in-flight request/response transaction. Its record goes
+// back to its source's free list when it completes.
 type txn struct {
 	tag      noctypes.Tag
 	dst      int
@@ -48,6 +49,7 @@ type source struct {
 	nextTag     uint32
 	tagSpace    uint32 // number of distinct tags (tests shrink it)
 	inflight    int
+	free        []*txn // completed transaction records, for reuse
 
 	rxBuf []*transport.Packet // receive-drain scratch, reused per cycle
 }
@@ -100,7 +102,13 @@ func (s *source) backlog() int { return s.q.Len() + s.inflight }
 
 func (s *source) generate(cycle int64) {
 	cfg := s.r.cfg
-	t := &txn{
+	var t *txn
+	if n := len(s.free); n > 0 {
+		t, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		t = new(txn)
+	}
+	*t = txn{
 		dst:      s.ch.next(),
 		read:     s.rng.Bool(cfg.ReadFrac),
 		urgent:   cfg.UrgentFrac > 0 && s.rng.Bool(cfg.UrgentFrac),
@@ -192,15 +200,16 @@ func (s *source) complete(t *txn, cycle int64) {
 	if s.r.measuring {
 		s.r.col.completed++
 	}
-	if !t.measured {
+	measured, dst, lat := t.measured, t.dst, cycle-t.genCycle
+	s.free = append(s.free, t) // its last read was the line above
+	if !measured {
 		return
 	}
-	lat := cycle - t.genCycle
 	col := &s.r.col
 	col.measDone++
 	col.agg.Record(lat)
 	col.hist.Record(lat)
-	fl := Flow{Src: s.idx, Dst: t.dst}
+	fl := Flow{Src: s.idx, Dst: dst}
 	l, ok := col.perFlow[fl]
 	if !ok {
 		l = &stats.Latency{}
