@@ -1,6 +1,8 @@
 package niu
 
 import (
+	"bytes"
+
 	"gonoc/internal/core"
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/sim"
@@ -84,10 +86,16 @@ func NewAHBSlave(clk *sim.Clock, net *transport.Network, port *ahb.Port, cfg Sla
 
 // Execute implements SlaveAdapter. AHB has no FIXED burst and wraps
 // only 4, 8 or 16 beats: any other multi-beat FIXED or WRAP burst runs
-// as one SINGLE transfer per beat.
+// as one SINGLE transfer per beat. AHB has no byte enables either, but
+// it has byte transfers: a write with some bytes disabled runs as one
+// byte-wide SINGLE write per enabled byte.
 func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	beats := int(req.Len)
-	data, _ := heldWrite(req)
+	data, be := heldWrite(req)
+	if bytes.IndexByte(be, 0) >= 0 {
+		a.writeEnabled(req, respond, data, be)
+		return
+	}
 	burst, incr := ahb.BurstFor(req.Burst == core.BurstWrap, beats), 0
 	native := req.Burst == core.BurstIncr || burst.Wraps() || beats == 1
 	switch {
@@ -105,6 +113,32 @@ func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response
 			a.eng.Read(addr, req.Size, burst, incr, read)
 		} else {
 			a.eng.Write(addr, req.Size, burst, data[i*n:(i+1)*n], wrote)
+		}
+	}
+}
+
+// writeEnabled writes each enabled byte of a sparse write as a one-byte
+// SINGLE transfer at its beat's address plus its offset. A write with no
+// byte enabled writes nothing and answers OK.
+func (a *ahbSlaveAdapter) writeEnabled(req *core.Request, respond func(*core.Response), data, be []byte) {
+	enabled := 0
+	for _, e := range be {
+		if e != 0 {
+			enabled++
+		}
+	}
+	if enabled == 0 {
+		if req.Cmd.ExpectsResponse() {
+			a.reply(respond, statusFor(req.Cmd, false), nil)
+		}
+		return
+	}
+	wrote, _ := a.exec(req, respond, enabled).completions()
+	size := int(req.Size)
+	for j, e := range be {
+		if e != 0 {
+			addr := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, j/size) + uint64(j%size)
+			a.eng.Write(addr, 1, ahb.BurstSingle, data[j:j+1], wrote)
 		}
 	}
 }

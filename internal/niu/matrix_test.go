@@ -236,10 +236,10 @@ func TestPairingMatrix(t *testing.T) {
 }
 
 // TestSparseByteEnables: an AXI write whose strobes disable some bytes
-// leaves those bytes untouched in every slave memory that takes byte
-// enables: every burst target but AHB, whose socket has none and so
-// writes every byte. The BVCI and AVCI masters' enables cross their
-// master NIUs the same way, into an AXI target.
+// leaves those bytes untouched in every burst target's memory, AHB's
+// too, whose socket has no enables and so takes one byte write per
+// enabled byte. The BVCI and AVCI masters' enables cross their master
+// NIUs the same way, into an AXI target.
 func TestSparseByteEnables(t *testing.T) {
 	const off = 0x100
 	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
@@ -263,9 +263,6 @@ func TestSparseByteEnables(t *testing.T) {
 		}
 	}
 	for _, s := range burstTargets {
-		if s.name == "ahb" {
-			continue
-		}
 		t.Run(s.name, func(t *testing.T) {
 			f := newFab(2, 1, 2)
 			port := axi.NewPort(f.clk, "m.axi", 4)
@@ -299,6 +296,39 @@ func TestSparseByteEnables(t *testing.T) {
 			write := m.attach(f)
 			matrixSlaves[0].attach(f) // the AXI target
 			check(t, f, write)
+		})
+	}
+}
+
+// TestNoByteEnabled: an AXI write whose strobes disable every byte
+// answers OK and leaves every burst target's memory untouched; the AHB
+// slave NIU issues no transfer for it at all.
+func TestNoByteEnabled(t *testing.T) {
+	const off = 0x100
+	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
+	for _, s := range burstTargets {
+		t.Run(s.name, func(t *testing.T) {
+			f := newFab(2, 1, 2)
+			port := axi.NewPort(f.clk, "m.axi", 4)
+			ip := axi.NewMaster(f.clk, port, nil)
+			NewAXIMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			s.attach(f)
+			f.store.Write(off, old, nil)
+			_, writes := f.store.Accesses()
+			var resp axi.Resp = 0xFF
+			ip.WriteStrobed(0, memBase+off, 4, axi.BurstIncr, make([]byte, 8), make([]byte, 8), func(r axi.Resp) { resp = r })
+			f.run(t, 8000, func() bool { return resp != 0xFF })
+			if resp != axi.RespOKAY {
+				t.Fatalf("write answered %v, want OKAY", resp)
+			}
+			got := make([]byte, len(old))
+			f.store.ReadInto(off, got)
+			if !bytes.Equal(got, old) {
+				t.Fatalf("memory holds % x, want % x", got, old)
+			}
+			if _, w := f.store.Accesses(); s.name == "ahb" && w != writes {
+				t.Fatalf("AHB target took %d writes for a write with no byte enabled", w-writes)
+			}
 		})
 	}
 }
