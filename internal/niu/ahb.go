@@ -121,12 +121,7 @@ func (a *ahbSlaveAdapter) Execute(req *core.Request, respond func(*core.Response
 // SINGLE transfer at its beat's address plus its offset. A write with no
 // byte enabled writes nothing and answers OK.
 func (a *ahbSlaveAdapter) writeEnabled(req *core.Request, respond func(*core.Response), data, be []byte) {
-	enabled := 0
-	for _, e := range be {
-		if e != 0 {
-			enabled++
-		}
-	}
+	enabled := len(be) - bytes.Count(be, []byte{0})
 	if enabled == 0 {
 		if req.Cmd.ExpectsResponse() {
 			a.reply(respond, statusFor(req.Cmd, false), nil)
