@@ -31,4 +31,10 @@
 // Both accept an internal/obs probe (Config.Probe, TransConfig.Probe,
 // CampaignConfig.HeatmapBuckets) for per-run traces and congestion
 // heatmaps.
+//
+// Sources and RunTrans's issuers sleep between injections. They make
+// their per-cycle Bernoulli draws ahead, in cycle order, up to the next
+// success, and arm sim.Waker.WakeAt for it, so a lightly loaded run
+// evaluates them only on cycles with work, and every seeded result is
+// the one per-cycle draws give.
 package traffic
