@@ -21,6 +21,9 @@ import (
 //   - exclusive access and lazy synchronization are not expressible:
 //     AXI exclusives demote (OKAY, never EXOKAY), OCP WriteConditional
 //     fails unconditionally;
+//   - byte enables are not expressible: a write that disables some of
+//     its bytes is refused with an error, and one that disables all of
+//     them writes nothing and answers OK (see screen);
 //   - QoS hints are dropped on the floor;
 //   - every crossing costs conversion latency in each direction.
 //
@@ -61,7 +64,7 @@ const (
 
 // Demoted counts the transactions that lost a feature crossing the
 // bridge (an exclusive, a reservation, a posted write, a thread or an ID
-// order, a stream's concurrency).
+// order, a stream's concurrency, a write's byte enables).
 func (x *crossing) Demoted() uint64 { return x.demoted }
 
 func (x *crossing) busy() bool { return x.phase != crossIdle }
@@ -118,6 +121,28 @@ func (x *crossing) toBus(clk *sim.Clock, b *Bus, name string) {
 		}
 	}
 }
+
+// screen decides whether a write may cross, given how many of its
+// total bytes its byte enables disable. The bus's AHB socket has no
+// byte enables, so only a write with every byte enabled crosses. One
+// with none enabled writes nothing and answers OK, as the NoC does; one
+// with some disabled cannot be written exactly, so it answers an error
+// and counts as demoted. Neither touches the bus; rsp is the answer to
+// give when the write does not cross.
+func (x *crossing) screen(disabled, total int) (crosses bool, rsp ahb.Resp) {
+	switch disabled {
+	case 0:
+		return true, ahb.RespOkay
+	case total:
+		return false, ahb.RespOkay
+	}
+	x.demoted++
+	return false, ahb.RespError
+}
+
+// disabledBytes counts the bytes a write's byte enables disable (nil
+// enables every byte).
+func disabledBytes(be []byte) int { return bytes.Count(be, []byte{0}) }
 
 // padTo returns data zero-padded to at least n bytes, in a new slice
 // when it pads.
@@ -207,10 +232,16 @@ func (br *AXIBridge) Eval(cycle int64) {
 		if have == need {
 			br.port.AW.Pop()
 			data := make([]byte, 0, need*int(aw.Size))
+			disabled := 0
 			for i := 0; i < need; i++ {
 				data = append(data, br.wQ[i].Data...)
+				disabled += disabledBytes(br.wQ[i].Strb)
 			}
 			br.wQ = br.wQ[need:]
+			if ok, resp := br.screen(disabled, len(data)); !ok {
+				br.bQ = append(br.bQ, axi.BBeat{ID: aw.ID, Resp: ahbToAXI(resp)})
+				return
+			}
 			if aw.Lock {
 				br.demoted++ // exclusive write demoted to plain write
 			}
@@ -254,9 +285,10 @@ type OCPBridge struct {
 }
 
 type ocpBridgeAsm struct {
-	first ocp.ReqBeat
-	data  []byte
-	beats int
+	first    ocp.ReqBeat
+	data     []byte
+	beats    int
+	disabled int // write bytes disabled by their byte enables
 }
 
 type bridgedOCPRsp struct {
@@ -312,6 +344,9 @@ func (br *OCPBridge) Eval(cycle int64) {
 		a = &ocpBridgeAsm{first: beat}
 		br.asm[beat.ThreadID] = a
 	}
+	if beat.Cmd.IsWrite() {
+		a.disabled += disabledBytes(beat.ByteEn)
+	}
 	if !beat.Last {
 		br.port.Req.Pop()
 		if beat.Cmd.IsWrite() {
@@ -330,12 +365,21 @@ func (br *OCPBridge) Eval(cycle int64) {
 		data = append(append([]byte(nil), a.data...), beat.Data...)
 	}
 
-	switch first.Cmd {
-	case ocp.CmdWRC:
+	if first.Cmd == ocp.CmdWRC {
 		// Lazy synchronization cannot cross the bridge: fail closed.
 		br.demoted++
 		br.rspQ = append(br.rspQ, bridgedOCPRsp{thread: first.ThreadID, beats: 1, resp: ocp.RespFAIL})
 		return
+	}
+	if first.Cmd.IsWrite() {
+		if ok, resp := br.screen(a.disabled, len(data)); !ok {
+			if first.Cmd != ocp.CmdWR { // a posted write takes no response
+				br.rspQ = append(br.rspQ, bridgedOCPRsp{thread: first.ThreadID, beats: 1, resp: ocpRespFromAHB(resp)})
+			}
+			return
+		}
+	}
+	switch first.Cmd {
 	case ocp.CmdRDL:
 		br.demoted++ // reservation silently dropped: plain read
 	case ocp.CmdWR:
@@ -361,7 +405,7 @@ type VCIBridge[Req, Rsp any] struct {
 	crossing
 	ipReq   *sim.Pipe[Req]
 	ipRsp   *sim.Pipe[Rsp]
-	decode  func(Req) ahb.Req
+	decode  func(Req) (ahb.Req, []byte) // the AHB request and the write's byte enables
 	encode  func(Req, ahb.Rsp) Rsp
 	demotes bool // every transaction loses a feature (AVCI's ID order)
 
@@ -370,7 +414,7 @@ type VCIBridge[Req, Rsp any] struct {
 }
 
 func newVCIBridge[Req, Rsp any](clk *sim.Clock, b *Bus, name string, ipReq *sim.Pipe[Req], ipRsp *sim.Pipe[Rsp],
-	decode func(Req) ahb.Req, encode func(Req, ahb.Rsp) Rsp) *VCIBridge[Req, Rsp] {
+	decode func(Req) (ahb.Req, []byte), encode func(Req, ahb.Rsp) Rsp) *VCIBridge[Req, Rsp] {
 	br := &VCIBridge[Req, Rsp]{ipReq: ipReq, ipRsp: ipRsp, decode: decode, encode: encode}
 	br.toBus(clk, b, name)
 	clk.Register(br)
@@ -393,26 +437,26 @@ func NewBVCIBridge(clk *sim.Clock, b *Bus, port *vci.BPort) *VCIBridge[vci.BReq,
 // NewAVCIBridge creates the bridge for an AVCI master, serializing IDs.
 func NewAVCIBridge(clk *sim.Clock, b *Bus, port *vci.APort) *VCIBridge[vci.AReq, vci.ARsp] {
 	br := newVCIBridge(clk, b, "brg.avci", port.Req, port.Rsp,
-		func(r vci.AReq) ahb.Req { return bvciToAHB(r.BReq) },
+		func(r vci.AReq) (ahb.Req, []byte) { return bvciToAHB(r.BReq) },
 		func(r vci.AReq, rsp ahb.Rsp) vci.ARsp { return vci.ARsp{BRsp: bvciFromAHB(rsp), ID: r.ID} })
 	br.demotes = true
 	return br
 }
 
-func pvciToAHB(r vci.PReq) ahb.Req {
+func pvciToAHB(r vci.PReq) (ahb.Req, []byte) {
 	if r.Write {
-		return ahb.Req{Write: true, Addr: r.Addr, Size: uint8(len(r.Data)), Burst: ahb.BurstSingle, Data: r.Data}
+		return ahb.Req{Write: true, Addr: r.Addr, Size: uint8(len(r.Data)), Burst: ahb.BurstSingle, Data: r.Data}, r.BE
 	}
 	n := r.N
 	if n < 1 || n > 4 {
 		n = 4
 	}
-	return ahb.Req{Addr: r.Addr, Size: uint8(n), Burst: ahb.BurstSingle}
+	return ahb.Req{Addr: r.Addr, Size: uint8(n), Burst: ahb.BurstSingle}, nil
 }
 
-func bvciToAHB(r vci.BReq) ahb.Req {
+func bvciToAHB(r vci.BReq) (ahb.Req, []byte) {
 	return ahb.Req{Write: r.Op == vci.OpWrite, Addr: r.Addr, Size: r.Size,
-		Burst: ahb.BurstFor(r.Wrap, r.Beats), Beats: r.Beats, Data: r.Data}
+		Burst: ahb.BurstFor(r.Wrap, r.Beats), Beats: r.Beats, Data: r.Data}, r.BE
 }
 
 func bvciFromAHB(r ahb.Rsp) vci.BRsp { return vci.BRsp{Data: r.Data, Err: r.Resp != ahb.RespOkay} }
@@ -430,11 +474,18 @@ func (br *VCIBridge[Req, Rsp]) Eval(cycle int64) {
 		return
 	}
 	if req, ok := br.ipReq.Pop(); ok {
+		areq, be := br.decode(req)
+		if areq.Write {
+			if ok, resp := br.screen(disabledBytes(be), len(areq.Data)); !ok {
+				br.rspQ = append(br.rspQ, br.encode(req, ahb.Rsp{Resp: resp}))
+				return
+			}
+		}
 		if br.demotes {
 			br.demoted++
 		}
 		br.cur = req
-		br.start(cycle, br.decode(req))
+		br.start(cycle, areq)
 	}
 }
 

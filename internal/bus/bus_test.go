@@ -458,3 +458,123 @@ func TestBridgesKeepWrapOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestBridgesScreenByteEnables writes through each of the five bridged
+// sockets that carry byte enables. The bus's AHB socket has none, so a
+// write that disables some of its bytes must answer an error and leave
+// memory as it was, one that disables every byte must answer OK and
+// write nothing, as the NoC does, and neither may reach the bus; a
+// write with every enable set crosses as usual.
+func TestBridgesScreenByteEnables(t *testing.T) {
+	const off = 0x200
+	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
+	type writeFn func(data, be []byte, done func(err bool))
+	sockets := []struct {
+		name  string
+		burst bool // carries an 8-byte, two-beat write
+		wire  func(r *busRig) writeFn
+	}{
+		{"axi", true, func(r *busRig) writeFn {
+			port := axi.NewPort(r.clk, "m.axi", 4)
+			ip := axi.NewMaster(r.clk, port, nil)
+			NewAXIBridge(r.clk, r.b, port)
+			return func(data, be []byte, done func(bool)) {
+				ip.WriteStrobed(0, memBase+off, 4, axi.BurstIncr, data, be, func(rsp axi.Resp) { done(rsp != axi.RespOKAY) })
+			}
+		}},
+		{"ocp", true, func(r *busRig) writeFn {
+			port := ocp.NewPort(r.clk, "m.ocp", 4)
+			ip := ocp.NewMaster(r.clk, port)
+			NewOCPBridge(r.clk, r.b, port)
+			return func(data, be []byte, done func(bool)) {
+				ip.WriteNonPosted(0, memBase+off, 4, ocp.SeqIncr, data, be, func(s ocp.SResp) { done(s != ocp.RespDVA) })
+			}
+		}},
+		{"pvci", false, func(r *busRig) writeFn {
+			port := vci.NewPPort(r.clk, "m.pvci", 2)
+			ip := vci.NewPMaster(r.clk, port)
+			NewPVCIBridge(r.clk, r.b, port)
+			return func(data, be []byte, done func(bool)) { ip.WriteBE(memBase+off, data, be, done) }
+		}},
+		{"bvci", true, func(r *busRig) writeFn {
+			port := vci.NewBPort(r.clk, "m.bvci", 2)
+			ip := vci.NewBMaster(r.clk, port, 1)
+			NewBVCIBridge(r.clk, r.b, port)
+			return func(data, be []byte, done func(bool)) { ip.Write(memBase+off, 4, data, be, false, done) }
+		}},
+		{"avci", true, func(r *busRig) writeFn {
+			port := vci.NewAPort(r.clk, "m.avci", 2)
+			ip := vci.NewAMaster(r.clk, port)
+			NewAVCIBridge(r.clk, r.b, port)
+			return func(data, be []byte, done func(bool)) { ip.Write(1, memBase+off, 4, data, be, false, done) }
+		}},
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		be      []byte
+		burst   bool // needs a socket that carries two beats
+		wantErr bool
+		want    []byte // memory afterwards
+	}{
+		{"some disabled", []byte{1, 2, 3, 4}, []byte{0xFF, 0, 0, 0xFF}, false, true, old},
+		{"second beat partly disabled", []byte{1, 2, 3, 4, 5, 6, 7, 8},
+			[]byte{1, 1, 1, 1, 1, 0, 1, 1}, true, true, old},
+		{"none enabled", []byte{1, 2, 3, 4, 5, 6, 7, 8}, make([]byte, 8), true, false, old},
+		{"none enabled, one word", []byte{1, 2, 3, 4}, make([]byte, 4), false, false, old},
+		{"all enabled", []byte{1, 2, 3, 4}, []byte{1, 0xFF, 1, 1}, false, false,
+			[]byte{1, 2, 3, 4, 0xEE, 0xF0, 0xF1, 0xF2}},
+	}
+	for _, s := range sockets {
+		for _, c := range cases {
+			if c.burst && !s.burst {
+				continue
+			}
+			t.Run(s.name+"/"+c.name, func(t *testing.T) {
+				r := newBusRig()
+				r.addAHBMemory(0)
+				write := s.wire(r)
+				r.store.Write(off, old, nil)
+				_, writes := r.store.Accesses()
+				answered, gotErr := false, false
+				write(c.data, c.be, func(err bool) { answered, gotErr = true, err })
+				r.run(t, 500, func() bool { return answered })
+				if gotErr != c.wantErr {
+					t.Fatalf("write answered error=%v, want %v", gotErr, c.wantErr)
+				}
+				if got := r.store.Read(off, len(old)); !bytes.Equal(got, c.want) {
+					t.Fatalf("memory holds % x, want % x", got, c.want)
+				}
+				_, w := r.store.Accesses()
+				if crossed := w != writes; crossed != (c.want[0] != old[0]) {
+					t.Fatalf("bus took %d writes", w-writes)
+				}
+			})
+		}
+	}
+}
+
+// TestOCPBridgeDropsPartialPostedWrite: a posted OCP write takes no
+// response, so one that disables some of its bytes is dropped without
+// a bus transfer and counted as demoted.
+func TestOCPBridgeDropsPartialPostedWrite(t *testing.T) {
+	r := newBusRig()
+	r.addAHBMemory(0)
+	port := ocp.NewPort(r.clk, "m.ocp", 4)
+	ip := ocp.NewMaster(r.clk, port)
+	br := NewOCPBridge(r.clk, r.b, port)
+	old := []byte{0xAA, 0xBB, 0xCC, 0xDD}
+	r.store.Write(0x300, old, nil)
+	_, writes := r.store.Accesses()
+	ip.Write(0, memBase+0x300, 4, ocp.SeqIncr, []byte{1, 2, 3, 4}, []byte{1, 0, 0, 1}, nil)
+	r.clk.RunCycles(100)
+	if got := r.store.Read(0x300, 4); !bytes.Equal(got, old) {
+		t.Fatalf("memory holds % x, want % x", got, old)
+	}
+	if _, w := r.store.Accesses(); w != writes {
+		t.Fatalf("bus took %d writes", w-writes)
+	}
+	if br.Demoted() != 1 {
+		t.Fatalf("Demoted = %d, want 1", br.Demoted())
+	}
+}

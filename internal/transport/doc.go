@@ -22,6 +22,17 @@
 // (flit width, buffer depth, switching mode, QoS, send-queue depth,
 // legacy lock).
 //
+// Per-cycle and per-packet work follows state the fabric already
+// keeps. Each switch keeps an occupancy mask of its input lanes: a
+// lane's commit sets its bit when the lane fills, and the pop that
+// empties it clears the bit, so switch allocation visits only lanes
+// with a head flit, in the same (port, VC) order as a full scan.
+// Routing tables are slices indexed by NodeID, filled once by the
+// topology builder. A hybrid fabric (fidelity.go) prices a packet over
+// its route, walked once per endpoint pair into a flat arena, and
+// fires its scheduled events from a per-cycle calendar, by cycle and
+// then in the order they were scheduled.
+//
 // The fabric is observable without being perturbable: Network.SetProbe
 // attaches an internal/obs probe, after which switches report flits,
 // stalls and VC allocations, and buffer occupancy if the probe reads it

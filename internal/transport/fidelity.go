@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gonoc/internal/noctypes"
 	"gonoc/internal/obs"
 )
 
@@ -97,13 +96,13 @@ func (n *Network) FidelityStats() FidelityStats {
 // contention, an analytic packet is indistinguishable from a simulated
 // one: the head leaving the send queue (inject), the tail leaving the
 // send queue (the send-window credit returning), and the tail finishing
-// reassembly (delivery).
+// reassembly (delivery). Events live in the engine's slab, each linked
+// to the next event due the same cycle.
 type looseEvent struct {
-	cycle int64
-	seq   uint64 // tie-break: schedule order
-	kind  uint8
-	ep    *Endpoint // source (evInject, evTailOut) or destination (evDeliver)
-	pkt   *Packet   // evDeliver: the fabric-owned copy to hand to recvQ
+	kind uint8
+	next int32     // slab slot of the next event due the same cycle, -1 for none
+	ep   *Endpoint // source (evInject, evTailOut) or destination (evDeliver)
+	pkt  *Packet   // evInject, evDeliver: the fabric-owned copy to hand to recvQ
 
 	// evDeliver: TransitRecord fields resolved at delivery.
 	queued, inject int64
@@ -116,12 +115,14 @@ const (
 	evDeliver
 )
 
-// loosePath is one source→destination route, resolved once and cached:
-// the flat link indices the analytic servers are keyed by.
-type loosePath struct {
-	links []int32
-	hops  int
-}
+// dueList is the events due at one cycle, in the order they were
+// scheduled: the slab slots of the first and the last, -1 when empty.
+type dueList struct{ first, last int32 }
+
+// routeSpan is one source→destination route's [lo, hi) range in the
+// route arena; hi == 0 until the route is first walked (every route
+// crosses at least one switch output).
+type routeSpan struct{ lo, hi int32 }
 
 // looseEngine is the loosely-timed half of a hybrid fabric. Every
 // shared resource a packet serializes on — the source injection port,
@@ -172,11 +173,24 @@ type looseEngine struct {
 	hotLinks int
 	epFree   []int64 // per endpoint (attach order): injection server
 	ejFree   []int64 // per endpoint (attach order): ejection server
-	paths    map[uint32]*loosePath
 	epochEnd int64
 
-	heap     []looseEvent
-	seq      uint64
+	// Routes as flat link indices, walked once per endpoint pair on
+	// first use and kept back to back in arena: routes[s*E+d] spans the
+	// route from the endpoint attached s-th to the one attached d-th,
+	// of E endpoints. Routing tables are static, so one walk suffices.
+	arena  []int32
+	routes []routeSpan
+
+	// The event calendar: wheel[c mod len(wheel)] lists the events due
+	// at cycle c, for every c from base, the first cycle not yet fired,
+	// to base+len(wheel)-1. Events live in slab, whose vacated slots
+	// wait in free for reuse.
+	wheel    []dueList
+	base     int64
+	queued   int // events in the calendar
+	slab     []looseEvent
+	free     []int32
 	inFlight int // analytic packets accepted, not yet delivered
 
 	analyticPkts uint64
@@ -220,25 +234,34 @@ func (le *looseEngine) init() {
 	le.hot = make([]bool, base)
 	le.epFree = make([]int64, len(n.epList))
 	le.ejFree = make([]int64, len(n.epList))
-	le.paths = make(map[uint32]*loosePath)
+	le.routes = make([]routeSpan, len(n.epList)*len(n.epList))
+	le.base = n.clk.Cycle() + 1 // nothing can fall due earlier
 	le.epochEnd = n.clk.Cycle() + le.window
 	le.ready = true
 }
 
-// pathFor resolves (and caches) the route from ep to dst as flat link
-// indices. Routing tables are static, so one walk per pair suffices.
-func (le *looseEngine) pathFor(ep *Endpoint, dst noctypes.NodeID) *loosePath {
-	key := uint32(uint16(ep.node))<<16 | uint32(uint16(dst))
-	if pa, ok := le.paths[key]; ok {
-		return pa
+// pathFor returns the route from src to dst as flat link indices,
+// walking it into the arena on first use.
+func (le *looseEngine) pathFor(src, dst *Endpoint) []int32 {
+	sp := &le.routes[src.idOrd*len(le.n.epList)+dst.idOrd]
+	if sp.hi == 0 {
+		sp.lo = int32(len(le.arena))
+		le.n.walk(src, dst.node, func(router, port int) {
+			le.arena = append(le.arena, le.linkBase[router]+int32(port))
+		})
+		sp.hi = int32(len(le.arena))
 	}
-	lids := le.n.Path(ep.node, dst)
-	pa := &loosePath{links: make([]int32, len(lids)), hops: len(lids)}
-	for i, l := range lids {
-		pa.links[i] = le.linkBase[l.Router] + int32(l.Port)
+	return le.arena[sp.lo:sp.hi]
+}
+
+// dstOf returns the endpoint p is addressed to; an unknown destination
+// is a sender bug and panics.
+func (le *looseEngine) dstOf(ep *Endpoint, p *Packet) *Endpoint {
+	dst := le.n.Endpoint(p.Dst)
+	if dst == nil {
+		panic(fmt.Sprintf("transport: %v sending to unknown node %v", ep.node, p.Dst))
 	}
-	le.paths[key] = pa
-	return pa
+	return dst
 }
 
 // admits reports whether this send may be priced analytically. Legacy
@@ -255,8 +278,7 @@ func (le *looseEngine) admits(ep *Endpoint, p *Packet) bool {
 	if le.hotLinks == 0 {
 		return true
 	}
-	pa := le.pathFor(ep, p.Dst)
-	for _, li := range pa.links {
+	for _, li := range le.pathFor(ep, le.dstOf(ep, p)) {
 		if le.hot[li] {
 			le.fallbackPkts++
 			return false
@@ -287,7 +309,8 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	}
 
 	now := n.clk.Cycle()
-	pa := le.pathFor(ep, p.Dst)
+	dst := le.dstOf(ep, p)
+	links := le.pathFor(ep, dst)
 	flits := int64(nf)
 
 	// Source injection port: one flit per cycle out of the send queue.
@@ -304,7 +327,7 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	if n.cfg.Mode == StoreAndForward {
 		step = flits
 	}
-	for _, li := range pa.links {
+	for _, li := range links {
 		nt := t + step
 		if f := le.linkFree[li]; f > nt {
 			nt = f
@@ -315,10 +338,6 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	}
 
 	// Destination ejection port: reassembly consumes one flit per cycle.
-	dst := n.eps[p.Dst]
-	if dst == nil {
-		panic(fmt.Sprintf("transport: %v sending to unknown node %v", ep.node, p.Dst))
-	}
 	feed := t + 1
 	if f := le.ejFree[dst.idOrd]; f > feed {
 		feed = f
@@ -339,10 +358,10 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	ep.pending++
 	le.inFlight++
 	le.analyticPkts++
-	le.push(looseEvent{cycle: inject, kind: evInject, ep: ep, pkt: cl})
-	le.push(looseEvent{cycle: inject + flits - 1, kind: evTailOut, ep: ep})
-	le.push(looseEvent{cycle: eject, kind: evDeliver, ep: dst, pkt: cl,
-		queued: now, inject: inject, hops: pa.hops})
+	le.push(inject, looseEvent{kind: evInject, ep: ep, pkt: cl})
+	le.push(inject+flits-1, looseEvent{kind: evTailOut, ep: ep})
+	le.push(eject, looseEvent{kind: evDeliver, ep: dst, pkt: cl,
+		queued: now, inject: inject, hops: len(links)})
 
 	if ep.probe != nil {
 		ep.probe.Event(obs.Event{
@@ -362,14 +381,18 @@ func (le *looseEngine) tick(cycle int64) {
 	if !le.ready {
 		return
 	}
-	for len(le.heap) > 0 && le.heap[0].cycle <= cycle {
-		ev := le.pop()
+	for {
+		slot, due, ok := le.next(cycle)
+		if !ok {
+			break
+		}
+		ev := le.slab[slot] // a copy: the callbacks below may grow the slab
 		switch ev.kind {
 		case evInject:
 			le.n.injected++
 			if ev.ep.probe != nil {
 				ev.ep.probe.Event(obs.Event{
-					Kind: obs.KindInject, Cycle: ev.cycle,
+					Kind: obs.KindInject, Cycle: due,
 					PktID: ev.pkt.ID, Src: ev.pkt.Src, Dst: ev.pkt.Dst,
 				})
 			}
@@ -378,10 +401,9 @@ func (le *looseEngine) tick(cycle int64) {
 		case evDeliver:
 			dst := ev.ep
 			if !dst.recvQ.CanPush(1) {
-				// Receiver backpressure: retry next cycle, preserving
-				// arrival order through the fresh sequence number.
-				ev.cycle = cycle + 1
-				le.push(ev)
+				// Receiver backpressure: retry next cycle, behind the
+				// events already due then.
+				le.schedule(cycle+1, slot)
 				continue
 			}
 			le.n.ejected++
@@ -403,6 +425,8 @@ func (le *looseEngine) tick(cycle int64) {
 				})
 			}
 		}
+		le.slab[slot] = looseEvent{}
+		le.free = append(le.free, slot)
 	}
 	if cycle >= le.epochEnd {
 		le.rollEpoch(cycle)
@@ -440,55 +464,83 @@ func (le *looseEngine) rollEpoch(cycle int64) {
 
 // idle reports whether the engine holds no undelivered work.
 func (le *looseEngine) idle() bool {
-	return le.inFlight == 0 && len(le.heap) == 0
+	return le.inFlight == 0 && le.queued == 0
 }
 
-// ---- binary min-heap on (cycle, seq) ----
+// ---- the event calendar ----
+//
+// Events fire by cycle and, within a cycle, in the order they were
+// scheduled. Every event is scheduled for a cycle after the current
+// one (a send's inject is at least now+1, a retry is at cycle+1), so a
+// per-cycle FIFO gives that order with O(1) work per event; the wheel
+// only has to span the furthest cycle scheduled ahead, and doubles
+// when a schedule reaches past it.
 
-func (le *looseEngine) push(ev looseEvent) {
-	le.seq++
-	ev.seq = le.seq
-	le.heap = append(le.heap, ev)
-	i := len(le.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(&le.heap[i], &le.heap[p]) {
-			break
-		}
-		le.heap[i], le.heap[p] = le.heap[p], le.heap[i]
-		i = p
+// push puts ev in a free slab slot and schedules it at cycle.
+func (le *looseEngine) push(cycle int64, ev looseEvent) {
+	var slot int32
+	if n := len(le.free); n > 0 {
+		slot = le.free[n-1]
+		le.free = le.free[:n-1]
+	} else {
+		slot = int32(len(le.slab))
+		le.slab = append(le.slab, looseEvent{})
 	}
+	le.slab[slot] = ev
+	le.schedule(cycle, slot)
 }
 
-func (le *looseEngine) pop() looseEvent {
-	h := le.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = looseEvent{}
-	le.heap = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && evLess(&le.heap[l], &le.heap[s]) {
-			s = l
-		}
-		if r < last && evLess(&le.heap[r], &le.heap[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		le.heap[i], le.heap[s] = le.heap[s], le.heap[i]
-		i = s
+// schedule queues the event in slot at cycle, behind every event
+// already due then.
+func (le *looseEngine) schedule(cycle int64, slot int32) {
+	if cycle < le.base {
+		panic(fmt.Sprintf("transport: loose event scheduled for cycle %d, already fired up to %d", cycle, le.base-1))
 	}
-	return top
+	for cycle-le.base >= int64(len(le.wheel)) {
+		le.growWheel()
+	}
+	le.slab[slot].next = -1
+	l := &le.wheel[cycle&int64(len(le.wheel)-1)]
+	if l.last < 0 {
+		l.first = slot
+	} else {
+		le.slab[l.last].next = slot
+	}
+	l.last = slot
+	le.queued++
 }
 
-func evLess(a, b *looseEvent) bool {
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
+// next removes the earliest event due at or before cycle and returns
+// its slot and due cycle; ok is false when none is due. The slot stays
+// in use until the caller frees it.
+func (le *looseEngine) next(cycle int64) (slot int32, due int64, ok bool) {
+	for le.queued > 0 && le.base <= cycle {
+		l := &le.wheel[le.base&int64(len(le.wheel)-1)]
+		if l.first < 0 {
+			le.base++
+			continue
+		}
+		slot = l.first
+		if l.first = le.slab[slot].next; l.first < 0 {
+			l.last = -1
+		}
+		le.queued--
+		return slot, le.base, true
 	}
-	return a.seq < b.seq
+	if le.base <= cycle {
+		le.base = cycle + 1
+	}
+	return 0, 0, false
+}
+
+// growWheel doubles the wheel, keeping each pending cycle's list.
+func (le *looseEngine) growWheel() {
+	w := make([]dueList, max(2*len(le.wheel), 64))
+	for i := range w {
+		w[i] = dueList{-1, -1}
+	}
+	for c := le.base; c < le.base+int64(len(le.wheel)); c++ {
+		w[c&int64(len(w)-1)] = le.wheel[c&int64(len(le.wheel)-1)]
+	}
+	le.wheel = w
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"gonoc/internal/noctypes"
@@ -443,5 +444,137 @@ func TestLockedFabricStaysCycleAccurate(t *testing.T) {
 	}
 	if _, ok := net.Endpoint(2).Recv(); !ok {
 		t.Fatal("packet lost")
+	}
+}
+
+// TestLooseRouteArenaMatchesPath: for every ordered endpoint pair on
+// every topology, the route the loose engine walks into its arena is
+// Network.Path's, each switch output mapped to its flat link index; a
+// second lookup returns the same links without growing the arena.
+func TestLooseRouteArenaMatchesPath(t *testing.T) {
+	for _, topo := range []string{"crossbar", "mesh", "torus", "ring", "tree"} {
+		_, net := buildFidelityNet(topo, NetConfig{Fidelity: FidelityHybrid}, 9)
+		le := net.loose
+		le.init()
+		for _, src := range net.epList {
+			for _, dst := range net.epList {
+				var want []int32
+				for _, l := range net.Path(src.node, dst.node) {
+					want = append(want, le.linkBase[l.Router]+int32(l.Port))
+				}
+				got := le.pathFor(src, dst)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s %v->%v: arena links %v, Path %v", topo, src.node, dst.node, got, want)
+				}
+				n := len(le.arena)
+				if again := le.pathFor(src, dst); fmt.Sprint(again) != fmt.Sprint(want) || len(le.arena) != n {
+					t.Fatalf("%s %v->%v: second lookup %v, arena %d -> %d", topo, src.node, dst.node, again, n, len(le.arena))
+				}
+			}
+		}
+	}
+}
+
+// TestLooseEventOrder: events fire by cycle and, within one cycle, in
+// the order they were scheduled, including an event rescheduled from
+// its slot (a delivery's backpressure retry) and events scheduled past
+// the wheel's span, which grow it.
+func TestLooseEventOrder(t *testing.T) {
+	_, net := buildFidelityNet("crossbar", NetConfig{Fidelity: FidelityHybrid}, 2)
+	le := net.loose
+	rng := rand.New(rand.NewSource(3))
+	type tagged struct{ cycle, tag int64 }
+	var want []tagged
+	for i := 0; i < 300; i++ {
+		c := 1 + int64(rng.Intn(5))
+		if i%50 == 49 {
+			c = 1 + int64(rng.Intn(1000))
+		}
+		le.push(c, looseEvent{queued: int64(i)})
+		want = append(want, tagged{c, int64(i)})
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].cycle < want[j].cycle })
+
+	var got []tagged
+	slot, due, ok := le.next(want[0].cycle)
+	if !ok {
+		t.Fatal("nothing due")
+	}
+	got = append(got, tagged{due, le.slab[slot].queued})
+	le.schedule(5, slot)
+	want = append(want, tagged{5, want[0].tag})
+	sort.SliceStable(want[1:], func(i, j int) bool { return want[1+i].cycle < want[1+j].cycle })
+
+	for cycle := int64(1); cycle <= 1000; cycle++ {
+		for {
+			slot, due, ok := le.next(cycle)
+			if !ok {
+				break
+			}
+			got = append(got, tagged{due, le.slab[slot].queued})
+		}
+	}
+	if le.queued != 0 {
+		t.Fatalf("%d events left in the calendar", le.queued)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing order\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestLooseSteadyStateAllocFree: once the route arena holds every pair
+// and the event slab and calendar have grown, analytic traffic
+// allocates nothing — sends, event scheduling, deliveries and recycled
+// packets all reuse what the first rounds built.
+func TestLooseSteadyStateAllocFree(t *testing.T) {
+	clk, net := buildFidelityNet("mesh", NetConfig{Fidelity: FidelityHybrid}, 9)
+	eps := net.epList
+	p := &Packet{Header: Header{Kind: KindReq}, Payload: make([]byte, 24)}
+	var rx []*Packet
+	round := func() {
+		for _, src := range eps {
+			for _, dst := range eps {
+				if src == dst {
+					continue
+				}
+				p.Src, p.Dst = src.node, dst.node
+				for !src.TrySend(p) {
+					clk.RunCycles(1)
+				}
+			}
+			clk.RunCycles(1)
+		}
+		for !net.Drained() {
+			clk.RunCycles(1)
+		}
+		clk.RunCycles(2) // the last receive-queue commits
+		for _, ep := range eps {
+			rx = ep.RecvAll(rx[:0])
+			for _, q := range rx {
+				net.Recycle(q)
+			}
+		}
+	}
+	clk.RunCycles(100000) // the calendar starts at the first send, not at cycle 0
+	round()
+	round()
+	le := net.loose
+	arena, slab, wheel := len(le.arena), len(le.slab), len(le.wheel)
+	if arena == 0 || slab == 0 || wheel > 1024 {
+		t.Fatalf("warm-up rounds built %d links, %d events and a %d-cycle wheel", arena, slab, wheel)
+	}
+	// Race instrumentation allocates, so under -race only the sizes
+	// are checked.
+	if avg := testing.AllocsPerRun(20, round); avg != 0 && !raceEnabled {
+		t.Fatalf("analytic round allocates %.2f objects, want 0", avg)
+	}
+	// AllocsPerRun truncates its average; a structure that kept growing
+	// by a doubling now and then would hide there, so check the sizes.
+	if len(le.arena) != arena || len(le.slab) != slab || len(le.wheel) != wheel {
+		t.Fatalf("after warm-up: arena %d -> %d links, slab %d -> %d events, wheel %d -> %d cycles",
+			arena, len(le.arena), slab, len(le.slab), wheel, len(le.wheel))
+	}
+	if s := net.FidelityStats(); s.FallbackPkts != 0 {
+		t.Fatalf("packets fell back to the flit path: %+v", s)
 	}
 }

@@ -45,6 +45,20 @@ func newFlitSlots(n, stride int) flitSlots {
 	}
 }
 
+// window returns slots [lo, lo+n) of s as a ring of their own.
+func (s *flitSlots) window(lo, n, stride int) flitSlots {
+	hi := lo + n
+	return flitSlots{
+		pktID: s.pktID[lo:hi:hi],
+		flags: s.flags[lo:hi:hi],
+		vc:    s.vc[lo:hi:hi],
+		hops:  s.hops[lo:hi:hi],
+		dlen:  s.dlen[lo:hi:hi],
+		hdr:   s.hdr[lo:hi:hi],
+		data:  s.data[lo*stride : hi*stride : hi*stride],
+	}
+}
+
 // copySlot copies slot j of src into slot i of dst. Headers travel only
 // on head flits; payload bytes are copied by value.
 func (dst *flitSlots) copySlot(i int, src *flitSlots, j, stride int) {
@@ -136,6 +150,12 @@ type flitQ struct {
 	// any pops: push credit checks use it so results cannot depend on
 	// Eval order within a cycle (same rule as sim.Pipe).
 	startLen int
+
+	// occ, for a switch input lane, is the word of the owning router's
+	// occupancy mask that holds this lane's bit: set while the lane
+	// holds a committed slot. nil for every other queue.
+	occ *uint64
+	bit uint64
 }
 
 func nextPow2(n int) int {
@@ -146,9 +166,10 @@ func nextPow2(n int) int {
 	return p
 }
 
-// newFlitQ creates a bounded flit queue (router input lanes, ejection
-// buffers).
-func newFlitQ(name string, capacity, stride int) *flitQ {
+// newFlitQs creates count bounded flit queues of one capacity (a
+// switch's input lanes, an ejection buffer). The queues share one
+// allocation, and so does each of their rings' slot arrays.
+func newFlitQs(name string, count, capacity, stride int) []flitQ {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("transport: flit queue %q: capacity must be positive, got %d", name, capacity))
 	}
@@ -156,19 +177,24 @@ func newFlitQ(name string, capacity, stride int) *flitQ {
 		panic(fmt.Sprintf("transport: flit queue %q: stride must be positive, got %d", name, stride))
 	}
 	n := nextPow2(capacity)
-	return &flitQ{
-		name:     name,
-		capacity: capacity,
-		stride:   stride,
-		ring:     newFlitSlots(n, stride),
-		mask:     n - 1,
+	all := newFlitSlots(count*n, stride)
+	qs := make([]flitQ, count)
+	for i := range qs {
+		qs[i] = flitQ{
+			name:     name,
+			capacity: capacity,
+			stride:   stride,
+			ring:     all.window(i*n, n, stride),
+			mask:     n - 1,
+		}
 	}
+	return qs
 }
 
 // newFlitDeq creates an unbounded flit queue (endpoint send queues,
 // which are bounded in packets by MaxPendingPkts, not in flits).
 func newFlitDeq(name string, stride int) *flitQ {
-	q := newFlitQ(name, 8, stride)
+	q := &newFlitQs(name, 1, 8, stride)[0]
 	q.unbounded = true
 	return q
 }
@@ -211,10 +237,14 @@ func (q *flitQ) pushFlit(f Flit) bool {
 
 // pop discards the oldest committed slot. Callers read the slot's
 // fields (via q.slot(0) indexing or peek) before popping. No zeroing is
-// needed: slots hold no references.
+// needed: slots hold no references. A lane it empties leaves its
+// router's occupancy mask.
 func (q *flitQ) pop() {
 	q.head = (q.head + 1) & q.mask
 	q.clen--
+	if q.clen == 0 && q.occ != nil {
+		*q.occ &^= q.bit
+	}
 }
 
 // peek returns the oldest committed slot as a Flit view.
@@ -236,10 +266,16 @@ func (q *flitQ) Len() int { return q.clen }
 // behind the committed window) and refreshes the credit snapshot. The
 // Network calls it for every lane on every edge the fabric is awake or
 // accepts a packet; the cost is a few integer stores whether the lane
-// moved flits or sat idle.
+// moved flits or sat idle. A lane it fills joins its router's occupancy
+// mask.
 func (q *flitQ) commit() {
-	q.clen += q.pend
-	q.pend = 0
+	if q.pend != 0 {
+		if q.clen == 0 && q.occ != nil {
+			*q.occ |= q.bit
+		}
+		q.clen += q.pend
+		q.pend = 0
+	}
 	q.startLen = q.clen
 }
 

@@ -102,9 +102,9 @@ type Network struct {
 	cfg NetConfig
 
 	routers []*Router
-	qs      []*flitQ // every flit lane in the fabric, committed per edge
-	adj     [][]int  // adj[router][port] = downstream router index, -1 endpoint/unconnected
-	eps     map[noctypes.NodeID]*Endpoint
+	qs      []*flitQ    // every flit lane in the fabric, committed per edge
+	adj     [][]int     // adj[router][port] = downstream router index, -1 endpoint/unconnected
+	eps     []*Endpoint // indexed by NodeID; nil where no node is attached
 	epOrder []noctypes.NodeID
 	epList  []*Endpoint // evaluation order (attach order)
 
@@ -156,8 +156,14 @@ type Network struct {
 	commitFn func(cycle int64) // cached n.commit; a method value per edge would allocate
 }
 
-func newNetwork(clk *sim.Clock, cfg NetConfig) *Network {
-	n := &Network{clk: clk, cfg: cfg.WithDefaults(), eps: make(map[noctypes.NodeID]*Endpoint)}
+// newNetwork creates an empty fabric for the given nodes: its endpoint
+// table, and each router's routing table, cover their NodeIDs.
+func newNetwork(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
+	top := 0
+	for _, id := range nodes {
+		top = max(top, int(id))
+	}
+	n := &Network{clk: clk, cfg: cfg.WithDefaults(), eps: make([]*Endpoint, top+1)}
 	if n.cfg.Fidelity != FidelityCycle {
 		n.loose = newLooseEngine(n, n.cfg)
 	}
@@ -228,12 +234,14 @@ func (n *Network) commit(int64) {
 	}
 }
 
-// addLane creates a bounded flit lane owned by this network's batch
-// commit pass.
-func (n *Network) addLane(name string, capacity int) *flitQ {
-	q := newFlitQ(name, capacity, n.cfg.FlitBytes)
-	n.qs = append(n.qs, q)
-	return q
+// addLanes creates count bounded flit lanes owned by this network's
+// batch commit pass.
+func (n *Network) addLanes(name string, count, capacity int) []flitQ {
+	qs := newFlitQs(name, count, capacity, n.cfg.FlitBytes)
+	for i := range qs {
+		n.qs = append(n.qs, &qs[i])
+	}
+	return qs
 }
 
 // Config returns the fabric configuration.
@@ -243,7 +251,12 @@ func (n *Network) Config() NetConfig { return n.cfg }
 func (n *Network) Clock() *sim.Clock { return n.clk }
 
 // Endpoint returns the endpoint for node, or nil.
-func (n *Network) Endpoint(node noctypes.NodeID) *Endpoint { return n.eps[node] }
+func (n *Network) Endpoint(node noctypes.NodeID) *Endpoint {
+	if int(node) < len(n.eps) {
+		return n.eps[node]
+	}
+	return nil
+}
 
 // Nodes returns attached node IDs in attach order.
 func (n *Network) Nodes() []noctypes.NodeID {
@@ -343,25 +356,34 @@ func (n *Network) LockHolder() (noctypes.NodeID, bool) { return n.lockOwner, n.l
 // Experiments use it to classify flows as crossing or avoiding a locked
 // path.
 func (n *Network) Path(src, dst noctypes.NodeID) []LinkID {
-	ep, ok := n.eps[src]
-	if !ok {
+	ep := n.Endpoint(src)
+	if ep == nil {
 		panic(fmt.Sprintf("transport: Path: unknown src %v", src))
 	}
-	if _, ok := n.eps[dst]; !ok {
+	if n.Endpoint(dst) == nil {
 		panic(fmt.Sprintf("transport: Path: unknown dst %v", dst))
 	}
 	var path []LinkID
-	ri := ep.router.index
+	n.walk(ep, dst, func(router, port int) {
+		path = append(path, LinkID{Router: router, Port: port})
+	})
+	return path
+}
+
+// walk calls hop with each switch output, in order, that a packet from
+// src to dst traverses. Path and the loose engine's route arena both
+// fill from it.
+func (n *Network) walk(src *Endpoint, dst noctypes.NodeID, hop func(router, port int)) {
+	ri := src.router.index
 	for hops := 0; ; hops++ {
 		if hops > len(n.routers)+1 {
 			panic("transport: Path: routing loop")
 		}
-		r := n.routers[ri]
-		port := r.routeFor(dst)
-		path = append(path, LinkID{Router: ri, Port: port})
+		port := n.routers[ri].routeFor(dst)
+		hop(ri, port)
 		next := n.adj[ri][port]
 		if next < 0 {
-			return path
+			return
 		}
 		ri = next
 	}
@@ -375,10 +397,10 @@ func (n *Network) Drained() bool {
 
 // attach creates and registers an endpoint on router r's port.
 func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
-	if _, dup := n.eps[node]; dup {
+	if n.Endpoint(node) != nil {
 		panic(fmt.Sprintf("transport: node %v attached twice", node))
 	}
-	ej := n.addLane(fmt.Sprintf("ej.%v", node), n.cfg.BufDepth)
+	ej := &n.addLanes(fmt.Sprintf("ej.%v", node), 1, n.cfg.BufDepth)[0]
 	r.connectOut(port, [NumVCs]*flitQ{ej, ej})
 	ep := &Endpoint{
 		net:    n,
@@ -623,7 +645,7 @@ func (ep *Endpoint) eval(cycle int64) {
 				})
 			}
 			if ep.net.OnTransit != nil {
-				src := ep.net.eps[pkt.Src]
+				src := ep.net.Endpoint(pkt.Src)
 				rec := TransitRecord{
 					Pkt:        pkt,
 					EjectCycle: cycle,

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gonoc/internal/noctypes"
 	"gonoc/internal/obs"
@@ -97,7 +98,17 @@ type Router struct {
 	outLock  []int32    // per output: locked-for source NodeID, -1
 	rr       []int      // per output: round-robin port pointer
 
-	table map[noctypes.NodeID]int
+	// route is the routing table, indexed by destination NodeID: the
+	// output port a packet for that node leaves through, -1 for a node
+	// the switch cannot reach. Sized for the fabric's nodes when the
+	// switch is made; topology builders fill it once.
+	route []int32
+
+	// occ marks the input lanes that hold a committed flit: bit
+	// port*NumVCs+vc of the mask, 64 lanes a word. A lane's commit sets
+	// its bit when the lane fills and its pop clears it when the lane
+	// empties, so switch allocation visits only lanes with a head.
+	occ []uint64
 
 	// req is the per-output request table of the allocation pass,
 	// allocated once at build time so steady-state allocation never
@@ -145,19 +156,33 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 	r := &Router{
 		name:  name,
 		cfg:   cfg,
-		table: make(map[noctypes.NodeID]int),
+		route: make([]int32, len(n.eps)),
+		occ:   make([]uint64, (numPorts*NumVCs+63)/64),
 	}
+	for i := range r.route {
+		r.route[i] = -1
+	}
+	// Per-port rows are windows of one array per table, indexed like the
+	// lanes: lane port*NumVCs+vc.
 	r.lanes = make([][]*flitQ, numPorts)
 	r.outs = make([][]*flitQ, numPorts)
 	r.laneHdr = make([][]Header, numPorts)
 	r.laneAl = make([][]int, numPorts)
+	lanes := n.addLanes(name, numPorts*NumVCs, cfg.BufDepth)
+	refs := make([]*flitQ, 2*numPorts*NumVCs) // input lanes, then outputs' downstream lanes
+	hdrs := make([]Header, numPorts*NumVCs)
+	als := make([]int, numPorts*NumVCs)
 	for p := 0; p < numPorts; p++ {
-		r.lanes[p] = make([]*flitQ, NumVCs)
-		r.outs[p] = make([]*flitQ, NumVCs)
-		r.laneHdr[p] = make([]Header, NumVCs)
-		r.laneAl[p] = make([]int, NumVCs)
+		lo, hi := p*NumVCs, (p+1)*NumVCs
+		r.lanes[p] = refs[lo:hi:hi]
+		r.outs[p] = refs[numPorts*NumVCs+lo : numPorts*NumVCs+hi : numPorts*NumVCs+hi]
+		r.laneHdr[p] = hdrs[lo:hi:hi]
+		r.laneAl[p] = als[lo:hi:hi]
 		for v := 0; v < NumVCs; v++ {
-			r.lanes[p][v] = n.addLane(fmt.Sprintf("%s.in%d.vc%d", name, p, v), cfg.BufDepth)
+			i := lo + v
+			lane := &lanes[i]
+			lane.occ, lane.bit = &r.occ[i/64], 1<<(i%64)
+			r.lanes[p][v] = lane
 			r.laneAl[p][v] = -1
 		}
 	}
@@ -194,17 +219,18 @@ func (r *Router) setRoute(node noctypes.NodeID, port int) {
 	if port < 0 || port >= len(r.lanes) {
 		panic(fmt.Sprintf("transport: router %q: route %v -> bad port %d", r.name, node, port))
 	}
-	r.table[node] = port
+	r.route[node] = int32(port)
 }
 
 // routeFor returns the output port for a destination. Unroutable
 // destinations are topology-construction bugs and panic.
 func (r *Router) routeFor(dst noctypes.NodeID) int {
-	p, ok := r.table[dst]
-	if !ok {
-		panic(fmt.Sprintf("transport: router %q has no route to %v", r.name, dst))
+	if int(dst) < len(r.route) {
+		if p := r.route[dst]; p >= 0 {
+			return int(p)
+		}
 	}
-	return p
+	panic(fmt.Sprintf("transport: router %q has no route to %v", r.name, dst))
 }
 
 // setVCOut declares that flits arriving on input port in leave output
@@ -253,12 +279,14 @@ func (r *Router) eval(cycle int64) {
 }
 
 // allocate is phase 2 of eval: it grants outputs that were free at cycle
-// start. One input-driven pass visits each unallocated lane once; a
-// ready head requests exactly one output, its route, and each output
-// keeps its best requester (see request). Outputs are then granted in
-// ascending order. Granting output o changes only o's state and its
-// winner lane, which requested nothing else, so the result equals
-// arbitrating each free output over every lane in turn — at O(P·V)
+// start. One input-driven pass visits each unallocated lane in the
+// occupancy mask once, in ascending (port, VC) order; an empty lane has
+// no head to request with, so skipping it changes nothing. A ready head
+// requests exactly one output, its route, and each output keeps its
+// best requester (see request). Outputs are then granted in ascending
+// order. Granting output o changes only o's state and its winner lane,
+// which requested nothing else, so the result equals arbitrating each
+// free output over every lane in turn — at O(P + occupied lanes)
 // instead of O(P²·V) per cycle. The one lane that can request twice is
 // a winner whose single-flit packet drained in its grant cycle: its
 // next head requests again, and only outputs after o still listen.
@@ -266,8 +294,11 @@ func (r *Router) allocate(cycle int64) {
 	for o := range r.req {
 		r.req[o].n = 0
 	}
-	for p := range r.lanes {
-		for v := 0; v < NumVCs; v++ {
+	for wi, w := range r.occ {
+		for w != 0 {
+			i := wi*64 + bits.TrailingZeros64(w)
+			w &= w - 1
+			p, v := i/NumVCs, i%NumVCs
 			if r.laneAl[p][v] == -1 {
 				r.request(p, v, -1)
 			}
@@ -335,8 +366,11 @@ func (r *Router) request(port, vc, after int) {
 			return
 		}
 	}
-	n := len(r.lanes)
-	rank := ((port-r.rr[o])%n+n)%n*NumVCs + (NumVCs - 1 - vc)
+	d := port - r.rr[o] // rr[o] is at most len(r.lanes)
+	if d < 0 {
+		d += len(r.lanes)
+	}
+	rank := d*NumVCs + (NumVCs - 1 - vc)
 	q := &r.req[o]
 	var pri noctypes.Priority
 	if r.cfg.QoS {

@@ -276,3 +276,145 @@ func TestBusyStallsCountsLostArbitration(t *testing.T) {
 		t.Fatalf("PktsMoved = %d, want 2", st.PktsMoved)
 	}
 }
+
+// occupancyMismatch describes the first switch input lane whose
+// occupancy bit disagrees with whether the lane holds a committed flit,
+// or a bit set past the last lane; "" when every mask is exact.
+func occupancyMismatch(net *Network) string {
+	for _, r := range net.Routers() {
+		lanes := 0
+		for p := range r.lanes {
+			for v := 0; v < NumVCs; v++ {
+				i := p*NumVCs + v
+				set := r.occ[i/64]&(1<<(i%64)) != 0
+				if n := r.lanes[p][v].clen; set != (n > 0) {
+					return fmt.Sprintf("%s in%d.vc%d: bit %v with %d committed flits", r.name, p, v, set, n)
+				}
+				if set {
+					lanes++
+				}
+			}
+		}
+		bits := 0
+		for _, w := range r.occ {
+			for ; w != 0; w &= w - 1 {
+				bits++
+			}
+		}
+		if bits != lanes {
+			return fmt.Sprintf("%s: %d bits set for %d occupied lanes", r.name, bits, lanes)
+		}
+	}
+	return ""
+}
+
+// TestOccupancyMaskTracksLanes drives random traffic through every
+// topology, in both switching modes, with QoS on one fabric (the ring
+// and torus are cut-through with dateline VC rewrites) and a legacy-lock
+// sequence on another, and checks after every cycle that each router's
+// occupancy mask is exactly the set of its input lanes holding a
+// committed flit. Switch allocation visits only the lanes in the mask,
+// so a bit missing there would lose a head flit.
+func TestOccupancyMaskTracksLanes(t *testing.T) {
+	const side = 3
+	ids := make([]noctypes.NodeID, side*side)
+	spec := MeshSpec{W: side, H: side, Nodes: map[noctypes.NodeID]Coord{}}
+	for i := range ids {
+		ids[i] = noctypes.NodeID(i + 1)
+		spec.Nodes[ids[i]] = Coord{X: i % side, Y: i / side}
+	}
+	builders := map[string]func(*sim.Clock, NetConfig) *Network{
+		"crossbar": func(c *sim.Clock, cfg NetConfig) *Network { return NewCrossbar(c, cfg, ids) },
+		"mesh":     func(c *sim.Clock, cfg NetConfig) *Network { return NewMesh(c, cfg, spec) },
+		"torus":    func(c *sim.Clock, cfg NetConfig) *Network { return NewTorus(c, cfg, spec) },
+		"ring":     func(c *sim.Clock, cfg NetConfig) *Network { return NewRing(c, cfg, ids) },
+		"tree":     func(c *sim.Clock, cfg NetConfig) *Network { return NewTree(c, cfg, 3, ids) },
+	}
+	type fabric struct {
+		topo string
+		cfg  NetConfig
+		lock bool // node 1 runs a legacy-lock sequence
+	}
+	var fabrics []fabric
+	for _, topo := range []string{"crossbar", "mesh", "torus", "ring", "tree"} {
+		// BufDepth 6 holds the largest packet (16 B header + 24 B
+		// payload = 5 flits) whole, as store-and-forward and cut-through
+		// admission need.
+		fabrics = append(fabrics,
+			fabric{topo: topo, cfg: NetConfig{BufDepth: 6}},
+			fabric{topo: topo, cfg: NetConfig{BufDepth: 6, Mode: StoreAndForward}})
+	}
+	fabrics = append(fabrics,
+		fabric{topo: "tree", cfg: NetConfig{BufDepth: 6, QoS: true}},
+		fabric{topo: "mesh", cfg: NetConfig{BufDepth: 6, LegacyLock: true}, lock: true})
+
+	for fi, fb := range fabrics {
+		t.Run(fmt.Sprintf("%s/%v/qos=%v/lock=%v", fb.topo, fb.cfg.Mode, fb.cfg.QoS, fb.lock), func(t *testing.T) {
+			clk := sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0)
+			net := builders[fb.topo](clk, fb.cfg)
+			rng := rand.New(rand.NewSource(int64(fi + 1)))
+			script := []*Packet{lockedPkt(1, 9, false), lockedPkt(1, 9, false), lockedPkt(1, 9, true)}
+			step, lockOpen := 0, false
+			var rx []*Packet
+			cycle := func(inject bool) {
+				for _, id := range ids {
+					ep := net.Endpoint(id)
+					switch {
+					case fb.lock && id == 1:
+						// Open the token at cycle 50, send the locked
+						// sequence, and release once its unlock packet
+						// has left the send queue and the fabric drained
+						// it.
+						if clk.Cycle() >= 50 && step < len(script) && net.TryAcquireLock(1) {
+							lockOpen = true
+							if ep.TrySend(script[step]) {
+								step++
+							}
+						} else if lockOpen && step == len(script) && ep.pending == 0 && net.InFlight() == 0 {
+							net.ReleaseLock(1)
+							lockOpen = false
+						}
+					case inject && rng.Intn(3) == 0:
+						d := ids[rng.Intn(len(ids))]
+						if d == id {
+							continue
+						}
+						p := net.NewPacket(rng.Intn(25))
+						p.Kind, p.Src, p.Dst = KindReq, id, d
+						p.Priority = noctypes.Priority(rng.Intn(noctypes.NumPriorities))
+						ep.TrySend(p)
+						net.Recycle(p)
+					}
+				}
+				clk.RunCycles(1)
+				if msg := occupancyMismatch(net); msg != "" {
+					t.Fatalf("cycle %d: %s", clk.Cycle(), msg)
+				}
+				for _, id := range ids {
+					rx = net.Endpoint(id).RecvAll(rx[:0])
+					for _, p := range rx {
+						net.Recycle(p)
+					}
+				}
+			}
+			for c := 0; c < 1500; c++ {
+				cycle(true)
+			}
+			for c := 0; c < 4000 && (!net.Drained() || lockOpen); c++ {
+				cycle(false)
+			}
+			if !net.Drained() || lockOpen || (fb.lock && step != len(script)) {
+				t.Fatalf("did not drain: in flight %d, lock sequence at %d/%d, token held %v",
+					net.InFlight(), step, len(script), lockOpen)
+			}
+			var moved, lockStalls uint64
+			for _, r := range net.Routers() {
+				moved += r.stats.FlitsMoved
+				lockStalls += r.stats.LockStalls
+			}
+			if moved == 0 || (fb.lock && lockStalls == 0) {
+				t.Fatalf("traffic too light to test the mask: %d flits moved, %d lock stalls", moved, lockStalls)
+			}
+		})
+	}
+}

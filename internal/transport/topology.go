@@ -15,7 +15,7 @@ import (
 // every other. This is the smallest real NoC and the default fabric for
 // unit tests.
 func NewCrossbar(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
-	n := newNetwork(clk, cfg)
+	n := newNetwork(clk, cfg, nodes)
 	r := newRouter(n, "xbar", len(nodes), RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes})
 	r.index = 0
 	n.routers = []*Router{r}
@@ -53,7 +53,8 @@ func NewMesh(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 	if spec.W <= 0 || spec.H <= 0 {
 		panic("transport: mesh dimensions must be positive")
 	}
-	n := newNetwork(clk, cfg)
+	ids := sortedNodes(spec.Nodes)
+	n := newNetwork(clk, cfg, ids)
 	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes}
 	idx := func(x, y int) int { return y*spec.W + x }
 
@@ -114,7 +115,7 @@ func NewMesh(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 		}
 	}
 	// Attach endpoints in a deterministic order.
-	for _, node := range sortedNodes(spec.Nodes) {
+	for _, node := range ids {
 		c := spec.Nodes[node]
 		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
 	}
@@ -151,7 +152,7 @@ func NewRing(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 	if cfg.LegacyLock {
 		panic("transport: ring fabrics do not support the legacy-lock service (the lock VC is the dateline escape lane)")
 	}
-	n := newNetwork(clk, cfg)
+	n := newNetwork(clk, cfg, nodes)
 	n.cutThrough = true
 	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS,
 		CutThrough: true, FlitBytes: n.cfg.FlitBytes}
@@ -227,7 +228,8 @@ func NewTorus(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 	if cfg.LegacyLock {
 		panic("transport: torus fabrics do not support the legacy-lock service (the lock VC is the dateline escape lane)")
 	}
-	n := newNetwork(clk, cfg)
+	ids := sortedNodes(spec.Nodes)
+	n := newNetwork(clk, cfg, ids)
 	n.cutThrough = true
 	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS,
 		CutThrough: true, FlitBytes: n.cfg.FlitBytes}
@@ -336,7 +338,7 @@ func NewTorus(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
 			}
 		}
 	}
-	for _, node := range sortedNodes(spec.Nodes) {
+	for _, node := range ids {
 		c := spec.Nodes[node]
 		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
 	}
@@ -364,7 +366,7 @@ func NewTree(clk *sim.Clock, cfg NetConfig, fanout int, nodes []noctypes.NodeID)
 	if fanout <= 0 {
 		panic("transport: tree fanout must be positive")
 	}
-	n := newNetwork(clk, cfg)
+	n := newNetwork(clk, cfg, nodes)
 	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes}
 
 	numLeaves := (len(nodes) + fanout - 1) / fanout
