@@ -6,9 +6,13 @@
 // Usage:
 //
 //	nocsim [-system noc|bus] [-topology crossbar|mesh|torus|ring|tree]
-//	       [-mode wormhole|saf] [-seed N] [-requests N] [-qos] [-wb]
-//	       [-trace FILE] [-heatmap FILE] [-metrics-addr ADDR]
-//	       [-metrics-out FILE] [-metrics-interval D] [-scenario NAME|FILE]
+//	       [-mode wormhole|saf] [-fidelity cycle|hybrid] [-seed N]
+//	       [-requests N] [-qos] [-wb] [-trace FILE] [-heatmap FILE]
+//	       [-metrics-addr ADDR] [-metrics-out FILE] [-metrics-interval D]
+//	       [-scenario NAME|FILE]
+//
+// -topology, -mode, -fidelity and -qos describe the NoC fabric: set
+// explicitly with -system bus, each is an error that names it.
 //
 // -wb (NoC only) adds an eighth master — a WISHBONE IP behind its NIU —
 // and a WISHBONE memory target to the demo topology.
@@ -63,7 +67,14 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "append periodic self-profiling snapshots as JSONL to this file")
 	metricsEvery := flag.Duration("metrics-interval", 250*time.Millisecond, "snapshot cadence for -metrics-out")
 	flag.Parse()
+	set := map[string]bool{} // flags given explicitly
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
+	for _, name := range []string{"topology", "mode", "fidelity", "qos"} {
+		if set[name] && *system != "noc" {
+			log.Fatalf("-%s requires -system noc (the Fig-2 bus has no NoC fabric)", name)
+		}
+	}
 	if *wb && *system != "noc" {
 		log.Fatal("-wb requires -system noc (the Fig-2 bus has no WISHBONE bridge)")
 	}
@@ -118,22 +129,18 @@ func main() {
 	if *scenarioFlag != "" {
 		sc := loadScenario(*scenarioFlag)
 		// Explicitly set flags override their scenario fields.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "topology":
-				sc.Fabric.Topology = *topo
-			case "mode":
-				sc.Fabric.Mode = *mode
-			case "qos":
-				sc.Fabric.QoS = *qos
-			case "seed":
-				sc.Seed = *seed
-			case "requests":
-				sc.Workload.RequestsPerMaster = *requests
-			case "wb":
-				sc.Workload.Wishbone = *wb
+		for name, apply := range map[string]func(){
+			"topology": func() { sc.Fabric.Topology = *topo },
+			"mode":     func() { sc.Fabric.Mode = *mode },
+			"qos":      func() { sc.Fabric.QoS = *qos },
+			"seed":     func() { sc.Seed = *seed },
+			"requests": func() { sc.Workload.RequestsPerMaster = *requests },
+			"wb":       func() { sc.Workload.Wishbone = *wb },
+		} {
+			if set[name] {
+				apply()
 			}
-		})
+		}
 		if err := sc.Validate(); err != nil {
 			log.Fatal(err)
 		}
@@ -152,19 +159,9 @@ func main() {
 	} else {
 		cfg = soc.Config{Seed: *seed, RequestsPerMaster: *requests, Wishbone: *wb}
 		cfg.Net.QoS = *qos
-		switch *topo {
-		case "crossbar":
-			cfg.Topology = soc.Crossbar
-		case "mesh":
-			cfg.Topology = soc.Mesh
-		case "torus":
-			cfg.Topology = soc.Torus
-		case "ring":
-			cfg.Topology = soc.Ring
-		case "tree":
-			cfg.Topology = soc.Tree
-		default:
-			log.Fatalf("unknown topology %q", *topo)
+		var err error
+		if cfg.Topology, err = transport.ParseTopology(*topo); err != nil {
+			log.Fatal(err)
 		}
 		switch *mode {
 		case "wormhole":
@@ -180,15 +177,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fidelitySet := false
-	flag.Visit(func(f *flag.Flag) { fidelitySet = fidelitySet || f.Name == "fidelity" })
-	if fidelitySet || *scenarioFlag == "" {
-		// An explicit flag overrides the scenario's fidelity (including
-		// back to cycle-accurate, which drops the loose tuning).
+	if set["fidelity"] || *scenarioFlag == "" {
+		// An explicit flag overrides the scenario's fidelity.
 		cfg.Net.Fidelity = fid
-		if fid == transport.FidelityCycle {
-			cfg.Net.LooseThreshold, cfg.Net.LooseHysteresis, cfg.Net.LooseWindow = 0, 0, 0
-		}
 	}
 	cfg.Probe = obs.Multi(probes...)
 

@@ -102,9 +102,8 @@ type cli struct {
 	pattern, topo, mode, fidelity       string
 	nodes, window, payload              int
 	hotNode, burstLen, workers          int
-	looseThr, looseHyst                 float64
 	rate, readFrac, hotFrac, urgentFrac float64
-	looseWin, warmup, measure, drain    int64
+	warmup, measure, drain              int64
 	seed, heatBucket                    int64
 	rates, topologies, patterns         string
 	qos, sweep, closed, campaign, trans bool
@@ -135,9 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.nodes, "nodes", 16, "endpoint count")
 	fs.StringVar(&c.mode, "mode", "wormhole", "switching: wormhole or saf")
 	fs.StringVar(&c.fidelity, "fidelity", "cycle", "execution fidelity: cycle (exact) or hybrid (analytic until links heat up) (docs/PERFORMANCE.md)")
-	fs.Float64Var(&c.looseThr, "loose-threshold", 0, "hybrid: link-utilization fraction above which a region falls back to cycle-accurate (0 = default 0.35)")
-	fs.Float64Var(&c.looseHyst, "loose-hysteresis", 0, "hybrid: a hot region cools below threshold*hysteresis (0 = default 0.5)")
-	fs.Int64Var(&c.looseWin, "loose-window", 0, "hybrid: cycles per link-utilization epoch (0 = default 256)")
 	fs.BoolVar(&c.qos, "qos", false, "priority arbitration in switches")
 	fs.Float64Var(&c.rate, "rate", 0.05, "offered load: transactions/node/cycle (open loop), or issue probability per master per cycle with -trans")
 	fs.BoolVar(&c.sweep, "sweep", false, "walk injection rates; emit the latency-vs-offered-load curve")
@@ -321,13 +317,9 @@ func (c *cli) scenario() (*scenario.Scenario, error) {
 		{"fidelity", func() {
 			f.Fidelity = c.fidelity
 			if fid, err := transport.ParseFidelity(c.fidelity); err == nil && fid == transport.FidelityCycle {
-				// Cycle is the implicit default, and it takes no loose tuning.
-				f.Fidelity, f.LooseThreshold, f.LooseHysteresis, f.LooseWindow = "", 0, 0, 0
+				f.Fidelity = "" // the implicit default
 			}
 		}},
-		{"loose-threshold", func() { f.LooseThreshold = c.looseThr }},
-		{"loose-hysteresis", func() { f.LooseHysteresis = c.looseHyst }},
-		{"loose-window", func() { f.LooseWindow = c.looseWin }},
 		{"warmup", func() { v := c.warmup; m.Warmup = &v }},
 		{"measure", func() { m.Measure = c.measure }},
 		{"drain", func() { m.Drain = c.drain }},

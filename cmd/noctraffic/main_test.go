@@ -188,7 +188,6 @@ func TestInvalidFlagValuesNameTheField(t *testing.T) {
 		{[]string{"-trans", "-rate", "1.5"}, "workload.masters[0].rate"},
 		{[]string{"-nodes", "1"}, "fabric.nodes"},
 		{[]string{"-fidelity", "loose"}, "fabric.fidelity"},
-		{[]string{"-loose-threshold", "0.5"}, "fabric.loose_threshold"},
 		{[]string{"-sweep", "-rates", "0.02,-1"}, "measure.sweep_rates[1]"},
 	}
 	for _, tc := range cases {
@@ -196,6 +195,17 @@ func TestInvalidFlagValuesNameTheField(t *testing.T) {
 		if code != 1 || !strings.Contains(errOut, tc.want) {
 			t.Errorf("noctraffic %s: exit %d, stderr %q; want exit 1 naming %q",
 				strings.Join(tc.args, " "), code, errOut, tc.want)
+		}
+	}
+}
+
+// TestDeletedFlagsAreUnknown: the hybrid fallback tuning is constants,
+// so its old flags are usage errors (exit 2), not silently ignored.
+func TestDeletedFlagsAreUnknown(t *testing.T) {
+	for _, name := range []string{"-loose-threshold", "-loose-hysteresis", "-loose-window"} {
+		code, _, errOut := runCLI(t, append([]string{"-fidelity", "hybrid", name, "1"}, small...)...)
+		if code != 2 || !strings.Contains(errOut, "flag provided but not defined: "+name) {
+			t.Errorf("noctraffic %s 1: exit %d; want exit 2 naming the flag", name, code)
 		}
 	}
 }

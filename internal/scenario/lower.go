@@ -39,9 +39,6 @@ func (s *Scenario) netConfig() transport.NetConfig {
 	}
 	// Validate guarantees the string parses.
 	n.Fidelity, _ = transport.ParseFidelity(s.Fabric.Fidelity)
-	n.LooseThreshold = s.Fabric.LooseThreshold
-	n.LooseHysteresis = s.Fabric.LooseHysteresis
-	n.LooseWindow = s.Fabric.LooseWindow
 	return n
 }
 
@@ -75,7 +72,7 @@ func (s *Scenario) PacketConfig() (traffic.Config, error) {
 	if s.Workload.Kind != KindPacket {
 		return traffic.Config{}, fmt.Errorf("scenario %q: %s workload cannot lower onto a packet-level run (use TransConfig)", s.Name, s.Workload.Kind)
 	}
-	topo, err := traffic.ParseTopology(s.Fabric.Topology)
+	topo, err := transport.ParseTopology(s.Fabric.Topology)
 	if err != nil {
 		return traffic.Config{}, err
 	}
@@ -124,7 +121,7 @@ func (s *Scenario) CampaignConfig() (traffic.CampaignConfig, error) {
 	c := s.Measure.Campaign
 	cc := traffic.CampaignConfig{Base: base, Rates: c.Rates, Workers: c.Workers}
 	for _, t := range c.Topologies {
-		topo, err := traffic.ParseTopology(t)
+		topo, err := transport.ParseTopology(t)
 		if err != nil {
 			return traffic.CampaignConfig{}, err
 		}
@@ -152,24 +149,17 @@ func (s *Scenario) socNetConfig() transport.NetConfig {
 	return n
 }
 
-// socTopologies maps scenario topology names onto the SoC builder enum.
-var socTopologies = map[string]soc.Topology{
-	"crossbar": soc.Crossbar,
-	"mesh":     soc.Mesh,
-	"torus":    soc.Torus,
-	"ring":     soc.Ring,
-	"tree":     soc.Tree,
-}
-
 // TransConfig lowers a soc-kind scenario onto traffic.RunTrans: one
 // TransRole per declared master.
 func (s *Scenario) TransConfig() (traffic.TransConfig, error) {
 	if s.Workload.Kind != KindSoC {
 		return traffic.TransConfig{}, fmt.Errorf("scenario %q: %s workload cannot lower onto the SoC's NIUs (use PacketConfig)", s.Name, s.Workload.Kind)
 	}
+	// Validate guarantees the topology parses.
+	topo, _ := transport.ParseTopology(s.Fabric.Topology)
 	tc := traffic.TransConfig{
 		Seed:     s.seed(),
-		Topology: socTopologies[s.Fabric.Topology],
+		Topology: topo,
 		Hotspot:  s.Workload.Hotspot,
 		Wishbone: s.Workload.Wishbone,
 		Net:      s.socNetConfig(),
@@ -209,9 +199,10 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 	if s.Workload.Kind != KindSoC {
 		return soc.Config{}, fmt.Errorf("scenario %q: %s workload does not describe a SoC build", s.Name, s.Workload.Kind)
 	}
+	topo, _ := transport.ParseTopology(s.Fabric.Topology)
 	cfg := soc.Config{
 		Seed:              s.seed(),
-		Topology:          socTopologies[s.Fabric.Topology],
+		Topology:          topo,
 		Wishbone:          s.Workload.Wishbone,
 		RequestsPerMaster: s.Workload.RequestsPerMaster,
 		Net:               s.socNetConfig(),

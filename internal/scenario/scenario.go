@@ -55,12 +55,9 @@ type Fabric struct {
 
 	// Fidelity selects the execution mode: "cycle" (default) simulates
 	// every flit; "hybrid" prices packets analytically on cool links and
-	// falls back per-region when utilization crosses the threshold. See
-	// docs/PERFORMANCE.md, "Fidelity levels".
-	Fidelity        string  `json:"fidelity,omitempty"`         // cycle (default) | hybrid
-	LooseThreshold  float64 `json:"loose_threshold,omitempty"`  // hybrid: per-link utilization that triggers fallback (default 0.35)
-	LooseHysteresis float64 `json:"loose_hysteresis,omitempty"` // hybrid: cool-down ratio of threshold (default 0.5)
-	LooseWindow     int64   `json:"loose_window,omitempty"`     // hybrid: utilization epoch in cycles (default 256)
+	// falls back per-link when utilization crosses a fixed threshold.
+	// See docs/PERFORMANCE.md, "Fidelity levels".
+	Fidelity string `json:"fidelity,omitempty"` // cycle (default) | hybrid
 }
 
 // Workload kinds.

@@ -122,7 +122,7 @@ func (s *Scenario) validateFabric() error {
 	if f.Topology == "" {
 		return errf("fabric.topology", "required (want crossbar|mesh|torus|ring|tree)")
 	}
-	if _, err := traffic.ParseTopology(f.Topology); err != nil {
+	if _, err := transport.ParseTopology(f.Topology); err != nil {
 		return errf("fabric.topology", "unknown topology %q (want crossbar|mesh|torus|ring|tree)", f.Topology)
 	}
 	switch f.Mode {
@@ -130,22 +130,8 @@ func (s *Scenario) validateFabric() error {
 	default:
 		return errf("fabric.mode", "unknown switching mode %q (want wormhole|saf)", f.Mode)
 	}
-	fid, err := transport.ParseFidelity(f.Fidelity)
-	if err != nil {
+	if _, err := transport.ParseFidelity(f.Fidelity); err != nil {
 		return errf("fabric.fidelity", "unknown fidelity %q (want cycle|hybrid)", f.Fidelity)
-	}
-	if err := validFrac("fabric.loose_threshold", f.LooseThreshold); err != nil {
-		return err
-	}
-	if err := validFrac("fabric.loose_hysteresis", f.LooseHysteresis); err != nil {
-		return err
-	}
-	if f.LooseWindow < 0 {
-		return errf("fabric.loose_window", "%d is negative", f.LooseWindow)
-	}
-	if fid == transport.FidelityCycle &&
-		(f.LooseThreshold != 0 || f.LooseHysteresis != 0 || f.LooseWindow != 0) {
-		return errf("fabric.loose_threshold", "loose tuning set without fidelity: hybrid (cycle-accurate runs ignore it; delete the fields or set fabric.fidelity)")
 	}
 	for _, c := range []struct {
 		field string
@@ -343,7 +329,7 @@ func (s *Scenario) validateMeasure() error {
 	}
 	if c := m.Campaign; c != nil {
 		for i, t := range c.Topologies {
-			if _, err := traffic.ParseTopology(t); err != nil {
+			if _, err := transport.ParseTopology(t); err != nil {
 				return errf(fmt.Sprintf("measure.campaign.topologies[%d]", i), "unknown topology %q", t)
 			}
 		}

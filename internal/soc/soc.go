@@ -49,16 +49,17 @@ const (
 	MemSize     = 1 << 20
 )
 
-// Topology selects the NoC shape.
-type Topology uint8
+// Topology selects the NoC shape; the names and the builders belong
+// to internal/transport.
+type Topology = transport.Topology
 
 // Topologies.
 const (
-	Crossbar Topology = iota
-	Mesh
-	Tree
-	Torus
-	Ring
+	Crossbar = transport.Crossbar
+	Mesh     = transport.Mesh
+	Torus    = transport.Torus
+	Ring     = transport.Ring
+	Tree     = transport.Tree
 )
 
 // Config parameterizes a system build.
@@ -230,25 +231,10 @@ func BuildNoC(cfg Config) *System {
 	if cfg.Wishbone {
 		nodes = append(nodes, NodeWBM, NodeWBMem)
 	}
-	switch cfg.Topology {
-	case Mesh, Torus:
-		h := (len(nodes) + 3) / 4 // grow rows as sockets are added (4x3 historically)
-		spec := transport.MeshSpec{W: 4, H: h, Nodes: map[noctypes.NodeID]transport.Coord{}}
-		for i, n := range nodes {
-			spec.Nodes[n] = transport.Coord{X: i % 4, Y: i / 4}
-		}
-		if cfg.Topology == Torus {
-			s.Net = transport.NewTorus(s.Clk, cfg.Net, spec)
-		} else {
-			s.Net = transport.NewMesh(s.Clk, cfg.Net, spec)
-		}
-	case Tree:
-		s.Net = transport.NewTree(s.Clk, cfg.Net, 3, nodes)
-	case Ring:
-		s.Net = transport.NewRing(s.Clk, cfg.Net, nodes)
-	default:
-		s.Net = transport.NewCrossbar(s.Clk, cfg.Net, nodes)
-	}
+	// A 4-wide grid grows rows as sockets are added (4x3 historically);
+	// a tree hangs three sockets off each leaf switch.
+	s.Net = transport.Build(s.Clk, cfg.Net, transport.Shape{Topology: cfg.Topology,
+		W: 4, H: (len(nodes) + 3) / 4, Fanout: 3}, nodes)
 	if cfg.Probe != nil {
 		s.Net.SetProbe(cfg.Probe)
 	}

@@ -30,11 +30,15 @@
 //
 // Both accept an internal/obs probe (Config.Probe, TransConfig.Probe,
 // CampaignConfig.HeatmapBuckets) for per-run traces and congestion
-// heatmaps.
+// heatmaps, and both run their warmup, measure and drain phases, with
+// the self-profiling publish step and the exact drain cap, through one
+// phase runner. Fabric shapes are transport's: Topology is
+// transport.Topology, built by transport.Build and sized for
+// whole-packet buffering by transport.WholePacketDepth.
 //
 // Sources and RunTrans's issuers sleep between injections. They make
 // their per-cycle Bernoulli draws ahead, in cycle order, up to the next
-// success, and arm sim.Waker.WakeAt for it, so a lightly loaded run
-// evaluates them only on cycles with work, and every seeded result is
-// the one per-cycle draws give.
+// success (one shared helper), and arm sim.Waker.WakeAt for it, so a
+// lightly loaded run evaluates them only on cycles with work, and every
+// seeded result is the one per-cycle draws give.
 package traffic

@@ -92,15 +92,13 @@ func TestTopologyGoldenResults(t *testing.T) {
 }
 
 // TestFidelityCycleGoldenInert proves the fidelity knob's off position:
-// an explicit fidelity=cycle run, with loose-model tuning values that a
-// cycle-accurate fabric must ignore, reproduces every committed topology
+// an explicit fidelity=cycle run reproduces every committed topology
 // golden byte for byte.
 func TestFidelityCycleGoldenInert(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name+"/serial", func(t *testing.T) {
 			cfg := g.cfg
 			cfg.Net.Fidelity = transport.FidelityCycle
-			cfg.Net.LooseThreshold, cfg.Net.LooseHysteresis, cfg.Net.LooseWindow = 0.9, 0.9, 64
 			res := Run(cfg)
 			var buf bytes.Buffer
 			enc := json.NewEncoder(&buf)

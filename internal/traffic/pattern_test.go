@@ -152,16 +152,4 @@ func TestParsers(t *testing.T) {
 	if _, err := ParsePattern("nope"); err == nil {
 		t.Fatal("bad pattern accepted")
 	}
-	for _, tp := range Topologies() {
-		got, err := ParseTopology(tp.String())
-		if err != nil || got != tp {
-			t.Fatalf("ParseTopology(%q) = %v, %v", tp.String(), got, err)
-		}
-	}
-	if tp, err := ParseTopology("xbar"); err != nil || tp != Crossbar {
-		t.Fatal("ParseTopology(xbar) alias broken")
-	}
-	if _, err := ParseTopology("hypercube"); err == nil {
-		t.Fatal("bad topology accepted")
-	}
 }

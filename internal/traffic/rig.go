@@ -39,7 +39,6 @@ type collector struct {
 // source/reflector per node.
 type rig struct {
 	cfg  *Config
-	k    *sim.Kernel
 	clk  *sim.Clock
 	net  *transport.Network
 	srcs []*source
@@ -51,11 +50,10 @@ type rig struct {
 	measStart, measEnd int64
 	col                collector
 
-	// Live-metrics state (all nil/zero when profiling is off).
-	mBackpressure          *metrics.Counter
-	lastCycles, lastEvents int64
-	lastBP                 uint64
-	wall                   *WallStats
+	// Live-metrics state (nil/zero when profiling is off).
+	mBackpressure *metrics.Counter
+	lastBP        uint64
+	wall          *WallStats
 }
 
 // nodeID maps a source index onto a fabric NodeID (0 is reserved as a
@@ -69,8 +67,8 @@ func newRig(cfg *Config) *rig {
 	if cfg.Pattern == Hotspot && (cfg.HotNode < 0 || cfg.HotNode >= cfg.Nodes) {
 		panic(fmt.Sprintf("traffic: hotspot node %d outside [0,%d)", cfg.HotNode, cfg.Nodes))
 	}
-	r := &rig{cfg: cfg, k: sim.NewKernel()}
-	r.clk = sim.NewClock(r.k, "traffic", sim.Nanosecond, 0)
+	r := &rig{cfg: cfg}
+	r.clk = sim.NewClock(sim.NewKernel(), "traffic", sim.Nanosecond, 0)
 	r.measStart = cfg.Warmup
 	r.measEnd = cfg.Warmup + cfg.Measure
 
@@ -78,27 +76,8 @@ func newRig(cfg *Config) *rig {
 	for i := range nodes {
 		nodes[i] = nodeID(i)
 	}
-	switch cfg.Topology {
-	case Mesh, Torus:
-		if cfg.MeshW*cfg.MeshH < cfg.Nodes {
-			panic(fmt.Sprintf("traffic: %dx%d %s cannot hold %d nodes", cfg.MeshW, cfg.MeshH, cfg.Topology, cfg.Nodes))
-		}
-		spec := transport.MeshSpec{W: cfg.MeshW, H: cfg.MeshH, Nodes: map[noctypes.NodeID]transport.Coord{}}
-		for i, n := range nodes {
-			spec.Nodes[n] = transport.Coord{X: i % cfg.MeshW, Y: i / cfg.MeshW}
-		}
-		if cfg.Topology == Torus {
-			r.net = transport.NewTorus(r.clk, cfg.Net, spec)
-		} else {
-			r.net = transport.NewMesh(r.clk, cfg.Net, spec)
-		}
-	case Ring:
-		r.net = transport.NewRing(r.clk, cfg.Net, nodes)
-	case Tree:
-		r.net = transport.NewTree(r.clk, cfg.Net, cfg.TreeFanout, nodes)
-	default:
-		r.net = transport.NewCrossbar(r.clk, cfg.Net, nodes)
-	}
+	r.net = transport.Build(r.clk, cfg.Net, transport.Shape{Topology: cfg.Topology,
+		W: cfg.MeshW, H: cfg.MeshH, Fanout: cfg.TreeFanout}, nodes)
 
 	r.col.perFlow = make(map[Flow]*stats.Latency)
 	r.net.OnTransit = func(rec transport.TransitRecord) {
@@ -145,70 +124,112 @@ const profileChunk = 512
 // run executes warmup, measurement, and drain; it returns the total
 // cycles simulated.
 func (r *rig) run() int64 {
-	prof := r.cfg.Prof
-	t0 := time.Now()
-	prof.SetPhase(metrics.PhaseWarmup)
-	r.runCycles(r.cfg.Warmup)
-	t1 := time.Now()
-	r.measuring = true
-	prof.SetPhase(metrics.PhaseMeasure)
-	r.runCycles(r.cfg.Measure)
-	t2 := time.Now()
-	r.measuring = false
-	prof.SetPhase(metrics.PhaseDrain)
-	// Drain: finish the measured transactions, up to the cap. The
-	// completion check runs every 64 cycles, with the last step clipped
-	// so the cap is exact rather than overshooting by up to 63 cycles.
-	for c := int64(0); c < r.cfg.Drain && r.measuredOutstanding() > 0; {
-		step := int64(64)
-		if c+step > r.cfg.Drain {
-			step = r.cfg.Drain - c
+	p := phases{clk: r.clk, prof: r.cfg.Prof, measuring: &r.measuring}
+	if r.mBackpressure != nil {
+		p.onChunk = func() {
+			bp := r.col.backpressure
+			r.mBackpressure.Add(bp - r.lastBP)
+			r.lastBP = bp
 		}
-		r.clk.RunCycles(step)
-		c += step
-		r.publish()
 	}
-	prof.SetPhase(metrics.PhaseDone)
-	t3 := time.Now()
-	if r.cfg.CollectWall {
-		r.wall = newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), r.k.Steps(), r.clk.Cycle())
-	}
+	r.wall = p.run(r.cfg.Warmup, r.cfg.Measure, r.cfg.Drain,
+		func() bool { return r.measuredOutstanding() > 0 }, r.cfg.CollectWall)
 	return r.clk.Cycle()
 }
 
-// runCycles advances the clock n cycles, chunked for publishing when
-// live metrics are attached (the disabled path is a single RunCycles —
-// identical to the pre-metrics code).
-func (r *rig) runCycles(n int64) {
-	if r.cfg.Prof == nil && r.mBackpressure == nil {
-		r.clk.RunCycles(n)
+// phases runs one simulation's warmup, measure and drain on its clock,
+// publishing self-profiling samples as it goes; the packet rig and
+// RunTrans share it.
+type phases struct {
+	clk       *sim.Clock
+	prof      *metrics.SimProfile
+	measuring *bool  // set while the measure phase runs
+	onChunk   func() // called after each published chunk; nil for none
+
+	lastCycles, lastEvents int64
+}
+
+// run executes the three phases. The drain ends once busy reports no
+// measured work left, or at the drain cap: busy is checked every 64
+// cycles, with the last step clipped so the cap is exact. It returns
+// the wall-clock self-profile when wall is set, else nil.
+func (p *phases) run(warmup, measure, drain int64, busy func() bool, wall bool) *WallStats {
+	t0 := time.Now()
+	p.prof.SetPhase(metrics.PhaseWarmup)
+	p.cycles(warmup)
+	t1 := time.Now()
+	*p.measuring = true
+	p.prof.SetPhase(metrics.PhaseMeasure)
+	p.cycles(measure)
+	t2 := time.Now()
+	*p.measuring = false
+	p.prof.SetPhase(metrics.PhaseDrain)
+	for c := int64(0); c < drain && busy(); {
+		step := min(int64(64), drain-c)
+		p.clk.RunCycles(step)
+		c += step
+		p.publish()
+	}
+	p.prof.SetPhase(metrics.PhaseDone)
+	t3 := time.Now()
+	if !wall {
+		return nil
+	}
+	return newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), p.clk.Kernel().Steps(), p.clk.Cycle())
+}
+
+// cycles advances the clock n cycles, chunked for publishing when live
+// metrics are attached (the disabled path is a single RunCycles).
+func (p *phases) cycles(n int64) {
+	if p.prof == nil && p.onChunk == nil {
+		p.clk.RunCycles(n)
 		return
 	}
 	for done := int64(0); done < n; {
-		step := int64(profileChunk)
-		if done+step > n {
-			step = n - done
-		}
-		r.clk.RunCycles(step)
+		step := min(int64(profileChunk), n-done)
+		p.clk.RunCycles(step)
 		done += step
-		r.publish()
+		p.publish()
 	}
 }
 
-// publish pushes cycle/event/backpressure deltas since the last call
-// to the attached profiling sinks. Chunk boundaries are cycle-exact,
+// publish pushes the cycle and event deltas since the last call to the
+// profile, then runs the chunk hook. Chunk boundaries are cycle-exact,
 // so after the final publish of a run the live totals equal the
 // deterministic per-run numbers.
-func (r *rig) publish() {
-	if p := r.cfg.Prof; p != nil {
-		c, e := r.clk.Cycle(), int64(r.k.Steps())
-		p.SetHeapDepth(r.k.Pending())
-		p.Advance(c-r.lastCycles, e-r.lastEvents)
-		r.lastCycles, r.lastEvents = c, e
+func (p *phases) publish() {
+	if p.prof != nil {
+		k := p.clk.Kernel()
+		c, e := p.clk.Cycle(), int64(k.Steps())
+		p.prof.SetHeapDepth(k.Pending())
+		p.prof.Advance(c-p.lastCycles, e-p.lastEvents)
+		p.lastCycles, p.lastEvents = c, e
 	}
-	if r.mBackpressure != nil {
-		bp := r.col.backpressure
-		r.mBackpressure.Add(bp - r.lastBP)
-		r.lastBP = bp
+	if p.onChunk != nil {
+		p.onChunk()
+	}
+}
+
+// drawer makes a per-cycle Bernoulli process's draws ahead of time, in
+// cycle order, up to the next success: the draws a per-cycle draw would
+// make, in the same order on the same stream. Traffic sources and
+// RunTrans's issuers sleep until the cycle it finds.
+type drawer struct {
+	due   int64 // the cycle of the next successful draw, 0 when none is drawn
+	drawn int64 // the last cycle whose draw has been made
+}
+
+// draw makes the Bool(rate) draws of the cycles from from on, past any
+// already drawn, up to the first success or end. It keeps the success's
+// cycle in due (0 when there is none) and arms w for it.
+func (d *drawer) draw(rng *sim.RNG, rate float64, from, end int64, w sim.Waker) {
+	d.due = 0
+	for c := max(from, d.drawn+1); c <= end; c++ {
+		d.drawn = c
+		if rng.Bool(rate) {
+			d.due = c
+			w.WakeAt(c)
+			return
+		}
 	}
 }

@@ -166,7 +166,7 @@ func TestDrainCapExact(t *testing.T) {
 // topology end to end — the traffic-layer proof that topology is a
 // transport-layer choice.
 func TestRunAllTopologies(t *testing.T) {
-	for _, topo := range Topologies() {
+	for _, topo := range transport.Topologies() {
 		res := Run(Config{
 			Seed: 16, Nodes: 16, Topology: topo, Pattern: UniformRandom, Rate: 0.02,
 			Warmup: 300, Measure: 1200, Drain: 20000,

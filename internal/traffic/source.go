@@ -40,8 +40,7 @@ type source struct {
 	ch  *chooser
 	w   sim.Waker
 
-	due   int64 // open loop: the cycle of the next successful draw, 0 when none is left
-	drawn int64 // open loop: the last cycle whose draw has been made
+	drawer // open loop: the Bool(Rate) draws, made ahead up to the next success
 
 	q           *sim.Queue[*txn]              // generated, awaiting injection
 	replyQ      *sim.Queue[*transport.Packet] // reflector responses awaiting injection
@@ -74,21 +73,10 @@ func newSource(r *rig, idx int, rng *sim.RNG) *source {
 	return s
 }
 
-// drawAhead makes the open-loop Bool(Rate) draws of the cycles after
-// the last one drawn, in cycle order, up to the first success or
-// measEnd, the rig's last generating cycle. It keeps the success's cycle
-// in due (0 when none is left) and arms the source's wake for it.
-func (s *source) drawAhead() {
-	s.due = 0
-	for s.drawn < s.r.measEnd {
-		s.drawn++
-		if s.rng.Bool(s.r.cfg.Rate) {
-			s.due = s.drawn
-			s.w.WakeAt(s.due)
-			return
-		}
-	}
-}
+// drawAhead makes the open-loop draws of the cycles after the last one
+// drawn up to the next success or measEnd, the rig's last generating
+// cycle.
+func (s *source) drawAhead() { s.draw(s.rng, s.r.cfg.Rate, 0, s.r.measEnd, s.w) }
 
 // Idle implements sim.Idler: nothing waits to be injected. A delivery
 // wakes the source through its endpoint, and an open-loop source's next

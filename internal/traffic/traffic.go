@@ -61,52 +61,20 @@ func ParsePattern(s string) (Pattern, error) {
 	return 0, fmt.Errorf("traffic: unknown pattern %q (want uniform|hotspot|transpose|bitcomp|neighbor|bursty)", s)
 }
 
-// Topology selects the fabric shape for the packet-level engines.
-type Topology uint8
+// Topology selects the fabric shape for the packet-level engines; the
+// names and the builders belong to internal/transport.
+type Topology = transport.Topology
 
 // Topologies. All five transport builders are reachable: topology is a
 // transport-layer choice, so every pattern/rate configuration runs
 // unchanged on any of them.
 const (
-	Crossbar Topology = iota
-	Mesh
-	Torus
-	Ring
-	Tree
+	Crossbar = transport.Crossbar
+	Mesh     = transport.Mesh
+	Torus    = transport.Torus
+	Ring     = transport.Ring
+	Tree     = transport.Tree
 )
-
-var topologyNames = map[Topology]string{
-	Crossbar: "crossbar",
-	Mesh:     "mesh",
-	Torus:    "torus",
-	Ring:     "ring",
-	Tree:     "tree",
-}
-
-// Topologies returns all selectable topologies in display order.
-func Topologies() []Topology { return []Topology{Crossbar, Mesh, Torus, Ring, Tree} }
-
-// String renders the topology's CLI name.
-func (t Topology) String() string {
-	if s, ok := topologyNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("topology%d", uint8(t))
-}
-
-// ParseTopology resolves a CLI name to a Topology.
-func ParseTopology(s string) (Topology, error) {
-	name := strings.ToLower(strings.TrimSpace(s))
-	if name == "xbar" {
-		return Crossbar, nil
-	}
-	for t, n := range topologyNames {
-		if n == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("traffic: unknown topology %q (want crossbar|mesh|torus|ring|tree)", s)
-}
 
 // Config parameterizes one traffic run on a raw transport fabric.
 type Config struct {
@@ -221,21 +189,12 @@ func (c Config) withDefaults() Config {
 		c.Drain = 30000
 	}
 	c.Net = c.Net.WithDefaults()
-	// Store-and-forward buffers — and ring/torus lanes, whose
-	// cut-through admission also buffers whole packets — must hold the
-	// largest packet this workload produces; size them rather than
-	// panicking deep inside transport.
-	if c.Net.Mode == transport.StoreAndForward || c.Topology == Ring || c.Topology == Torus {
-		// The non-data leg carries ackBytes, which is the larger payload
-		// when PayloadBytes is tiny.
-		maxPayload := c.PayloadBytes
-		if maxPayload < ackBytes {
-			maxPayload = ackBytes
-		}
-		maxWire := transport.HeaderBytes + maxPayload
-		if need := transport.FlitCount(maxWire, c.Net.FlitBytes); c.Net.BufDepth < need {
-			c.Net.BufDepth = need
-		}
+	// Lanes that buffer whole packets must hold the largest packet this
+	// workload produces; size them rather than panicking deep inside
+	// transport. The non-data leg carries ackBytes, which is the larger
+	// payload when PayloadBytes is tiny.
+	if need := transport.WholePacketDepth(c.Topology, c.Net, max(c.PayloadBytes, ackBytes)); c.Net.BufDepth < need {
+		c.Net.BufDepth = need
 	}
 	return c
 }

@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"gonoc/internal/ip"
 	"gonoc/internal/noctypes"
@@ -220,27 +219,21 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	if len(prios) == 0 {
 		prios = nil
 	}
-	// Store-and-forward buffers — and ring/torus lanes, whose cut-through
-	// admission also buffers whole packets — must hold the largest packet
-	// any role produces (same rule Config.withDefaults applies on the
-	// packet path). The NIU wire format adds a bounded request/response
-	// header on top of the data beats; reqWireOverhead over-reserves a
-	// little rather than panicking deep inside transport.
-	if tc.Net.Mode == transport.StoreAndForward || tc.Topology == soc.Ring || tc.Topology == soc.Torus {
-		maxBytes := 0
-		for _, r := range roles {
-			if r.Bytes > maxBytes {
-				maxBytes = r.Bytes
-			}
-		}
-		net := tc.Net.WithDefaults()
-		eff := net.BufDepth
-		if tc.Net.BufDepth == 0 {
-			eff = 16 // soc.Config.withDefaults' deeper fabric default
-		}
-		if need := transport.FlitCount(transport.HeaderBytes+reqWireOverhead+maxBytes, net.FlitBytes); need > eff {
-			tc.Net.BufDepth = need
-		}
+	// Lanes that buffer whole packets must hold the largest packet any
+	// role produces (the rule Config.withDefaults applies on the packet
+	// path). The NIU wire format adds a bounded request/response header
+	// on top of the data beats; reqWireOverhead over-reserves a little
+	// rather than panicking deep inside transport.
+	maxBytes := 0
+	for _, r := range roles {
+		maxBytes = max(maxBytes, r.Bytes)
+	}
+	eff := tc.Net.BufDepth
+	if eff == 0 {
+		eff = 16 // soc.Config.withDefaults' deeper fabric default
+	}
+	if need := transport.WholePacketDepth(tc.Topology, tc.Net, reqWireOverhead+maxBytes); need > eff {
+		tc.Net.BufDepth = need
 	}
 	s := soc.BuildNoC(soc.Config{Seed: tc.Seed, Quiet: true, Topology: tc.Topology,
 		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios})
@@ -282,46 +275,6 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		states = append(states, st)
 	}
 
-	// Phase loop with optional self-profiling, mirroring rig.run: when a
-	// profile is attached the clock runs in publishing chunks; otherwise
-	// each phase is a single RunCycles, exactly as before.
-	k := s.Clk.Kernel()
-	var lastCycles, lastEvents int64
-	publish := func() {
-		if tc.Prof == nil {
-			return
-		}
-		c, e := s.Clk.Cycle(), int64(k.Steps())
-		tc.Prof.SetHeapDepth(k.Pending())
-		tc.Prof.Advance(c-lastCycles, e-lastEvents)
-		lastCycles, lastEvents = c, e
-	}
-	runPhase := func(n int64) {
-		if tc.Prof == nil {
-			s.Clk.RunCycles(n)
-			return
-		}
-		for done := int64(0); done < n; {
-			step := int64(profileChunk)
-			if done+step > n {
-				step = n - done
-			}
-			s.Clk.RunCycles(step)
-			done += step
-			publish()
-		}
-	}
-
-	t0 := time.Now()
-	tc.Prof.SetPhase(metrics.PhaseWarmup)
-	runPhase(tc.Warmup)
-	t1 := time.Now()
-	run.measuring = true
-	tc.Prof.SetPhase(metrics.PhaseMeasure)
-	runPhase(tc.Measure)
-	t2 := time.Now()
-	run.measuring = false
-	tc.Prof.SetPhase(metrics.PhaseDrain)
 	outstanding := func() int {
 		total := 0
 		for _, st := range states {
@@ -329,16 +282,8 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		}
 		return total
 	}
-	// The completion check runs every 64 cycles, with the last step
-	// clipped so the cap is exact, as in rig.run.
-	for c := int64(0); c < tc.Drain && outstanding() > 0; {
-		step := min(int64(64), tc.Drain-c)
-		s.Clk.RunCycles(step)
-		c += step
-		publish()
-	}
-	tc.Prof.SetPhase(metrics.PhaseDone)
-	t3 := time.Now()
+	p := phases{clk: s.Clk, prof: tc.Prof, measuring: &run.measuring}
+	wall := p.run(tc.Warmup, tc.Measure, tc.Drain, func() bool { return outstanding() > 0 }, tc.CollectWall)
 
 	// The report's headline rate is the rate every role shares; a mixed
 	// role list reports 0 (the table then says "per-role rates"). The
@@ -360,9 +305,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	sort.Slice(res.PerMaster, func(i, j int) bool { return res.PerMaster[i].Master < res.PerMaster[j].Master })
 	res.Throughput = float64(run.cmplMeas) * 1000 / float64(tc.Measure)
 	res.Incomplete = outstanding()
-	if tc.CollectWall {
-		res.Wall = newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), k.Steps(), s.Clk.Cycle())
-	}
+	res.Wall = wall
 	return res
 }
 
@@ -395,8 +338,7 @@ type mstate struct {
 
 	lane, stride, slots uint64 // addressing: the default lane, or the role's window
 
-	due   int64 // the cycle of the next successful draw, 0 when none is drawn
-	drawn int64 // the last cycle whose draw has been made
+	drawer // the Bool(Rate) draws, made ahead up to the next success
 
 	inflight, k, issued, done, errs int
 	lat                             stats.Latency
@@ -434,19 +376,9 @@ func (m *mstate) Eval(cycle int64) {
 // it.
 func (m *mstate) Idle() bool { return true }
 
-// drawAhead makes the Bool(Rate) draws of the cycles from from on, past
-// any already drawn, up to the first success or genEnd. It keeps the
-// success's cycle in due and arms the issuer's wake for it.
-func (m *mstate) drawAhead(from int64) {
-	for c := max(from, m.drawn+1); c <= m.run.genEnd; c++ {
-		m.drawn = c
-		if m.rng.Bool(m.role.Rate) {
-			m.due = c
-			m.w.WakeAt(c)
-			return
-		}
-	}
-}
+// drawAhead makes the draws of the cycles from from on, past any
+// already drawn, up to the next success or genEnd.
+func (m *mstate) drawAhead(from int64) { m.draw(m.rng, m.role.Rate, from, m.run.genEnd, m.w) }
 
 // issue starts one transaction: the read/write draw right after the
 // successful rate draw, then the next address of the master's walk.

@@ -8,26 +8,6 @@ import (
 	"gonoc/internal/sim"
 )
 
-// BenchmarkPacketize measures the send-side hot path in isolation:
-// serializing one 32-byte-payload packet into 8-byte flits through a
-// reusable Packetizer, the way a warmed-up adapter runs it. Run with
-// -benchmem; allocs/op here is guarded by CI at zero against the
-// committed baseline in BENCH_transport.json.
-func BenchmarkPacketize(b *testing.B) {
-	payload := make([]byte, 32)
-	p := &Packet{Header: Header{Dst: 1, Src: 2, Tag: 3}, Payload: payload}
-	var z Packetizer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ID = uint64(i)
-		flits := z.Packetize(p, 8)
-		if len(flits) != 6 {
-			b.Fatal("bad flit count")
-		}
-	}
-}
-
 // BenchmarkFabricTransfer measures the full per-packet transport path —
 // TrySend, flit injection, crossbar traversal, reassembly, Recv — on a
 // two-node crossbar moving 32-byte payloads. The sender reuses one

@@ -14,13 +14,25 @@
 //
 // The five topology builders share one Network/Router/Endpoint API, so
 // topology — like switching mode — is a pure transport-layer choice.
-// Mesh routing is dimension-ordered (XY); torus and ring add wraparound
+// This package owns that choice: Topology names the shapes (ParseTopology,
+// String, Topologies), Build makes a fabric from a Shape (a topology and
+// its dimensions) and a node list, and WholePacketDepth gives the lane
+// depth of fabrics that buffer whole packets. The traffic, soc and
+// scenario layers and the CLIs select fabrics only through these. Mesh
+// routing is dimension-ordered (XY); torus and ring add wraparound
 // links and stay deadlock-free by the classic dateline scheme over the
 // two VC lanes combined with virtual-cut-through output admission
 // (RouterConfig.CutThrough); the tree is cycle-free with the root as
 // the deliberate bottleneck. NetConfig carries the fabric-wide knobs
 // (flit width, buffer depth, switching mode, QoS, send-queue depth,
 // legacy lock).
+//
+// Endpoint.TrySend is the one send path at both fidelities: it assigns
+// the packet ID, checks and sizes the packet, and then serializes it
+// into flit slots or, on a hybrid fabric's cold route, hands it to the
+// analytic engine; both paths count injection and delivery through the
+// same Endpoint methods. Hybrid's fallback tuning is constants, not
+// configuration.
 //
 // Per-cycle and per-packet work follows state the fabric already
 // keeps. Each switch keeps an occupancy mask of its input lanes: a

@@ -3,8 +3,6 @@ package transport
 import (
 	"fmt"
 	"strings"
-
-	"gonoc/internal/obs"
 )
 
 // Fidelity selects how much of the fabric is simulated flit-by-flit.
@@ -25,9 +23,9 @@ const (
 	FidelityCycle Fidelity = iota
 
 	// FidelityHybrid prices packets analytically while every link on
-	// their route stays below LooseThreshold utilization, and falls
+	// their route stays below looseThreshold utilization, and falls
 	// back to the cycle-accurate path for packets whose route crosses a
-	// hot link, until the link cools (LooseHysteresis). Exact at zero
+	// hot link, until the link cools (looseHysteresis). Exact at zero
 	// contention; bounded error under load (experiment E16 measures
 	// the bounds).
 	FidelityHybrid
@@ -55,20 +53,19 @@ func ParseFidelity(s string) (Fidelity, error) {
 	return 0, fmt.Errorf("unknown fidelity %q (want cycle|hybrid)", s)
 }
 
-// Loose-model defaults (NetConfig zero values resolve to these when
-// Fidelity is hybrid).
+// Hybrid fallback tuning.
 const (
-	// DefaultLooseThreshold is the per-link utilization (flits moved
-	// per cycle over one epoch) above which a link is hot and hybrid
-	// sends crossing it fall back to the flit path.
-	DefaultLooseThreshold = 0.35
-	// DefaultLooseHysteresis scales the threshold for cooling: a hot
-	// link goes cold only when utilization drops below
+	// looseThreshold is the per-link utilization (flits moved per
+	// cycle over one epoch) above which a link is hot and hybrid sends
+	// crossing it fall back to the flit path.
+	looseThreshold = 0.35
+	// looseHysteresis scales the threshold for cooling: a hot link
+	// goes cold only when utilization drops below
 	// threshold*hysteresis, so a link oscillating near the threshold
 	// does not flap between paths every epoch.
-	DefaultLooseHysteresis = 0.5
-	// DefaultLooseWindow is the utilization epoch length in cycles.
-	DefaultLooseWindow = 256
+	looseHysteresis = 0.5
+	// looseWindow is the utilization epoch length in cycles.
+	looseWindow = 256
 )
 
 // FidelityStats counts how the loose engine classified traffic.
@@ -105,8 +102,8 @@ type looseEvent struct {
 	pkt  *Packet   // evInject, evDeliver: the fabric-owned copy to hand to recvQ
 
 	// evDeliver: TransitRecord fields resolved at delivery.
-	queued, inject int64
-	hops           int
+	times pktTimes
+	hops  int
 }
 
 const (
@@ -152,15 +149,13 @@ type routeSpan struct{ lo, hi int32 }
 // by the hybrid error-bound harness (experiment E16), not this model.
 //
 // Hybrid fallback: per-link utilization is accumulated per epoch
-// (window cycles) from both analytic traffic (offered flits) and
+// (looseWindow cycles) from both analytic traffic (offered flits) and
 // cycle-path traffic (RouterStats.OutBusy deltas). A link above
-// threshold goes hot; hybrid sends whose route crosses a hot link take
-// the flit path until the link cools below threshold*hysteresis.
+// looseThreshold goes hot; hybrid sends whose route crosses a hot link
+// take the flit path until the link cools below
+// looseThreshold*looseHysteresis.
 type looseEngine struct {
-	n         *Network
-	threshold float64
-	hyster    float64
-	window    int64
+	n *Network
 
 	// Topology-derived state, built on first send (the engine is
 	// created before the topology builder adds switches).
@@ -197,25 +192,6 @@ type looseEngine struct {
 	fallbackPkts uint64
 }
 
-func newLooseEngine(n *Network, cfg NetConfig) *looseEngine {
-	le := &looseEngine{
-		n:         n,
-		threshold: cfg.LooseThreshold,
-		hyster:    cfg.LooseHysteresis,
-		window:    cfg.LooseWindow,
-	}
-	if le.threshold <= 0 {
-		le.threshold = DefaultLooseThreshold
-	}
-	if le.hyster <= 0 {
-		le.hyster = DefaultLooseHysteresis
-	}
-	if le.window <= 0 {
-		le.window = DefaultLooseWindow
-	}
-	return le
-}
-
 // init sizes the per-resource server arrays against the finished
 // topology. Deferred to the first send because the engine is created
 // before the builder attaches switches and endpoints.
@@ -236,7 +212,7 @@ func (le *looseEngine) init() {
 	le.ejFree = make([]int64, len(n.epList))
 	le.routes = make([]routeSpan, len(n.epList)*len(n.epList))
 	le.base = n.clk.Cycle() + 1 // nothing can fall due earlier
-	le.epochEnd = n.clk.Cycle() + le.window
+	le.epochEnd = n.clk.Cycle() + looseWindow
 	le.ready = true
 }
 
@@ -287,27 +263,11 @@ func (le *looseEngine) admits(ep *Endpoint, p *Packet) bool {
 	return true
 }
 
-// send prices one accepted packet through the FIFO servers and
-// schedules its externally visible moments. The caller has already
-// checked CanSend and admits; send cannot fail.
-func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
-	if !le.ready {
-		le.init()
-	}
+// send prices a packet of nf flits, which TrySend accepted and admits
+// let through, over the FIFO servers and schedules its externally
+// visible moments.
+func (le *looseEngine) send(ep *Endpoint, p *Packet, nf int) {
 	n := le.n
-	if p.Src != ep.node {
-		panic(fmt.Sprintf("transport: %v sending packet with Src=%v", ep.node, p.Src))
-	}
-	n.nextPktID++
-	p.ID = n.nextPktID
-	p.PayloadLen = uint32(len(p.Payload))
-	fb := n.cfg.FlitBytes
-	wireLen := HeaderBytes + len(p.Payload)
-	nf := (wireLen + fb - 1) / fb
-	if (n.cfg.Mode == StoreAndForward || n.cutThrough) && nf > n.cfg.BufDepth {
-		panic(fmt.Sprintf("transport: packet of %d flits exceeds BufDepth %d (whole-packet buffering required)", nf, n.cfg.BufDepth))
-	}
-
 	now := n.clk.Cycle()
 	dst := le.dstOf(ep, p)
 	links := le.pathFor(ep, dst)
@@ -355,21 +315,12 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 	cl.Payload = payload
 	copy(cl.Payload, p.Payload)
 
-	ep.pending++
 	le.inFlight++
 	le.analyticPkts++
 	le.push(inject, looseEvent{kind: evInject, ep: ep, pkt: cl})
 	le.push(inject+flits-1, looseEvent{kind: evTailOut, ep: ep})
 	le.push(eject, looseEvent{kind: evDeliver, ep: dst, pkt: cl,
-		queued: now, inject: inject, hops: len(links)})
-
-	if ep.probe != nil {
-		ep.probe.Event(obs.Event{
-			Kind: obs.KindQueued, Cycle: now,
-			PktID: p.ID, Src: p.Src, Dst: p.Dst, Val: nf,
-		})
-	}
-	return true
+		times: pktTimes{queued: now, injected: inject}, hops: len(links)})
 }
 
 // tick fires every due event and rolls the utilization epoch. Runs at
@@ -389,13 +340,7 @@ func (le *looseEngine) tick(cycle int64) {
 		ev := le.slab[slot] // a copy: the callbacks below may grow the slab
 		switch ev.kind {
 		case evInject:
-			le.n.injected++
-			if ev.ep.probe != nil {
-				ev.ep.probe.Event(obs.Event{
-					Kind: obs.KindInject, Cycle: due,
-					PktID: ev.pkt.ID, Src: ev.pkt.Src, Dst: ev.pkt.Dst,
-				})
-			}
+			ev.ep.inject(due, ev.pkt.ID, ev.pkt.Dst)
 		case evTailOut:
 			ev.ep.pending--
 		case evDeliver:
@@ -406,24 +351,8 @@ func (le *looseEngine) tick(cycle int64) {
 				le.schedule(cycle+1, slot)
 				continue
 			}
-			le.n.ejected++
 			le.inFlight--
-			dst.recvQ.Push(ev.pkt)
-			if dst.probe != nil {
-				dst.probe.Event(obs.Event{
-					Kind: obs.KindEject, Cycle: cycle,
-					PktID: ev.pkt.ID, Src: ev.pkt.Src, Dst: dst.node, Val: ev.hops,
-				})
-			}
-			if le.n.OnTransit != nil {
-				le.n.OnTransit(TransitRecord{
-					Pkt:         ev.pkt,
-					QueuedCycle: ev.queued,
-					InjectCycle: ev.inject,
-					EjectCycle:  cycle,
-					Hops:        ev.hops,
-				})
-			}
+			dst.deliver(ev.pkt, cycle, ev.hops, ev.times)
 		}
 		le.slab[slot] = looseEvent{}
 		le.free = append(le.free, slot)
@@ -444,13 +373,13 @@ func (le *looseEngine) rollEpoch(cycle int64) {
 		for p := 0; p < busyN; p++ {
 			busy := r.stats.OutBusy[p]
 			flits := le.linkLoad[idx] + int64(busy-le.lastBusy[idx])
-			util := float64(flits) / float64(le.window)
+			util := float64(flits) / looseWindow
 			if le.hot[idx] {
-				if util < le.threshold*le.hyster {
+				if util < looseThreshold*looseHysteresis {
 					le.hot[idx] = false
 					le.hotLinks--
 				}
-			} else if util > le.threshold {
+			} else if util > looseThreshold {
 				le.hot[idx] = true
 				le.hotLinks++
 			}
@@ -459,7 +388,7 @@ func (le *looseEngine) rollEpoch(cycle int64) {
 			idx++
 		}
 	}
-	le.epochEnd = cycle + le.window
+	le.epochEnd = cycle + looseWindow
 }
 
 // idle reports whether the engine holds no undelivered work.

@@ -55,37 +55,21 @@ type tickComp struct{ fn func(cycle int64) }
 
 func (t tickComp) Eval(cycle int64) { t.fn(cycle) }
 
-func buildFidelityNet(topo string, cfg NetConfig, n int) (*sim.Clock, *Network) {
+func buildFidelityNet(topo Topology, cfg NetConfig, n int) (*sim.Clock, *Network) {
 	k := sim.NewKernel()
 	clk := sim.NewClock(k, "noc", sim.Nanosecond, 0)
 	nodes := make([]noctypes.NodeID, n)
 	for i := range nodes {
 		nodes[i] = noctypes.NodeID(i + 1)
 	}
-	switch topo {
-	case "mesh", "torus":
-		w := int(math.Ceil(math.Sqrt(float64(n))))
-		h := (n + w - 1) / w
-		spec := MeshSpec{W: w, H: h, Nodes: map[noctypes.NodeID]Coord{}}
-		for i, nd := range nodes {
-			spec.Nodes[nd] = Coord{X: i % w, Y: i / w}
-		}
-		if topo == "torus" {
-			return clk, NewTorus(clk, cfg, spec)
-		}
-		return clk, NewMesh(clk, cfg, spec)
-	case "ring":
-		return clk, NewRing(clk, cfg, nodes)
-	case "tree":
-		return clk, NewTree(clk, cfg, 3, nodes)
-	default:
-		return clk, NewCrossbar(clk, cfg, nodes)
-	}
+	w := int(math.Ceil(math.Sqrt(float64(n))))
+	return clk, Build(clk, cfg, Shape{Topology: topo, W: w, H: (n + w - 1) / w, Fanout: 3}, nodes)
 }
 
 // runFidelitySchedule drives the bursts through one fabric and returns
-// every observation the outside world could make.
-func runFidelitySchedule(t *testing.T, topo string, cfg NetConfig, bursts []fidelityBurst) ([]transitObs, []deliveryObs) {
+// every observation the outside world could make, and how the fabric
+// classified the packets.
+func runFidelitySchedule(t *testing.T, topo Topology, cfg NetConfig, bursts []fidelityBurst) ([]transitObs, []deliveryObs, FidelityStats) {
 	t.Helper()
 	maxNode := 0
 	for _, b := range bursts {
@@ -163,25 +147,25 @@ func runFidelitySchedule(t *testing.T, topo string, cfg NetConfig, bursts []fide
 		clk.RunCycles(1)
 		if done && net.Drained() {
 			clk.RunCycles(4) // let the last receive-queue commits land
-			return transits, delivered
+			return transits, delivered, net.FidelityStats()
 		}
 	}
 	t.Fatalf("schedule incomplete after 200000 cycles (burst %d/%d, in flight %d)",
 		bi, len(bursts), net.InFlight())
-	return nil, nil
+	return nil, nil, FidelityStats{}
 }
 
 // compareFidelity runs the same schedule cycle-accurately and at the
 // given fidelity, and requires identical observations.
-func compareFidelity(t *testing.T, topo string, cfg NetConfig, fid Fidelity, bursts []fidelityBurst) {
+func compareFidelity(t *testing.T, topo Topology, cfg NetConfig, fid Fidelity, bursts []fidelityBurst) {
 	t.Helper()
 	cfgCycle := cfg
 	cfgCycle.Fidelity = FidelityCycle
 	cfgLoose := cfg
 	cfgLoose.Fidelity = fid
 
-	wantT, wantD := runFidelitySchedule(t, topo, cfgCycle, bursts)
-	gotT, gotD := runFidelitySchedule(t, topo, cfgLoose, bursts)
+	wantT, wantD, _ := runFidelitySchedule(t, topo, cfgCycle, bursts)
+	gotT, gotD, _ := runFidelitySchedule(t, topo, cfgLoose, bursts)
 
 	if len(gotT) != len(wantT) {
 		t.Fatalf("%s/%v: %d transits, cycle-accurate %d", topo, fid, len(gotT), len(wantT))
@@ -219,7 +203,6 @@ func seqBursts(rng *rand.Rand, n int, count int, maxPay int) []fidelityBurst {
 }
 
 func TestLooseExactUncontended(t *testing.T) {
-	topos := []string{"crossbar", "mesh", "torus", "ring", "tree"}
 	// BufDepth: 16 holds the largest packet (10 flits) whole — required
 	// by SAF and by cut-through admission on ring/torus. SAF trains are
 	// exact only while two consecutive packets fit in one lane
@@ -228,7 +211,7 @@ func TestLooseExactUncontended(t *testing.T) {
 		{BufDepth: 16},
 		{Mode: StoreAndForward, BufDepth: 20},
 	}
-	for _, topo := range topos {
+	for _, topo := range Topologies() {
 		for mi, cfg := range modes {
 			t.Run(fmt.Sprintf("%s/m%d/%v", topo, mi, FidelityHybrid), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(42 + mi)))
@@ -251,7 +234,7 @@ func FuzzLooseLatencyExact(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(5), uint8(1), int64(4))
 	f.Add(uint8(4), uint8(0), uint8(12), uint8(0), int64(5))
 	f.Fuzz(func(t *testing.T, topoSel, modeSel, nodeSel, flitSel uint8, seed int64) {
-		topo := []string{"crossbar", "mesh", "torus", "ring", "tree"}[int(topoSel)%5]
+		topo := Topologies()[int(topoSel)%5]
 		n := 4 + int(nodeSel)%10 // 4..13 endpoints
 		cfg := NetConfig{
 			FlitBytes: []int{4, 8, 16}[int(flitSel)%3],
@@ -277,10 +260,9 @@ func FuzzLooseLatencyExact(f *testing.F) {
 }
 
 // TestFidelityCycleInert pins the knob's off position: a cycle-accurate
-// fabric carries no engine and reports zero fidelity activity, even
-// when the loose tuning fields are set.
+// fabric carries no engine and reports zero fidelity activity.
 func TestFidelityCycleInert(t *testing.T) {
-	tn := newXbar(NetConfig{Fidelity: FidelityCycle, LooseThreshold: 0.9, LooseWindow: 7}, 1, 2)
+	tn := newXbar(NetConfig{Fidelity: FidelityCycle}, 1, 2)
 	if tn.net.loose != nil {
 		t.Fatal("cycle-accurate fabric built a loose engine")
 	}
@@ -298,12 +280,7 @@ func TestFidelityCycleInert(t *testing.T) {
 // utilization threshold and checks that hybrid mode actually falls
 // back (packets ride the flit path) while conserving every packet.
 func TestHybridFallbackUnderLoad(t *testing.T) {
-	cfg := NetConfig{
-		Fidelity:       FidelityHybrid,
-		LooseThreshold: 0.05,
-		LooseWindow:    32,
-	}
-	clk, net := buildFidelityNet("crossbar", cfg, 5)
+	clk, net := buildFidelityNet(Crossbar, NetConfig{Fidelity: FidelityHybrid}, 5)
 	hot := noctypes.NodeID(1)
 	sent, got := 0, 0
 	clk.Register(tickComp{fn: func(cycle int64) {
@@ -365,15 +342,22 @@ func TestHybridFallbackUnderLoad(t *testing.T) {
 }
 
 // TestLooseDeterminism: two identical hybrid runs observe identical
-// histories — the approximate mode is still seed-deterministic.
+// histories — the approximate mode is still seed-deterministic — on a
+// schedule that heats links past the fallback threshold, so both paths
+// carry packets.
 func TestLooseDeterminism(t *testing.T) {
-	cfg := NetConfig{Fidelity: FidelityHybrid, LooseThreshold: 0.1, LooseWindow: 64}
+	cfg := NetConfig{Fidelity: FidelityHybrid}
 	rng1 := rand.New(rand.NewSource(7))
-	b1 := seqBursts(rng1, 8, 10, 40)
-	t1, d1 := runFidelitySchedule(t, "mesh", cfg, b1)
+	b1 := seqBursts(rng1, 8, 40, 400)
+	t1, d1, s1 := runFidelitySchedule(t, Mesh, cfg, b1)
 	rng2 := rand.New(rand.NewSource(7))
-	b2 := seqBursts(rng2, 8, 10, 40)
-	t2, d2 := runFidelitySchedule(t, "mesh", cfg, b2)
+	b2 := seqBursts(rng2, 8, 40, 400)
+	t2, d2, s2 := runFidelitySchedule(t, Mesh, cfg, b2)
+	for _, s := range []FidelityStats{s1, s2} {
+		if s.AnalyticPkts == 0 || s.FallbackPkts == 0 {
+			t.Fatalf("schedule does not mix the paths: %+v", s)
+		}
+	}
 	if len(t1) != len(t2) || len(d1) != len(d2) {
 		t.Fatalf("replay diverged: %d/%d transits, %d/%d deliveries", len(t1), len(t2), len(d1), len(d2))
 	}
@@ -422,7 +406,7 @@ func TestParseFidelity(t *testing.T) {
 // the flit path even while every link is cold.
 func TestLockedFabricStaysCycleAccurate(t *testing.T) {
 	cfg := NetConfig{Fidelity: FidelityHybrid, LegacyLock: true}
-	clk, net := buildFidelityNet("crossbar", cfg, 3)
+	clk, net := buildFidelityNet(Crossbar, cfg, 3)
 	sentOK := false
 	clk.Register(tickComp{fn: func(cycle int64) {
 		if sentOK {
@@ -452,7 +436,7 @@ func TestLockedFabricStaysCycleAccurate(t *testing.T) {
 // Network.Path's, each switch output mapped to its flat link index; a
 // second lookup returns the same links without growing the arena.
 func TestLooseRouteArenaMatchesPath(t *testing.T) {
-	for _, topo := range []string{"crossbar", "mesh", "torus", "ring", "tree"} {
+	for _, topo := range Topologies() {
 		_, net := buildFidelityNet(topo, NetConfig{Fidelity: FidelityHybrid}, 9)
 		le := net.loose
 		le.init()
@@ -480,7 +464,7 @@ func TestLooseRouteArenaMatchesPath(t *testing.T) {
 // its slot (a delivery's backpressure retry) and events scheduled past
 // the wheel's span, which grow it.
 func TestLooseEventOrder(t *testing.T) {
-	_, net := buildFidelityNet("crossbar", NetConfig{Fidelity: FidelityHybrid}, 2)
+	_, net := buildFidelityNet(Crossbar, NetConfig{Fidelity: FidelityHybrid}, 2)
 	le := net.loose
 	rng := rand.New(rand.NewSource(3))
 	type tagged struct{ cycle, tag int64 }
@@ -490,7 +474,7 @@ func TestLooseEventOrder(t *testing.T) {
 		if i%50 == 49 {
 			c = 1 + int64(rng.Intn(1000))
 		}
-		le.push(c, looseEvent{queued: int64(i)})
+		le.push(c, looseEvent{times: pktTimes{queued: int64(i)}})
 		want = append(want, tagged{c, int64(i)})
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].cycle < want[j].cycle })
@@ -500,7 +484,7 @@ func TestLooseEventOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("nothing due")
 	}
-	got = append(got, tagged{due, le.slab[slot].queued})
+	got = append(got, tagged{due, le.slab[slot].times.queued})
 	le.schedule(5, slot)
 	want = append(want, tagged{5, want[0].tag})
 	sort.SliceStable(want[1:], func(i, j int) bool { return want[1+i].cycle < want[1+j].cycle })
@@ -511,7 +495,7 @@ func TestLooseEventOrder(t *testing.T) {
 			if !ok {
 				break
 			}
-			got = append(got, tagged{due, le.slab[slot].queued})
+			got = append(got, tagged{due, le.slab[slot].times.queued})
 		}
 	}
 	if le.queued != 0 {
@@ -527,7 +511,7 @@ func TestLooseEventOrder(t *testing.T) {
 // allocates nothing — sends, event scheduling, deliveries and recycled
 // packets all reuse what the first rounds built.
 func TestLooseSteadyStateAllocFree(t *testing.T) {
-	clk, net := buildFidelityNet("mesh", NetConfig{Fidelity: FidelityHybrid}, 9)
+	clk, net := buildFidelityNet(Mesh, NetConfig{Fidelity: FidelityHybrid}, 9)
 	eps := net.epList
 	p := &Packet{Header: Header{Kind: KindReq}, Payload: make([]byte, 24)}
 	var rx []*Packet

@@ -22,16 +22,6 @@ type NetConfig struct {
 	// provably inert with respect to this knob; hybrid routes cold-path
 	// packets through the analytic latency model in fidelity.go.
 	Fidelity Fidelity
-
-	// LooseThreshold is the per-link utilization (flits/cycle over one
-	// LooseWindow epoch) above which hybrid mode falls back to the
-	// cycle-accurate path for routes crossing that link (default 0.35).
-	LooseThreshold float64
-	// LooseHysteresis scales the threshold for cooling: a hot link goes
-	// cold below LooseThreshold*LooseHysteresis (default 0.5).
-	LooseHysteresis float64
-	// LooseWindow is the utilization epoch in cycles (default 256).
-	LooseWindow int64
 }
 
 // WithDefaults returns the configuration with zero fields filled the
@@ -49,17 +39,6 @@ func (c NetConfig) WithDefaults() NetConfig {
 	}
 	if c.MaxPendingPkts == 0 {
 		c.MaxPendingPkts = 4
-	}
-	if c.Fidelity != FidelityCycle {
-		if c.LooseThreshold <= 0 {
-			c.LooseThreshold = DefaultLooseThreshold
-		}
-		if c.LooseHysteresis <= 0 {
-			c.LooseHysteresis = DefaultLooseHysteresis
-		}
-		if c.LooseWindow <= 0 {
-			c.LooseWindow = DefaultLooseWindow
-		}
 	}
 	return c
 }
@@ -165,7 +144,7 @@ func newNetwork(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network
 	}
 	n := &Network{clk: clk, cfg: cfg.WithDefaults(), eps: make([]*Endpoint, top+1)}
 	if n.cfg.Fidelity != FidelityCycle {
-		n.loose = newLooseEngine(n, n.cfg)
+		n.loose = &looseEngine{n: n}
 	}
 	n.commitFn = n.commit
 	n.wake = clk.Register(netTick{n})
@@ -468,37 +447,54 @@ func (ep *Endpoint) Network() *Network { return ep.net }
 func (ep *Endpoint) CanSend() bool { return ep.pending < ep.net.cfg.MaxPendingPkts }
 
 // TrySend queues a packet for injection. It returns false under
-// backpressure. It panics if a store-and-forward fabric is given a packet
-// larger than switch buffers (a configuration error).
+// backpressure. It panics if a fabric that buffers whole packets (see
+// WholePacketDepth) is given a packet larger than its lanes (a
+// configuration error).
 //
-// The packet's header and payload bytes are serialized directly into
-// the send queue's flit slots during the call; the fabric retains no
-// reference to p or p.Payload, so the caller may reuse (or Recycle)
-// both immediately.
+// The fabric retains no reference to p or p.Payload, so the caller may
+// reuse (or Recycle) both immediately: the flit path serializes the
+// header and payload bytes into flit slots during the call, and the
+// analytic path of a hybrid fabric copies the packet.
 func (ep *Endpoint) TrySend(p *Packet) bool {
 	if !ep.CanSend() {
 		return false
 	}
-	if le := ep.net.loose; le != nil {
-		if le.admits(ep, p) {
-			return le.send(ep, p)
-		}
-		// Hot route (or lock traffic): this packet rides the
-		// cycle-accurate flit path below.
-		ep.net.looseCycleActive++
-	}
-	ep.net.nextPktID++
-	p.ID = ep.net.nextPktID
+	n := ep.net
+	n.nextPktID++
+	p.ID = n.nextPktID
 	if p.Src != ep.node {
 		panic(fmt.Sprintf("transport: %v sending packet with Src=%v", ep.node, p.Src))
 	}
 	p.PayloadLen = uint32(len(p.Payload))
+	flits := FlitCount(HeaderBytes+len(p.Payload), n.cfg.FlitBytes)
+	if (n.cfg.Mode == StoreAndForward || n.cutThrough) && flits > n.cfg.BufDepth {
+		panic(fmt.Sprintf("transport: packet of %d flits exceeds BufDepth %d (whole-packet buffering required)", flits, n.cfg.BufDepth))
+	}
+	if le := n.loose; le != nil && le.admits(ep, p) {
+		le.send(ep, p, flits)
+	} else {
+		if le != nil {
+			// Hot route (or lock traffic): this packet rides the
+			// cycle-accurate flit path.
+			n.looseCycleActive++
+		}
+		ep.serialize(p, flits)
+	}
+	ep.pending++
+	if ep.probe != nil {
+		ep.probe.Event(obs.Event{
+			Kind: obs.KindQueued, Cycle: n.clk.Cycle(),
+			PktID: p.ID, Src: p.Src, Dst: p.Dst, Val: flits,
+		})
+	}
+	return true
+}
+
+// serialize writes p's header and payload bytes straight into n staged
+// send-queue slots: the flit path's half of TrySend.
+func (ep *Endpoint) serialize(p *Packet, n int) {
 	fb := ep.net.cfg.FlitBytes
 	wireLen := HeaderBytes + len(p.Payload)
-	n := (wireLen + fb - 1) / fb
-	if (ep.net.cfg.Mode == StoreAndForward || ep.net.cutThrough) && n > ep.net.cfg.BufDepth {
-		panic(fmt.Sprintf("transport: packet of %d flits exceeds BufDepth %d (whole-packet buffering required)", n, ep.net.cfg.BufDepth))
-	}
 	vc := VCNormal
 	if p.Locked {
 		vc = VCLocked
@@ -540,20 +536,48 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 			copy(dst[off:], p.Payload[lo+off-HeaderBytes:hi-HeaderBytes])
 		}
 	}
-	ep.pending++
 	ep.net.queued++
 	ep.net.stage()
 	ep.net.wake.Wake()
 	if ep.net.OnTransit != nil {
 		ep.times[p.ID] = pktTimes{queued: ep.net.clk.Cycle()}
 	}
+}
+
+// inject counts a packet's head flit entering the fabric on cycle.
+// Both paths call it: the flit path when the head leaves the send
+// queue, the analytic path at the cycle its model puts that moment.
+func (ep *Endpoint) inject(cycle int64, pktID uint64, dst noctypes.NodeID) {
+	ep.net.injected++
 	if ep.probe != nil {
 		ep.probe.Event(obs.Event{
-			Kind: obs.KindQueued, Cycle: ep.net.clk.Cycle(),
-			PktID: p.ID, Src: p.Src, Dst: p.Dst, Val: n,
+			Kind: obs.KindInject, Cycle: cycle,
+			PktID: pktID, Src: ep.node, Dst: dst,
 		})
 	}
-	return true
+}
+
+// deliver hands a whole packet to the receive queue on cycle and
+// reports its journey; tm holds its send-side cycles. Both paths call
+// it.
+func (ep *Endpoint) deliver(pkt *Packet, cycle int64, hops int, tm pktTimes) {
+	ep.net.ejected++
+	ep.recvQ.Push(pkt)
+	if ep.probe != nil {
+		ep.probe.Event(obs.Event{
+			Kind: obs.KindEject, Cycle: cycle,
+			PktID: pkt.ID, Src: pkt.Src, Dst: ep.node, Val: hops,
+		})
+	}
+	if ep.net.OnTransit != nil {
+		ep.net.OnTransit(TransitRecord{
+			Pkt:         pkt,
+			QueuedCycle: tm.queued,
+			InjectCycle: tm.injected,
+			EjectCycle:  cycle,
+			Hops:        hops,
+		})
+	}
 }
 
 // SetConsumer names the component that receives from this endpoint:
@@ -601,13 +625,7 @@ func (ep *Endpoint) eval(cycle int64) {
 					tm.injected = cycle
 					ep.times[pktID] = tm
 				}
-				ep.net.injected++
-				if ep.probe != nil {
-					ep.probe.Event(obs.Event{
-						Kind: obs.KindInject, Cycle: cycle,
-						PktID: pktID, Src: ep.node, Dst: q.ring.hdr[hs].Dst,
-					})
-				}
+				ep.inject(cycle, pktID, q.ring.hdr[hs].Dst)
 			}
 			if fl&slotTail != 0 {
 				ep.pending--
@@ -636,29 +654,14 @@ func (ep *Endpoint) eval(cycle int64) {
 			if ep.net.loose != nil {
 				ep.net.looseCycleActive--
 			}
-			ep.net.ejected++
-			ep.recvQ.Push(pkt)
-			if ep.probe != nil {
-				ep.probe.Event(obs.Event{
-					Kind: obs.KindEject, Cycle: cycle,
-					PktID: pkt.ID, Src: pkt.Src, Dst: ep.node, Val: int(hops),
-				})
-			}
+			var tm pktTimes
 			if ep.net.OnTransit != nil {
-				src := ep.net.Endpoint(pkt.Src)
-				rec := TransitRecord{
-					Pkt:        pkt,
-					EjectCycle: cycle,
-					Hops:       int(hops),
-				}
-				if src != nil {
-					tm := src.times[pkt.ID]
-					rec.QueuedCycle = tm.queued
-					rec.InjectCycle = tm.injected
+				if src := ep.net.Endpoint(pkt.Src); src != nil {
+					tm = src.times[pkt.ID]
 					delete(src.times, pkt.ID)
 				}
-				ep.net.OnTransit(rec)
 			}
+			ep.deliver(pkt, cycle, int(hops), tm)
 		}
 	}
 }

@@ -547,3 +547,59 @@ func TestTorusSaturationNoDeadlock(t *testing.T) {
 	}
 	saturate(t, clk, NewTorus(clk, NetConfig{}, MeshSpec{W: 4, H: 4, Nodes: nodes}), ids, 3000, 4000)
 }
+
+func TestParseTopology(t *testing.T) {
+	for _, tp := range Topologies() {
+		got, err := ParseTopology(tp.String())
+		if err != nil || got != tp {
+			t.Fatalf("ParseTopology(%q) = %v, %v", tp.String(), got, err)
+		}
+	}
+	if tp, err := ParseTopology("xbar"); err != nil || tp != Crossbar {
+		t.Fatal("ParseTopology(xbar) alias broken")
+	}
+	if _, err := ParseTopology("hypercube"); err == nil {
+		t.Fatal("bad topology accepted")
+	}
+}
+
+// TestBuildPlacesNodes: Build attaches every node on each topology, and
+// a grid too small for the nodes is a configuration error.
+func TestBuildPlacesNodes(t *testing.T) {
+	ids := []noctypes.NodeID{1, 2, 3, 4, 5, 6}
+	for _, tp := range Topologies() {
+		clk := sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0)
+		net := Build(clk, NetConfig{}, Shape{Topology: tp, W: 3, H: 2, Fanout: 4}, ids)
+		if got := net.Nodes(); fmt.Sprint(got) != fmt.Sprint(ids) {
+			t.Fatalf("%v: nodes %v, want %v", tp, got, ids)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 2x2 mesh accepted 6 nodes")
+		}
+	}()
+	Build(sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0), NetConfig{}, Shape{Topology: Mesh, W: 2, H: 2}, ids)
+}
+
+// TestWholePacketDepth: only fabrics that buffer whole packets ask for
+// a minimum lane depth, and it holds the header and the payload.
+func TestWholePacketDepth(t *testing.T) {
+	cases := []struct {
+		tp   Topology
+		cfg  NetConfig
+		want int
+	}{
+		{Crossbar, NetConfig{}, 0},
+		{Mesh, NetConfig{}, 0},
+		{Tree, NetConfig{}, 0},
+		{Ring, NetConfig{}, 6},                                     // (16+32)/8
+		{Torus, NetConfig{FlitBytes: 16}, 3},                       // (16+32)/16
+		{Mesh, NetConfig{Mode: StoreAndForward, FlitBytes: 5}, 10}, // ceil(48/5)
+	}
+	for _, c := range cases {
+		if got := WholePacketDepth(c.tp, c.cfg, 32); got != c.want {
+			t.Errorf("WholePacketDepth(%v, %+v, 32) = %d, want %d", c.tp, c.cfg, got, c.want)
+		}
+	}
+}

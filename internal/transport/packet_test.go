@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gonoc/internal/noctypes"
+	"gonoc/internal/obs"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -35,51 +36,70 @@ func TestHeaderDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestPacketizeSingleFlit(t *testing.T) {
-	p := &Packet{Header: Header{Dst: 1, Src: 2}, ID: 7}
-	flits := Packetize(p, 16) // header-only packet fits one 16B flit
-	if len(flits) != 1 || !flits[0].Head || !flits[0].Tail {
-		t.Fatalf("flits = %v", flits)
+// probeFunc adapts a function into an obs.Probe.
+type probeFunc func(obs.Event)
+
+func (f probeFunc) Event(ev obs.Event) { f(ev) }
+
+// carry sends p from its Src to its Dst over a two-node crossbar with
+// flits of flitBytes and returns the packet Recv hands the destination,
+// with the flits TrySend queued and the VC of each flit the switch
+// moved.
+func carry(t *testing.T, p *Packet, flitBytes int) (got *Packet, queued int, vcs []uint8) {
+	t.Helper()
+	tn := newXbar(NetConfig{FlitBytes: flitBytes}, p.Src, p.Dst)
+	tn.net.SetProbe(probeFunc(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.KindQueued:
+			queued = ev.Val
+		case obs.KindFlit:
+			vcs = append(vcs, ev.VC)
+		}
+	}))
+	if !tn.net.Endpoint(p.Src).TrySend(p) {
+		t.Fatal("TrySend refused on an idle fabric")
 	}
-	if flits[0].Hdr.Dst != 1 {
-		t.Fatal("head flit missing header copy")
+	tn.runUntilDrained(t, 2000)
+	got, ok := tn.net.Endpoint(p.Dst).Recv()
+	if !ok {
+		t.Fatal("no packet reassembled")
+	}
+	return got, queued, vcs
+}
+
+func TestPacketizeSingleFlit(t *testing.T) {
+	p := &Packet{Header: Header{Dst: 1, Src: 2}}
+	got, queued, vcs := carry(t, p, 16) // header-only packet fits one 16B flit
+	if queued != 1 || len(vcs) != 1 {
+		t.Fatalf("queued %d flits, switch moved %d; want 1", queued, len(vcs))
+	}
+	if got.Header != p.Header {
+		t.Fatalf("header mismatch: %+v", got.Header)
 	}
 }
 
 func TestPacketizeMultiFlit(t *testing.T) {
-	p := &Packet{Header: Header{Dst: 1, Src: 2}, Payload: make([]byte, 20), ID: 7}
-	flits := Packetize(p, 8) // 36 wire bytes -> 5 flits
-	if len(flits) != 5 {
-		t.Fatalf("got %d flits, want 5", len(flits))
+	p := &Packet{Header: Header{Dst: 1, Src: 2}, Payload: make([]byte, 20)}
+	got, queued, vcs := carry(t, p, 8) // 36 wire bytes -> 5 flits
+	if queued != 5 || len(vcs) != 5 {
+		t.Fatalf("queued %d flits, switch moved %d; want 5", queued, len(vcs))
 	}
-	if !flits[0].Head || flits[0].Tail {
-		t.Fatal("first flit flags wrong")
-	}
-	for _, f := range flits[1:4] {
-		if f.Head || f.Tail {
-			t.Fatal("body flit flags wrong")
-		}
-	}
-	if flits[4].Head || !flits[4].Tail {
-		t.Fatal("tail flit flags wrong")
-	}
-	total := 0
-	for _, f := range flits {
-		total += len(f.Data)
-	}
-	if total != 36 {
-		t.Fatalf("flit bytes = %d, want 36", total)
+	if got.PayloadLen != 20 || len(got.Payload) != 20 {
+		t.Fatalf("payload %d bytes (header says %d), want 20", len(got.Payload), got.PayloadLen)
 	}
 }
 
 func TestPacketizeVCAssignment(t *testing.T) {
-	normal := Packetize(&Packet{Header: Header{Dst: 1, Src: 2}}, 8)
-	if normal[0].VC != VCNormal {
-		t.Fatal("normal packet not on VCNormal")
-	}
-	locked := Packetize(&Packet{Header: Header{Dst: 1, Src: 2, Locked: true}}, 8)
-	if locked[0].VC != VCLocked {
-		t.Fatal("locked packet not on VCLocked")
+	for _, c := range []struct {
+		locked bool
+		want   uint8
+	}{{false, VCNormal}, {true, VCLocked}} {
+		_, _, vcs := carry(t, &Packet{Header: Header{Dst: 1, Src: 2, Locked: c.locked}, Payload: make([]byte, 20)}, 8)
+		for _, vc := range vcs {
+			if vc != c.want {
+				t.Fatalf("locked=%v: flit on VC %d, want %d", c.locked, vc, c.want)
+			}
+		}
 	}
 }
 
@@ -88,46 +108,39 @@ func TestReassembleRoundTrip(t *testing.T) {
 	p := &Packet{
 		Header:  Header{Kind: KindReq, Dst: 4, Src: 5, Tag: 6, Priority: noctypes.PrioUrgent, User: 0x01},
 		Payload: payload,
-		ID:      99,
 	}
-	var r Reassembler
-	var out *Packet
-	for _, f := range Packetize(p, 8) {
-		got, err := r.Feed(f)
-		if err != nil {
-			t.Fatalf("feed: %v", err)
-		}
-		if got != nil {
-			out = got
-		}
-	}
-	if out == nil {
-		t.Fatal("no packet reassembled")
-	}
+	out, _, _ := carry(t, p, 8)
 	if out.Dst != 4 || out.Src != 5 || out.Tag != 6 || out.User != 0x01 {
 		t.Fatalf("header mismatch: %+v", out.Header)
 	}
 	if !bytes.Equal(out.Payload, payload) {
 		t.Fatalf("payload mismatch: %q", out.Payload)
 	}
-	if out.ID != 99 {
-		t.Fatalf("ID = %d", out.ID)
+	if out.ID == 0 || out.ID != p.ID {
+		t.Fatalf("ID = %d, TrySend assigned %d", out.ID, p.ID)
 	}
 }
 
 func TestReassembleInterleaveDetected(t *testing.T) {
-	p1 := Packetize(&Packet{Header: Header{Dst: 1, Src: 2}, Payload: make([]byte, 20), ID: 1}, 8)
-	p2 := Packetize(&Packet{Header: Header{Dst: 1, Src: 3}, Payload: make([]byte, 20), ID: 2}, 8)
+	var pool pktPool
+	flit := make([]byte, 8)
 	var r Reassembler
-	if _, err := r.Feed(p1[0]); err != nil {
+	if _, err := r.feed(1, true, false, flit, &pool); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Feed(p2[0]); err == nil {
+	if _, err := r.feed(2, true, false, flit, &pool); err == nil {
 		t.Fatal("interleaved head not detected")
 	}
 	var r2 Reassembler
-	if _, err := r2.Feed(p1[1]); err == nil {
+	if _, err := r2.feed(1, false, false, flit, &pool); err == nil {
 		t.Fatal("body-without-head not detected")
+	}
+	var r3 Reassembler
+	if _, err := r3.feed(1, true, false, flit, &pool); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r3.feed(2, false, true, flit, &pool); err == nil {
+		t.Fatal("interleaved body not detected")
 	}
 }
 
@@ -149,41 +162,29 @@ func TestFlitString(t *testing.T) {
 	}
 }
 
-// Property: packetize/reassemble is the identity for any payload and any
-// flit width.
+// Property: TrySend then Recv is the identity on header and payload for
+// any header, any payload of 0-199 bytes and any flit width of 1-32
+// bytes.
 func TestQuickPacketizeRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		widths := []int{1, 2, 4, 8, 16, 32}
+		src := noctypes.NodeID(1 + rng.Intn(100))
+		dst := noctypes.NodeID(1 + (int(src)+rng.Intn(99))%100)
 		p := &Packet{
 			Header: Header{
 				Kind:     Kind(rng.Intn(2)),
-				Dst:      noctypes.NodeID(rng.Intn(100)),
-				Src:      noctypes.NodeID(rng.Intn(100)),
+				Dst:      dst,
+				Src:      src,
 				Tag:      noctypes.Tag(rng.Intn(16)),
 				Priority: noctypes.Priority(rng.Intn(4)),
 				Locked:   rng.Intn(2) == 0,
 				User:     uint8(rng.Intn(256)),
 			},
 			Payload: make([]byte, rng.Intn(200)),
-			ID:      rng.Uint64(),
 		}
 		p.Unlock = p.Locked && rng.Intn(2) == 0
 		rng.Read(p.Payload)
-		var r Reassembler
-		var out *Packet
-		for _, f := range Packetize(p, widths[rng.Intn(len(widths))]) {
-			got, err := r.Feed(f)
-			if err != nil {
-				return false
-			}
-			if got != nil {
-				out = got
-			}
-		}
-		if out == nil {
-			return false
-		}
+		out, _, _ := carry(t, p, 1+rng.Intn(32))
 		return out.Header == p.Header && bytes.Equal(out.Payload, p.Payload) && out.ID == p.ID
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

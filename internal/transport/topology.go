@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 
 	"gonoc/internal/noctypes"
 	"gonoc/internal/sim"
@@ -10,6 +11,95 @@ import (
 // This file builds fabrics. Topology choice is a transport-layer concern
 // invisible to the transaction layer; all builders produce the same
 // Network/Endpoint API.
+
+// Topology names a fabric shape. Every layer above transport selects
+// its fabric by this name, and Build makes it.
+type Topology uint8
+
+// Topologies, in display order.
+const (
+	Crossbar Topology = iota
+	Mesh
+	Torus
+	Ring
+	Tree
+)
+
+var topologyNames = [...]string{Crossbar: "crossbar", Mesh: "mesh", Torus: "torus", Ring: "ring", Tree: "tree"}
+
+// Topologies returns every topology in display order.
+func Topologies() []Topology { return []Topology{Crossbar, Mesh, Torus, Ring, Tree} }
+
+// String renders the topology's CLI and scenario name.
+func (t Topology) String() string {
+	if int(t) < len(topologyNames) {
+		return topologyNames[t]
+	}
+	return fmt.Sprintf("topology%d", uint8(t))
+}
+
+// ParseTopology resolves a topology name; "xbar" is accepted for the
+// crossbar.
+func ParseTopology(s string) (Topology, error) {
+	name := strings.ToLower(strings.TrimSpace(s))
+	if name == "xbar" {
+		return Crossbar, nil
+	}
+	for t, n := range topologyNames {
+		if n == name {
+			return Topology(t), nil
+		}
+	}
+	return 0, fmt.Errorf("transport: unknown topology %q (want crossbar|mesh|torus|ring|tree)", s)
+}
+
+// Shape is a fabric's topology and its dimensions: W x H routers for a
+// mesh or torus, Fanout endpoints per leaf switch for a tree. The other
+// topologies ignore the dimensions.
+type Shape struct {
+	Topology Topology
+	W, H     int
+	Fanout   int
+}
+
+// Build makes the fabric sh describes over nodes. A mesh or torus
+// places node i at (i mod W, i / W); it panics when W x H cannot hold
+// every node.
+func Build(clk *sim.Clock, cfg NetConfig, sh Shape, nodes []noctypes.NodeID) *Network {
+	switch sh.Topology {
+	case Mesh, Torus:
+		if sh.W*sh.H < len(nodes) {
+			panic(fmt.Sprintf("transport: %dx%d %s cannot hold %d nodes", sh.W, sh.H, sh.Topology, len(nodes)))
+		}
+		spec := MeshSpec{W: sh.W, H: sh.H, Nodes: map[noctypes.NodeID]Coord{}}
+		for i, n := range nodes {
+			spec.Nodes[n] = Coord{X: i % sh.W, Y: i / sh.W}
+		}
+		if sh.Topology == Torus {
+			return NewTorus(clk, cfg, spec)
+		}
+		return NewMesh(clk, cfg, spec)
+	case Ring:
+		return NewRing(clk, cfg, nodes)
+	case Tree:
+		return NewTree(clk, cfg, sh.Fanout, nodes)
+	default:
+		return NewCrossbar(clk, cfg, nodes)
+	}
+}
+
+// WholePacketDepth returns the lane depth, in flits, that a fabric of
+// topology t under cfg needs to buffer a packet of payloadBytes whole,
+// or 0 when its lanes need no minimum. Store-and-forward switches hold
+// a whole packet before forwarding it, and the ring's and torus's
+// cut-through admission grants an output only with room for the whole
+// packet downstream; TrySend panics on a packet deeper than the lanes.
+func WholePacketDepth(t Topology, cfg NetConfig, payloadBytes int) int {
+	if cfg.Mode != StoreAndForward && t != Ring && t != Torus {
+		return 0
+	}
+	return FlitCount(HeaderBytes+payloadBytes, cfg.WithDefaults().FlitBytes)
+}
 
 // NewCrossbar builds a single-switch fabric: every node one hop from
 // every other. This is the smallest real NoC and the default fabric for
