@@ -36,9 +36,29 @@ func TestFidelityLoadErrors(t *testing.T) {
 		{"misspelled fidelity field with position",
 			fidelityPacket(`"fidelty": "hybrid"`),
 			`unknown field "fidelty"`},
-		{"loose tuning field is unknown with position",
-			fidelityPacket(`"fidelity": "hybrid", "loose_threshold": 0.25`),
+		// The loose_* tuning fields are deleted: a document that still
+		// carries one, well-formed or not, fails on the field's name.
+		{"threshold above one",
+			fidelityPacket(`"fidelity": "hybrid", "loose_threshold": 1.5`),
 			`unknown field "loose_threshold"`},
+		{"negative threshold",
+			fidelityPacket(`"fidelity": "hybrid", "loose_threshold": -0.2`),
+			`unknown field "loose_threshold"`},
+		{"hysteresis above one",
+			fidelityPacket(`"fidelity": "hybrid", "loose_hysteresis": 2`),
+			`unknown field "loose_hysteresis"`},
+		{"negative window",
+			fidelityPacket(`"fidelity": "hybrid", "loose_window": -64`),
+			`unknown field "loose_window"`},
+		{"threshold of wrong type with position",
+			fidelityPacket(`"fidelity": "hybrid", "loose_threshold": "high"`),
+			`unknown field "loose_threshold"`},
+		{"loose tuning without the knob",
+			fidelityPacket(`"loose_threshold": 0.5`),
+			`unknown field "loose_threshold"`},
+		{"loose tuning on explicit cycle",
+			fidelityPacket(`"fidelity": "cycle", "loose_window": 128`),
+			`unknown field "loose_window"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
