@@ -3,37 +3,47 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"gonoc/internal/mem"
+	"gonoc/internal/noctypes"
 )
 
+// The exclusive service's reservation table is mem.Monitor, keyed by
+// NoC master as the slave NIU keys it. An exclusive write may take
+// effect iff Holds; one that does calls Wrote.
+
+// monitor returns an empty table keyed like the slave NIU's.
+func monitor() *mem.Monitor[noctypes.NodeID] { return new(mem.Monitor[noctypes.NodeID]) }
+
 func TestExclusiveBasicSuccess(t *testing.T) {
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
-	if !m.TryExclusiveWrite(1, 0x100, 0x104) {
+	if !m.Holds(1, 0x100, 0x104) {
 		t.Fatal("exclusive write after undisturbed reserve failed")
 	}
 }
 
 func TestExclusiveFailsWithoutReservation(t *testing.T) {
-	m := NewExclusiveMonitor()
-	if m.TryExclusiveWrite(1, 0x100, 0x104) {
+	m := monitor()
+	if m.Holds(1, 0x100, 0x104) {
 		t.Fatal("exclusive write without reservation succeeded")
 	}
 }
 
 func TestExclusiveClearedByInterveningWrite(t *testing.T) {
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
-	m.ObserveWrite(0x102, 0x103) // overlapping normal write by anyone
-	if m.TryExclusiveWrite(1, 0x100, 0x104) {
+	m.Wrote(0x102, 0x103) // overlapping normal write by anyone
+	if m.Holds(1, 0x100, 0x104) {
 		t.Fatal("exclusive write succeeded after intervening write")
 	}
 }
 
 func TestExclusiveUnaffectedByDisjointWrite(t *testing.T) {
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
-	m.ObserveWrite(0x200, 0x204)
-	if !m.TryExclusiveWrite(1, 0x100, 0x104) {
+	m.Wrote(0x200, 0x204)
+	if !m.Holds(1, 0x100, 0x104) {
 		t.Fatal("disjoint write broke the reservation")
 	}
 }
@@ -41,17 +51,17 @@ func TestExclusiveUnaffectedByDisjointWrite(t *testing.T) {
 func TestExclusiveTwoMastersRace(t *testing.T) {
 	// Classic lock acquisition race: both masters read-exclusive, both
 	// attempt write-exclusive. Exactly one must win.
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
 	m.Reserve(2, 0x100, 0x104)
 
-	win1 := m.TryExclusiveWrite(1, 0x100, 0x104)
+	win1 := m.Holds(1, 0x100, 0x104)
 	if win1 {
-		m.ObserveWrite(0x100, 0x104) // winner's write clears others
+		m.Wrote(0x100, 0x104) // winner's write clears others
 	}
-	win2 := m.TryExclusiveWrite(2, 0x100, 0x104)
+	win2 := m.Holds(2, 0x100, 0x104)
 	if win2 {
-		m.ObserveWrite(0x100, 0x104)
+		m.Wrote(0x100, 0x104)
 	}
 	if !win1 || win2 {
 		t.Fatalf("race outcome win1=%v win2=%v, want exactly first winner", win1, win2)
@@ -59,41 +69,27 @@ func TestExclusiveTwoMastersRace(t *testing.T) {
 }
 
 func TestExclusiveReservationReplaced(t *testing.T) {
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
 	m.Reserve(1, 0x200, 0x204) // new reserve replaces old (one monitor/master)
-	if m.TryExclusiveWrite(1, 0x100, 0x104) {
+	if m.Holds(1, 0x100, 0x104) {
 		t.Fatal("stale reservation honoured")
 	}
-	if !m.TryExclusiveWrite(1, 0x200, 0x204) {
+	if !m.Holds(1, 0x200, 0x204) {
 		t.Fatal("fresh reservation not honoured")
 	}
 }
 
 func TestExclusivePartialCoverage(t *testing.T) {
-	m := NewExclusiveMonitor()
+	m := monitor()
 	m.Reserve(1, 0x100, 0x104)
 	// Write span exceeding the reservation must fail.
-	if m.TryExclusiveWrite(1, 0x100, 0x108) {
+	if m.Holds(1, 0x100, 0x108) {
 		t.Fatal("write larger than reservation succeeded")
 	}
 	// Write inside the reservation is covered.
-	if !m.TryExclusiveWrite(1, 0x102, 0x103) {
+	if !m.Holds(1, 0x102, 0x103) {
 		t.Fatal("covered write failed")
-	}
-}
-
-func TestExclusiveStats(t *testing.T) {
-	m := NewExclusiveMonitor()
-	m.Reserve(1, 0, 4)
-	m.TryExclusiveWrite(1, 0, 4)
-	m.TryExclusiveWrite(2, 0, 4)
-	s := m.Stats()
-	if s.Reserves != 1 || s.Successes != 1 || s.Failures != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if m.Live() != 1 {
-		t.Fatalf("Live = %d", m.Live())
 	}
 }
 
@@ -104,7 +100,7 @@ func TestExclusiveStats(t *testing.T) {
 // intervened since M's reserve.
 func TestQuickExclusiveMutualExclusion(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		m := NewExclusiveMonitor()
+		m := monitor()
 		const lo, hi = 0x100, 0x104
 		reserved := map[int]bool{} // master -> has live reservation (shadow model)
 		for _, op := range ops {
@@ -114,13 +110,13 @@ func TestQuickExclusiveMutualExclusion(t *testing.T) {
 				m.Reserve(noID(master), lo, hi)
 				reserved[master] = true
 			case 1: // exclusive write attempt
-				got := m.TryExclusiveWrite(noID(master), lo, hi)
+				got := m.Holds(noID(master), lo, hi)
 				want := reserved[master]
 				if got != want {
 					return false
 				}
 				if got {
-					m.ObserveWrite(lo, hi)
+					m.Wrote(lo, hi)
 					// all reservations on the location die
 					reserved = map[int]bool{}
 				}

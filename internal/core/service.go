@@ -1,7 +1,5 @@
 package core
 
-import "gonoc/internal/noctypes"
-
 // The paper (§3): handling AXI and OCP exclusive access "only requires
 // adding a single user-defined bit in the packets, and state information
 // in the NIU. This optional packet bit becomes simply part of a family of
@@ -39,82 +37,4 @@ func (s ServiceSet) UserBitsFor(r *Request) uint8 {
 		b |= UserBitExclusive
 	}
 	return b
-}
-
-// Reservation is one exclusive-access monitor entry: master m has a live
-// reservation on [Lo, Hi).
-type Reservation struct {
-	Master noctypes.NodeID
-	Lo, Hi uint64
-}
-
-// ExclusiveMonitor is the slave-NIU state behind the exclusive service:
-// one reservation per master (AXI-style single monitor per ID is
-// approximated as per-master, which is what a per-NIU monitor sees).
-//
-// Semantics (matching AXI A3.4 / OCP lazy synchronization):
-//   - An exclusive read by master M establishes M's reservation over the
-//     burst's span, replacing any previous reservation by M.
-//   - Any successful write overlapping a reservation clears it (all
-//     masters' reservations, including the writer's own).
-//   - An exclusive write by M succeeds iff M still holds a reservation
-//     covering the write span; on success the write takes effect and
-//     clears overlapping reservations; on failure nothing is written.
-type ExclusiveMonitor struct {
-	res map[noctypes.NodeID]Reservation
-	// stats
-	reserves, successes, failures uint64
-}
-
-// NewExclusiveMonitor returns an empty monitor.
-func NewExclusiveMonitor() *ExclusiveMonitor {
-	return &ExclusiveMonitor{res: make(map[noctypes.NodeID]Reservation)}
-}
-
-// Reserve records master's reservation over [lo, hi).
-func (m *ExclusiveMonitor) Reserve(master noctypes.NodeID, lo, hi uint64) {
-	m.res[master] = Reservation{Master: master, Lo: lo, Hi: hi}
-	m.reserves++
-}
-
-// HasReservation reports whether master holds a reservation covering
-// [lo, hi).
-func (m *ExclusiveMonitor) HasReservation(master noctypes.NodeID, lo, hi uint64) bool {
-	r, ok := m.res[master]
-	return ok && r.Lo <= lo && hi <= r.Hi
-}
-
-// ObserveWrite clears every reservation overlapping [lo, hi). Call it for
-// every write that takes effect at the target.
-func (m *ExclusiveMonitor) ObserveWrite(lo, hi uint64) {
-	for k, r := range m.res {
-		if r.Lo < hi && lo < r.Hi {
-			delete(m.res, k)
-		}
-	}
-}
-
-// TryExclusiveWrite checks-and-clears for an exclusive write by master
-// over [lo, hi). It returns true if the write may take effect (caller must
-// then apply the write AND call ObserveWrite to clear overlapping
-// reservations).
-func (m *ExclusiveMonitor) TryExclusiveWrite(master noctypes.NodeID, lo, hi uint64) bool {
-	if m.HasReservation(master, lo, hi) {
-		m.successes++
-		return true
-	}
-	m.failures++
-	return false
-}
-
-// Live returns the number of live reservations (for the area model and
-// tests).
-func (m *ExclusiveMonitor) Live() int { return len(m.res) }
-
-// MonitorStats is the monitor's cumulative activity.
-type MonitorStats struct{ Reserves, Successes, Failures uint64 }
-
-// Stats returns cumulative counters.
-func (m *ExclusiveMonitor) Stats() MonitorStats {
-	return MonitorStats{Reserves: m.reserves, Successes: m.successes, Failures: m.failures}
 }

@@ -105,3 +105,25 @@ func TestQuickWriteReadIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A burst lands beat by beat at Burst.Addr less the memory's base, one
+// Write per beat through that beat's enables, and reads back the same
+// way.
+func TestBurstWrapsThroughEnables(t *testing.T) {
+	b := NewBacking(0x1000)
+	// WRAP4 of 2-byte beats from 0x106 in the window [0x100, 0x108),
+	// mapped at 0x100: beats at 6, 0, 2 and 4.
+	wrap := Burst{Wrap: 4}
+	b.WriteBurst([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0xFF, 0xFF, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0}, wrap, 0x106, 0x100, 2)
+	if got, want := b.Read(0, 8), []byte{0, 4, 5, 6, 7, 0, 1, 2}; !bytes.Equal(got, want) {
+		t.Fatalf("memory after the burst = % x, want % x", got, want)
+	}
+	got := make([]byte, 8)
+	b.ReadBurst(got, wrap, 0x106, 0x100, 2)
+	if want := []byte{1, 2, 0, 4, 5, 6, 7, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("burst read = % x, want % x", got, want)
+	}
+	if r, w := b.Accesses(); r != 5 || w != 4 {
+		t.Fatalf("access counts %d/%d, want one per beat (5/4)", r, w)
+	}
+}

@@ -132,7 +132,7 @@ func (a *ahbSlaveAdapter) writeEnabled(req *core.Request, respond func(*core.Res
 	size := int(req.Size)
 	for j, e := range be {
 		if e != 0 {
-			addr := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, j/size) + uint64(j%size)
+			addr := partAddr(req, j/size, 1) + uint64(j%size)
 			a.eng.Write(addr, 1, ahb.BurstSingle, data[j:j+1], wrote)
 		}
 	}

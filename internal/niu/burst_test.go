@@ -6,8 +6,12 @@ import (
 	"testing"
 
 	"gonoc/internal/core"
+	"gonoc/internal/mem"
+	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/protocols/axi"
+	"gonoc/internal/protocols/ocp"
 	"gonoc/internal/protocols/vci"
+	"gonoc/internal/protocols/wishbone"
 )
 
 // burstTargets are the pairing matrix's slaves plus AVCI, whose memory
@@ -24,9 +28,10 @@ var burstTargets = append(matrixSlaves[:len(matrixSlaves):len(matrixSlaves)], st
 // TestBurstKindsLandAtBeatAddr drives INCR, FIXED and WRAP bursts of
 // every length from an AXI master into every target socket, starting
 // one 4-byte beat into the wrap window, and checks each beat against
-// core.BeatAddr: a read must return the bytes at those addresses, and a
-// write must change exactly those bytes (later beats of a FIXED burst
-// overwriting earlier ones), leaving the word after the window alone.
+// the kind's mem.Burst: a read must return the bytes at those
+// addresses, and a write must change exactly those bytes (later beats
+// of a FIXED burst overwriting earlier ones), leaving the word after
+// the window alone.
 // A target that cannot express a burst kind must run it beat by beat,
 // never at incrementing addresses.
 func TestBurstKindsLandAtBeatAddr(t *testing.T) {
@@ -36,12 +41,12 @@ func TestBurstKindsLandAtBeatAddr(t *testing.T) {
 	const span = 0x200            // checked bytes, from base
 	kinds := []struct {
 		name string
-		core core.BurstKind
 		axi  axi.Burst
+		rule func(beats int) mem.Burst
 	}{
-		{"incr", core.BurstIncr, axi.BurstIncr},
-		{"fixed", core.BurstFixed, axi.BurstFixed},
-		{"wrap", core.BurstWrap, axi.BurstWrap},
+		{"incr", axi.BurstIncr, func(int) mem.Burst { return mem.Burst{} }},
+		{"fixed", axi.BurstFixed, func(int) mem.Burst { return mem.Burst{Fixed: true} }},
+		{"wrap", axi.BurstWrap, func(beats int) mem.Burst { return mem.Burst{Wrap: beats} }},
 	}
 	background := func(i int) byte { return byte(i*7 + 3) }
 	for _, tgt := range burstTargets {
@@ -65,7 +70,7 @@ func TestBurstKindsLandAtBeatAddr(t *testing.T) {
 						}
 						f.store.Write(base-memBase, want, nil)
 						beatAddr := func(i int) int {
-							return int(core.BeatAddr(k.core, start, size, uint16(beats), i) - base)
+							return int(k.rule(beats).Addr(start, size, i) - base)
 						}
 
 						if !write {
@@ -104,6 +109,35 @@ func TestBurstKindsLandAtBeatAddr(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestSocketBurstMappings pins how each socket's burst encoding maps onto
+// mem.Burst, the one address rule every target runs.
+func TestSocketBurstMappings(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want mem.Burst
+	}{
+		{"ahb WRAP4", ahb.Req{Burst: ahb.BurstWrap4}.MemBurst(), mem.Burst{Wrap: 4}},
+		{"ahb WRAP8", ahb.Req{Burst: ahb.BurstWrap8}.MemBurst(), mem.Burst{Wrap: 8}},
+		{"ahb WRAP16", ahb.Req{Burst: ahb.BurstWrap16}.MemBurst(), mem.Burst{Wrap: 16}},
+		{"ahb INCR8", ahb.Req{Burst: ahb.BurstIncr8}.MemBurst(), mem.Burst{}},
+		{"wishbone 8 beats at BTE WRAP4", wishbone.Cycle{Beats: 8, CTI: wishbone.Incrementing, BTE: wishbone.Wrap4}.MemBurst(), mem.Burst{Wrap: 4}},
+		{"wishbone CONST", wishbone.Cycle{Beats: 4, CTI: wishbone.ConstAddr}.MemBurst(), mem.Burst{Fixed: true}},
+		{"ocp STRM", ocp.SeqStrm.MemBurst(4), mem.Burst{Fixed: true}},
+		{"ocp WRAP", ocp.SeqWrap.MemBurst(4), mem.Burst{Wrap: 4}},
+		{"axi WRAP", axi.BurstWrap.MemBurst(8), mem.Burst{Wrap: 8}},
+		{"axi FIXED", axi.BurstFixed.MemBurst(8), mem.Burst{Fixed: true}},
+		{"bvci wrap", vci.BReq{Beats: 8, Wrap: true}.MemBurst(), mem.Burst{Wrap: 8}},
+		{"bvci incr", vci.BReq{Beats: 8}.MemBurst(), mem.Burst{}},
+		{"core INCR", burstOf(&core.Request{Burst: core.BurstIncr, Len: 8}), mem.Burst{}},
+		{"core FIXED", burstOf(&core.Request{Burst: core.BurstFixed, Len: 8}), mem.Burst{Fixed: true}},
+		{"core WRAP", burstOf(&core.Request{Burst: core.BurstWrap, Len: 8}), mem.Burst{Wrap: 8}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s maps to %+v, want %+v", c.name, c.got, c.want)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"slices"
 
 	"gonoc/internal/core"
+	"gonoc/internal/mem"
+	"gonoc/internal/noctypes"
 	"gonoc/internal/obs"
 	"gonoc/internal/sim"
 	"gonoc/internal/transport"
@@ -360,7 +362,7 @@ type SlaveEngine struct {
 	cfg      SlaveConfig
 	ep       *transport.Endpoint
 	net      *transport.Network
-	monitor  *core.ExclusiveMonitor
+	monitor  *mem.Monitor[noctypes.NodeID] // nil when the service is off
 	inFlight int
 	stats    SlaveStats
 	adapter  SlaveAdapter
@@ -399,7 +401,7 @@ func NewSlaveEngine(net *transport.Network, cfg SlaveConfig) *SlaveEngine {
 		rspQ: make([]*transport.Packet, cfg.ResponseQueue+cfg.MaxConcurrent),
 	}
 	if cfg.Services.Exclusive {
-		e.monitor = core.NewExclusiveMonitor()
+		e.monitor = new(mem.Monitor[noctypes.NodeID])
 	}
 	slots := make([]slaveSlot, cfg.MaxConcurrent)
 	for i := range slots {
@@ -422,9 +424,6 @@ func (e *SlaveEngine) Bind(clk *sim.Clock, a SlaveAdapter) {
 
 // Stats returns a copy of the NIU's counters.
 func (e *SlaveEngine) Stats() SlaveStats { return e.stats }
-
-// Monitor exposes the exclusive monitor (nil when the service is off).
-func (e *SlaveEngine) Monitor() *core.ExclusiveMonitor { return e.monitor }
 
 // Eval implements sim.Clocked: drain one queued response, admit one
 // request, gate it through the services, and hand it to the adapter.
@@ -557,7 +556,7 @@ func (e *SlaveEngine) execCheck(req *core.Request) *core.Response {
 			e.stats.Unsupported++
 			return e.answer(core.StErrUnsupported)
 		}
-		lo, hi := core.BurstSpan(req.Burst, req.Addr, req.Size, req.Len)
+		lo, hi := burstOf(req).Span(req.Addr, req.Size, int(req.Len))
 		e.monitor.Reserve(req.Src, lo, hi)
 		return nil
 	case core.CmdWriteEx:
@@ -565,18 +564,17 @@ func (e *SlaveEngine) execCheck(req *core.Request) *core.Response {
 			e.stats.Unsupported++
 			return e.answer(core.StErrUnsupported)
 		}
-		lo, hi := core.BurstSpan(req.Burst, req.Addr, req.Size, req.Len)
-		if !e.monitor.TryExclusiveWrite(req.Src, lo, hi) {
+		lo, hi := burstOf(req).Span(req.Addr, req.Size, int(req.Len))
+		if !e.monitor.Holds(req.Src, lo, hi) {
 			e.stats.ExclusiveNak++
 			return e.answer(core.StExFail)
 		}
 		e.stats.ExclusiveOK++
-		e.monitor.ObserveWrite(lo, hi)
+		e.monitor.Wrote(lo, hi)
 		return nil
 	default:
 		if req.Cmd.IsWrite() && e.monitor != nil {
-			lo, hi := core.BurstSpan(req.Burst, req.Addr, req.Size, req.Len)
-			e.monitor.ObserveWrite(lo, hi)
+			e.monitor.Wrote(burstOf(req).Span(req.Addr, req.Size, int(req.Len)))
 		}
 		return nil
 	}
@@ -737,11 +735,22 @@ func transfers(req *core.Request, native bool) (parts, beats int) {
 	return int(req.Len), 1
 }
 
+// burstOf maps req's burst kind onto mem's address rule: a WRAP burst
+// wraps at its own Len beats.
+func burstOf(req *core.Request) mem.Burst {
+	switch req.Burst {
+	case core.BurstFixed:
+		return mem.Burst{Fixed: true}
+	case core.BurstWrap:
+		return mem.Burst{Wrap: int(req.Len)}
+	}
+	return mem.Burst{}
+}
+
 // partAddr is the start address of transfer i of req, each transfer
-// beats beats long: core.BeatAddr, so a split burst lands where the
-// whole one would.
+// beats beats long, so a split burst lands where the whole one would.
 func partAddr(req *core.Request, i, beats int) uint64 {
-	return core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i*beats)
+	return burstOf(req).Addr(req.Addr, req.Size, i*beats)
 }
 
 // partOf is transfer i of a request's bytes b, n bytes per transfer, or

@@ -155,6 +155,9 @@ func TestAXIExclusiveOverFabric(t *testing.T) {
 	if ex2 != axi.RespEXOKAY {
 		t.Fatalf("undisturbed exclusive write = %v, want EXOKAY", ex2)
 	}
+	if st := slv.Stats(); st.ExclusiveOK != 1 || st.ExclusiveNak != 1 {
+		t.Fatalf("slave NIU monitor stats: %+v", st)
+	}
 }
 
 func TestAXIExclusiveServiceDisabledDemotes(t *testing.T) {

@@ -70,7 +70,7 @@ func (a *pvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 	data, be := heldWrite(req)
 	wrote, read := a.exec(req, respond, int(req.Len)*((size+3)/4)).completions()
 	for i := 0; i < int(req.Len); i++ {
-		base := core.BeatAddr(req.Burst, req.Addr, req.Size, req.Len, i)
+		base := partAddr(req, i, 1)
 		for off := 0; off < size; off += 4 {
 			addr, lo, n := base+uint64(off), i*size+off, min(size-off, 4)
 			switch {

@@ -14,9 +14,9 @@ import (
 
 // wbCTIToCore maps a WISHBONE cycle announcement onto the transaction
 // layer's burst vocabulary. ok is false when the cycle cannot be
-// expressed: core.BeatAddr wraps at Len*Size, so a wrap burst is only
-// representable when the BTE modulo equals the beat count — anything
-// else would silently execute with the wrong wrap window.
+// expressed: a core WRAP burst wraps at its own Len beats (burstOf), so
+// it is only representable when the BTE modulo equals the beat count —
+// anything else would silently execute with the wrong wrap window.
 func wbCTIToCore(c wishbone.Cycle) (kind core.BurstKind, ok bool) {
 	switch {
 	case c.CTI == wishbone.ConstAddr:

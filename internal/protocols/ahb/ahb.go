@@ -11,9 +11,9 @@ package ahb
 
 import (
 	"fmt"
-	"slices"
 
 	"gonoc/internal/mem"
+	"gonoc/internal/protocols"
 	"gonoc/internal/sim"
 )
 
@@ -169,15 +169,13 @@ func NewPort(clk *sim.Clock, name string, depth int) *Port {
 	}
 }
 
-// BeatAddr computes AHB address progression.
-func BeatAddr(b Burst, addr uint64, size uint8, beats, i int) uint64 {
-	s := uint64(size)
-	if b.Wraps() {
-		window := uint64(beats) * s
-		base := addr &^ (window - 1)
-		return base + (addr+uint64(i)*s-base)%window
+// MemBurst maps the request's burst onto mem's address rule: WRAPx
+// wraps at its own x beats.
+func (r Req) MemBurst() mem.Burst {
+	if r.Burst.Wraps() {
+		return mem.Burst{Wrap: r.NumBeats()}
 	}
-	return addr + uint64(i)*s
+	return mem.Burst{}
 }
 
 // ReadResult is delivered to read callbacks.
@@ -323,84 +321,44 @@ type MemoryConfig struct {
 
 // Memory is a transfer-level AHB memory slave.
 type Memory struct {
-	port  *Port
+	protocols.Target[Req, Rsp]
 	store *mem.Backing
 	base  uint64
 	cfg   MemoryConfig
-
-	cur    Req // the transaction being served, valid while busy
-	busy   bool
-	wait   int
-	seen   uint64
-	served uint64
-
-	// The read data ring: a response's buffer is reused only after the
-	// response pipe's depth of later responses, when its reader has
-	// popped it.
-	rbuf  [][]byte
-	rnext int
+	seen  uint64 // transactions accepted
+	ring  mem.Ring
 }
 
 // NewMemory creates an AHB memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, rbuf: make([][]byte, port.Rsp.Cap()+1)}
-	clk.Register(m).Consumes(port.Req)
+	m := &Memory{store: store, base: base, cfg: cfg, ring: mem.NewRing(port.Rsp.Cap())}
+	m.Bind(clk, port.Req, port.Rsp, m.cost, m.serve)
 	return m
 }
 
-// Served returns completed transactions.
-func (m *Memory) Served() uint64 { return m.served }
+// retry reports whether the transaction accepted last is answered RETRY.
+func (m *Memory) retry() bool { return m.cfg.RetryEvery > 0 && m.seen%uint64(m.cfg.RetryEvery) == 0 }
 
-// Eval implements sim.Clocked.
-func (m *Memory) Eval(cycle int64) {
-	if !m.busy {
-		req, ok := m.port.Req.Pop()
-		if !ok {
-			return
-		}
-		m.cur, m.busy = req, true
-		m.seen++
-		// Burst data phase: wait states + one cycle per beat.
-		m.wait = m.cfg.WaitStates + req.NumBeats() - 1
-		if m.cfg.RetryEvery > 0 && m.seen%uint64(m.cfg.RetryEvery) == 0 {
-			m.wait = 0 // retry answered immediately
-		}
+// cost prices a burst's data phase: wait states plus one cycle per
+// beat. A RETRY is answered at once.
+func (m *Memory) cost(req Req) int {
+	m.seen++
+	if m.retry() {
+		return 0
 	}
-	if m.wait > 0 {
-		m.wait--
-		return
-	}
-	if !m.port.Rsp.CanPush(1) {
-		return
-	}
-	req := &m.cur
-	if m.cfg.RetryEvery > 0 && m.seen%uint64(m.cfg.RetryEvery) == 0 {
-		m.port.Rsp.Push(Rsp{Resp: RespRetry})
-		m.cur, m.busy = Req{}, false
-		return
-	}
-	beats := req.NumBeats()
-	if req.Write {
-		s := int(req.Size)
-		for i := 0; i < beats; i++ {
-			addr := BeatAddr(req.Burst, req.Addr, req.Size, beats, i) - m.base
-			m.store.Write(addr, req.Data[i*s:(i+1)*s], nil)
-		}
-		m.port.Rsp.Push(Rsp{Resp: RespOkay})
-	} else {
-		s := int(req.Size)
-		data := slices.Grow(m.rbuf[m.rnext][:0], beats*s)[:beats*s]
-		m.rbuf[m.rnext] = data
-		m.rnext = (m.rnext + 1) % len(m.rbuf)
-		for i := 0; i < beats; i++ {
-			addr := BeatAddr(req.Burst, req.Addr, req.Size, beats, i) - m.base
-			m.store.ReadInto(addr, data[i*s:(i+1)*s])
-		}
-		m.port.Rsp.Push(Rsp{Resp: RespOkay, Data: data})
-	}
-	m.cur, m.busy = Req{}, false
-	m.served++
+	return m.cfg.WaitStates + req.NumBeats() - 1
 }
 
-// Idle implements sim.Idler: no transaction in service or on the socket.
-func (m *Memory) Idle() bool { return !m.busy && m.port.Req.Empty() }
+func (m *Memory) serve(req Req) Rsp {
+	if m.retry() {
+		return Rsp{Resp: RespRetry}
+	}
+	n := req.NumBeats() * int(req.Size)
+	if req.Write {
+		m.store.WriteBurst(req.Data[:n], nil, req.MemBurst(), req.Addr, m.base, req.Size)
+		return Rsp{Resp: RespOkay}
+	}
+	data := m.ring.Next(n)
+	m.store.ReadBurst(data, req.MemBurst(), req.Addr, m.base, req.Size)
+	return Rsp{Resp: RespOkay, Data: data}
+}

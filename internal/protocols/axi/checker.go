@@ -127,21 +127,3 @@ func (c *Checker) OnB(b BBeat) {
 	}
 	c.writes[b.ID] = q[1:]
 }
-
-// OutstandingReads and OutstandingWrites report checker-tracked state.
-func (c *Checker) OutstandingReads() int {
-	n := 0
-	for _, q := range c.reads {
-		n += len(q)
-	}
-	return n
-}
-
-// OutstandingWrites reports writes awaiting B.
-func (c *Checker) OutstandingWrites() int {
-	n := 0
-	for _, q := range c.writes {
-		n += len(q)
-	}
-	return n
-}

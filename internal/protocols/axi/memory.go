@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"gonoc/internal/mem"
+	"gonoc/internal/protocols"
 	"gonoc/internal/sim"
 )
 
@@ -41,16 +42,10 @@ type Memory struct {
 	wdata []WBeat
 	bq    []BBeat // responses ready to send
 
-	// Write bursts served, reused with their data buffers by later ones,
-	// and the R data ring: an R beat's buffer is reused only after the R
-	// pipe's depth of later beats, when its reader has popped it.
-	freeWrites []*memWrite
-	rbuf       [][]byte
-	rnext      int
+	freeWrites []*memWrite // served, reused with their data buffers
+	ring       mem.Ring    // R beat data
 
-	excl map[int]exclSpan // ID -> reservation
-
-	reads, writes uint64
+	excl mem.Monitor[int] // keyed by ID
 }
 
 type memRead struct {
@@ -67,47 +62,23 @@ type memWrite struct {
 	wait  int
 }
 
-type exclSpan struct{ lo, hi uint64 }
-
 // NewMemory creates an AXI memory slave; addresses on the port are
 // absolute and base is subtracted before indexing the backing store.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, excl: make(map[int]exclSpan),
-		rbuf: make([][]byte, port.R.Cap()+1)}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, ring: mem.NewRing(port.R.Cap())}
 	clk.Register(m).Consumes(port.AR, port.AW, port.W)
 	return m
 }
 
-// beatAddr computes AXI address progression for beat i.
-func beatAddr(burst Burst, addr uint64, size uint8, beats, i int) uint64 {
-	s := uint64(size)
-	switch burst {
+// MemBurst maps an AXI burst of beats beats onto mem's address rule.
+func (b Burst) MemBurst(beats int) mem.Burst {
+	switch b {
 	case BurstFixed:
-		return addr
+		return mem.Burst{Fixed: true}
 	case BurstWrap:
-		window := uint64(beats) * s
-		if window == 0 || window&(window-1) != 0 {
-			return addr + uint64(i)*s
-		}
-		b := addr &^ (window - 1)
-		return b + (addr+uint64(i)*s-b)%window
-	default:
-		return addr + uint64(i)*s
+		return mem.Burst{Wrap: beats}
 	}
-}
-
-func burstSpan(burst Burst, addr uint64, size uint8, beats int) (lo, hi uint64) {
-	lo, hi = addr, addr
-	for i := 0; i < beats; i++ {
-		a := beatAddr(burst, addr, size, beats, i)
-		if a < lo {
-			lo = a
-		}
-		if a+uint64(size) > hi {
-			hi = a + uint64(size)
-		}
-	}
-	return
+	return mem.Burst{}
 }
 
 // Eval implements sim.Clocked.
@@ -147,24 +118,10 @@ func (m *Memory) serveReads() {
 	if !m.streaming && len(m.rq) > 0 {
 		pick := 0
 		if m.cfg.Reorder {
-			// LIFO across bursts, but never past an older burst with the
-			// same ID (per-ID order is an AXI guarantee).
-			for i := len(m.rq) - 1; i >= 0; i-- {
-				older := false
-				for j := 0; j < i; j++ {
-					if m.rq[j].ar.ID == m.rq[i].ar.ID {
-						older = true
-						break
-					}
-				}
-				if !older {
-					pick = i
-					break
-				}
-			}
+			pick = protocols.NewestPick(m.rq, func(r *memRead) int { return r.ar.ID })
 		}
 		m.cur, m.streaming = m.rq[pick], true
-		m.rq = append(m.rq[:pick], m.rq[pick+1:]...)
+		m.rq = slices.Delete(m.rq, pick, pick+1)
 	}
 	if !m.streaming {
 		return
@@ -178,16 +135,14 @@ func (m *Memory) serveReads() {
 	}
 	r := &m.cur
 	ar := r.ar
-	addr := beatAddr(ar.Burst, ar.Addr, ar.Size, ar.Beats(), r.beat) - m.base
-	data := slices.Grow(m.rbuf[m.rnext][:0], int(ar.Size))[:ar.Size]
-	m.rbuf[m.rnext] = data
-	m.rnext = (m.rnext + 1) % len(m.rbuf)
-	m.store.ReadInto(addr, data)
+	burst := ar.Burst.MemBurst(ar.Beats())
+	data := m.ring.Next(int(ar.Size))
+	m.store.ReadInto(burst.Addr(ar.Addr, ar.Size, r.beat)-m.base, data)
 	resp := RespOKAY
 	if ar.Lock && m.cfg.Exclusive {
 		if r.beat == 0 {
-			lo, hi := burstSpan(ar.Burst, ar.Addr, ar.Size, ar.Beats())
-			m.excl[ar.ID] = exclSpan{lo, hi}
+			lo, hi := burst.Span(ar.Addr, ar.Size, ar.Beats())
+			m.excl.Reserve(ar.ID, lo, hi)
 		}
 		resp = RespEXOKAY
 	}
@@ -196,7 +151,6 @@ func (m *Memory) serveReads() {
 	r.beat++
 	if last {
 		m.streaming = false
-		m.reads++
 	}
 }
 
@@ -235,33 +189,23 @@ func (m *Memory) serveWrites() {
 	// Commit.
 	aw := w.aw
 	resp := RespOKAY
-	lo, hi := burstSpan(aw.Burst, aw.Addr, aw.Size, w.beats)
+	burst := aw.Burst.MemBurst(w.beats)
+	lo, hi := burst.Span(aw.Addr, aw.Size, w.beats)
 	doWrite := true
 	if aw.Lock && m.cfg.Exclusive {
-		if sp, ok := m.excl[aw.ID]; ok && sp.lo <= lo && hi <= sp.hi {
+		if m.excl.Holds(aw.ID, lo, hi) {
 			resp = RespEXOKAY
 		} else {
-			resp = RespOKAY // failed exclusive: OKAY, no write
-			doWrite = false
+			doWrite = false // failed exclusive: OKAY, no write
 		}
 	}
 	if doWrite {
-		for i := 0; i < w.beats; i++ {
-			addr := beatAddr(aw.Burst, aw.Addr, aw.Size, w.beats, i) - m.base
-			s := int(aw.Size)
-			m.store.Write(addr, w.data[i*s:(i+1)*s], w.strb[i*s:(i+1)*s])
-		}
-		// A committed write invalidates overlapping reservations.
-		for id, sp := range m.excl {
-			if sp.lo < hi && lo < sp.hi {
-				delete(m.excl, id)
-			}
-		}
+		m.store.WriteBurst(w.data, w.strb, burst, aw.Addr, m.base, aw.Size)
+		m.excl.Wrote(lo, hi)
 	}
 	m.bq = append(m.bq, BBeat{ID: aw.ID, Resp: resp})
 	m.freeWrites = append(m.freeWrites, w)
 	m.wq = sim.DropFront(m.wq, 1)
-	m.writes++
 }
 
 // Idle implements sim.Idler: no request on the socket and no burst
@@ -271,6 +215,3 @@ func (m *Memory) Idle() bool {
 	return m.port.AR.Empty() && m.port.AW.Empty() && m.port.W.Empty() &&
 		!m.streaming && len(m.rq) == 0 && len(m.wq) == 0 && len(m.bq) == 0
 }
-
-// Served returns cumulative read and write burst counts.
-func (m *Memory) Served() (reads, writes uint64) { return m.reads, m.writes }

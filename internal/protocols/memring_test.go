@@ -8,6 +8,7 @@ import (
 	"gonoc/internal/protocols/ahb"
 	"gonoc/internal/protocols/axi"
 	"gonoc/internal/protocols/ocp"
+	"gonoc/internal/protocols/prop"
 	"gonoc/internal/protocols/vci"
 	"gonoc/internal/protocols/wishbone"
 	"gonoc/internal/sim"
@@ -22,8 +23,8 @@ type memPort struct {
 	full func() bool
 }
 
-// ringMemories: the memories that read into a ring of response-pipe
-// depth + 1 buffers. Every pipe holds 4 entries.
+// ringMemories: every protocol memory; each reads into a mem.Ring of
+// its response pipe's depth. Every pipe holds 4 entries.
 var ringMemories = []struct {
 	name  string
 	build func(clk *sim.Clock, store *mem.Backing) memPort
@@ -77,6 +78,37 @@ var ringMemories = []struct {
 			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
 		}
 	}},
+	{"pvci", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := vci.NewPPort(clk, "pvci", 4)
+		vci.NewPMemory(clk, port, store, 0, 1)
+		return memPort{
+			push: func(addr uint64) bool { return port.Req.Push(vci.PReq{Addr: addr, N: 4}) },
+			pop:  func() ([]byte, bool) { r, ok := port.Rsp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
+		}
+	}},
+	{"avci", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := vci.NewAPort(clk, "avci", 4)
+		vci.NewAMemory(clk, port, store, 0, 1, false)
+		return memPort{
+			push: func(addr uint64) bool {
+				return port.Req.Push(vci.AReq{BReq: vci.BReq{Op: vci.OpRead, Addr: addr, Size: 4, Beats: 1}})
+			},
+			pop:  func() ([]byte, bool) { r, ok := port.Rsp.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rsp.Len() == port.Rsp.Cap() },
+		}
+	}},
+	{"prop", func(clk *sim.Clock, store *mem.Backing) memPort {
+		port := prop.NewPort(clk, "prop", 4)
+		prop.NewMemory(clk, port, store, 0)
+		return memPort{
+			push: func(addr uint64) bool {
+				return port.Desc.Push(prop.Descriptor{Op: prop.OpStreamRead, Addr: addr, Bytes: 4})
+			},
+			pop:  func() ([]byte, bool) { r, ok := port.Rd.Pop(); return r.Data, ok },
+			full: func() bool { return port.Rd.Len() == port.Rd.Cap() },
+		}
+	}},
 }
 
 // TestMemoryReadRingSurvivesFullPipe guards each memory's read ring
@@ -127,6 +159,35 @@ func TestMemoryReadRingSurvivesFullPipe(t *testing.T) {
 					t.Fatalf("response %d carries % x, want % x", i, got, exp)
 				}
 				i, idle = i+1, 0
+			}
+		})
+	}
+}
+
+// TestMemoryReadsAllocateNothing: once its ring and queues have grown,
+// a protocol memory serves one-word reads without allocating.
+func TestMemoryReadsAllocateNothing(t *testing.T) {
+	for _, m := range ringMemories {
+		t.Run(m.name, func(t *testing.T) {
+			clk := sim.NewClock(sim.NewKernel(), "clk", sim.Nanosecond, 0)
+			store := mem.NewBacking(1 << 12)
+			store.Write(0, make([]byte, 64), nil)
+			p := m.build(clk, store)
+			read := func() {
+				for i := 0; i < 8; i++ {
+					for !p.push(uint64(4 * i)) {
+						clk.RunCycles(1)
+					}
+				}
+				for n := 0; n < 8; clk.RunCycles(1) {
+					if _, ok := p.pop(); ok {
+						n++
+					}
+				}
+			}
+			read()
+			if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+				t.Fatalf("8 reads allocate %.1f objects, want 0", allocs)
 			}
 		})
 	}

@@ -32,17 +32,10 @@ type Memory struct {
 	threads []*threadEngine
 	rrNext  int
 
-	monitor map[int]ocpSpan // thread -> reservation
+	monitor mem.Monitor[int] // keyed by thread
 
-	// Transactions served, reused by later ones (a write's keeps its
-	// data buffers), and the read data ring: a response beat's buffer is
-	// reused only after the response pipe's depth of later beats, when
-	// its reader has popped it.
-	free  []*ocpTxn
-	rbuf  [][]byte
-	rnext int
-
-	served uint64
+	free []*ocpTxn // served, reused (a write's with its data buffers)
+	ring mem.Ring  // response beat data
 }
 
 type threadEngine struct {
@@ -63,15 +56,12 @@ type ocpTxn struct {
 	beat  int
 }
 
-type ocpSpan struct{ lo, hi uint64 }
-
 // NewMemory creates an OCP memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, monitor: make(map[int]ocpSpan),
-		rbuf: make([][]byte, port.Resp.Cap()+1)}
+	m := &Memory{port: port, store: store, base: base, cfg: cfg, ring: mem.NewRing(port.Resp.Cap())}
 	m.threads = make([]*threadEngine, cfg.Threads)
 	for i := range m.threads {
 		m.threads[i] = &threadEngine{}
@@ -79,9 +69,6 @@ func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg 
 	clk.Register(m).Consumes(port.Req)
 	return m
 }
-
-// Served returns completed transactions (including posted writes).
-func (m *Memory) Served() uint64 { return m.served }
 
 // collect is the request-phase engine: accumulate beats into
 // transactions on the owning thread.
@@ -161,7 +148,6 @@ func (m *Memory) Eval(cycle int64) {
 		if m.respond(txn) {
 			m.free = append(m.free, txn)
 			te.cur = nil
-			m.served++
 		}
 		m.rrNext = (th + 1) % n
 		return
@@ -184,22 +170,20 @@ func (m *Memory) respond(txn *ocpTxn) bool {
 		resp := RespFAIL
 		lo := txn.addr
 		hi := txn.addr + uint64(txn.size)
-		if m.cfg.LazySync {
-			if sp, ok := m.monitor[txn.th]; ok && sp.lo <= lo && hi <= sp.hi {
-				m.commitWrite(txn)
-				resp = RespDVA
-			}
+		if m.cfg.LazySync && m.monitor.Holds(txn.th, lo, hi) {
+			m.commitWrite(txn)
+			resp = RespDVA
 		}
 		m.port.Resp.Push(RespBeat{Resp: resp, ThreadID: txn.th, Last: true})
 		return true
 	case CmdRDL:
 		if m.cfg.LazySync {
-			m.monitor[txn.th] = ocpSpan{txn.addr, txn.addr + uint64(txn.size)}
+			m.monitor.Reserve(txn.th, txn.addr, txn.addr+uint64(txn.size))
 		}
 		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: m.read(txn.addr-m.base, txn.size), ThreadID: txn.th, Last: true})
 		return true
 	case CmdRD:
-		addr := BeatAddr(txn.seq, txn.addr, txn.size, txn.beats, txn.beat) - m.base
+		addr := txn.seq.MemBurst(txn.beats).Addr(txn.addr, txn.size, txn.beat) - m.base
 		last := txn.beat == txn.beats-1
 		m.port.Resp.Push(RespBeat{Resp: RespDVA, Data: m.read(addr, txn.size), ThreadID: txn.th, Last: last})
 		txn.beat++
@@ -211,36 +195,15 @@ func (m *Memory) respond(txn *ocpTxn) bool {
 
 // read reads one beat into the next buffer of the read ring.
 func (m *Memory) read(addr uint64, size uint8) []byte {
-	data := slices.Grow(m.rbuf[m.rnext][:0], int(size))[:size]
-	m.rbuf[m.rnext] = data
-	m.rnext = (m.rnext + 1) % len(m.rbuf)
+	data := m.ring.Next(int(size))
 	m.store.ReadInto(addr, data)
 	return data
 }
 
 func (m *Memory) commitWrite(txn *ocpTxn) {
-	s := int(txn.size)
-	for i := 0; i < txn.beats; i++ {
-		addr := BeatAddr(txn.seq, txn.addr, txn.size, txn.beats, i) - m.base
-		m.store.Write(addr, txn.data[i*s:(i+1)*s], txn.be[i*s:(i+1)*s])
-	}
-	// Any committed write kills overlapping reservations.
-	lo := txn.addr
-	var hi uint64
-	for i := 0; i < txn.beats; i++ {
-		a := BeatAddr(txn.seq, txn.addr, txn.size, txn.beats, i)
-		if a < lo {
-			lo = a
-		}
-		if a+uint64(txn.size) > hi {
-			hi = a + uint64(txn.size)
-		}
-	}
-	for th, sp := range m.monitor {
-		if sp.lo < hi && lo < sp.hi {
-			delete(m.monitor, th)
-		}
-	}
+	burst := txn.seq.MemBurst(txn.beats)
+	m.store.WriteBurst(txn.data, txn.be, burst, txn.addr, m.base, txn.size)
+	m.monitor.Wrote(burst.Span(txn.addr, txn.size, txn.beats)) // any committed write kills overlapping reservations
 }
 
 // Idle implements sim.Idler: no request beat on the socket and no

@@ -11,6 +11,7 @@ package ocp
 import (
 	"fmt"
 
+	"gonoc/internal/mem"
 	"gonoc/internal/sim"
 )
 
@@ -143,20 +144,14 @@ func NewPort(clk *sim.Clock, name string, depth int) *Port {
 	}
 }
 
-// BeatAddr computes OCP burst address progression.
-func BeatAddr(seq BurstSeq, addr uint64, size uint8, beats, i int) uint64 {
-	s := uint64(size)
-	switch seq {
+// MemBurst maps a burst of beats beats onto mem's address rule:
+// streaming bursts hold their address.
+func (b BurstSeq) MemBurst(beats int) mem.Burst {
+	switch b {
 	case SeqStrm:
-		return addr
+		return mem.Burst{Fixed: true}
 	case SeqWrap:
-		window := uint64(beats) * s
-		if window == 0 || window&(window-1) != 0 {
-			return addr + uint64(i)*s
-		}
-		b := addr &^ (window - 1)
-		return b + (addr+uint64(i)*s-b)%window
-	default:
-		return addr + uint64(i)*s
+		return mem.Burst{Wrap: beats}
 	}
+	return mem.Burst{}
 }

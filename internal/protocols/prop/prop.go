@@ -242,11 +242,13 @@ type Memory struct {
 	port  *Port
 	store *mem.Backing
 	base  uint64
+	ring  mem.Ring // read chunk data
 
-	wr     *wrState
-	rd     *rdState
-	descQ  []Descriptor
-	served uint64
+	wr      wrState
+	rd      rdState
+	writing bool // wr holds a stream
+	reading bool // rd holds a stream
+	descQ   []Descriptor
 }
 
 type wrState struct {
@@ -263,13 +265,10 @@ type rdState struct {
 
 // NewMemory creates the slave engine.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64) *Memory {
-	m := &Memory{port: port, store: store, base: base}
+	m := &Memory{port: port, store: store, base: base, ring: mem.NewRing(port.Rd.Cap())}
 	clk.Register(m).Consumes(port.Desc, port.Wr)
 	return m
 }
-
-// Served returns completed streams.
-func (m *Memory) Served() uint64 { return m.served }
 
 // Eval implements sim.Clocked.
 func (m *Memory) Eval(cycle int64) {
@@ -280,20 +279,20 @@ func (m *Memory) Eval(cycle int64) {
 	for i := 0; i < len(m.descQ); {
 		d := m.descQ[i]
 		switch {
-		case d.Op == OpStreamWrite && m.wr == nil:
-			m.wr = &wrState{d: d}
-			m.descQ = append(m.descQ[:i], m.descQ[i+1:]...)
-		case d.Op == OpStreamRead && m.rd == nil:
-			m.rd = &rdState{d: d}
-			m.descQ = append(m.descQ[:i], m.descQ[i+1:]...)
+		case d.Op == OpStreamWrite && !m.writing:
+			m.wr, m.writing = wrState{d: d}, true
+			m.descQ = slices.Delete(m.descQ, i, i+1)
+		case d.Op == OpStreamRead && !m.reading:
+			m.rd, m.reading = rdState{d: d}, true
+			m.descQ = slices.Delete(m.descQ, i, i+1)
 		default:
 			i++
 		}
 	}
 	// Write side: absorb one chunk per cycle; acks coalesce and retry
 	// under ack-channel backpressure.
-	if m.wr != nil {
-		st := m.wr
+	if m.writing {
+		st := &m.wr
 		if !st.done {
 			if c, ok := m.port.Wr.Pop(); ok {
 				if c.StreamID != st.d.StreamID {
@@ -309,8 +308,7 @@ func (m *Memory) Eval(cycle int64) {
 		case st.done:
 			if m.port.Ack.CanPush(1) {
 				m.port.Ack.Push(Ack{StreamID: st.d.StreamID, Chunks: st.pending, Done: true, OK: true})
-				m.wr = nil
-				m.served++
+				m.writing = false
 			}
 		case st.pending >= AckEvery:
 			if m.port.Ack.CanPush(1) {
@@ -320,26 +318,21 @@ func (m *Memory) Eval(cycle int64) {
 		}
 	}
 	// Read side: emit one chunk per cycle.
-	if m.rd != nil && m.port.Rd.CanPush(1) {
-		st := m.rd
+	if m.reading && m.port.Rd.CanPush(1) {
+		st := &m.rd
 		lo := st.sent
-		hi := lo + ChunkBytes
-		if hi > st.d.Bytes {
-			hi = st.d.Bytes
-		}
-		data := m.store.Read(st.d.Addr+uint64(lo)-m.base, hi-lo)
+		hi := min(lo+ChunkBytes, st.d.Bytes)
+		data := m.ring.Next(hi - lo)
+		m.store.ReadInto(st.d.Addr+uint64(lo)-m.base, data)
 		last := hi == st.d.Bytes
 		m.port.Rd.Push(Chunk{StreamID: st.d.StreamID, Data: data, Last: last})
 		st.sent = hi
-		if last {
-			m.rd = nil
-			m.served++
-		}
+		m.reading = !last
 	}
 }
 
 // Idle implements sim.Idler: no stream in service, no descriptor queued
 // and nothing on the socket.
 func (m *Memory) Idle() bool {
-	return m.wr == nil && m.rd == nil && len(m.descQ) == 0 && m.port.Desc.Empty() && m.port.Wr.Empty()
+	return !m.writing && !m.reading && len(m.descQ) == 0 && m.port.Desc.Empty() && m.port.Wr.Empty()
 }

@@ -21,7 +21,6 @@ package wishbone
 
 import (
 	"fmt"
-	"slices"
 
 	"gonoc/internal/mem"
 	"gonoc/internal/protocols"
@@ -129,19 +128,11 @@ func NewPort(clk *sim.Clock, name string, depth int) *Port {
 	}
 }
 
-// BeatAddr computes WISHBONE address progression: constant for
-// ConstAddr cycles, wrapping at the BTE modulo for incrementing bursts.
-func BeatAddr(c Cycle, i int) uint64 {
-	if c.CTI == ConstAddr {
-		return c.Addr
-	}
-	s := uint64(c.Size)
-	if w := WrapBeats(c.BTE); w > 0 {
-		window := uint64(w) * s
-		base := c.Addr &^ (window - 1)
-		return base + (c.Addr+uint64(i)*s-base)%window
-	}
-	return c.Addr + uint64(i)*s
+// MemBurst maps the cycle onto mem's address rule: constant for
+// ConstAddr cycles, wrapping at the BTE modulo (not the beat count)
+// otherwise.
+func (c Cycle) MemBurst() mem.Burst {
+	return mem.Burst{Fixed: c.CTI == ConstAddr, Wrap: WrapBeats(c.BTE)}
 }
 
 // Master is a transfer-level WISHBONE master: fully ordered and, per the
@@ -154,7 +145,7 @@ type Master struct {
 // NewMaster creates a WISHBONE master on clk.
 func NewMaster(clk *sim.Clock, port *Port) *Master {
 	m := &Master{}
-	m.Bind(clk, port.Req, port.Rsp, 1, func(r Rsp) ([]byte, bool) { return r.Data, r.Err })
+	m.Bind(clk, port.Req, port.Rsp, 1, func(r Rsp) (int, []byte, bool) { return 0, r.Data, r.Err })
 	return m
 }
 
@@ -186,7 +177,7 @@ func (m *Master) enqueue(c Cycle, rdCb func([]byte, bool), wrCb func(bool)) {
 	if c.Write && len(c.Data) != c.Beats*int(c.Size) {
 		panic(fmt.Sprintf("wishbone: write data %dB != %d beats x %dB", len(c.Data), c.Beats, c.Size))
 	}
-	m.Enqueue(c, rdCb, wrCb)
+	m.Enqueue(0, c, rdCb, wrCb)
 }
 
 // MemoryConfig parameterizes a WISHBONE memory slave.
@@ -206,32 +197,19 @@ type MemoryConfig struct {
 
 // Memory is a transfer-level WISHBONE memory slave.
 type Memory struct {
-	port  *Port
+	protocols.Target[Cycle, Rsp]
 	store *mem.Backing
 	base  uint64
 	cfg   MemoryConfig
-
-	cur    Cycle // the cycle being served, valid while busy
-	busy   bool
-	wait   int
-	served uint64
-
-	// The read data ring: a response's buffer is reused only after the
-	// response pipe's depth of later responses, when its reader has
-	// popped it.
-	rbuf  [][]byte
-	rnext int
+	ring  mem.Ring
 }
 
 // NewMemory creates a WISHBONE memory slave.
 func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg MemoryConfig) *Memory {
-	m := &Memory{port: port, store: store, base: base, cfg: cfg, rbuf: make([][]byte, port.Rsp.Cap()+1)}
-	clk.Register(m).Consumes(port.Req)
+	m := &Memory{store: store, base: base, cfg: cfg, ring: mem.NewRing(port.Rsp.Cap())}
+	m.Bind(clk, port.Req, port.Rsp, m.cycleCost, m.serve)
 	return m
 }
-
-// Served returns completed cycles.
-func (m *Memory) Served() uint64 { return m.served }
 
 // cycleCost prices a cycle in wait cycles before the response: burst
 // beats stream when both sides support registered feedback; classic
@@ -243,50 +221,15 @@ func (m *Memory) cycleCost(c Cycle) int {
 	return (m.cfg.Latency + 1) * c.Beats
 }
 
-// Eval implements sim.Clocked.
-func (m *Memory) Eval(cycle int64) {
-	if !m.busy {
-		req, ok := m.port.Req.Pop()
-		if !ok {
-			return
-		}
-		m.cur, m.busy = req, true
-		m.wait = m.cycleCost(req)
-	}
-	if m.wait > 0 {
-		m.wait--
-		return
-	}
-	if !m.port.Rsp.CanPush(1) {
-		return
-	}
-	c := m.cur
-	m.cur, m.busy = Cycle{}, false
-	m.served++
+func (m *Memory) serve(c Cycle) Rsp {
 	if m.cfg.ErrHi > m.cfg.ErrLo && c.Addr >= m.cfg.ErrLo && c.Addr < m.cfg.ErrHi {
-		m.port.Rsp.Push(Rsp{Err: true})
-		return
+		return Rsp{Err: true}
 	}
-	s := int(c.Size)
 	if c.Write {
-		for i := 0; i < c.Beats; i++ {
-			var sel []byte
-			if c.Sel != nil {
-				sel = c.Sel[i*s : (i+1)*s]
-			}
-			m.store.Write(BeatAddr(c, i)-m.base, c.Data[i*s:(i+1)*s], sel)
-		}
-		m.port.Rsp.Push(Rsp{})
-	} else {
-		data := slices.Grow(m.rbuf[m.rnext][:0], c.Beats*s)[:c.Beats*s]
-		m.rbuf[m.rnext] = data
-		m.rnext = (m.rnext + 1) % len(m.rbuf)
-		for i := 0; i < c.Beats; i++ {
-			m.store.ReadInto(BeatAddr(c, i)-m.base, data[i*s:(i+1)*s])
-		}
-		m.port.Rsp.Push(Rsp{Data: data})
+		m.store.WriteBurst(c.Data, c.Sel, c.MemBurst(), c.Addr, m.base, c.Size)
+		return Rsp{}
 	}
+	data := m.ring.Next(c.Beats * int(c.Size))
+	m.store.ReadBurst(data, c.MemBurst(), c.Addr, m.base, c.Size)
+	return Rsp{Data: data}
 }
-
-// Idle implements sim.Idler: no cycle in service or on the socket.
-func (m *Memory) Idle() bool { return !m.busy && m.port.Req.Empty() }
