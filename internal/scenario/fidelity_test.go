@@ -77,6 +77,30 @@ func TestFidelityLoadErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldPositionedAtKey: an unknown field's error points at
+// the opening quote of its key, not at the end of the document, and a
+// string value spelled like the key does not count.
+func TestUnknownFieldPositionedAtKey(t *testing.T) {
+	for _, tc := range []struct {
+		doc       string
+		line, col int
+	}{
+		{fidelityPacket(`"fidelity": "hybrid", "loose_threshold": 1.5`), 4, 73},
+		{`{"version": 1, "name": "x", "turbo": true}`, 1, 29},
+		{`{"version": 1, "name": "turbo", "turbo": true}`, 1, 33},
+		{"{\"version\": 1, \"name\": \"x\", \"fabric\": {\"topology\": \"crossbar\",\n  \"nodez\": 8}}", 2, 3},
+	} {
+		_, err := Load(strings.NewReader(tc.doc))
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "unknown field") {
+			t.Fatalf("Load(%s) = %v, want an unknown-field *ParseError", tc.doc, err)
+		}
+		if pe.Line != tc.line || pe.Col != tc.col {
+			t.Errorf("Load(%s) positions the unknown field at %d:%d, want %d:%d", tc.doc, pe.Line, pe.Col, tc.line, tc.col)
+		}
+	}
+}
+
 // TestFidelityRoundTrip pins Load∘Save as the identity on scenarios
 // carrying each fidelity level.
 func TestFidelityRoundTrip(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -37,7 +38,7 @@ func Load(r io.Reader) (*Scenario, error) {
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: %w", describeJSONError(data, dec, err))
+		return nil, fmt.Errorf("scenario: %w", describeJSONError(data, err))
 	}
 	// A scenario file is one document; trailing content is a merge
 	// accident worth naming.
@@ -106,10 +107,11 @@ func (s *Scenario) SaveFile(path string) error {
 
 // describeJSONError turns encoding/json's errors into positioned
 // *ParseError form. Syntax and type errors carry byte offsets; the
-// unknown-field error (from DisallowUnknownFields) does not, so the
-// decoder's input offset — which sits just past the offending field —
-// is used instead.
-func describeJSONError(data []byte, dec *json.Decoder, err error) error {
+// unknown-field error (from DisallowUnknownFields) carries only the
+// field's name, so it is positioned at the first object key of that
+// name in the document (keyOffset). A document that also uses the name
+// as a known key earlier on is positioned at that earlier key.
+func describeJSONError(data []byte, err error) error {
 	switch e := err.(type) {
 	case *json.SyntaxError:
 		line, col := lineCol(data, e.Offset)
@@ -127,13 +129,52 @@ func describeJSONError(data []byte, dec *json.Decoder, err error) error {
 		line, col := lineCol(data, int64(len(data)))
 		return &ParseError{Line: line, Col: col, Msg: "unexpected end of file (unbalanced braces?)"}
 	}
-	if strings.HasPrefix(err.Error(), "json: unknown field ") {
-		line, col := lineCol(data, dec.InputOffset())
+	if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		off := int64(len(data))
+		if key, err := strconv.Unquote(name); err == nil {
+			off = keyOffset(data, key)
+		}
+		line, col := lineCol(data, off)
 		return &ParseError{Line: line, Col: col,
 			Msg: fmt.Sprintf("%s (not part of scenario schema version %d; see docs/SCENARIOS.md)",
 				strings.TrimPrefix(err.Error(), "json: "), Version)}
 	}
 	return err
+}
+
+// keyOffset returns the byte offset of the opening quote of the first
+// object key named name in the JSON document data, or len(data) if
+// there is none.
+func keyOffset(data []byte, name string) int64 {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var inObject []bool // the open containers, innermost last
+	key := false        // the next token is an object key
+	for {
+		start := dec.InputOffset()
+		tok, err := dec.Token()
+		if err != nil {
+			return int64(len(data))
+		}
+		switch t := tok.(type) {
+		case json.Delim:
+			if t == '{' || t == '[' {
+				inObject = append(inObject, t == '{')
+				key = t == '{'
+				continue
+			}
+			inObject = inObject[:len(inObject)-1]
+		case string:
+			if key {
+				if t == name {
+					return start + int64(bytes.IndexByte(data[start:], '"'))
+				}
+				key = false
+				continue
+			}
+		}
+		// A value ended: an object's next token is a key.
+		key = len(inObject) > 0 && inObject[len(inObject)-1]
+	}
 }
 
 // lineCol converts a byte offset into 1-based line and column.

@@ -337,7 +337,7 @@ func TestSubmitErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field status %d", resp.StatusCode)
 	}
-	if e := decode(resp); !strings.Contains(e.Error.Message, "unknown field") || e.Error.Line != 1 {
+	if e := decode(resp); !strings.Contains(e.Error.Message, "unknown field") || e.Error.Line != 1 || e.Error.Column != 29 {
 		t.Fatalf("unknown-field error = %+v", e.Error)
 	}
 
