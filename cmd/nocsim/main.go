@@ -203,11 +203,16 @@ func main() {
 		log.Fatal(err)
 	}
 	prof.SetPhase(metrics.PhaseDone)
-	prog.PointDone(fmt.Sprintf("nocsim/%s/%s", *topo, *mode),
-		float64(time.Since(start).Microseconds())/1e3)
+	// Only the NoC has a topology and a switching mode to name.
+	label, fabric := "nocsim/bus", ""
+	if *system == "noc" {
+		label = fmt.Sprintf("nocsim/%s/%s", *topo, *mode)
+		fabric = fmt.Sprintf(" topology=%s mode=%s", *topo, *mode)
+	}
+	prog.PointDone(label, float64(time.Since(start).Microseconds())/1e3)
 
-	fmt.Printf("system=%s topology=%s mode=%s seed=%d: %d masters finished in %d cycles\n\n",
-		*system, *topo, *mode, *seed, len(s.Gens), cycles)
+	fmt.Printf("system=%s%s seed=%d: %d masters finished in %d cycles\n\n",
+		*system, fabric, *seed, len(s.Gens), cycles)
 
 	masters := soc.Masters(*wb)
 	t := stats.NewTable("per-master results",
@@ -238,7 +243,7 @@ func main() {
 		fmt.Printf("trace: %d span events -> %s\n", rec.Len(), *traceFile)
 	}
 	if mon != nil {
-		rep := mon.Report(fmt.Sprintf("nocsim/%s/%s", *topo, *mode))
+		rep := mon.Report(label)
 		writeFile(*heatFile, rep.WriteJSON)
 		fmt.Printf("heatmap: %d links, %d flits -> %s\n", len(rep.Links), rep.TotalFlits, *heatFile)
 	}
