@@ -70,17 +70,6 @@ func NewMemory(clk *sim.Clock, port *Port, store *mem.Backing, base uint64, cfg 
 	return m
 }
 
-// MemBurst maps an AXI burst of beats beats onto mem's address rule.
-func (b Burst) MemBurst(beats int) mem.Burst {
-	switch b {
-	case BurstFixed:
-		return mem.Burst{Fixed: true}
-	case BurstWrap:
-		return mem.Burst{Wrap: beats}
-	}
-	return mem.Burst{}
-}
-
 // Eval implements sim.Clocked.
 func (m *Memory) Eval(cycle int64) {
 	// Accept one AR per cycle.

@@ -11,6 +11,7 @@ package axi
 import (
 	"fmt"
 
+	"gonoc/internal/mem"
 	"gonoc/internal/sim"
 )
 
@@ -63,6 +64,17 @@ func (b Burst) String() string {
 	default:
 		return fmt.Sprintf("BURST(%d)", uint8(b))
 	}
+}
+
+// MemBurst maps an AXI burst of beats beats onto mem's address rule.
+func (b Burst) MemBurst(beats int) mem.Burst {
+	switch b {
+	case BurstFixed:
+		return mem.Burst{Fixed: true}
+	case BurstWrap:
+		return mem.Burst{Wrap: beats}
+	}
+	return mem.Burst{}
 }
 
 // ARBeat is one read-address channel transfer. Len follows AXI encoding:

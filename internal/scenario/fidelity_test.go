@@ -79,7 +79,8 @@ func TestFidelityLoadErrors(t *testing.T) {
 
 // TestUnknownFieldPositionedAtKey: an unknown field's error points at
 // the opening quote of its key, not at the end of the document, and a
-// string value spelled like the key does not count.
+// string value spelled like the key, quotes and colon included, does
+// not count.
 func TestUnknownFieldPositionedAtKey(t *testing.T) {
 	for _, tc := range []struct {
 		doc       string
@@ -88,6 +89,7 @@ func TestUnknownFieldPositionedAtKey(t *testing.T) {
 		{fidelityPacket(`"fidelity": "hybrid", "loose_threshold": 1.5`), 4, 73},
 		{`{"version": 1, "name": "x", "turbo": true}`, 1, 29},
 		{`{"version": 1, "name": "turbo", "turbo": true}`, 1, 33},
+		{`{"version": 1, "description": "a \"turbo\": b", "turbo": true}`, 1, 49},
 		{"{\"version\": 1, \"name\": \"x\", \"fabric\": {\"topology\": \"crossbar\",\n  \"nodez\": 8}}", 2, 3},
 	} {
 		_, err := Load(strings.NewReader(tc.doc))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -142,39 +143,14 @@ func describeJSONError(data []byte, err error) error {
 	return err
 }
 
-// keyOffset returns the byte offset of the opening quote of the first
-// object key named name in the JSON document data, or len(data) if
-// there is none.
+// keyOffset returns the byte offset of the first object key named name
+// in the JSON document data, or len(data) if there is none. In a valid
+// document a quoted string followed by a colon is always an object key.
 func keyOffset(data []byte, name string) int64 {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var inObject []bool // the open containers, innermost last
-	key := false        // the next token is an object key
-	for {
-		start := dec.InputOffset()
-		tok, err := dec.Token()
-		if err != nil {
-			return int64(len(data))
-		}
-		switch t := tok.(type) {
-		case json.Delim:
-			if t == '{' || t == '[' {
-				inObject = append(inObject, t == '{')
-				key = t == '{'
-				continue
-			}
-			inObject = inObject[:len(inObject)-1]
-		case string:
-			if key {
-				if t == name {
-					return start + int64(bytes.IndexByte(data[start:], '"'))
-				}
-				key = false
-				continue
-			}
-		}
-		// A value ended: an object's next token is a key.
-		key = len(inObject) > 0 && inObject[len(inObject)-1]
+	if m := regexp.MustCompile(`"` + regexp.QuoteMeta(name) + `"\s*:`).FindIndex(data); m != nil {
+		return int64(m[0])
 	}
+	return int64(len(data))
 }
 
 // lineCol converts a byte offset into 1-based line and column.
