@@ -1,6 +1,10 @@
 // Package mem provides the byte-addressable backing store shared by all
-// memory-target IP models. It is deliberately protocol-free: each socket's
-// memory slave wraps one Backing and speaks its own protocol on top.
+// memory-target IP models, and the memory-side rules every socket maps
+// onto: burst addressing (Burst, Backing.ReadBurst and WriteBurst),
+// exclusive reservations (Monitor) and read-buffer rings (Ring). It is
+// deliberately protocol-free: each socket's memory slave wraps one
+// Backing, maps its own burst encoding onto Burst and speaks its own
+// protocol on top, and the slave NIU keys its exclusive monitor here.
 package mem
 
 import "fmt"

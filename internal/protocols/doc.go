@@ -19,7 +19,12 @@
 // these sockets and the VC-neutral transaction layer, and the bridges
 // in internal/bus translate them onto the reference bus.
 //
-// The package itself holds InOrder, the master engine of a socket with
-// one request pipe and one in-order response pipe, which the PVCI, BVCI
-// and WISHBONE masters share.
+// The package itself holds the engines the sockets share. InOrder is
+// the master engine of a socket with one request pipe and one response
+// pipe, answering in order within an ID: the PVCI, BVCI, WISHBONE and
+// AVCI masters embed it. Target is its memory-side twin, one request
+// served at a time: the AHB, PVCI, BVCI and WISHBONE memories embed it.
+// NewestPick is the ID-preserving reorder the AXI and AVCI memories
+// share. The memory-side arithmetic and state (burst addressing,
+// exclusive reservations, read-buffer rings) live in internal/mem.
 package protocols
