@@ -353,12 +353,11 @@ func (m *Memory) serve(req Req) Rsp {
 	if m.retry() {
 		return Rsp{Resp: RespRetry}
 	}
-	n := req.NumBeats() * int(req.Size)
 	if req.Write {
-		m.store.WriteBurst(req.Data[:n], nil, req.MemBurst(), req.Addr, m.base, req.Size)
+		m.store.WriteBurst(req.Data, nil, req.MemBurst(), req.Addr, m.base, req.Size)
 		return Rsp{Resp: RespOkay}
 	}
-	data := m.ring.Next(n)
+	data := m.ring.Next(req.NumBeats() * int(req.Size))
 	m.store.ReadBurst(data, req.MemBurst(), req.Addr, m.base, req.Size)
 	return Rsp{Resp: RespOkay, Data: data}
 }
