@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"strconv"
 	"strings"
 )
 
@@ -130,12 +128,8 @@ func describeJSONError(data []byte, err error) error {
 		line, col := lineCol(data, int64(len(data)))
 		return &ParseError{Line: line, Col: col, Msg: "unexpected end of file (unbalanced braces?)"}
 	}
-	if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
-		off := int64(len(data))
-		if key, err := strconv.Unquote(name); err == nil {
-			off = keyOffset(data, key)
-		}
-		line, col := lineCol(data, off)
+	if quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		line, col := lineCol(data, keyOffset(data, quoted))
 		return &ParseError{Line: line, Col: col,
 			Msg: fmt.Sprintf("%s (not part of scenario schema version %d; see docs/SCENARIOS.md)",
 				strings.TrimPrefix(err.Error(), "json: "), Version)}
@@ -143,14 +137,21 @@ func describeJSONError(data []byte, err error) error {
 	return err
 }
 
-// keyOffset returns the byte offset of the first object key named name
-// in the JSON document data, or len(data) if there is none. In a valid
-// document a quoted string followed by a colon is always an object key.
-func keyOffset(data []byte, name string) int64 {
-	if m := regexp.MustCompile(`"` + regexp.QuoteMeta(name) + `"\s*:`).FindIndex(data); m != nil {
-		return int64(m[0])
+// keyOffset returns the byte offset of the first object key spelled
+// quoted, quotes included, in the JSON document data, or len(data) if
+// there is none. In a valid document a quoted string followed by a
+// colon is always an object key.
+func keyOffset(data []byte, quoted string) int64 {
+	for off := 0; ; off++ {
+		i := bytes.Index(data[off:], []byte(quoted))
+		if i < 0 {
+			return int64(len(data))
+		}
+		off += i
+		if rest := bytes.TrimLeft(data[off+len(quoted):], " \t\r\n"); len(rest) > 0 && rest[0] == ':' {
+			return int64(off)
+		}
 	}
-	return int64(len(data))
 }
 
 // lineCol converts a byte offset into 1-based line and column.
