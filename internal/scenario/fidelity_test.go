@@ -78,9 +78,11 @@ func TestFidelityLoadErrors(t *testing.T) {
 }
 
 // TestUnknownFieldPositionedAtKey: an unknown field's error points at
-// the opening quote of its key, not at the end of the document, and a
+// the opening quote of its key, not at the end of the document. A
 // string value spelled like the key, quotes and colon included, does
-// not count.
+// not count; nor does the same name as a valid key of another object,
+// nor a key the decoder matches to a field regardless of case; and a
+// key written with escapes is found as decoded.
 func TestUnknownFieldPositionedAtKey(t *testing.T) {
 	for _, tc := range []struct {
 		doc       string
@@ -91,6 +93,11 @@ func TestUnknownFieldPositionedAtKey(t *testing.T) {
 		{`{"version": 1, "name": "turbo", "turbo": true}`, 1, 33},
 		{`{"version": 1, "description": "a \"turbo\": b", "turbo": true}`, 1, 49},
 		{"{\"version\": 1, \"name\": \"x\", \"fabric\": {\"topology\": \"crossbar\",\n  \"nodez\": 8}}", 2, 3},
+		{`{"version": 1, "name": "t", "fabric": {"topology": "crossbar"},
+  "workload": {"kind": "packet", "rate": 0.05},
+  "measure": {"measure": 400, "rate": 3}}`, 3, 31},
+		{`{"version": 1, "name": "x", "tur\u0062o": true}`, 1, 29},
+		{`{"Version": 1, "name": "x", "turbo": true}`, 1, 29},
 	} {
 		_, err := Load(strings.NewReader(tc.doc))
 		var pe *ParseError

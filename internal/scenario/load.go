@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 )
 
@@ -107,9 +108,9 @@ func (s *Scenario) SaveFile(path string) error {
 // describeJSONError turns encoding/json's errors into positioned
 // *ParseError form. Syntax and type errors carry byte offsets; the
 // unknown-field error (from DisallowUnknownFields) carries only the
-// field's name, so it is positioned at the first object key of that
-// name in the document (keyOffset). A document that also uses the name
-// as a known key earlier on is positioned at that earlier key.
+// field's name, so it is positioned at the first key in the document
+// that names no field of the schema type it sits in (unknownKey), which
+// is the key the decoder rejected.
 func describeJSONError(data []byte, err error) error {
 	switch e := err.(type) {
 	case *json.SyntaxError:
@@ -128,8 +129,9 @@ func describeJSONError(data []byte, err error) error {
 		line, col := lineCol(data, int64(len(data)))
 		return &ParseError{Line: line, Col: col, Msg: "unexpected end of file (unbalanced braces?)"}
 	}
-	if quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
-		line, col := lineCol(data, keyOffset(data, quoted))
+	if strings.HasPrefix(err.Error(), "json: unknown field ") {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		line, col := lineCol(data, unknownKey(dec, data, reflect.TypeFor[Scenario]()))
 		return &ParseError{Line: line, Col: col,
 			Msg: fmt.Sprintf("%s (not part of scenario schema version %d; see docs/SCENARIOS.md)",
 				strings.TrimPrefix(err.Error(), "json: "), Version)}
@@ -137,21 +139,67 @@ func describeJSONError(data []byte, err error) error {
 	return err
 }
 
-// keyOffset returns the byte offset of the first object key spelled
-// quoted, quotes included, in the JSON document data, or len(data) if
-// there is none. In a valid document a quoted string followed by a
-// colon is always an object key.
-func keyOffset(data []byte, quoted string) int64 {
-	for off := 0; ; off++ {
-		i := bytes.Index(data[off:], []byte(quoted))
-		if i < 0 {
-			return int64(len(data))
+// unknownKey consumes the next value from dec, decoded into type t (nil:
+// no schema below this point), and returns the byte offset of the
+// opening quote of the first key inside it that names no field of the
+// struct it fills, or len(data) if there is none. Walking the tokens
+// alongside the schema finds a name that is a field of one object where
+// it is unknown in another, and compares a key written with escapes as
+// decoded.
+func unknownKey(dec *json.Decoder, data []byte, t reflect.Type) int64 {
+	none := int64(len(data))
+	tok, err := dec.Token()
+	delim, ok := tok.(json.Delim)
+	if err != nil || !ok {
+		return none
+	}
+	for t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	for dec.More() {
+		var elem reflect.Type
+		if delim == '{' {
+			// Only whitespace and a comma lie between the previous
+			// token and the key's opening quote.
+			start := dec.InputOffset()
+			start += int64(bytes.IndexByte(data[start:], '"'))
+			key, err := dec.Token()
+			if err != nil {
+				return none
+			}
+			if t != nil && t.Kind() == reflect.Struct {
+				if elem = fieldType(t, key.(string)); elem == nil {
+					return start
+				}
+			}
+		} else if t != nil && t.Kind() == reflect.Slice {
+			elem = t.Elem()
 		}
-		off += i
-		if rest := bytes.TrimLeft(data[off+len(quoted):], " \t\r\n"); len(rest) > 0 && rest[0] == ':' {
-			return int64(off)
+		if off := unknownKey(dec, data, elem); off < none {
+			return off
 		}
 	}
+	dec.Token() // the closing delimiter
+	return none
+}
+
+// fieldType returns the type of struct t's field that encoding/json
+// decodes key into — the field whose json tag names key, or failing
+// that one whose tag matches it under case folding — or nil if there is
+// none. Every schema field carries a json tag and none is embedded.
+func fieldType(t reflect.Type, key string) reflect.Type {
+	var folded reflect.Type
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == key {
+			return f.Type
+		}
+		if folded == nil && strings.EqualFold(name, key) {
+			folded = f.Type
+		}
+	}
+	return folded
 }
 
 // lineCol converts a byte offset into 1-based line and column.
