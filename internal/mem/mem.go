@@ -1,10 +1,11 @@
 // Package mem provides the byte-addressable backing store shared by all
 // memory-target IP models, and the memory-side rules every socket maps
 // onto: burst addressing (Burst, Backing.ReadBurst and WriteBurst),
-// exclusive reservations (Monitor) and read-buffer rings (Ring). It is
-// deliberately protocol-free: each socket's memory slave wraps one
-// Backing, maps its own burst encoding onto Burst and speaks its own
-// protocol on top, and the slave NIU keys its exclusive monitor here.
+// write byte enables (AppendEnables), exclusive reservations (Monitor)
+// and read-buffer rings (Ring). It is deliberately protocol-free: each
+// socket's memory slave wraps one Backing, maps its own burst encoding
+// onto Burst and speaks its own protocol on top, and the slave NIU keys
+// its exclusive monitor here.
 package mem
 
 import "fmt"
@@ -96,6 +97,18 @@ func (b *Backing) Write(addr uint64, data, be []byte) {
 		p[(addr+uint64(i))&(pageSize-1)] = data[i]
 	}
 	b.writes++
+}
+
+// AppendEnables appends the byte enables of an n-byte beat to dst: be
+// itself, or n enabled bytes when the beat carries none (Write's nil).
+func AppendEnables(dst, be []byte, n int) []byte {
+	if be != nil {
+		return append(dst, be...)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, 0xFF)
+	}
+	return dst
 }
 
 // Accesses returns cumulative read and write operation counts.

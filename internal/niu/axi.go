@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gonoc/internal/core"
+	"gonoc/internal/mem"
 	"gonoc/internal/noctypes"
 	"gonoc/internal/protocols/axi"
 	"gonoc/internal/sim"
@@ -130,7 +131,7 @@ func (a *axiMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry
 // cycle.
 func (a *axiMasterAdapter) StreamSocket() {
 	a.streamR()
-	a.bQ = pushOne(a.bQ, a.port.B)
+	a.bQ = sim.PushOne(a.bQ, a.port.B)
 }
 
 // PumpRequests implements MasterAdapter: AR and AW/W issue
@@ -229,14 +230,8 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	for i := 0; i < need; i++ {
 		w := a.wQ[i]
 		data = append(data, w.Data...)
-		if w.Strb != nil {
-			hasStrb = true
-			be = append(be, w.Strb...)
-		} else {
-			for range w.Data {
-				be = append(be, 0xFF)
-			}
-		}
+		be = mem.AppendEnables(be, w.Strb, len(w.Data))
+		hasStrb = hasStrb || w.Strb != nil
 	}
 	cmd := core.CmdWrite
 	excl := false

@@ -761,14 +761,3 @@ func partOf(b []byte, i, n int) []byte {
 	}
 	return b[i*n : (i+1)*n]
 }
-
-// pushOne moves the head of q onto pipe if the pipe has room, returning
-// the (possibly shortened) queue — the one-beat-per-cycle socket
-// response drain every adapter shares.
-func pushOne[T any](q []T, pipe *sim.Pipe[T]) []T {
-	if len(q) > 0 && pipe.CanPush(1) {
-		pipe.Push(q[0])
-		q = sim.DropFront(q, 1)
-	}
-	return q
-}

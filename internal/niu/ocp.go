@@ -1,9 +1,11 @@
 package niu
 
 import (
+	"bytes"
 	"fmt"
 
 	"gonoc/internal/core"
+	"gonoc/internal/mem"
 	"gonoc/internal/protocols/ocp"
 	"gonoc/internal/sim"
 	"gonoc/internal/transport"
@@ -168,7 +170,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 		if !b.Last {
 			a.port.Req.Pop()
 			asm.data = append(asm.data, b.Data...)
-			asm.be = appendBE(asm.be, b.ByteEn, len(b.Data))
+			asm.be = mem.AppendEnables(asm.be, b.ByteEn, len(b.Data))
 			asm.beats++
 			return
 		}
@@ -185,7 +187,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	be := asm.be
 	if b.Cmd.IsWrite() {
 		data = append(data, b.Data...)
-		be = appendBE(append(a.wBE[:0], asm.be...), b.ByteEn, len(b.Data))
+		be = mem.AppendEnables(append(a.wBE[:0], asm.be...), b.ByteEn, len(b.Data))
 		a.wBE = be
 	}
 	a.wData = data
@@ -227,7 +229,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	}
 	if cmd.IsWrite() {
 		a.req.Data = data
-		if anyMasked(be) {
+		if bytes.IndexByte(be, 0) >= 0 {
 			a.req.BE = be
 		}
 	}
@@ -252,27 +254,6 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	case IssueStall, IssueUnsupported:
 		// Leave the last beat in the socket; retry next cycle.
 	}
-}
-
-// appendBE appends n byte enables to dst: be itself, or all-enabled when
-// the beat carries none.
-func appendBE(dst, be []byte, n int) []byte {
-	if be != nil {
-		return append(dst, be...)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0xFF)
-	}
-	return dst
-}
-
-func anyMasked(be []byte) bool {
-	for _, b := range be {
-		if b == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // OCPSlave is the slave-side NIU for an OCP target IP.

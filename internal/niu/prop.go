@@ -274,4 +274,4 @@ func (a *propMasterAdapter) emitChunks() {
 	}
 }
 
-func (a *propMasterAdapter) emitAcks() { a.ackQ = pushOne(a.ackQ, a.port.Ack) }
+func (a *propMasterAdapter) emitAcks() { a.ackQ = sim.PushOne(a.ackQ, a.port.Ack) }

@@ -122,24 +122,37 @@ type BVCISlave struct {
 	*SlaveEngine
 }
 
-type bvciSlaveAdapter struct {
-	eng *vci.BMaster
+// vciSlaveAdapter executes checked requests as bursts on a BVCI or
+// AVCI target socket; the two differ only in the packet ID, which
+// BVCI's read and write drop.
+type vciSlaveAdapter struct {
+	read  func(id int, addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool))
+	write func(id int, addr uint64, size uint8, data, be []byte, wrap bool, cb func(bool))
 	execs[func(bool), func([]byte, bool)]
 }
 
 // NewBVCISlave creates the NIU on clk.
 func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg SlaveConfig) *BVCISlave {
 	e := NewSlaveEngine(net, cfg)
-	a := &bvciSlaveAdapter{eng: vci.NewBMaster(clk, port, 2)}
+	m := vci.NewBMaster(clk, port, 2)
+	a := &vciSlaveAdapter{
+		read: func(_ int, addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
+			m.Read(addr, size, beats, wrap, cb)
+		},
+		write: func(_ int, addr uint64, size uint8, data, be []byte, wrap bool, cb func(bool)) {
+			m.Write(addr, size, data, be, wrap, cb)
+		},
+	}
 	a.bind = flagCompletions
 	e.Bind(clk, a)
 	return &BVCISlave{e}
 }
 
-// Execute implements SlaveAdapter. BVCI wraps natively but has no
-// FIXED burst: a fixed-address burst runs as one single-cell burst per
-// beat.
-func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
+// Execute implements SlaveAdapter. BVCI and AVCI wrap natively but have
+// no FIXED burst: a fixed-address burst runs as one single-cell burst
+// per beat, all on the request's ID.
+func (a *vciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
+	id := int(req.Src)<<8 | int(req.Tag)
 	data, be := heldWrite(req)
 	parts, beats := transfers(req, req.Burst != core.BurstFixed)
 	wrote, read := a.exec(req, respond, parts).completions()
@@ -147,9 +160,9 @@ func (a *bvciSlaveAdapter) Execute(req *core.Request, respond func(*core.Respons
 	for i := 0; i < parts; i++ {
 		addr := partAddr(req, i, beats)
 		if req.Cmd.IsRead() {
-			a.eng.Read(addr, req.Size, beats, wrap, read)
+			a.read(id, addr, req.Size, beats, wrap, read)
 		} else {
-			a.eng.Write(addr, req.Size, partOf(data, i, n), partOf(be, i, n), wrap, wrote)
+			a.write(id, addr, req.Size, partOf(data, i, n), partOf(be, i, n), wrap, wrote)
 		}
 	}
 }
@@ -183,34 +196,12 @@ type AVCISlave struct {
 	*SlaveEngine
 }
 
-type avciSlaveAdapter struct {
-	eng *vci.AMaster
-	execs[func(bool), func([]byte, bool)]
-}
-
 // NewAVCISlave creates the NIU on clk.
 func NewAVCISlave(clk *sim.Clock, net *transport.Network, port *vci.APort, cfg SlaveConfig) *AVCISlave {
 	e := NewSlaveEngine(net, cfg)
-	a := &avciSlaveAdapter{eng: vci.NewAMaster(clk, port)}
+	m := vci.NewAMaster(clk, port)
+	a := &vciSlaveAdapter{read: m.Read, write: m.Write}
 	a.bind = flagCompletions
 	e.Bind(clk, a)
 	return &AVCISlave{e}
-}
-
-// Execute implements SlaveAdapter. Like BVCI, AVCI runs a FIXED burst
-// as one single-cell burst per beat, all on the request's ID.
-func (a *avciSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
-	engID := int(req.Src)<<8 | int(req.Tag)
-	data, be := heldWrite(req)
-	parts, beats := transfers(req, req.Burst != core.BurstFixed)
-	wrote, read := a.exec(req, respond, parts).completions()
-	wrap, n := req.Burst == core.BurstWrap, len(data)/parts
-	for i := 0; i < parts; i++ {
-		addr := partAddr(req, i, beats)
-		if req.Cmd.IsRead() {
-			a.eng.Read(engID, addr, req.Size, beats, wrap, read)
-		} else {
-			a.eng.Write(engID, addr, req.Size, partOf(data, i, n), partOf(be, i, n), wrap, wrote)
-		}
-	}
 }

@@ -96,11 +96,7 @@ func (m *Memory) Eval(cycle int64) {
 	m.serveReads()
 	m.serveWrites()
 
-	// Emit one B per cycle.
-	if len(m.bq) > 0 && m.port.B.CanPush(1) {
-		m.port.B.Push(m.bq[0])
-		m.bq = sim.DropFront(m.bq, 1)
-	}
+	m.bq = sim.PushOne(m.bq, m.port.B)
 }
 
 func (m *Memory) serveReads() {
@@ -156,13 +152,7 @@ func (m *Memory) serveWrites() {
 			panic(fmt.Sprintf("axi: W beat of %dB for size-%d burst", len(beat.Data), w.aw.Size))
 		}
 		w.data = append(w.data, beat.Data...)
-		if beat.Strb != nil {
-			w.strb = append(w.strb, beat.Strb...)
-		} else {
-			for range beat.Data {
-				w.strb = append(w.strb, 0xFF)
-			}
-		}
+		w.strb = mem.AppendEnables(w.strb, beat.Strb, len(beat.Data))
 		gotAll := len(w.data) == w.beats*int(w.aw.Size)
 		if beat.Last != gotAll {
 			panic(fmt.Sprintf("axi: WLAST mismatch: last=%v gotAll=%v (AW %+v)", beat.Last, gotAll, w.aw))

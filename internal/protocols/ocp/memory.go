@@ -104,13 +104,7 @@ func (m *Memory) collect() {
 	}
 	if b.Cmd.IsWrite() {
 		txn.data = append(txn.data, b.Data...)
-		if b.ByteEn != nil {
-			txn.be = append(txn.be, b.ByteEn...)
-		} else {
-			for range b.Data {
-				txn.be = append(txn.be, 0xFF)
-			}
-		}
+		txn.be = mem.AppendEnables(txn.be, b.ByteEn, len(b.Data))
 	}
 	txn.beat++
 	if b.Last != (txn.beat == txn.beats) {

@@ -157,8 +157,7 @@ func (m *Master) Read(addr uint64, size uint8, beats int, cti CTI, bte BTE, cb f
 
 // Write queues a write cycle. data must stay unchanged until cb runs.
 func (m *Master) Write(addr uint64, size uint8, data []byte, cti CTI, bte BTE, cb func(err bool)) {
-	m.enqueue(Cycle{Write: true, Addr: addr, Size: size, Beats: len(data) / int(size),
-		CTI: cti, BTE: bte, Data: data}, nil, cb)
+	m.WriteSel(addr, size, data, nil, cti, bte, cb)
 }
 
 // WriteSel queues a write cycle with per-byte selects.

@@ -73,3 +73,14 @@ func DropFront[T any](q []T, k int) []T {
 	clear(q[n:])
 	return q[:n]
 }
+
+// PushOne moves the head of q onto pipe if the pipe has room, returning
+// the (possibly shortened) queue: the one-beat-per-cycle response drain
+// that socket adapters and memories share.
+func PushOne[T any](q []T, pipe *Pipe[T]) []T {
+	if len(q) > 0 && pipe.CanPush(1) {
+		pipe.Push(q[0])
+		q = DropFront(q, 1)
+	}
+	return q
+}
