@@ -31,10 +31,11 @@ type propMasterAdapter struct {
 	eng  *MasterEngine
 	port *prop.Port
 
-	wrStreams map[int]*propWrState
-	wrOrder   []int // active write streams, deterministic issue order
-	rdStreams map[int]*propRdState
-	rdOrder   []int // active read streams, for chunk emission fairness
+	// The open streams, in the order they opened: write issue order and
+	// read chunk emission order. A stream is found by ID by scanning
+	// these few entries.
+	wrStreams []*propWrState
+	rdStreams []*propRdState
 	ackQ      []prop.Ack
 	req       core.Request // issue scratch: Issue encodes it before returning
 
@@ -66,11 +67,9 @@ type propRdState struct {
 func NewPropMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *prop.Port, cfg MasterConfig) *PropMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
 	e.Bind(clk, &propMasterAdapter{
-		eng:       e,
-		port:      port,
-		wrStreams: make(map[int]*propWrState),
-		rdStreams: make(map[int]*propRdState),
-		rdBufs:    newReadBufs(port.Rd.Cap()),
+		eng:    e,
+		port:   port,
+		rdBufs: newReadBufs(port.Rd.Cap()),
 	})
 	e.wake.Consumes(port.Desc, port.Wr)
 	return &PropMaster{e}
@@ -114,7 +113,7 @@ func (a *propMasterAdapter) acceptSocket() {
 	if d, ok := a.port.Desc.Pop(); ok {
 		switch d.Op {
 		case prop.OpStreamWrite:
-			if _, dup := a.wrStreams[d.StreamID]; dup {
+			if _, dup := a.wrStream(d.StreamID); dup != nil {
 				panic(fmt.Sprintf("niu: prop stream %d already writing", d.StreamID))
 			}
 			var st *propWrState
@@ -124,10 +123,9 @@ func (a *propMasterAdapter) acceptSocket() {
 				st = new(propWrState)
 			}
 			*st = propWrState{d: d, buf: st.buf[:0]}
-			a.wrStreams[d.StreamID] = st
-			a.wrOrder = append(a.wrOrder, d.StreamID)
+			a.wrStreams = append(a.wrStreams, st)
 		case prop.OpStreamRead:
-			if _, dup := a.rdStreams[d.StreamID]; dup {
+			if _, dup := a.rdStream(d.StreamID); dup != nil {
 				panic(fmt.Sprintf("niu: prop stream %d already reading", d.StreamID))
 			}
 			var st *propRdState
@@ -137,12 +135,11 @@ func (a *propMasterAdapter) acceptSocket() {
 				st = new(propRdState)
 			}
 			*st = propRdState{d: d, got: a.rdBufs.hold(nil, d.Bytes)[:0]}
-			a.rdStreams[d.StreamID] = st
-			a.rdOrder = append(a.rdOrder, d.StreamID)
+			a.rdStreams = append(a.rdStreams, st)
 		}
 	}
 	if c, ok := a.port.Wr.Pop(); ok {
-		st := a.wrStreams[c.StreamID]
+		_, st := a.wrStream(c.StreamID)
 		if st == nil {
 			panic(fmt.Sprintf("niu: prop chunk for unknown stream %d", c.StreamID))
 		}
@@ -151,11 +148,32 @@ func (a *propMasterAdapter) acceptSocket() {
 	}
 }
 
+// wrStream returns the index and state of open write stream id, or
+// -1 and nil.
+func (a *propMasterAdapter) wrStream(id int) (int, *propWrState) {
+	for i, st := range a.wrStreams {
+		if st.d.StreamID == id {
+			return i, st
+		}
+	}
+	return -1, nil
+}
+
+// rdStream returns the index and state of open read stream id, or
+// -1 and nil.
+func (a *propMasterAdapter) rdStream(id int) (int, *propRdState) {
+	for i, st := range a.rdStreams {
+		if st.d.StreamID == id {
+			return i, st
+		}
+	}
+	return -1, nil
+}
+
 // issueWrites converts buffered stream bytes into write bursts.
 func (a *propMasterAdapter) issueWrites(cycle int64) {
-	for _, id := range a.wrOrder {
-		st := a.wrStreams[id]
-		if st == nil || len(st.buf) == 0 {
+	for _, st := range a.wrStreams {
+		if len(st.buf) == 0 {
 			continue
 		}
 		if len(st.buf) < propBurstBytes && !st.gotLast {
@@ -170,7 +188,7 @@ func (a *propMasterAdapter) issueWrites(cycle int64) {
 			Len: uint16(sz), Burst: core.BurstIncr,
 			Data: st.buf[:sz],
 		}
-		if a.eng.Issue(&a.req, id, nil, cycle) == IssueOK {
+		if a.eng.Issue(&a.req, st.d.StreamID, nil, cycle) == IssueOK {
 			st.buf = sim.DropFront(st.buf, sz)
 			st.sent += sz
 		}
@@ -180,9 +198,8 @@ func (a *propMasterAdapter) issueWrites(cycle int64) {
 
 // issueReads converts read descriptors into read bursts.
 func (a *propMasterAdapter) issueReads(cycle int64) {
-	for _, id := range a.rdOrder {
-		st := a.rdStreams[id]
-		if st == nil || st.issued >= st.d.Bytes {
+	for _, st := range a.rdStreams {
+		if st.issued >= st.d.Bytes {
 			continue
 		}
 		sz := st.d.Bytes - st.issued
@@ -193,7 +210,7 @@ func (a *propMasterAdapter) issueReads(cycle int64) {
 			Cmd: core.CmdRead, Addr: st.d.Addr + uint64(st.issued), Size: 1,
 			Len: uint16(sz), Burst: core.BurstIncr,
 		}
-		if a.eng.Issue(&a.req, propReadID+id, nil, cycle) == IssueOK {
+		if a.eng.Issue(&a.req, propReadID+st.d.StreamID, nil, cycle) == IssueOK {
 			st.issued += sz
 		}
 		return
@@ -205,7 +222,7 @@ func (a *propMasterAdapter) issueReads(cycle int64) {
 func (a *propMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entry) {
 	stream, n := entry.ProtoID, int(entry.Len)*int(entry.Size)
 	if entry.Cmd.IsWrite() {
-		st := a.wrStreams[stream]
+		i, st := a.wrStream(stream)
 		if st == nil {
 			return
 		}
@@ -221,18 +238,12 @@ func (a *propMasterAdapter) DeliverResponse(rsp *core.Response, entry *core.Entr
 		}
 		if done {
 			a.ackQ = append(a.ackQ, prop.Ack{StreamID: stream, Chunks: st.ackPend, Done: true, OK: !st.failed})
-			delete(a.wrStreams, stream)
+			a.wrStreams = append(a.wrStreams[:i], a.wrStreams[i+1:]...)
 			a.wrFree = append(a.wrFree, st)
-			for i, id := range a.wrOrder {
-				if id == stream {
-					a.wrOrder = append(a.wrOrder[:i], a.wrOrder[i+1:]...)
-					break
-				}
-			}
 		}
 		return
 	}
-	st := a.rdStreams[stream-propReadID]
+	_, st := a.rdStream(stream - propReadID)
 	if st == nil {
 		return
 	}
@@ -244,11 +255,7 @@ func (a *propMasterAdapter) emitChunks() {
 	if !a.port.Rd.CanPush(1) {
 		return
 	}
-	for i, id := range a.rdOrder {
-		st := a.rdStreams[id]
-		if st == nil {
-			continue
-		}
+	for i, st := range a.rdStreams {
 		avail := len(st.got) - st.emitted
 		if avail <= 0 {
 			continue
@@ -262,13 +269,12 @@ func (a *propMasterAdapter) emitChunks() {
 			sz = prop.ChunkBytes
 		}
 		last := st.emitted+sz == st.d.Bytes
-		a.port.Rd.Push(prop.Chunk{StreamID: id, Data: st.got[st.emitted : st.emitted+sz], Last: last})
+		a.port.Rd.Push(prop.Chunk{StreamID: st.d.StreamID, Data: st.got[st.emitted : st.emitted+sz], Last: last})
 		st.emitted += sz
 		if last {
 			a.rdBufs.pushed(st.got)
-			delete(a.rdStreams, id)
+			a.rdStreams = append(a.rdStreams[:i], a.rdStreams[i+1:]...)
 			a.rdFree = append(a.rdFree, st)
-			a.rdOrder = append(a.rdOrder[:i], a.rdOrder[i+1:]...)
 		}
 		return
 	}

@@ -142,6 +142,13 @@ func (c *Clock) EvalEveryCycle() {
 	}
 }
 
+// EveryCycle reports whether EvalEveryCycle switched the clock to the
+// reference mode. A component that skips work of its own inside Eval
+// (the fabric's idle switches and untouched lanes) does all of that
+// work in this mode too, so the differential tests compare its skips
+// with the full sweep as well.
+func (c *Clock) EveryCycle() bool { return c.every }
+
 // Register adds a component to the clock domain, awake, and returns its
 // Waker. Components are evaluated in registration order, but the
 // Eval-then-commit discipline makes simulation results independent of

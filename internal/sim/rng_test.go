@@ -1,6 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
@@ -81,4 +88,132 @@ func TestRNGRange(t *testing.T) {
 	if r.Range(5, 5) != 5 || r.Range(9, 4) != 9 {
 		t.Fatal("degenerate Range wrong")
 	}
+}
+
+// rngOp draws one value by op from the RNG under test and from
+// math/rand's own generator; the two must be equal.
+func rngOp(t *testing.T, op byte, got *RNG, want *rand.Rand) {
+	t.Helper()
+	var g, w any
+	switch op % 12 {
+	case 0, 1, 2:
+		p := []float64{0.002, 0.3, 0.999}[op%12]
+		g, w = got.Bool(p), want.Float64() < p
+	case 3:
+		g, w = got.Float64(), want.Float64()
+	case 4:
+		n := 1 + int(op)*37
+		g, w = got.Intn(n), want.Intn(n)
+	case 5:
+		n := int64(1)<<40 + int64(op)
+		g, w = got.Int63n(n), want.Int63n(n)
+	case 6:
+		g, w = got.Uint64(), want.Uint64()
+	case 7:
+		g, w = fmt.Sprint(got.Perm(int(op%9))), fmt.Sprint(want.Perm(int(op%9)))
+	case 8:
+		a, b := []int{1, 2, 3, 4, 5, 6, 7}, []int{1, 2, 3, 4, 5, 6, 7}
+		got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+		want.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		g, w = fmt.Sprint(a), fmt.Sprint(b)
+	case 9:
+		g, w = got.NormFloat64(), want.NormFloat64()
+	case 10:
+		g, w = got.ExpFloat64(), want.ExpFloat64()
+	case 11:
+		g, w = got.Int63(), want.Int63()
+	}
+	if g != w {
+		t.Fatalf("op %d: got %v, math/rand %v", op%12, g, w)
+	}
+}
+
+// TestRNGMatchesMathRand: the package's copy of math/rand's generator,
+// seeded by the division-free step, yields math/rand's streams. Each
+// seed draws one interleaved sequence of every method a caller uses,
+// Bool at three probabilities among them, from both generators.
+func TestRNGMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, int32max, 2 * int32max, 1 << 62, math.MinInt64, math.MaxInt64}
+	pick := rand.New(rand.NewSource(2005))
+	for i := 0; i < 5; i++ {
+		seeds = append(seeds, pick.Int63()-pick.Int63())
+	}
+	for _, seed := range seeds {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			rngOp(t, byte(i%12+12*(i/12%20)), got, want)
+		}
+		if got.Seed() != seed {
+			t.Fatalf("Seed() = %d, want %d", got.Seed(), seed)
+		}
+	}
+}
+
+// schrage is math/rand's seeding step, x·48271 mod (2³¹−1) by Schrage's
+// method, the reference for seedStep.
+func schrage(x int32) int32 {
+	const (
+		a = 48271
+		q = 44488
+		r = 3399
+	)
+	hi, lo := x/q, x%q
+	x = a*lo - r*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedStepMatchesSchrage compares the division-free seeding step
+// with Schrage's over the first and last 2²⁰ values of its domain,
+// [1, 2³¹−2], and at 0.
+func TestSeedStepMatchesSchrage(t *testing.T) {
+	check := func(x int32) {
+		if g, w := seedStep(x), schrage(x); g != w {
+			t.Fatalf("seedStep(%d) = %d, Schrage %d", x, g, w)
+		}
+	}
+	check(0)
+	for x := int32(1); x <= 1<<20; x++ {
+		check(x)
+	}
+	for x := int32(int32max - 1<<20); x < int32max; x++ {
+		check(x)
+	}
+}
+
+// TestForkSeedIsFNV: ForkSeed is the 64-bit FNV-1a hash of the seed's
+// little-endian bytes and the label, the hash Fork has always used.
+func TestForkSeedIsFNV(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 42, math.MinInt64} {
+		for _, label := range []string{"", "src0", "trans.axi", "point/mesh/uniform/0.01"} {
+			h := fnv.New64a()
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(seed))
+			h.Write(b[:])
+			h.Write([]byte(label))
+			if got, want := ForkSeed(seed, label), int64(h.Sum64()); got != want {
+				t.Fatalf("ForkSeed(%d, %q) = %d, FNV-1a %d", seed, label, got, want)
+			}
+			if NewRNG(seed).Fork(label).Seed() != ForkSeed(seed, label) {
+				t.Fatalf("Fork(%q) of seed %d does not take ForkSeed's seed", label, seed)
+			}
+		}
+	}
+}
+
+// FuzzRNGMatchesMathRand draws the sequence ops spells from the RNG and
+// from math/rand's generator seeded alike.
+func FuzzRNGMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add(int64(-1), []byte{2, 2, 9, 10, 7, 0})
+	f.Add(int64(math.MinInt64), []byte{11, 4, 5, 6})
+	f.Add(int64(int32max), []byte{3, 3, 3})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for _, op := range ops {
+			rngOp(t, op, got, want)
+		}
+	})
 }

@@ -5,7 +5,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -51,10 +51,12 @@ func (l *Latency) Percentile(p float64) int64 {
 	return percentileOf(l.sorted(), p)
 }
 
-// sorted returns a sorted copy of the samples.
+// sorted returns a sorted copy of the samples. slices.Sort orders the
+// copy in place without the closure and reflection swapper sort.Slice
+// builds on every call.
 func (l *Latency) sorted() []int64 {
-	sorted := append([]int64(nil), l.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(l.samples)
+	slices.Sort(sorted)
 	return sorted
 }
 

@@ -202,9 +202,15 @@ func compareTraces(t *testing.T, what string, ref, got socTrace) {
 // rates down to 0.002, where sources sleep between draws), each with no
 // probe, with a recorder of every event (whose fabric never sleeps) and
 // with a recorder that declines buffer samples (whose fabric sleeps when
-// empty). Result bytes, every NIU, generator and router stats struct,
-// every pipe's statistics and the probe's full event stream must be
-// identical.
+// empty). Bit 0x20 of the request count gives the RunTrans and packet
+// runs one-flit lanes (where the fabric allows them): a lane refilled
+// only every other cycle leaves a held output with no flit to move, a
+// wormhole bubble whose stall the switch counts. Under the reference
+// mode the fabric also evaluates every switch and commits every lane on
+// every edge, so its idle-switch skip and its commit list are compared
+// with the full sweep as well. Result bytes, every NIU, generator and
+// router stats struct, every pipe's statistics and the probe's full
+// event stream must be identical.
 func FuzzActiveSetMatchesReference(f *testing.F) {
 	for topo := 0; topo < 6; topo++ {
 		f.Add(uint8(topo), topo%2 == 0, topo%3 == 1, int64(topo+1), uint8(3+topo))
@@ -213,6 +219,9 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 	f.Add(uint8(0), true, false, int64(11), uint8(0x85))
 	f.Add(uint8(1), false, false, int64(5), uint8(0x44))
 	f.Add(uint8(4), true, true, int64(8), uint8(0x4b))
+	f.Add(uint8(1), false, false, int64(3), uint8(0x22))
+	f.Add(uint8(0), true, false, int64(6), uint8(0x63))
+	f.Add(uint8(2), false, false, int64(12), uint8(0xa1))
 	f.Fuzz(func(t *testing.T, topoRaw uint8, wishbone, saf bool, seed int64, reqRaw uint8) {
 		topo := int(topoRaw % 6)
 		var net transport.NetConfig
@@ -230,6 +239,9 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 		}
 		if topo == 5 {
 			return // RunTrans and the packet rig have no bus form
+		}
+		if reqRaw&0x20 != 0 && !saf {
+			net.BufDepth = 1 // raised to whole packets where the fabric needs them
 		}
 		tc := TransConfig{
 			Seed: seed, Topology: soc.Topology(topo), Wishbone: wishbone, Net: net,

@@ -105,9 +105,10 @@ type CampaignWall struct {
 	EventsPerSec float64 `json:"events_per_sec"` // aggregate across the worker pool
 }
 
-// pointSeed derives the deterministic seed for one campaign point.
-func pointSeed(root *sim.RNG, topo Topology, pat Pattern, rate float64) int64 {
-	return root.Fork(fmt.Sprintf("point/%s/%s/%g", topo, pat, rate)).Seed()
+// pointSeed derives the deterministic seed for one campaign point from
+// the campaign's base seed.
+func pointSeed(base int64, topo Topology, pat Pattern, rate float64) int64 {
+	return sim.ForkSeed(base, fmt.Sprintf("point/%s/%s/%g", topo, pat, rate))
 }
 
 // Campaign runs every (topology × pattern × rate) point of cfg across a
@@ -136,7 +137,6 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 		label string
 		cfg   Config
 	}
-	root := sim.NewRNG(cfg.Base.Seed)
 	var jobs []job
 	for _, topo := range cfg.Topologies {
 		for _, pat := range cfg.Patterns {
@@ -145,7 +145,7 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 				c.Topology, c.Pattern, c.Rate = topo, pat, rate
 				c.ClosedLoop = false
 				c.Probe = nil // probes are per-kernel; see HeatmapBuckets
-				c.Seed = pointSeed(root, topo, pat, rate)
+				c.Seed = pointSeed(cfg.Base.Seed, topo, pat, rate)
 				jobs = append(jobs, job{idx: len(jobs), seed: c.Seed,
 					label: fmt.Sprintf("%s/%s@%g", topo, pat, rate), cfg: c})
 			}

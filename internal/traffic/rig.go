@@ -103,10 +103,9 @@ func newRig(cfg *Config) *rig {
 			"source-cycles a pending transaction found its endpoint unable to accept (measure phase)")
 	}
 
-	root := sim.NewRNG(cfg.Seed)
 	r.srcs = make([]*source, cfg.Nodes)
 	for i := range r.srcs {
-		r.srcs[i] = newSource(r, i, root.Fork(fmt.Sprintf("src%d", i)))
+		r.srcs[i] = newSource(r, i, sim.NewRNG(sim.ForkSeed(cfg.Seed, fmt.Sprintf("src%d", i))))
 	}
 	return r
 }

@@ -1,7 +1,8 @@
 package traffic
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"gonoc/internal/stats"
@@ -152,11 +153,11 @@ func flowStats(m map[Flow]*stats.Latency) []FlowStat {
 			Count: l.Count(), Mean: l.Mean(), P95: l.Percentile(95),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
+	slices.SortFunc(out, func(a, b FlowStat) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return out[i].Dst < out[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	return out
 }

@@ -247,7 +247,6 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	}
 
 	run := &transRun{clk: s.Clk, hotspot: tc.Hotspot, bases: bases, genEnd: s.Clk.Cycle() + tc.Warmup + tc.Measure}
-	root := sim.NewRNG(tc.Seed)
 	states := make([]*mstate, 0, len(roles))
 	for i, role := range roles {
 		sock, ok := socks[role.Master]
@@ -258,7 +257,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		// inside each memory so bursts stay window-local without
 		// aliasing another master's. An explicit role target replaces
 		// the lane with a stride walk of [Base, Base+Size).
-		st := &mstate{run: run, role: role, sock: sock, rng: root.Fork("trans." + role.Master),
+		st := &mstate{run: run, role: role, sock: sock, rng: sim.NewRNG(sim.ForkSeed(tc.Seed, "trans."+role.Master)),
 			lane: uint64(0x60000 + i*0x4000)}
 		if role.Size != 0 {
 			st.stride = (uint64(role.Bytes) + 63) / 64 * 64

@@ -20,9 +20,9 @@ const (
 )
 
 // flitSlots is parallel flit storage: field i of flit j lives at
-// arrays[j], and slot j's payload bytes at data[j*stride:]. Headers are
-// only meaningful on slots flagged slotHead, mirroring the Flit
-// contract ("Hdr valid when Head").
+// arrays[j], and slot j's payload bytes at data[j*stride:]. Headers and
+// packet times are only meaningful on slots flagged slotHead, mirroring
+// the Flit contract ("Hdr valid when Head").
 type flitSlots struct {
 	pktID []uint64
 	flags []uint8
@@ -30,6 +30,7 @@ type flitSlots struct {
 	hops  []uint8
 	dlen  []uint16
 	hdr   []Header
+	times []pktTimes // the packet's queued and injected cycles, for its TransitRecord
 	data  []byte
 }
 
@@ -41,6 +42,7 @@ func newFlitSlots(n, stride int) flitSlots {
 		hops:  make([]uint8, n),
 		dlen:  make([]uint16, n),
 		hdr:   make([]Header, n),
+		times: make([]pktTimes, n),
 		data:  make([]byte, n*stride),
 	}
 }
@@ -55,12 +57,13 @@ func (s *flitSlots) window(lo, n, stride int) flitSlots {
 		hops:  s.hops[lo:hi:hi],
 		dlen:  s.dlen[lo:hi:hi],
 		hdr:   s.hdr[lo:hi:hi],
+		times: s.times[lo:hi:hi],
 		data:  s.data[lo*stride : hi*stride : hi*stride],
 	}
 }
 
-// copySlot copies slot j of src into slot i of dst. Headers travel only
-// on head flits; payload bytes are copied by value.
+// copySlot copies slot j of src into slot i of dst. Headers and packet
+// times travel only on head flits; payload bytes are copied by value.
 func (dst *flitSlots) copySlot(i int, src *flitSlots, j, stride int) {
 	dst.pktID[i] = src.pktID[j]
 	fl := src.flags[j]
@@ -72,6 +75,7 @@ func (dst *flitSlots) copySlot(i int, src *flitSlots, j, stride int) {
 	copy(dst.data[i*stride:i*stride+int(n)], src.data[j*stride:j*stride+int(n)])
 	if fl&slotHead != 0 {
 		dst.hdr[i] = src.hdr[j]
+		dst.times[i] = src.times[j]
 	}
 }
 
@@ -112,6 +116,7 @@ func (s *flitSlots) setFromFlit(i int, f Flit, stride int) {
 	copy(s.data[i*stride:], f.Data)
 	if f.Head {
 		s.hdr[i] = f.Hdr
+		s.times[i] = pktTimes{}
 	}
 }
 
@@ -119,9 +124,9 @@ func (s *flitSlots) setFromFlit(i int, f Flit, stride int) {
 // values staged during a cycle become consumable at the next cycle, and
 // a slot freed by a pop cannot be refilled until the next cycle
 // (one-cycle credit turnaround via the startLen snapshot). It is not on
-// the clock's commit list itself — the owning Network commits every lane
-// in one batch pass per edge it is touched in, replacing the per-pipe
-// commits of the AoS design.
+// the clock's commit list itself: its first stagePush or pop of an edge
+// puts it on the owning Network's, which commits the lanes on it in one
+// batch pass at the edge. A lane nothing touched has nothing to commit.
 //
 // Committed slots live in a power-of-two ring [head, head+clen); slots
 // staged this cycle are written in place directly behind them, at
@@ -156,6 +161,11 @@ type flitQ struct {
 	// holds a committed slot. nil for every other queue.
 	occ *uint64
 	bit uint64
+
+	// net is the owning network; listed records that the queue is on
+	// its commit list (Network.touched) for this edge.
+	net    *Network
+	listed bool
 }
 
 func nextPow2(n int) int {
@@ -210,10 +220,19 @@ func (q *flitQ) len() int { return q.clen }
 // slot returns the ring index of the i-th oldest committed slot.
 func (q *flitQ) slot(i int) int { return (q.head + i) & q.mask }
 
+// touch puts the queue on its network's commit list, once per edge.
+func (q *flitQ) touch() {
+	if !q.listed {
+		q.listed = true
+		q.net.touched = append(q.net.touched, q)
+	}
+}
+
 // stagePush reserves the next staging slot and returns its ring index;
 // the caller fills the parallel arrays directly via q.ring. Bounded
 // queues must have checked canPush first.
 func (q *flitQ) stagePush() int {
+	q.touch()
 	if q.clen+q.pend > q.mask {
 		q.growRing(q.clen + q.pend + 1)
 	}
@@ -240,6 +259,7 @@ func (q *flitQ) pushFlit(f Flit) bool {
 // needed: slots hold no references. A lane it empties leaves its
 // router's occupancy mask.
 func (q *flitQ) pop() {
+	q.touch() // the credit it frees returns at the commit
 	q.head = (q.head + 1) & q.mask
 	q.clen--
 	if q.clen == 0 && q.occ != nil {
@@ -264,11 +284,12 @@ func (q *flitQ) Len() int { return q.clen }
 
 // commit publishes this cycle's staged slots (already written in place
 // behind the committed window) and refreshes the credit snapshot. The
-// Network calls it for every lane on every edge the fabric is awake or
-// accepts a packet; the cost is a few integer stores whether the lane
-// moved flits or sat idle. A lane it fills joins its router's occupancy
-// mask.
+// Network calls it for each lane on its commit list: a lane that was
+// neither pushed nor popped since its last commit has pend == 0 and
+// startLen == clen, so committing it would change nothing. A lane it
+// fills joins its router's occupancy mask.
 func (q *flitQ) commit() {
+	q.listed = false
 	if q.pend != 0 {
 		if q.clen == 0 && q.occ != nil {
 			*q.occ |= q.bit

@@ -70,18 +70,20 @@ type LinkID struct {
 // to construct one.
 //
 // The whole fabric is driven by a single clocked component: one Eval
-// call steps every switch and endpoint, and one entry on the clock's
-// commit list commits every flit lane in a tight batch loop. Compared to
-// registering each lane as its own component, this removes per-lane
-// interface dispatch from the per-cycle path — the "one call per (link,
-// edge)" batching the hot path is built around. A fabric that holds no
-// packet sleeps until TrySend wakes it.
+// call steps every busy switch and every endpoint, and one entry on the
+// clock's commit list commits the flit lanes the edge touched in a tight
+// batch loop. Compared to registering each lane as its own component,
+// this removes per-lane interface dispatch from the per-cycle path — the
+// "one call per (link, edge)" batching the hot path is built around. A
+// switch with no flit and no held output is skipped, and a fabric that
+// holds no packet sleeps until TrySend wakes it.
 type Network struct {
 	clk *sim.Clock
 	cfg NetConfig
 
 	routers []*Router
-	qs      []*flitQ    // every flit lane in the fabric, committed per edge
+	qs      []*flitQ    // every flit lane in the fabric; the reference sweep commits them all
+	touched []*flitQ    // the commit list: lanes staged or popped this edge
 	adj     [][]int     // adj[router][port] = downstream router index, -1 endpoint/unconnected
 	eps     []*Endpoint // indexed by NodeID; nil where no node is attached
 	epOrder []noctypes.NodeID
@@ -104,10 +106,7 @@ type Network struct {
 	pool pktPool
 
 	// OnTransit, when non-nil, observes every completed packet journey.
-	// Set it after the topology builder returns and before the simulation
-	// runs: the per-packet lifecycle timestamps feeding TransitRecord are
-	// tracked only while a hook is installed, so packets sent before one
-	// is set report zero queue/inject cycles.
+	// Set it after the topology builder returns.
 	OnTransit func(TransitRecord)
 
 	// probe, when non-nil, receives instrumentation events from the
@@ -159,7 +158,8 @@ type netTick struct{ n *Network }
 // and endpoints only read lane state committed in earlier cycles (and
 // push into staging), so the iteration order here cannot influence
 // results — the same discipline that made the per-component design
-// registration-order independent.
+// registration-order independent. An idle switch (Router.idle) is
+// skipped, except under the clock's evaluate-everything reference mode.
 func (t netTick) Eval(cycle int64) {
 	if le := t.n.loose; le != nil {
 		le.tick(cycle)
@@ -173,8 +173,11 @@ func (t netTick) Eval(cycle int64) {
 		}
 	}
 	t.n.stage()
+	every := t.n.clk.EveryCycle()
 	for _, r := range t.n.routers {
-		r.eval(cycle)
+		if every || !r.idle() {
+			r.eval(cycle)
+		}
 	}
 	for _, ep := range t.n.epList {
 		ep.eval(cycle)
@@ -201,16 +204,20 @@ func (n *Network) stage() {
 	}
 }
 
-// commit publishes every lane's staged flits and clears the per-cycle
-// output-freed marks in one batch pass.
+// commit publishes the staged flits and returns the freed credit of
+// every lane on the commit list in one batch pass. A lane off the list
+// was neither pushed nor popped this edge, so its commit would be a
+// no-op; the reference mode commits every lane anyway.
 func (n *Network) commit(int64) {
 	n.staged = false
-	for _, q := range n.qs {
+	qs := n.touched
+	if n.clk.EveryCycle() {
+		qs = n.qs
+	}
+	for _, q := range qs {
 		q.commit()
 	}
-	for _, r := range n.routers {
-		r.clearFreed()
-	}
+	n.touched = n.touched[:0]
 }
 
 // addLanes creates count bounded flit lanes owned by this network's
@@ -218,9 +225,15 @@ func (n *Network) commit(int64) {
 func (n *Network) addLanes(name string, count, capacity int) []flitQ {
 	qs := newFlitQs(name, count, capacity, n.cfg.FlitBytes)
 	for i := range qs {
-		n.qs = append(n.qs, &qs[i])
+		n.own(&qs[i])
 	}
 	return qs
+}
+
+// own makes q one of the lanes this network commits.
+func (n *Network) own(q *flitQ) {
+	q.net = n
+	n.qs = append(n.qs, q)
 }
 
 // Config returns the fabric configuration.
@@ -389,10 +402,9 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 		sendQ:  newFlitDeq(fmt.Sprintf("send.%v", node), n.cfg.FlitBytes),
 		ej:     ej,
 		recvQ:  sim.NewPipe[*Packet](n.clk, fmt.Sprintf("recv.%v", node), 64),
-		times:  make(map[uint64]pktTimes),
 		idOrd:  len(n.epList),
 	}
-	n.qs = append(n.qs, ep.sendQ)
+	n.own(ep.sendQ)
 	n.eps[node] = ep
 	n.epOrder = append(n.epOrder, node)
 	n.epList = append(n.epList, ep)
@@ -413,14 +425,10 @@ type Endpoint struct {
 	sendQ   *flitQ // staged by TrySend this cycle, committed at the edge, injecting one per cycle
 	pending int    // packets not yet fully injected
 
-	ej    *flitQ
-	reasm Reassembler
-	recvQ *sim.Pipe[*Packet]
-
-	// times tracks per-packet lifecycle cycles for TransitRecord,
-	// maintained only while the network's OnTransit hook is installed so
-	// runs without a transit observer pay no map traffic per packet.
-	times map[uint64]pktTimes // pktID -> queued/injected cycles
+	ej      *flitQ
+	reasm   Reassembler
+	rxTimes pktTimes // the packet in reassembly: its head flit's times
+	recvQ   *sim.Pipe[*Packet]
 
 	hdrScratch [HeaderBytes]byte // header serialization scratch, reused per TrySend
 
@@ -429,8 +437,9 @@ type Endpoint struct {
 	idOrd int // attach order: indexes the loose engine's per-endpoint state
 }
 
-// pktTimes is a packet's send-side lifecycle, recorded at the source
-// endpoint and resolved into a TransitRecord at ejection.
+// pktTimes is a packet's send-side lifecycle, carried by its head flit
+// (or its analytic delivery event) and resolved into a TransitRecord at
+// ejection.
 type pktTimes struct {
 	queued   int64 // cycle TrySend accepted the packet
 	injected int64 // cycle the head flit entered the fabric
@@ -513,6 +522,7 @@ func (ep *Endpoint) serialize(p *Packet, n int) {
 		if i == 0 {
 			fl |= slotHead
 			q.ring.hdr[si] = p.Header
+			q.ring.times[si] = pktTimes{queued: ep.net.clk.Cycle()}
 		}
 		if i == n-1 {
 			fl |= slotTail
@@ -539,9 +549,6 @@ func (ep *Endpoint) serialize(p *Packet, n int) {
 	ep.net.queued++
 	ep.net.stage()
 	ep.net.wake.Wake()
-	if ep.net.OnTransit != nil {
-		ep.times[p.ID] = pktTimes{queued: ep.net.clk.Cycle()}
-	}
 }
 
 // inject counts a packet's head flit entering the fabric on cycle.
@@ -619,13 +626,8 @@ func (ep *Endpoint) eval(cycle int64) {
 			lane.ring.copySlot(si, &q.ring, hs, q.stride)
 			fl := q.ring.flags[hs]
 			if fl&slotHead != 0 {
-				pktID := q.ring.pktID[hs]
-				if ep.net.OnTransit != nil {
-					tm := ep.times[pktID]
-					tm.injected = cycle
-					ep.times[pktID] = tm
-				}
-				ep.inject(cycle, pktID, q.ring.hdr[hs].Dst)
+				lane.ring.times[si].injected = cycle
+				ep.inject(cycle, q.ring.pktID[hs], q.ring.hdr[hs].Dst)
 			}
 			if fl&slotTail != 0 {
 				ep.pending--
@@ -638,6 +640,9 @@ func (ep *Endpoint) eval(cycle int64) {
 	if ep.recvQ.CanPush(1) && ep.ej.clen > 0 {
 		hs := ep.ej.slot(0)
 		s := &ep.ej.ring
+		if s.flags[hs]&slotHead != 0 {
+			ep.rxTimes = s.times[hs]
+		}
 		pkt, err := ep.reasm.feed(
 			s.pktID[hs],
 			s.flags[hs]&slotHead != 0,
@@ -654,14 +659,7 @@ func (ep *Endpoint) eval(cycle int64) {
 			if ep.net.loose != nil {
 				ep.net.looseCycleActive--
 			}
-			var tm pktTimes
-			if ep.net.OnTransit != nil {
-				if src := ep.net.Endpoint(pkt.Src); src != nil {
-					tm = src.times[pkt.ID]
-					delete(src.times, pkt.ID)
-				}
-			}
-			ep.deliver(pkt, cycle, int(hops), tm)
+			ep.deliver(pkt, cycle, int(hops), ep.rxTimes)
 		}
 	}
 }

@@ -70,8 +70,8 @@ type RouterStats struct {
 // struct-of-arrays flit lane per port per virtual channel); its outputs
 // are references to the downstream hop's input lanes or to an
 // endpoint's ejection buffer. It is not a clocked component itself: the
-// owning Network drives every switch and commits every lane in one
-// batched pass per clock edge.
+// owning Network drives every switch that is not idle and commits the
+// touched lanes in one batched pass per clock edge.
 //
 // Arbitration: an output is held by one packet from head to tail
 // (wormhole) or for a buffered packet's full streaming (store-and-
@@ -94,7 +94,8 @@ type Router struct {
 	laneHdr  [][]Header // [port][vc] header of packet in flight
 	laneAl   [][]int    // [port][vc] allocated output, -1
 	outHold  []laneRef  // per output: lane holding it
-	outFreed []bool     // freed this cycle; not reallocatable
+	holds    int        // outputs held: entries of outHold other than noLane
+	outFreed []int64    // per output: cycle its last tail left, -1; not reallocatable in that cycle
 	outLock  []int32    // per output: locked-for source NodeID, -1
 	rr       []int      // per output: round-robin port pointer
 
@@ -132,6 +133,7 @@ type Router struct {
 	sample bool
 
 	stats RouterStats
+	evals uint64 // cycles evaluated (the fabric tick skips idle ones)
 }
 
 // outReq is one output's best requester so far in a cycle's
@@ -187,12 +189,13 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 		}
 	}
 	r.outHold = make([]laneRef, numPorts)
-	r.outFreed = make([]bool, numPorts)
+	r.outFreed = make([]int64, numPorts)
 	r.outLock = make([]int32, numPorts)
 	r.rr = make([]int, numPorts)
 	r.req = make([]outReq, numPorts)
 	for o := range r.outHold {
 		r.outHold[o] = noLane
+		r.outFreed[o] = -1
 		r.outLock[o] = -1
 	}
 	r.stats.OutBusy = make([]uint64, numPorts)
@@ -257,9 +260,27 @@ func (r *Router) connectOut(o int, vcBufs [NumVCs]*flitQ) {
 	}
 }
 
+// idle reports whether eval would do nothing this cycle: no input lane
+// holds a committed flit (the occupancy mask is zero), no output is
+// held, and no probe samples buffers. Phase 1 then has no held output
+// to move a flit through or count a stall on, and allocation finds no
+// head to grant, so the fabric tick skips the switch.
+func (r *Router) idle() bool {
+	if r.holds != 0 || r.sample {
+		return false
+	}
+	for _, w := range r.occ {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // eval runs one cycle of switch operation; the Network's fabric tick
-// calls it once per clock edge.
+// calls it on each clock edge the switch is not idle.
 func (r *Router) eval(cycle int64) {
+	r.evals++
 	if r.sample {
 		r.sampleBuffers(cycle)
 	}
@@ -300,7 +321,7 @@ func (r *Router) allocate(cycle int64) {
 			w &= w - 1
 			p, v := i/NumVCs, i%NumVCs
 			if r.laneAl[p][v] == -1 {
-				r.request(p, v, -1)
+				r.request(cycle, p, v, -1)
 			}
 		}
 	}
@@ -314,6 +335,7 @@ func (r *Router) allocate(cycle int64) {
 		lane := r.lanes[win.port][win.vc]
 		hs := lane.slot(0)
 		r.outHold[o] = win
+		r.holds++
 		r.laneAl[win.port][win.vc] = o
 		r.laneHdr[win.port][win.vc] = lane.ring.hdr[hs]
 		r.rr[o] = win.port + 1
@@ -329,20 +351,20 @@ func (r *Router) allocate(cycle int64) {
 			r.noteStall(cycle, o)
 		}
 		if r.laneAl[win.port][win.vc] == -1 {
-			r.request(win.port, win.vc, o)
+			r.request(cycle, win.port, win.vc, o)
 		}
 	}
 }
 
 // request files lane (port,vc)'s head packet, if ready, as a request for
 // its route's output, provided that output comes after `after`, was free
-// at cycle start and is connected. A lock reservation for another source
+// at the start of cycle and is connected. A lock reservation for another source
 // denies the request (LockStalls); under CutThrough so does a downstream
 // buffer without room for the whole packet. The output keeps the best
 // requester: highest priority under QoS, then lowest round-robin rank —
 // ports in order from rr[o], VCLocked before VCNormal on one port so
 // unlocking packets are never starved.
-func (r *Router) request(port, vc, after int) {
+func (r *Router) request(cycle int64, port, vc, after int) {
 	hs, ok := r.ready(port, vc)
 	if !ok {
 		return
@@ -350,7 +372,7 @@ func (r *Router) request(port, vc, after int) {
 	lane := r.lanes[port][vc]
 	hdr := &lane.ring.hdr[hs]
 	o := r.routeFor(hdr.Dst)
-	if o <= after || r.outHold[o] != noLane || r.outFreed[o] || r.outs[o][VCNormal] == nil {
+	if o <= after || r.outHold[o] != noLane || r.outFreed[o] == cycle || r.outs[o][VCNormal] == nil {
 		return
 	}
 	if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
@@ -384,14 +406,6 @@ func (r *Router) request(port, vc, after int) {
 		if rank < q.rank {
 			q.win, q.rank = laneRef{port, vc}, rank
 		}
-	}
-}
-
-// clearFreed resets the per-cycle output-freed marks; the Network's
-// fabric tick calls it in the commit phase.
-func (r *Router) clearFreed() {
-	for o := range r.outFreed {
-		r.outFreed[o] = false
 	}
 }
 
@@ -462,7 +476,8 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 		r.stats.PktsMoved++
 		hdr := r.laneHdr[ln.port][ln.vc]
 		r.outHold[o] = noLane
-		r.outFreed[o] = true
+		r.holds--
+		r.outFreed[o] = cycle
 		r.laneAl[ln.port][ln.vc] = -1
 		// Lock reservations persist between the packets of a locked
 		// sequence and dissolve when the unlocking packet's tail passes.

@@ -15,7 +15,7 @@ import (
 // ready head routed to it.
 func refAllocate(r *Router, cycle int64) {
 	for o := range r.outHold {
-		if r.outHold[o] != noLane || r.outFreed[o] {
+		if r.outHold[o] != noLane || r.outFreed[o] == cycle {
 			continue
 		}
 		if r.outs[o][VCNormal] == nil {
@@ -105,6 +105,10 @@ func refArbitrate(r *Router, o int) laneRef {
 	return best
 }
 
+// allocCycle is the cycle FuzzSwitchAllocation allocates in; allocState
+// stamps the outputs it frees with it.
+const allocCycle = 7
+
 // allocState builds a crossbar router in a random mid-cycle state drawn
 // from seed: committed flits with random head/tail flags, destinations,
 // sources, priorities and lock bits in every input lane; held, freed,
@@ -180,7 +184,7 @@ func allocState(seed int64, mode SwitchingMode, qos, cutThrough bool) *Router {
 				r.laneAl[p][v] = o
 			}
 		case 1:
-			r.outFreed[o] = true
+			r.outFreed[o] = allocCycle
 		case 2: // unconnected, like a mesh edge port
 			r.outs[o] = make([]*flitQ, NumVCs)
 		}
@@ -220,8 +224,8 @@ func FuzzSwitchAllocation(f *testing.F) {
 			for _, qos := range []bool{false, true} {
 				for _, ct := range []bool{false, true} {
 					got, want := allocState(seed, mode, qos, ct), allocState(seed, mode, qos, ct)
-					got.allocate(7)
-					refAllocate(want, 7)
+					got.allocate(allocCycle)
+					refAllocate(want, allocCycle)
 					if allocDigest(got) != allocDigest(want) {
 						t.Fatalf("seed %d %v qos=%v cut-through=%v:\none-pass:  %s\nreference: %s",
 							seed, mode, qos, ct, allocDigest(got), allocDigest(want))
