@@ -26,7 +26,11 @@
 // Determinism is a design requirement: two runs with the same seed and the
 // same configuration produce bit-identical results, regardless of component
 // registration order. This is what makes the reproduction experiments
-// (internal/experiments, printed by cmd/nocbench) meaningful.
+// (internal/experiments, printed by cmd/nocbench) meaningful. RNG draws
+// math/rand's streams from a copy of its generator that the package
+// owns (rngsource.go): seeding reduces modulo 2³¹−1 without dividing,
+// Bool reads the generator without going through interfaces, and
+// ForkSeed derives a child's seed without seeding anything.
 package sim
 
 import (

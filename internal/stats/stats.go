@@ -51,9 +51,9 @@ func (l *Latency) Percentile(p float64) int64 {
 	return percentileOf(l.sorted(), p)
 }
 
-// sorted returns a sorted copy of the samples. slices.Sort orders the
-// copy in place without the closure and reflection swapper sort.Slice
-// builds on every call.
+// sorted returns a sorted copy of the samples. Every result step sorts,
+// so it uses slices.Sort, which needs no per-call closure or reflection
+// swapper.
 func (l *Latency) sorted() []int64 {
 	sorted := slices.Clone(l.samples)
 	slices.Sort(sorted)

@@ -38,7 +38,16 @@
 // keeps. Each switch keeps an occupancy mask of its input lanes: a
 // lane's commit sets its bit when the lane fills, and the pop that
 // empties it clears the bit, so switch allocation visits only lanes
-// with a head flit, in the same (port, VC) order as a full scan.
+// with a head flit, in the same (port, VC) order as a full scan. A
+// switch whose mask is zero, that holds no output and whose probe does
+// not sample buffers has nothing to do, and the fabric tick does not
+// evaluate it. A lane joins the network's commit list on its first
+// push or pop of an edge, and only listed lanes commit: an untouched
+// lane's commit would change nothing. Under sim.Clock's
+// evaluate-everything reference mode the fabric evaluates every switch
+// and commits every lane, which is what the differential tests compare
+// against. A packet's queued and injected cycles ride in its head flit
+// to the ejecting endpoint, which reports them in the TransitRecord.
 // Routing tables are slices indexed by NodeID, filled once by the
 // topology builder. A hybrid fabric (fidelity.go) prices a packet over
 // its route, walked once per endpoint pair into a flat arena, and

@@ -224,7 +224,13 @@ func (q *flitQ) slot(i int) int { return (q.head + i) & q.mask }
 func (q *flitQ) touch() {
 	if !q.listed {
 		q.listed = true
-		q.net.touched = append(q.net.touched, q)
+		n := q.net
+		if cap(n.touched) == 0 {
+			// One allocation for the fabric's life: an edge lists each
+			// lane at most once.
+			n.touched = make([]*flitQ, 0, len(n.qs))
+		}
+		n.touched = append(n.touched, q)
 	}
 }
 
