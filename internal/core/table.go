@@ -186,14 +186,6 @@ func (t *Table) Complete(tag noctypes.Tag) (*Entry, error) {
 // Outstanding returns the number of in-flight transactions.
 func (t *Table) Outstanding() int { return t.count }
 
-// OutstandingForTag returns in-flight transactions for one tag.
-func (t *Table) OutstandingForTag(tag noctypes.Tag) int {
-	if q := t.ring(tag); q != nil {
-		return q.n
-	}
-	return 0
-}
-
 // OldestForTag returns the entry a response for tag will retire, or nil.
 // The entry is valid until the next Issue.
 func (t *Table) OldestForTag(tag noctypes.Tag) *Entry {

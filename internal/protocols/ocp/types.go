@@ -48,9 +48,6 @@ func (c Cmd) String() string {
 	}
 }
 
-// HasResponse reports whether the command produces a response.
-func (c Cmd) HasResponse() bool { return c != CmdWR && c != CmdIdle }
-
 // IsWrite reports whether the command carries write data.
 func (c Cmd) IsWrite() bool { return c == CmdWR || c == CmdWRNP || c == CmdWRC }
 

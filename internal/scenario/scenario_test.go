@@ -35,6 +35,13 @@ func minimalSoC(masters string) string {
 }`, masters)
 }
 
+// outOfWindow is the whole error for a target outside every memory up
+// to the end of its window list: every window mapped in every build, in
+// address order.
+const outOfWindow = "scenario: workload.masters[0].target: [0x90000000,+0x1000) is not inside any mapped memory window (" +
+	"axi-mem [0x10000000,+0x100000), ocp-mem [0x20000000,+0x100000), " +
+	"ahb-mem [0x30000000,+0x100000), bvci-mem [0x40000000,+0x100000)"
+
 // TestLoadErrorsNameTheField is the malformed-file table: every rejected
 // document must produce an error that names the offending field (or its
 // line:column for JSON-level damage).
@@ -59,7 +66,11 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 			"workload.masters[1].target"},
 		{"target outside every memory window",
 			minimalSoC(`{"protocol": "axi", "rate": 0.1, "target": {"base": "0x9000_0000", "size": "0x1000"}}`),
-			"not inside any mapped memory window"},
+			outOfWindow + ")"},
+		{"target outside every memory window, wishbone",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1, "target": {"base": "0x9000_0000", "size": "0x1000"}}`),
+				`"kind": "soc", `, `"kind": "soc", "wishbone": true, `, 1),
+			outOfWindow + ", wb-mem [0x50000000,+0x100000))"},
 		{"wb role without wishbone",
 			minimalSoC(`{"protocol": "wb", "rate": 0.1}`),
 			"workload.wishbone"},

@@ -43,23 +43,6 @@ func knownProtocol(p string) bool {
 	return false
 }
 
-// memWindow is one mapped memory target of the SoC build.
-type memWindow struct {
-	name     string
-	base     uint64
-	wishbone bool // only mapped when the WISHBONE socket is built
-}
-
-// memWindows mirrors soc.buildCommon's address map (each window is
-// soc.MemSize bytes).
-var memWindows = []memWindow{
-	{"axi-mem", soc.BaseAXIMem, false},
-	{"ocp-mem", soc.BaseOCPMem, false},
-	{"ahb-mem", soc.BaseAHBMem, false},
-	{"bvci-mem", soc.BaseBVCIMem, false},
-	{"wb-mem", soc.BaseWBMem, true},
-}
-
 // ParsePriority resolves a scenario priority name onto the noctypes
 // level. The empty string is the default level.
 func ParsePriority(s string) (noctypes.Priority, error) {
@@ -290,14 +273,11 @@ func (s *Scenario) validateTarget(field string, m MasterRole) error {
 		return errf(field+".size", "0x%x must be a multiple of 64 and hold at least one %d-byte stride", uint64(t.Size), stride)
 	}
 	var names []string
-	for _, win := range memWindows {
-		if win.wishbone && !s.Workload.Wishbone {
-			continue
-		}
-		if t.inside(win.base, soc.MemSize) {
+	for _, m := range soc.Memories(s.Workload.Wishbone) {
+		if t.inside(m.Base, soc.MemSize) {
 			return nil
 		}
-		names = append(names, fmt.Sprintf("%s [0x%x,+0x%x)", win.name, win.base, uint64(soc.MemSize)))
+		names = append(names, fmt.Sprintf("%s-mem [0x%x,+0x%x)", m.Socket, m.Base, uint64(soc.MemSize)))
 	}
 	return errf(field, "%s is not inside any mapped memory window (%s)", t, strings.Join(names, ", "))
 }

@@ -277,9 +277,6 @@ func (c *Clock) edge() {
 	c.k.After(c.period, c.edgeFn)
 }
 
-// TimeFor returns the simulation time spanned by n cycles of this clock.
-func (c *Clock) TimeFor(n int64) Time { return Time(n) * c.period }
-
 // RunCycles starts the clock if needed and runs the kernel for exactly n
 // more edges of this clock.
 func (c *Clock) RunCycles(n int64) {

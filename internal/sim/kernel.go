@@ -131,11 +131,10 @@ func (h *eventHeap) pop() event {
 // Kernel is a discrete-event simulator. The zero value is not usable; call
 // NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
-	steps   uint64
+	now    Time
+	seq    uint64
+	events eventHeap
+	steps  uint64
 }
 
 // NewKernel returns a kernel at time zero with an empty event queue.
@@ -176,9 +175,9 @@ func (k *Kernel) After(d Time, fn func()) {
 }
 
 // Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty or the kernel is stopped.
+// returns false if the queue is empty.
 func (k *Kernel) Step() bool {
-	if k.stopped || len(k.events) == 0 {
+	if len(k.events) == 0 {
 		return false
 	}
 	e := k.events.pop()
@@ -188,19 +187,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Stop halts the simulation: subsequent Step/Run calls do nothing until
-// Resume is called. Safe to call from inside an event.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Resume clears a previous Stop.
-func (k *Kernel) Resume() { k.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
-// Run executes events until the queue is empty or Stop is called. Do not
-// use Run with free-running clocks (they self-reschedule forever); use
-// RunUntil or RunWhile instead.
+// Run executes events until the queue is empty. Do not use Run with
+// free-running clocks (they self-reschedule forever); use RunUntil or
+// RunWhile instead.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
@@ -209,16 +198,13 @@ func (k *Kernel) Run() {
 // RunUntil executes all events scheduled at or before t, then advances the
 // clock to exactly t. Events scheduled after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	for !k.stopped && len(k.events) > 0 && k.events[0].at <= t {
+	for len(k.events) > 0 && k.events[0].at <= t {
 		k.Step()
 	}
-	if !k.stopped && t > k.now {
+	if t > k.now {
 		k.now = t
 	}
 }
-
-// RunFor is RunUntil(Now()+d).
-func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
 // RunWhile steps the simulation while cond returns true. It returns nil as
 // soon as cond is false, ErrDeadline if the deadline passes first, and an
@@ -233,7 +219,7 @@ func (k *Kernel) RunWhile(cond func() bool, deadline Time) error {
 		if k.now > deadline {
 			return fmt.Errorf("%w (now=%v)", ErrDeadline, k.now)
 		}
-		if !k.stopped && len(k.events) > 0 && k.events[0].at > deadline {
+		if len(k.events) > 0 && k.events[0].at > deadline {
 			return fmt.Errorf("%w (next event at %v)", ErrDeadline, k.events[0].at)
 		}
 		if !k.Step() {

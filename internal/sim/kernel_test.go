@@ -96,22 +96,6 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelStopResume(t *testing.T) {
-	k := NewKernel()
-	var n int
-	k.After(1, func() { n++; k.Stop() })
-	k.After(2, func() { n++ })
-	k.Run()
-	if n != 1 {
-		t.Fatalf("Stop did not halt the run: n=%d", n)
-	}
-	k.Resume()
-	k.Run()
-	if n != 2 {
-		t.Fatalf("Resume did not allow remaining events: n=%d", n)
-	}
-}
-
 func TestKernelRunWhileDeadline(t *testing.T) {
 	k := NewKernel()
 	clk := NewClock(k, "clk", Nanosecond, 0)

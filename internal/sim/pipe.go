@@ -96,9 +96,6 @@ func (p *Pipe[T]) Len() int { return len(p.buf) - p.head }
 // Empty reports whether no committed entries are available.
 func (p *Pipe[T]) Empty() bool { return p.Len() == 0 }
 
-// Occupancy returns committed plus staged entries (total storage in use).
-func (p *Pipe[T]) Occupancy() int { return p.Len() + len(p.pending) }
-
 // Peek returns the oldest committed entry without removing it.
 func (p *Pipe[T]) Peek() (T, bool) {
 	var zero T

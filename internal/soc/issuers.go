@@ -1,6 +1,9 @@
 package soc
 
-import "gonoc/internal/ip"
+import (
+	"gonoc/internal/ip"
+	"gonoc/internal/noctypes"
+)
 
 // Masters is the socket order of a build: the seven historical masters,
 // then "wb" when the Wishbone master is present. Generators are built,
@@ -9,6 +12,31 @@ func Masters(wishbone bool) []string {
 	m := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
 	if wishbone {
 		m = append(m, "wb")
+	}
+	return m
+}
+
+// Memory is one memory target of a build: the socket it speaks, the
+// base of its MemSize-byte window, and its fabric node.
+type Memory struct {
+	Socket string
+	Base   uint64
+	Node   noctypes.NodeID
+}
+
+// Memories is the address map of a build, in address order: the four
+// historical memories, then "wb" when the Wishbone memory is present.
+// The map names each window "<socket>-mem", and Stores keys each
+// backing by socket.
+func Memories(wishbone bool) []Memory {
+	m := []Memory{
+		{"axi", BaseAXIMem, NodeAXIMem},
+		{"ocp", BaseOCPMem, NodeOCPMem},
+		{"ahb", BaseAHBMem, NodeAHBMem},
+		{"bvci", BaseBVCIMem, NodeBVCIMem},
+	}
+	if wishbone {
+		m = append(m, Memory{"wb", BaseWBMem, NodeWBMem})
 	}
 	return m
 }

@@ -95,6 +95,10 @@ type Config struct {
 	Services core.ServiceSet
 }
 
+// DefaultBufDepth is the fabric lane depth, in flits, of a build whose
+// Config.Net.BufDepth is zero: deeper than transport's own default.
+const DefaultBufDepth = 16
+
 // Fixed build parameters: every memory's latency in cycles (wait states
 // on AHB) and the master NIUs' MaxOutstanding. A bus bridge's conversion
 // latency is a constant of internal/bus.
@@ -108,7 +112,7 @@ func (c Config) withDefaults() Config {
 		c.RequestsPerMaster = 40
 	}
 	if c.Net.BufDepth == 0 {
-		c.Net.BufDepth = 16
+		c.Net.BufDepth = DefaultBufDepth
 	}
 	z := core.ServiceSet{}
 	if c.Services == z {
@@ -167,30 +171,19 @@ func buildCommon(cfg Config) *System {
 	k := sim.NewKernel()
 	clk := sim.NewClock(k, "sys", sim.Nanosecond, 0)
 	amap := core.NewAddressMap()
-	amap.MustAdd("axi-mem", BaseAXIMem, MemSize, NodeAXIMem)
-	amap.MustAdd("ocp-mem", BaseOCPMem, MemSize, NodeOCPMem)
-	amap.MustAdd("ahb-mem", BaseAHBMem, MemSize, NodeAHBMem)
-	amap.MustAdd("bvci-mem", BaseBVCIMem, MemSize, NodeBVCIMem)
-	if cfg.Wishbone {
-		amap.MustAdd("wb-mem", BaseWBMem, MemSize, NodeWBMem)
+	stores := map[string]*mem.Backing{}
+	for _, m := range Memories(cfg.Wishbone) {
+		amap.MustAdd(m.Socket+"-mem", m.Base, MemSize, m.Node)
+		stores[m.Socket] = mem.NewBacking(MemSize)
 	}
 	amap.Freeze()
-	s := &System{
+	return &System{
 		Cfg: cfg, K: k, Clk: clk, AMap: amap,
 		Gens:       make(map[string]*ip.Gen),
 		MasterNIUs: make(map[string]NIUStatser),
 		SlaveNIUs:  make(map[string]*niu.SlaveEngine),
-		Stores: map[string]*mem.Backing{
-			"axi":  mem.NewBacking(MemSize),
-			"ocp":  mem.NewBacking(MemSize),
-			"ahb":  mem.NewBacking(MemSize),
-			"bvci": mem.NewBacking(MemSize),
-		},
+		Stores:     stores,
 	}
-	if cfg.Wishbone {
-		s.Stores["wb"] = mem.NewBacking(MemSize)
-	}
-	return s
 }
 
 // genRegions maps each master onto a private 64 KiB window, deliberately
@@ -432,16 +425,4 @@ func (s *System) publishProf() {
 	s.Prof.SetHeapDepth(s.K.Pending())
 	s.Prof.Advance(c-s.profCycles, e-s.profEvents)
 	s.profCycles, s.profEvents = c, e
-}
-
-// RunUntil drives the system until cond (checked every cycle) or maxCycles.
-func (s *System) RunUntil(cond func() bool, maxCycles int64) error {
-	start := s.Clk.Cycle()
-	for s.Clk.Cycle()-start < maxCycles {
-		if cond() {
-			return nil
-		}
-		s.Clk.RunCycles(1)
-	}
-	return fmt.Errorf("soc: condition not reached in %d cycles", maxCycles)
 }

@@ -81,20 +81,6 @@ func (l *Latency) String() string {
 		l.Count(), l.Mean(), l.Percentile(50), l.Percentile(95), l.Max())
 }
 
-// Throughput tracks completed work over a cycle window.
-type Throughput struct {
-	Done   uint64
-	Cycles int64
-}
-
-// PerKCycle returns completions per thousand cycles.
-func (t Throughput) PerKCycle() float64 {
-	if t.Cycles == 0 {
-		return 0
-	}
-	return float64(t.Done) * 1000 / float64(t.Cycles)
-}
-
 // Table is a paper-style results table.
 type Table struct {
 	Title string

@@ -48,16 +48,6 @@ func TestLatencyPercentileUnsorted(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := Throughput{Done: 250, Cycles: 1000}
-	if tp.PerKCycle() != 250 {
-		t.Fatalf("PerKCycle = %f", tp.PerKCycle())
-	}
-	if (Throughput{}).PerKCycle() != 0 {
-		t.Fatal("zero-cycle throughput not zero")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1)

@@ -230,7 +230,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	}
 	eff := tc.Net.BufDepth
 	if eff == 0 {
-		eff = 16 // soc.Config.withDefaults' deeper fabric default
+		eff = soc.DefaultBufDepth
 	}
 	if need := transport.WholePacketDepth(tc.Topology, tc.Net, reqWireOverhead+maxBytes); need > eff {
 		tc.Net.BufDepth = need
@@ -241,9 +241,9 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		built(s)
 	}
 	socks := s.Sockets()
-	bases := []uint64{soc.BaseAXIMem, soc.BaseOCPMem, soc.BaseAHBMem, soc.BaseBVCIMem}
-	if wishbone {
-		bases = append(bases, soc.BaseWBMem)
+	var bases []uint64
+	for _, m := range soc.Memories(wishbone) {
+		bases = append(bases, m.Base)
 	}
 
 	run := &transRun{clk: s.Clk, hotspot: tc.Hotspot, bases: bases, genEnd: s.Clk.Cycle() + tc.Warmup + tc.Measure}

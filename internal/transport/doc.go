@@ -21,11 +21,21 @@
 // scenario layers and the CLIs select fabrics only through these. Mesh
 // routing is dimension-ordered (XY); torus and ring add wraparound
 // links and stay deadlock-free by the classic dateline scheme over the
-// two VC lanes combined with virtual-cut-through output admission
-// (RouterConfig.CutThrough); the tree is cycle-free with the root as
-// the deliberate bottleneck. NetConfig carries the fabric-wide knobs
-// (flit width, buffer depth, switching mode, QoS, send-queue depth,
-// legacy lock).
+// two VC lanes combined with virtual-cut-through output admission;
+// the tree is cycle-free with the root as the deliberate bottleneck.
+// NetConfig carries the fabric-wide knobs (flit width, buffer depth,
+// switching mode, QoS, send-queue depth, legacy lock), and every
+// switch reads them, and cut-through admission, from its Network:
+// cut-through is a property of the fabric, which the ring and torus
+// builders set.
+//
+// The builders share each building step. newNetwork makes every
+// endpoint's ejection buffer and send queue in one piece per fabric;
+// newRouter makes a switch and gives it its index and adjacency row;
+// link wires one switch output to a neighbour's input lanes and
+// records the hop; attach connects an endpoint. Mesh and torus are one
+// grid builder: a torus is the mesh plus wrap links, a shorter-way
+// route function and dateline VC rewrites.
 //
 // Endpoint.TrySend is the one send path at both fidelities: it assigns
 // the packet ID, checks and sizes the packet, and then serializes it

@@ -177,8 +177,9 @@ func nextPow2(n int) int {
 }
 
 // newFlitQs creates count bounded flit queues of one capacity (a
-// switch's input lanes, an ejection buffer). The queues share one
-// allocation, and so does each of their rings' slot arrays.
+// switch's input lanes, a fabric's ejection buffers or send queues).
+// The queues share one allocation, and so does each of their rings'
+// slot arrays.
 func newFlitQs(name string, count, capacity, stride int) []flitQ {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("transport: flit queue %q: capacity must be positive, got %d", name, capacity))
@@ -199,14 +200,6 @@ func newFlitQs(name string, count, capacity, stride int) []flitQ {
 		}
 	}
 	return qs
-}
-
-// newFlitDeq creates an unbounded flit queue (endpoint send queues,
-// which are bounded in packets by MaxPendingPkts, not in flits).
-func newFlitDeq(name string, stride int) *flitQ {
-	q := &newFlitQs(name, 1, 8, stride)[0]
-	q.unbounded = true
-	return q
 }
 
 // canPush reports whether n more slots may be staged this cycle.
@@ -280,13 +273,6 @@ func (q *flitQ) peek() (Flit, bool) {
 	}
 	return q.ring.view(q.head, q.stride), true
 }
-
-// Peek is the exported spelling of peek, for tests that sample a
-// buffer head (the AoS code exposed a sim.Pipe here).
-func (q *flitQ) Peek() (Flit, bool) { return q.peek() }
-
-// Len is the exported spelling of len, for occupancy sampling.
-func (q *flitQ) Len() int { return q.clen }
 
 // commit publishes this cycle's staged slots (already written in place
 // behind the committed window) and refreshes the credit snapshot. The

@@ -89,11 +89,24 @@ type Network struct {
 	epOrder []noctypes.NodeID
 	epList  []*Endpoint // evaluation order (attach order)
 
+	// ejs and sends are every endpoint's ejection buffer and send queue,
+	// carved once for the fabric's nodes; attach takes the next of each.
+	ejs, sends []flitQ
+
 	nextPktID uint64
 
-	// cutThrough fabrics (ring, torus) size packets against switch
-	// buffers at TrySend, like store-and-forward: a packet larger than a
-	// lane can never be granted an output under cut-through admission.
+	// cutThrough makes every switch's output allocation virtual-cut-
+	// through: an output is granted only when the downstream buffer can
+	// hold the candidate packet entirely. An output then never stalls
+	// mid-packet (each input lane has exactly one feeder output, so
+	// reserved space cannot be stolen), which removes held output ports
+	// from the deadlock dependency graph — on ring and torus fabrics the
+	// physical links form a cycle, and a packet streaming wormhole-style
+	// through a held output would close it even across the dateline VC
+	// switch. Ring and torus builders set it; acyclic fabrics don't need
+	// it. Such fabrics size packets against switch buffers at TrySend,
+	// like store-and-forward: a packet larger than a lane can never be
+	// granted an output.
 	cutThrough bool
 
 	lockHeld  bool
@@ -135,13 +148,21 @@ type Network struct {
 }
 
 // newNetwork creates an empty fabric for the given nodes: its endpoint
-// table, and each router's routing table, cover their NodeIDs.
+// table, and each router's routing table, cover their NodeIDs, and every
+// node's ejection buffer and send queue are made here, ready for attach.
+// A send queue is bounded in packets by MaxPendingPkts, not in flits: it
+// starts at 8 slots and grows.
 func newNetwork(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 	top := 0
 	for _, id := range nodes {
 		top = max(top, int(id))
 	}
 	n := &Network{clk: clk, cfg: cfg.WithDefaults(), eps: make([]*Endpoint, top+1)}
+	n.ejs = n.addLanes("ej", len(nodes), n.cfg.BufDepth)
+	n.sends = n.addLanes("send", len(nodes), 8)
+	for i := range n.sends {
+		n.sends[i].unbounded = true
+	}
 	if n.cfg.Fidelity != FidelityCycle {
 		n.loose = &looseEngine{n: n}
 	}
@@ -225,15 +246,17 @@ func (n *Network) commit(int64) {
 func (n *Network) addLanes(name string, count, capacity int) []flitQ {
 	qs := newFlitQs(name, count, capacity, n.cfg.FlitBytes)
 	for i := range qs {
-		n.own(&qs[i])
+		qs[i].net = n
+		n.qs = append(n.qs, &qs[i])
 	}
 	return qs
 }
 
-// own makes q one of the lanes this network commits.
-func (n *Network) own(q *flitQ) {
-	q.net = n
-	n.qs = append(n.qs, q)
+// link wires switch a's output port out to switch b's input lanes on
+// port in, and records the hop for route walks.
+func (n *Network) link(a *Router, out int, b *Router, in int) {
+	a.connectOut(out, [NumVCs]*flitQ(b.lanes[in]))
+	n.adj[a.index][out] = b.index
 }
 
 // Config returns the fabric configuration.
@@ -387,28 +410,28 @@ func (n *Network) Drained() bool {
 	return n.InFlight() == 0 && n.queued == 0 && (n.loose == nil || n.loose.idle())
 }
 
-// attach creates and registers an endpoint on router r's port.
-func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
+// attach creates and registers an endpoint on router r's port, with
+// the next ejection buffer and send queue newNetwork made.
+func (n *Network) attach(node noctypes.NodeID, r *Router, port int) {
 	if n.Endpoint(node) != nil {
-		panic(fmt.Sprintf("transport: node %v attached twice", node))
+		panic("transport: node " + node.String() + " attached twice")
 	}
-	ej := &n.addLanes(fmt.Sprintf("ej.%v", node), 1, n.cfg.BufDepth)[0]
+	i := len(n.epList)
+	ej := &n.ejs[i]
 	r.connectOut(port, [NumVCs]*flitQ{ej, ej})
 	ep := &Endpoint{
 		net:    n,
 		node:   node,
 		router: r,
 		port:   port,
-		sendQ:  newFlitDeq(fmt.Sprintf("send.%v", node), n.cfg.FlitBytes),
+		sendQ:  &n.sends[i],
 		ej:     ej,
-		recvQ:  sim.NewPipe[*Packet](n.clk, fmt.Sprintf("recv.%v", node), 64),
-		idOrd:  len(n.epList),
+		recvQ:  sim.NewPipe[*Packet](n.clk, "recv", 64),
+		idOrd:  i,
 	}
-	n.own(ep.sendQ)
 	n.eps[node] = ep
 	n.epOrder = append(n.epOrder, node)
 	n.epList = append(n.epList, ep)
-	return ep
 }
 
 // Endpoint is a node's attachment point: it serializes packets into flit

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gonoc/internal/noctypes"
@@ -216,7 +217,9 @@ func TestRingAllPairs(t *testing.T) {
 func TestTorusAllPairs(t *testing.T) {
 	for _, mode := range []SwitchingMode{Wormhole, StoreAndForward} {
 		t.Run(mode.String(), func(t *testing.T) {
-			for _, dim := range []struct{ w, h int }{{4, 4}, {3, 2}, {1, 4}} {
+			// On a 2-wide dimension the East and West outputs both reach
+			// the one neighbour, over two distinct links.
+			for _, dim := range []struct{ w, h int }{{4, 4}, {3, 2}, {1, 4}, {2, 2}, {2, 3}} {
 				k := sim.NewKernel()
 				clk := sim.NewClock(k, "noc", sim.Nanosecond, 0)
 				nodes := map[noctypes.NodeID]Coord{}
@@ -229,9 +232,37 @@ func TestTorusAllPairs(t *testing.T) {
 					}
 				}
 				net := NewTorus(clk, NetConfig{Mode: mode, BufDepth: 16}, MeshSpec{W: dim.w, H: dim.h, Nodes: nodes})
+				checkTorusLinks(t, net, dim.w, dim.h)
 				runAllPairs(t, clk, net, ids, 8000)
 			}
 		})
+	}
+}
+
+// checkTorusLinks pins a torus's wiring to the per-router rule: in a
+// dimension of size >= 2 each output feeds the opposite input port of
+// the neighbour that way round (wrapping), and a dimension of size 1
+// stays unwired.
+func checkTorusLinks(t *testing.T, net *Network, w, h int) {
+	t.Helper()
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			r := net.routers[y*w+x]
+			for _, l := range []struct{ out, in, dx, dy, size int }{
+				{portEast, portWest, 1, 0, w}, {portWest, portEast, -1, 0, w},
+				{portSouth, portNorth, 0, 1, h}, {portNorth, portSouth, 0, -1, h},
+			} {
+				want, next := []*flitQ{nil, nil}, -1
+				if l.size > 1 {
+					nb := net.routers[(y+l.dy+h)%h*w+(x+l.dx+w)%w]
+					want, next = nb.lanes[l.in], nb.index
+				}
+				if !slices.Equal(r.outs[l.out], want) || net.adj[r.index][l.out] != next {
+					t.Fatalf("%dx%d torus: %s output %d feeds %v (adj %d), want %v (adj %d)",
+						w, h, r.name, l.out, r.outs[l.out], net.adj[r.index][l.out], want, next)
+				}
+			}
+		}
 	}
 }
 
@@ -297,7 +328,7 @@ func TestTorusDatelineVCSwitch(t *testing.T) {
 			// Sample the head of the ejection buffer before the endpoint
 			// consumes it: that is the VC the flit travelled its last link
 			// on (the local port never rewrites VCs).
-			if f, ok := dstEp.ej.Peek(); ok {
+			if f, ok := dstEp.ej.peek(); ok {
 				vc = f.VC
 			}
 			clk.RunCycles(1)
@@ -580,6 +611,29 @@ func TestBuildPlacesNodes(t *testing.T) {
 		}
 	}()
 	Build(sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0), NetConfig{}, Shape{Topology: Mesh, W: 2, H: 2}, ids)
+}
+
+// TestEndpointBuildAllocs: a fabric carves its endpoints' ejection
+// buffers and send queues in one piece, so an added endpoint costs
+// only its own objects (the Endpoint, its receive pipe), not flit
+// stores and names of its own.
+func TestEndpointBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	build := func(nodes int) float64 {
+		ids := make([]noctypes.NodeID, nodes)
+		for i := range ids {
+			ids[i] = noctypes.NodeID(i + 1)
+		}
+		return testing.AllocsPerRun(20, func() {
+			NewCrossbar(sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0), NetConfig{}, ids)
+		})
+	}
+	small, large := build(16), build(32)
+	if per := (large - small) / 16; per > 3 {
+		t.Fatalf("%.2f allocations per added endpoint (16 nodes: %.0f, 32 nodes: %.0f), want at most 3", per, small, large)
+	}
 }
 
 // TestWholePacketDepth: only fabrics that buffer whole packets ask for

@@ -155,9 +155,6 @@ func DecodeHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// WireBytes returns the packet's total wire size.
-func (p *Packet) WireBytes() int { return HeaderBytes + len(p.Payload) }
-
 // String renders a compact description.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s pkt#%d %s->%s %s prio=%s %dB",

@@ -30,25 +30,6 @@ func (m SwitchingMode) String() string {
 	return "store-and-forward"
 }
 
-// RouterConfig parameterizes one switch.
-type RouterConfig struct {
-	Mode     SwitchingMode
-	BufDepth int  // flit buffer depth per (input port, VC)
-	QoS      bool // priority-aware output arbitration; false = flat RR
-
-	// CutThrough makes output allocation virtual-cut-through: an output
-	// is granted only when the downstream buffer can hold the candidate
-	// packet entirely. An output then never stalls mid-packet (each
-	// input lane has exactly one feeder output, so reserved space cannot
-	// be stolen), which removes held output ports from the deadlock
-	// dependency graph — on ring and torus fabrics the physical links
-	// form a cycle, and a packet streaming wormhole-style through a held
-	// output would close it even across the dateline VC switch. Ring and
-	// torus builders set this; acyclic fabrics don't need it.
-	CutThrough bool
-	FlitBytes  int // flit width, for CutThrough packet sizing
-}
-
 type laneRef struct{ port, vc int }
 
 var noLane = laneRef{-1, -1}
@@ -86,8 +67,8 @@ type RouterStats struct {
 // exclusive-access service avoids.
 type Router struct {
 	name  string
-	index int // position in the network's router list
-	cfg   RouterConfig
+	index int      // position in the network's router list
+	net   *Network // the owning fabric: switching mode, QoS, flit width and cut-through admission
 
 	lanes    [][]*flitQ // [port][vc] input lanes (owned)
 	outs     [][]*flitQ // [port][vc] downstream lanes (referenced)
@@ -145,19 +126,15 @@ type outReq struct {
 	n    int               // requesters at pri; all requesters without QoS
 }
 
-// newRouter creates a router with numPorts ports and allocates its
-// input lanes on the owning network's batched fabric tick. Builders
-// place the router in n.routers and wire outputs afterwards.
-func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router {
-	if cfg.BufDepth <= 0 {
-		panic(fmt.Sprintf("transport: router %q: BufDepth must be positive", name))
-	}
-	if cfg.FlitBytes <= 0 {
-		panic(fmt.Sprintf("transport: router %q: FlitBytes must be positive", name))
-	}
+// newRouter creates a switch with numPorts ports on n: its input lanes
+// join the network's batched commit pass, and it takes the next index
+// in n.routers and a row of unconnected ports in n.adj. Builders wire
+// its outputs afterwards with link and attach.
+func newRouter(n *Network, name string, numPorts int) *Router {
 	r := &Router{
 		name:  name,
-		cfg:   cfg,
+		index: len(n.routers),
+		net:   n,
 		route: make([]int32, len(n.eps)),
 		occ:   make([]uint64, (numPorts*NumVCs+63)/64),
 	}
@@ -170,7 +147,7 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 	r.outs = make([][]*flitQ, numPorts)
 	r.laneHdr = make([][]Header, numPorts)
 	r.laneAl = make([][]int, numPorts)
-	lanes := n.addLanes(name, numPorts*NumVCs, cfg.BufDepth)
+	lanes := n.addLanes(name, numPorts*NumVCs, n.cfg.BufDepth)
 	refs := make([]*flitQ, 2*numPorts*NumVCs) // input lanes, then outputs' downstream lanes
 	hdrs := make([]Header, numPorts*NumVCs)
 	als := make([]int, numPorts*NumVCs)
@@ -193,13 +170,17 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 	r.outLock = make([]int32, numPorts)
 	r.rr = make([]int, numPorts)
 	r.req = make([]outReq, numPorts)
+	adj := make([]int, numPorts)
 	for o := range r.outHold {
 		r.outHold[o] = noLane
 		r.outFreed[o] = -1
 		r.outLock[o] = -1
+		adj[o] = -1
 	}
 	r.stats.OutBusy = make([]uint64, numPorts)
 	r.stats.OutStall = make([]uint64, numPorts)
+	n.routers = append(n.routers, r)
+	n.adj = append(n.adj, adj)
 	return r
 }
 
@@ -358,12 +339,12 @@ func (r *Router) allocate(cycle int64) {
 
 // request files lane (port,vc)'s head packet, if ready, as a request for
 // its route's output, provided that output comes after `after`, was free
-// at the start of cycle and is connected. A lock reservation for another source
-// denies the request (LockStalls); under CutThrough so does a downstream
-// buffer without room for the whole packet. The output keeps the best
-// requester: highest priority under QoS, then lowest round-robin rank —
-// ports in order from rr[o], VCLocked before VCNormal on one port so
-// unlocking packets are never starved.
+// at the start of cycle and is connected. A lock reservation for another
+// source denies the request (LockStalls); on a cut-through fabric so
+// does a downstream buffer without room for the whole packet. The
+// output keeps the best requester: highest priority under QoS, then
+// lowest round-robin rank — ports in order from rr[o], VCLocked before
+// VCNormal on one port so unlocking packets are never starved.
 func (r *Router) request(cycle int64, port, vc, after int) {
 	hs, ok := r.ready(port, vc)
 	if !ok {
@@ -382,8 +363,8 @@ func (r *Router) request(cycle int64, port, vc, after int) {
 	// Virtual-cut-through admission: grant only with space for the whole
 	// packet downstream (canPush keeps the check consistent with the
 	// lanes' one-cycle credit semantics).
-	if r.cfg.CutThrough {
-		need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
+	if r.net.cutThrough {
+		need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.net.cfg.FlitBytes)
 		if !r.outs[o][r.outVC(port, o, lane.ring.vc[hs])].canPush(need) {
 			return
 		}
@@ -395,7 +376,7 @@ func (r *Router) request(cycle int64, port, vc, after int) {
 	rank := d*NumVCs + (NumVCs - 1 - vc)
 	q := &r.req[o]
 	var pri noctypes.Priority
-	if r.cfg.QoS {
+	if r.net.cfg.QoS {
 		pri = hdr.Priority
 	}
 	switch {
@@ -516,7 +497,7 @@ func (r *Router) ready(port, vc int) (int, bool) {
 	if lane.ring.flags[hs]&slotHead == 0 {
 		return 0, false
 	}
-	if r.cfg.Mode == StoreAndForward && lane.ring.flags[hs]&slotTail == 0 {
+	if r.net.cfg.Mode == StoreAndForward && lane.ring.flags[hs]&slotTail == 0 {
 		found := false
 		for i := 1; i < lane.clen; i++ {
 			if lane.ring.flags[lane.slot(i)]&slotTail != 0 {

@@ -62,8 +62,8 @@ func refArbitrate(r *Router, o int) laneRef {
 				r.stats.LockStalls++
 				continue
 			}
-			if r.cfg.CutThrough {
-				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
+			if r.net.cutThrough {
+				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.net.cfg.FlitBytes)
 				if !r.outs[o][r.outVC(p, o, lane.ring.vc[hs])].canPush(need) {
 					continue
 				}
@@ -74,7 +74,7 @@ func refArbitrate(r *Router, o int) laneRef {
 	if len(cands) == 0 {
 		return noLane
 	}
-	if r.cfg.QoS {
+	if r.net.cfg.QoS {
 		var max noctypes.Priority
 		for _, c := range cands {
 			if c.pri > max {
@@ -131,8 +131,8 @@ func allocState(seed int64, mode SwitchingMode, qos, cutThrough bool) *Router {
 	}
 	clk := sim.NewClock(sim.NewKernel(), "alloc", sim.Nanosecond, 0)
 	net := NewCrossbar(clk, cfg, nodes)
+	net.cutThrough = cutThrough
 	r := net.Routers()[0]
-	r.cfg.CutThrough = cutThrough
 
 	var pktID uint64
 	for p := range r.lanes {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gonoc/internal/noctypes"
@@ -106,12 +107,8 @@ func WholePacketDepth(t Topology, cfg NetConfig, payloadBytes int) int {
 // unit tests.
 func NewCrossbar(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 	n := newNetwork(clk, cfg, nodes)
-	r := newRouter(n, "xbar", len(nodes), RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes})
-	r.index = 0
-	n.routers = []*Router{r}
-	n.adj = [][]int{make([]int, len(nodes))}
+	r := newRouter(n, "xbar", len(nodes))
 	for i, node := range nodes {
-		n.adj[0][i] = -1
 		r.setRoute(node, i)
 		n.attach(node, r, i)
 	}
@@ -140,76 +137,167 @@ const (
 // NewMesh builds a 2-D mesh with dimension-ordered (XY) routing, which is
 // deadlock-free for wormhole switching. Y grows downward.
 func NewMesh(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
-	if spec.W <= 0 || spec.H <= 0 {
-		panic("transport: mesh dimensions must be positive")
-	}
-	ids := sortedNodes(spec.Nodes)
-	n := newNetwork(clk, cfg, ids)
-	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes}
-	idx := func(x, y int) int { return y*spec.W + x }
+	return newGrid(clk, cfg, spec, Mesh)
+}
 
-	n.routers = make([]*Router, spec.W*spec.H)
-	n.adj = make([][]int, spec.W*spec.H)
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := newRouter(n, fmt.Sprintf("r%d.%d", x, y), meshPorts, rcfg)
-			r.index = idx(x, y)
-			n.routers[r.index] = r
-			n.adj[r.index] = []int{-1, -1, -1, -1, -1}
-		}
+// NewTorus builds a 2-D torus: the mesh of NewMesh (same MeshSpec,
+// same port layout) plus wraparound links in every dimension of size >=
+// 2, with dimension-ordered routing that takes the shorter way around
+// each ring (half-way ties split by parity). Every dimension is a pair
+// of unidirectional rings, so deadlock freedom uses NewRing's recipe
+// per dimension: dateline VC switching — packets enter each dimension
+// on VC0 (the dimension turn resets the VC) and move to VC1 crossing
+// that dimension's wrap link — plus virtual-cut-through admission so a
+// held output never stalls mid-packet (see NewRing). As there, the
+// escape lane doubles as the lock VC, so tori do not support lock
+// sequences.
+func NewTorus(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
+	return newGrid(clk, cfg, spec, Torus)
+}
+
+// newGrid builds the W x H grid of NewMesh (topo Mesh) or NewTorus
+// (topo Torus): one switch per position, named r<x>.<y> (t<x>.<y> on a
+// torus) and indexed y*W+x, linked both ways to its East and South
+// neighbours, with every node attached to its position's local port in
+// NodeID order. A torus adds the wrap links that close each dimension
+// of size >= 2 into a ring, routes the shorter way around, and switches
+// VCs at the datelines.
+func newGrid(clk *sim.Clock, cfg NetConfig, spec MeshSpec, topo Topology) *Network {
+	torus := topo == Torus
+	W, H := spec.W, spec.H
+	if W <= 0 || H <= 0 {
+		panic(fmt.Sprintf("transport: %v dimensions must be positive", topo))
 	}
-	// Wire neighbour links: output port of A is the matching input lanes
-	// of B.
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := n.routers[idx(x, y)]
-			if x+1 < spec.W {
-				e := n.routers[idx(x+1, y)]
-				r.connectOut(portEast, [NumVCs]*flitQ{e.lanes[portWest][0], e.lanes[portWest][1]})
-				n.adj[r.index][portEast] = e.index
-				e.connectOut(portWest, [NumVCs]*flitQ{r.lanes[portEast][0], r.lanes[portEast][1]})
-				n.adj[e.index][portWest] = r.index
-			}
-			if y+1 < spec.H {
-				s := n.routers[idx(x, y+1)]
-				r.connectOut(portSouth, [NumVCs]*flitQ{s.lanes[portNorth][0], s.lanes[portNorth][1]})
-				n.adj[r.index][portSouth] = s.index
-				s.connectOut(portNorth, [NumVCs]*flitQ{r.lanes[portSouth][0], r.lanes[portSouth][1]})
-				n.adj[s.index][portNorth] = r.index
-			}
-		}
+	if torus && cfg.LegacyLock {
+		panic("transport: torus fabrics do not support the legacy-lock service (the lock VC is the dateline escape lane)")
 	}
-	// Routing tables: XY (X first, then Y), then local.
-	for node, c := range spec.Nodes {
-		if c.X < 0 || c.X >= spec.W || c.Y < 0 || c.Y >= spec.H {
-			panic(fmt.Sprintf("transport: node %v placed off-mesh at (%d,%d)", node, c.X, c.Y))
-		}
+	ids := make([]noctypes.NodeID, 0, len(spec.Nodes))
+	for node := range spec.Nodes {
+		ids = append(ids, node)
 	}
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := n.routers[idx(x, y)]
-			for node, c := range spec.Nodes {
-				switch {
-				case c.X > x:
-					r.setRoute(node, portEast)
-				case c.X < x:
-					r.setRoute(node, portWest)
-				case c.Y > y:
-					r.setRoute(node, portSouth)
-				case c.Y < y:
-					r.setRoute(node, portNorth)
-				default:
-					r.setRoute(node, portLocal)
-				}
-			}
-		}
-	}
-	// Attach endpoints in a deterministic order.
-	for _, node := range ids {
+	slices.Sort(ids)
+	pos := make([]Coord, len(ids))
+	for i, node := range ids {
 		c := spec.Nodes[node]
-		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
+		if c.X < 0 || c.X >= W || c.Y < 0 || c.Y >= H {
+			panic(fmt.Sprintf("transport: node %v placed off-%v at (%d,%d)", node, topo, c.X, c.Y))
+		}
+		pos[i] = c
+	}
+
+	n := newNetwork(clk, cfg, ids)
+	n.cutThrough = torus
+	prefix := "r"
+	if torus {
+		prefix = "t"
+	}
+	for y := 0; y < H; y++ {
+		for x := 0; x < W; x++ {
+			newRouter(n, fmt.Sprintf("%s%d.%d", prefix, x, y), meshPorts)
+		}
+	}
+	at := func(x, y int) *Router { return n.routers[y*W+x] }
+	route := meshRoute
+	if torus {
+		route = torusRoute(W, H)
+	}
+	for y := 0; y < H; y++ {
+		for x := 0; x < W; x++ {
+			// Links to the East and South neighbours, both ways; on a
+			// torus the last column and row wrap to the first (with two
+			// columns, the wrap link is the second link of the one pair).
+			// A dimension of size 1 stays unwired.
+			r := at(x, y)
+			if x+1 < W || torus && W > 1 {
+				e := at((x+1)%W, y)
+				n.link(r, portEast, e, portWest)
+				n.link(e, portWest, r, portEast)
+			}
+			if y+1 < H || torus && H > 1 {
+				s := at(x, (y+1)%H)
+				n.link(r, portSouth, s, portNorth)
+				n.link(s, portNorth, r, portSouth)
+			}
+			// Routing table: X first, then Y, then local.
+			for i, node := range ids {
+				r.setRoute(node, route(x, y, pos[i]))
+			}
+			if !torus {
+				continue
+			}
+			// Dateline VC switching per dimension. Dimension-ordered
+			// routing means Y outputs are entered from local or X inputs
+			// (a turn, which resets to VC0) or continued from Y inputs
+			// (which keeps the VC).
+			if W > 1 {
+				r.dateline(portEast, x == W-1, portLocal)
+				r.dateline(portWest, x == 0, portLocal)
+			}
+			if H > 1 {
+				r.dateline(portSouth, y == H-1, portLocal, portEast, portWest)
+				r.dateline(portNorth, y == 0, portLocal, portEast, portWest)
+			}
+		}
+	}
+	for i, node := range ids {
+		n.attach(node, at(pos[i].X, pos[i].Y), portLocal)
 	}
 	return n
+}
+
+// meshRoute is the mesh's XY route from the switch at (x, y) to a node
+// at c.
+func meshRoute(x, y int, c Coord) int {
+	switch {
+	case c.X > x:
+		return portEast
+	case c.X < x:
+		return portWest
+	case c.Y > y:
+		return portSouth
+	case c.Y < y:
+		return portNorth
+	}
+	return portLocal
+}
+
+// torusRoute returns a W x H torus's route function: X ring first, then
+// Y ring, the shorter way around each. Half-way-around ties split by
+// parity, as in NewRing, so both directions of each ring carry equal
+// load.
+func torusRoute(W, H int) func(x, y int, c Coord) int {
+	return func(x, y int, c Coord) int {
+		dx := (c.X - x + W) % W
+		dy := (c.Y - y + H) % H
+		switch {
+		case dx != 0 && (2*dx < W || 2*dx == W && (x+c.Y)&1 == 0):
+			return portEast
+		case dx != 0:
+			return portWest
+		case dy != 0 && (2*dy < H || 2*dy == H && (y+c.X)&1 == 0):
+			return portSouth
+		case dy != 0:
+			return portNorth
+		}
+		return portLocal
+	}
+}
+
+// dateline sets the VC rewrites of a ring or torus switch's output out:
+// when out is the dimension's wrap link every arrival leaves on VC1,
+// the escape lane; otherwise packets entering the dimension from the
+// inputs in enter start on VC0, and packets continuing along it keep
+// their VC.
+func (r *Router) dateline(out int, wrap bool, enter ...int) {
+	if wrap {
+		for in := range r.lanes {
+			r.setVCOut(in, out, 1)
+		}
+		return
+	}
+	for _, in := range enter {
+		r.setVCOut(in, out, 0)
+	}
 }
 
 // Ring port indices.
@@ -228,7 +316,7 @@ const (
 // ring on VC0 and switch to VC1 crossing the wrap link (N-1 -> 0
 // clockwise, 0 -> N-1 counter-clockwise); minimal routing never crosses
 // a dateline twice, so the VC1 buffer chain is acyclic. Virtual-cut-
-// through admission (RouterConfig.CutThrough): outputs are granted only
+// through admission (Network.cutThrough): outputs are granted only
 // with whole-packet space downstream, so a held output always drains
 // and the shared physical link cannot re-close the cycle the VCs break
 // (BufDepth must therefore hold the largest packet, checked at
@@ -244,24 +332,14 @@ func NewRing(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 	}
 	n := newNetwork(clk, cfg, nodes)
 	n.cutThrough = true
-	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS,
-		CutThrough: true, FlitBytes: n.cfg.FlitBytes}
-
-	n.routers = make([]*Router, N)
-	n.adj = make([][]int, N)
 	for i := range nodes {
-		r := newRouter(n, fmt.Sprintf("ring%d", i), ringPorts, rcfg)
-		r.index = i
-		n.routers[i] = r
-		n.adj[i] = []int{-1, -1, -1}
+		newRouter(n, fmt.Sprintf("ring%d", i), ringPorts)
 	}
 	// Neighbour links: lanes[p] receives from the neighbour in direction p.
 	for i, r := range n.routers {
 		nxt := n.routers[(i+1)%N]
-		r.connectOut(ringCW, [NumVCs]*flitQ{nxt.lanes[ringCCW][0], nxt.lanes[ringCCW][1]})
-		n.adj[i][ringCW] = nxt.index
-		nxt.connectOut(ringCCW, [NumVCs]*flitQ{r.lanes[ringCW][0], r.lanes[ringCW][1]})
-		n.adj[nxt.index][ringCCW] = i
+		n.link(r, ringCW, nxt, ringCCW)
+		n.link(nxt, ringCCW, r, ringCW)
 	}
 	// Routing tables: shortest direction. Half-way-around ties split by
 	// source parity so the two unidirectional rings carry equal load
@@ -283,169 +361,15 @@ func NewRing(clk *sim.Clock, cfg NetConfig, nodes []noctypes.NodeID) *Network {
 				r.setRoute(node, ringCCW)
 			}
 		}
-	}
-	// Dateline VC switching: injected packets start on VC0; crossing the
-	// wrap link in either direction moves them to VC1.
-	for _, r := range n.routers {
-		r.setVCOut(ringLocal, ringCW, 0)
-		r.setVCOut(ringLocal, ringCCW, 0)
-	}
-	for p := 0; p < ringPorts; p++ {
-		n.routers[N-1].setVCOut(p, ringCW, 1)
-		n.routers[0].setVCOut(p, ringCCW, 1)
+		// Dateline VC switching: injected packets start on VC0; crossing
+		// the wrap link in either direction moves them to VC1.
+		r.dateline(ringCW, i == N-1, ringLocal)
+		r.dateline(ringCCW, i == 0, ringLocal)
 	}
 	for i, node := range nodes {
 		n.attach(node, n.routers[i], ringLocal)
 	}
 	return n
-}
-
-// NewTorus builds a 2-D torus: the mesh of NewMesh (same MeshSpec,
-// same port layout) plus wraparound links in every dimension of size >=
-// 2, with dimension-ordered routing that takes the shorter way around
-// each ring (half-way ties split by parity). Every dimension is a pair
-// of unidirectional rings, so deadlock freedom uses NewRing's recipe
-// per dimension: dateline VC switching — packets enter each dimension
-// on VC0 (the dimension turn resets the VC) and move to VC1 crossing
-// that dimension's wrap link — plus virtual-cut-through admission so a
-// held output never stalls mid-packet (see NewRing). As there, the
-// escape lane doubles as the lock VC, so tori do not support lock
-// sequences.
-func NewTorus(clk *sim.Clock, cfg NetConfig, spec MeshSpec) *Network {
-	if spec.W <= 0 || spec.H <= 0 {
-		panic("transport: torus dimensions must be positive")
-	}
-	if cfg.LegacyLock {
-		panic("transport: torus fabrics do not support the legacy-lock service (the lock VC is the dateline escape lane)")
-	}
-	ids := sortedNodes(spec.Nodes)
-	n := newNetwork(clk, cfg, ids)
-	n.cutThrough = true
-	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS,
-		CutThrough: true, FlitBytes: n.cfg.FlitBytes}
-	idx := func(x, y int) int { return ((y+spec.H)%spec.H)*spec.W + (x+spec.W)%spec.W }
-
-	n.routers = make([]*Router, spec.W*spec.H)
-	n.adj = make([][]int, spec.W*spec.H)
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := newRouter(n, fmt.Sprintf("t%d.%d", x, y), meshPorts, rcfg)
-			r.index = idx(x, y)
-			n.routers[r.index] = r
-			n.adj[r.index] = []int{-1, -1, -1, -1, -1}
-		}
-	}
-	// Wire every router's own outputs; wrap links close each row and
-	// column into a ring. A dimension of size 1 stays unwired.
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := n.routers[idx(x, y)]
-			if spec.W > 1 {
-				e := n.routers[idx(x+1, y)]
-				r.connectOut(portEast, [NumVCs]*flitQ{e.lanes[portWest][0], e.lanes[portWest][1]})
-				n.adj[r.index][portEast] = e.index
-				w := n.routers[idx(x-1, y)]
-				r.connectOut(portWest, [NumVCs]*flitQ{w.lanes[portEast][0], w.lanes[portEast][1]})
-				n.adj[r.index][portWest] = w.index
-			}
-			if spec.H > 1 {
-				s := n.routers[idx(x, y+1)]
-				r.connectOut(portSouth, [NumVCs]*flitQ{s.lanes[portNorth][0], s.lanes[portNorth][1]})
-				n.adj[r.index][portSouth] = s.index
-				nn := n.routers[idx(x, y-1)]
-				r.connectOut(portNorth, [NumVCs]*flitQ{nn.lanes[portSouth][0], nn.lanes[portSouth][1]})
-				n.adj[r.index][portNorth] = nn.index
-			}
-		}
-	}
-	// Routing tables: X ring first, then Y ring, shorter way around each.
-	for node, c := range spec.Nodes {
-		if c.X < 0 || c.X >= spec.W || c.Y < 0 || c.Y >= spec.H {
-			panic(fmt.Sprintf("transport: node %v placed off-torus at (%d,%d)", node, c.X, c.Y))
-		}
-	}
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := n.routers[idx(x, y)]
-			for node, c := range spec.Nodes {
-				dx := ((c.X-x)%spec.W + spec.W) % spec.W
-				dy := ((c.Y-y)%spec.H + spec.H) % spec.H
-				// Half-way-around ties split by parity, as in NewRing,
-				// so both directions of each ring carry equal load.
-				goEast := 2*dx < spec.W || (2*dx == spec.W && (x+c.Y)&1 == 0)
-				goSouth := 2*dy < spec.H || (2*dy == spec.H && (y+c.X)&1 == 0)
-				switch {
-				case dx != 0 && goEast:
-					r.setRoute(node, portEast)
-				case dx != 0:
-					r.setRoute(node, portWest)
-				case dy != 0 && goSouth:
-					r.setRoute(node, portSouth)
-				case dy != 0:
-					r.setRoute(node, portNorth)
-				default:
-					r.setRoute(node, portLocal)
-				}
-			}
-		}
-	}
-	// Dateline VC switching per dimension. Dimension-ordered routing
-	// means Y outputs are entered from local or X inputs (a turn, which
-	// resets to VC0) or continued from Y inputs (which keeps the VC); on
-	// a dateline output every arrival leaves on VC1.
-	for y := 0; y < spec.H; y++ {
-		for x := 0; x < spec.W; x++ {
-			r := n.routers[idx(x, y)]
-			if spec.W > 1 {
-				for _, d := range []struct {
-					out      int
-					dateline bool
-				}{{portEast, x == spec.W-1}, {portWest, x == 0}} {
-					if d.dateline {
-						for in := 0; in < meshPorts; in++ {
-							r.setVCOut(in, d.out, 1)
-						}
-					} else {
-						r.setVCOut(portLocal, d.out, 0)
-					}
-				}
-			}
-			if spec.H > 1 {
-				for _, d := range []struct {
-					out      int
-					dateline bool
-				}{{portSouth, y == spec.H-1}, {portNorth, y == 0}} {
-					if d.dateline {
-						for in := 0; in < meshPorts; in++ {
-							r.setVCOut(in, d.out, 1)
-						}
-					} else {
-						r.setVCOut(portLocal, d.out, 0)
-						r.setVCOut(portEast, d.out, 0)
-						r.setVCOut(portWest, d.out, 0)
-					}
-				}
-			}
-		}
-	}
-	for _, node := range ids {
-		c := spec.Nodes[node]
-		n.attach(node, n.routers[idx(c.X, c.Y)], portLocal)
-	}
-	return n
-}
-
-func sortedNodes(m map[noctypes.NodeID]Coord) []noctypes.NodeID {
-	out := make([]noctypes.NodeID, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // NewTree builds a two-level tree: leaf switches host up to fanout
@@ -457,51 +381,23 @@ func NewTree(clk *sim.Clock, cfg NetConfig, fanout int, nodes []noctypes.NodeID)
 		panic("transport: tree fanout must be positive")
 	}
 	n := newNetwork(clk, cfg, nodes)
-	rcfg := RouterConfig{Mode: n.cfg.Mode, BufDepth: n.cfg.BufDepth, QoS: n.cfg.QoS, FlitBytes: n.cfg.FlitBytes}
-
 	numLeaves := (len(nodes) + fanout - 1) / fanout
-	root := newRouter(n, "root", numLeaves, rcfg)
-	root.index = 0
-	n.routers = append(n.routers, root)
-	n.adj = append(n.adj, make([]int, numLeaves))
-
+	root := newRouter(n, "root", numLeaves)
 	for l := 0; l < numLeaves; l++ {
-		lo := l * fanout
-		hi := lo + fanout
-		if hi > len(nodes) {
-			hi = len(nodes)
+		local := nodes[l*fanout : min((l+1)*fanout, len(nodes))]
+		leaf := newRouter(n, fmt.Sprintf("leaf%d", l), len(local)+1)
+		up := len(local)
+		n.link(leaf, up, root, l)
+		n.link(root, l, leaf, up)
+		// Every destination leaves through the up port, but the leaf's
+		// own nodes.
+		for _, node := range nodes {
+			leaf.setRoute(node, up)
 		}
-		local := nodes[lo:hi]
-		leaf := newRouter(n, fmt.Sprintf("leaf%d", l), len(local)+1, rcfg)
-		leaf.index = len(n.routers)
-		n.routers = append(n.routers, leaf)
-		n.adj = append(n.adj, make([]int, len(local)+1))
-		upPort := len(local)
-
-		// Leaf <-> root links.
-		leaf.connectOut(upPort, [NumVCs]*flitQ{root.lanes[l][0], root.lanes[l][1]})
-		n.adj[leaf.index][upPort] = 0
-		root.connectOut(l, [NumVCs]*flitQ{leaf.lanes[upPort][0], leaf.lanes[upPort][1]})
-		n.adj[0][l] = leaf.index
-
 		for i, node := range local {
-			n.adj[leaf.index][i] = -1
 			leaf.setRoute(node, i)
 			root.setRoute(node, l)
 			n.attach(node, leaf, i)
-		}
-		// Non-local destinations leave through the up port.
-		for _, other := range nodes {
-			isLocal := false
-			for _, ln := range local {
-				if ln == other {
-					isLocal = true
-					break
-				}
-			}
-			if !isLocal {
-				leaf.setRoute(other, upPort)
-			}
 		}
 	}
 	return n
