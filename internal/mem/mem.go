@@ -20,6 +20,12 @@ type Backing struct {
 	pages         map[uint64][]byte
 	size          uint64 // address-space bound; 0 = unbounded
 	reads, writes uint64
+
+	// lastKey and last remember the page that page returned last (last
+	// is nil before the first). Bursts walk one page beat by beat, and
+	// pages are never deleted, so the remembered one stays valid.
+	lastKey uint64
+	last    []byte
 }
 
 // NewBacking returns a store bounded to size bytes (0 = unbounded).
@@ -42,13 +48,23 @@ func (b *Backing) InBounds(addr uint64, n int) bool {
 	return b.size == 0 || end <= b.size
 }
 
+// page returns the page holding addr, making it first if create is set;
+// without create, an unwritten page is nil, and a nil page is not
+// remembered, so a later write still makes it.
 func (b *Backing) page(addr uint64, create bool) []byte {
 	key := addr >> pageBits
+	if b.last != nil && key == b.lastKey {
+		return b.last
+	}
 	p, ok := b.pages[key]
-	if !ok && create {
+	if !ok {
+		if !create {
+			return nil
+		}
 		p = make([]byte, pageSize)
 		b.pages[key] = p
 	}
+	b.lastKey, b.last = key, p
 	return p
 }
 

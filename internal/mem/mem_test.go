@@ -127,3 +127,33 @@ func TestBurstWrapsThroughEnables(t *testing.T) {
 		t.Fatalf("access counts %d/%d, want one per beat (5/4)", r, w)
 	}
 }
+
+// TestRememberedPage: reads and writes that alternate between pages, or
+// read an unwritten page before writing it, see every byte written. A
+// read that finds no page must not be remembered as that page, or the
+// write after it would land nowhere.
+func TestRememberedPage(t *testing.T) {
+	b := NewBacking(0)
+	a, c := uint64(0x10), uint64(3*pageSize+0x20)
+	if got := b.Read(c, 4); !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("unwritten page read %v", got)
+	}
+	b.Write(c, []byte{5, 6, 7, 8}, nil)
+	if got := b.Read(c, 4); !bytes.Equal(got, []byte{5, 6, 7, 8}) {
+		t.Fatalf("write after a missed read lost: %v", got)
+	}
+	b.Write(a, []byte{1, 2}, nil)
+	b.Write(c+2, []byte{9}, nil)
+	if got := b.Read(a, 2); !bytes.Equal(got, []byte{1, 2}) {
+		t.Fatalf("first page reads %v", got)
+	}
+	if got := b.Read(c, 4); !bytes.Equal(got, []byte{5, 6, 9, 8}) {
+		t.Fatalf("second page reads %v", got)
+	}
+	if got := b.Read(pageSize, 2); !bytes.Equal(got, []byte{0, 0}) {
+		t.Fatalf("untouched page reads %v", got)
+	}
+	if len(b.pages) != 2 {
+		t.Fatalf("%d pages made, want 2", len(b.pages))
+	}
+}

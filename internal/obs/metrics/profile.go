@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +38,21 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// memEvery caps how often Advance re-samples runtime.ReadMemStats; the
-// call stops the world briefly, so it must stay far off the per-chunk
-// publishing cadence.
+// memEvery caps how often one profile's Advance re-reads the Go heap
+// gauges. They come from runtime/metrics, which does not stop the
+// world, so the first read of every fresh profile (a server run builds
+// one per simulation) is cheap; the cap keeps the reads off the
+// per-chunk publishing cadence of a long run.
 const memEvery = 100 * time.Millisecond
+
+// memMetrics are the runtime/metrics names of the heapAlloc,
+// heapObjects and gcTotal gauges, in that order: MemStats' HeapAlloc,
+// HeapObjects and NumGC.
+var memMetrics = [3]string{
+	"/memory/classes/heap/objects:bytes",
+	"/gc/heap/objects:objects",
+	"/gc/cycles/total:gc-cycles",
+}
 
 // SimProfile is the simulator's self-profiling surface: runners
 // publish cycle/event/heap-depth deltas as they go (SetPhase, Advance,
@@ -68,6 +79,7 @@ type SimProfile struct {
 
 	memMu   sync.Mutex
 	lastMem time.Time
+	mem     [len(memMetrics)]rtmetrics.Sample // guarded by memMu
 
 	snap atomic.Pointer[Snapshotter]
 }
@@ -84,7 +96,7 @@ func NewSimProfile(reg *Registry) *SimProfile {
 		events:      reg.Counter("noc_sim_events_total", "kernel events executed"),
 		heapDepth:   reg.Gauge("noc_sim_event_heap_depth", "pending events in the kernel heap"),
 		phaseG:      reg.Gauge("noc_sim_phase", "current phase: 0 idle, 1 warmup, 2 measure, 3 drain, 4 done"),
-		heapAlloc:   reg.Gauge("noc_go_heap_alloc_bytes", "Go heap bytes in use (runtime.ReadMemStats)"),
+		heapAlloc:   reg.Gauge("noc_go_heap_alloc_bytes", "Go heap bytes in use (runtime/metrics)"),
 		heapObjects: reg.Gauge("noc_go_heap_objects", "live Go heap objects"),
 		gcTotal:     reg.Gauge("noc_go_gc_total", "completed GC cycles"),
 	}
@@ -97,6 +109,9 @@ func NewSimProfile(reg *Registry) *SimProfile {
 	reg.GaugeFunc("noc_sim_cycles_per_sec", "session-average fabric cycles per wall second", func() float64 {
 		return rate(float64(p.cycles.Value()), time.Since(p.start))
 	})
+	for i, name := range memMetrics {
+		p.mem[i].Name = name
+	}
 	return p
 }
 
@@ -142,7 +157,7 @@ func (p *SimProfile) SetHeapDepth(n int) {
 
 // Advance publishes progress deltas: dCycles fabric cycles and dEvents
 // kernel events executed since the last call. It also paces the slow
-// side-channels — memstats sampling (at most every 100ms) and the
+// side-channels — the Go heap gauges (at most every 100ms) and the
 // attached snapshotter.
 func (p *SimProfile) Advance(dCycles, dEvents int64) {
 	if p == nil {
@@ -163,19 +178,15 @@ func (p *SimProfile) Advance(dCycles, dEvents int64) {
 func (p *SimProfile) maybeSampleMem() {
 	now := time.Now()
 	p.memMu.Lock()
-	due := now.Sub(p.lastMem) >= memEvery
-	if due {
-		p.lastMem = now
-	}
-	p.memMu.Unlock()
-	if !due {
+	defer p.memMu.Unlock()
+	if now.Sub(p.lastMem) < memEvery {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.heapAlloc.Set(float64(ms.HeapAlloc))
-	p.heapObjects.Set(float64(ms.HeapObjects))
-	p.gcTotal.Set(float64(ms.NumGC))
+	p.lastMem = now
+	rtmetrics.Read(p.mem[:])
+	p.heapAlloc.Set(float64(p.mem[0].Value.Uint64()))
+	p.heapObjects.Set(float64(p.mem[1].Value.Uint64()))
+	p.gcTotal.Set(float64(p.mem[2].Value.Uint64()))
 }
 
 // Cycles reads the cumulative cycle total (0 on a nil profile).

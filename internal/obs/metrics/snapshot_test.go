@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,5 +247,32 @@ func TestRig(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimProfileHeapGauges: a fresh profile's first Advance fills the
+// three Go heap gauges from runtime/metrics, and another Advance inside
+// memEvery leaves them alone.
+func TestSimProfileHeapGauges(t *testing.T) {
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewSimProfile(NewRegistry())
+	p.Advance(1, 1)
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if v := p.heapAlloc.Value(); v <= 0 {
+		t.Fatalf("noc_go_heap_alloc_bytes = %v", v)
+	}
+	if v := p.heapObjects.Value(); v <= 0 {
+		t.Fatalf("noc_go_heap_objects = %v", v)
+	}
+	if v := p.gcTotal.Value(); v < float64(before.NumGC) || v > float64(after.NumGC) {
+		t.Fatalf("noc_go_gc_total = %v, MemStats.NumGC read %d before and %d after", v, before.NumGC, after.NumGC)
+	}
+	p.heapAlloc.Set(-1)
+	p.Advance(1, 1)
+	if v := p.heapAlloc.Value(); v != -1 {
+		t.Fatalf("a second Advance inside memEvery re-read the heap gauges (%v)", v)
 	}
 }

@@ -20,7 +20,7 @@ type ReadResult struct {
 type Master struct {
 	port *Port
 
-	reqQ []ReqBeat
+	reqQ sim.Queue[ReqBeat] // request beats awaiting acceptance
 
 	// Per-thread FIFO of expected responses.
 	pending map[int][]*ocpCtx
@@ -58,7 +58,7 @@ func (m *Master) Outstanding() int { return m.outstanding }
 
 // Busy reports whether any work remains (queued beats or outstanding
 // responses).
-func (m *Master) Busy() bool { return m.outstanding > 0 || len(m.reqQ) > 0 }
+func (m *Master) Busy() bool { return m.outstanding > 0 || !m.reqQ.Empty() }
 
 // Issued, Completed and Posted return cumulative counters.
 func (m *Master) Issued() uint64    { return m.issued }
@@ -72,7 +72,7 @@ func (m *Master) Read(thread int, addr uint64, size uint8, beats int, seq BurstS
 	m.outstanding++
 	m.expect(thread, ocpCtx{cmd: CmdRD, beats: beats, rdCb: cb}, beats*int(size))
 	for i := 0; i < beats; i++ {
-		m.reqQ = append(m.reqQ, ReqBeat{
+		m.reqQ.Push(ReqBeat{
 			Cmd: CmdRD, Addr: addr, ThreadID: thread, Size: size,
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
 		})
@@ -85,7 +85,7 @@ func (m *Master) ReadLinked(thread int, addr uint64, size uint8, cb func(ReadRes
 	m.issued++
 	m.outstanding++
 	m.expect(thread, ocpCtx{cmd: CmdRDL, beats: 1, rdCb: cb}, int(size))
-	m.reqQ = append(m.reqQ, ReqBeat{
+	m.reqQ.Push(ReqBeat{
 		Cmd: CmdRDL, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true,
 	})
 	m.wake.Wake()
@@ -104,13 +104,11 @@ func (m *Master) Write(thread int, addr uint64, size uint8, seq BurstSeq, data, 
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
 			Data: beat(data, i, size), ByteEn: beat(be, i, size),
 		}
-		m.reqQ = append(m.reqQ, b)
-	}
-	if cb != nil {
-		// Completion = acceptance of the final beat; emulate by attaching
-		// to the last queued beat via a sentinel context with no response.
-		last := &m.reqQ[len(m.reqQ)-1]
-		last.onAccept = cb
+		if b.Last {
+			// Completion is the acceptance of the final beat.
+			b.onAccept = cb
+		}
+		m.reqQ.Push(b)
 	}
 	m.wake.Wake()
 }
@@ -124,7 +122,7 @@ func (m *Master) WriteNonPosted(thread int, addr uint64, size uint8, seq BurstSe
 	m.outstanding++
 	m.expect(thread, ocpCtx{cmd: CmdWRNP, beats: 1, wrCb: cb}, 0)
 	for i := 0; i < beats; i++ {
-		m.reqQ = append(m.reqQ, ReqBeat{
+		m.reqQ.Push(ReqBeat{
 			Cmd: CmdWRNP, Addr: addr, ThreadID: thread, Size: size,
 			BurstLen: beats, Seq: seq, Last: i == beats-1,
 			Data: beat(data, i, size), ByteEn: beat(be, i, size),
@@ -143,7 +141,7 @@ func (m *Master) WriteConditional(thread int, addr uint64, size uint8, data []by
 	m.issued++
 	m.outstanding++
 	m.expect(thread, ocpCtx{cmd: CmdWRC, beats: 1, wrCb: cb}, 0)
-	m.reqQ = append(m.reqQ, ReqBeat{
+	m.reqQ.Push(ReqBeat{
 		Cmd: CmdWRC, Addr: addr, ThreadID: thread, Size: size, BurstLen: 1, Last: true, Data: data,
 	})
 	m.wake.Wake()
@@ -184,10 +182,9 @@ func beat(b []byte, i int, size uint8) []byte {
 // Eval implements sim.Clocked: one request beat out, one response beat in
 // per cycle.
 func (m *Master) Eval(cycle int64) {
-	if len(m.reqQ) > 0 && m.port.Req.CanPush(1) {
-		b := m.reqQ[0]
+	if !m.reqQ.Empty() && m.port.Req.CanPush(1) {
+		b, _ := m.reqQ.Pop()
 		m.port.Req.Push(b)
-		m.reqQ = sim.DropFront(m.reqQ, 1)
 		if b.onAccept != nil {
 			b.onAccept()
 		}
@@ -225,4 +222,4 @@ func (m *Master) Eval(cycle int64) {
 
 // Idle implements sim.Idler: no request beat queued and no response
 // beat waiting on the socket.
-func (m *Master) Idle() bool { return len(m.reqQ) == 0 && m.port.Resp.Empty() }
+func (m *Master) Idle() bool { return m.reqQ.Empty() && m.port.Resp.Empty() }

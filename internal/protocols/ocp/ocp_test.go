@@ -198,3 +198,46 @@ func TestCounters(t *testing.T) {
 			r.m.Issued(), r.m.Posted(), r.m.Completed())
 	}
 }
+
+// TestRequestFIFOKeepsOrder issues posted-write and read bursts, half
+// of them while earlier beats are still queued, so the request FIFO
+// pops from its head and compacts as it refills. Each write's
+// completion fires once, in issue order, as its last beat leaves the
+// FIFO (the read queued after it is then at the head), and each read
+// returns the bytes the write before it posted.
+func TestRequestFIFOKeepsOrder(t *testing.T) {
+	r := newRig(MemoryConfig{Latency: 1, Threads: 1})
+	var done []int
+	reads := make([][]byte, 16)
+	pattern := func(i int) []byte { return []byte{byte(i), 1, 2, 3, 4, 5, 6, byte(i + 7)} }
+	issue := func(i int) {
+		addr := uint64(0x400 + 0x10*i)
+		r.m.Write(0, addr, 4, SeqIncr, pattern(i), nil, func() {
+			if b, ok := r.m.reqQ.Peek(); !ok || b.Cmd != CmdRD || b.Addr != addr {
+				t.Errorf("write %d completed with %+v at the FIFO's head", i, b)
+			}
+			done = append(done, i)
+		})
+		r.m.Read(0, addr, 4, 2, SeqIncr, func(res ReadResult) { reads[i] = bytes.Clone(res.Data) })
+	}
+	for i := 0; i < 8; i++ {
+		issue(i)
+	}
+	r.clk.RunCycles(5)
+	for i := 8; i < 16; i++ {
+		issue(i)
+		r.clk.RunCycles(1)
+	}
+	r.run(t, 2000)
+	for i := range reads {
+		if len(done) <= i || done[i] != i {
+			t.Fatalf("posted completions fired as %v", done)
+		}
+		if !bytes.Equal(reads[i], pattern(i)) {
+			t.Fatalf("read %d returned %v, want %v", i, reads[i], pattern(i))
+		}
+	}
+	if len(done) != len(reads) {
+		t.Fatalf("%d posted completions for %d writes", len(done), len(reads))
+	}
+}

@@ -29,8 +29,10 @@
 // (internal/experiments, printed by cmd/nocbench) meaningful. RNG draws
 // math/rand's streams from a copy of its generator that the package
 // owns (rngsource.go): seeding reduces modulo 2³¹−1 without dividing,
-// Bool reads the generator without going through interfaces, and
-// ForkSeed derives a child's seed without seeding anything.
+// Bool reads the generator without going through interfaces, Until
+// makes a run of Bool draws in one batch, comparing each raw Int63 with
+// an integer bound instead of scaling it to a float, and ForkSeed
+// derives a child's seed without seeding anything.
 package sim
 
 import (

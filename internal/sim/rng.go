@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // RNG is a deterministic random source. Every stochastic decision in the
 // simulator draws from an RNG forked (by label) from the experiment's root
@@ -9,8 +12,8 @@ import "math/rand"
 //
 // The generator is math/rand's, copied into this package (source), and
 // the embedded *rand.Rand draws from it, so every method yields the
-// stream rand.New(rand.NewSource(seed)) would. Bool reads the source
-// directly.
+// stream rand.New(rand.NewSource(seed)) would. Bool and Until read the
+// source directly.
 type RNG struct {
 	*rand.Rand
 	src  source
@@ -67,6 +70,49 @@ func (r *RNG) Bool(p float64) bool {
 			return f < p
 		}
 	}
+}
+
+// Until returns how many of up to n ≥ 0 Bool(p) draws come out false
+// before the first true one: n when none of the n is true. It makes
+// exactly the draws those Bool calls would make, so the stream it
+// leaves is theirs. Each draw compares the raw Int63 x with
+// boolBound(p), worked out once per call, and discards x ≥ redraw as
+// Bool does.
+func (r *RNG) Until(p float64, n int64) int64 {
+	switch {
+	case p <= 0:
+		return n // Bool(p) is false without drawing
+	case p >= 1:
+		return 0 // Bool(p) is true without drawing
+	}
+	return r.src.until(boolBound(p), n)
+}
+
+// redraw is the least Int63 that Float64 scales to 1 and Bool draws
+// again: 2⁶³−512 lies halfway between the float64s 2⁶³−1024 and 2⁶³,
+// and the tie rounds to 2⁶³'s even mantissa.
+const redraw = 1<<63 - 512
+
+// boolBound returns the smallest x with float64(x)/2⁶³ ≥ p, for p in
+// (0, 1), so that Bool(p)'s draw x is true exactly when x < boolBound(p).
+// Dividing by 2⁶³ is exact, so the test is float64(x) ≥ t for
+// t = p·2⁶³. Up to 2⁵³ every integer is a float64 and the bound is ⌈t⌉.
+// Above 2⁵³, t is an integer and the integers just below it round up to
+// it: from the midpoint between t and the float64 below it when that
+// tie rounds to t (an even mantissa), else from one past the midpoint.
+func boolBound(p float64) uint64 {
+	t := p * (1 << 63)
+	if !(t > 0) {
+		return 0 // NaN: Bool(NaN) is false on every draw
+	}
+	x := uint64(math.Ceil(t))
+	if x > 1<<53 {
+		x -= (x - uint64(math.Nextafter(t, 0))) / 2
+		if float64(x) < t {
+			x++
+		}
+	}
+	return x
 }
 
 // Range returns a uniform integer in [lo, hi] inclusive.

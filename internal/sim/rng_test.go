@@ -217,3 +217,130 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 		}
 	})
 }
+
+// untilByBool is Until's reference: up to n Bool(p) draws, counting the
+// false ones before the first true one.
+func untilByBool(r *RNG, p float64, n int64) int64 {
+	for k := int64(0); k < n; k++ {
+		if r.Bool(p) {
+			return k
+		}
+	}
+	return n
+}
+
+// checkUntil calls Until on got and the Bool loop on want, with the
+// same arguments, and requires the same count and, after it, the same
+// next Int63 from both generators.
+func checkUntil(t *testing.T, got, want *RNG, p float64, n int64) {
+	t.Helper()
+	if g, w := got.Until(p, n), untilByBool(want, p, n); g != w {
+		t.Fatalf("Until(%v, %d) = %d, Bool loop %d", p, n, g, w)
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("after Until(%v, %d): next Int63 %d, Bool loop's %d", p, n, g, w)
+	}
+}
+
+// TestUntilMatchesBool: a batched run of Bool draws counts what the
+// per-draw loop counts and leaves the generator where it leaves it, at
+// rates from never to always, for runs of 0 to 400 draws.
+func TestUntilMatchesBool(t *testing.T) {
+	rates := []float64{0, 0.002, 0.01, 0.3, 0.999, 1}
+	for _, seed := range []int64{0, 1, -1, 42, 2005, math.MaxInt64} {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for n := int64(0); n <= 400; n++ {
+			for _, p := range rates {
+				checkUntil(t, got, want, p, n)
+			}
+		}
+	}
+}
+
+// TestBoolBoundAndRedraw pins Until's two integer thresholds against
+// the float test Bool makes, float64(x)/2⁶³: boolBound(p) is the first
+// x that comparison puts at or above p, and redraw the first it scales
+// to 1.
+func TestBoolBoundAndRedraw(t *testing.T) {
+	scaled := func(x uint64) float64 { return float64(int64(x)) / (1 << 63) }
+	if f := scaled(redraw - 1); f == 1 {
+		t.Fatalf("2⁶³−513 scales to 1")
+	}
+	if f := scaled(redraw); f != 1 {
+		t.Fatalf("2⁶³−512 scales to %v, not 1", f)
+	}
+	rates := []float64{
+		math.SmallestNonzeroFloat64, 1e-300, 0x1p-64, 0x1p-63, 1e-18,
+		0x1p-11, 0x1p-10, math.Nextafter(0x1p-10, 1), 0x1.8p-10,
+		0.002, 0.01, 0.025, 0.1, 0.3, 1.0 / 3, 0.5, 0.7, 0.999,
+		math.Nextafter(1, 0),
+	}
+	pick := rand.New(rand.NewSource(29))
+	for i := 0; i < 2000; i++ {
+		rates = append(rates, pick.Float64(), math.Ldexp(pick.Float64(), -pick.Intn(70)))
+	}
+	for _, p := range rates {
+		if p <= 0 || p >= 1 {
+			continue
+		}
+		b := boolBound(p)
+		if b == 0 || b >= redraw {
+			t.Fatalf("boolBound(%v) = %d outside (0, 2⁶³−512)", p, b)
+		}
+		if scaled(b-1) >= p || scaled(b) < p {
+			t.Fatalf("boolBound(%v) = %d: %v at bound−1, %v at bound", p, b, scaled(b-1), scaled(b))
+		}
+	}
+	if b := boolBound(math.NaN()); b != 0 {
+		t.Fatalf("boolBound(NaN) = %d, want 0", b)
+	}
+}
+
+// setNext arranges r's generator state so that its next Int63 is x.
+func setNext(r *RNG, x uint64) {
+	s := &r.src
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.vec[feed] = int64(x) - s.vec[tap]
+}
+
+// TestUntilAtThresholds forces a draw onto each threshold, where no
+// random stream lands in practice: the last true and first false value
+// of the rate's bound, and the last kept and first discarded value below
+// 2⁶³. Until and the Bool loop must agree on the count and on the
+// stream after it.
+func TestUntilAtThresholds(t *testing.T) {
+	for _, p := range []float64{0.002, 0.01, 0.3, 0.5, 0.999, math.Nextafter(1, 0)} {
+		b := boolBound(p)
+		for _, x := range []uint64{b - 1, b, redraw - 1, redraw, 1<<63 - 1} {
+			for _, n := range []int64{1, 2, 50} {
+				got, want := NewRNG(7), NewRNG(7)
+				setNext(got, x)
+				setNext(want, x)
+				checkUntil(t, got, want, p, n)
+			}
+		}
+	}
+}
+
+// FuzzUntilMatchesBool runs Until and the Bool loop from generators
+// seeded alike over a fuzzed rate, any float64 included, and a fuzzed
+// sequence of run lengths.
+func FuzzUntilMatchesBool(f *testing.F) {
+	f.Add(int64(1), 0.01, []byte{0, 1, 2, 100, 255})
+	f.Add(int64(-1), 0.999, []byte{3, 3, 3})
+	f.Add(int64(math.MinInt64), 0.002, []byte{255, 255, 255, 255})
+	f.Add(int64(5), 1.0, []byte{1, 0})
+	f.Add(int64(5), math.NaN(), []byte{4, 9})
+	f.Fuzz(func(t *testing.T, seed int64, p float64, ns []byte) {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for _, n := range ns {
+			checkUntil(t, got, want, p, int64(n)*2)
+		}
+	})
+}

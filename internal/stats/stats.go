@@ -1,6 +1,6 @@
 // Package stats provides the measurement plumbing shared by experiments
-// and benchmarks: latency recorders with exact percentiles, throughput
-// accounting, and plain-text table rendering for paper-style output.
+// and benchmarks: latency recorders with exact percentiles, histograms,
+// and plain-text table rendering for paper-style output.
 package stats
 
 import (
@@ -51,13 +51,50 @@ func (l *Latency) Percentile(p float64) int64 {
 	return percentileOf(l.sorted(), p)
 }
 
-// sorted returns a sorted copy of the samples. Every result step sorts,
-// so it uses slices.Sort, which needs no per-call closure or reflection
-// swapper.
+// countSortMin is the fewest samples sorted by counting.
+const countSortMin = 128
+
+// countable reports whether sorted counts the samples: every one is at
+// least 0, there are countSortMin or more, and their range spans fewer
+// values than half their number. Latencies in cycles crowd into a range
+// far narrower than their count.
+func (l *Latency) countable() bool {
+	n := len(l.samples)
+	return l.min >= 0 && n >= countSortMin && l.max-l.min < int64(n/2)
+}
+
+// sorted returns a sorted copy of the samples, in one allocation as
+// slices.Clone makes. A countable set is counted, value by value, in a
+// table carved from the same allocation and written out in order, in
+// linear time. Otherwise a clone is sorted with slices.Sort, which
+// needs no per-call closure or reflection swapper.
 func (l *Latency) sorted() []int64 {
-	sorted := slices.Clone(l.samples)
-	slices.Sort(sorted)
+	if !l.countable() {
+		sorted := slices.Clone(l.samples)
+		slices.Sort(sorted)
+		return sorted
+	}
+	n := len(l.samples)
+	buf := make([]int64, n+int(l.max-l.min+1))
+	sorted, counts := buf[:n:n], buf[n:]
+	for _, v := range l.samples {
+		counts[v-l.min]++
+	}
+	i := 0
+	for d, c := range counts {
+		for v := l.min + int64(d); c > 0; c-- {
+			sorted[i] = v
+			i++
+		}
+	}
 	return sorted
+}
+
+// NearestRank returns the index that nearest-rank selection of the
+// p-th percentile (0 < p <= 100) takes in n > 0 sorted samples.
+func NearestRank(n int, p float64) int {
+	rank := int(p/100*float64(n)+0.5) - 1
+	return min(max(rank, 0), n-1)
 }
 
 // percentileOf is nearest-rank selection on an already-sorted slice.
@@ -65,14 +102,7 @@ func percentileOf(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return sorted[NearestRank(len(sorted), p)]
 }
 
 // String summarizes the distribution.

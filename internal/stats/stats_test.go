@@ -2,6 +2,9 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -280,5 +283,70 @@ func TestHistogramJSONBounds(t *testing.T) {
 	}
 	if strings.Contains(string(data), "null") {
 		t.Fatalf("empty histogram marshals null: %s", data)
+	}
+}
+
+// TestSortedCountingMatchesSort: the counting sort and the comparison
+// sort it stands in for give the same order and percentiles, each in
+// one allocation, on both sides of every condition that picks between
+// them: sample count at and below countSortMin, negative samples, and
+// ranges at and past half the count.
+func TestSortedCountingMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	cases := []struct {
+		name      string
+		n         int
+		lo, span  int64
+		countable bool
+	}{
+		{"below threshold", countSortMin - 1, 5, 10, false},
+		{"at threshold", countSortMin, 5, 10, true},
+		{"typical latencies", 5000, 12, 300, true},
+		{"one value", 400, 77, 1, true},
+		{"range just under half", 1000, 0, 500, true},
+		{"range half the count", 1000, 0, 501, false},
+		{"wide range", 1000, 0, 1 << 40, false},
+		{"negative samples", 1000, -50, 100, false},
+		{"zero and the int64 maximum", 1000, 0, 0, false},
+	}
+	for _, c := range cases {
+		var l Latency
+		for i := 0; i < c.n; i++ {
+			switch {
+			case i == 1 && c.span == 0:
+				l.Record(math.MaxInt64)
+			case i == 1: // the range's last value, so the span is exact
+				l.Record(c.lo + c.span - 1)
+			case i > 1 && c.span > 1:
+				l.Record(c.lo + rng.Int63n(c.span))
+			default:
+				l.Record(c.lo)
+			}
+		}
+		if l.countable() != c.countable {
+			t.Fatalf("%s: countable() = %v, want %v", c.name, l.countable(), c.countable)
+		}
+		before := slices.Clone(l.samples)
+		want := slices.Clone(l.samples)
+		slices.Sort(want)
+		got := l.sorted()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: sorted() differs from slices.Sort", c.name)
+		}
+		if !slices.Equal(l.samples, before) {
+			t.Fatalf("%s: sorted() reordered the recorded samples", c.name)
+		}
+		for _, p := range []float64{0.1, 1, 50, 95, 99, 100} {
+			if g, w := l.Percentile(p), percentileOf(want, p); g != w {
+				t.Fatalf("%s: p%v = %d, want %d", c.name, p, g, w)
+			}
+		}
+		s := l.Summary()
+		if s.P50 != percentileOf(want, 50) || s.P95 != percentileOf(want, 95) || s.P99 != percentileOf(want, 99) {
+			t.Fatalf("%s: summary %+v", c.name, s)
+		}
+		if a := testing.AllocsPerRun(5, func() { l.sorted() }); a != 1 {
+			t.Fatalf("%s: sorted() made %v allocations, want 1", c.name, a)
+		}
 	}
 }

@@ -38,7 +38,12 @@
 //
 // Sources and RunTrans's issuers sleep between injections. They make
 // their per-cycle Bernoulli draws ahead, in cycle order, up to the next
-// success (one shared helper), and arm sim.Waker.WakeAt for it, so a
-// lightly loaded run evaluates them only on cycles with work, and every
-// seeded result is the one per-cycle draws give.
+// success, in one batched call (sim.RNG.Until, through one shared
+// helper), and arm sim.Waker.WakeAt for it, so a lightly loaded run
+// evaluates them only on cycles with work, and every seeded result is
+// the one per-cycle draws give.
+//
+// Each packet source logs its measured completions as flat (destination,
+// latency) records; the per-flow digests are built from them at the end
+// of the run, one sort per source.
 package traffic

@@ -11,17 +11,11 @@ import (
 	"gonoc/internal/transport"
 )
 
-// Flow identifies one source/destination pair.
-type Flow struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
-
 // collector accumulates measurement-phase statistics.
 type collector struct {
 	agg     stats.Latency
 	hist    stats.Histogram
-	perFlow map[Flow]*stats.Latency
+	flows   []flowLog // measured completions, indexed by source
 	netLat  stats.Latency
 	hops    int64
 	hopPkts int64
@@ -79,7 +73,7 @@ func newRig(cfg *Config) *rig {
 	r.net = transport.Build(r.clk, cfg.Net, transport.Shape{Topology: cfg.Topology,
 		W: cfg.MeshW, H: cfg.MeshH, Fanout: cfg.TreeFanout}, nodes)
 
-	r.col.perFlow = make(map[Flow]*stats.Latency)
+	r.col.flows = make([]flowLog, cfg.Nodes)
 	r.net.OnTransit = func(rec transport.TransitRecord) {
 		// Membership in the fabric-latency sample is decided by when the
 		// packet entered its source endpoint, not by when it happens to
@@ -211,8 +205,9 @@ func (p *phases) publish() {
 
 // drawer makes a per-cycle Bernoulli process's draws ahead of time, in
 // cycle order, up to the next success: the draws a per-cycle draw would
-// make, in the same order on the same stream. Traffic sources and
-// RunTrans's issuers sleep until the cycle it finds.
+// make, in the same order on the same stream, taken in one batch
+// (sim.RNG.Until). Traffic sources and RunTrans's issuers sleep until
+// the cycle it finds.
 type drawer struct {
 	due   int64 // the cycle of the next successful draw, 0 when none is drawn
 	drawn int64 // the last cycle whose draw has been made
@@ -223,12 +218,14 @@ type drawer struct {
 // cycle in due (0 when there is none) and arms w for it.
 func (d *drawer) draw(rng *sim.RNG, rate float64, from, end int64, w sim.Waker) {
 	d.due = 0
-	for c := max(from, d.drawn+1); c <= end; c++ {
-		d.drawn = c
-		if rng.Bool(rate) {
-			d.due = c
-			w.WakeAt(c)
-			return
-		}
+	c := max(from, d.drawn+1)
+	if c > end {
+		return
+	}
+	if k := rng.Until(rate, end-c+1); c+k <= end {
+		d.drawn, d.due = c+k, c+k
+		w.WakeAt(d.due)
+	} else {
+		d.drawn = end
 	}
 }

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -141,24 +140,53 @@ func (r *rig) result(cycles int64) Result {
 	if !cfg.ClosedLoop && res.GenRate > 0 {
 		res.Saturated = res.Throughput < satThreshold*res.GenRate
 	}
-	res.Flows = flowStats(col.perFlow)
+	res.Flows = flowStats(col.flows)
 	return res
 }
 
-func flowStats(m map[Flow]*stats.Latency) []FlowStat {
-	out := make([]FlowStat, 0, len(m))
-	for fl, l := range m {
-		out = append(out, FlowStat{
-			Src: fl.Src, Dst: fl.Dst,
-			Count: l.Count(), Mean: l.Mean(), P95: l.Percentile(95),
-		})
-	}
-	slices.SortFunc(out, func(a, b FlowStat) int {
-		if c := cmp.Compare(a.Src, b.Src); c != 0 {
-			return c
+// flowLog is one source's measured completions, each packed as
+// dst<<flowLatBits | latency, so that one integer sort orders them by
+// destination and then by latency. A destination is a node index below
+// 2¹⁶ (NodeID is 16 bits), which leaves 47 bits for the latency.
+type flowLog []int64
+
+const flowLatBits = 47
+
+func (f *flowLog) add(dst int, lat int64) { *f = append(*f, int64(dst)<<flowLatBits|lat) }
+
+// flowStats digests the sources' logs, indexed by source, into one
+// FlowStat per (src, dst) pair in that order: each log is sorted in
+// place, once, and each run of one destination is that flow's sorted
+// latencies.
+func flowStats(logs []flowLog) []FlowStat {
+	const latMask = 1<<flowLatBits - 1
+	n := 0
+	for _, recs := range logs {
+		slices.Sort(recs)
+		for i, v := range recs {
+			if i == 0 || v>>flowLatBits != recs[i-1]>>flowLatBits {
+				n++
+			}
 		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
+	}
+	out := make([]FlowStat, 0, n)
+	for src, recs := range logs {
+		for i := 0; i < len(recs); {
+			dst := recs[i] >> flowLatBits
+			var sum int64
+			j := i
+			for ; j < len(recs) && recs[j]>>flowLatBits == dst; j++ {
+				sum += recs[j] & latMask
+			}
+			count := j - i
+			out = append(out, FlowStat{
+				Src: src, Dst: int(dst), Count: count,
+				Mean: float64(sum) / float64(count),
+				P95:  recs[i+stats.NearestRank(count, 95)] & latMask,
+			})
+			i = j
+		}
+	}
 	return out
 }
 

@@ -1,8 +1,15 @@
 package traffic
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"gonoc/internal/stats"
 	"gonoc/internal/transport"
 )
 
@@ -135,5 +142,57 @@ func TestHotspotSlowerThanUniform(t *testing.T) {
 	if rh.Latency.Mean <= ru.Latency.Mean {
 		t.Fatalf("hotspot (%.1f) not slower than uniform (%.1f)",
 			rh.Latency.Mean, ru.Latency.Mean)
+	}
+}
+
+// flowStatsByMap is the per-flow digest as a map of stats.Latency
+// recorders builds it: the reference for flowStats.
+func flowStatsByMap(m map[[2]int]*stats.Latency) []FlowStat {
+	out := make([]FlowStat, 0, len(m))
+	for fl, l := range m {
+		out = append(out, FlowStat{Src: fl[0], Dst: fl[1], Count: l.Count(), Mean: l.Mean(), P95: l.Percentile(95)})
+	}
+	slices.SortFunc(out, func(a, b FlowStat) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Dst, b.Dst)
+	})
+	return out
+}
+
+// TestFlowStatsMatchLatencyMap records random completions into
+// per-source logs and into a map of stats.Latency recorders, and
+// requires the same digests from both, in the same order, encoded the
+// same way — "[]" when nothing completed.
+func TestFlowStatsMatchLatencyMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		nodes := 2 + rng.Intn(70)
+		logs := make([]flowLog, nodes)
+		ref := map[[2]int]*stats.Latency{} // by (src, dst)
+		maxLat := int64(1) << (1 + rng.Intn(40))
+		completions := []int{0, 1, 50, 3000, 20000}[trial%5]
+		for i := 0; i < completions; i++ {
+			src, dst, lat := rng.Intn(nodes), rng.Intn(nodes), rng.Int63n(maxLat)
+			if trial%3 == 0 {
+				dst = min(dst, 2) // few flows, many samples each
+			}
+			logs[src].add(dst, lat)
+			fl := [2]int{src, dst}
+			if ref[fl] == nil {
+				ref[fl] = &stats.Latency{}
+			}
+			ref[fl].Record(lat)
+		}
+		got, want := flowStats(logs), flowStatsByMap(ref)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d nodes, %d completions): flowStats differs from the map digest", trial, nodes, completions)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("trial %d: encodes as %.60s, map digest as %.60s", trial, gj, wj)
+		}
 	}
 }

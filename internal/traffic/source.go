@@ -3,7 +3,6 @@ package traffic
 import (
 	"gonoc/internal/noctypes"
 	"gonoc/internal/sim"
-	"gonoc/internal/stats"
 	"gonoc/internal/transport"
 )
 
@@ -197,13 +196,7 @@ func (s *source) complete(t *txn, cycle int64) {
 	col.measDone++
 	col.agg.Record(lat)
 	col.hist.Record(lat)
-	fl := Flow{Src: s.idx, Dst: dst}
-	l, ok := col.perFlow[fl]
-	if !ok {
-		l = &stats.Latency{}
-		col.perFlow[fl] = l
-	}
-	l.Record(lat)
+	col.flows[s.idx].add(dst, lat)
 }
 
 // Eval implements sim.Clocked: receive, generate, inject.

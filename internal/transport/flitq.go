@@ -79,47 +79,6 @@ func (dst *flitSlots) copySlot(i int, src *flitSlots, j, stride int) {
 	}
 }
 
-// view materializes slot i as the exported Flit type. The Data slice
-// aliases the slot's storage: it is valid until the slot is popped or
-// overwritten, which is exactly the lifetime the probe hooks and tests
-// need. Body flits get a zero Hdr, matching the AoS behaviour.
-func (s *flitSlots) view(i, stride int) Flit {
-	f := Flit{
-		PktID: s.pktID[i],
-		VC:    s.vc[i],
-		Head:  s.flags[i]&slotHead != 0,
-		Tail:  s.flags[i]&slotTail != 0,
-		Hops:  s.hops[i],
-		Data:  s.data[i*stride : i*stride+int(s.dlen[i])],
-	}
-	if f.Head {
-		f.Hdr = s.hdr[i]
-	}
-	return f
-}
-
-// setFromFlit writes the exported Flit f into slot i (the inverse of
-// view, for the compat push path).
-func (s *flitSlots) setFromFlit(i int, f Flit, stride int) {
-	s.pktID[i] = f.PktID
-	var fl uint8
-	if f.Head {
-		fl |= slotHead
-	}
-	if f.Tail {
-		fl |= slotTail
-	}
-	s.flags[i] = fl
-	s.vc[i] = f.VC
-	s.hops[i] = f.Hops
-	s.dlen[i] = uint16(len(f.Data))
-	copy(s.data[i*stride:], f.Data)
-	if f.Head {
-		s.hdr[i] = f.Hdr
-		s.times[i] = pktTimes{}
-	}
-}
-
 // flitQ is a flit FIFO over flitSlots with sim.Pipe register semantics:
 // values staged during a cycle become consumable at the next cycle, and
 // a slot freed by a pop cannot be refilled until the next cycle
@@ -240,21 +199,8 @@ func (q *flitQ) stagePush() int {
 	return i
 }
 
-// pushFlit stages the exported Flit f — the compat path for code that
-// holds a Flit value rather than a source slot.
-func (q *flitQ) pushFlit(f Flit) bool {
-	if !q.canPush(1) {
-		return false
-	}
-	if len(f.Data) > q.stride {
-		panic(fmt.Sprintf("transport: flit queue %q: %dB flit exceeds %dB stride", q.name, len(f.Data), q.stride))
-	}
-	q.ring.setFromFlit(q.stagePush(), f, q.stride)
-	return true
-}
-
 // pop discards the oldest committed slot. Callers read the slot's
-// fields (via q.slot(0) indexing or peek) before popping. No zeroing is
+// fields (via q.slot(0) indexing) before popping. No zeroing is
 // needed: slots hold no references. A lane it empties leaves its
 // router's occupancy mask.
 func (q *flitQ) pop() {
@@ -264,14 +210,6 @@ func (q *flitQ) pop() {
 	if q.clen == 0 && q.occ != nil {
 		*q.occ &^= q.bit
 	}
-}
-
-// peek returns the oldest committed slot as a Flit view.
-func (q *flitQ) peek() (Flit, bool) {
-	if q.clen == 0 {
-		return Flit{}, false
-	}
-	return q.ring.view(q.head, q.stride), true
 }
 
 // commit publishes this cycle's staged slots (already written in place
