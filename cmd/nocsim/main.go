@@ -99,32 +99,15 @@ func main() {
 	// Live-metrics stack (-metrics-addr / -metrics-out): shared registry,
 	// simulator self-profile, and per-router fabric collector. Purely
 	// observational — seeded results are identical with it on or off.
-	var prof *metrics.SimProfile
-	var prog *metrics.Progress
-	var snap *metrics.Snapshotter
-	var outFile *os.File
-	if *metricsAddr != "" || *metricsOut != "" {
-		rig := metrics.NewRig()
-		prof, prog = rig.Profile, rig.Progress
-		probes = append(probes, rig.Collector)
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			outFile = f
-			snap = rig.SnapshotTo(f, *metricsEvery)
-		}
-		if *metricsAddr != "" {
-			srv := metrics.NewServer(rig.Registry, rig.Profile, rig.Progress)
-			addr, err := srv.Start(*metricsAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "serving live metrics on http://%s/metrics (progress: http://%s/progress)\n", addr, addr)
-		}
+	live, err := metrics.StartLive(*metricsAddr, *metricsOut, *metricsEvery, os.Stderr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	var m metrics.Rig
+	if live.Rig != nil {
+		m = *live.Rig
+	}
+	probes = append(probes, live.Rig.Probe())
 	var cfg soc.Config
 	if *scenarioFlag != "" {
 		sc := loadScenario(*scenarioFlag)
@@ -144,7 +127,6 @@ func main() {
 		if err := sc.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		var err error
 		if cfg, err = sc.SoCConfig(); err != nil {
 			log.Fatal(err)
 		}
@@ -159,7 +141,6 @@ func main() {
 	} else {
 		cfg = soc.Config{Seed: *seed, RequestsPerMaster: *requests, Wishbone: *wb}
 		cfg.Net.QoS = *qos
-		var err error
 		if cfg.Topology, err = transport.ParseTopology(*topo); err != nil {
 			log.Fatal(err)
 		}
@@ -192,24 +173,24 @@ func main() {
 	default:
 		log.Fatalf("unknown system %q", *system)
 	}
-	s.Prof = prof
+	s.Prof = m.Profile
 
-	prof.SetPhase(metrics.PhaseMeasure)
-	prog.SetTotal(1)
-	prog.PointStart()
+	m.Profile.SetPhase(metrics.PhaseMeasure)
+	m.Progress.SetTotal(1)
+	m.Progress.PointStart()
 	start := time.Now()
 	cycles, err := s.Run(50_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.SetPhase(metrics.PhaseDone)
+	m.Profile.SetPhase(metrics.PhaseDone)
 	// Only the NoC has a topology and a switching mode to name.
 	label, fabric := "nocsim/bus", ""
 	if *system == "noc" {
 		label = fmt.Sprintf("nocsim/%s/%s", *topo, *mode)
 		fabric = fmt.Sprintf(" topology=%s mode=%s", *topo, *mode)
 	}
-	prog.PointDone(label, float64(time.Since(start).Microseconds())/1e3)
+	m.Progress.PointDone(label, float64(time.Since(start).Microseconds())/1e3)
 
 	fmt.Printf("system=%s%s seed=%d: %d masters finished in %d cycles\n\n",
 		*system, fabric, *seed, len(s.Gens), cycles)
@@ -248,16 +229,11 @@ func main() {
 		fmt.Printf("heatmap: %d links, %d flits -> %s\n", len(rep.Links), rep.TotalFlits, *heatFile)
 	}
 	// os.Exit skips defers, so flush the snapshot stream explicitly.
-	if snap != nil {
-		if err := snap.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics: %d snapshots -> %s\n", snap.Lines(), *metricsOut)
+	if err := live.Close(); err != nil {
+		log.Fatal(err)
 	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			log.Fatal(err)
-		}
+	if *metricsOut != "" {
+		fmt.Printf("metrics: %d snapshots -> %s\n", live.Snapshots(), *metricsOut)
 	}
 	os.Exit(0)
 }

@@ -215,11 +215,15 @@ func (c *cli) main() error {
 		fmt.Fprintf(c.stderr, "saved scenario %q -> %s (re-run: noctraffic -scenario %s)\n",
 			sc.Name, c.saveScenario, c.saveScenario)
 	}
-	rig, stopMetrics, err := c.startMetrics()
+	live, err := metrics.StartLive(c.metricsAddr, c.metricsOut, c.metricsEvery, c.stderr)
 	if err != nil {
 		return err
 	}
-	defer stopMetrics()
+	defer func() {
+		if err := live.Close(); err != nil {
+			fmt.Fprintf(c.stderr, "noctraffic: metrics: %v\n", err)
+		}
+	}()
 
 	// Sinks for one simulation; a campaign records per-point heatmaps
 	// itself (Options.Heatmaps).
@@ -238,7 +242,7 @@ func (c *cli) main() error {
 	start := time.Now()
 	var label string
 	rep, err := scenario.Execute(sc, scenario.Options{
-		Metrics:  rig,
+		Metrics:  live.Rig,
 		Probe:    obs.Multi(probes...),
 		Wall:     c.wall,
 		Heatmaps: heat && mode == scenario.ModeCampaign,
@@ -458,42 +462,6 @@ func (c *cli) checkOutputs(mode scenario.Mode) error {
 		}
 	}
 	return nil
-}
-
-// startMetrics builds the live-metrics rig when -metrics-addr or
-// -metrics-out asks for one; stop flushes the snapshot file and stops
-// the HTTP server.
-func (c *cli) startMetrics() (rig *metrics.Rig, stop func(), err error) {
-	var closers []func() error
-	stop = func() {
-		for _, cl := range closers {
-			if err := cl(); err != nil {
-				fmt.Fprintf(c.stderr, "noctraffic: metrics: %v\n", err)
-			}
-		}
-	}
-	if c.metricsAddr == "" && c.metricsOut == "" {
-		return nil, stop, nil
-	}
-	rig = metrics.NewRig()
-	if c.metricsOut != "" {
-		f, err := os.Create(c.metricsOut)
-		if err != nil {
-			return nil, stop, err
-		}
-		closers = append(closers, rig.SnapshotTo(f, c.metricsEvery).Close, f.Close)
-	}
-	if c.metricsAddr != "" {
-		srv := metrics.NewServer(rig.Registry, rig.Profile, rig.Progress)
-		addr, err := srv.Start(c.metricsAddr)
-		if err != nil {
-			stop()
-			return nil, func() {}, err
-		}
-		closers = append(closers, srv.Close)
-		fmt.Fprintf(c.stderr, "serving live metrics on http://%s/metrics (progress: http://%s/progress)\n", addr, addr)
-	}
-	return rig, stop, nil
 }
 
 // writeSinks writes the requested trace and heatmap files; label names

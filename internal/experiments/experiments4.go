@@ -3,6 +3,7 @@ package experiments
 import (
 	"gonoc/internal/area"
 	"gonoc/internal/core"
+	"gonoc/internal/ip"
 	"gonoc/internal/mem"
 	"gonoc/internal/niu"
 	"gonoc/internal/noctypes"
@@ -60,39 +61,20 @@ func e11MasterCfg() niu.MasterConfig {
 func e11Lat(proto string, n int) float64 {
 	f := newE11Fab()
 
-	var write func(addr uint64, data []byte, done func())
-	var read func(addr uint64, beats int, done func())
+	var sock ip.Socket
 	switch proto {
 	case "wb":
 		port := wishbone.NewPort(f.clk, "m.wb", 4)
-		ip := wishbone.NewMaster(f.clk, port)
+		sock = ip.WB(wishbone.NewMaster(f.clk, port))
 		niu.NewWBMaster(f.clk, f.net, f.amap, port, e11MasterCfg())
-		write = func(addr uint64, data []byte, done func()) {
-			ip.Write(addr, 4, data, wishbone.Incrementing, wishbone.Linear, func(bool) { done() })
-		}
-		read = func(addr uint64, beats int, done func()) {
-			ip.Read(addr, 4, beats, wishbone.Incrementing, wishbone.Linear, func([]byte, bool) { done() })
-		}
 	case "ahb":
 		port := ahb.NewPort(f.clk, "m.ahb", 4)
-		ip := ahb.NewMaster(f.clk, port, 2)
+		sock = ip.AHB(ahb.NewMaster(f.clk, port, 2))
 		niu.NewAHBMaster(f.clk, f.net, f.amap, port, e11MasterCfg())
-		write = func(addr uint64, data []byte, done func()) {
-			ip.Write(addr, 4, ahb.BurstIncr8, data, func(ahb.Resp) { done() })
-		}
-		read = func(addr uint64, beats int, done func()) {
-			ip.Read(addr, 4, ahb.BurstIncr8, beats, func(ahb.ReadResult) { done() })
-		}
 	case "bvci":
 		port := vci.NewBPort(f.clk, "m.bvci", 4)
-		ip := vci.NewBMaster(f.clk, port, 2)
+		sock = ip.BVCI(vci.NewBMaster(f.clk, port, 2))
 		niu.NewBVCIMaster(f.clk, f.net, f.amap, port, e11MasterCfg())
-		write = func(addr uint64, data []byte, done func()) {
-			ip.Write(addr, 4, data, nil, false, func(bool) { done() })
-		}
-		read = func(addr uint64, beats int, done func()) {
-			ip.Read(addr, 4, beats, false, func([]byte, bool) { done() })
-		}
 	default:
 		panic("e11: unknown protocol " + proto)
 	}
@@ -105,15 +87,14 @@ func e11Lat(proto string, n int) float64 {
 	var lat stats.Latency
 	done := 0
 	for i := 0; i < n; i++ {
-		i := i
 		addr := uint64(e11Base + i*64)
 		data := make([]byte, 32)
 		for j := range data {
 			data[j] = byte(i + j)
 		}
 		start := f.clk.Cycle() // engines queue immediately; latency includes queueing
-		write(addr, data, func() {
-			read(addr, 8, func() {
+		sock.Write(0, addr, 4, data, func([]byte, bool) {
+			sock.Read(0, addr, 4, 8, func([]byte, bool) {
 				lat.Record(f.clk.Cycle() - start)
 				done++
 			})
@@ -129,7 +110,7 @@ func e11Lat(proto string, n int) float64 {
 func e11WBReadLat(regFeedback bool, n int) float64 {
 	f := newE11Fab()
 	port := wishbone.NewPort(f.clk, "m.wb", 4)
-	ip := wishbone.NewMaster(f.clk, port)
+	sock := ip.WB(wishbone.NewMaster(f.clk, port))
 	niu.NewWBMaster(f.clk, f.net, f.amap, port, e11MasterCfg())
 
 	sport := wishbone.NewPort(f.clk, "s.wb", 4)
@@ -142,7 +123,7 @@ func e11WBReadLat(regFeedback bool, n int) float64 {
 	for i := 0; i < n; i++ {
 		addr := uint64(e11Base + i*64)
 		start := f.clk.Cycle()
-		ip.Read(addr, 4, 8, wishbone.Incrementing, wishbone.Linear, func([]byte, bool) {
+		sock.Read(0, addr, 4, 8, func([]byte, bool) {
 			lat.Record(f.clk.Cycle() - start)
 			done++
 		})

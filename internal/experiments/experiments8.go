@@ -46,34 +46,22 @@ func E15SelfProfile(seed int64) E15Result {
 		panic("experiments: built-in scenario hotspot-dram missing")
 	}
 	sc.Seed = seed
-	cfg, err := sc.PacketConfig()
+	bare, err := scenario.Execute(sc, scenario.Options{})
 	if err != nil {
-		panic("experiments: hotspot-dram did not lower: " + err.Error())
+		panic("experiments: hotspot-dram did not run: " + err.Error())
 	}
-	rates := sc.Measure.SweepRates
 
-	bare := traffic.Sweep(cfg, rates)
-
-	// The full stack, as the CLIs wire it: one registry feeding a
-	// per-router collector, the self-profile, the progress tracker, and
-	// an in-memory JSONL snapshot stream.
-	reg := metrics.NewRegistry()
-	prof := metrics.NewSimProfile(reg)
-	prog := metrics.NewProgress(reg)
+	// The full stack, wired as the CLIs and nocserver wire it: a rig
+	// (registry, per-router collector, self-profile, progress tracker)
+	// streaming its JSONL snapshots into memory.
+	rig := metrics.NewRig()
 	var stream bytes.Buffer
-	snap := metrics.NewSnapshotter(&stream, 2*time.Millisecond, reg, prof, prog)
-	prof.SetSnapshotter(snap)
-
-	icfg := cfg
-	icfg.Metrics = reg
-	icfg.Prof = prof
-	icfg.Probe = metrics.NewFabricCollector(reg)
-	icfg.CollectWall = true
-	prog.SetTotal(len(rates))
-	sr := traffic.SweepProgress(icfg, rates, func(pd traffic.PointDone) {
-		prog.PointStart()
-		prog.PointDone(pd.Label, pd.WallMS)
-	})
+	snap := rig.SnapshotTo(&stream, 2*time.Millisecond)
+	rep, err := scenario.Execute(sc, scenario.Options{Metrics: rig, Wall: true})
+	if err != nil {
+		panic("experiments: instrumented hotspot-dram did not run: " + err.Error())
+	}
+	sr := *rep.Sweep
 	if err := snap.Close(); err != nil {
 		panic("experiments: snapshot stream: " + err.Error())
 	}
@@ -91,7 +79,7 @@ func E15SelfProfile(seed int64) E15Result {
 	for i := range norm.Points {
 		norm.Points[i].Wall = nil
 	}
-	a, _ := json.Marshal(bare)
+	a, _ := json.Marshal(bare.Sweep)
 	b, _ := json.Marshal(norm)
 	res.Identical = bytes.Equal(a, b)
 
@@ -102,7 +90,7 @@ func E15SelfProfile(seed int64) E15Result {
 		resultFlits += p.FabricFlits
 	}
 	var liveFlits float64
-	reg.Each(func(key string, v float64) {
+	rig.Registry.Each(func(key string, v float64) {
 		if strings.HasPrefix(key, "noc_fabric_flits_total") {
 			liveFlits += v
 		}
@@ -148,7 +136,7 @@ func E15SelfProfile(seed int64) E15Result {
 	it.AddRow("live flit total == summed point flit totals",
 		fmt.Sprintf("%d == %d", res.LiveFlits, resultFlits), stats.Mark(res.LiveFlits == resultFlits))
 	it.AddRow("final live cycles == summed point cycles",
-		fmt.Sprintf("%d", prof.Cycles()), stats.Mark(prof.Cycles() == sumCycles(sr.Points)))
+		fmt.Sprintf("%d", rig.Profile.Cycles()), stats.Mark(rig.Profile.Cycles() == sumCycles(sr.Points)))
 	it.AddRow("snapshot stream parses back", fmt.Sprintf("%d lines", len(snaps)),
 		stats.Mark(len(snaps) > 0 && snaps[len(snaps)-1].Phase == "done"))
 	res.Tables = append(res.Tables, it)

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"gonoc/internal/obs"
@@ -48,3 +51,59 @@ func (r *Rig) SnapshotTo(w io.Writer, every time.Duration) *Snapshotter {
 	r.Profile.SetSnapshotter(s)
 	return s
 }
+
+// Live is the live-metrics session a command opens for its
+// -metrics-addr and -metrics-out flags: a rig, the JSONL snapshot file
+// it streams to and the HTTP server that serves it. Both CLIs start one.
+type Live struct {
+	Rig *Rig // nil when neither was asked for
+
+	snap    *Snapshotter
+	closers []func() error
+}
+
+// StartLive opens the session. With out set it creates that file and
+// appends a snapshot to it every interval; with addr set it serves
+// /metrics and /progress there and announces the bound address on w.
+// With neither, Rig is nil and Close does nothing.
+func StartLive(addr, out string, every time.Duration, w io.Writer) (*Live, error) {
+	l := &Live{}
+	if addr == "" && out == "" {
+		return l, nil
+	}
+	l.Rig = NewRig()
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
+			return nil, err
+		}
+		l.snap = l.Rig.SnapshotTo(f, every)
+		l.closers = append(l.closers, l.snap.Close, f.Close)
+	}
+	if addr != "" {
+		srv := NewServer(l.Rig.Registry, l.Rig.Profile, l.Rig.Progress)
+		bound, err := srv.Start(addr)
+		if err != nil {
+			l.Close()
+			return nil, err
+		}
+		l.closers = append(l.closers, srv.Close)
+		fmt.Fprintf(w, "serving live metrics on http://%s/metrics (progress: http://%s/progress)\n", bound, bound)
+	}
+	return l, nil
+}
+
+// Close writes the final snapshot, closes the file and stops the
+// server, and returns the errors it met.
+func (l *Live) Close() error {
+	var errs []error
+	for _, c := range l.closers {
+		errs = append(errs, c())
+	}
+	l.closers = nil
+	return errors.Join(errs...)
+}
+
+// Snapshots counts the snapshot lines written to the file: after
+// Close, all of them.
+func (l *Live) Snapshots() int { return l.snap.Lines() }

@@ -85,12 +85,6 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 		m = *o.Metrics
 	}
 	probe := obs.Multi(o.Probe, o.Metrics.Probe())
-	pointDone := func(pd traffic.PointDone) {
-		m.Progress.PointDone(pd.Label, pd.WallMS)
-		if o.OnPoint != nil {
-			o.OnPoint(pd)
-		}
-	}
 
 	switch rep.Mode {
 	case ModeTrans:
@@ -99,16 +93,14 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 			return nil, err
 		}
 		tc.Probe, tc.Prof, tc.CollectWall = probe, m.Profile, o.Wall
-		m.Progress.SetTotal(1)
-		m.Progress.PointStart()
-		start := time.Now()
-		res := traffic.RunTrans(tc)
-		label := "trans@per-role" // masters at different rates
-		if res.Rate != 0 {
-			label = fmt.Sprintf("trans@%g", res.Rate)
-		}
-		pointDone(traffic.PointDone{Done: 1, Total: 1, Label: label,
-			Seed: tc.Seed, Offered: res.Rate, WallMS: msSince(start)})
+		var res traffic.TransResult
+		onePoint(m.Progress, o.OnPoint, tc.Seed, func() (string, float64) {
+			res = traffic.RunTrans(tc)
+			if res.Rate == 0 {
+				return "trans@per-role", 0 // masters at different rates
+			}
+			return fmt.Sprintf("trans@%g", res.Rate), res.Rate
+		})
 		rep.Trans = &res
 	case ModeCampaign:
 		if o.Probe != nil {
@@ -128,36 +120,40 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 		}
 		res := traffic.Campaign(cc)
 		rep.Campaign = &res
-	case ModeSweep:
+	default: // single or sweep
 		cfg, err := s.PacketConfig()
 		if err != nil {
 			return nil, err
 		}
 		cfg.Probe, cfg.Prof, cfg.Metrics, cfg.CollectWall = probe, m.Profile, m.Registry, o.Wall
-		m.Progress.SetTotal(len(s.Measure.SweepRates))
-		res := traffic.SweepProgress(cfg, s.Measure.SweepRates, func(pd traffic.PointDone) {
-			m.Progress.PointStart()
-			pointDone(pd)
+		if rep.Mode == ModeSweep {
+			res := traffic.Sweep(cfg, s.Measure.SweepRates, m.Progress, o.OnPoint)
+			rep.Sweep = &res
+			break
+		}
+		var res traffic.Result
+		onePoint(m.Progress, o.OnPoint, cfg.Seed, func() (string, float64) {
+			res = traffic.Run(cfg)
+			return res.Label(), res.Offered
 		})
-		rep.Sweep = &res
-	default:
-		cfg, err := s.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Probe, cfg.Prof, cfg.Metrics, cfg.CollectWall = probe, m.Profile, m.Registry, o.Wall
-		m.Progress.SetTotal(1)
-		m.Progress.PointStart()
-		start := time.Now()
-		res := traffic.Run(cfg)
-		pointDone(traffic.PointDone{Done: 1, Total: 1,
-			Label: fmt.Sprintf("%s/%s@%g", res.Topology, res.Pattern, res.Offered),
-			Seed:  cfg.Seed, Offered: res.Offered, WallMS: msSince(start)})
 		rep.Single = &res
 	}
 	return rep, nil
 }
 
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1e3
+// onePoint runs a single or trans simulation as a session of one point
+// and reports it as traffic's point runner reports each sweep or
+// campaign point: on prog, then to onPoint (nil for none). run returns
+// the point's label and offered rate.
+func onePoint(prog *metrics.Progress, onPoint func(traffic.PointDone), seed int64, run func() (label string, offered float64)) {
+	prog.SetTotal(1)
+	prog.PointStart()
+	start := time.Now()
+	label, offered := run()
+	wallMS := float64(time.Since(start).Microseconds()) / 1e3
+	prog.PointDone(label, wallMS)
+	if onPoint != nil {
+		onPoint(traffic.PointDone{Done: 1, Total: 1, Label: label,
+			Seed: seed, Offered: offered, WallMS: wallMS})
+	}
 }

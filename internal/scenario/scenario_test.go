@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gonoc/internal/obs"
+	"gonoc/internal/obs/metrics"
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
 )
@@ -92,6 +93,20 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 		{"hot node out of range",
 			strings.Replace(minimalPacket(), `"kind": "packet"`, `"kind": "packet", "pattern": "hotspot", "hot_node": 99`, 1),
 			"workload.hot_node: 99 outside [0,8)"},
+		{"hot node out of range, hotspot only on the campaign axis",
+			strings.Replace(strings.Replace(minimalPacket(), `"kind": "packet"`, `"kind": "packet", "hot_node": 99`, 1),
+				`"measure": {`, `"measure": { "campaign": {"patterns": ["uniform", "hotspot"], "rates": [0.01]},`, 1),
+			"workload.hot_node: 99 outside [0,8) (measure.campaign.patterns[1] is hotspot)"},
+		{"legacy lock on a ring packet run",
+			strings.Replace(minimalPacket(), `"topology": "crossbar"`, `"topology": "ring", "legacy_lock": true`, 1),
+			"fabric.legacy_lock: the legacy-lock service needs a fabric other than a ring or torus (fabric.topology is ring)"},
+		{"legacy lock on a torus soc run",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1}`), `"topology": "crossbar"`, `"topology": "torus", "legacy_lock": true`, 1),
+			"fabric.legacy_lock: the legacy-lock service needs a fabric other than a ring or torus (fabric.topology is torus)"},
+		{"legacy lock with a torus only on the campaign axis",
+			strings.Replace(strings.Replace(minimalPacket(), `"topology": "crossbar"`, `"topology": "crossbar", "legacy_lock": true`, 1),
+				`"measure": {`, `"measure": { "campaign": {"topologies": ["mesh", "torus"]},`, 1),
+			"fabric.legacy_lock: the legacy-lock service needs a fabric other than a ring or torus (measure.campaign.topologies[1] is torus)"},
 		{"negative warmup",
 			strings.Replace(minimalPacket(), `"warmup": 100`, `"warmup": -5`, 1),
 			"measure.warmup"},
@@ -306,5 +321,45 @@ func TestExecuteRejectsMisplacedSinks(t *testing.T) {
 	s.Measure.Campaign = &Campaign{Rates: []float64{0.02}}
 	if _, err := Execute(s, Options{Probe: &obs.SpanRecorder{}}); err == nil || !strings.Contains(err.Error(), "probe") {
 		t.Fatalf("campaign with a probe: err = %v", err)
+	}
+}
+
+// busyProbe reads the progress tracker's busy-worker count at the first
+// fabric event of each point; clearing read arms it for the next point.
+type busyProbe struct {
+	prog     *metrics.Progress
+	readings []int
+	read     bool
+}
+
+func (p *busyProbe) Event(obs.Event) {
+	if !p.read {
+		p.readings = append(p.readings, p.prog.Snapshot().WorkersBusy)
+		p.read = true
+	}
+}
+
+func (p *busyProbe) SamplesBuffers() bool { return false }
+
+// TestSweepPointsShowBusyWorker: a sweep run through Execute with a
+// metrics rig counts its one worker busy while each point runs, so a
+// mid-sweep /progress reads workers_busy 1, and 0 once it is over.
+func TestSweepPointsShowBusyWorker(t *testing.T) {
+	s, ok := Get("hotspot-dram")
+	if !ok {
+		t.Fatal("built-in hotspot-dram missing")
+	}
+	s.Measure.Measure = 500
+	rig := metrics.NewRig()
+	probe := &busyProbe{prog: rig.Progress}
+	if _, err := Execute(s, Options{Metrics: rig, Probe: probe,
+		OnPoint: func(traffic.PointDone) { probe.read = false }}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 1, 1, 1, 1}; !reflect.DeepEqual(probe.readings, want) {
+		t.Fatalf("workers busy inside each point = %v, want %v", probe.readings, want)
+	}
+	if ps := rig.Progress.Snapshot(); ps.WorkersBusy != 0 || ps.PointsDone != 5 {
+		t.Fatalf("after the sweep: %+v", ps)
 	}
 }

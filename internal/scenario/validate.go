@@ -97,7 +97,10 @@ func (s *Scenario) Validate() error {
 	default:
 		return errf("workload.kind", "unknown kind %q (want %q or %q)", s.Workload.Kind, KindPacket, KindSoC)
 	}
-	return s.validateMeasure()
+	if err := s.validateMeasure(); err != nil {
+		return err
+	}
+	return s.validateAxes()
 }
 
 func (s *Scenario) validateFabric() error {
@@ -153,10 +156,8 @@ func (s *Scenario) validatePacket() error {
 	if s.Fabric.MeshW != 0 && s.Fabric.MeshW*s.Fabric.MeshH < nodes {
 		return errf("fabric.mesh_w", "%dx%d grid cannot hold %d nodes", s.Fabric.MeshW, s.Fabric.MeshH, nodes)
 	}
-	pat := traffic.UniformRandom
 	if w.Pattern != "" {
-		var err error
-		if pat, err = traffic.ParsePattern(w.Pattern); err != nil {
+		if _, err := traffic.ParsePattern(w.Pattern); err != nil {
 			return errf("workload.pattern", "unknown pattern %q (want uniform|hotspot|transpose|bitcomp|neighbor|bursty)", w.Pattern)
 		}
 	}
@@ -176,9 +177,6 @@ func (s *Scenario) validatePacket() error {
 	}
 	if err := validFrac("workload.urgent_frac", w.UrgentFrac); err != nil {
 		return err
-	}
-	if pat == traffic.Hotspot && (w.HotNode < 0 || w.HotNode >= nodes) {
-		return errf("workload.hot_node", "%d outside [0,%d)", w.HotNode, nodes)
 	}
 	if w.BurstLen < 0 {
 		return errf("workload.burst_len", "%d is negative", w.BurstLen)
@@ -325,6 +323,58 @@ func (s *Scenario) validateMeasure() error {
 		}
 		if c.Workers < 0 {
 			return errf("measure.campaign.workers", "%d is negative", c.Workers)
+		}
+	}
+	return nil
+}
+
+// firstOf returns the field and name of the first of base (a fabric or
+// workload field) and the entries of a campaign axis that bad rejects,
+// or empty strings when it rejects none.
+func firstOf(baseField, base, axis string, names []string, bad func(string) bool) (field, name string) {
+	if bad(base) {
+		return baseField, base
+	}
+	for i, n := range names {
+		if bad(n) {
+			return fmt.Sprintf("%s[%d]", axis, i), n
+		}
+	}
+	return "", ""
+}
+
+// validateAxes rejects settings that a topology or pattern cannot build
+// with, whether the fabric and workload name it or a campaign axis
+// does: the legacy-lock service on a ring or torus (the lock VC is
+// their dateline escape lane), and a hotspot node outside the fabric.
+// Validate has parsed every name it reads.
+func (s *Scenario) validateAxes() error {
+	var camp Campaign
+	if s.Measure.Campaign != nil {
+		camp = *s.Measure.Campaign
+	}
+	if s.Fabric.LegacyLock {
+		field, name := firstOf("fabric.topology", s.Fabric.Topology, "measure.campaign.topologies", camp.Topologies,
+			func(name string) bool {
+				t, _ := transport.ParseTopology(name)
+				return t == transport.Ring || t == transport.Torus
+			})
+		if field != "" {
+			return errf("fabric.legacy_lock", "the legacy-lock service needs a fabric other than a ring or torus (%s is %s)", field, name)
+		}
+	}
+	nodes := s.Fabric.Nodes
+	if nodes == 0 {
+		nodes = 16
+	}
+	if hot := s.Workload.HotNode; hot < 0 || hot >= nodes {
+		field, _ := firstOf("workload.pattern", s.Workload.Pattern, "measure.campaign.patterns", camp.Patterns,
+			func(name string) bool {
+				p, err := traffic.ParsePattern(name)
+				return err == nil && p == traffic.Hotspot
+			})
+		if field != "" {
+			return errf("workload.hot_node", "%d outside [0,%d) (%s is hotspot)", hot, nodes, field)
 		}
 	}
 	return nil

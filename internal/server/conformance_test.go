@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"gonoc/internal/obs/metrics"
+	"gonoc/internal/traffic"
 )
 
 // TestBoundedQueueRejects pins the overload contract: a full queue
@@ -70,13 +71,19 @@ func TestBoundedQueueRejects(t *testing.T) {
 
 // TestPanicIsolation: a panicking run becomes a failed run with the
 // panic in its error; the worker, the server, and later submissions
-// are unaffected, and resubmitting the failed content retries it.
+// are unaffected, and resubmitting the failed content retries it. A
+// panic in a campaign point, raised on the campaign's worker pool,
+// fails its run the same way.
 func TestPanicIsolation(t *testing.T) {
-	first := true
+	calls := 0
 	exec := func(r *run) ([]byte, error) {
-		if first {
-			first = false
+		calls++
+		switch calls {
+		case 1:
 			panic("injected kernel fault")
+		case 3:
+			traffic.Campaign(traffic.CampaignConfig{Base: traffic.Config{Nodes: 1},
+				Rates: []float64{0.01, 0.02}, Workers: 2})
 		}
 		return []byte("{}\n"), nil
 	}
@@ -109,6 +116,17 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("retry got id %s, want the content address %s", d.ID, st.ID)
 	}
 	waitState(t, ts, st.ID, stateDone)
+
+	st = decodeStatus(t, post(t, ts, testScenarioBytes(t, 10)))
+	d = waitTerminal(t, ts, st.ID)
+	if runState(d.State) != stateFailed || !strings.Contains(d.Error, "need at least 2 nodes") {
+		t.Fatalf("after a campaign point's panic: state %q, error %q", d.State, d.Error)
+	}
+	st = decodeStatus(t, post(t, ts, testScenarioBytes(t, 11)))
+	waitState(t, ts, st.ID, stateDone)
+	if f := s.failed.Value(); f != 2 {
+		t.Fatalf("failures = %d, want 2", f)
+	}
 }
 
 // TestRunTimeout: a run past RunTimeout is reported failed; a late

@@ -158,7 +158,7 @@ func runPacketTrace(t *testing.T, cfg Config, probe probeMode, every bool) socTr
 	if every {
 		r.clk.EvalEveryCycle()
 	}
-	tr.Result = mustJSON(t, r.result(r.run()))
+	tr.Result = mustJSON(t, runDigest(r))
 	var rs []transport.RouterStats
 	for _, rt := range r.net.Routers() {
 		rs = append(rs, rt.Stats())
@@ -262,6 +262,15 @@ func FuzzActiveSetMatchesReference(f *testing.F) {
 	})
 }
 
+// runDigest runs a built rig and digests it as Run does, per-flow
+// digests included.
+func runDigest(r *rig) Result {
+	r.run()
+	res := r.result()
+	res.Flows = flowStats(r.col.flows)
+	return res
+}
+
 // TestSourcesSleepBetweenDraws: an open-loop source draws its injection
 // decisions ahead and sleeps until the next one, so a lightly loaded
 // 64-node mesh evaluates under a tenth of the component-cycles the
@@ -277,7 +286,7 @@ func TestSourcesSleepBetweenDraws(t *testing.T) {
 		if every {
 			r.clk.EvalEveryCycle()
 		}
-		res := mustJSON(t, r.result(r.run()))
+		res := mustJSON(t, runDigest(r))
 		return res, r.clk.Evals()
 	}
 	ref, refEvals := run(true)

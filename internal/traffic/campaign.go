@@ -13,7 +13,8 @@ import (
 )
 
 // This file is the campaign layer: one call fans a cartesian set of
-// (topology × pattern × rate) load points across a worker pool. Each
+// (topology × pattern × rate) load points across a worker pool, the
+// point runner that also runs each sweep's points on one worker. Each
 // point owns an isolated sim.Kernel, so points are embarrassingly
 // parallel; the only shared state is the result slot each worker writes,
 // indexed by the point's position in the enumeration. Per-point seeds
@@ -111,6 +112,91 @@ func pointSeed(base int64, topo Topology, pat Pattern, rate float64) int64 {
 	return sim.ForkSeed(base, fmt.Sprintf("point/%s/%s/%g", topo, pat, rate))
 }
 
+// runPoints is the one loop that runs sweep and campaign points, and
+// the one place that reports them: it sets cc.Progress's total, marks
+// each point's start and end on it, and calls cc.OnPoint as each point
+// completes. cc.Workers workers take the points in order, so one worker
+// runs them in order, one kernel at a time. With cc.HeatmapBuckets set,
+// each point gets its own LinkMonitor in place of its probe. Results,
+// raw latency histograms and heatmaps come back in point order.
+// A point's panic is recovered on its worker; once the pool has
+// drained, the first one is raised again on the caller's goroutine,
+// where a server's per-run recover can see it.
+func (cc CampaignConfig) runPoints(cfgs []Config) ([]Result, []stats.Histogram, []obs.HeatmapReport) {
+	cc.Progress.SetTotal(len(cfgs))
+	results := make([]Result, len(cfgs))
+	hists := make([]stats.Histogram, len(cfgs))
+	var heatmaps []obs.HeatmapReport
+	if cc.HeatmapBuckets > 0 {
+		heatmaps = make([]obs.HeatmapReport, len(cfgs))
+	}
+	// mu serializes the completion bookkeeping (done, OnPoint) and the
+	// first panic; result slots need no lock, as each point writes only
+	// its own index.
+	var mu sync.Mutex
+	done := 0
+	var panicked any
+	point := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = p
+				}
+				mu.Unlock()
+			}
+		}()
+		c := cfgs[i]
+		var mon *obs.LinkMonitor
+		if heatmaps != nil {
+			mon = obs.NewLinkMonitor(cc.HeatmapBuckets)
+			c.Probe = mon
+		}
+		cc.Progress.PointStart()
+		start := time.Now()
+		results[i], hists[i] = run(c)
+		wallMS := durMS(time.Since(start))
+		label := results[i].Label()
+		if mon != nil {
+			heatmaps[i] = mon.Report(label)
+		}
+		cc.Progress.PointDone(label, wallMS)
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if cc.OnPoint != nil {
+			cc.OnPoint(PointDone{Index: i, Done: done, Total: len(cfgs),
+				Label: label, Seed: c.Seed, Offered: c.Rate, WallMS: wallMS})
+		}
+	}
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < cc.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				point(i)
+			}
+		}()
+	}
+	for i := range cfgs {
+		mu.Lock()
+		failed := panicked != nil
+		mu.Unlock()
+		if failed {
+			break
+		}
+		ch <- i
+	}
+	close(ch)
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return results, hists, heatmaps
+}
+
 // Campaign runs every (topology × pattern × rate) point of cfg across a
 // worker pool and merges the results. Points appear in enumeration
 // order regardless of which worker ran them when.
@@ -124,20 +210,13 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = DefaultRates()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Enumerate the full product up front: the job list (and with it
+	// Enumerate the full product up front: the point list (and with it
 	// every per-point seed) is fixed before any worker starts.
-	type job struct {
-		idx   int
-		seed  int64
-		label string
-		cfg   Config
-	}
-	var jobs []job
+	var cfgs []Config
 	for _, topo := range cfg.Topologies {
 		for _, pat := range cfg.Patterns {
 			for _, rate := range cfg.Rates {
@@ -146,69 +225,20 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 				c.ClosedLoop = false
 				c.Probe = nil // probes are per-kernel; see HeatmapBuckets
 				c.Seed = pointSeed(cfg.Base.Seed, topo, pat, rate)
-				jobs = append(jobs, job{idx: len(jobs), seed: c.Seed,
-					label: fmt.Sprintf("%s/%s@%g", topo, pat, rate), cfg: c})
+				cfgs = append(cfgs, c)
 			}
 		}
 	}
 
-	cfg.Progress.SetTotal(len(jobs))
 	start := time.Now()
-	points := make([]CampaignPoint, len(jobs))
-	hists := make([]*stats.Histogram, len(jobs))
-	var heatmaps []obs.HeatmapReport
-	if cfg.HeatmapBuckets > 0 {
-		heatmaps = make([]obs.HeatmapReport, len(jobs))
+	results, hists, heatmaps := cfg.runPoints(cfgs)
+	points := make([]CampaignPoint, len(results))
+	for i, res := range results {
+		points[i] = CampaignPoint{Seed: cfgs[i].Seed, Result: res}
 	}
-	// doneMu serializes the completion bookkeeping (counter + OnPoint);
-	// result slots need no lock — each worker writes only its own index.
-	var doneMu sync.Mutex
-	done := 0
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				var mon *obs.LinkMonitor
-				if cfg.HeatmapBuckets > 0 {
-					mon = obs.NewLinkMonitor(cfg.HeatmapBuckets)
-					j.cfg.Probe = mon
-				}
-				cfg.Progress.PointStart()
-				pointStart := time.Now()
-				res, hist := run(j.cfg)
-				wallMS := durMS(time.Since(pointStart))
-				res.Flows = nil
-				points[j.idx] = CampaignPoint{Seed: j.seed, Result: res}
-				hists[j.idx] = hist
-				if mon != nil {
-					heatmaps[j.idx] = mon.Report(j.label)
-				}
-				cfg.Progress.PointDone(j.label, wallMS)
-				doneMu.Lock()
-				done++
-				if cfg.OnPoint != nil {
-					cfg.OnPoint(PointDone{
-						Index: j.idx, Done: done, Total: len(jobs),
-						Label: j.label, Seed: j.seed, Offered: j.cfg.Rate,
-						WallMS: wallMS,
-					})
-				}
-				doneMu.Unlock()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-
 	cr := CampaignResult{
 		Nodes:    cfg.Base.withDefaults().Nodes,
-		Workers:  workers,
+		Workers:  cfg.Workers,
 		Points:   points,
 		Heatmaps: heatmaps,
 	}
@@ -227,16 +257,13 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 	// Curves: consecutive runs of len(Rates) points share one
 	// (topology, pattern) pair by construction.
 	var merged stats.Histogram
-	for _, h := range hists {
-		merged.Merge(h)
+	for i := range hists {
+		merged.Merge(&hists[i])
 	}
 	cr.Hist = merged.Buckets()
 	for lo := 0; lo < len(points); lo += len(cfg.Rates) {
-		curve := make([]Result, 0, len(cfg.Rates))
-		for _, p := range points[lo : lo+len(cfg.Rates)] {
-			curve = append(curve, p.Result)
-		}
-		cr.Curves = append(cr.Curves, newSweepResult(curve))
+		hi := lo + len(cfg.Rates)
+		cr.Curves = append(cr.Curves, newSweepResult(results[lo:hi:hi]))
 	}
 	return cr
 }

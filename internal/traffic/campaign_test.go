@@ -1,9 +1,11 @@
 package traffic
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -135,4 +137,26 @@ func TestCampaignSpeedup(t *testing.T) {
 	if par*2 > serial {
 		t.Fatalf("4-worker campaign not >=2x faster: serial %v, parallel %v", serial, par)
 	}
+}
+
+// mustPanicWith runs f and requires it to panic, on the calling
+// goroutine, with a value that mentions want.
+func mustPanicWith(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), want) {
+			t.Fatalf("recovered %v, want a panic mentioning %q", p, want)
+		}
+	}()
+	f()
+}
+
+// TestCampaignPointPanicReachesCaller: a point that panics on a worker
+// is raised again on the caller's goroutine once the pool has drained,
+// where a recover (nocserver's per-run one) can see it, instead of
+// ending the process.
+func TestCampaignPointPanicReachesCaller(t *testing.T) {
+	mustPanicWith(t, "need at least 2 nodes", func() {
+		Campaign(CampaignConfig{Base: Config{Nodes: 1}, Rates: []float64{0.01, 0.02, 0.04}, Workers: 2})
+	})
 }

@@ -19,7 +19,11 @@
 //     transport.Endpoint), which is how saturation curves per topology,
 //     switching mode, and QoS setting are produced (experiments E10 and
 //     E12, cmd/noctraffic); Campaign fans a (topology × pattern × rate)
-//     product of such runs across a worker pool;
+//     product of such runs across a worker pool. One point runner runs
+//     every sweep and campaign point: a sweep is its rates at the base
+//     seed on one worker, a campaign its product at forked seeds on
+//     many. The runner alone reports points (progress tracker and
+//     OnPoint), and it hands a point's panic back to the caller;
 //   - RunTrans drives the full mixed-protocol SoC through its existing
 //     NIUs via ip.Socket.Issue, measuring transaction latency end-to-end
 //     through the protocol engines — uniformly (the run-wide knobs), or
@@ -44,6 +48,7 @@
 // the one per-cycle draws give.
 //
 // Each packet source logs its measured completions as flat (destination,
-// latency) records; the per-flow digests are built from them at the end
-// of the run, one sort per source.
+// latency) records; Run builds the per-flow digests from them at the
+// end of the run, one sort per source. Sweep and campaign points skip
+// them.
 package traffic

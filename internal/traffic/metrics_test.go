@@ -173,7 +173,7 @@ func TestCampaignProgressAndWall(t *testing.T) {
 // TestSweepProgress pins the sweep-side callback ordering.
 func TestSweepProgress(t *testing.T) {
 	var labels []string
-	sr := SweepProgress(tinyCfg(), []float64{0.02, 0.05}, func(pd PointDone) {
+	sr := Sweep(tinyCfg(), []float64{0.02, 0.05}, nil, func(pd PointDone) {
 		labels = append(labels, pd.Label)
 		if pd.Total != 2 || pd.Done != pd.Index+1 {
 			t.Errorf("bad progress bookkeeping: %+v", pd)
@@ -185,8 +185,8 @@ func TestSweepProgress(t *testing.T) {
 	if labels[0] != "mesh/uniform@0.02" || labels[1] != "mesh/uniform@0.05" {
 		t.Fatalf("labels = %v", labels)
 	}
-	// Sweep must remain exactly SweepProgress-with-nil.
-	plain := Sweep(tinyCfg(), []float64{0.02, 0.05})
+	// The callback must not change the sweep.
+	plain := Sweep(tinyCfg(), []float64{0.02, 0.05}, nil, nil)
 	a, _ := json.Marshal(plain)
 	b, _ := json.Marshal(sr)
 	if !bytes.Equal(a, b) {

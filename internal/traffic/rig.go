@@ -114,9 +114,8 @@ func (r *rig) measuredOutstanding() uint64 { return r.col.generated - r.col.meas
 // bookkeeping is noise.
 const profileChunk = 512
 
-// run executes warmup, measurement, and drain; it returns the total
-// cycles simulated.
-func (r *rig) run() int64 {
+// run executes warmup, measurement, and drain.
+func (r *rig) run() {
 	p := phases{clk: r.clk, prof: r.cfg.Prof, measuring: &r.measuring}
 	if r.mBackpressure != nil {
 		p.onChunk = func() {
@@ -127,7 +126,6 @@ func (r *rig) run() int64 {
 	}
 	r.wall = p.run(r.cfg.Warmup, r.cfg.Measure, r.cfg.Drain,
 		func() bool { return r.measuredOutstanding() > 0 }, r.cfg.CollectWall)
-	return r.clk.Cycle()
 }
 
 // phases runs one simulation's warmup, measure and drain on its clock,

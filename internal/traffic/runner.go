@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -87,23 +88,30 @@ type Result struct {
 // below this fraction of the generated load.
 const satThreshold = 0.9
 
-// Run executes one traffic configuration and returns its digest.
+// Run executes one traffic configuration and returns its digest, with
+// the per-flow digests that sweep and campaign points go without.
 func Run(cfg Config) Result {
-	res, _ := run(cfg)
+	cfg = cfg.withDefaults()
+	r := newRig(&cfg)
+	r.run()
+	res := r.result()
+	res.Flows = flowStats(r.col.flows)
 	return res
 }
 
-// run executes one configuration and additionally returns the raw
-// latency histogram, which Campaign merges exactly across points (the
-// exported Result only carries the lossy bucket export).
-func run(cfg Config) (Result, *stats.Histogram) {
+// run executes one sweep or campaign point and returns its digest and
+// its raw latency histogram, which Campaign merges exactly across
+// points (Result carries only the lossy bucket export). Neither keeps
+// the rig alive.
+func run(cfg Config) (Result, stats.Histogram) {
 	cfg = cfg.withDefaults()
 	r := newRig(&cfg)
-	cycles := r.run()
-	return r.result(cycles), &r.col.hist
+	r.run()
+	return r.result(), r.col.hist
 }
 
-func (r *rig) result(cycles int64) Result {
+// result digests a finished run, without per-flow digests.
+func (r *rig) result() Result {
 	cfg := r.cfg
 	col := &r.col
 	nodeCycles := float64(cfg.Nodes) * float64(cfg.Measure)
@@ -121,7 +129,7 @@ func (r *rig) result(cycles int64) Result {
 		Hist:          col.hist.Buckets(),
 		Incomplete:    int(r.measuredOutstanding()),
 		TagCollisions: col.tagCollisions,
-		Cycles:        cycles,
+		Cycles:        r.clk.Cycle(),
 
 		InjectBackpressure: col.backpressure,
 		Wall:               r.wall,
@@ -140,8 +148,13 @@ func (r *rig) result(cycles int64) Result {
 	if !cfg.ClosedLoop && res.GenRate > 0 {
 		res.Saturated = res.Throughput < satThreshold*res.GenRate
 	}
-	res.Flows = flowStats(col.flows)
 	return res
+}
+
+// Label names the run "<topology>/<pattern>@<offered>", as progress
+// lines and per-point heatmaps do.
+func (res Result) Label() string {
+	return fmt.Sprintf("%s/%s@%g", res.Topology, res.Pattern, res.Offered)
 }
 
 // flowLog is one source's measured completions, each packed as

@@ -1,9 +1,7 @@
 package traffic
 
 import (
-	"fmt"
-	"time"
-
+	"gonoc/internal/obs/metrics"
 	"gonoc/internal/stats"
 )
 
@@ -29,42 +27,25 @@ func DefaultRates() []float64 {
 	return []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.13, 0.16, 0.20}
 }
 
-// Sweep runs cfg once per rate (open loop) and collects the curve. Flow
-// digests are dropped from the points to keep sweep output compact.
-func Sweep(cfg Config, rates []float64) SweepResult {
-	return SweepProgress(cfg, rates, nil)
-}
-
-// SweepProgress is Sweep with a per-point completion callback — the
-// hook the CLI uses for stderr progress lines and live point counters.
-// onPoint (ignored when nil) sees each point in rate order, right
-// after it finishes; it must not mutate the result.
-func SweepProgress(cfg Config, rates []float64, onPoint func(PointDone)) SweepResult {
+// Sweep runs cfg once per rate (open loop, at cfg's seed) and collects
+// the curve. Its points run on the campaign's point runner with one
+// worker: in rate order, so cfg.Probe observes one kernel at a time.
+// prog and onPoint, as CampaignConfig's Progress and OnPoint (nil for
+// none), report each point as it completes; onPoint must not mutate
+// the result. Sweep points carry no per-flow digests.
+func Sweep(cfg Config, rates []float64, prog *metrics.Progress, onPoint func(PointDone)) SweepResult {
 	if len(rates) == 0 {
 		rates = DefaultRates()
 	}
-	// cfg is passed to Run un-defaulted: withDefaults is not idempotent
-	// (negative sentinels map to 0, which a second pass would re-default),
-	// so it must run exactly once, inside Run.
-	points := make([]Result, 0, len(rates))
+	// cfg is passed to the runner un-defaulted: withDefaults is not
+	// idempotent (negative sentinels map to 0, which a second pass would
+	// re-default), so it must run exactly once, per point.
+	cfgs := make([]Config, len(rates))
 	for i, rate := range rates {
-		c := cfg
-		c.ClosedLoop = false
-		c.Rate = rate
-		start := time.Now()
-		res := Run(c)
-		res.Flows = nil
-		points = append(points, res)
-		if onPoint != nil {
-			onPoint(PointDone{
-				Index: i, Done: i + 1, Total: len(rates),
-				Label:   fmt.Sprintf("%s/%s@%g", res.Topology, res.Pattern, rate),
-				Seed:    c.Seed,
-				Offered: rate,
-				WallMS:  durMS(time.Since(start)),
-			})
-		}
+		cfgs[i] = cfg
+		cfgs[i].ClosedLoop, cfgs[i].Rate = false, rate
 	}
+	points, _, _ := CampaignConfig{Workers: 1, Progress: prog, OnPoint: onPoint}.runPoints(cfgs)
 	return newSweepResult(points)
 }
 
