@@ -1,16 +1,17 @@
-// Package gonoc_test holds the repository-level benchmark harness: one
-// benchmark per experiment table/figure (E1–E16; see README.md).
-// Each benchmark runs the corresponding experiment end to end and reports
-// the headline simulated-cycle metrics alongside wall-clock ns/op, so
-// `go test -bench=. -benchmem` regenerates every result.
+// Package gonoc_test holds the repository-level benchmarks that build
+// their own runs: the Fig-1 SoC (with and without WISHBONE) and the
+// Fig-2 bus, E3's two switching modes, the packet rate through the mesh
+// SoC, one open-loop traffic run and the campaign worker pool. Each
+// reports its headline simulated metric beside wall-clock ns/op. The
+// experiment tables (E1–E16) have no wrappers here: cmd/nocbench runs
+// any of them, e.g. `go run ./cmd/nocbench -only E5`
+// (docs/EXPERIMENTS.md).
 package gonoc_test
 
 import (
 	"sort"
 	"testing"
 
-	"gonoc/internal/experiments"
-	"gonoc/internal/noctypes"
 	"gonoc/internal/sim"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
@@ -47,16 +48,6 @@ func BenchmarkFig2BridgedBus(b *testing.B) {
 	b.ReportMetric(float64(cycles), "simcycles")
 }
 
-// BenchmarkE1CompatibilityMatrix regenerates the feature matrix.
-func BenchmarkE1CompatibilityMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E1CompatibilityMatrix(int64(i + 1))
-		if len(tbl.Rows()) != 7 {
-			b.Fatal("matrix incomplete")
-		}
-	}
-}
-
 // BenchmarkE3SwitchingMode regenerates the wormhole-vs-SAF invisibility
 // result, per mode.
 func BenchmarkE3SwitchingMode(b *testing.B) {
@@ -76,70 +67,6 @@ func BenchmarkE3SwitchingMode(b *testing.B) {
 			}
 			b.ReportMetric(float64(cycles), "simcycles")
 		})
-	}
-}
-
-// BenchmarkE4Ordering regenerates the three-ordering-models table.
-func BenchmarkE4Ordering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E4Ordering(int64(i + 1))
-		if len(tbl.Rows()) != 3 {
-			b.Fatal("ordering table incomplete")
-		}
-	}
-}
-
-// BenchmarkE5GateCount regenerates the NIU gate-scaling table.
-func BenchmarkE5GateCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E5GateScaling()
-		if len(tbl.Rows()) != 7 {
-			b.Fatal("gate table incomplete")
-		}
-	}
-}
-
-// BenchmarkE6Exclusive regenerates the LOCK-vs-exclusive-service
-// interference measurement and reports the throughput split.
-func BenchmarkE6Exclusive(b *testing.B) {
-	var res experiments.E6Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E6ExclusiveVsLock(int64(i + 1))
-	}
-	b.ReportMetric(res.BaselineTput, "bg-base/kcyc")
-	b.ReportMetric(res.LockTput, "bg-lock/kcyc")
-	b.ReportMetric(res.ExclTput, "bg-excl/kcyc")
-}
-
-// BenchmarkE7QoS regenerates the per-priority latency table and reports
-// the urgent-class advantage.
-func BenchmarkE7QoS(b *testing.B) {
-	var res experiments.E7Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E7QoS(int64(i + 1))
-	}
-	b.ReportMetric(res.MeanLatency[true][noctypes.PrioUrgent], "urgent-lat-cyc")
-	b.ReportMetric(res.MeanLatency[true][noctypes.PrioLow], "low-lat-cyc")
-}
-
-// BenchmarkE8Physical regenerates the bandwidth/CDC series and reports
-// full-width link throughput.
-func BenchmarkE8Physical(b *testing.B) {
-	var res experiments.E8Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E8Physical()
-	}
-	b.ReportMetric(res.FlitsPerKCycle[8], "flits/kcyc@w8")
-	b.ReportMetric(res.FlitsPerKCycle[1], "flits/kcyc@w1")
-}
-
-// BenchmarkE9ServiceAblation regenerates the exclusive-service ablation.
-func BenchmarkE9ServiceAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E9ServiceAblation(int64(i + 1))
-		if len(tbl.Rows()) != 2 {
-			b.Fatal("ablation incomplete")
-		}
 	}
 }
 
@@ -183,19 +110,6 @@ func BenchmarkFabricPacketRate(b *testing.B) {
 	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
 }
 
-// BenchmarkE10TrafficSweep runs the latency-vs-offered-load sweeps and
-// reports the measured saturation throughputs as benchmark metrics.
-func BenchmarkE10TrafficSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.E10TrafficSweep(int64(i + 1))
-		if r.MeshSatTput >= r.CrossbarSatTput {
-			b.Fatal("mesh did not saturate below crossbar")
-		}
-		b.ReportMetric(r.CrossbarSatTput, "xbar-sat-tput")
-		b.ReportMetric(r.MeshSatTput, "mesh-sat-tput")
-	}
-}
-
 // BenchmarkTrafficUniformMesh measures the traffic engine itself: one
 // open-loop uniform-random run on a 4x4 mesh per iteration.
 func BenchmarkTrafficUniformMesh(b *testing.B) {
@@ -209,51 +123,6 @@ func BenchmarkTrafficUniformMesh(b *testing.B) {
 			b.Fatal("no transactions measured")
 		}
 	}
-}
-
-// BenchmarkE11Wishbone regenerates the Wishbone-adapter comparison and
-// reports the burst-mode latencies.
-func BenchmarkE11Wishbone(b *testing.B) {
-	var res experiments.E11Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E11WishboneAdapter(int64(i + 1))
-		if len(res.Tables) != 3 {
-			b.Fatal("wishbone comparison incomplete")
-		}
-	}
-	b.ReportMetric(res.ClassicReadLat, "wb-classic-lat")
-	b.ReportMetric(res.RegFeedbackReadLat, "wb-regfb-lat")
-}
-
-// BenchmarkE12TopologyCampaign runs the cross-topology campaign (all
-// five fabrics, uniform and hotspot, shared rate schedule) and reports
-// the headline saturation throughputs.
-func BenchmarkE12TopologyCampaign(b *testing.B) {
-	var res experiments.E12Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E12TopologyCampaign(int64(i + 1))
-		if len(res.Campaign.Points) != 40 {
-			b.Fatal("campaign incomplete")
-		}
-	}
-	b.ReportMetric(res.SatTput["uniform"]["torus"], "torus-sat-tput")
-	b.ReportMetric(res.SatTput["uniform"]["ring"], "ring-sat-tput")
-	b.ReportMetric(res.SatTput["uniform"]["tree"], "tree-sat-tput")
-}
-
-// BenchmarkE13CongestionHeatmap runs the instrumented hotspot-saturation
-// pair (mesh and torus with the link heatmap attached) and reports the
-// bottleneck-link utilization the tables are built from.
-func BenchmarkE13CongestionHeatmap(b *testing.B) {
-	var res experiments.E13Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.E13CongestionHeatmap(int64(i + 1))
-		if len(res.Heatmaps) != 2 {
-			b.Fatal("heatmaps incomplete")
-		}
-	}
-	b.ReportMetric(res.Heatmaps[0].Hottest(1)[0].Utilization, "mesh-hot-util")
-	b.ReportMetric(res.Heatmaps[1].Hottest(1)[0].Utilization, "torus-hot-util")
 }
 
 // BenchmarkTrafficCampaignParallel measures the campaign runner itself:
@@ -290,52 +159,4 @@ func BenchmarkFig1MixedNoCWishbone(b *testing.B) {
 		cycles = c
 	}
 	b.ReportMetric(float64(cycles), "simcycles")
-}
-
-// BenchmarkE14Scenarios resolves and runs every built-in declarative
-// scenario (internal/scenario) through the same resolver the CLIs use,
-// including the bit-identical re-run check.
-func BenchmarkE14Scenarios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.E14Scenarios(int64(i + 1))
-		if len(r.Reports) < 6 {
-			b.Fatal("scenario registry incomplete")
-		}
-	}
-}
-
-// BenchmarkE15SelfProfile runs the hotspot-dram sweep with the full
-// live-metrics stack attached and checks the observer invariants: the
-// instrumented results stay byte-identical and the per-router counters
-// conserve flits.
-func BenchmarkE15SelfProfile(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		r := experiments.E15SelfProfile(int64(i + 1))
-		if !r.Identical {
-			b.Fatal("metrics perturbed the sweep")
-		}
-		events = 0
-		for _, p := range r.Sweep.Points {
-			events += p.Wall.Events
-		}
-	}
-	b.ReportMetric(float64(events), "simevents")
-}
-
-// BenchmarkE16FidelitySweep runs the hybrid-fidelity error-bound
-// harness: the operating-envelope sweep must stay inside the declared
-// tolerances (mean/p50/p99 latency 5%, throughput 1%) against
-// cycle-accurate ground truth, and the measured speedup is reported as
-// a benchmark metric.
-func BenchmarkE16FidelitySweep(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.E16FidelitySweep(int64(i + 1))
-		if !r.Pass {
-			b.Fatalf("hybrid fidelity out of tolerance: maxP99Err=%.4f maxTputErr=%.4f", r.MaxP99Err, r.MaxTputErr)
-		}
-		speedup = r.Speedup
-	}
-	b.ReportMetric(speedup, "hybrid-speedup-x")
 }

@@ -187,6 +187,8 @@ func TestInvalidFlagValuesNameTheField(t *testing.T) {
 	}{
 		{[]string{"-trans", "-rate", "1.5"}, "workload.masters[0].rate"},
 		{[]string{"-nodes", "1"}, "fabric.nodes"},
+		{[]string{"-nodes", "70000"}, "fabric.nodes: 70000 exceeds 65534"},
+		{[]string{"-trans", "-payload", "1028"}, "workload.masters[0].bytes: 1028 exceeds 1024"},
 		{[]string{"-fidelity", "loose"}, "fabric.fidelity"},
 		{[]string{"-sweep", "-rates", "0.02,-1"}, "measure.sweep_rates[1]"},
 	}

@@ -578,3 +578,173 @@ func TestOCPBridgeDropsPartialPostedWrite(t *testing.T) {
 		t.Fatalf("Demoted = %d, want 1", br.Demoted())
 	}
 }
+
+// TestBridgeFeatureLossRules drives each Fig-2 feature-loss rule of a
+// master bridge's Issue through every bridged socket that can express
+// the feature: an exclusive read (AXI ReadExclusive, OCP ReadLinked)
+// crosses as a plain read; an exclusive write (AXI WriteExclusive, OCP
+// WriteConditional) is refused without crossing, answering OKAY on AXI
+// and FAIL on OCP; a posted write crosses blocking and the socket hears
+// nothing; a FIXED burst crosses as INCR; and a write with some bytes
+// disabled is refused with an error, one with none enabled answers OK,
+// neither crossing. Each case checks what the socket hears, memory
+// afterwards, whether the bus carried the transaction, and Demoted.
+func TestBridgeFeatureLossRules(t *testing.T) {
+	const off = 0x400
+	const addr = memBase + off
+	old := []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	some := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0xFF, 0xFF}
+	none := make([]byte, 8)
+	type demoter interface{ Demoted() uint64 }
+	axiBridge := func(r *busRig) (*axi.Master, demoter) {
+		port := axi.NewPort(r.clk, "m.axi", 4)
+		return axi.NewMaster(r.clk, port, nil), NewAXIBridge(r.clk, r.b, port)
+	}
+	ocpBridge := func(r *busRig) (*ocp.Master, demoter) {
+		port := ocp.NewPort(r.clk, "m.ocp", 4)
+		return ocp.NewMaster(r.clk, port), NewOCPBridge(r.clk, r.b, port)
+	}
+	flag := func(err bool) string {
+		if err {
+			return "error"
+		}
+		return "ok"
+	}
+	// vciWrite wires a VCI socket and issues a write with byte enables be.
+	vciWrite := map[string]func(r *busRig, be []byte, answer func(string)) demoter{
+		"pvci": func(r *busRig, be []byte, answer func(string)) demoter {
+			port := vci.NewPPort(r.clk, "m.pvci", 2)
+			ip := vci.NewPMaster(r.clk, port)
+			br := NewPVCIBridge(r.clk, r.b, port)
+			ip.WriteBE(addr, data[:4], be[:4], func(err bool) { answer(flag(err)) })
+			return br
+		},
+		"bvci": func(r *busRig, be []byte, answer func(string)) demoter {
+			port := vci.NewBPort(r.clk, "m.bvci", 2)
+			ip := vci.NewBMaster(r.clk, port, 1)
+			br := NewBVCIBridge(r.clk, r.b, port)
+			ip.Write(addr, 4, data, be, false, func(err bool) { answer(flag(err)) })
+			return br
+		},
+		"avci": func(r *busRig, be []byte, answer func(string)) demoter {
+			port := vci.NewAPort(r.clk, "m.avci", 2)
+			ip := vci.NewAMaster(r.clk, port)
+			br := NewAVCIBridge(r.clk, r.b, port)
+			ip.Write(3, addr, 4, data, be, false, func(err bool) { answer(flag(err)) })
+			return br
+		},
+	}
+	type rule struct {
+		name    string
+		issue   func(r *busRig, answer func(string)) demoter
+		answer  string // what the socket hears; "" for nothing (a posted write)
+		mem     []byte // memory at off afterwards
+		crossed bool   // the bus carried the transaction
+		demoted uint64
+	}
+	rules := []rule{
+		{"axi/exclusive read", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.ReadExclusive(0, addr, 4, 2, axi.BurstIncr, func(res axi.ReadResult) { answer(res.Resp.String()) })
+			return br
+		}, "OKAY", old, true, 1},
+		{"axi/exclusive write", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.WriteExclusive(0, addr, 4, axi.BurstIncr, data, func(resp axi.Resp) { answer(resp.String()) })
+			return br
+		}, "OKAY", old, false, 1},
+		{"axi/fixed write", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.Write(0, addr, 4, axi.BurstFixed, data, func(resp axi.Resp) { answer(resp.String()) })
+			return br
+		}, "OKAY", data, true, 1},
+		{"axi/write", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.Write(0, addr, 4, axi.BurstIncr, data, func(resp axi.Resp) { answer(resp.String()) })
+			return br
+		}, "OKAY", data, true, 0},
+		{"axi/some bytes disabled", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.WriteStrobed(0, addr, 4, axi.BurstIncr, data, some, func(resp axi.Resp) { answer(resp.String()) })
+			return br
+		}, "SLVERR", old, false, 1},
+		{"axi/no byte enabled", func(r *busRig, answer func(string)) demoter {
+			ip, br := axiBridge(r)
+			ip.WriteStrobed(0, addr, 4, axi.BurstIncr, data, none, func(resp axi.Resp) { answer(resp.String()) })
+			return br
+		}, "OKAY", old, false, 0},
+		{"ocp/ReadLinked", func(r *busRig, answer func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.ReadLinked(0, addr, 4, func(res ocp.ReadResult) { answer(res.Resp.String()) })
+			return br
+		}, "DVA", old, true, 1},
+		{"ocp/WriteConditional", func(r *busRig, answer func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.WriteConditional(0, addr, 4, data[:4], func(s ocp.SResp) { answer(s.String()) })
+			return br
+		}, "FAIL", old, false, 1},
+		{"ocp/posted write", func(r *busRig, _ func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.Write(0, addr, 4, ocp.SeqIncr, data, nil, nil)
+			return br
+		}, "", data, true, 1},
+		{"ocp/posted write, some bytes disabled", func(r *busRig, _ func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.Write(0, addr, 4, ocp.SeqIncr, data, some, nil)
+			return br
+		}, "", old, false, 1},
+		{"ocp/stream write", func(r *busRig, answer func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.WriteNonPosted(0, addr, 4, ocp.SeqStrm, data, nil, func(s ocp.SResp) { answer(s.String()) })
+			return br
+		}, "DVA", data, true, 1},
+		{"ocp/some bytes disabled", func(r *busRig, answer func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.WriteNonPosted(0, addr, 4, ocp.SeqIncr, data, some, func(s ocp.SResp) { answer(s.String()) })
+			return br
+		}, "ERR", old, false, 1},
+		{"ocp/no byte enabled", func(r *busRig, answer func(string)) demoter {
+			ip, br := ocpBridge(r)
+			ip.WriteNonPosted(0, addr, 4, ocp.SeqIncr, data, none, func(s ocp.SResp) { answer(s.String()) })
+			return br
+		}, "DVA", old, false, 0},
+	}
+	for _, s := range []string{"pvci", "bvci", "avci"} {
+		write := vciWrite[s]
+		rules = append(rules,
+			rule{s + "/some bytes disabled", func(r *busRig, answer func(string)) demoter {
+				return write(r, []byte{0xFF, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, answer)
+			}, "error", old, false, 1},
+			rule{s + "/no byte enabled", func(r *busRig, answer func(string)) demoter {
+				return write(r, none, answer)
+			}, "ok", old, false, 0})
+	}
+	for _, c := range rules {
+		t.Run(c.name, func(t *testing.T) {
+			r := newBusRig()
+			r.addAHBMemory(0)
+			r.store.Write(off, old, nil)
+			rd, wr := r.store.Accesses()
+			var got string
+			br := c.issue(r, func(a string) { got = a })
+			if c.answer == "" {
+				r.clk.RunCycles(100) // a posted write: the socket hears nothing
+			} else {
+				r.run(t, 500, func() bool { return got != "" })
+			}
+			if got != c.answer {
+				t.Errorf("socket heard %q, want %q", got, c.answer)
+			}
+			if rd2, wr2 := r.store.Accesses(); (rd2 != rd || wr2 != wr) != c.crossed {
+				t.Errorf("bus took %d reads and %d writes, want crossed=%v", rd2-rd, wr2-wr, c.crossed)
+			}
+			if mem := r.store.Read(off, len(old)); !bytes.Equal(mem, c.mem) {
+				t.Errorf("memory holds % x, want % x", mem, c.mem)
+			}
+			if d := br.Demoted(); d != c.demoted {
+				t.Errorf("Demoted = %d, want %d", d, c.demoted)
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one
 // function per experiment, each returning paper-style tables that
 // cmd/nocbench prints (and, with -json, archives machine-readably as
-// BENCH_*.json); the repository-root benchmarks wrap the same
-// functions.
+// BENCH_*.json). cmd/nocbench -only runs any subset; the
+// repository-root benchmarks time only runs they build themselves.
 //
 // The suite, in nocbench order (see the top-level README.md for the
 // one-line claims):

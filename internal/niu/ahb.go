@@ -19,13 +19,15 @@ type AHBMaster struct {
 // ordering handles: the model is always fully-ordered.
 func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ahb.Port, cfg MasterConfig) *AHBMaster {
 	cfg.Ordering = OrderFully
-	return &AHBMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, ahbRequest, ahbResponse)}
+	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
+	e.Bind(clk, single(e, port.Req, port.Rsp, ahbRequest, ahbResponse), port.Req)
+	return &AHBMaster{e}
 }
 
 // ahbRequest converts an AHB burst, with HLOCK/unlock mapped onto the
 // locked commands. Locked transfers without the LegacyLock service are
 // refused with ERROR, like decode errors.
-func ahbRequest(hreq ahb.Req, c *Candidate) bool {
+func ahbRequest(hreq ahb.Req, c *candidate) bool {
 	var cmd core.Cmd
 	switch {
 	case hreq.Write && hreq.Lock && hreq.Unlock:

@@ -68,11 +68,11 @@ type AXIMaster struct {
 	*MasterEngine
 }
 
-// axiMasterAdapter converts between the five AXI channels and the
-// engine: AR and AW/W are two independent request sources, R streams
+// axiMasterAdapter converts between the five AXI channels and its far
+// side: AR and AW/W are two independent request sources, R streams
 // beats, B carries write responses.
 type axiMasterAdapter struct {
-	eng  *MasterEngine
+	far  FarSide
 	port *axi.Port
 
 	wQ      []axi.WBeat // buffered write data awaiting its AW
@@ -99,9 +99,14 @@ type axiRead struct {
 // ordering model is ID-ordered.
 func NewAXIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *axi.Port, cfg MasterConfig) *AXIMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
-	e.Bind(clk, &axiMasterAdapter{eng: e, port: port, rBufs: newReadBufs(port.R.Cap())})
-	e.wake.Consumes(port.AR, port.AW, port.W)
+	e.Bind(clk, NewAXIMasterAdapter(e, port), port.AR, port.AW, port.W)
 	return &AXIMaster{e}
+}
+
+// NewAXIMasterAdapter returns the master adapter of an AXI socket,
+// issuing into far.
+func NewAXIMasterAdapter(far FarSide, port *axi.Port) MasterAdapter {
+	return &axiMasterAdapter{far: far, port: port, rBufs: newReadBufs(port.R.Cap())}
 }
 
 // Idle implements sim.Idler: no request on the socket and no R or B
@@ -162,7 +167,7 @@ func (a *axiMasterAdapter) streamR() {
 // to the NIU's configured priority.
 func (a *axiMasterAdapter) priorityFor(qos uint8) noctypes.Priority {
 	if qos == 0 {
-		return a.eng.Config().Priority
+		return a.far.Config().Priority
 	}
 	if qos > 3 {
 		qos = 3
@@ -177,7 +182,7 @@ func (a *axiMasterAdapter) acceptAR(cycle int64) {
 	}
 	cmd := core.CmdRead
 	excl := false
-	if ar.Lock && a.eng.Config().Services.Exclusive {
+	if ar.Lock && a.far.Config().Services.Exclusive {
 		cmd = core.CmdReadEx
 		excl = true
 	} // exclusive demoted to plain read when the service is off (AXI: OKAY)
@@ -186,7 +191,7 @@ func (a *axiMasterAdapter) acceptAR(cycle int64) {
 		Burst: axiBurstToCore(ar.Burst), Exclusive: excl,
 		Priority: a.priorityFor(ar.QoS),
 	}
-	switch a.eng.Issue(&a.req, axiProtoID(ar.ID, false), nil, cycle) {
+	switch a.far.Issue(&a.req, axiProtoID(ar.ID, false), nil, cycle) {
 	case IssueOK:
 		a.port.AR.Pop()
 	case IssueDecodeErr:
@@ -223,7 +228,7 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 		return // last beat not yet arrived
 	}
 	if have != need {
-		panic(fmt.Sprintf("niu: %v: WLAST after %d beats, AWLEN wants %d", a.eng.Config().Node, have, need))
+		panic(fmt.Sprintf("niu: %v: WLAST after %d beats, AWLEN wants %d", a.far.Config().Node, have, need))
 	}
 	data, be := a.wData[:0], a.wBE[:0]
 	hasStrb := false
@@ -235,7 +240,7 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	}
 	cmd := core.CmdWrite
 	excl := false
-	if aw.Lock && a.eng.Config().Services.Exclusive {
+	if aw.Lock && a.far.Config().Services.Exclusive {
 		cmd = core.CmdWriteEx
 		excl = true
 	}
@@ -248,7 +253,7 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	if hasStrb {
 		a.req.BE = be
 	}
-	switch a.eng.Issue(&a.req, axiProtoID(aw.ID, true), nil, cycle) {
+	switch a.far.Issue(&a.req, axiProtoID(aw.ID, true), nil, cycle) {
 	case IssueOK:
 		a.port.AW.Pop()
 		a.wQ = sim.DropFront(a.wQ, need)
@@ -275,31 +280,50 @@ type axiSlaveAdapter struct {
 // NewAXISlave creates the NIU (and its embedded engine) on clk.
 func NewAXISlave(clk *sim.Clock, net *transport.Network, port *axi.Port, cfg SlaveConfig) *AXISlave {
 	e := NewSlaveEngine(net, cfg)
+	e.Bind(clk, NewAXISlaveAdapter(clk, port))
+	return &AXISlave{e}
+}
+
+// NewAXISlaveAdapter returns the slave adapter of an AXI target: it
+// executes requests through an AXI master engine of its own on clk.
+func NewAXISlaveAdapter(clk *sim.Clock, port *axi.Port) SlaveAdapter {
 	a := &axiSlaveAdapter{eng: axi.NewMaster(clk, port, nil)}
 	a.bind = func(part func([]byte, bool)) (func(axi.Resp), func(axi.ReadResult)) {
 		return func(r axi.Resp) { part(nil, axiErr(r)) },
 			func(r axi.ReadResult) { part(r.Data, axiErr(r.Resp)) }
 	}
-	e.Bind(clk, a)
-	return &AXISlave{e}
+	return a
 }
 
 func axiErr(r axi.Resp) bool { return r == axi.RespSLVERR || r == axi.RespDECERR }
 
-// Execute implements SlaveAdapter.
+// Execute implements SlaveAdapter. A request longer than an AXI burst
+// runs as bursts of axi.MaxBeats beats, the last one shorter, each at
+// the address the whole burst reaches it; a WRAP burst that long runs
+// one beat per burst instead, since its parts would wrap at windows of
+// their own. Every part carries the request's ID, so they complete in
+// order.
 func (a *axiSlaveAdapter) Execute(req *core.Request, respond func(*core.Response)) {
 	engID := int(req.Src)<<8 | int(req.Tag)
 	data, be := heldWrite(req)
-	burst := coreBurstToAXI(req.Burst)
-	wrote, read := a.exec(req, respond, 1).completions()
-	switch {
-	case req.Cmd.IsRead():
-		a.eng.Read(engID, req.Addr, req.Size, int(req.Len), burst, read)
-	case req.Cmd == core.CmdWritePost:
-		a.eng.Write(engID, req.Addr, req.Size, burst, data, nil)
-	case be != nil: // all response-carrying writes (incl. resolved exclusives)
-		a.eng.WriteStrobed(engID, req.Addr, req.Size, burst, data, be, wrote)
-	default:
-		a.eng.Write(engID, req.Addr, req.Size, burst, data, wrote)
+	burst, beats := coreBurstToAXI(req.Burst), int(req.Len)
+	per := min(beats, axi.MaxBeats) // beats per part
+	if per < beats && burst == axi.BurstWrap {
+		burst, per = axi.BurstIncr, 1
+	}
+	parts, size := (beats+per-1)/per, int(req.Size)
+	wrote, read := a.exec(req, respond, parts).completions()
+	for i := 0; i < parts; i++ {
+		addr, n := partAddr(req, i, per), min(per, beats-i*per)
+		if req.Cmd.IsRead() {
+			a.eng.Read(engID, addr, req.Size, n, burst, read)
+			continue
+		}
+		lo, hi := i*per*size, (i*per+n)*size
+		var strb []byte // nil enables every byte
+		if be != nil {
+			strb = be[lo:hi]
+		}
+		a.eng.WriteStrobed(engID, addr, req.Size, burst, data[lo:hi], strb, wrote)
 	}
 }

@@ -29,8 +29,8 @@ const (
 
 // MasterAdapter is the protocol-specific quarter of a master NIU: the
 // socket-facing converter the engine pumps once per cycle. Adapters keep
-// a reference to their engine and issue converted requests through
-// MasterEngine.Issue (or the PumpOne helper for single-channel sockets).
+// a reference to their far side and issue converted requests through
+// FarSide.Issue.
 //
 // The engine calls the three methods in a fixed per-cycle order —
 // DeliverResponse, StreamSocket, PumpRequests — so an adapter sees at
@@ -39,10 +39,10 @@ const (
 //
 // An adapter that also implements sim.Idler lets its engine sleep: Idle
 // reports that the three methods would do nothing — no request on the
-// socket, no response left to stream. Such an adapter names its engine
-// as the consumer of its socket request pipes, so that a request on the
-// socket wakes it. An adapter without Idle works unchanged but keeps its
-// engine awake on every cycle.
+// socket, no response left to stream. Its socket request pipes are then
+// passed to Bind, so that a request on the socket wakes the engine. An
+// adapter without Idle works unchanged but keeps its engine awake on
+// every cycle.
 type MasterAdapter interface {
 	// DeliverResponse consumes one fabric response. entry is the
 	// transaction-table entry retired by this response: it records the
@@ -60,6 +60,17 @@ type MasterAdapter interface {
 	// the engine. Multi-channel sockets (AXI) may attempt several issues
 	// in one call.
 	PumpRequests(cycle int64)
+}
+
+// FarSide is what a master adapter issues into. There are two: a
+// MasterEngine, which carries the request over the NoC, and a bus
+// bridge (internal/bus), which carries it, one at a time and with the
+// features the bus cannot express lost, over the Fig-2 bus. Config
+// tells the adapter which services its far side offers and the priority
+// to default to; an adapter never asks which far side it has.
+type FarSide interface {
+	Issue(req *core.Request, protoID int, meta any, cycle int64) IssueResult
+	Config() MasterConfig
 }
 
 // MasterEngine is the protocol-independent three-quarters of every
@@ -83,11 +94,10 @@ type MasterEngine struct {
 	wake    sim.Waker
 
 	// Engine-owned messages, reused by every transaction: the request
-	// packet Issue encodes into (TrySend copies it), the response
-	// recvResponse decodes into, and the single-channel candidate.
+	// packet Issue encodes into (TrySend copies it) and the response
+	// recvResponse decodes into.
 	sendPkt transport.Packet
 	rsp     core.Response
-	cand    Candidate
 }
 
 // NewMasterEngine creates the protocol-independent half of a master NIU.
@@ -115,8 +125,10 @@ func NewMasterEngine(net *transport.Network, amap *core.AddressMap, cfg MasterCo
 	}
 }
 
-// Bind attaches the protocol adapter and registers the engine on clk.
-func (e *MasterEngine) Bind(clk *sim.Clock, a MasterAdapter) {
+// Bind attaches the protocol adapter and registers the engine on clk. A
+// request pushed on any of requests, the socket's request pipes, wakes
+// the engine.
+func (e *MasterEngine) Bind(clk *sim.Clock, a MasterAdapter, requests ...interface{ SetConsumer(sim.Waker) }) {
 	if e.adapter != nil {
 		panic("niu: master engine already bound")
 	}
@@ -124,6 +136,7 @@ func (e *MasterEngine) Bind(clk *sim.Clock, a MasterAdapter) {
 	e.idler, _ = a.(sim.Idler)
 	e.wake = clk.Register(e)
 	e.wake.Consumes(e.ep)
+	e.wake.Consumes(requests...)
 }
 
 // Model returns the resolved ordering model.
@@ -249,51 +262,6 @@ func (e *MasterEngine) Issue(req *core.Request, protoID int, meta any, cycle int
 		})
 	}
 	return IssueOK
-}
-
-// Candidate is one socket request converted for issue by a
-// single-channel adapter's Peek. The engine owns it and hands the same
-// Candidate to every Peek, so converting a request that then stalls
-// allocates nothing.
-type Candidate struct {
-	Req     core.Request
-	ProtoID int
-}
-
-// SocketHead is the socket side of a single-channel adapter, which
-// PumpOne drives.
-type SocketHead interface {
-	// Peek converts the socket's head request into c, overwriting all of
-	// c.Req, and reports whether there was one. The request stays on the
-	// socket.
-	Peek(c *Candidate) bool
-	// Pop consumes the head request once it has issued, or before Refuse
-	// answers it.
-	Pop()
-	// Refuse answers the popped request locally when it cannot enter the
-	// fabric (address decode error or disabled service); c still holds
-	// it as Peek converted it.
-	Refuse(c *Candidate)
-}
-
-// PumpOne runs the standard single-channel pump shared by every
-// one-request-at-a-time socket (AHB, PVCI, BVCI, AVCI, Wishbone):
-// peek-convert one request, try to issue it, and either consume it,
-// answer it locally, or leave it on the socket for the next cycle.
-func (e *MasterEngine) PumpOne(cycle int64, s SocketHead) {
-	c := &e.cand
-	if !s.Peek(c) {
-		return
-	}
-	switch e.Issue(&c.Req, c.ProtoID, nil, cycle) {
-	case IssueOK:
-		s.Pop()
-	case IssueDecodeErr, IssueUnsupported:
-		s.Pop()
-		s.Refuse(c)
-	case IssueStall:
-		// Leave the request on the socket; retry next cycle.
-	}
 }
 
 // recvResponse pops one response packet, decodes it into e.rsp and

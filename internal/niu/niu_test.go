@@ -571,3 +571,111 @@ func TestMasterNIUStatsAndTable(t *testing.T) {
 		t.Fatal("table not drained")
 	}
 }
+
+// TestLongBurstsSplitAtAXISlave sends bursts longer than an AXI burst
+// (axi.MaxBeats) into an AXI target, whose slave NIU must split them
+// instead of handing its AXI master a burst it cannot issue. Every
+// master socket that can issue one writes and reads back a 517-beat
+// INCR burst (three AXI bursts, the last one short); an OCP master also
+// writes and reads a FIXED burst of that length and a 512-beat WRAP
+// burst starting one beat into its window, each beat checked against
+// the kind's mem.Burst.
+func TestLongBurstsSplitAtAXISlave(t *testing.T) {
+	const size, beats, off = 4, 2*axi.MaxBeats + 5, 0x4000
+	// pattern's bytes repeat at no power-of-two distance a misplaced
+	// part could land at.
+	pattern := func(n, seed int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + i>>8 + seed)
+		}
+		return b
+	}
+	for _, m := range matrixMasters {
+		if m.name == "axi" {
+			continue // the AXI socket itself stops at axi.MaxBeats
+		}
+		t.Run(m.name+"/incr", func(t *testing.T) {
+			f := newFab(2, 1, 2)
+			ops := m.build(f)
+			f.attachAXISlave(2)
+			data := pattern(beats*size, 3)
+			wrote, wrErr := false, false
+			ops.write(memBase+off, data, func(err bool) { wrote, wrErr = true, err })
+			f.run(t, 20_000, func() bool { return wrote })
+			if got := f.store.Read(off, len(data)); wrErr || !bytes.Equal(got, data) {
+				t.Fatalf("write answered error=%v; memory differs from the data written", wrErr)
+			}
+			var got []byte
+			rdErr := false
+			ops.read(memBase+off, beats, func(d []byte, err bool) { got, rdErr = bytes.Clone(d), err })
+			f.run(t, 20_000, func() bool { return got != nil })
+			if rdErr || !bytes.Equal(got, data) {
+				t.Fatalf("read answered error=%v; %d bytes differ from the data written", rdErr, len(got))
+			}
+		})
+	}
+	for _, k := range []struct {
+		name  string
+		seq   ocp.BurstSeq
+		beats int
+		rule  mem.Burst
+	}{
+		{"fixed", ocp.SeqStrm, beats, mem.Burst{Fixed: true}},
+		{"wrap", ocp.SeqWrap, 2 * axi.MaxBeats, mem.Burst{Wrap: 2 * axi.MaxBeats}},
+	} {
+		t.Run("ocp/"+k.name, func(t *testing.T) {
+			const window = 2 * axi.MaxBeats * size
+			const start = memBase + off + size
+			f := newFab(2, 1, 2)
+			port := ocp.NewPort(f.clk, "m.ocp", 4)
+			ip := ocp.NewMaster(f.clk, port)
+			NewOCPMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			f.attachAXISlave(2)
+			want := pattern(window+size, 5) // the window and the word after it
+			f.store.Write(off, want, nil)
+			at := func(i int) int { return int(k.rule.Addr(start, size, i) - memBase - off) }
+
+			var got []byte
+			ip.Read(0, start, size, k.beats, k.seq, func(r ocp.ReadResult) { got = bytes.Clone(r.Data) })
+			f.run(t, 20_000, func() bool { return got != nil })
+			for i := 0; i < k.beats; i++ {
+				if !bytes.Equal(got[i*size:(i+1)*size], want[at(i):at(i)+size]) {
+					t.Fatalf("read beat %d holds % x, want % x", i, got[i*size:(i+1)*size], want[at(i):at(i)+size])
+				}
+			}
+
+			data := pattern(k.beats*size, 11)
+			var resp ocp.SResp
+			ip.WriteNonPosted(0, start, size, k.seq, data, nil, func(s ocp.SResp) { resp = s })
+			f.run(t, 20_000, func() bool { return resp != 0 })
+			for i := 0; i < k.beats; i++ {
+				copy(want[at(i):], data[i*size:(i+1)*size])
+			}
+			if resp != ocp.RespDVA || !bytes.Equal(f.store.Read(off, len(want)), want) {
+				t.Fatalf("write answered %v; memory differs from the burst's beats", resp)
+			}
+		})
+	}
+}
+
+// TestPostedSparseWriteToAXISlave: a posted OCP write whose byte
+// enables disable some bytes leaves those bytes untouched in an AXI
+// target, as a non-posted one does.
+func TestPostedSparseWriteToAXISlave(t *testing.T) {
+	const off = 0x100
+	f := newFab(2, 1, 2)
+	port := ocp.NewPort(f.clk, "m.ocp", 4)
+	ip := ocp.NewMaster(f.clk, port)
+	NewOCPMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+	f.attachAXISlave(2)
+	f.store.Write(off, []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xF0, 0xF1, 0xF2}, nil)
+	_, writes := f.store.Accesses()
+	ip.Write(0, memBase+off, 4, ocp.SeqIncr, []byte{1, 2, 3, 4, 5, 6, 7, 8},
+		[]byte{0xFF, 0, 0, 0xFF, 0, 0xFF, 0xFF, 0}, nil)
+	f.run(t, 8000, func() bool { _, w := f.store.Accesses(); return w > writes })
+	want := []byte{1, 0xBB, 0xCC, 4, 0xEE, 6, 7, 0xF2}
+	if got := f.store.Read(off, len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("memory holds % x, want % x", got, want)
+	}
+}

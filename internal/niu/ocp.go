@@ -54,7 +54,7 @@ type OCPMaster struct {
 // ocpMasterAdapter assembles per-thread request bursts and streams
 // multi-beat responses back onto the socket.
 type ocpMasterAdapter struct {
-	eng  *MasterEngine
+	far  FarSide
 	port *ocp.Port
 
 	asm     map[int]*ocpAsm // per-thread request-burst assembly
@@ -91,9 +91,14 @@ type ocpRspStream struct {
 // ordering model is thread-ordered.
 func NewOCPMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ocp.Port, cfg MasterConfig) *OCPMaster {
 	e := NewMasterEngine(net, amap, cfg, core.ThreadOrdered)
-	e.Bind(clk, &ocpMasterAdapter{eng: e, port: port, asm: make(map[int]*ocpAsm), rspBufs: newReadBufs(port.Resp.Cap())})
-	e.wake.Consumes(port.Req)
+	e.Bind(clk, NewOCPMasterAdapter(e, port), port.Req)
 	return &OCPMaster{e}
+}
+
+// NewOCPMasterAdapter returns the master adapter of an OCP socket,
+// issuing into far.
+func NewOCPMasterAdapter(far FarSide, port *ocp.Port) MasterAdapter {
+	return &ocpMasterAdapter{far: far, port: port, asm: make(map[int]*ocpAsm), rspBufs: newReadBufs(port.Resp.Cap())}
 }
 
 // Idle implements sim.Idler: no request beat on the socket and no
@@ -203,13 +208,13 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	case ocp.CmdRD:
 		cmd = core.CmdRead
 	case ocp.CmdRDL:
-		if a.eng.Config().Services.Exclusive {
+		if a.far.Config().Services.Exclusive {
 			cmd, excl = core.CmdReadEx, true
 		} else {
 			cmd = core.CmdRead // demoted: plain read, reservation never set
 		}
 	case ocp.CmdWRC:
-		if !a.eng.Config().Services.Exclusive {
+		if !a.far.Config().Services.Exclusive {
 			// Without the service a conditional can never succeed; fail
 			// locally rather than silently losing atomicity.
 			a.port.Req.Pop()
@@ -233,7 +238,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 			a.req.BE = be
 		}
 	}
-	switch a.eng.Issue(&a.req, first.ThreadID, nil, cycle) {
+	switch a.far.Issue(&a.req, first.ThreadID, nil, cycle) {
 	case IssueOK:
 		a.port.Req.Pop()
 		asm.active = false
@@ -272,17 +277,21 @@ type ocpSlaveAdapter struct {
 // NewOCPSlave creates the NIU; threads is the target socket's thread
 // count.
 func NewOCPSlave(clk *sim.Clock, net *transport.Network, port *ocp.Port, threads int, cfg SlaveConfig) *OCPSlave {
-	if threads <= 0 {
-		threads = 1
-	}
 	e := NewSlaveEngine(net, cfg)
-	a := &ocpSlaveAdapter{eng: ocp.NewMaster(clk, port), threads: threads}
+	e.Bind(clk, NewOCPSlaveAdapter(clk, port, threads))
+	return &OCPSlave{e}
+}
+
+// NewOCPSlaveAdapter returns the slave adapter of an OCP target with
+// threads threads: it executes requests through an OCP master engine of
+// its own on clk.
+func NewOCPSlaveAdapter(clk *sim.Clock, port *ocp.Port, threads int) SlaveAdapter {
+	a := &ocpSlaveAdapter{eng: ocp.NewMaster(clk, port), threads: max(threads, 1)}
 	a.bind = func(part func([]byte, bool)) (func(ocp.SResp), func(ocp.ReadResult)) {
 		return func(r ocp.SResp) { part(nil, r == ocp.RespERR) },
 			func(r ocp.ReadResult) { part(r.Data, r.Resp == ocp.RespERR) }
 	}
-	e.Bind(clk, a)
-	return &OCPSlave{e}
+	return a
 }
 
 // Execute implements SlaveAdapter.

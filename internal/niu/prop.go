@@ -28,7 +28,7 @@ type PropMaster struct {
 }
 
 type propMasterAdapter struct {
-	eng  *MasterEngine
+	far  FarSide
 	port *prop.Port
 
 	// The open streams, in the order they opened: write issue order and
@@ -66,13 +66,14 @@ type propRdState struct {
 // NewPropMaster creates the NIU on clk.
 func NewPropMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *prop.Port, cfg MasterConfig) *PropMaster {
 	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
-	e.Bind(clk, &propMasterAdapter{
-		eng:    e,
-		port:   port,
-		rdBufs: newReadBufs(port.Rd.Cap()),
-	})
-	e.wake.Consumes(port.Desc, port.Wr)
+	e.Bind(clk, NewPropMasterAdapter(e, port), port.Desc, port.Wr)
 	return &PropMaster{e}
+}
+
+// NewPropMasterAdapter returns the master adapter of a proprietary
+// streaming socket, issuing into far.
+func NewPropMasterAdapter(far FarSide, port *prop.Port) MasterAdapter {
+	return &propMasterAdapter{far: far, port: port, rdBufs: newReadBufs(port.Rd.Cap())}
 }
 
 // Idle implements sim.Idler: nothing on the socket, no ack to send, no
@@ -188,7 +189,7 @@ func (a *propMasterAdapter) issueWrites(cycle int64) {
 			Len: uint16(sz), Burst: core.BurstIncr,
 			Data: st.buf[:sz],
 		}
-		if a.eng.Issue(&a.req, st.d.StreamID, nil, cycle) == IssueOK {
+		if a.far.Issue(&a.req, st.d.StreamID, nil, cycle) == IssueOK {
 			st.buf = sim.DropFront(st.buf, sz)
 			st.sent += sz
 		}
@@ -210,7 +211,7 @@ func (a *propMasterAdapter) issueReads(cycle int64) {
 			Cmd: core.CmdRead, Addr: st.d.Addr + uint64(st.issued), Size: 1,
 			Len: uint16(sz), Burst: core.BurstIncr,
 		}
-		if a.eng.Issue(&a.req, propReadID+st.d.StreamID, nil, cycle) == IssueOK {
+		if a.far.Issue(&a.req, propReadID+st.d.StreamID, nil, cycle) == IssueOK {
 			st.issued += sz
 		}
 		return

@@ -3,25 +3,33 @@ package niu
 import (
 	"gonoc/internal/core"
 	"gonoc/internal/sim"
-	"gonoc/internal/transport"
 )
 
 // singleAdapter is the master adapter of every single-channel socket —
 // one request pipe and one in-order response pipe: AHB, PVCI, BVCI,
 // AVCI and WISHBONE. A socket supplies only how its request converts
 // (conv) and how its response is spelled (spell); the adapter owns the
-// response queue and its read buffers, and issues through PumpOne.
+// pump, the response queue and its read buffers.
 type singleAdapter[Q, S any] struct {
-	eng *MasterEngine
+	far FarSide
 	req *sim.Pipe[Q]
 	rsp *sim.Pipe[S]
 	// conv converts a socket request into c, overwriting all of c.Req,
 	// and reports false for a request the fabric cannot express (c.Req
 	// still gives its command and shape, for the refusal).
-	conv  func(r Q, c *Candidate) bool
+	conv  func(r Q, c *candidate) bool
 	spell func(protoID int, err bool, data []byte) S
 	rspQ  []singleRsp[S]
 	bufs  readBufs // rspQ's read data
+	cand  candidate
+}
+
+// candidate is the socket's head request converted for issue. The
+// adapter converts every request into the same one, so converting a
+// request that then stalls allocates nothing.
+type candidate struct {
+	Req     core.Request
+	ProtoID int
 }
 
 type singleRsp[S any] struct {
@@ -29,14 +37,10 @@ type singleRsp[S any] struct {
 	data []byte // rsp's read data, held in bufs
 }
 
-// newSingle creates the engine of a single-channel master NIU on clk,
-// behind the shared adapter, and returns it.
-func newSingle[Q, S any](clk *sim.Clock, net *transport.Network, amap *core.AddressMap, cfg MasterConfig, natural core.OrderingModel,
-	req *sim.Pipe[Q], rsp *sim.Pipe[S], conv func(Q, *Candidate) bool, spell func(int, bool, []byte) S) *MasterEngine {
-	e := NewMasterEngine(net, amap, cfg, natural)
-	e.Bind(clk, &singleAdapter[Q, S]{eng: e, req: req, rsp: rsp, conv: conv, spell: spell, bufs: newReadBufs(rsp.Cap())})
-	e.wake.Consumes(req)
-	return e
+// single returns the adapter of a single-channel socket, issuing into
+// far.
+func single[Q, S any](far FarSide, req *sim.Pipe[Q], rsp *sim.Pipe[S], conv func(Q, *candidate) bool, spell func(int, bool, []byte) S) *singleAdapter[Q, S] {
+	return &singleAdapter[Q, S]{far: far, req: req, rsp: rsp, conv: conv, spell: spell, bufs: newReadBufs(rsp.Cap())}
 }
 
 // Idle implements sim.Idler.
@@ -64,31 +68,38 @@ func (a *singleAdapter[Q, S]) StreamSocket() {
 	}
 }
 
-// PumpRequests implements MasterAdapter.
-func (a *singleAdapter[Q, S]) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-// Peek implements SocketHead. A request the fabric cannot express is
-// refused at once, instead of executing at the wrong addresses.
-func (a *singleAdapter[Q, S]) Peek(c *Candidate) bool {
+// PumpRequests implements MasterAdapter: convert the socket's head
+// request and try to issue it, then consume it, answer it locally, or
+// leave it on the socket for the next cycle. A request the fabric
+// cannot express is refused at once, instead of executing at the wrong
+// addresses.
+func (a *singleAdapter[Q, S]) PumpRequests(cycle int64) {
 	r, ok := a.req.Peek()
 	if !ok {
-		return false
+		return
 	}
-	if a.conv(r, c) {
-		return true
+	c := &a.cand
+	if !a.conv(r, c) {
+		a.req.Pop()
+		a.refuse(c)
+		return
 	}
-	a.req.Pop()
-	a.Refuse(c)
-	return false
+	switch a.far.Issue(&c.Req, c.ProtoID, nil, cycle) {
+	case IssueOK:
+		a.req.Pop()
+	case IssueDecodeErr, IssueUnsupported:
+		a.req.Pop()
+		a.refuse(c)
+	case IssueStall:
+		// Leave the request on the socket; retry next cycle.
+	}
 }
 
-// Pop implements SocketHead.
-func (a *singleAdapter[Q, S]) Pop() { a.req.Pop() }
-
-// Refuse implements SocketHead: every single-channel socket signals a
-// decode error or a disabled service as an error response, a read's
+// refuse answers a request that cannot enter the fabric (one it cannot
+// express, an address decode error or a disabled service): every
+// single-channel socket signals it as an error response, a read's
 // zero-filled to its full length.
-func (a *singleAdapter[Q, S]) Refuse(c *Candidate) {
+func (a *singleAdapter[Q, S]) refuse(c *candidate) {
 	var data []byte
 	if !c.Req.Cmd.IsWrite() {
 		data = a.bufs.hold(nil, c.Req.Bytes())

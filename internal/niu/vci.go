@@ -21,10 +21,18 @@ func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap
 	if cfg.Table.MaxOutstanding == 0 {
 		cfg.Table.MaxOutstanding = 1 // PVCI is single-outstanding by nature
 	}
-	return &PVCIMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, pvciRequest, pvciResponse)}
+	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
+	e.Bind(clk, NewPVCIMasterAdapter(e, port), port.Req)
+	return &PVCIMaster{e}
 }
 
-func pvciRequest(preq vci.PReq, c *Candidate) bool {
+// NewPVCIMasterAdapter returns the master adapter of a PVCI socket,
+// issuing into far.
+func NewPVCIMasterAdapter(far FarSide, port *vci.PPort) MasterAdapter {
+	return single(far, port.Req, port.Rsp, pvciRequest, pvciResponse)
+}
+
+func pvciRequest(preq vci.PReq, c *candidate) bool {
 	if preq.Write {
 		c.Req = core.Request{
 			Cmd: core.CmdWrite, Addr: preq.Addr, Size: uint8(len(preq.Data)), Len: 1,
@@ -97,11 +105,19 @@ type BVCIMaster struct {
 // NewBVCIMaster creates the NIU on clk.
 func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.BPort, cfg MasterConfig) *BVCIMaster {
 	cfg.Ordering = OrderFully
-	return &BVCIMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, bvciRequest, bvciResponse)}
+	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
+	e.Bind(clk, NewBVCIMasterAdapter(e, port), port.Req)
+	return &BVCIMaster{e}
+}
+
+// NewBVCIMasterAdapter returns the master adapter of a BVCI socket,
+// issuing into far.
+func NewBVCIMasterAdapter(far FarSide, port *vci.BPort) MasterAdapter {
+	return single(far, port.Req, port.Rsp, bvciRequest, bvciResponse)
 }
 
 // bvciRequest converts a BVCI burst; AVCI's carries a packet ID on top.
-func bvciRequest(breq vci.BReq, c *Candidate) bool {
+func bvciRequest(breq vci.BReq, c *candidate) bool {
 	burst := core.BurstIncr
 	if breq.Wrap {
 		burst = core.BurstWrap
@@ -134,6 +150,13 @@ type vciSlaveAdapter struct {
 // NewBVCISlave creates the NIU on clk.
 func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg SlaveConfig) *BVCISlave {
 	e := NewSlaveEngine(net, cfg)
+	e.Bind(clk, NewBVCISlaveAdapter(clk, port))
+	return &BVCISlave{e}
+}
+
+// NewBVCISlaveAdapter returns the slave adapter of a BVCI target: it
+// executes requests through a BVCI master engine of its own on clk.
+func NewBVCISlaveAdapter(clk *sim.Clock, port *vci.BPort) SlaveAdapter {
 	m := vci.NewBMaster(clk, port, 2)
 	a := &vciSlaveAdapter{
 		read: func(_ int, addr uint64, size uint8, beats int, wrap bool, cb func([]byte, bool)) {
@@ -144,8 +167,7 @@ func NewBVCISlave(clk *sim.Clock, net *transport.Network, port *vci.BPort, cfg S
 		},
 	}
 	a.bind = flagCompletions
-	e.Bind(clk, a)
-	return &BVCISlave{e}
+	return a
 }
 
 // Execute implements SlaveAdapter. BVCI and AVCI wrap natively but have
@@ -177,12 +199,20 @@ type AVCIMaster struct {
 
 // NewAVCIMaster creates the NIU on clk.
 func NewAVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.APort, cfg MasterConfig) *AVCIMaster {
-	return &AVCIMaster{newSingle(clk, net, amap, cfg, core.IDOrdered, port.Req, port.Rsp, avciRequest, avciResponse)}
+	e := NewMasterEngine(net, amap, cfg, core.IDOrdered)
+	e.Bind(clk, NewAVCIMasterAdapter(e, port), port.Req)
+	return &AVCIMaster{e}
+}
+
+// NewAVCIMasterAdapter returns the master adapter of an AVCI socket,
+// issuing into far.
+func NewAVCIMasterAdapter(far FarSide, port *vci.APort) MasterAdapter {
+	return single(far, port.Req, port.Rsp, avciRequest, avciResponse)
 }
 
 // avciRequest converts an AVCI burst; its packet ID is the ordering
 // handle, which the response carries back.
-func avciRequest(areq vci.AReq, c *Candidate) bool {
+func avciRequest(areq vci.AReq, c *candidate) bool {
 	c.ProtoID = areq.ID
 	return bvciRequest(areq.BReq, c)
 }

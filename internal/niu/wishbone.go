@@ -66,13 +66,15 @@ type WBMaster struct {
 // the model is always fully-ordered.
 func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *wishbone.Port, cfg MasterConfig) *WBMaster {
 	cfg.Ordering = OrderFully
-	return &WBMaster{newSingle(clk, net, amap, cfg, core.FullyOrdered, port.Req, port.Rsp, wbRequest, wbResponse)}
+	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
+	e.Bind(clk, single(e, port.Req, port.Rsp, wbRequest, wbResponse), port.Req)
+	return &WBMaster{e}
 }
 
 // wbRequest converts a WISHBONE cycle. A wrap window the fabric cannot
 // express is refused with ERR_I instead of corrupting addresses, as are
 // decode errors and disabled services.
-func wbRequest(cyc wishbone.Cycle, c *Candidate) bool {
+func wbRequest(cyc wishbone.Cycle, c *candidate) bool {
 	burst, ok := wbCTIToCore(cyc)
 	c.Req = core.Request{
 		Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),

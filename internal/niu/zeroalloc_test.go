@@ -11,10 +11,11 @@ import (
 )
 
 // scriptMaster is a single-channel master adapter driven by a test: it
-// offers one request at a time through PumpOne and copies each response.
+// offers one request at a time and copies each response.
 type scriptMaster struct {
 	eng     *MasterEngine
 	next    core.Request // the request on the socket while pending
+	req     core.Request // next, as issued
 	pending bool
 	done    int    // responses delivered
 	failed  int    // responses with a failing status
@@ -31,19 +32,19 @@ func (a *scriptMaster) DeliverResponse(rsp *core.Response, _ *core.Entry) {
 
 func (a *scriptMaster) StreamSocket() {}
 
-func (a *scriptMaster) PumpRequests(cycle int64) { a.eng.PumpOne(cycle, a) }
-
-func (a *scriptMaster) Peek(c *Candidate) bool {
+func (a *scriptMaster) PumpRequests(cycle int64) {
 	if !a.pending {
-		return false
+		return
 	}
-	c.Req, c.ProtoID = a.next, 0
-	return true
+	a.req = a.next
+	switch a.eng.Issue(&a.req, 0, nil, cycle) {
+	case IssueOK:
+		a.pending = false
+	case IssueDecodeErr, IssueUnsupported:
+		a.pending = false
+		a.failed++
+	}
 }
-
-func (a *scriptMaster) Pop() { a.pending = false }
-
-func (a *scriptMaster) Refuse(*Candidate) { a.failed++ }
 
 // offer puts req on the socket.
 func (a *scriptMaster) offer(req core.Request) { a.next, a.pending = req, true }

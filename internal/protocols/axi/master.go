@@ -63,9 +63,9 @@ func (m *Master) Outstanding() int { return m.outstanding }
 func (m *Master) Issued() uint64    { return m.issued }
 func (m *Master) Completed() uint64 { return m.completed }
 
-// Read queues a read burst. beats must be in [1,256]; cb receives the
-// assembled data when the last R beat arrives. The data is valid only
-// during the call: the master reuses its buffer for a later read.
+// Read queues a read burst. beats must be in [1,MaxBeats]; cb receives
+// the assembled data when the last R beat arrives. The data is valid
+// only during the call: the master reuses its buffer for a later read.
 func (m *Master) Read(id int, addr uint64, size uint8, beats int, burst Burst, cb func(ReadResult)) {
 	m.read(id, addr, size, beats, burst, false, cb)
 }
@@ -76,7 +76,7 @@ func (m *Master) ReadExclusive(id int, addr uint64, size uint8, beats int, burst
 }
 
 func (m *Master) read(id int, addr uint64, size uint8, beats int, burst Burst, lock bool, cb func(ReadResult)) {
-	if beats < 1 || beats > 256 {
+	if beats < 1 || beats > MaxBeats {
 		panic(fmt.Sprintf("axi: read burst of %d beats", beats))
 	}
 	ar := ARBeat{ID: id, Addr: addr, Len: uint8(beats - 1), Size: size, Burst: burst, Lock: lock}
@@ -116,7 +116,7 @@ func (m *Master) write(id int, addr uint64, size uint8, burst Burst, data, strb 
 		panic(fmt.Sprintf("axi: write data %dB not a multiple of size %d", len(data), size))
 	}
 	beats := len(data) / int(size)
-	if beats > 256 {
+	if beats > MaxBeats {
 		panic(fmt.Sprintf("axi: write burst of %d beats", beats))
 	}
 	aw := AWBeat{ID: id, Addr: addr, Len: uint8(beats - 1), Size: size, Burst: burst, Lock: lock}

@@ -42,6 +42,9 @@ func (r Resp) String() string {
 	}
 }
 
+// MaxBeats is the longest burst an AXI socket carries (AxLEN+1).
+const MaxBeats = 256
+
 // Burst is an AXI burst type.
 type Burst uint8
 

@@ -72,6 +72,12 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1, "target": {"base": "0x9000_0000", "size": "0x1000"}}`),
 				`"kind": "soc", `, `"kind": "soc", "wishbone": true, `, 1),
 			outOfWindow + ", wb-mem [0x50000000,+0x100000))"},
+		{"axi role longer than an AXI burst",
+			minimalSoC(`{"protocol": "axi", "rate": 0.1, "bytes": 1028}`),
+			"workload.masters[0].bytes: 1028 exceeds 1024, the longest AXI burst (256 beats of 4 bytes)"},
+		{"more nodes than 16-bit node IDs",
+			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 70000`, 1),
+			"fabric.nodes: 70000 exceeds 65534"},
 		{"wb role without wishbone",
 			minimalSoC(`{"protocol": "wb", "rate": 0.1}`),
 			"workload.wishbone"},

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"gonoc/internal/noctypes"
+	"gonoc/internal/protocols/axi"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
 	"gonoc/internal/transport"
@@ -135,11 +136,22 @@ func (s *Scenario) validateFabric() error {
 			return errf(c.field, "%d is negative", c.v)
 		}
 	}
+	if f.Nodes > maxNodes {
+		return errf("fabric.nodes", "%d exceeds %d, the most 16-bit node IDs can number", f.Nodes, maxNodes)
+	}
 	if (f.MeshW == 0) != (f.MeshH == 0) {
 		return errf("fabric.mesh_w", "mesh_w and mesh_h must be set together (or both omitted for a square)")
 	}
 	return nil
 }
+
+// maxNodes bounds fabric.nodes: a packet run numbers its nodes from 1
+// in a 16-bit noctypes.NodeID, whose all-ones value means no node.
+const maxNodes = int(noctypes.NodeInvalid) - 1
+
+// axiMaxBytes bounds an axi master role's bytes: one transaction is one
+// AXI burst of the SoC's 4-byte AXI socket.
+const axiMaxBytes = axi.MaxBeats * 4
 
 func (s *Scenario) validatePacket() error {
 	w := s.Workload
@@ -224,6 +236,9 @@ func (s *Scenario) validateSoC() error {
 		}
 		if m.Bytes < 0 {
 			return errf(field("bytes"), "%d is negative", m.Bytes)
+		}
+		if m.Protocol == "axi" && m.Bytes > axiMaxBytes {
+			return errf(field("bytes"), "%d exceeds %d, the longest AXI burst (%d beats of 4 bytes)", m.Bytes, axiMaxBytes, axi.MaxBeats)
 		}
 		if m.ReadFrac != nil {
 			if err := validFrac(field("read_frac"), *m.ReadFrac); err != nil {
