@@ -1,12 +1,14 @@
 // Package bus implements the paper's Fig-2 baseline: a traditional
 // shared-bus interconnect with its own reference socket (AHB-like),
 // which IP blocks with foreign sockets reach through bridges. Every
-// bridge is one crossing: a single transaction in flight, carried in the
-// bus's terms, that pays a conversion latency each way and silently
-// drops the features the reference socket cannot express — out-of-order
-// responses, threads, posted writes, exclusive access, QoS. A bridge
-// itself only decodes its socket. Experiment E2 measures these penalties
-// against the Fig-1 NoC.
+// bridge is one crossing: a single transaction in flight, carried in
+// the transaction layer's terms, that pays a conversion latency each way
+// and drops the features the reference socket cannot express —
+// out-of-order responses, threads, posted writes, exclusive access,
+// FIXED bursts, byte enables, QoS. The bus decodes no socket: a bridge
+// runs the socket's adapter from internal/niu, the one its NIU runs on
+// the NoC — one adapter per socket, two far sides. Experiment E2
+// measures these penalties against the Fig-1 NoC.
 package bus
 
 import (

@@ -18,6 +18,13 @@
 // the worked example, and the top-level README's "Adding a protocol
 // adapter" section is the walkthrough.
 //
+// One adapter per socket, two far sides: a master adapter issues into a
+// FarSide, which is either a MasterEngine or a bridge of the Fig-2 bus
+// (internal/bus), and a slave adapter executes what a SlaveEngine or a
+// bus slave bridge hands it. The bus runs these same adapters and
+// decodes no socket of its own: the features the bus cannot carry are
+// dropped by its bridge's Issue, never by an adapter.
+//
 // Both engines emit transaction-lifecycle spans (issue → complete on
 // the master side, admit → respond on the slave side) into the fabric's
 // instrumentation probe when one is attached — see internal/obs and
