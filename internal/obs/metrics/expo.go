@@ -3,8 +3,11 @@ package metrics
 import (
 	"bufio"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
 // This file renders the registry in the Prometheus text exposition
@@ -40,11 +43,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for lbl, s := range f.byLabel {
 			ef.samples = append(ef.samples, expoSample{lbl: lbl, s: s})
 		}
-		sort.Slice(ef.samples, func(i, j int) bool { return ef.samples[i].lbl < ef.samples[j].lbl })
+		slices.SortFunc(ef.samples, func(a, b expoSample) int { return strings.Compare(a.lbl, b.lbl) })
 		fams = append(fams, ef)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	slices.SortFunc(fams, func(a, b expoFamily) int { return strings.Compare(a.name, b.name) })
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
@@ -98,35 +101,122 @@ func formatFloat(v float64) string {
 // (name plus canonical label string; histograms contribute _sum and
 // _count). Iteration order is sorted and deterministic. Snapshots and
 // tests use it to dump the registry without parsing exposition text.
+// It walks the sample list the registry keeps, so a dump allocates
+// nothing per sample; the list is re-sorted (one copy) only after new
+// registrations.
 func (r *Registry) Each(f func(key string, value float64)) {
 	if r == nil {
 		return
 	}
-	type flat struct {
-		key string
-		val func() float64
+	for _, e := range r.dump() {
+		f(e.key, e.value())
 	}
-	r.mu.Lock()
-	var out []flat
-	for _, fam := range r.families {
-		name := fam.name
-		for lbl, s := range fam.byLabel {
-			switch s := s.(type) {
-			case *Counter:
-				out = append(out, flat{name + lbl, func() float64 { return float64(s.Value()) }})
-			case *Gauge:
-				out = append(out, flat{name + lbl, s.Value})
-			case *gaugeFunc:
-				out = append(out, flat{name + lbl, s.fn})
-			case *Histogram:
-				out = append(out, flat{name + "_sum" + lbl, func() float64 { return float64(s.Sum()) }})
-				out = append(out, flat{name + "_count" + lbl, func() float64 { return float64(s.Count()) }})
-			}
+}
+
+// appendJSON appends the registry dump as one JSON object: the bytes
+// json.Marshal writes for the map Each fills, keys sorted, except that
+// a sample whose value is not finite is left out (JSON has no NaN)
+// where json.Marshal would fail the whole object. It appends nothing
+// for a nil or empty registry.
+func (r *Registry) appendJSON(dst []byte) []byte {
+	if r == nil {
+		return dst
+	}
+	es := r.dump()
+	if len(es) == 0 {
+		return dst
+	}
+	n := 2
+	for i := range es {
+		n += len(es[i].key) + 32 // quotes, escapes, colon, comma, the longest float
+	}
+	dst = append(slices.Grow(dst, n), '{')
+	first := true
+	for i := range es {
+		v := es[i].value()
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		dst = appendJSONString(dst, es[i].key)
+		dst = append(dst, ':')
+		dst = appendJSONFloat(dst, v)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONFloat formats v as encoding/json does: like %g, but with
+// ES6's exponent cutoffs and no zero-padded exponent.
+func appendJSONFloat(dst []byte, v float64) []byte {
+	abs := math.Abs(v)
+	fmt := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		fmt = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, fmt, -1, 64)
+	if fmt == 'e' {
+		// e-09 to e-9
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	for _, s := range out {
-		f(s.key, s.val())
+	return dst
+}
+
+// appendJSONString quotes s as encoding/json does with its default HTML
+// escaping: quote, backslash and control bytes escaped, <, > and &
+// as \u00XX, invalid UTF-8 as \ufffd, U+2028 and U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

@@ -21,7 +21,9 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -54,10 +56,9 @@ func (t familyType) String() string {
 	}
 }
 
-// sample is one labeled instance within a family.
-type sample interface {
-	labelString() string // canonical {k="v",...} or ""
-}
+// sample is one labeled instance within a family: a *Counter, *Gauge,
+// *gaugeFunc or *Histogram.
+type sample any
 
 // family groups all samples sharing a metric name.
 type family struct {
@@ -67,12 +68,42 @@ type family struct {
 	byLabel map[string]sample
 }
 
+// flat is one sample of the registry dump (Each): its qualified key,
+// built once at registration, and the sample it reads. A histogram
+// contributes two, its _sum and its _count.
+type flat struct {
+	key   string
+	s     sample
+	count bool // a histogram's _count entry (its _sum otherwise)
+}
+
+func (e *flat) value() float64 {
+	switch s := e.s.(type) {
+	case *Counter:
+		return float64(s.Value())
+	case *Gauge:
+		return s.Value()
+	case *gaugeFunc:
+		return s.fn()
+	case *Histogram:
+		if e.count {
+			return float64(s.Count())
+		}
+		return float64(s.Sum())
+	}
+	return 0
+}
+
 // Registry holds metric families. The zero value is not usable; call
 // NewRegistry. A nil *Registry is the disabled registry: every
 // registration returns a nil handle and every read renders nothing.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	// flats is the dump's sample list. It is sorted by key unless a
+	// registration has appended to it since the last dump.
+	flats  []flat
+	sorted bool
 }
 
 // NewRegistry returns an empty, enabled registry.
@@ -80,39 +111,48 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelString renders labels canonically: sorted by key, in the
-// Prometheus {k="v",k2="v2"} form ("" when unlabeled).
-func labelString(labels []Label) string {
+// appendLabels appends the canonical label string of labels to b:
+// sorted by key, in the Prometheus {k="v",k2="v2"} form (nothing when
+// unlabeled). Label sets are a few pairs, so it sorts a copy by
+// insertion; the copy stays on the stack for up to four labels.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	s := "{"
+	var arr [4]Label
+	ls := append(arr[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	b = append(b, '{')
 	for i, l := range ls {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += l.Key + `="` + escapeLabelValue(l.Value) + `"`
+		b = append(b, l.Key...)
+		b = append(b, '=', '"')
+		b = appendLabelValue(b, l.Value)
+		b = append(b, '"')
 	}
-	return s + "}"
+	return append(b, '}')
 }
 
-func escapeLabelValue(v string) string {
-	out := make([]byte, 0, len(v))
+func appendLabelValue(b []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
 		switch v[i] {
 		case '\\':
-			out = append(out, '\\', '\\')
+			b = append(b, '\\', '\\')
 		case '"':
-			out = append(out, '\\', '"')
+			b = append(b, '\\', '"')
 		case '\n':
-			out = append(out, '\\', 'n')
+			b = append(b, '\\', 'n')
 		default:
-			out = append(out, v[i])
+			b = append(b, v[i])
 		}
 	}
-	return string(out)
+	return b
 }
 
 // getFamily returns the family for name, creating it on first use. It
@@ -132,14 +172,47 @@ func (r *Registry) getFamily(name, help string, typ familyType) *family {
 	return f
 }
 
+// find looks name+labels up. It returns the family and either the
+// registered sample or, when there is none, the qualified key (name
+// plus label string), the one allocation of a lookup that misses. Call
+// with r.mu held.
+func (r *Registry) find(name, help string, typ familyType, labels []Label) (*family, sample, string) {
+	f := r.getFamily(name, help, typ)
+	b := appendLabels(append(make([]byte, 0, 96), name...), labels)
+	if s, ok := f.byLabel[string(b[len(name):])]; ok {
+		return f, s, ""
+	}
+	return f, nil, string(b)
+}
+
+// add registers s under its qualified key, with the dump entries that
+// read it. Call with r.mu held.
+func (r *Registry) add(f *family, key string, s sample, es ...flat) {
+	f.byLabel[key[len(f.name):]] = s
+	r.flats = append(r.flats, es...)
+	r.sorted = false
+}
+
+// dump returns the dump's samples sorted by key. A list already sorted
+// is returned as kept. Otherwise a sorted copy replaces it, so a caller
+// still walking an earlier list never sees it move; registration only
+// appends past the end of any list handed out.
+func (r *Registry) dump() []flat {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.sorted {
+		r.flats = slices.Clone(r.flats)
+		slices.SortFunc(r.flats, func(a, b flat) int { return strings.Compare(a.key, b.key) })
+		r.sorted = true
+	}
+	return r.flats
+}
+
 // Counter is a monotonically increasing uint64. A nil *Counter is a
 // no-op handle.
 type Counter struct {
-	v   atomic.Uint64
-	lbl string
+	v atomic.Uint64
 }
-
-func (c *Counter) labelString() string { return c.lbl }
 
 // Inc adds one.
 func (c *Counter) Inc() {
@@ -172,13 +245,12 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeCounter)
-	key := labelString(labels)
-	if s, ok := f.byLabel[key]; ok {
+	f, s, key := r.find(name, help, typeCounter, labels)
+	if s != nil {
 		return s.(*Counter)
 	}
-	c := &Counter{lbl: key}
-	f.byLabel[key] = c
+	c := &Counter{}
+	r.add(f, key, c, flat{key: key, s: c})
 	return c
 }
 
@@ -186,10 +258,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // handle.
 type Gauge struct {
 	bits atomic.Uint64 // math.Float64bits
-	lbl  string
 }
-
-func (g *Gauge) labelString() string { return g.lbl }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
@@ -227,23 +296,19 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	key := labelString(labels)
-	if s, ok := f.byLabel[key]; ok {
+	f, s, key := r.find(name, help, typeGauge, labels)
+	if s != nil {
 		return s.(*Gauge)
 	}
-	g := &Gauge{lbl: key}
-	f.byLabel[key] = g
+	g := &Gauge{}
+	r.add(f, key, g, flat{key: key, s: g})
 	return g
 }
 
 // gaugeFunc samples a callback at read time (exposition / snapshot).
 type gaugeFunc struct {
-	lbl string
-	fn  func() float64
+	fn func() float64
 }
-
-func (g *gaugeFunc) labelString() string { return g.lbl }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time. fn must be safe to call from the HTTP goroutine.
@@ -253,26 +318,23 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	key := labelString(labels)
-	if _, ok := f.byLabel[key]; ok {
-		panic(fmt.Sprintf("metrics: duplicate GaugeFunc %s%s", name, key))
+	f, s, key := r.find(name, help, typeGauge, labels)
+	if s != nil {
+		panic(fmt.Sprintf("metrics: duplicate GaugeFunc %s%s", name, appendLabels(nil, labels)))
 	}
-	f.byLabel[key] = &gaugeFunc{lbl: key, fn: fn}
+	g := &gaugeFunc{fn: fn}
+	r.add(f, key, g, flat{key: key, s: g})
 }
 
 // Histogram counts int64 observations into fixed buckets (Prometheus
 // cumulative-le semantics: bucket i counts observations <= bounds[i],
 // plus an implicit +Inf bucket). A nil *Histogram is a no-op handle.
 type Histogram struct {
-	lbl     string
 	bounds  []int64
 	buckets []atomic.Uint64 // len(bounds)+1; last is +Inf
 	sum     atomic.Int64
 	count   atomic.Uint64
 }
-
-func (h *Histogram) labelString() string { return h.lbl }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
@@ -315,16 +377,15 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeHistogram)
-	key := labelString(labels)
-	if s, ok := f.byLabel[key]; ok {
+	f, s, key := r.find(name, help, typeHistogram, labels)
+	if s != nil {
 		return s.(*Histogram)
 	}
 	h := &Histogram{
-		lbl:     key,
 		bounds:  append([]int64(nil), bounds...),
 		buckets: make([]atomic.Uint64, len(bounds)+1),
 	}
-	f.byLabel[key] = h
+	lbl := key[len(name):]
+	r.add(f, key, h, flat{key: name + "_sum" + lbl, s: h}, flat{key: name + "_count" + lbl, s: h, count: true})
 	return h
 }

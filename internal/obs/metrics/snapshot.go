@@ -27,9 +27,67 @@ type Snapshot struct {
 	PointsDone  int `json:"points_done,omitempty"`
 	PointsTotal int `json:"points_total,omitempty"`
 
-	// Metrics is the full registry dump keyed by qualified sample name
-	// (encoding/json sorts map keys, so lines diff cleanly).
+	// Metrics is the full registry dump keyed by qualified sample name,
+	// written with sorted keys so lines diff cleanly. A sample whose
+	// value is not finite is left out.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// wireSnapshot is a Snapshot as written: the registry dump arrives
+// already rendered (Registry.appendJSON), and this Metrics field hides
+// the embedded map. The bytes are those of json.Marshal on the Snapshot
+// with its map filled.
+type wireSnapshot struct {
+	Snapshot
+	Metrics json.RawMessage `json:"metrics,omitempty"`
+}
+
+// take reads a snapshot's scalars from the (possibly nil) profile and
+// tracker; the caller fills the time and the rates.
+func take(prof *SimProfile, prog *Progress) Snapshot {
+	snap := Snapshot{
+		Phase:     prof.Phase().String(),
+		Cycles:    prof.Cycles(),
+		Events:    prof.Events(),
+		HeapDepth: prof.HeapDepth(),
+	}
+	if prof != nil {
+		snap.HeapAllocBytes = prof.heapAlloc.Value()
+	}
+	ps := prog.Snapshot()
+	snap.PointsDone, snap.PointsTotal = ps.PointsDone, ps.PointsTotal
+	return snap
+}
+
+// Frozen is a session's last snapshot line, rendered once, with the
+// point counts a status document reports. It shares nothing with the
+// rig it came from, so a finished session keeps it and drops the rig
+// (nocserver keeps one per cached run).
+type Frozen struct {
+	PointsDone, PointsTotal int
+	// Line is one snapshot line, newline included: the session's state
+	// when it was frozen. It reads as the first line of a snapshotter
+	// started with the session: t_ms is the session's wall time, and
+	// the rates are its averages.
+	Line []byte
+}
+
+// Freeze renders the rig's current state (the zero Frozen on a nil
+// rig).
+func (r *Rig) Freeze() Frozen {
+	if r == nil {
+		return Frozen{}
+	}
+	snap := take(r.Profile, r.Progress)
+	wall := r.Profile.Elapsed()
+	snap.TMS = float64(wall.Microseconds()) / 1e3
+	snap.EventsPerSec = rate(float64(snap.Events), wall)
+	snap.CyclesPerSec = rate(float64(snap.Cycles), wall)
+	f := Frozen{PointsDone: snap.PointsDone, PointsTotal: snap.PointsTotal}
+	if line, err := json.Marshal(wireSnapshot{snap, r.Registry.appendJSON(nil)}); err == nil {
+		f.Line = append(line, '\n')
+	}
+	return f
 }
 
 // defaultSnapEvery paces snapshots when the caller passes no interval.
@@ -48,6 +106,7 @@ type Snapshotter struct {
 
 	mu         sync.Mutex
 	w          *bufio.Writer
+	dump       []byte // the last line's rendered registry dump, reused
 	every      time.Duration
 	start      time.Time
 	last       time.Time
@@ -96,28 +155,14 @@ func (s *Snapshotter) Snap() {
 
 func (s *Snapshotter) snapLocked() {
 	now := time.Now()
-	snap := Snapshot{
-		TMS:    float64(now.Sub(s.start).Microseconds()) / 1e3,
-		Phase:  s.prof.Phase().String(),
-		Cycles: s.prof.Cycles(),
-		Events: s.prof.Events(),
-	}
+	snap := take(s.prof, s.prog)
+	snap.TMS = float64(now.Sub(s.start).Microseconds()) / 1e3
 	if dt := now.Sub(s.last); dt > 0 {
 		snap.EventsPerSec = rate(float64(snap.Events-s.lastEvents), dt)
 		snap.CyclesPerSec = rate(float64(snap.Cycles-s.lastCycles), dt)
 	}
-	snap.HeapDepth = s.prof.HeapDepth()
-	if s.prof != nil {
-		snap.HeapAllocBytes = s.prof.heapAlloc.Value()
-	}
-	if ps := s.prog.Snapshot(); ps.PointsTotal > 0 {
-		snap.PointsDone, snap.PointsTotal = ps.PointsDone, ps.PointsTotal
-	}
-	if s.reg != nil {
-		snap.Metrics = make(map[string]float64)
-		s.reg.Each(func(key string, v float64) { snap.Metrics[key] = v })
-	}
-	line, err := json.Marshal(snap)
+	s.dump = s.reg.appendJSON(s.dump[:0])
+	line, err := json.Marshal(wireSnapshot{snap, s.dump})
 	if err == nil {
 		s.w.Write(line)
 		s.w.WriteByte('\n')
