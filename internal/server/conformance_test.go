@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"gonoc/internal/obs/metrics"
+	"gonoc/internal/scenario"
 	"gonoc/internal/traffic"
 )
 
@@ -29,7 +30,7 @@ import (
 // in-flight duplicate is joined (X-Cache: pending), not re-enqueued.
 func TestBoundedQueueRejects(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		<-release
 		return []byte("{}\n"), nil
 	}
@@ -76,7 +77,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 // fails its run the same way.
 func TestPanicIsolation(t *testing.T) {
 	calls := 0
-	exec := func(r *run) ([]byte, error) {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		calls++
 		switch calls {
 		case 1:
@@ -133,7 +134,7 @@ func TestPanicIsolation(t *testing.T) {
 // result from the still-running goroutine is discarded, not resurrected.
 func TestRunTimeout(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		<-release
 		return []byte("late result that must be dropped"), nil
 	}
@@ -154,10 +155,10 @@ func TestRunTimeout(t *testing.T) {
 func TestProgressStreamsLive(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
-		r.rig.Progress.SetTotal(3)
-		r.rig.Progress.PointStart()
-		r.rig.Progress.PointDone("injected/point@1", 1)
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+		rig.Progress.SetTotal(3)
+		rig.Progress.PointStart()
+		rig.Progress.PointDone("injected/point@1", 1)
 		close(started)
 		<-release
 		return []byte("{}\n"), nil
@@ -218,7 +219,7 @@ func TestProgressStreamsLive(t *testing.T) {
 // unaffected.
 func TestClientDisconnect(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		<-release
 		return []byte("{}\n"), nil
 	}
@@ -250,7 +251,7 @@ func TestGracefulDrain(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	exec := func(r *run) ([]byte, error) {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		once.Do(func() { close(started) })
 		<-release
 		return []byte("drained result\n"), nil

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"gonoc/internal/obs/metrics"
 	"gonoc/internal/scenario"
 )
 
@@ -141,6 +142,15 @@ func TestReserializedCopyHits(t *testing.T) {
 	}
 }
 
+// idLine is a stand-in result: the id of the run that executes sc.
+func idLine(sc *scenario.Scenario) []byte {
+	fp, err := sc.Fingerprint()
+	if err != nil {
+		panic(err)
+	}
+	return []byte(runID(fp) + "\n")
+}
+
 // TestDigestNeverAnswersADeadRun: once a digest's run failed, was
 // evicted or was cancelled, resubmitting the same bytes takes the full
 // path, a retry under the same id or a fresh miss, and the index never
@@ -149,11 +159,11 @@ func TestDigestNeverAnswersADeadRun(t *testing.T) {
 	t.Run("failed", func(t *testing.T) {
 		var failNext atomic.Bool
 		failNext.Store(true)
-		exec := func(r *run) ([]byte, error) {
+		exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 			if failNext.Swap(false) {
 				return nil, errors.New("injected failure")
 			}
-			return []byte(r.id + "\n"), nil
+			return idLine(sc), nil
 		}
 		s, ts := newTestServer(t, Config{Workers: 1}, exec)
 		body := testScenarioBytes(t, 91)
@@ -202,9 +212,9 @@ func TestDigestNeverAnswersADeadRun(t *testing.T) {
 
 	t.Run("cancelled", func(t *testing.T) {
 		release := make(chan struct{})
-		exec := func(r *run) ([]byte, error) {
+		exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 			<-release
-			return []byte(r.id + "\n"), nil
+			return idLine(sc), nil
 		}
 		s, ts := newTestServer(t, Config{Workers: 1}, exec)
 		t.Cleanup(func() { close(release) })
@@ -235,11 +245,11 @@ func TestByteIdenticalPendingAndDrain(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
-	exec := func(r *run) ([]byte, error) {
-		if r.sc.Seed == blockSeed {
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+		if sc.Seed == blockSeed {
 			<-release
 		}
-		return []byte(r.id + "\n"), nil
+		return idLine(sc), nil
 	}
 	s, ts := newTestServer(t, Config{Workers: 1}, exec)
 	t.Cleanup(unblock)

@@ -54,7 +54,14 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	snap := metrics.NewSnapshotter(out, interval, r.rig.Registry, r.rig.Profile, r.rig.Progress)
+	rig, final := r.live()
+	if rig == nil {
+		// A finished run's stream is its one frozen terminal line.
+		out.Write(final.Line)
+		return
+	}
+	// A stream opened before the run finished keeps its rig to the end.
+	snap := metrics.NewSnapshotter(out, interval, rig.Registry, rig.Profile, rig.Progress)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -64,7 +71,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 			flusher.Flush()
 		}
 		// The terminal check comes after the write: the final line
-		// carries the finished state (a cached run streams exactly one).
+		// carries the finished state.
 		if r.terminal() {
 			return
 		}

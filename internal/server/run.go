@@ -26,25 +26,30 @@ const (
 )
 
 // run is one accepted scenario: its identity (the fingerprint-derived
-// id, and the sha256 of the request body that created it), its own
-// metrics rig (registry + self-profile + progress, the backing of the
-// /progress stream), and the state machine the workers and handlers
-// share. The result bytes are written once, on the queued→done
-// transition, and never mutated — handlers hand them out by reference.
+// id, and the sha256 of the request body that created it), the
+// scenario's name and mode, and the state machine the workers and
+// handlers share. The result bytes are written once, on the
+// running→done transition, and never mutated — handlers hand them out
+// by reference.
 type run struct {
 	id     string
 	fp     string
 	digest [sha256.Size]byte
-	sc     *scenario.Scenario
-
-	rig *metrics.Rig
-
-	submitted time.Time
+	name   string
+	mode   scenario.Mode
 
 	mu     sync.Mutex
 	state  runState
 	errMsg string
 	result []byte
+	// sc and rig are what the run executes with: the scenario and its
+	// own metrics rig (registry + self-profile + progress, the backing
+	// of the /progress stream). The terminal transition drops both and
+	// keeps final, the rig's last snapshot rendered, so a finished run
+	// holds only bytes and reports the values it had when it finished.
+	sc    *scenario.Scenario
+	rig   *metrics.Rig
+	final metrics.Frozen
 
 	// doneCh closes on the first terminal transition; the progress
 	// stream and the conformance tests select on it.
@@ -64,11 +69,11 @@ func runID(fp string) string {
 
 func newRun(id, fp string, digest [sha256.Size]byte, sc *scenario.Scenario) *run {
 	return &run{
-		id: id, fp: fp, digest: digest, sc: sc,
-		rig:       metrics.NewRig(),
-		submitted: time.Now(),
-		state:     stateQueued,
-		doneCh:    make(chan struct{}),
+		id: id, fp: fp, digest: digest, name: sc.Name, mode: sc.Mode(),
+		sc:     sc,
+		rig:    metrics.NewRig(),
+		state:  stateQueued,
+		doneCh: make(chan struct{}),
 	}
 }
 
@@ -98,16 +103,16 @@ func (r *run) errorMessage() string {
 	return r.errMsg
 }
 
-// begin claims the run for a worker; false means it was cancelled
-// while queued.
-func (r *run) begin() bool {
+// begin claims the run for a worker and hands it the scenario and rig
+// to execute with; false means it was cancelled while queued.
+func (r *run) begin() (*scenario.Scenario, *metrics.Rig, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != stateQueued {
-		return false
+		return nil, nil, false
 	}
 	r.state = stateRunning
-	return true
+	return r.sc, r.rig, true
 }
 
 // complete lands the result; false means a terminal state (timeout)
@@ -118,9 +123,7 @@ func (r *run) complete(result []byte) bool {
 	if r.state != stateRunning {
 		return false
 	}
-	r.state = stateDone
-	r.result = result
-	close(r.doneCh)
+	r.finishLocked(stateDone, "", result)
 	return true
 }
 
@@ -132,9 +135,7 @@ func (r *run) fail(msg string) bool {
 	if r.state != stateQueued && r.state != stateRunning {
 		return false
 	}
-	r.state = stateFailed
-	r.errMsg = msg
-	close(r.doneCh)
+	r.finishLocked(stateFailed, msg, nil)
 	return true
 }
 
@@ -146,10 +147,27 @@ func (r *run) cancel(msg string) bool {
 	if r.state != stateQueued {
 		return false
 	}
-	r.state = stateCancelled
-	r.errMsg = msg
-	close(r.doneCh)
+	r.finishLocked(stateCancelled, msg, nil)
 	return true
+}
+
+// finishLocked is every terminal transition. It freezes the rig's
+// state and drops the rig and the scenario: a simulation that outlives
+// its timeout keeps moving its own rig, and a stream opened earlier
+// keeps reading it, but the run no longer changes. Call with r.mu held.
+func (r *run) finishLocked(st runState, msg string, result []byte) {
+	r.state, r.errMsg, r.result = st, msg, result
+	r.final = r.rig.Freeze()
+	r.sc, r.rig = nil, nil
+	close(r.doneCh)
+}
+
+// live returns the rig of a run that has not finished, or nil and the
+// frozen record of one that has.
+func (r *run) live() (*metrics.Rig, metrics.Frozen) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rig, r.final
 }
 
 // statusDoc is the run's wire status.
@@ -168,18 +186,21 @@ type statusDoc struct {
 
 func (r *run) statusDoc() statusDoc {
 	r.mu.Lock()
-	state, errMsg := r.state, r.errMsg
+	state, errMsg, rig, final := r.state, r.errMsg, r.rig, r.final
 	r.mu.Unlock()
-	ps := r.rig.Progress.Snapshot()
+	if rig != nil {
+		ps := rig.Progress.Snapshot()
+		final.PointsDone, final.PointsTotal = ps.PointsDone, ps.PointsTotal
+	}
 	d := statusDoc{
 		ID:          r.id,
 		Fingerprint: r.fp,
-		Scenario:    r.sc.Name,
-		Mode:        string(r.sc.Mode()),
+		Scenario:    r.name,
+		Mode:        string(r.mode),
 		State:       string(state),
 		Error:       errMsg,
-		PointsDone:  ps.PointsDone,
-		PointsTotal: ps.PointsTotal,
+		PointsDone:  final.PointsDone,
+		PointsTotal: final.PointsTotal,
 		ProgressURL: "/v1/runs/" + r.id + "/progress",
 	}
 	if state == stateDone {
@@ -203,7 +224,8 @@ func (s *Server) worker() {
 // watchdog can declare a timeout without waiting on it. Exactly one
 // terminal transition wins; a late result after a timeout is dropped.
 func (s *Server) execute(r *run) {
-	if !r.begin() {
+	sc, rig, ok := r.begin()
+	if !ok {
 		return
 	}
 	s.running.Add(1)
@@ -220,7 +242,7 @@ func (s *Server) execute(r *run) {
 				ch <- outcome{err: fmt.Errorf("run panicked: %v", p)}
 			}
 		}()
-		body, err := s.exec(r)
+		body, err := s.exec(sc, rig)
 		ch <- outcome{body: body, err: err}
 	}()
 
@@ -250,15 +272,15 @@ func (s *Server) execute(r *run) {
 	}
 }
 
-// runScenario executes the run's scenario through scenario.Execute,
-// the executor the noctraffic CLI calls, wired to the run's own metrics
+// runScenario executes a run's scenario through scenario.Execute, the
+// executor the noctraffic CLI calls, wired to the run's own metrics
 // rig, and serializes the mode result with stats.WriteJSON: the exact
 // bytes `noctraffic -scenario FILE -wall=false -json` prints.
 // Options.Wall stays off: the wall-clock self-profile is the one
 // nondeterministic result field, and a cacheable result must be
 // deterministic.
-func (s *Server) runScenario(r *run) ([]byte, error) {
-	rep, err := scenario.Execute(s.runnable(r.sc), scenario.Options{Metrics: r.rig})
+func (s *Server) runScenario(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+	rep, err := scenario.Execute(s.runnable(sc), scenario.Options{Metrics: rig})
 	if err != nil {
 		return nil, err
 	}

@@ -129,10 +129,11 @@ type Server struct {
 	evicted   *metrics.Counter
 	running   *metrics.Gauge
 
-	// exec runs one accepted run and returns its result bytes. It is the
-	// scenario executor in production; the conformance tests override it
-	// to inject blocking, panicking, and failing runs.
-	exec func(*run) ([]byte, error)
+	// exec runs one accepted run's scenario on its rig and returns the
+	// result bytes. It is the scenario executor in production; the
+	// conformance tests override it to inject blocking, panicking, and
+	// failing runs.
+	exec func(*scenario.Scenario, *metrics.Rig) ([]byte, error)
 
 	mu       sync.Mutex
 	runs     map[string]*run

@@ -20,7 +20,7 @@ import (
 // newTestServer builds a service (with an optional exec hook installed
 // before the worker pool starts, so the override is race-free) behind
 // an httptest frontend, and tears both down in the right order.
-func newTestServer(t *testing.T, cfg Config, exec func(*run) ([]byte, error)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config, exec func(*scenario.Scenario, *metrics.Rig) ([]byte, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := newServer(cfg)
 	if exec != nil {
@@ -262,15 +262,17 @@ func TestSweepAndCampaignModes(t *testing.T) {
 		t.Fatalf("campaign result has %d points, want 4", len(cr.Points))
 	}
 	// The worker count stays out of the result bytes; the cap shows in
-	// the scenario copy that executes, and the stored one is untouched.
-	s.mu.Lock()
-	stored := s.runs[cst.ID].sc
-	s.mu.Unlock()
-	if w := s.runnable(stored).Measure.Campaign.Workers; w != 2 {
+	// the scenario copy that executes, and the submitted one is
+	// untouched.
+	submitted, err := scenario.Load(bytes.NewReader(cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := s.runnable(submitted).Measure.Campaign.Workers; w != 2 {
 		t.Fatalf("campaign executes on %d workers, want the server's cap of 2", w)
 	}
-	if stored.Measure.Campaign.Workers != 0 {
-		t.Fatalf("capping mutated the stored scenario: workers %d", stored.Measure.Campaign.Workers)
+	if submitted.Measure.Campaign.Workers != 0 {
+		t.Fatalf("capping mutated the submitted scenario: workers %d", submitted.Measure.Campaign.Workers)
 	}
 	if cr.Wall != nil {
 		t.Fatal("campaign result carries a wall-clock block; results must stay deterministic")
