@@ -44,7 +44,7 @@ func ahbRequest(hreq ahb.Req, c *candidate) bool {
 		burst = core.BurstWrap
 	}
 	c.Req = core.Request{
-		Cmd: cmd, Addr: hreq.Addr, Size: hreq.Size, Len: uint16(hreq.NumBeats()),
+		Cmd: cmd, Addr: hreq.Addr, Size: hreq.Size, Len: beatLen("AHB", hreq.NumBeats()),
 		Burst: burst, Locked: hreq.Lock, Unlock: hreq.Unlock,
 	}
 	if hreq.Write {

@@ -187,7 +187,7 @@ func (a *axiMasterAdapter) acceptAR(cycle int64) {
 		excl = true
 	} // exclusive demoted to plain read when the service is off (AXI: OKAY)
 	a.req = core.Request{
-		Cmd: cmd, Addr: ar.Addr, Size: ar.Size, Len: uint16(ar.Beats()),
+		Cmd: cmd, Addr: ar.Addr, Size: ar.Size, Len: beatLen("AXI", ar.Beats()),
 		Burst: axiBurstToCore(ar.Burst), Exclusive: excl,
 		Priority: a.priorityFor(ar.QoS),
 	}
@@ -246,7 +246,7 @@ func (a *axiMasterAdapter) acceptWrites(cycle int64) {
 	}
 	a.wData, a.wBE = data, be
 	a.req = core.Request{
-		Cmd: cmd, Addr: aw.Addr, Size: aw.Size, Len: uint16(need),
+		Cmd: cmd, Addr: aw.Addr, Size: aw.Size, Len: beatLen("AXI", need),
 		Burst: axiBurstToCore(aw.Burst), Data: data, Exclusive: excl,
 		Priority: a.priorityFor(aw.QoS),
 	}

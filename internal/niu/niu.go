@@ -16,9 +16,31 @@
 package niu
 
 import (
+	"fmt"
+	"math"
+
 	"gonoc/internal/core"
 	"gonoc/internal/noctypes"
 )
+
+// beatLen converts a socket burst's beat count into core.Request.Len,
+// which carries at most 65,535 beats. A longer burst panics naming the
+// socket: wrapped, it would cross the fabric as a short request (a write
+// whose payload no longer matches, a read answered short with no
+// error). scenario.Validate keeps every role's bytes inside the bound.
+func beatLen(socket string, beats int) uint16 {
+	if beats < 0 || beats > math.MaxUint16 {
+		overlong(socket, beats)
+	}
+	return uint16(beats)
+}
+
+// overlong stays out of line so that beatLen inlines.
+//
+//go:noinline
+func overlong(socket string, beats int) {
+	panic(fmt.Sprintf("niu: %s burst of %d beats exceeds the %d one request carries", socket, beats, math.MaxUint16))
+}
 
 // OrderingOverride optionally replaces a protocol's natural ordering
 // model — e.g. forcing an AXI NIU to fully-ordered builds the cheapest

@@ -2,6 +2,7 @@ package niu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gonoc/internal/core"
@@ -654,6 +655,39 @@ func TestLongBurstsSplitAtAXISlave(t *testing.T) {
 			}
 			if resp != ocp.RespDVA || !bytes.Equal(f.store.Read(off, len(want)), want) {
 				t.Fatalf("write answered %v; memory differs from the burst's beats", resp)
+			}
+		})
+	}
+}
+
+// TestOverlongBurstPanicsAtTheMaster: core.Request.Len carries at most
+// 65,535 beats. An OCP burst one beat past that (65,537 wraps to Len 1)
+// must stop at the master NIU, naming the socket and the count, instead
+// of reaching the slave as a one-beat write carrying 262,148 bytes or
+// completing a read short with no error.
+func TestOverlongBurstPanicsAtTheMaster(t *testing.T) {
+	const size, beats = 4, 1<<16 + 1
+	for _, write := range []bool{true, false} {
+		name := map[bool]string{true: "write", false: "read"}[write]
+		t.Run(name, func(t *testing.T) {
+			f := newFab(2, 1, 2)
+			port := ocp.NewPort(f.clk, "m.ocp", 4)
+			ip := ocp.NewMaster(f.clk, port)
+			NewOCPMaster(f.clk, f.net, f.amap, port, masterCfg(1))
+			f.attachAXISlave(2)
+			finished := false
+			if write {
+				ip.WriteNonPosted(0, memBase, size, ocp.SeqIncr, make([]byte, beats*size), nil, func(ocp.SResp) { finished = true })
+			} else {
+				ip.Read(0, memBase, size, beats, ocp.SeqIncr, func(ocp.ReadResult) { finished = true })
+			}
+			var msg any
+			func() {
+				defer func() { msg = recover() }()
+				f.run(t, 2*beats, func() bool { return finished })
+			}()
+			if s, _ := msg.(string); !strings.Contains(s, "OCP burst of 65537 beats") {
+				t.Fatalf("overlong %s: finished %v, panic %v; want a panic at the master naming the OCP socket and 65537 beats", name, finished, msg)
 			}
 		})
 	}

@@ -228,7 +228,7 @@ func (a *ocpMasterAdapter) PumpRequests(cycle int64) {
 	}
 
 	a.req = core.Request{
-		Cmd: cmd, Addr: first.Addr, Size: first.Size, Len: uint16(beats),
+		Cmd: cmd, Addr: first.Addr, Size: first.Size, Len: beatLen("OCP", beats),
 		Burst: ocpSeqToCore(first.Seq), Exclusive: excl,
 		Posted: cmd == core.CmdWritePost,
 	}

@@ -123,7 +123,7 @@ func bvciRequest(breq vci.BReq, c *candidate) bool {
 		burst = core.BurstWrap
 	}
 	c.Req = core.Request{
-		Cmd: core.CmdRead, Addr: breq.Addr, Size: breq.Size, Len: uint16(breq.Beats), Burst: burst,
+		Cmd: core.CmdRead, Addr: breq.Addr, Size: breq.Size, Len: beatLen("VCI", breq.Beats), Burst: burst,
 	}
 	if breq.Op == vci.OpWrite {
 		c.Req.Cmd, c.Req.Data, c.Req.BE = core.CmdWrite, breq.Data, breq.BE

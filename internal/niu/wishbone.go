@@ -77,7 +77,7 @@ func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, 
 func wbRequest(cyc wishbone.Cycle, c *candidate) bool {
 	burst, ok := wbCTIToCore(cyc)
 	c.Req = core.Request{
-		Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: uint16(cyc.Beats),
+		Cmd: core.CmdRead, Addr: cyc.Addr, Size: cyc.Size, Len: beatLen("WISHBONE", cyc.Beats),
 		Burst: burst,
 	}
 	if cyc.Write {

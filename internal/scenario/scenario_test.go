@@ -75,6 +75,13 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 		{"axi role longer than an AXI burst",
 			minimalSoC(`{"protocol": "axi", "rate": 0.1, "bytes": 1028}`),
 			"workload.masters[0].bytes: 1028 exceeds 1024, the longest AXI burst (256 beats of 4 bytes)"},
+		{"ocp role longer than a request's 16-bit beat count",
+			minimalSoC(`{"protocol": "ocp", "rate": 0.1, "bytes": 262148}`),
+			"workload.masters[0].bytes: 262148 exceeds 262140, the longest burst one request carries (65535 beats of 4 bytes)"},
+		{"wb role longer than a request's 16-bit beat count",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1}, {"protocol": "wb", "rate": 0.1, "bytes": 262141}`),
+				`"kind": "soc", `, `"kind": "soc", "wishbone": true, `, 1),
+			"workload.masters[1].bytes: 262141 exceeds 262140"},
 		{"more nodes than 16-bit node IDs",
 			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 70000`, 1),
 			"fabric.nodes: 70000 exceeds 65534"},

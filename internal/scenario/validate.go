@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"gonoc/internal/noctypes"
@@ -153,6 +154,13 @@ const maxNodes = int(noctypes.NodeInvalid) - 1
 // AXI burst of the SoC's 4-byte AXI socket.
 const axiMaxBytes = axi.MaxBeats * 4
 
+// burstMaxBytes bounds the bytes of every other role whose transaction
+// is one burst of its 4-byte socket: the master NIU carries the burst in
+// one core.Request, whose 16-bit Len counts at most 65,535 beats. A pvci
+// role issues one beat, and a prop stream crosses as short bursts, so
+// neither reaches the bound.
+const burstMaxBytes = math.MaxUint16 * 4
+
 func (s *Scenario) validatePacket() error {
 	w := s.Workload
 	if len(w.Masters) > 0 || w.Wishbone || w.Hotspot || w.RequestsPerMaster != 0 {
@@ -237,8 +245,11 @@ func (s *Scenario) validateSoC() error {
 		if m.Bytes < 0 {
 			return errf(field("bytes"), "%d is negative", m.Bytes)
 		}
-		if m.Protocol == "axi" && m.Bytes > axiMaxBytes {
+		switch {
+		case m.Protocol == "axi" && m.Bytes > axiMaxBytes:
 			return errf(field("bytes"), "%d exceeds %d, the longest AXI burst (%d beats of 4 bytes)", m.Bytes, axiMaxBytes, axi.MaxBeats)
+		case m.Protocol != "pvci" && m.Protocol != "prop" && m.Bytes > burstMaxBytes:
+			return errf(field("bytes"), "%d exceeds %d, the longest burst one request carries (%d beats of 4 bytes)", m.Bytes, burstMaxBytes, math.MaxUint16)
 		}
 		if m.ReadFrac != nil {
 			if err := validFrac(field("read_frac"), *m.ReadFrac); err != nil {
