@@ -42,8 +42,8 @@ func E10TrafficSweep(seed int64) E10Result {
 	xb.Topology = traffic.Crossbar
 	ms := base
 	ms.Topology = traffic.Mesh
-	sx := traffic.Sweep(xb, e10Rates, nil, nil)
-	sm := traffic.Sweep(ms, e10Rates, nil, nil)
+	sx := traffic.Sweep(xb, e10Rates, nil)
+	sm := traffic.Sweep(ms, e10Rates, nil)
 
 	curve := stats.NewTable("E10 — latency vs offered load: crossbar vs 4x4 mesh (uniform random)",
 		"offered", "xbar tput", "xbar mean lat", "xbar p95", "xbar sat",

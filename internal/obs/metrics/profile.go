@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gonoc/internal/sim"
 )
 
 // Phase labels what the simulator is currently doing; exposed as the
@@ -42,7 +44,7 @@ func (p Phase) String() string {
 // gauges. They come from runtime/metrics, which does not stop the
 // world, so the first read of every fresh profile (a server run builds
 // one per simulation) is cheap; the cap keeps the reads off the
-// per-chunk publishing cadence of a long run.
+// per-step publishing cadence of a long run.
 const memEvery = 100 * time.Millisecond
 
 // memMetrics are the runtime/metrics names of the heapAlloc,
@@ -55,8 +57,9 @@ var memMetrics = [3]string{
 }
 
 // SimProfile is the simulator's self-profiling surface: runners
-// publish cycle/event/heap-depth deltas as they go (SetPhase, Advance,
-// SetHeapDepth), and the profile turns them into registry metrics —
+// advance their clocks through Run, which publishes cycle/event/
+// heap-depth deltas as it goes, and mark phases with SetPhase; the
+// profile turns them into registry metrics —
 // cumulative totals, session-average rates, Go heap gauges — plus the
 // numbers /progress and snapshots report. A nil *SimProfile disables
 // everything at zero cost, so runners call it unconditionally.
@@ -129,6 +132,31 @@ func (p *SimProfile) SetSnapshotter(s *Snapshotter) {
 	if p != nil {
 		p.snap.Store(s)
 	}
+}
+
+// Run advances clk by at most n cycles in steps of step cycles, the
+// last step clipped to n, while more reports work left (nil: always).
+// After each step it publishes the step's cycles, the kernel events it
+// ran and the kernel's pending events, so the live totals equal the
+// run's own after every step. It returns the cycles run. On a nil
+// profile it only runs the clock. It is the one loop every runner
+// advances its clock through.
+func (p *SimProfile) Run(clk *sim.Clock, n, step int64, more func() bool) int64 {
+	if p == nil && more == nil {
+		clk.RunCycles(n)
+		return n
+	}
+	k := clk.Kernel()
+	ran := int64(0)
+	for ran < n && (more == nil || more()) {
+		s := min(step, n-ran)
+		c0, e0 := clk.Cycle(), k.Steps()
+		clk.RunCycles(s)
+		ran += s
+		p.SetHeapDepth(k.Pending())
+		p.Advance(clk.Cycle()-c0, int64(k.Steps()-e0))
+	}
+	return ran
 }
 
 // SetPhase records a phase transition.

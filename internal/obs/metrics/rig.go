@@ -13,8 +13,9 @@ import (
 // Rig is one session's live-metrics stack: a registry plus the
 // simulator self-profile, the point-progress tracker and the per-router
 // fabric collector registered on it. The CLIs build one per process,
-// the server one per run. A nil *Rig means metrics are off; Probe is
-// nil-safe, and callers that reach into the fields check for nil first.
+// the server one per run. A nil or zero Rig means metrics are off, and
+// a nil field turns that part off: every field is a nil-safe handle.
+// The traffic runners take a Rig by value (traffic.Config.Metrics).
 type Rig struct {
 	Registry  *Registry
 	Profile   *SimProfile
@@ -34,10 +35,10 @@ func NewRig() *Rig {
 }
 
 // Probe returns the fabric collector as a probe, or a true nil
-// interface on a nil rig (a nil *FabricCollector in an obs.Probe would
-// defeat obs.Multi's nil filter).
+// interface on a rig with no collector (a nil *FabricCollector in an
+// obs.Probe would defeat obs.Multi's nil filter).
 func (r *Rig) Probe() obs.Probe {
-	if r == nil {
+	if r == nil || r.Collector == nil {
 		return nil
 	}
 	return r.Collector

@@ -18,11 +18,9 @@ import (
 // is executing, and check the final scrape agrees with the run's own
 // deterministic result.
 func TestServeMetricsMidRun(t *testing.T) {
-	reg := metrics.NewRegistry()
-	prof := metrics.NewSimProfile(reg)
-	prog := metrics.NewProgress(reg)
-	coll := metrics.NewFabricCollector(reg)
-	srv := metrics.NewServer(reg, prof, prog)
+	rig := metrics.NewRig()
+	prof, prog := rig.Profile, rig.Progress
+	srv := metrics.NewServer(rig.Registry, prof, prog)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +32,7 @@ func TestServeMetricsMidRun(t *testing.T) {
 		Seed: 7, Nodes: 16, Topology: traffic.Mesh,
 		Pattern: traffic.UniformRandom, Rate: 0.1, PayloadBytes: 16,
 		Warmup: -1, Measure: 60000, Drain: 2000,
-		Metrics: reg, Prof: prof, Probe: coll,
+		Metrics: *rig,
 	}
 	prog.SetTotal(1)
 	prog.PointStart()

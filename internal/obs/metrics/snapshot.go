@@ -13,7 +13,7 @@ import (
 // simulation is, how fast it is going right now (interval rates, not
 // session averages), and a flat dump of every registry metric.
 type Snapshot struct {
-	TMS   float64 `json:"t_ms"` // wall ms since the snapshotter started
+	TMS   float64 `json:"t_ms"` // wall ms since the session's profile started
 	Phase string  `json:"phase,omitempty"`
 
 	Cycles       int64   `json:"cycles"`
@@ -66,9 +66,8 @@ func take(prof *SimProfile, prog *Progress) Snapshot {
 type Frozen struct {
 	PointsDone, PointsTotal int
 	// Line is one snapshot line, newline included: the session's state
-	// when it was frozen. It reads as the first line of a snapshotter
-	// started with the session: t_ms is the session's wall time, and
-	// the rates are its averages.
+	// when it was frozen. It reads as the first line of a snapshotter:
+	// t_ms is the session's wall time, and the rates are its averages.
 	Line []byte
 }
 
@@ -99,6 +98,12 @@ const defaultSnapEvery = 250 * time.Millisecond
 // MaybeSnap, which writes a line only when the interval has elapsed.
 // Close writes one final line so the stream always ends with the
 // finished state. A nil *Snapshotter is a no-op.
+//
+// It measures from its profile's start, not its own: t_ms is the
+// session's wall time, and the first line's rates are the session's
+// averages, so a stream opened in the middle of a session (nocserver's
+// /progress on a running run) starts with the line Rig.Freeze renders.
+// Each later line's rates cover the interval since the line before.
 type Snapshotter struct {
 	reg  *Registry
 	prof *SimProfile
@@ -122,11 +127,14 @@ func NewSnapshotter(w io.Writer, every time.Duration, reg *Registry, prof *SimPr
 	if every <= 0 {
 		every = defaultSnapEvery
 	}
-	now := time.Now()
+	start := time.Now()
+	if prof != nil {
+		start = prof.start
+	}
 	return &Snapshotter{
 		reg: reg, prof: prof, prog: prog,
 		w: bufio.NewWriter(w), every: every,
-		start: now, last: now,
+		start: start, last: start,
 	}
 }
 

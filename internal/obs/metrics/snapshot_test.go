@@ -2,12 +2,14 @@ package metrics
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"gonoc/internal/noctypes"
 	"gonoc/internal/obs"
+	"gonoc/internal/sim"
 )
 
 // TestFabricCollectorCounts drives the collector with a synthetic
@@ -226,13 +228,15 @@ func TestProgressETA(t *testing.T) {
 	}
 }
 
-// TestRig: a nil rig attaches no probe (a true nil interface, so
-// obs.Multi drops it), and a built rig's snapshot stream is paced by
-// its own profile.
+// TestRig: a nil rig, a zero rig and a rig with no collector attach no
+// probe (a true nil interface, so obs.Multi drops it), and a built
+// rig's snapshot stream is paced by its own profile.
 func TestRig(t *testing.T) {
 	var off *Rig
-	if p := off.Probe(); p != nil {
-		t.Fatalf("nil rig probe = %#v, want a nil interface", p)
+	for _, r := range []*Rig{off, {}, {Profile: NewSimProfile(NewRegistry())}} {
+		if p := r.Probe(); p != nil {
+			t.Fatalf("rig %+v probe = %#v, want a nil interface", r, p)
+		}
 	}
 	rig := NewRig()
 	if rig.Probe() != rig.Collector || rig.Collector == nil {
@@ -274,5 +278,85 @@ func TestSimProfileHeapGauges(t *testing.T) {
 	p.Advance(1, 1)
 	if v := p.heapAlloc.Value(); v != -1 {
 		t.Fatalf("a second Advance inside memEvery re-read the heap gauges (%v)", v)
+	}
+}
+
+// TestSnapshotterMeasuresFromSessionStart: a stream opened in the
+// middle of a session (nocserver's /progress on a running run) starts
+// with the session's wall time and its average rates, the line
+// Rig.Freeze renders, not every event so far divided by the time since
+// the stream opened. Later lines still report their own interval.
+func TestSnapshotterMeasuresFromSessionStart(t *testing.T) {
+	rig := NewRig()
+	rig.Profile.Advance(20_000, 1_000_000)
+	time.Sleep(20 * time.Millisecond)
+	var buf bytes.Buffer
+	s := NewSnapshotter(&buf, time.Hour, rig.Registry, rig.Profile, rig.Progress)
+	s.Snap()
+	time.Sleep(time.Millisecond)
+	s.Snap()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := ParseSnapshots(&buf)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("%d lines, err %v", len(snaps), err)
+	}
+	first := snaps[0]
+	if first.TMS < 20 {
+		t.Fatalf("first line t_ms = %g, want the session's wall time (at least 20 ms)", first.TMS)
+	}
+	secs := first.TMS / 1e3
+	for _, c := range []struct {
+		name        string
+		total, rate float64
+	}{{"events", float64(first.Events), first.EventsPerSec}, {"cycles", float64(first.Cycles), first.CyclesPerSec}} {
+		if avg := c.total / secs; math.Abs(c.rate-avg) > 0.01*avg {
+			t.Errorf("first line %s rate %g, want the session average %g", c.name, c.rate, avg)
+		}
+	}
+	if second := snaps[1]; second.EventsPerSec != 0 || second.TMS <= first.TMS {
+		t.Errorf("second line = %+v, want an idle interval after the first", second)
+	}
+}
+
+// TestSimProfileRun pins the one loop every runner advances its clock
+// through: at most n cycles in steps, the last one clipped, while more
+// holds, checked before each step; afterwards the live totals are the
+// cycles it ran and the kernel events they took. A nil profile runs
+// the same cycles.
+func TestSimProfileRun(t *testing.T) {
+	for _, c := range []struct{ n, step, stopAt, want int64 }{
+		{n: 100, step: 64, want: 100},
+		{n: 128, step: 64, want: 128},
+		{n: 0, step: 64, want: 0},
+		{n: 1000, step: 64, stopAt: 130, want: 192},
+		{n: 150, step: 64, stopAt: 140, want: 150},
+	} {
+		for _, on := range []bool{false, true} {
+			var p *SimProfile
+			if on {
+				p = NewSimProfile(NewRegistry())
+			}
+			clk := sim.NewClock(sim.NewKernel(), "t", sim.Nanosecond, 0)
+			var more func() bool
+			if c.stopAt > 0 {
+				more = func() bool { return clk.Cycle() < c.stopAt }
+			}
+			ran := p.Run(clk, c.n, c.step, more)
+			if ran != c.want || clk.Cycle() != c.want {
+				t.Errorf("%+v profile %v: ran %d, clock at %d, want %d", c, on, ran, clk.Cycle(), c.want)
+			}
+			if !on {
+				continue
+			}
+			if p.Cycles() != ran || p.Events() != int64(clk.Kernel().Steps()) {
+				t.Errorf("%+v: published %d cycles / %d events, ran %d / %d",
+					c, p.Cycles(), p.Events(), ran, clk.Kernel().Steps())
+			}
+			if ran > 0 && p.HeapDepth() != clk.Kernel().Pending() {
+				t.Errorf("%+v: heap depth %d, kernel holds %d", c, p.HeapDepth(), clk.Kernel().Pending())
+			}
+		}
 	}
 }

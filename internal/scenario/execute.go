@@ -16,9 +16,10 @@ import (
 // blocks; everything else observes.
 type Options struct {
 	// Metrics, when non-nil, is the run's live-metrics rig. Execute
-	// feeds its self-profile and traffic counters, drives its point
-	// progress, and attaches its fabric collector to every run that
-	// owns one kernel at a time (single, each sweep point, trans).
+	// hands it to the run's traffic config (traffic.Config.Metrics),
+	// which feeds its self-profile and traffic counters, drives its
+	// point progress, and attaches its fabric collector to every run
+	// that owns one kernel at a time (single, each sweep point, trans).
 	Metrics *metrics.Rig
 
 	// Probe observes a single or trans run's fabric and NIUs, and each
@@ -84,7 +85,6 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 	if o.Metrics != nil {
 		m = *o.Metrics
 	}
-	probe := obs.Multi(o.Probe, o.Metrics.Probe())
 
 	switch rep.Mode {
 	case ModeTrans:
@@ -92,7 +92,7 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tc.Probe, tc.Prof, tc.CollectWall = probe, m.Profile, o.Wall
+		tc.Probe, tc.Metrics, tc.CollectWall = o.Probe, m, o.Wall
 		var res traffic.TransResult
 		onePoint(m.Progress, o.OnPoint, tc.Seed, func() (string, float64) {
 			res = traffic.RunTrans(tc)
@@ -110,8 +110,7 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cc.Base.Prof, cc.Base.Metrics, cc.Base.CollectWall = m.Profile, m.Registry, o.Wall
-		cc.Progress, cc.OnPoint = m.Progress, o.OnPoint
+		cc.Base.Metrics, cc.Base.CollectWall, cc.OnPoint = m, o.Wall, o.OnPoint
 		if o.Heatmaps {
 			cc.HeatmapBuckets = s.Measure.HeatmapBucket
 			if cc.HeatmapBuckets == 0 {
@@ -125,9 +124,9 @@ func Execute(s *Scenario, o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Probe, cfg.Prof, cfg.Metrics, cfg.CollectWall = probe, m.Profile, m.Registry, o.Wall
+		cfg.Probe, cfg.Metrics, cfg.CollectWall = o.Probe, m, o.Wall
 		if rep.Mode == ModeSweep {
-			res := traffic.Sweep(cfg, s.Measure.SweepRates, m.Progress, o.OnPoint)
+			res := traffic.Sweep(cfg, s.Measure.SweepRates, o.OnPoint)
 			rep.Sweep = &res
 			break
 		}

@@ -157,13 +157,11 @@ type System struct {
 	// Shared memory backings keyed by slave name.
 	Stores map[string]*mem.Backing
 
-	// Prof, when set (after Build, before Run), receives live
-	// self-profiling samples — cycles, kernel events, event-heap depth
-	// — as Run advances. It observes only; attaching it never changes
-	// simulated behavior.
+	// Prof, when set (after Build, before Run), is the profile Run
+	// advances the clock through, publishing cycles, kernel events and
+	// event-heap depth as it goes. It observes only; attaching it never
+	// changes simulated behavior.
 	Prof *metrics.SimProfile
-
-	profCycles, profEvents int64
 }
 
 // buildCommon creates kernel, clock, address map and stores.
@@ -397,32 +395,13 @@ func (s *System) AllDone() bool {
 	return true
 }
 
-// Run drives the system until all generators finish, then validates the
-// scoreboards. It returns the elapsed cycles.
+// Run drives the system until all generators finish, checking every
+// 64 cycles, then validates the scoreboards. It runs at most maxCycles
+// cycles, the last step clipped, and returns the cycles it ran.
 func (s *System) Run(maxCycles int64) (int64, error) {
-	start := s.Clk.Cycle()
-	for s.Clk.Cycle()-start < maxCycles {
-		if s.AllDone() {
-			s.publishProf()
-			if err := ip.CheckAll(s.Gens); err != nil {
-				return s.Clk.Cycle() - start, err
-			}
-			return s.Clk.Cycle() - start, nil
-		}
-		s.Clk.RunCycles(64)
-		s.publishProf()
+	ran := s.Prof.Run(s.Clk, maxCycles, 64, func() bool { return !s.AllDone() })
+	if !s.AllDone() {
+		return ran, fmt.Errorf("soc: %s system did not finish in %d cycles", s.Kind, maxCycles)
 	}
-	return maxCycles, fmt.Errorf("soc: %s system did not finish in %d cycles", s.Kind, maxCycles)
-}
-
-// publishProf pushes cycle/event deltas to the attached profile, if
-// any.
-func (s *System) publishProf() {
-	if s.Prof == nil {
-		return
-	}
-	c, e := s.Clk.Cycle(), int64(s.K.Steps())
-	s.Prof.SetHeapDepth(s.K.Pending())
-	s.Prof.Advance(c-s.profCycles, e-s.profEvents)
-	s.profCycles, s.profEvents = c, e
+	return ran, ip.CheckAll(s.Gens)
 }

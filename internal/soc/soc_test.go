@@ -3,6 +3,7 @@ package soc
 import (
 	"testing"
 
+	"gonoc/internal/obs/metrics"
 	"gonoc/internal/transport"
 )
 
@@ -189,5 +190,45 @@ func TestWishboneIssuer(t *testing.T) {
 	}
 	if done != 2 || failed != 0 {
 		t.Fatalf("wb issuer round trip: done=%d failed=%d", done, failed)
+	}
+}
+
+// TestRunStopsAtItsCap pins System.Run's loop: it simulates at most
+// maxCycles cycles, the last step clipped, and reports the cycles it
+// ran; a system that finishes inside the clipped step succeeds; and an
+// attached profile publishes exactly the cycles Run ran and the kernel
+// events they took.
+func TestRunStopsAtItsCap(t *testing.T) {
+	build := func() *System { return BuildNoC(Config{Seed: 1, RequestsPerMaster: 15}) }
+	s := build()
+	c0 := s.Clk.Cycle()
+	if ran, err := s.Run(100); err == nil || ran != 100 || s.Clk.Cycle()-c0 != 100 {
+		t.Fatalf("Run(100) ran %d (clock +%d), err %v; want 100, 100 and an error", ran, s.Clk.Cycle()-c0, err)
+	}
+
+	// The cycle the last generator finishes on, found a cycle at a time.
+	ref := build()
+	var finish int64
+	for !ref.AllDone() {
+		ref.Clk.RunCycles(1)
+		finish++
+	}
+	if finish%64 == 0 {
+		t.Fatalf("the run finishes on cycle %d, a step boundary; pick a seed that finishes inside a step", finish)
+	}
+	s = build()
+	if ran, err := s.Run(finish); err != nil || ran != finish {
+		t.Fatalf("Run(%d) on a system finishing on that cycle ran %d, err %v", finish, ran, err)
+	}
+
+	s = build()
+	s.Prof = metrics.NewSimProfile(metrics.NewRegistry())
+	e0 := s.K.Steps()
+	ran, err := s.Run(2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Prof.Cycles() != ran || s.Prof.Events() != int64(s.K.Steps()-e0) {
+		t.Fatalf("published %d cycles / %d events; Run ran %d / %d", s.Prof.Cycles(), s.Prof.Events(), ran, s.K.Steps()-e0)
 	}
 }

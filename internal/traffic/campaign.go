@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gonoc/internal/obs"
-	"gonoc/internal/obs/metrics"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
 )
@@ -39,20 +38,17 @@ type CampaignConfig struct {
 	// collects the per-point congestion heatmaps into
 	// CampaignResult.Heatmaps. Monitors are per-point because a probe
 	// may not be shared between concurrently running kernels; for the
-	// same reason Base.Probe is ignored by the campaign runner.
-	// Base.Prof and Base.Metrics are NOT stripped: they only feed
-	// atomic counters, so sharing them across workers is safe and the
-	// live totals aggregate the whole campaign.
+	// same reason the campaign runner ignores Base.Probe and the fabric
+	// collector of Base.Metrics. The rest of Base.Metrics is shared:
+	// its profile and registry feed atomic counters, so the live totals
+	// aggregate the whole campaign, and its progress tracker counts the
+	// points and the busy workers.
 	HeatmapBuckets int64
 
 	// OnPoint, when non-nil, is called as each point completes —
 	// serialized under the campaign's lock, in completion (not
 	// enumeration) order. The CLI hooks stderr progress lines here.
 	OnPoint func(PointDone)
-
-	// Progress, when non-nil, tracks live point counters and
-	// worker-pool occupancy (the /progress endpoint's campaign view).
-	Progress *metrics.Progress
 }
 
 // PointDone describes one completed sweep or campaign point for
@@ -113,17 +109,19 @@ func pointSeed(base int64, topo Topology, pat Pattern, rate float64) int64 {
 }
 
 // runPoints is the one loop that runs sweep and campaign points, and
-// the one place that reports them: it sets cc.Progress's total, marks
-// each point's start and end on it, and calls cc.OnPoint as each point
-// completes. cc.Workers workers take the points in order, so one worker
-// runs them in order, one kernel at a time. With cc.HeatmapBuckets set,
+// the one place that reports them: it sets the total of the points'
+// progress tracker (cc.Base.Metrics.Progress), marks each point's
+// start and end on it, and calls cc.OnPoint as each point completes.
+// cc.Workers workers take the points in order, so one worker runs them
+// in order, one kernel at a time. With cc.HeatmapBuckets set,
 // each point gets its own LinkMonitor in place of its probe. Results,
 // raw latency histograms and heatmaps come back in point order.
 // A point's panic is recovered on its worker; once the pool has
 // drained, the first one is raised again on the caller's goroutine,
 // where a server's per-run recover can see it.
 func (cc CampaignConfig) runPoints(cfgs []Config) ([]Result, []stats.Histogram, []obs.HeatmapReport) {
-	cc.Progress.SetTotal(len(cfgs))
+	prog := cc.Base.Metrics.Progress
+	prog.SetTotal(len(cfgs))
 	results := make([]Result, len(cfgs))
 	hists := make([]stats.Histogram, len(cfgs))
 	var heatmaps []obs.HeatmapReport
@@ -152,7 +150,7 @@ func (cc CampaignConfig) runPoints(cfgs []Config) ([]Result, []stats.Histogram, 
 			mon = obs.NewLinkMonitor(cc.HeatmapBuckets)
 			c.Probe = mon
 		}
-		cc.Progress.PointStart()
+		prog.PointStart()
 		start := time.Now()
 		results[i], hists[i] = run(c)
 		wallMS := durMS(time.Since(start))
@@ -160,7 +158,7 @@ func (cc CampaignConfig) runPoints(cfgs []Config) ([]Result, []stats.Histogram, 
 		if mon != nil {
 			heatmaps[i] = mon.Report(label)
 		}
-		cc.Progress.PointDone(label, wallMS)
+		prog.PointDone(label, wallMS)
 		mu.Lock()
 		defer mu.Unlock()
 		done++
@@ -223,7 +221,7 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 				c := cfg.Base
 				c.Topology, c.Pattern, c.Rate = topo, pat, rate
 				c.ClosedLoop = false
-				c.Probe = nil // probes are per-kernel; see HeatmapBuckets
+				c.Probe, c.Metrics.Collector = nil, nil // probes are per-kernel; see HeatmapBuckets
 				c.Seed = pointSeed(cfg.Base.Seed, topo, pat, rate)
 				cfgs = append(cfgs, c)
 			}

@@ -17,14 +17,11 @@ import (
 func TestMetricsPassive(t *testing.T) {
 	bare := Run(tinyCfg())
 
-	reg := metrics.NewRegistry()
 	cfg := tinyCfg()
-	cfg.Metrics = reg
-	cfg.Prof = metrics.NewSimProfile(reg)
-	coll := metrics.NewFabricCollector(reg)
-	cfg.Probe = coll
+	cfg.Metrics = *metrics.NewRig()
 	cfg.CollectWall = true
 	probed := Run(cfg)
+	reg, prof := cfg.Metrics.Registry, cfg.Metrics.Profile
 
 	if probed.Wall == nil {
 		t.Fatal("CollectWall set but Wall missing")
@@ -61,14 +58,14 @@ func TestMetricsPassive(t *testing.T) {
 	if uint64(liveFlits) != probed.FabricFlits {
 		t.Errorf("live flit total %g != result fabric flits %d", liveFlits, probed.FabricFlits)
 	}
-	if cfg.Prof.Cycles() != probed.Cycles {
-		t.Errorf("live cycle total %d != result cycles %d", cfg.Prof.Cycles(), probed.Cycles)
+	if prof.Cycles() != probed.Cycles {
+		t.Errorf("live cycle total %d != result cycles %d", prof.Cycles(), probed.Cycles)
 	}
-	if got := uint64(cfg.Prof.Events()); got != wallEvents {
+	if got := uint64(prof.Events()); got != wallEvents {
 		t.Errorf("live event total %d != wall events %d", got, wallEvents)
 	}
-	if cfg.Prof.Phase() != metrics.PhaseDone {
-		t.Errorf("profile phase = %v after run", cfg.Prof.Phase())
+	if prof.Phase() != metrics.PhaseDone {
+		t.Errorf("profile phase = %v after run", prof.Phase())
 	}
 }
 
@@ -107,7 +104,7 @@ func TestBackpressureCounter(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	cfg2 := cfg
-	cfg2.Metrics = reg
+	cfg2.Metrics.Registry = reg
 	b := Run(cfg2)
 	if b.InjectBackpressure != a.InjectBackpressure {
 		t.Fatalf("backpressure not deterministic: %d vs %d", b.InjectBackpressure, a.InjectBackpressure)
@@ -121,9 +118,9 @@ func TestBackpressureCounter(t *testing.T) {
 // OnPoint fires once per point with a monotonic Done counter, Progress
 // tracks totals, and the campaign wall digest aggregates the points.
 func TestCampaignProgressAndWall(t *testing.T) {
-	reg := metrics.NewRegistry()
 	base := tinyCfg()
 	base.CollectWall = true
+	base.Metrics.Progress = metrics.NewProgress(metrics.NewRegistry())
 	var calls []PointDone
 	ccfg := CampaignConfig{
 		Base:       base,
@@ -131,7 +128,6 @@ func TestCampaignProgressAndWall(t *testing.T) {
 		Patterns:   []Pattern{UniformRandom},
 		Rates:      []float64{0.02, 0.05},
 		Workers:    2,
-		Progress:   metrics.NewProgress(reg),
 		OnPoint:    func(pd PointDone) { calls = append(calls, pd) },
 	}
 	cr := Campaign(ccfg)
@@ -151,7 +147,7 @@ func TestCampaignProgressAndWall(t *testing.T) {
 		}
 		seen[pd.Index] = true
 	}
-	ps := ccfg.Progress.Snapshot()
+	ps := base.Metrics.Progress.Snapshot()
 	if ps.PointsTotal != 4 || ps.PointsDone != 4 || ps.WorkersBusy != 0 {
 		t.Fatalf("progress snapshot = %+v", ps)
 	}
@@ -173,7 +169,7 @@ func TestCampaignProgressAndWall(t *testing.T) {
 // TestSweepProgress pins the sweep-side callback ordering.
 func TestSweepProgress(t *testing.T) {
 	var labels []string
-	sr := Sweep(tinyCfg(), []float64{0.02, 0.05}, nil, func(pd PointDone) {
+	sr := Sweep(tinyCfg(), []float64{0.02, 0.05}, func(pd PointDone) {
 		labels = append(labels, pd.Label)
 		if pd.Total != 2 || pd.Done != pd.Index+1 {
 			t.Errorf("bad progress bookkeeping: %+v", pd)
@@ -186,7 +182,7 @@ func TestSweepProgress(t *testing.T) {
 		t.Fatalf("labels = %v", labels)
 	}
 	// The callback must not change the sweep.
-	plain := Sweep(tinyCfg(), []float64{0.02, 0.05}, nil, nil)
+	plain := Sweep(tinyCfg(), []float64{0.02, 0.05}, nil)
 	a, _ := json.Marshal(plain)
 	b, _ := json.Marshal(sr)
 	if !bytes.Equal(a, b) {

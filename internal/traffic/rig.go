@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gonoc/internal/noctypes"
+	"gonoc/internal/obs"
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
@@ -44,9 +45,9 @@ type rig struct {
 	measStart, measEnd int64
 	col                collector
 
-	// Live-metrics state (nil/zero when profiling is off).
+	// mBackpressure counts col.backpressure live (nil when metrics are
+	// off).
 	mBackpressure *metrics.Counter
-	lastBP        uint64
 	wall          *WallStats
 }
 
@@ -89,13 +90,11 @@ func newRig(cfg *Config) *rig {
 		r.col.hopPkts++
 	}
 
-	if cfg.Probe != nil {
-		r.net.SetProbe(cfg.Probe)
+	if p := obs.Multi(cfg.Probe, cfg.Metrics.Probe()); p != nil {
+		r.net.SetProbe(p)
 	}
-	if cfg.Metrics != nil {
-		r.mBackpressure = cfg.Metrics.Counter("noc_traffic_backpressure_total",
-			"source-cycles a pending transaction found its endpoint unable to accept (measure phase)")
-	}
+	r.mBackpressure = cfg.Metrics.Registry.Counter("noc_traffic_backpressure_total",
+		"source-cycles a pending transaction found its endpoint unable to accept (measure phase)")
 
 	r.srcs = make([]*source, cfg.Nodes)
 	for i := range r.srcs {
@@ -107,98 +106,46 @@ func newRig(cfg *Config) *rig {
 // measuredOutstanding counts measured txns not yet completed.
 func (r *rig) measuredOutstanding() uint64 { return r.col.generated - r.col.measDone }
 
-// profileChunk is the publishing cadence when self-profiling is on:
-// the phase loops run the clock in chunks of this many cycles and
-// publish deltas between chunks. Small enough that /metrics and
-// snapshots track a long run closely, large enough that the per-chunk
+// profileChunk is the publishing cadence of the warmup and measure
+// phases: the profile's loop runs the clock in steps of this many
+// cycles and publishes after each. Small enough that /metrics and
+// snapshots track a long run closely, large enough that the per-step
 // bookkeeping is noise.
 const profileChunk = 512
 
 // run executes warmup, measurement, and drain.
 func (r *rig) run() {
-	p := phases{clk: r.clk, prof: r.cfg.Prof, measuring: &r.measuring}
-	if r.mBackpressure != nil {
-		p.onChunk = func() {
-			bp := r.col.backpressure
-			r.mBackpressure.Add(bp - r.lastBP)
-			r.lastBP = bp
-		}
-	}
-	r.wall = p.run(r.cfg.Warmup, r.cfg.Measure, r.cfg.Drain,
+	r.wall = runPhases(r.clk, r.cfg.Metrics.Profile, &r.measuring,
+		r.cfg.Warmup, r.cfg.Measure, r.cfg.Drain,
 		func() bool { return r.measuredOutstanding() > 0 }, r.cfg.CollectWall)
 }
 
-// phases runs one simulation's warmup, measure and drain on its clock,
-// publishing self-profiling samples as it goes; the packet rig and
-// RunTrans share it.
-type phases struct {
-	clk       *sim.Clock
-	prof      *metrics.SimProfile
-	measuring *bool  // set while the measure phase runs
-	onChunk   func() // called after each published chunk; nil for none
-
-	lastCycles, lastEvents int64
-}
-
-// run executes the three phases. The drain ends once busy reports no
-// measured work left, or at the drain cap: busy is checked every 64
-// cycles, with the last step clipped so the cap is exact. It returns
-// the wall-clock self-profile when wall is set, else nil.
-func (p *phases) run(warmup, measure, drain int64, busy func() bool, wall bool) *WallStats {
+// runPhases runs one simulation's warmup, measure and drain on clk
+// through the profile's loop, which publishes as it goes; the packet
+// rig and RunTrans share it. measuring is set while the measure phase
+// runs. The drain ends once busy reports no measured work left, or at
+// the drain cap: busy is checked every 64 cycles, with the last step
+// clipped so the cap is exact. It returns the wall-clock self-profile
+// when wall is set, else nil.
+func runPhases(clk *sim.Clock, prof *metrics.SimProfile, measuring *bool,
+	warmup, measure, drain int64, busy func() bool, wall bool) *WallStats {
 	t0 := time.Now()
-	p.prof.SetPhase(metrics.PhaseWarmup)
-	p.cycles(warmup)
+	prof.SetPhase(metrics.PhaseWarmup)
+	prof.Run(clk, warmup, profileChunk, nil)
 	t1 := time.Now()
-	*p.measuring = true
-	p.prof.SetPhase(metrics.PhaseMeasure)
-	p.cycles(measure)
+	*measuring = true
+	prof.SetPhase(metrics.PhaseMeasure)
+	prof.Run(clk, measure, profileChunk, nil)
 	t2 := time.Now()
-	*p.measuring = false
-	p.prof.SetPhase(metrics.PhaseDrain)
-	for c := int64(0); c < drain && busy(); {
-		step := min(int64(64), drain-c)
-		p.clk.RunCycles(step)
-		c += step
-		p.publish()
-	}
-	p.prof.SetPhase(metrics.PhaseDone)
+	*measuring = false
+	prof.SetPhase(metrics.PhaseDrain)
+	prof.Run(clk, drain, 64, busy)
+	prof.SetPhase(metrics.PhaseDone)
 	t3 := time.Now()
 	if !wall {
 		return nil
 	}
-	return newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), p.clk.Kernel().Steps(), p.clk.Cycle())
-}
-
-// cycles advances the clock n cycles, chunked for publishing when live
-// metrics are attached (the disabled path is a single RunCycles).
-func (p *phases) cycles(n int64) {
-	if p.prof == nil && p.onChunk == nil {
-		p.clk.RunCycles(n)
-		return
-	}
-	for done := int64(0); done < n; {
-		step := min(int64(profileChunk), n-done)
-		p.clk.RunCycles(step)
-		done += step
-		p.publish()
-	}
-}
-
-// publish pushes the cycle and event deltas since the last call to the
-// profile, then runs the chunk hook. Chunk boundaries are cycle-exact,
-// so after the final publish of a run the live totals equal the
-// deterministic per-run numbers.
-func (p *phases) publish() {
-	if p.prof != nil {
-		k := p.clk.Kernel()
-		c, e := p.clk.Cycle(), int64(k.Steps())
-		p.prof.SetHeapDepth(k.Pending())
-		p.prof.Advance(c-p.lastCycles, e-p.lastEvents)
-		p.lastCycles, p.lastEvents = c, e
-	}
-	if p.onChunk != nil {
-		p.onChunk()
-	}
+	return newWallStats(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), clk.Kernel().Steps(), clk.Cycle())
 }
 
 // drawer makes a per-cycle Bernoulli process's draws ahead of time, in

@@ -248,6 +248,7 @@ func (s *source) Eval(cycle int64) {
 		if !s.ep.CanSend() {
 			if s.r.measuring {
 				s.r.col.backpressure++
+				s.r.mBackpressure.Inc()
 			}
 			break
 		}

@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"gonoc/internal/obs/metrics"
-	"gonoc/internal/stats"
-)
+import "gonoc/internal/stats"
 
 // SweepResult is a walk of injection rates under one configuration: the
 // latency-vs-offered-load curve plus its saturation summary.
@@ -29,11 +26,12 @@ func DefaultRates() []float64 {
 
 // Sweep runs cfg once per rate (open loop, at cfg's seed) and collects
 // the curve. Its points run on the campaign's point runner with one
-// worker: in rate order, so cfg.Probe observes one kernel at a time.
-// prog and onPoint, as CampaignConfig's Progress and OnPoint (nil for
-// none), report each point as it completes; onPoint must not mutate
-// the result. Sweep points carry no per-flow digests.
-func Sweep(cfg Config, rates []float64, prog *metrics.Progress, onPoint func(PointDone)) SweepResult {
+// worker: in rate order, so cfg.Probe and the fabric collector of
+// cfg.Metrics observe one kernel at a time. The rig's progress tracker
+// and onPoint, as CampaignConfig's OnPoint (nil for none), report each
+// point as it completes; onPoint must not mutate the result. Sweep
+// points carry no per-flow digests.
+func Sweep(cfg Config, rates []float64, onPoint func(PointDone)) SweepResult {
 	if len(rates) == 0 {
 		rates = DefaultRates()
 	}
@@ -45,7 +43,7 @@ func Sweep(cfg Config, rates []float64, prog *metrics.Progress, onPoint func(Poi
 		cfgs[i] = cfg
 		cfgs[i].ClosedLoop, cfgs[i].Rate = false, rate
 	}
-	points, _, _ := CampaignConfig{Workers: 1, Progress: prog, OnPoint: onPoint}.runPoints(cfgs)
+	points, _, _ := CampaignConfig{Base: cfg, Workers: 1, OnPoint: onPoint}.runPoints(cfgs)
 	return newSweepResult(points)
 }
 

@@ -9,7 +9,7 @@ func TestSweepSaturatingCurve(t *testing.T) {
 	cfg := Config{Seed: 9, Nodes: 8, Pattern: UniformRandom,
 		Warmup: 300, Measure: 1500, Drain: 6000}
 	rates := []float64{0.02, 0.06, 0.30}
-	sr := Sweep(cfg, rates, nil, nil)
+	sr := Sweep(cfg, rates, nil)
 	if len(sr.Points) != 3 {
 		t.Fatalf("points: %d", len(sr.Points))
 	}
@@ -65,6 +65,6 @@ func TestSweepDefaultRates(t *testing.T) {
 // point's panic back to the caller as the campaign's pool does.
 func TestSweepPointPanicReachesCaller(t *testing.T) {
 	mustPanicWith(t, "need at least 2 nodes", func() {
-		Sweep(Config{Nodes: 1}, []float64{0.01, 0.02}, nil, nil)
+		Sweep(Config{Nodes: 1}, []float64{0.01, 0.02}, nil)
 	})
 }

@@ -115,18 +115,16 @@ type Config struct {
 	// and builds per-point monitors instead (HeatmapBuckets).
 	Probe obs.Probe `json:"-"`
 
-	// Prof, when non-nil, receives simulator self-profiling samples as
-	// the run executes: the rig chunks its clock loop and publishes
-	// cycle/event/heap-depth deltas plus phase transitions. Unlike
-	// Probe, a profile only feeds atomic counters, so one instance may
-	// be shared across campaign workers (totals then aggregate across
-	// concurrent points).
-	Prof *metrics.SimProfile `json:"-"`
-
-	// Metrics, when non-nil, is the registry the run publishes its
-	// traffic-layer counters on (currently injection backpressure).
-	// Shareable across workers for the same reason as Prof.
-	Metrics *metrics.Registry `json:"-"`
+	// Metrics is the session's live-metrics rig; the zero Rig turns
+	// metrics off. The run advances its clock through the rig's
+	// profile, which publishes cycles, events and phases as it goes,
+	// counts injection backpressure on its registry and attaches its
+	// fabric collector next to Probe; Sweep and Campaign report their
+	// points on its progress tracker. The profile, registry and tracker
+	// feed atomics, so a campaign shares them across its workers
+	// (totals aggregate across concurrent points); the collector is a
+	// probe, which the campaign strips from its points like Probe.
+	Metrics metrics.Rig `json:"-"`
 
 	// CollectWall populates Result.Wall with wall-clock phase timings.
 	// It is opt-in because wall clock is the one measurement that can't

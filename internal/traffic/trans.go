@@ -83,9 +83,9 @@ type TransConfig struct {
 	// the whole run (same contract as Config.Probe).
 	Probe obs.Probe `json:"-"`
 
-	// Prof, when non-nil, receives self-profiling samples as the run
-	// executes (same contract as Config.Prof).
-	Prof *metrics.SimProfile `json:"-"`
+	// Metrics is the session's live-metrics rig (same contract as
+	// Config.Metrics; a trans run has no backpressure counter).
+	Metrics metrics.Rig `json:"-"`
 
 	// CollectWall populates TransResult.Wall (same opt-in rationale as
 	// Config.CollectWall).
@@ -236,7 +236,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		tc.Net.BufDepth = need
 	}
 	s := soc.BuildNoC(soc.Config{Seed: tc.Seed, Quiet: true, Topology: tc.Topology,
-		Wishbone: wishbone, Probe: tc.Probe, Net: tc.Net, MasterPriority: prios})
+		Wishbone: wishbone, Probe: obs.Multi(tc.Probe, tc.Metrics.Probe()), Net: tc.Net, MasterPriority: prios})
 	if built != nil {
 		built(s)
 	}
@@ -281,8 +281,8 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 		}
 		return total
 	}
-	p := phases{clk: s.Clk, prof: tc.Prof, measuring: &run.measuring}
-	wall := p.run(tc.Warmup, tc.Measure, tc.Drain, func() bool { return outstanding() > 0 }, tc.CollectWall)
+	wall := runPhases(s.Clk, tc.Metrics.Profile, &run.measuring, tc.Warmup, tc.Measure, tc.Drain,
+		func() bool { return outstanding() > 0 }, tc.CollectWall)
 
 	// The report's headline rate is the rate every role shares; a mixed
 	// role list reports 0 (the table then says "per-role rates"). The

@@ -98,7 +98,7 @@ func TestTransDrainCapIsExact(t *testing.T) {
 		prof := metrics.NewSimProfile(metrics.NewRegistry())
 		res := RunTrans(TransConfig{
 			Seed: 1, Rate: 1, Window: 4, Bytes: 64,
-			Warmup: -1, Measure: measure, Drain: drain, Prof: prof,
+			Warmup: -1, Measure: measure, Drain: drain, Metrics: metrics.Rig{Profile: prof},
 		})
 		if res.Incomplete == 0 {
 			t.Fatalf("drain %d: every transaction finished; the cap never bound", drain)
