@@ -18,7 +18,6 @@ type AHBMaster struct {
 // NewAHBMaster creates the NIU and registers it on clk. AHB has no
 // ordering handles: the model is always fully-ordered.
 func NewAHBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *ahb.Port, cfg MasterConfig) *AHBMaster {
-	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, single(e, port.Req, port.Rsp, ahbRequest, ahbResponse), port.Req)
 	return &AHBMaster{e}

@@ -101,12 +101,10 @@ type MasterEngine struct {
 }
 
 // NewMasterEngine creates the protocol-independent half of a master NIU.
-// natural is the socket's inherent ordering model, which cfg.Ordering
-// may override. The engine is inert until Bind attaches its adapter and
-// registers it on a clock.
-func NewMasterEngine(net *transport.Network, amap *core.AddressMap, cfg MasterConfig, natural core.OrderingModel) *MasterEngine {
+// model is the socket's inherent ordering model. The engine is inert
+// until Bind attaches its adapter and registers it on a clock.
+func NewMasterEngine(net *transport.Network, amap *core.AddressMap, cfg MasterConfig, model core.OrderingModel) *MasterEngine {
 	cfg = cfg.withDefaults()
-	model := cfg.Ordering.resolve(natural)
 	if model == core.FullyOrdered {
 		cfg.NumTags = 1
 	}
@@ -139,7 +137,7 @@ func (e *MasterEngine) Bind(clk *sim.Clock, a MasterAdapter, requests ...interfa
 	e.wake.Consumes(requests...)
 }
 
-// Model returns the resolved ordering model.
+// Model returns the engine's ordering model.
 func (e *MasterEngine) Model() core.OrderingModel { return e.model }
 
 // Stats returns a copy of the NIU's counters.
@@ -338,8 +336,8 @@ type SlaveEngine struct {
 
 	free []*slaveSlot // request slots not holding a request (a stack)
 	// rspQ is a ring of encoded responses awaiting fabric credit. Its
-	// ResponseQueue+MaxConcurrent entries cannot overflow: admission
-	// stops at ResponseQueue queued responses, and each of at most
+	// responseQueue+MaxConcurrent entries cannot overflow: admission
+	// stops at responseQueue queued responses, and each of at most
 	// MaxConcurrent requests in flight adds one more.
 	rspQ    []*transport.Packet
 	rspHead int
@@ -366,7 +364,7 @@ func NewSlaveEngine(net *transport.Network, cfg SlaveConfig) *SlaveEngine {
 	}
 	e := &SlaveEngine{
 		cfg: cfg, ep: ep, net: net,
-		rspQ: make([]*transport.Packet, cfg.ResponseQueue+cfg.MaxConcurrent),
+		rspQ: make([]*transport.Packet, responseQueue+cfg.MaxConcurrent),
 	}
 	if cfg.Services.Exclusive {
 		e.monitor = new(mem.Monitor[noctypes.NodeID])
@@ -422,7 +420,7 @@ func (e *SlaveEngine) Idle() bool { return e.rspN == 0 && e.ep.Received() == 0 }
 // respecting the concurrency bound. Requests in flight hold one slot
 // each, so a free slot exists whenever the bound admits one more.
 func (e *SlaveEngine) recvRequest() *slaveSlot {
-	if e.inFlight >= e.cfg.MaxConcurrent || e.rspN >= e.cfg.ResponseQueue {
+	if e.inFlight >= e.cfg.MaxConcurrent || e.rspN >= responseQueue {
 		return nil
 	}
 	pkt, ok := e.ep.Recv()

@@ -42,42 +42,10 @@ func overlong(socket string, beats int) {
 	panic(fmt.Sprintf("niu: %s burst of %d beats exceeds the %d one request carries", socket, beats, math.MaxUint16))
 }
 
-// OrderingOverride optionally replaces a protocol's natural ordering
-// model — e.g. forcing an AXI NIU to fully-ordered builds the cheapest
-// possible NIU at the cost of serializing every transaction, the low end
-// of the paper's gate-count/performance trade-off.
-type OrderingOverride uint8
-
-// Ordering overrides. OrderDefault keeps the protocol's natural model
-// (AHB/PVCI/BVCI/Wishbone fully-ordered, OCP thread-ordered,
-// AXI/AVCI/prop ID-ordered).
-const (
-	OrderDefault OrderingOverride = iota
-	OrderFully
-	OrderThread
-	OrderID
-)
-
-// resolve maps an override onto a concrete model, given the protocol's
-// natural one.
-func (o OrderingOverride) resolve(natural core.OrderingModel) core.OrderingModel {
-	switch o {
-	case OrderFully:
-		return core.FullyOrdered
-	case OrderThread:
-		return core.ThreadOrdered
-	case OrderID:
-		return core.IDOrdered
-	default:
-		return natural
-	}
-}
-
 // MasterConfig sizes a master-side NIU.
 type MasterConfig struct {
 	Node     noctypes.NodeID
-	Ordering OrderingOverride // OrderDefault = the protocol's natural model
-	NumTags  int              // tag contexts (ordering hardware)
+	NumTags  int // tag contexts (ordering hardware)
 	Table    core.TableConfig
 	Services core.ServiceSet
 	Priority noctypes.Priority // default packet priority for this NIU
@@ -113,16 +81,15 @@ type SlaveConfig struct {
 	// MaxConcurrent bounds requests being executed against the target IP
 	// simultaneously (the slave NIU's own table size).
 	MaxConcurrent int
-	// ResponseQueue bounds responses waiting for fabric credit.
-	ResponseQueue int
 }
+
+// responseQueue bounds a slave NIU's responses waiting for fabric
+// credit.
+const responseQueue = 8
 
 func (c SlaveConfig) withDefaults() SlaveConfig {
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 4
-	}
-	if c.ResponseQueue == 0 {
-		c.ResponseQueue = 8
 	}
 	return c
 }

@@ -17,7 +17,6 @@ type PVCIMaster struct {
 
 // NewPVCIMaster creates the NIU on clk.
 func NewPVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.PPort, cfg MasterConfig) *PVCIMaster {
-	cfg.Ordering = OrderFully
 	if cfg.Table.MaxOutstanding == 0 {
 		cfg.Table.MaxOutstanding = 1 // PVCI is single-outstanding by nature
 	}
@@ -104,7 +103,6 @@ type BVCIMaster struct {
 
 // NewBVCIMaster creates the NIU on clk.
 func NewBVCIMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *vci.BPort, cfg MasterConfig) *BVCIMaster {
-	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, NewBVCIMasterAdapter(e, port), port.Req)
 	return &BVCIMaster{e}

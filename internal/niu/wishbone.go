@@ -65,7 +65,6 @@ type WBMaster struct {
 // NewWBMaster creates the NIU on clk. WISHBONE has no ordering handles:
 // the model is always fully-ordered.
 func NewWBMaster(clk *sim.Clock, net *transport.Network, amap *core.AddressMap, port *wishbone.Port, cfg MasterConfig) *WBMaster {
-	cfg.Ordering = OrderFully
 	e := NewMasterEngine(net, amap, cfg, core.FullyOrdered)
 	e.Bind(clk, single(e, port.Req, port.Rsp, wbRequest, wbResponse), port.Req)
 	return &WBMaster{e}
