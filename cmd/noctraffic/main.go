@@ -41,7 +41,7 @@
 //
 // Live metrics (internal/obs/metrics): -metrics-addr serves /metrics
 // (Prometheus text exposition: per-router flit and stall counters,
-// sim-events/sec, heap usage, campaign progress) and /progress (a JSON
+// sim-cycles/sec, heap usage, campaign progress) and /progress (a JSON
 // progress document with an ETA) over HTTP while the run executes;
 // -metrics-out appends periodic self-profiling snapshots as JSONL at the
 // -metrics-interval cadence. Both observe through atomic counters off

@@ -20,7 +20,7 @@ import (
 // tracker, and a JSONL snapshotter ticking every couple of
 // milliseconds) — and the two sweeps must be byte-identical. That is
 // the subsystem's contract made into an experiment: live metrics are
-// a pure observer, so the events/sec trajectory, per-phase wall
+// a pure observer, so the cycles/sec trajectory, per-phase wall
 // clock, and per-router counters it produces describe the same run
 // the paper-style tables report, not a perturbed sibling of it.
 
@@ -115,15 +115,15 @@ func E15SelfProfile(seed int64) E15Result {
 	// writes, sampled down to a screenful.
 	st := stats.NewTable(
 		fmt.Sprintf("E15 — live snapshot trajectory (%d lines, showing <= %d): what /metrics scrapers see", len(snaps), e15SnapRows),
-		"t ms", "phase", "cycles", "events", "Mevents/s", "heap MB", "points")
+		"t ms", "phase", "cycles", "Mcycles/s", "heap MB", "points")
 	stride := 1
 	if len(snaps) > e15SnapRows {
 		stride = (len(snaps) + e15SnapRows - 1) / e15SnapRows
 	}
 	for i := 0; i < len(snaps); i += stride {
 		s := snaps[i]
-		st.AddRow(fmt.Sprintf("%.1f", s.TMS), s.Phase, s.Cycles, s.Events,
-			fmt.Sprintf("%.2f", s.EventsPerSec/1e6),
+		st.AddRow(fmt.Sprintf("%.1f", s.TMS), s.Phase, s.Cycles,
+			fmt.Sprintf("%.2f", s.CyclesPerSec/1e6),
 			fmt.Sprintf("%.1f", s.HeapAllocBytes/1e6),
 			fmt.Sprintf("%d/%d", s.PointsDone, s.PointsTotal))
 	}

@@ -38,8 +38,8 @@ func TestE15SelfProfile(t *testing.T) {
 			last.PointsDone, last.PointsTotal, len(r.Sweep.Points), len(r.Sweep.Points))
 	}
 	for i := 1; i < len(r.Snapshots); i++ {
-		if r.Snapshots[i].Events < r.Snapshots[i-1].Events {
-			t.Fatalf("snapshot %d events went backwards", i)
+		if r.Snapshots[i].Cycles < r.Snapshots[i-1].Cycles {
+			t.Fatalf("snapshot %d cycles went backwards", i)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func runShaped(t testing.TB) *Rig {
 		rig.Collector.Event(obs.Event{Kind: obs.KindSlaveRecv, Src: noctypes.NodeID(8 + i%4)})
 	}
 	rig.Profile.SetPhase(PhaseMeasure)
-	rig.Profile.Advance(1000, 5000)
+	rig.Profile.Advance(1000)
 	rig.Progress.SetTotal(1)
 	rig.Progress.PointStart()
 	rig.Progress.PointDone("p", 12)
@@ -107,8 +107,8 @@ func TestDumpJSONMatchesEncodingJSON(t *testing.T) {
 		t.Fatalf("rendered dump differs from json.Marshal:\n got %s\nwant %s", got, want)
 	}
 
-	snap := Snapshot{TMS: 1.5, Phase: "measure", Cycles: 7, Events: 9, EventsPerSec: 3.25,
-		HeapDepth: 2, PointsDone: 1, PointsTotal: 3, Metrics: dumpMap(reg)}
+	snap := Snapshot{TMS: 1.5, Phase: "measure", Cycles: 7, CyclesPerSec: 3.25,
+		PointsDone: 1, PointsTotal: 3, Metrics: dumpMap(reg)}
 	want, err = json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,6 @@ func dumpMap(reg *Registry) map[string]float64 {
 func TestFreezeKeepsTheRigsState(t *testing.T) {
 	rig := runShaped(t)
 	rig.Profile.SetPhase(PhaseDone)
-	rig.Profile.SetHeapDepth(3)
 	f := rig.Freeze()
 	want := dumpMap(rig.Registry)
 
@@ -155,15 +154,15 @@ func TestFreezeKeepsTheRigsState(t *testing.T) {
 	if f.Line[len(f.Line)-1] != '\n' || bytes.Count(f.Line, []byte("\n")) != 1 {
 		t.Fatalf("frozen line is not one newline-terminated line: %q", f.Line)
 	}
-	if snap.Phase != "done" || snap.Cycles != 1000 || snap.Events != 5000 || snap.HeapDepth != 3 ||
+	if snap.Phase != "done" || snap.Cycles != 1000 ||
 		snap.PointsDone != 1 || snap.PointsTotal != 1 || f.PointsDone != 1 || f.PointsTotal != 1 {
 		t.Fatalf("frozen line = %+v (points %d/%d)", snap, f.PointsDone, f.PointsTotal)
 	}
-	if snap.TMS <= 0 || snap.EventsPerSec <= 0 {
-		t.Fatalf("frozen line has t_ms %g and events/s %g, want the session's wall time and average", snap.TMS, snap.EventsPerSec)
+	if snap.TMS <= 0 || snap.CyclesPerSec <= 0 {
+		t.Fatalf("frozen line has t_ms %g and cycles/s %g, want the session's wall time and average", snap.TMS, snap.CyclesPerSec)
 	}
 	for k, v := range want {
-		if k == "noc_sim_wall_seconds" || k == "noc_sim_events_per_sec" || k == "noc_sim_cycles_per_sec" {
+		if k == "noc_sim_wall_seconds" || k == "noc_sim_cycles_per_sec" {
 			continue // wall clock: read again after the freeze
 		}
 		if snap.Metrics[k] != v {
@@ -176,7 +175,7 @@ func TestFreezeKeepsTheRigsState(t *testing.T) {
 
 	line := append([]byte(nil), f.Line...)
 	time.Sleep(5 * time.Millisecond)
-	rig.Profile.Advance(10, 10)
+	rig.Profile.Advance(10)
 	if !bytes.Equal(f.Line, line) {
 		t.Fatal("frozen line changed after the rig moved on")
 	}

@@ -59,8 +59,7 @@ func TestNilHandlesAreFreeAndAllocFree(t *testing.T) {
 		g.Add(2)
 		_ = g.Value()
 		h.Observe(5)
-		prof.Advance(64, 100)
-		prof.SetHeapDepth(3)
+		prof.Advance(64)
 		prof.SetPhase(PhaseMeasure)
 		prog.PointStart()
 		prog.PointDone("x", 1)

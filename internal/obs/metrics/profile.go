@@ -57,12 +57,12 @@ var memMetrics = [3]string{
 }
 
 // SimProfile is the simulator's self-profiling surface: runners
-// advance their clocks through Run, which publishes cycle/event/
-// heap-depth deltas as it goes, and mark phases with SetPhase; the
-// profile turns them into registry metrics —
-// cumulative totals, session-average rates, Go heap gauges — plus the
-// numbers /progress and snapshots report. A nil *SimProfile disables
-// everything at zero cost, so runners call it unconditionally.
+// advance their clocks through Run, which publishes the cycles of each
+// step as it goes, and mark phases with SetPhase; the profile turns
+// them into registry metrics — the cycle total, its session-average
+// rate, Go heap gauges — plus the numbers /progress and snapshots
+// report. A nil *SimProfile disables everything at zero cost, so
+// runners call it unconditionally.
 //
 // One profile serves one simulation session, which may span many
 // sequential runs (a sweep or campaign): totals accumulate across
@@ -70,11 +70,9 @@ var memMetrics = [3]string{
 type SimProfile struct {
 	start time.Time
 
-	cycles    *Counter
-	events    *Counter
-	heapDepth *Gauge
-	phaseG    *Gauge
-	phase     atomic.Int32
+	cycles *Counter
+	phaseG *Gauge
+	phase  atomic.Int32
 
 	heapAlloc   *Gauge
 	heapObjects *Gauge
@@ -96,8 +94,6 @@ func NewSimProfile(reg *Registry) *SimProfile {
 	p := &SimProfile{
 		start:       time.Now(),
 		cycles:      reg.Counter("noc_sim_cycles_total", "fabric cycles simulated"),
-		events:      reg.Counter("noc_sim_events_total", "kernel events executed"),
-		heapDepth:   reg.Gauge("noc_sim_event_heap_depth", "pending events in the kernel heap"),
 		phaseG:      reg.Gauge("noc_sim_phase", "current phase: 0 idle, 1 warmup, 2 measure, 3 drain, 4 done"),
 		heapAlloc:   reg.Gauge("noc_go_heap_alloc_bytes", "Go heap bytes in use (runtime/metrics)"),
 		heapObjects: reg.Gauge("noc_go_heap_objects", "live Go heap objects"),
@@ -105,9 +101,6 @@ func NewSimProfile(reg *Registry) *SimProfile {
 	}
 	reg.GaugeFunc("noc_sim_wall_seconds", "wall-clock time since profiling started", func() float64 {
 		return time.Since(p.start).Seconds()
-	})
-	reg.GaugeFunc("noc_sim_events_per_sec", "session-average kernel events per wall second", func() float64 {
-		return rate(float64(p.events.Value()), time.Since(p.start))
 	})
 	reg.GaugeFunc("noc_sim_cycles_per_sec", "session-average fabric cycles per wall second", func() float64 {
 		return rate(float64(p.cycles.Value()), time.Since(p.start))
@@ -136,25 +129,21 @@ func (p *SimProfile) SetSnapshotter(s *Snapshotter) {
 
 // Run advances clk by at most n cycles in steps of step cycles, the
 // last step clipped to n, while more reports work left (nil: always).
-// After each step it publishes the step's cycles, the kernel events it
-// ran and the kernel's pending events, so the live totals equal the
-// run's own after every step. It returns the cycles run. On a nil
-// profile it only runs the clock. It is the one loop every runner
-// advances its clock through.
+// After each step it publishes the step's cycles, so the live cycle
+// total equals the run's own after every step. It returns the cycles
+// run. On a nil profile it only runs the clock. It is the one loop
+// every runner advances its clock through.
 func (p *SimProfile) Run(clk *sim.Clock, n, step int64, more func() bool) int64 {
 	if p == nil && more == nil {
 		clk.RunCycles(n)
 		return n
 	}
-	k := clk.Kernel()
 	ran := int64(0)
 	for ran < n && (more == nil || more()) {
 		s := min(step, n-ran)
-		c0, e0 := clk.Cycle(), k.Steps()
 		clk.RunCycles(s)
 		ran += s
-		p.SetHeapDepth(k.Pending())
-		p.Advance(clk.Cycle()-c0, int64(k.Steps()-e0))
+		p.Advance(s)
 	}
 	return ran
 }
@@ -176,26 +165,15 @@ func (p *SimProfile) Phase() Phase {
 	return Phase(p.phase.Load())
 }
 
-// SetHeapDepth records the kernel's pending-event count.
-func (p *SimProfile) SetHeapDepth(n int) {
-	if p != nil {
-		p.heapDepth.Set(float64(n))
-	}
-}
-
-// Advance publishes progress deltas: dCycles fabric cycles and dEvents
-// kernel events executed since the last call. It also paces the slow
-// side-channels — the Go heap gauges (at most every 100ms) and the
-// attached snapshotter.
-func (p *SimProfile) Advance(dCycles, dEvents int64) {
+// Advance publishes progress: dCycles fabric cycles simulated since the
+// last call. It also paces the slow side-channels — the Go heap gauges
+// (at most every 100ms) and the attached snapshotter.
+func (p *SimProfile) Advance(dCycles int64) {
 	if p == nil {
 		return
 	}
 	if dCycles > 0 {
 		p.cycles.Add(uint64(dCycles))
-	}
-	if dEvents > 0 {
-		p.events.Add(uint64(dEvents))
 	}
 	p.maybeSampleMem()
 	if s := p.snap.Load(); s != nil {
@@ -223,28 +201,4 @@ func (p *SimProfile) Cycles() int64 {
 		return 0
 	}
 	return int64(p.cycles.Value())
-}
-
-// Events reads the cumulative event total (0 on a nil profile).
-func (p *SimProfile) Events() int64 {
-	if p == nil {
-		return 0
-	}
-	return int64(p.events.Value())
-}
-
-// HeapDepth reads the last published kernel heap depth.
-func (p *SimProfile) HeapDepth() int {
-	if p == nil {
-		return 0
-	}
-	return int(p.heapDepth.Value())
-}
-
-// Elapsed is the wall time since profiling started.
-func (p *SimProfile) Elapsed() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return time.Since(p.start)
 }

@@ -9,7 +9,7 @@ import (
 // Server exposes a running simulation over HTTP:
 //
 //	/metrics   Prometheus text exposition of the registry
-//	/progress  JSON digest: phase, cycles/events(+rates), points, ETA
+//	/progress  JSON digest: phase, cycles, points, ETA
 //
 // The simulation never blocks on a scrape: handlers read atomics (and
 // GaugeFunc callbacks, which must be scrape-safe). Start with addr
@@ -32,23 +32,16 @@ func NewServer(reg *Registry, prof *SimProfile, prog *Progress) *Server {
 // progressDoc is the /progress response body.
 type progressDoc struct {
 	ProgressSnapshot
-	Phase        string  `json:"phase"`
-	SimCycles    int64   `json:"sim_cycles"`
-	SimEvents    int64   `json:"sim_events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	HeapDepth    int     `json:"event_heap_depth"`
+	Phase     string `json:"phase"`
+	SimCycles int64  `json:"sim_cycles"`
 }
 
 func (s *Server) progressDoc() progressDoc {
-	doc := progressDoc{
+	return progressDoc{
 		ProgressSnapshot: s.prog.Snapshot(),
 		Phase:            s.prof.Phase().String(),
 		SimCycles:        s.prof.Cycles(),
-		SimEvents:        s.prof.Events(),
-		HeapDepth:        s.prof.HeapDepth(),
 	}
-	doc.EventsPerSec = rate(float64(doc.SimEvents), s.prof.Elapsed())
-	return doc
 }
 
 // Start binds addr and serves in a background goroutine, returning the

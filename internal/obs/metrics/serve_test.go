@@ -45,12 +45,11 @@ func TestServeMetricsMidRun(t *testing.T) {
 	var doc struct {
 		Phase     string `json:"phase"`
 		SimCycles int64  `json:"sim_cycles"`
-		SimEvents int64  `json:"sim_events"`
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for doc.SimEvents == 0 {
+	for doc.SimCycles == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("simulation published no events within 10s")
+			t.Fatal("simulation published no cycles within 10s")
 		}
 		resp, err := http.Get(base + "/progress")
 		if err != nil {
@@ -78,10 +77,10 @@ func TestServeMetricsMidRun(t *testing.T) {
 	resp.Body.Close()
 	expo := string(body)
 	for _, want := range []string{
-		"# TYPE noc_sim_events_total counter",
+		"# TYPE noc_sim_cycles_total counter",
 		"# TYPE noc_fabric_flits_total counter",
 		"noc_traffic_backpressure_total",
-		"noc_sim_events_per_sec",
+		"noc_sim_cycles_per_sec",
 	} {
 		if !strings.Contains(expo, want) {
 			t.Errorf("mid-run exposition missing %q", want)

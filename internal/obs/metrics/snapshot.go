@@ -10,17 +10,14 @@ import (
 )
 
 // Snapshot is one line of the JSONL self-profiling stream: where the
-// simulation is, how fast it is going right now (interval rates, not
-// session averages), and a flat dump of every registry metric.
+// simulation is, how fast it is going right now (an interval rate, not
+// the session average), and a flat dump of every registry metric.
 type Snapshot struct {
 	TMS   float64 `json:"t_ms"` // wall ms since the session's profile started
 	Phase string  `json:"phase,omitempty"`
 
 	Cycles       int64   `json:"cycles"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"` // over the interval since the previous line
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	HeapDepth    int     `json:"event_heap_depth,omitempty"`
+	CyclesPerSec float64 `json:"cycles_per_sec"` // over the interval since the previous line
 
 	HeapAllocBytes float64 `json:"heap_alloc_bytes,omitempty"`
 
@@ -42,23 +39,6 @@ type wireSnapshot struct {
 	Metrics json.RawMessage `json:"metrics,omitempty"`
 }
 
-// take reads a snapshot's scalars from the (possibly nil) profile and
-// tracker; the caller fills the time and the rates.
-func take(prof *SimProfile, prog *Progress) Snapshot {
-	snap := Snapshot{
-		Phase:     prof.Phase().String(),
-		Cycles:    prof.Cycles(),
-		Events:    prof.Events(),
-		HeapDepth: prof.HeapDepth(),
-	}
-	if prof != nil {
-		snap.HeapAllocBytes = prof.heapAlloc.Value()
-	}
-	ps := prog.Snapshot()
-	snap.PointsDone, snap.PointsTotal = ps.PointsDone, ps.PointsTotal
-	return snap
-}
-
 // Frozen is a session's last snapshot line, rendered once, with the
 // point counts a status document reports. It shares nothing with the
 // rig it came from, so a finished session keeps it and drops the rig
@@ -66,8 +46,9 @@ func take(prof *SimProfile, prog *Progress) Snapshot {
 type Frozen struct {
 	PointsDone, PointsTotal int
 	// Line is one snapshot line, newline included: the session's state
-	// when it was frozen. It reads as the first line of a snapshotter:
-	// t_ms is the session's wall time, and the rates are its averages.
+	// when it was frozen. It is the first line a snapshotter opened at
+	// that moment writes: t_ms is the session's wall time, and the rate
+	// is its average.
 	Line []byte
 }
 
@@ -77,16 +58,9 @@ func (r *Rig) Freeze() Frozen {
 	if r == nil {
 		return Frozen{}
 	}
-	snap := take(r.Profile, r.Progress)
-	wall := r.Profile.Elapsed()
-	snap.TMS = float64(wall.Microseconds()) / 1e3
-	snap.EventsPerSec = rate(float64(snap.Events), wall)
-	snap.CyclesPerSec = rate(float64(snap.Cycles), wall)
-	f := Frozen{PointsDone: snap.PointsDone, PointsTotal: snap.PointsTotal}
-	if line, err := json.Marshal(wireSnapshot{snap, r.Registry.appendJSON(nil)}); err == nil {
-		f.Line = append(line, '\n')
-	}
-	return f
+	s := opened(r.Registry, r.Profile, r.Progress)
+	snap, line := s.render(time.Now())
+	return Frozen{PointsDone: snap.PointsDone, PointsTotal: snap.PointsTotal, Line: line}
 }
 
 // defaultSnapEvery paces snapshots when the caller passes no interval.
@@ -100,10 +74,10 @@ const defaultSnapEvery = 250 * time.Millisecond
 // finished state. A nil *Snapshotter is a no-op.
 //
 // It measures from its profile's start, not its own: t_ms is the
-// session's wall time, and the first line's rates are the session's
-// averages, so a stream opened in the middle of a session (nocserver's
+// session's wall time, and the first line's cycle rate is the session's
+// average, so a stream opened in the middle of a session (nocserver's
 // /progress on a running run) starts with the line Rig.Freeze renders.
-// Each later line's rates cover the interval since the line before.
+// Each later line's rate covers the interval since the line before.
 type Snapshotter struct {
 	reg  *Registry
 	prof *SimProfile
@@ -116,7 +90,6 @@ type Snapshotter struct {
 	start      time.Time
 	last       time.Time
 	lastCycles int64
-	lastEvents int64
 	lines      int
 }
 
@@ -127,15 +100,20 @@ func NewSnapshotter(w io.Writer, every time.Duration, reg *Registry, prof *SimPr
 	if every <= 0 {
 		every = defaultSnapEvery
 	}
+	s := opened(reg, prof, prog)
+	s.w, s.every = bufio.NewWriter(w), every
+	return &s
+}
+
+// opened returns a snapshotter over the given components as it stands
+// when opened, with no writer yet: its clock and its first interval
+// start at the profile's start (now, without a profile).
+func opened(reg *Registry, prof *SimProfile, prog *Progress) Snapshotter {
 	start := time.Now()
 	if prof != nil {
 		start = prof.start
 	}
-	return &Snapshotter{
-		reg: reg, prof: prof, prog: prog,
-		w: bufio.NewWriter(w), every: every,
-		start: start, last: start,
-	}
+	return Snapshotter{reg: reg, prof: prof, prog: prog, start: start, last: start}
 }
 
 // MaybeSnap writes a line when the interval since the previous line
@@ -162,22 +140,35 @@ func (s *Snapshotter) Snap() {
 }
 
 func (s *Snapshotter) snapLocked() {
-	now := time.Now()
-	snap := take(s.prof, s.prog)
-	snap.TMS = float64(now.Sub(s.start).Microseconds()) / 1e3
-	if dt := now.Sub(s.last); dt > 0 {
-		snap.EventsPerSec = rate(float64(snap.Events-s.lastEvents), dt)
-		snap.CyclesPerSec = rate(float64(snap.Cycles-s.lastCycles), dt)
-	}
-	s.dump = s.reg.appendJSON(s.dump[:0])
-	line, err := json.Marshal(wireSnapshot{snap, s.dump})
-	if err == nil {
+	if _, line := s.render(time.Now()); line != nil {
 		s.w.Write(line)
-		s.w.WriteByte('\n')
 		s.lines++
 	}
-	s.last = now
-	s.lastCycles, s.lastEvents = snap.Cycles, snap.Events
+}
+
+// render builds the snapshot line taken at now, newline included, and
+// starts the next interval there: every line, streamed or frozen, is
+// rendered here. Call it with s.mu held, or on a snapshotter no one
+// else holds.
+func (s *Snapshotter) render(now time.Time) (Snapshot, []byte) {
+	snap := Snapshot{
+		TMS:    float64(now.Sub(s.start).Microseconds()) / 1e3,
+		Phase:  s.prof.Phase().String(),
+		Cycles: s.prof.Cycles(),
+	}
+	snap.CyclesPerSec = rate(float64(snap.Cycles-s.lastCycles), now.Sub(s.last))
+	if s.prof != nil {
+		snap.HeapAllocBytes = s.prof.heapAlloc.Value()
+	}
+	ps := s.prog.Snapshot()
+	snap.PointsDone, snap.PointsTotal = ps.PointsDone, ps.PointsTotal
+	s.dump = s.reg.appendJSON(s.dump[:0])
+	s.last, s.lastCycles = now, snap.Cycles
+	line, err := json.Marshal(wireSnapshot{snap, s.dump})
+	if err != nil {
+		return snap, nil
+	}
+	return snap, append(line, '\n')
 }
 
 // Lines reports how many snapshot lines have been written.

@@ -74,20 +74,19 @@ func TestSimProfileAndSnapshotter(t *testing.T) {
 	p.SetSnapshotter(s)
 
 	p.SetPhase(PhaseWarmup)
-	p.Advance(64, 120)
+	p.Advance(64)
 	p.SetPhase(PhaseMeasure)
-	p.SetHeapDepth(9)
 	time.Sleep(2 * time.Millisecond) // let the interval elapse
-	p.Advance(64, 130)
+	p.Advance(64)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if p.Cycles() != 128 || p.Events() != 250 {
-		t.Fatalf("profile totals = %d cycles / %d events", p.Cycles(), p.Events())
+	if p.Cycles() != 128 {
+		t.Fatalf("profile total = %d cycles", p.Cycles())
 	}
-	if p.Phase() != PhaseMeasure || p.HeapDepth() != 9 {
-		t.Fatalf("phase/heap = %v/%d", p.Phase(), p.HeapDepth())
+	if p.Phase() != PhaseMeasure {
+		t.Fatalf("phase = %v", p.Phase())
 	}
 	snaps, err := ParseSnapshots(&buf)
 	if err != nil {
@@ -97,14 +96,14 @@ func TestSimProfileAndSnapshotter(t *testing.T) {
 		t.Fatalf("only %d snapshot lines", len(snaps))
 	}
 	last := snaps[len(snaps)-1]
-	if last.Cycles != 128 || last.Events != 250 {
-		t.Fatalf("final snapshot = %d cycles / %d events", last.Cycles, last.Events)
+	if last.Cycles != 128 {
+		t.Fatalf("final snapshot = %d cycles", last.Cycles)
 	}
 	if last.Phase != "measure" {
 		t.Fatalf("final phase = %q", last.Phase)
 	}
-	if last.Metrics["noc_sim_events_total"] != 250 {
-		t.Fatalf("registry dump missing events total: %v", last.Metrics)
+	if last.Metrics["noc_sim_cycles_total"] != 128 {
+		t.Fatalf("registry dump missing cycles total: %v", last.Metrics)
 	}
 	for i := 1; i < len(snaps); i++ {
 		if snaps[i].Cycles < snaps[i-1].Cycles || snaps[i].TMS < snaps[i-1].TMS {
@@ -123,7 +122,7 @@ func snapshotStream(t *testing.T, n int) []byte {
 	s := NewSnapshotter(&buf, time.Hour, r, p, NewProgress(r))
 	for i := 0; i < n; i++ {
 		p.SetPhase(PhaseMeasure)
-		p.Advance(64, 100)
+		p.Advance(64)
 		s.Snap()
 	}
 	p.SetPhase(PhaseDone)
@@ -160,7 +159,7 @@ func TestParseSnapshotsTruncatedTail(t *testing.T) {
 		t.Fatalf("truncated stream yielded %d lines, want the 3 complete ones", len(part))
 	}
 	for i := range part {
-		if part[i].Cycles != whole[i].Cycles || part[i].Events != whole[i].Events {
+		if part[i].Cycles != whole[i].Cycles {
 			t.Fatalf("prefix line %d differs from the complete parse", i)
 		}
 	}
@@ -245,7 +244,7 @@ func TestRig(t *testing.T) {
 	var buf bytes.Buffer
 	s := rig.SnapshotTo(&buf, time.Nanosecond)
 	time.Sleep(time.Millisecond)
-	rig.Profile.Advance(10, 20)
+	rig.Profile.Advance(10)
 	if s.Lines() == 0 {
 		t.Fatal("profile publishing did not drive the rig's snapshotter")
 	}
@@ -262,7 +261,7 @@ func TestSimProfileHeapGauges(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p := NewSimProfile(NewRegistry())
-	p.Advance(1, 1)
+	p.Advance(1)
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	if v := p.heapAlloc.Value(); v <= 0 {
@@ -275,7 +274,7 @@ func TestSimProfileHeapGauges(t *testing.T) {
 		t.Fatalf("noc_go_gc_total = %v, MemStats.NumGC read %d before and %d after", v, before.NumGC, after.NumGC)
 	}
 	p.heapAlloc.Set(-1)
-	p.Advance(1, 1)
+	p.Advance(1)
 	if v := p.heapAlloc.Value(); v != -1 {
 		t.Fatalf("a second Advance inside memEvery re-read the heap gauges (%v)", v)
 	}
@@ -283,12 +282,12 @@ func TestSimProfileHeapGauges(t *testing.T) {
 
 // TestSnapshotterMeasuresFromSessionStart: a stream opened in the
 // middle of a session (nocserver's /progress on a running run) starts
-// with the session's wall time and its average rates, the line
-// Rig.Freeze renders, not every event so far divided by the time since
+// with the session's wall time and its average cycle rate, the line
+// Rig.Freeze renders, not every cycle so far divided by the time since
 // the stream opened. Later lines still report their own interval.
 func TestSnapshotterMeasuresFromSessionStart(t *testing.T) {
 	rig := NewRig()
-	rig.Profile.Advance(20_000, 1_000_000)
+	rig.Profile.Advance(20_000)
 	time.Sleep(20 * time.Millisecond)
 	var buf bytes.Buffer
 	s := NewSnapshotter(&buf, time.Hour, rig.Registry, rig.Profile, rig.Progress)
@@ -306,25 +305,18 @@ func TestSnapshotterMeasuresFromSessionStart(t *testing.T) {
 	if first.TMS < 20 {
 		t.Fatalf("first line t_ms = %g, want the session's wall time (at least 20 ms)", first.TMS)
 	}
-	secs := first.TMS / 1e3
-	for _, c := range []struct {
-		name        string
-		total, rate float64
-	}{{"events", float64(first.Events), first.EventsPerSec}, {"cycles", float64(first.Cycles), first.CyclesPerSec}} {
-		if avg := c.total / secs; math.Abs(c.rate-avg) > 0.01*avg {
-			t.Errorf("first line %s rate %g, want the session average %g", c.name, c.rate, avg)
-		}
+	if avg := float64(first.Cycles) / (first.TMS / 1e3); math.Abs(first.CyclesPerSec-avg) > 0.01*avg {
+		t.Errorf("first line cycle rate %g, want the session average %g", first.CyclesPerSec, avg)
 	}
-	if second := snaps[1]; second.EventsPerSec != 0 || second.TMS <= first.TMS {
+	if second := snaps[1]; second.CyclesPerSec != 0 || second.TMS <= first.TMS {
 		t.Errorf("second line = %+v, want an idle interval after the first", second)
 	}
 }
 
 // TestSimProfileRun pins the one loop every runner advances its clock
 // through: at most n cycles in steps, the last one clipped, while more
-// holds, checked before each step; afterwards the live totals are the
-// cycles it ran and the kernel events they took. A nil profile runs
-// the same cycles.
+// holds, checked before each step; afterwards the live cycle total is
+// the cycles it ran. A nil profile runs the same cycles.
 func TestSimProfileRun(t *testing.T) {
 	for _, c := range []struct{ n, step, stopAt, want int64 }{
 		{n: 100, step: 64, want: 100},
@@ -350,12 +342,8 @@ func TestSimProfileRun(t *testing.T) {
 			if !on {
 				continue
 			}
-			if p.Cycles() != ran || p.Events() != int64(clk.Kernel().Steps()) {
-				t.Errorf("%+v: published %d cycles / %d events, ran %d / %d",
-					c, p.Cycles(), p.Events(), ran, clk.Kernel().Steps())
-			}
-			if ran > 0 && p.HeapDepth() != clk.Kernel().Pending() {
-				t.Errorf("%+v: heap depth %d, kernel holds %d", c, p.HeapDepth(), clk.Kernel().Pending())
+			if p.Cycles() != ran {
+				t.Errorf("%+v: published %d cycles, ran %d", c, p.Cycles(), ran)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +93,6 @@ func progressLine(t *testing.T, ts string, id string) metrics.Snapshot {
 // wallClock names the samples that read the wall clock at dump time.
 var wallClock = map[string]bool{
 	"noc_sim_wall_seconds":   true,
-	"noc_sim_events_per_sec": true,
 	"noc_sim_cycles_per_sec": true,
 }
 
@@ -103,8 +103,7 @@ func TestFinishedProgressIsFrozen(t *testing.T) {
 	var atExit map[string]float64
 	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		rig.Profile.SetPhase(metrics.PhaseDone)
-		rig.Profile.Advance(640, 4321)
-		rig.Profile.SetHeapDepth(5)
+		rig.Profile.Advance(640)
 		rig.Progress.SetTotal(2)
 		rig.Progress.PointStart()
 		rig.Progress.PointDone("p@1", 3)
@@ -118,7 +117,7 @@ func TestFinishedProgressIsFrozen(t *testing.T) {
 	waitState(t, ts, st.ID, stateDone)
 
 	first := progressLine(t, ts.URL, st.ID)
-	if first.Phase != "done" || first.Cycles != 640 || first.Events != 4321 || first.HeapDepth != 5 ||
+	if first.Phase != "done" || first.Cycles != 640 ||
 		first.PointsDone != 2 || first.PointsTotal != 2 {
 		t.Fatalf("terminal line = %+v", first)
 	}
@@ -170,10 +169,10 @@ func TestTimedOutRunStopsMoving(t *testing.T) {
 	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
 		defer close(finished)
 		rig.Progress.SetTotal(4)
-		rig.Profile.Advance(100, 100)
+		rig.Profile.Advance(100)
 		<-release
 		rig.Profile.SetPhase(metrics.PhaseDone)
-		rig.Profile.Advance(900, 900)
+		rig.Profile.Advance(900)
 		rig.Progress.PointStart()
 		rig.Progress.PointDone("late", 1)
 		return []byte("late result that must be dropped"), nil
@@ -197,29 +196,12 @@ func TestTimedOutRunStopsMoving(t *testing.T) {
 	}
 }
 
-// TestStreamOpenedWhileRunningEndsTerminal: a progress stream opened
-// while the run executes keeps the rig it started on and ends with the
-// finished state, the counts the frozen line reports.
-func TestStreamOpenedWhileRunningEndsTerminal(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
-		rig.Progress.SetTotal(1)
-		rig.Profile.SetPhase(metrics.PhaseMeasure)
-		rig.Profile.Advance(10, 20)
-		close(started)
-		<-release
-		rig.Profile.Advance(90, 180)
-		rig.Progress.PointStart()
-		rig.Progress.PointDone("p", 1)
-		rig.Profile.SetPhase(metrics.PhaseDone)
-		return []byte("{}\n"), nil
-	}
-	_, ts := newTestServer(t, Config{Workers: 1}, exec)
-	st := decodeStatus(t, post(t, ts, testScenarioBytes(t, 131)))
-	<-started
-
-	resp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/progress?interval=10ms")
+// streamEnd reads a progress stream to its end and returns its last
+// line and how many lines it had; atFirst, when not nil, runs once the
+// first line has arrived.
+func streamEnd(t *testing.T, url string, atFirst func()) (metrics.Snapshot, int) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +211,9 @@ func TestStreamOpenedWhileRunningEndsTerminal(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatalf("stream ended before its first line: %v", sc.Err())
 	}
-	close(release)
+	if atFirst != nil {
+		atFirst()
+	}
 	last := append([]byte(nil), sc.Bytes()...)
 	lines := 1
 	for sc.Scan() {
@@ -243,12 +227,80 @@ func TestStreamOpenedWhileRunningEndsTerminal(t *testing.T) {
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("last of %d lines does not parse: %v\n%s", lines, err, last)
 	}
-	end, frozen := snaps[0], progressLine(t, ts.URL, st.ID)
-	if end.Phase != "done" || end.Cycles != 100 || end.Events != 200 || end.PointsDone != 1 || end.PointsTotal != 1 {
+	return snaps[0], lines
+}
+
+// TestStreamOpenedWhileRunningEndsTerminal: a progress stream opened
+// while the run executes keeps the rig it started on and ends with the
+// finished state, the counts the frozen line reports.
+func TestStreamOpenedWhileRunningEndsTerminal(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+		rig.Progress.SetTotal(1)
+		rig.Profile.SetPhase(metrics.PhaseMeasure)
+		rig.Profile.Advance(10)
+		close(started)
+		<-release
+		rig.Profile.Advance(90)
+		rig.Progress.PointStart()
+		rig.Progress.PointDone("p", 1)
+		rig.Profile.SetPhase(metrics.PhaseDone)
+		return []byte("{}\n"), nil
+	}
+	_, ts := newTestServer(t, Config{Workers: 1}, exec)
+	st := decodeStatus(t, post(t, ts, testScenarioBytes(t, 131)))
+	<-started
+
+	end, _ := streamEnd(t, ts.URL+"/v1/runs/"+st.ID+"/progress?interval=10ms", func() { close(release) })
+	frozen := progressLine(t, ts.URL, st.ID)
+	if end.Phase != "done" || end.Cycles != 100 || end.PointsDone != 1 || end.PointsTotal != 1 {
 		t.Fatalf("stream ended on %+v, want the finished state", end)
 	}
-	if end.Phase != frozen.Phase || end.Cycles != frozen.Cycles || end.Events != frozen.Events ||
+	if end.Phase != frozen.Phase || end.Cycles != frozen.Cycles ||
 		end.PointsDone != frozen.PointsDone || end.PointsTotal != frozen.PointsTotal {
 		t.Fatalf("stream ended on %+v, the frozen line reads %+v", end, frozen)
+	}
+}
+
+// TestRunFinishingMidLineStreamEndsTerminal: a run that finishes while
+// its stream renders a line, after the line has read the phase and the
+// counts, still ends the stream on the finished state. A gauge the run
+// registers lets the run finish on the stream's second read of it and
+// holds that line until the run's terminal transition is over; Freeze
+// reads it once more inside the transition, and later reads pass.
+func TestRunFinishingMidLineStreamEndsTerminal(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	finished := make(chan (<-chan struct{}), 1)
+	var reads atomic.Int32
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+		rig.Progress.SetTotal(1)
+		rig.Profile.SetPhase(metrics.PhaseMeasure)
+		rig.Profile.Advance(10)
+		rig.Registry.GaugeFunc("test_gate", "", func() float64 {
+			if reads.Add(1) == 2 {
+				close(release)
+				done := <-finished
+				<-done
+			}
+			return 0
+		})
+		close(started)
+		<-release
+		rig.Profile.Advance(90)
+		rig.Progress.PointStart()
+		rig.Progress.PointDone("p", 1)
+		rig.Profile.SetPhase(metrics.PhaseDone)
+		return []byte("{}\n"), nil
+	}
+	s, ts := newTestServer(t, Config{Workers: 1}, exec)
+	st := decodeStatus(t, post(t, ts, testScenarioBytes(t, 141)))
+	finished <- s.lookup(st.ID).doneCh
+	<-started
+
+	end, lines := streamEnd(t, ts.URL+"/v1/runs/"+st.ID+"/progress?interval=10ms", nil)
+	if end.Phase != "done" || end.Cycles != 100 || end.PointsDone != 1 || end.PointsTotal != 1 {
+		t.Fatalf("stream of %d lines ended on phase %s at %d cycles, want done at 100", lines, end.Phase, end.Cycles)
 	}
 }

@@ -15,7 +15,7 @@ import (
 const defaultProgressInterval = 250 * time.Millisecond
 
 // handleProgress streams the run's self-profiling snapshots — phase,
-// cycles/events with interval rates, point counters with an ETA, and
+// cycles with an interval rate, point counters with an ETA, and
 // the full per-run metrics dump (per-router flit/stall counters: the
 // live congestion view) — until the run reaches a terminal state or
 // the client goes away. The stream is JSONL (application/x-ndjson,
@@ -65,14 +65,17 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
+		// The terminal check comes before the line: a run writes its
+		// rig's final values before its terminal transition, so the line
+		// taken after a terminal read carries them, and the stream ends
+		// on it.
+		done := r.terminal()
 		snap.Snap()
 		snap.Flush()
 		if flusher != nil {
 			flusher.Flush()
 		}
-		// The terminal check comes after the write: the final line
-		// carries the finished state.
-		if r.terminal() {
+		if done {
 			return
 		}
 		select {

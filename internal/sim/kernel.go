@@ -150,9 +150,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Steps returns the number of events executed so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// Pending returns the number of scheduled, not yet executed events.
-func (k *Kernel) Pending() int { return len(k.events) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past returns
 // ErrPast; scheduling at the current time is allowed and runs after all
 // currently queued same-time events.

@@ -29,7 +29,6 @@ func TestMetricsPassive(t *testing.T) {
 	if probed.Wall.Events == 0 {
 		t.Error("wall stats report zero kernel events")
 	}
-	wallEvents := probed.Wall.Events
 	if bare.Wall != nil {
 		t.Fatal("bare run grew wall stats without CollectWall")
 	}
@@ -60,9 +59,6 @@ func TestMetricsPassive(t *testing.T) {
 	}
 	if prof.Cycles() != probed.Cycles {
 		t.Errorf("live cycle total %d != result cycles %d", prof.Cycles(), probed.Cycles)
-	}
-	if got := uint64(prof.Events()); got != wallEvents {
-		t.Errorf("live event total %d != wall events %d", got, wallEvents)
 	}
 	if prof.Phase() != metrics.PhaseDone {
 		t.Errorf("profile phase = %v after run", prof.Phase())
