@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"gonoc/internal/server"
-	"gonoc/internal/transport"
 )
 
 var (
@@ -45,7 +44,6 @@ var (
 	maxBody         = flag.Int64("max-body", 1<<20, "largest accepted scenario document, bytes")
 	campaignWorkers = flag.Int("campaign-workers", 0, "cap on one campaign run's internal worker pool (0 = let the scenario decide)")
 	drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running runs to complete")
-	fidelity        = flag.String("fidelity", "", "default execution fidelity for scenarios that do not declare one: cycle|hybrid (docs/PERFORMANCE.md); explicit scenarios are untouched")
 )
 
 func main() {
@@ -53,9 +51,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nocserver: ")
 
-	if _, err := transport.ParseFidelity(*fidelity); err != nil {
-		log.Fatalf("-fidelity: %v", err)
-	}
 	srv := server.New(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
@@ -63,7 +58,6 @@ func main() {
 		RunTimeout:      *runTimeout,
 		MaxBodyBytes:    *maxBody,
 		CampaignWorkers: *campaignWorkers,
-		DefaultFidelity: *fidelity,
 	})
 	httpSrv := &http.Server{Handler: srv.Handler()}
 

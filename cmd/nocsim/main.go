@@ -149,7 +149,6 @@ func main() {
 			cfg.Net.Mode = transport.Wormhole
 		case "saf":
 			cfg.Net.Mode = transport.StoreAndForward
-			cfg.Net.BufDepth = 64
 		default:
 			log.Fatalf("unknown switching mode %q", *mode)
 		}

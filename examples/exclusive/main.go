@@ -20,8 +20,29 @@ import (
 )
 
 func main() {
-	k := sim.NewKernel()
-	clk := sim.NewClock(k, "sys", sim.Nanosecond, 0)
+	clk := sim.NewClock(sim.NewKernel(), "sys", sim.Nanosecond, 0)
+
+	// Each master retries after a small random backoff, as spinlock
+	// implementations do; the jitter lets both sockets win rounds. The
+	// retrier is registered before the masters, so a retry due in a
+	// cycle issues at the start of that cycle's edge.
+	type retry struct {
+		due int64
+		fn  func()
+	}
+	var retries []retry // in the order they were drawn
+	clk.Register(sim.ClockedFunc{OnEval: func(cycle int64) {
+		waiting := retries[:0]
+		for _, r := range retries {
+			if r.due <= cycle {
+				r.fn()
+			} else {
+				waiting = append(waiting, r)
+			}
+		}
+		retries = waiting
+	}})
+
 	net := transport.NewCrossbar(clk, transport.NetConfig{}, []noctypes.NodeID{1, 2, 3})
 	amap := core.NewAddressMap()
 	amap.MustAdd("ram", 0x1000, 0x1000, 3)
@@ -48,12 +69,11 @@ func main() {
 	const rounds = 10
 	axiWins, ocpWins, axiFails, ocpFails := 0, 0, 0, 0
 	axiDone, ocpDone := 0, 0
+	var lastCycle int64 // the cycle the last round completed in
 	rng := sim.NewRNG(2005)
 
-	// Each master retries after a small random backoff, as spinlock
-	// implementations do; the jitter lets both sockets win rounds.
 	again := func(fn func()) {
-		k.After(sim.Time(rng.Range(1, 20))*sim.Nanosecond, fn)
+		retries = append(retries, retry{due: clk.Cycle() + int64(rng.Range(1, 20)), fn: fn})
 	}
 	var axiLoop func()
 	axiLoop = func() {
@@ -66,6 +86,7 @@ func main() {
 					axiFails++
 				}
 				axiDone++
+				lastCycle = clk.Cycle()
 				if axiDone < rounds {
 					again(axiLoop)
 				}
@@ -83,6 +104,7 @@ func main() {
 					ocpFails++
 				}
 				ocpDone++
+				lastCycle = clk.Cycle()
 				if ocpDone < rounds {
 					again(ocpLoop)
 				}
@@ -92,10 +114,11 @@ func main() {
 	axiLoop()
 	ocpLoop()
 
-	clk.Start()
-	err := k.RunWhile(func() bool { return axiDone < rounds || ocpDone < rounds }, 10*sim.Microsecond)
-	if err != nil {
-		log.Fatal(err)
+	for cycles := 0; axiDone < rounds || ocpDone < rounds; cycles++ {
+		if cycles == 10_000 { // 10 µs at 1 GHz
+			log.Fatal("the rounds did not finish in 10,000 cycles")
+		}
+		clk.RunCycles(1)
 	}
 
 	final := store.Read(0, 1)[0]
@@ -103,6 +126,7 @@ func main() {
 	fmt.Printf("  AXI exclusive pairs:  %d attempts, %d EXOKAY, %d failed\n", rounds, axiWins, axiFails)
 	fmt.Printf("  OCP lazy-sync pairs:  %d attempts, %d DVA,    %d FAIL\n", rounds, ocpWins, ocpFails)
 	fmt.Printf("  counter value: %d (== total successful increments %d)\n", final, axiWins+ocpWins)
+	fmt.Printf("  last round completed at cycle %d\n", lastCycle)
 	if int(final) != axiWins+ocpWins {
 		log.Fatal("atomicity violated!")
 	}

@@ -66,9 +66,11 @@ func main() {
 		})
 	})
 
-	clk.Start()
-	if err := k.RunWhile(func() bool { return !writeDone || !readDone }, 100*sim.Microsecond); err != nil {
-		log.Fatal(err)
+	for cycles := 0; !writeDone || !readDone; cycles++ {
+		if cycles == 100_000 { // 100 µs at 1 GHz
+			log.Fatal("the round trip did not finish in 100,000 cycles")
+		}
+		clk.RunCycles(1)
 	}
 	fmt.Printf("\nround trip: %d cycles, data %q\n", clk.Cycle()-issueCycle, got)
 	fmt.Printf("fabric moved %d packets end to end\n", net.Ejected())

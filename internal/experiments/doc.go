@@ -25,7 +25,7 @@
 //	      composition resolved, run, and re-run bit-identically
 //	E15 — self-profiled hotspot sweep: live metrics attached
 //	      (internal/obs/metrics) are a pure observer — results stay
-//	      byte-identical, and the events/sec trajectory is archived
+//	      byte-identical, and the cycles/sec trajectory is archived
 //	E16 — hybrid-fidelity error bounds: the loosely-timed analytic
 //	      link model vs cycle-accurate ground truth on its operating
 //	      envelope (latency within 5%, throughput within 1%, >= 2x

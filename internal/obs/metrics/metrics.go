@@ -1,7 +1,7 @@
 // Package metrics is the repo's dependency-free live-metrics registry:
 // counters, gauges, and histograms with Prometheus text-format
 // exposition, periodic JSONL snapshots, and simulator self-profiling
-// (events/sec, wall-clock per phase, campaign progress, heap usage).
+// (cycles/sec, wall-clock per phase, campaign progress, heap usage).
 //
 // The package follows the same two invariants as obs.Probe:
 //

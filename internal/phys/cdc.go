@@ -129,27 +129,6 @@ func (f *AsyncFifo[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// PopReady appends every value that has cleared the synchronizer to dst
-// and returns the extended slice — the batch form of Pop (one call per
-// consumer-clock edge instead of one per value), aligned with the
-// transport layer's per-edge batching. Credit turnaround is identical
-// to the equivalent sequence of Pops: all slots freed here become
-// visible to the producer only after the current kernel instant.
-func (f *AsyncFifo[T]) PopReady(dst []T) []T {
-	now := f.k.Now()
-	for f.head < len(f.buf) && f.buf[f.head].readyAt <= now {
-		dst = append(dst, f.buf[f.head].v)
-		f.buf[f.head] = asyncEntry[T]{}
-		f.head++
-		f.notePop()
-	}
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return dst
-}
-
 // Len returns the number of stored values (synchronized or not).
 func (f *AsyncFifo[T]) Len() int { return len(f.buf) - f.head }
 

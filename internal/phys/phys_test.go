@@ -270,43 +270,6 @@ func TestLinkUtilizationStats(t *testing.T) {
 	}
 }
 
-// TestAsyncFifoPopReady checks the batch pop: it drains exactly the
-// synchronized prefix, preserves order, and keeps the credit-turnaround
-// rule — slots freed by the batch are not reusable at the same instant.
-func TestAsyncFifoPopReady(t *testing.T) {
-	k := sim.NewKernel()
-	clk := sim.NewClock(k, "c", sim.Nanosecond, 0)
-	fifo := NewAsyncFifo[int](k, "cdc", 4, 2, clk)
-	for i := 0; i < 4; i++ {
-		if !fifo.Push(i) {
-			t.Fatalf("push %d refused", i)
-		}
-	}
-	if got := fifo.PopReady(nil); len(got) != 0 {
-		t.Fatalf("values visible before synchronization: %v", got)
-	}
-	k.RunUntil(2 * sim.Nanosecond) // 2 sync stages at 1ns
-	got := fifo.PopReady(nil)
-	if len(got) != 4 {
-		t.Fatalf("PopReady drained %d/4 synchronized values", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("batch pop reordered data: %v", got)
-		}
-	}
-	if fifo.CanPush() {
-		t.Fatal("credit visible at the freeing instant; want one-cycle turnaround")
-	}
-	k.RunUntil(3 * sim.Nanosecond)
-	if !fifo.CanPush() {
-		t.Fatal("credit never returned after batch pop")
-	}
-	if s := fifo.Stats(); s.Pops != 4 {
-		t.Fatalf("stats recorded %d pops, want 4", s.Pops)
-	}
-}
-
 // TestAsyncFifoStorageReuse pins the head-index ring behaviour: a
 // sustained push/pop stream reuses the backing array instead of letting
 // the live window creep forward and force repeated reallocation.
@@ -322,7 +285,7 @@ func TestAsyncFifoStorageReuse(t *testing.T) {
 			sent++
 		}
 		k.RunUntil(k.Now() + sim.Nanosecond)
-		for _, v := range fifo.PopReady(nil) {
+		for v, ok := fifo.Pop(); ok; v, ok = fifo.Pop() {
 			if v != got {
 				t.Fatalf("value %d out of order (want %d)", v, got)
 			}
@@ -331,42 +294,5 @@ func TestAsyncFifoStorageReuse(t *testing.T) {
 	}
 	if c := cap(fifo.buf); c > 16 {
 		t.Fatalf("backing array grew to %d entries for a depth-8 FIFO: storage is not being reused", c)
-	}
-}
-
-// TestAsyncFifoPopReadyPartialPrefix pins that PopReady drains only the
-// synchronized prefix when pushes straddle the sync window: later pushes
-// stay staged-invisible until their own readyAt, and a caller-provided dst
-// slice is reused instead of reallocated.
-func TestAsyncFifoPopReadyPartialPrefix(t *testing.T) {
-	k := sim.NewKernel()
-	clk := sim.NewClock(k, "c", sim.Nanosecond, 0)
-	fifo := NewAsyncFifo[int](k, "cdc", 8, 2, clk)
-
-	fifo.Push(100) // ready at 2ns
-	fifo.Push(101) // ready at 2ns
-	k.RunUntil(1 * sim.Nanosecond)
-	fifo.Push(102) // ready at 3ns
-
-	k.RunUntil(2 * sim.Nanosecond)
-	dst := make([]int, 0, 8)
-	got := fifo.PopReady(dst)
-	if len(got) != 2 || got[0] != 100 || got[1] != 101 {
-		t.Fatalf("PopReady at 2ns = %v, want [100 101]", got)
-	}
-	if &got[0] != &dst[:1][0] {
-		t.Fatal("PopReady reallocated despite sufficient dst capacity")
-	}
-	// The straddling push is still invisible — both to the batch pop and
-	// to the scalar CanPop view.
-	if fifo.CanPop() {
-		t.Fatal("unsynchronized entry visible to CanPop")
-	}
-	if rest := fifo.PopReady(nil); len(rest) != 0 {
-		t.Fatalf("unsynchronized entry drained early: %v", rest)
-	}
-	k.RunUntil(3 * sim.Nanosecond)
-	if rest := fifo.PopReady(nil); len(rest) != 1 || rest[0] != 102 {
-		t.Fatalf("PopReady at 3ns = %v, want [102]", rest)
 	}
 }

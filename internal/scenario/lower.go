@@ -137,18 +137,6 @@ func (s *Scenario) CampaignConfig() (traffic.CampaignConfig, error) {
 	return cc, nil
 }
 
-// socNetConfig is netConfig plus the SoC builders' store-and-forward
-// policy: with no explicit buf_depth, SAF gets the same 64-flit lanes
-// the nocsim flag path has always used — so a scenario declaring
-// {mode: saf} builds the identical fabric whichever CLI runs it.
-func (s *Scenario) socNetConfig() transport.NetConfig {
-	n := s.netConfig()
-	if n.Mode == transport.StoreAndForward && n.BufDepth == 0 {
-		n.BufDepth = 64
-	}
-	return n
-}
-
 // TransConfig lowers a soc-kind scenario onto traffic.RunTrans: one
 // TransRole per declared master.
 func (s *Scenario) TransConfig() (traffic.TransConfig, error) {
@@ -162,7 +150,7 @@ func (s *Scenario) TransConfig() (traffic.TransConfig, error) {
 		Topology: topo,
 		Hotspot:  s.Workload.Hotspot,
 		Wishbone: s.Workload.Wishbone,
-		Net:      s.socNetConfig(),
+		Net:      s.netConfig(),
 		Warmup:   warmupSentinel(s.Measure.Warmup),
 		Measure:  s.Measure.Measure,
 		Drain:    s.Measure.Drain,
@@ -205,7 +193,7 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 		Topology:          topo,
 		Wishbone:          s.Workload.Wishbone,
 		RequestsPerMaster: s.Workload.RequestsPerMaster,
-		Net:               s.socNetConfig(),
+		Net:               s.netConfig(),
 	}
 	for _, m := range s.Workload.Masters {
 		if m.Priority == "" {

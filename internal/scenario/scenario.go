@@ -49,7 +49,7 @@ type Fabric struct {
 	Mode           string `json:"mode,omitempty"`             // wormhole (default) | saf
 	QoS            bool   `json:"qos,omitempty"`              // priority arbitration in switches
 	FlitBytes      int    `json:"flit_bytes,omitempty"`       // flit payload width (default 8)
-	BufDepth       int    `json:"buf_depth,omitempty"`        // per-lane buffer depth in flits (default 8; auto-raised for SAF/ring/torus)
+	BufDepth       int    `json:"buf_depth,omitempty"`        // per-lane buffer depth in flits (default 8, soc.LaneDepth on a SoC; auto-raised for SAF/ring/torus)
 	MaxPendingPkts int    `json:"max_pending_pkts,omitempty"` // per-endpoint send queue in packets (default 4)
 	LegacyLock     bool   `json:"legacy_lock,omitempty"`      // enable the global legacy-lock token
 

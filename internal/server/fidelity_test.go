@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"gonoc/internal/scenario"
@@ -69,61 +68,5 @@ func TestFidelityRunsAreDistinct(t *testing.T) {
 			t.Fatalf("fidelity %q resubmission: X-Cache=%q, want hit", fid, hit)
 		}
 		readAll(t, resp)
-	}
-}
-
-// TestDefaultFidelityKnob covers the operator-side default: scenarios
-// without fabric.fidelity execute (and fingerprint) at the server's
-// DefaultFidelity, explicit scenarios are untouched, and "cycle"
-// leaves implicit submissions aliased with unconfigured servers.
-func TestDefaultFidelityKnob(t *testing.T) {
-	_, plain := newTestServer(t, Config{Workers: 1}, nil)
-	_, hybrid := newTestServer(t, Config{Workers: 1, DefaultFidelity: "hybrid"}, nil)
-	_, cycled := newTestServer(t, Config{Workers: 1, DefaultFidelity: "cycle"}, nil)
-
-	implicit := fidelityScenarioBytes(t, "")
-	plainID := submitID(t, plain, implicit)
-	hybridID := submitID(t, hybrid, implicit)
-	cycledID := submitID(t, cycled, implicit)
-
-	if plainID == hybridID {
-		t.Fatalf("DefaultFidelity=hybrid did not change the implicit scenario's run id (%s)", plainID)
-	}
-	if plainID != cycledID {
-		t.Fatalf("DefaultFidelity=cycle re-keyed implicit submissions: %s vs %s", plainID, cycledID)
-	}
-	// The defaulted run executes to completion…
-	waitState(t, hybrid, hybridID, stateDone)
-	// …and an explicitly hybrid submission lands on the same cache
-	// entry: same effective run, one id.
-	resp := post(t, hybrid, fidelityScenarioBytes(t, "hybrid"))
-	if hit := resp.Header.Get("X-Cache"); hit != "hit" {
-		t.Fatalf("explicit hybrid after defaulted hybrid: X-Cache=%q, want hit (ids diverged)", hit)
-	}
-	readAll(t, resp)
-	// An explicitly cycle-accurate submission must NOT inherit the
-	// server default.
-	if exactID := submitID(t, hybrid, fidelityScenarioBytes(t, "cycle")); exactID == hybridID {
-		t.Fatalf("explicit cycle submission was rewritten to the server default (id %s)", exactID)
-	}
-}
-
-// TestBadDefaultFidelityPanics pins the constructor contract: a typo'd
-// operator knob (or the deleted "loose" level) fails loudly at startup,
-// not quietly at submit time.
-func TestBadDefaultFidelityPanics(t *testing.T) {
-	for _, bad := range []string{"fast", "loose"} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("newServer accepted DefaultFidelity %q", bad)
-				}
-				if !strings.Contains(r.(string), bad) {
-					t.Fatalf("panic %v does not name the bad value", r)
-				}
-			}()
-			newServer(Config{DefaultFidelity: bad})
-		}()
 	}
 }

@@ -39,7 +39,6 @@ import (
 
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/scenario"
-	"gonoc/internal/transport"
 )
 
 // Config sizes the service. Zero values pick the defaults noted on
@@ -73,17 +72,6 @@ type Config struct {
 	// scenario decide). The cap keeps one wide campaign from
 	// oversubscribing a host that is also running other submissions.
 	CampaignWorkers int
-
-	// DefaultFidelity, when set to "hybrid", is applied to
-	// submitted scenarios that do not declare fabric.fidelity — an
-	// operator knob trading accuracy for throughput fleet-wide. The
-	// rewrite happens before fingerprinting, so the run id reflects the
-	// fidelity that actually executed and the content-addressed cache
-	// can never serve an approximate result for an exact request (or
-	// vice versa). Scenarios with an explicit fidelity are untouched.
-	// "" and "cycle" both mean "leave scenarios alone". Invalid names
-	// panic at construction.
-	DefaultFidelity string
 }
 
 func (c Config) withDefaults() Config {
@@ -98,17 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	fid, err := transport.ParseFidelity(c.DefaultFidelity)
-	if err != nil {
-		panic(fmt.Sprintf("server: bad DefaultFidelity %q (want cycle|hybrid)", c.DefaultFidelity))
-	}
-	if fid == transport.FidelityCycle {
-		// Implicit and explicit cycle are the same run; keeping the
-		// scenario untouched keeps them one cache entry.
-		c.DefaultFidelity = ""
-	} else {
-		c.DefaultFidelity = fid.String()
 	}
 	return c
 }
@@ -249,9 +226,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		s.apiError(w, http.StatusBadRequest, err.Error(), err)
 		return
-	}
-	if s.cfg.DefaultFidelity != "" && sc.Fabric.Fidelity == "" {
-		sc.Fabric.Fidelity = s.cfg.DefaultFidelity
 	}
 	fp, err := sc.Fingerprint()
 	if err != nil {

@@ -91,7 +91,8 @@ type Clock struct {
 	pipes  []interface{ Stats() PipeStats }
 
 	started bool
-	edgeFn  func() // cached method value; rescheduling c.edge directly allocates a closure per cycle
+	at      Time   // time of the pending edge, once started
+	seq     uint64 // the kernel's scheduling order of that edge
 }
 
 // NewClock creates a clock on kernel k with the given period. The first
@@ -222,20 +223,15 @@ func (c *Clock) fire() {
 // it is touched in.
 func (c *Clock) OnCommit(fn func(cycle int64)) { c.commit = append(c.commit, commitFunc(fn)) }
 
-// Start schedules the first edge. Calling Start twice is a no-op.
+// Start schedules the first edge, at the clock's offset or now, whichever
+// is later. Calling Start twice is a no-op.
 func (c *Clock) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	c.edgeFn = c.edge
-	first := c.offset
-	if first < c.k.Now() {
-		first = c.k.Now()
-	}
-	if err := c.k.At(first, c.edgeFn); err != nil {
-		panic(err)
-	}
+	c.k.clocks = append(c.k.clocks, c)
+	c.k.schedule(c, max(c.offset, c.k.now))
 }
 
 // next returns the first awake index at or after i, or len(c.comps).
@@ -274,24 +270,16 @@ func (c *Clock) edge() {
 	}
 	c.commit = c.commit[:0]
 	c.done = c.cycle
-	c.k.After(c.period, c.edgeFn)
+	c.k.schedule(c, c.at+c.period)
 }
 
-// RunCycles starts the clock if needed and runs the kernel for exactly n
-// more edges of this clock.
+// RunCycles starts the clock if needed and fires the kernel's edges, in
+// order, until this clock has fired exactly n more. Edges of the other
+// clocks on the kernel that fall due first fire too.
 func (c *Clock) RunCycles(n int64) {
 	c.Start()
-	target := c.cycle + n
-	c.k.RunWhileClock(c, target)
-}
-
-// RunWhileClock steps the kernel until clk has reached targetCycle. It is a
-// helper for Clock.RunCycles.
-func (k *Kernel) RunWhileClock(clk *Clock, targetCycle int64) {
-	for clk.cycle < targetCycle {
-		if !k.Step() {
-			return
-		}
+	for target := c.cycle + n; c.cycle < target; {
+		c.k.step(c.k.next())
 	}
 }
 
@@ -316,7 +304,7 @@ func (w Waker) Wake() {
 // the timed form of Wake, for a component that knows when its own next
 // work falls due and sleeps until then. The clock keeps the armed wakes
 // in a min-heap and sets the component's awake bit at the start of that
-// edge. It schedules no kernel event, and once the heap has grown to
+// edge. It asks nothing of the kernel, and once the heap has grown to
 // the most wakes armed at once it allocates nothing. A cycle already
 // reached acts as Wake. A wake fires once; a component woken earlier
 // by something else still runs at the armed edge.

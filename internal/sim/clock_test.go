@@ -118,7 +118,7 @@ func nappers(n int, trace *[][2]int64) (*Kernel, *Clock, []*napper) {
 
 // TestWakeAt pins the timed wake: an armed component runs at exactly
 // its edge and at no other, several timers fire in cycle order, a cycle
-// already reached acts as Wake, no timer schedules a kernel event, and
+// already reached acts as Wake, the kernel fires only clock edges, and
 // arming and firing allocate nothing once the heap has grown.
 func TestWakeAt(t *testing.T) {
 	t.Run("exact edge", func(t *testing.T) {
@@ -130,7 +130,7 @@ func TestWakeAt(t *testing.T) {
 			t.Fatalf("ran at %v, want %v", trace, want)
 		}
 		if k.Steps() != 20 {
-			t.Fatalf("kernel ran %d events in 20 edges: a timer scheduled events", k.Steps())
+			t.Fatalf("kernel fired %d steps in 20 edges", k.Steps())
 		}
 	})
 	t.Run("cycle order", func(t *testing.T) {

@@ -1,117 +1,134 @@
 package sim
 
 import (
-	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
+// edgeLog registers a component on c that appends name and the
+// kernel's time in ns to log on every edge.
+func edgeLog(c *Clock, name string, log *[]string) {
+	c.Register(ClockedFunc{OnEval: func(int64) {
+		*log = append(*log, fmt.Sprintf("%s%d", name, c.Kernel().Now()/Nanosecond))
+	}})
+}
+
 func TestKernelEventOrdering(t *testing.T) {
+	// Edges fire in time order, whatever order their clocks started in.
 	k := NewKernel()
-	var order []int
-	k.After(30, func() { order = append(order, 3) })
-	k.After(10, func() { order = append(order, 1) })
-	k.After(20, func() { order = append(order, 2) })
-	k.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events ran out of time order: %v", order)
+	var log []string
+	for _, off := range []Time{30, 10, 20} {
+		c := NewClock(k, "c", 100*Nanosecond, off*Nanosecond)
+		edgeLog(c, "c", &log)
+		c.Start()
 	}
-	if k.Now() != 30 {
-		t.Fatalf("final time = %v, want 30", k.Now())
+	k.RunUntil(30 * Nanosecond)
+	if got := strings.Join(log, " "); got != "c10 c20 c30" {
+		t.Fatalf("edges fired %q, want c10 c20 c30", got)
+	}
+	if k.Now() != 30*Nanosecond {
+		t.Fatalf("final time = %v, want 30ns", k.Now())
 	}
 }
 
 func TestKernelSameTimeFIFO(t *testing.T) {
+	// Edges due at the same time fire in the order they were scheduled:
+	// Start order first, then the order of the edges that scheduled them.
 	k := NewKernel()
-	var order []int
+	var log []string
 	for i := 0; i < 10; i++ {
-		i := i
-		k.After(5, func() { order = append(order, i) })
+		c := NewClock(k, "c", Nanosecond, 5*Nanosecond)
+		edgeLog(c, fmt.Sprintf("c%d@", i), &log)
+		c.Start()
 	}
-	k.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not in schedule order: %v", order)
+	k.RunUntil(6 * Nanosecond)
+	var want []string
+	for _, at := range []int{5, 6} {
+		for i := 0; i < 10; i++ {
+			want = append(want, fmt.Sprintf("c%d@%d", i, at))
 		}
+	}
+	if got := strings.Join(log, " "); got != strings.Join(want, " ") {
+		t.Fatalf("same-time edges not in schedule order: %s", got)
 	}
 }
 
-func TestKernelScheduleInPast(t *testing.T) {
+// TestKernelEdgeOrder pins the interleave of two periods on one kernel:
+// edges fire by time, then by the order they were scheduled in. At 2ns
+// the slow edge, scheduled at 0, fires before the fast one, scheduled
+// at 1ns; at 4ns likewise.
+func TestKernelEdgeOrder(t *testing.T) {
 	k := NewKernel()
-	k.After(100, func() {})
-	k.Run()
-	if err := k.At(50, func() {}); !errors.Is(err, ErrPast) {
-		t.Fatalf("scheduling in the past: err = %v, want ErrPast", err)
+	fast := NewClock(k, "fast", Nanosecond, 0)
+	slow := NewClock(k, "slow", 2*Nanosecond, 0)
+	var log []string
+	edgeLog(fast, "f", &log)
+	edgeLog(slow, "s", &log)
+	fast.Start()
+	slow.Start()
+	k.RunUntil(4 * Nanosecond)
+	if got, want := strings.Join(log, " "), "f0 s0 f1 s2 f2 f3 s4 f4"; got != want {
+		t.Fatalf("edges fired %q, want %q", got, want)
 	}
-}
-
-func TestKernelNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("After(-1) did not panic")
-		}
-	}()
-	NewKernel().After(-1, func() {})
+	if k.Steps() != 8 {
+		t.Fatalf("Steps() = %d, want 8", k.Steps())
+	}
 }
 
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
+	clk := NewClock(k, "clk", 10, 10)
 	var ran []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		k.After(at, func() { ran = append(ran, at) })
-	}
+	clk.Register(ClockedFunc{OnEval: func(int64) { ran = append(ran, k.Now()) }})
+	clk.Start()
 	k.RunUntil(25)
 	if len(ran) != 2 {
-		t.Fatalf("RunUntil(25) executed %d events, want 2 (%v)", len(ran), ran)
+		t.Fatalf("RunUntil(25) fired %d edges, want 2 (%v)", len(ran), ran)
 	}
 	if k.Now() != 25 {
 		t.Fatalf("Now() = %v after RunUntil(25)", k.Now())
 	}
-	k.RunUntil(100)
-	if len(ran) != 4 {
-		t.Fatalf("remaining events did not run: %v", ran)
+	k.RunUntil(40)
+	if len(ran) != 4 || ran[3] != 40 {
+		t.Fatalf("edges at %v, want 10 20 30 40", ran)
+	}
+}
+
+func TestKernelScheduleInPast(t *testing.T) {
+	// With no clock started RunUntil only advances the time, and a clock
+	// started later gets its first edge then, never at its passed offset.
+	k := NewKernel()
+	k.RunUntil(50)
+	if k.Now() != 50 || k.Steps() != 0 {
+		t.Fatalf("Now() = %v, Steps() = %d, want 50 and 0", k.Now(), k.Steps())
+	}
+	clk := NewClock(k, "late", 10, 0)
+	var ran []Time
+	clk.Register(ClockedFunc{OnEval: func(int64) { ran = append(ran, k.Now()) }})
+	clk.RunCycles(2)
+	if fmt.Sprint(ran) != "[50ps 60ps]" {
+		t.Fatalf("edges at %v, want [50ps 60ps]", ran)
 	}
 }
 
 func TestKernelNestedScheduling(t *testing.T) {
+	// A clock started inside another clock's edge fires its first edge
+	// at that time, after the edge that started it.
 	k := NewKernel()
-	var hits int
-	var rec func()
-	rec = func() {
-		hits++
-		if hits < 5 {
-			k.After(7, rec)
+	fast := NewClock(k, "fast", Nanosecond, 0)
+	slow := NewClock(k, "slow", 3*Nanosecond, 0)
+	var log []string
+	edgeLog(fast, "f", &log)
+	edgeLog(slow, "s", &log)
+	fast.Register(ClockedFunc{OnEval: func(c int64) {
+		if c == 3 {
+			slow.Start()
 		}
-	}
-	k.After(0, rec)
-	k.Run()
-	if hits != 5 {
-		t.Fatalf("nested rescheduling ran %d times, want 5", hits)
-	}
-	if k.Now() != 4*7 {
-		t.Fatalf("Now() = %v, want 28", k.Now())
-	}
-}
-
-func TestKernelRunWhileDeadline(t *testing.T) {
-	k := NewKernel()
-	clk := NewClock(k, "clk", Nanosecond, 0)
-	clk.Start()
-	err := k.RunWhile(func() bool { return true }, 100*Nanosecond)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("RunWhile: err = %v, want ErrDeadline", err)
-	}
-}
-
-func TestKernelRunWhileCondition(t *testing.T) {
-	k := NewKernel()
-	done := false
-	k.After(42, func() { done = true })
-	if err := k.RunWhile(func() bool { return !done }, Millisecond); err != nil {
-		t.Fatalf("RunWhile: %v", err)
-	}
-	if k.Now() != 42 {
-		t.Fatalf("Now() = %v, want 42", k.Now())
+	}})
+	fast.RunCycles(6)
+	if got, want := strings.Join(log, " "), "f0 f1 f2 s2 f3 f4 s5 f5"; got != want {
+		t.Fatalf("edges fired %q, want %q", got, want)
 	}
 }
 
@@ -130,30 +147,5 @@ func TestTimeString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("Time(%d).String() = %q, want %q", int64(c.in), got, c.want)
 		}
-	}
-}
-
-func TestKernelRunWhileDeadlineBeforeLateEvent(t *testing.T) {
-	// An event scheduled past the deadline must not execute: RunWhile has
-	// to check the next event's time before stepping, not after.
-	k := NewKernel()
-	fired := false
-	k.After(100*Nanosecond, func() { fired = true })
-	err := k.RunWhile(func() bool { return !fired }, 50*Nanosecond)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("RunWhile: err = %v, want ErrDeadline", err)
-	}
-	if fired {
-		t.Fatal("event past the deadline executed before ErrDeadline was reported")
-	}
-	if k.Now() != 0 {
-		t.Fatalf("Now() = %v, want 0 (deadline overrun must not advance time)", k.Now())
-	}
-	// The late event is still pending and runs normally afterwards.
-	if err := k.RunWhile(func() bool { return !fired }, Millisecond); err != nil {
-		t.Fatalf("RunWhile after extending deadline: %v", err)
-	}
-	if !fired || k.Now() != 100*Nanosecond {
-		t.Fatalf("fired=%v Now()=%v, want true/100ns", fired, k.Now())
 	}
 }

@@ -105,15 +105,6 @@ func (p *Pipe[T]) Peek() (T, bool) {
 	return p.buf[p.head], true
 }
 
-// PeekAt returns the i-th oldest committed entry (0 = head).
-func (p *Pipe[T]) PeekAt(i int) (T, bool) {
-	var zero T
-	if i < 0 || i >= p.Len() {
-		return zero, false
-	}
-	return p.buf[p.head+i], true
-}
-
 // Pop removes and returns the oldest committed entry. The freed slot is
 // zeroed (releasing any references) and its storage reclaimed in place:
 // popping advances a head index instead of re-slicing, so the backing

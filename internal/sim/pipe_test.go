@@ -141,24 +141,6 @@ func TestPipeFIFOOrderAndNoLoss(t *testing.T) {
 	}
 }
 
-func TestPipePeekAt(t *testing.T) {
-	k := NewKernel()
-	clk := NewClock(k, "clk", Nanosecond, 0)
-	p := NewPipe[int](clk, "p", 8)
-	p.Push(10)
-	p.Push(20)
-	clk.RunCycles(1) // commit
-	if v, ok := p.PeekAt(1); !ok || v != 20 {
-		t.Fatalf("PeekAt(1) = %d,%v want 20,true", v, ok)
-	}
-	if _, ok := p.PeekAt(2); ok {
-		t.Fatal("PeekAt(2) should fail")
-	}
-	if _, ok := p.PeekAt(-1); ok {
-		t.Fatal("PeekAt(-1) should fail")
-	}
-}
-
 func TestPipeStats(t *testing.T) {
 	k := NewKernel()
 	clk := NewClock(k, "clk", Nanosecond, 0)

@@ -95,9 +95,15 @@ type Config struct {
 	Services core.ServiceSet
 }
 
-// DefaultBufDepth is the fabric lane depth, in flits, of a build whose
-// Config.Net.BufDepth is zero: deeper than transport's own default.
-const DefaultBufDepth = 16
+// LaneDepth is the fabric lane depth, in flits, of a build whose
+// Config.Net.BufDepth is zero: 64 under store-and-forward, which buffers
+// whole packets, and 16 otherwise, deeper than transport's own default.
+func LaneDepth(net transport.NetConfig) int {
+	if net.Mode == transport.StoreAndForward {
+		return 64
+	}
+	return 16
+}
 
 // Fixed build parameters: every memory's latency in cycles (wait states
 // on AHB) and the master NIUs' MaxOutstanding. A bus bridge's conversion
@@ -112,7 +118,7 @@ func (c Config) withDefaults() Config {
 		c.RequestsPerMaster = 40
 	}
 	if c.Net.BufDepth == 0 {
-		c.Net.BufDepth = DefaultBufDepth
+		c.Net.BufDepth = LaneDepth(c.Net)
 	}
 	z := core.ServiceSet{}
 	if c.Services == z {
@@ -158,9 +164,9 @@ type System struct {
 	Stores map[string]*mem.Backing
 
 	// Prof, when set (after Build, before Run), is the profile Run
-	// advances the clock through, publishing cycles, kernel events and
-	// event-heap depth as it goes. It observes only; attaching it never
-	// changes simulated behavior.
+	// advances the clock through, publishing the cycles it runs as it
+	// goes. It observes only; attaching it never changes simulated
+	// behavior.
 	Prof *metrics.SimProfile
 }
 

@@ -78,6 +78,31 @@ func TestNoCSwitchingModes(t *testing.T) {
 	}
 }
 
+// TestLaneDepth pins the one rule for a SoC fabric with no lane depth
+// given: 64-flit lanes under store-and-forward, 16-flit ones otherwise.
+func TestLaneDepth(t *testing.T) {
+	for mode, want := range map[transport.SwitchingMode]int{transport.Wormhole: 16, transport.StoreAndForward: 64} {
+		cfg := Config{Quiet: true}
+		cfg.Net.Mode = mode
+		if got := BuildNoC(cfg).Net.Config().BufDepth; got != want {
+			t.Errorf("%v build with no depth has %d-flit lanes, want %d", mode, got, want)
+		}
+	}
+}
+
+// TestRunStepsAreCycles pins that a fresh one-clock build's kernel
+// fires exactly one step per cycle Run returns.
+func TestRunStepsAreCycles(t *testing.T) {
+	s := BuildNoC(Config{Seed: 4, RequestsPerMaster: 6})
+	cycles, err := s.Run(2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.K.Steps() != uint64(cycles) {
+		t.Fatalf("kernel fired %d steps in %d cycles", s.K.Steps(), cycles)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		s := BuildNoC(Config{Seed: 9, RequestsPerMaster: 8})

@@ -98,7 +98,7 @@ type CampaignResult struct {
 // CampaignWall is the whole-campaign wall-clock self-profile.
 type CampaignWall struct {
 	TotalMS      float64 `json:"total_ms"`
-	Events       uint64  `json:"events"`         // kernel events across all points (deterministic)
+	Events       uint64  `json:"events"`         // clock edges fired across all points (deterministic)
 	EventsPerSec float64 `json:"events_per_sec"` // aggregate across the worker pool
 }
 

@@ -19,7 +19,7 @@ type WallStats struct {
 	DrainMS   float64 `json:"drain_ms"`
 	TotalMS   float64 `json:"total_ms"`
 
-	Events       uint64  `json:"events"`         // kernel events executed (deterministic)
+	Events       uint64  `json:"events"`         // clock edges the kernel fired (deterministic; the cycles, on one clock)
 	EventsPerSec float64 `json:"events_per_sec"` // events / total wall
 	CyclesPerSec float64 `json:"cycles_per_sec"` // simulated cycles / total wall
 }

@@ -128,6 +128,15 @@ func TestStoreAndForwardAutoBuffers(t *testing.T) {
 	}
 }
 
+// TestWallEventsAreCycles pins that a one-clock run's wall block counts
+// one kernel step per simulated cycle.
+func TestWallEventsAreCycles(t *testing.T) {
+	res := Run(Config{Seed: 2, Nodes: 8, Rate: 0.05, Warmup: 100, Measure: 400, Drain: 2000, CollectWall: true})
+	if res.Wall == nil || res.Wall.Events != uint64(res.Cycles) {
+		t.Fatalf("wall block %+v for a %d-cycle run", res.Wall, res.Cycles)
+	}
+}
+
 func TestHotspotSlowerThanUniform(t *testing.T) {
 	base := Config{Seed: 7, Nodes: 16, Rate: 0.06,
 		Warmup: 500, Measure: 2500, Drain: 12000}

@@ -117,7 +117,7 @@ type Config struct {
 
 	// Metrics is the session's live-metrics rig; the zero Rig turns
 	// metrics off. The run advances its clock through the rig's
-	// profile, which publishes cycles, events and phases as it goes,
+	// profile, which publishes cycles and phases as it goes,
 	// counts injection backpressure on its registry and attaches its
 	// fabric collector next to Probe; Sweep and Campaign report their
 	// points on its progress tracker. The profile, registry and tracker

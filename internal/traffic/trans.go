@@ -230,7 +230,7 @@ func runTrans(tc TransConfig, built func(*soc.System)) TransResult {
 	}
 	eff := tc.Net.BufDepth
 	if eff == 0 {
-		eff = soc.DefaultBufDepth
+		eff = soc.LaneDepth(tc.Net)
 	}
 	if need := transport.WholePacketDepth(tc.Topology, tc.Net, reqWireOverhead+maxBytes); need > eff {
 		tc.Net.BufDepth = need

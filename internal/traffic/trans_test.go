@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"gonoc/internal/obs/metrics"
+	"gonoc/internal/soc"
+	"gonoc/internal/transport"
 )
 
 func TestTransLoadThroughNIUs(t *testing.T) {
@@ -106,5 +108,17 @@ func TestTransDrainCapIsExact(t *testing.T) {
 		if got := prof.Cycles() - measure; got != drain {
 			t.Errorf("drain cap %d simulated %d drain cycles", drain, got)
 		}
+	}
+}
+
+// TestTransSAFLaneDepth pins that a store-and-forward RunTrans given no
+// lane depth builds its SoC with soc.LaneDepth's 64-flit lanes.
+func TestTransSAFLaneDepth(t *testing.T) {
+	tc := TransConfig{Seed: 1, Warmup: -1, Measure: 10, Drain: 10}
+	tc.Net.Mode = transport.StoreAndForward
+	var depth int
+	runTrans(tc, func(s *soc.System) { depth = s.Net.Config().BufDepth })
+	if depth != 64 {
+		t.Fatalf("SAF run with no depth built %d-flit lanes, want 64", depth)
 	}
 }
