@@ -2,84 +2,38 @@ package transport
 
 import "fmt"
 
-// This file is the struct-of-arrays flit store behind the fabric hot
-// path. The exported Flit struct remains the package's view type — NIU
-// adapters, obs probes, phys.Link and the tests all keep seeing flits —
-// but inside the fabric a flit is a *slot index* into parallel arrays:
-// one array per field plus an inline payload-byte block, so moving a
-// flit across a link is a handful of array stores with no pointers, no
-// GC write barriers, and no per-flit allocation. Payload bytes travel
-// by value (stride bytes per slot) instead of aliasing a heap-allocated
-// wire buffer, which is what lets a warmed-up fabric run without
-// touching the heap at all.
+// This file is the flit store behind the fabric hot path. The exported
+// Flit struct remains the package's view type — NIU adapters, obs
+// probes, phys.Link and the tests all keep seeing flits — but inside
+// the fabric a flit is a pointer-free flitSlot in a ring plus its
+// payload bytes in a byte block beside it, so moving a flit across a
+// link is one struct copy and one byte copy with no GC write barriers
+// and no per-flit allocation. Payload bytes travel by value (stride
+// bytes per slot) instead of aliasing a heap-allocated wire buffer,
+// which is what lets a warmed-up fabric run without touching the heap
+// at all.
 
-// Flit slot flag bits (the SoA form of Flit.Head/Flit.Tail).
+// Flit slot flag bits (Flit.Head and Flit.Tail).
 const (
 	slotHead uint8 = 1 << 0
 	slotTail uint8 = 1 << 1
 )
 
-// flitSlots is parallel flit storage: field i of flit j lives at
-// arrays[j], and slot j's payload bytes at data[j*stride:]. Headers and
-// packet times are only meaningful on slots flagged slotHead, mirroring
-// the Flit contract ("Hdr valid when Head").
-type flitSlots struct {
-	pktID []uint64
-	flags []uint8
-	vc    []uint8
-	hops  []uint8
-	dlen  []uint16
-	hdr   []Header
-	times []pktTimes // the packet's queued and injected cycles, for its TransitRecord
-	data  []byte
+// flitSlot is one flit in a store; its payload bytes live in the
+// store's data block. Every flit of a packet carries the packet's
+// header, so a switch reads a packet's lock flags from the tail it
+// forwards; times is meaningful only on the head.
+type flitSlot struct {
+	pktID uint64
+	hdr   Header
+	times pktTimes // the packet's queued and injected cycles, for its TransitRecord
+	dlen  uint16
+	flags uint8
+	vc    uint8
+	hops  uint8
 }
 
-func newFlitSlots(n, stride int) flitSlots {
-	return flitSlots{
-		pktID: make([]uint64, n),
-		flags: make([]uint8, n),
-		vc:    make([]uint8, n),
-		hops:  make([]uint8, n),
-		dlen:  make([]uint16, n),
-		hdr:   make([]Header, n),
-		times: make([]pktTimes, n),
-		data:  make([]byte, n*stride),
-	}
-}
-
-// window returns slots [lo, lo+n) of s as a ring of their own.
-func (s *flitSlots) window(lo, n, stride int) flitSlots {
-	hi := lo + n
-	return flitSlots{
-		pktID: s.pktID[lo:hi:hi],
-		flags: s.flags[lo:hi:hi],
-		vc:    s.vc[lo:hi:hi],
-		hops:  s.hops[lo:hi:hi],
-		dlen:  s.dlen[lo:hi:hi],
-		hdr:   s.hdr[lo:hi:hi],
-		times: s.times[lo:hi:hi],
-		data:  s.data[lo*stride : hi*stride : hi*stride],
-	}
-}
-
-// copySlot copies slot j of src into slot i of dst. Headers and packet
-// times travel only on head flits; payload bytes are copied by value.
-func (dst *flitSlots) copySlot(i int, src *flitSlots, j, stride int) {
-	dst.pktID[i] = src.pktID[j]
-	fl := src.flags[j]
-	dst.flags[i] = fl
-	dst.vc[i] = src.vc[j]
-	dst.hops[i] = src.hops[j]
-	n := src.dlen[j]
-	dst.dlen[i] = n
-	copy(dst.data[i*stride:i*stride+int(n)], src.data[j*stride:j*stride+int(n)])
-	if fl&slotHead != 0 {
-		dst.hdr[i] = src.hdr[j]
-		dst.times[i] = src.times[j]
-	}
-}
-
-// flitQ is a flit FIFO over flitSlots with sim.Pipe register semantics:
+// flitQ is a flit FIFO of flitSlots with sim.Pipe register semantics:
 // values staged during a cycle become consumable at the next cycle, and
 // a slot freed by a pop cannot be refilled until the next cycle
 // (one-cycle credit turnaround via the startLen snapshot). It is not on
@@ -104,11 +58,12 @@ type flitQ struct {
 	stride    int // payload bytes per slot (the fabric's flit width)
 	unbounded bool
 
-	ring flitSlots
-	mask int // len(ring arrays) - 1, power of two
-	head int // ring index of the oldest committed slot
-	clen int // committed slot count
-	pend int // staged slot count, occupying [head+clen, head+clen+pend)
+	slots []flitSlot // the ring
+	data  []byte     // slot i's payload bytes at data[i*stride:]
+	mask  int        // len(slots) - 1, power of two
+	head  int        // ring index of the oldest committed slot
+	clen  int        // committed slot count
+	pend  int        // staged slot count, occupying [head+clen, head+clen+pend)
 
 	// startLen is the committed length at the start of the cycle, before
 	// any pops: push credit checks use it so results cannot depend on
@@ -120,6 +75,11 @@ type flitQ struct {
 	// holds a committed slot. nil for every other queue.
 	occ *uint64
 	bit uint64
+
+	// sw is the switch a switch input lane feeds, nil for an ejection
+	// buffer or a send queue: a route walk follows an output's
+	// downstream lane to the next switch.
+	sw *Router
 
 	// net is the owning network; listed records that the queue is on
 	// its commit list (Network.touched) for this edge.
@@ -137,8 +97,8 @@ func nextPow2(n int) int {
 
 // newFlitQs creates count bounded flit queues of one capacity (a
 // switch's input lanes, a fabric's ejection buffers or send queues).
-// The queues share one allocation, and so does each of their rings'
-// slot arrays.
+// The queues share one allocation, their rings another and their
+// payload bytes a third.
 func newFlitQs(name string, count, capacity, stride int) []flitQ {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("transport: flit queue %q: capacity must be positive, got %d", name, capacity))
@@ -147,14 +107,16 @@ func newFlitQs(name string, count, capacity, stride int) []flitQ {
 		panic(fmt.Sprintf("transport: flit queue %q: stride must be positive, got %d", name, stride))
 	}
 	n := nextPow2(capacity)
-	all := newFlitSlots(count*n, stride)
+	slots, data := make([]flitSlot, count*n), make([]byte, count*n*stride)
 	qs := make([]flitQ, count)
 	for i := range qs {
+		lo, hi := i*n, (i+1)*n
 		qs[i] = flitQ{
 			name:     name,
 			capacity: capacity,
 			stride:   stride,
-			ring:     all.window(i*n, n, stride),
+			slots:    slots[lo:hi:hi],
+			data:     data[lo*stride : hi*stride : hi*stride],
 			mask:     n - 1,
 		}
 	}
@@ -172,6 +134,11 @@ func (q *flitQ) len() int { return q.clen }
 // slot returns the ring index of the i-th oldest committed slot.
 func (q *flitQ) slot(i int) int { return (q.head + i) & q.mask }
 
+// payload returns the payload bytes of the slot at ring index i.
+func (q *flitQ) payload(i int) []byte {
+	return q.data[i*q.stride : i*q.stride+int(q.slots[i].dlen)]
+}
+
 // touch puts the queue on its network's commit list, once per edge.
 func (q *flitQ) touch() {
 	if !q.listed {
@@ -187,8 +154,8 @@ func (q *flitQ) touch() {
 }
 
 // stagePush reserves the next staging slot and returns its ring index;
-// the caller fills the parallel arrays directly via q.ring. Bounded
-// queues must have checked canPush first.
+// the caller fills q.slots and q.data there. Bounded queues must have
+// checked canPush first.
 func (q *flitQ) stagePush() int {
 	q.touch()
 	if q.clen+q.pend > q.mask {
@@ -196,6 +163,15 @@ func (q *flitQ) stagePush() int {
 	}
 	i := (q.head + q.clen + q.pend) & q.mask
 	q.pend++
+	return i
+}
+
+// stageCopy stages a copy of src's slot at ring index j, the slot and
+// its payload bytes, and returns the staged slot's ring index.
+func (q *flitQ) stageCopy(src *flitQ, j int) int {
+	i := q.stagePush()
+	q.slots[i] = src.slots[j]
+	copy(q.data[i*q.stride:], src.payload(j))
 	return i
 }
 
@@ -238,12 +214,13 @@ func (q *flitQ) growRing(need int) {
 	for n < need {
 		n *= 2
 	}
-	old := q.ring
-	oldMask, oldHead := q.mask, q.head
-	q.ring = newFlitSlots(n, q.stride)
+	slots, data := make([]flitSlot, n), make([]byte, n*q.stride)
 	for i := 0; i < q.clen+q.pend; i++ {
-		q.ring.copySlot(i, &old, (oldHead+i)&oldMask, q.stride)
+		j := (q.head + i) & q.mask
+		slots[i] = q.slots[j]
+		copy(data[i*q.stride:], q.payload(j))
 	}
+	q.slots, q.data = slots, data
 	q.mask = n - 1
 	q.head = 0
 }

@@ -32,11 +32,9 @@ func TestIdleRoutersNotEvaluated(t *testing.T) {
 				return true
 			}
 		}
-		for _, vcs := range r.lanes {
-			for _, q := range vcs {
-				if q.clen > 0 {
-					return true
-				}
+		for i := range r.lanes {
+			if r.lanes[i].clen > 0 {
+				return true
 			}
 		}
 		return false

@@ -84,7 +84,6 @@ type Network struct {
 	routers []*Router
 	qs      []*flitQ    // every flit lane in the fabric; the reference sweep commits them all
 	touched []*flitQ    // the commit list: lanes staged or popped this edge
-	adj     [][]int     // adj[router][port] = downstream router index, -1 endpoint/unconnected
 	eps     []*Endpoint // indexed by NodeID; nil where no node is attached
 	epOrder []noctypes.NodeID
 	epList  []*Endpoint // evaluation order (attach order)
@@ -253,10 +252,12 @@ func (n *Network) addLanes(name string, count, capacity int) []flitQ {
 }
 
 // link wires switch a's output port out to switch b's input lanes on
-// port in, and records the hop for route walks.
+// port in, VC for VC. A route walk follows the hop through the lanes'
+// switch.
 func (n *Network) link(a *Router, out int, b *Router, in int) {
-	a.connectOut(out, [NumVCs]*flitQ(b.lanes[in]))
-	n.adj[a.index][out] = b.index
+	for v := 0; v < NumVCs; v++ {
+		a.outs[out*NumVCs+v] = &b.lanes[in*NumVCs+v]
+	}
 }
 
 // Config returns the fabric configuration.
@@ -386,21 +387,22 @@ func (n *Network) Path(src, dst noctypes.NodeID) []LinkID {
 }
 
 // walk calls hop with each switch output, in order, that a packet from
-// src to dst traverses. Path and the loose engine's route arena both
-// fill from it.
+// src to dst traverses: from each output it steps to the switch its
+// downstream lane feeds, and it ends at an ejection buffer. Path and the
+// loose engine's route arena both fill from it.
 func (n *Network) walk(src *Endpoint, dst noctypes.NodeID, hop func(router, port int)) {
-	ri := src.router.index
+	r := src.router
 	for hops := 0; ; hops++ {
 		if hops > len(n.routers)+1 {
 			panic("transport: Path: routing loop")
 		}
-		port := n.routers[ri].routeFor(dst)
-		hop(ri, port)
-		next := n.adj[ri][port]
-		if next < 0 {
+		port := r.routeFor(dst)
+		hop(r.index, port)
+		next := r.outs[port*NumVCs]
+		if next == nil || next.sw == nil {
 			return
 		}
-		ri = next
+		r = next.sw
 	}
 }
 
@@ -418,7 +420,9 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) {
 	}
 	i := len(n.epList)
 	ej := &n.ejs[i]
-	r.connectOut(port, [NumVCs]*flitQ{ej, ej})
+	for v := 0; v < NumVCs; v++ {
+		r.outs[port*NumVCs+v] = ej
+	}
 	ep := &Endpoint{
 		net:    n,
 		node:   node,
@@ -436,9 +440,9 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) {
 
 // Endpoint is a node's attachment point: it serializes packets into flit
 // slots on the send side and reassembles flits into packets on the
-// receive side, at one flit per cycle in each direction. Both queues are
-// struct-of-arrays flit storage; TrySend writes header and payload bytes
-// straight into staged slots, so a send never allocates.
+// receive side, at one flit per cycle in each direction. TrySend writes
+// header and payload bytes straight into staged slots of the send
+// queue, so a send never allocates.
 type Endpoint struct {
 	net    *Network
 	node   noctypes.NodeID
@@ -523,7 +527,8 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 }
 
 // serialize writes p's header and payload bytes straight into n staged
-// send-queue slots: the flit path's half of TrySend.
+// send-queue slots: the flit path's half of TrySend. Every slot carries
+// the packet's header; its times are read on the head only.
 func (ep *Endpoint) serialize(p *Packet, n int) {
 	fb := ep.net.cfg.FlitBytes
 	wireLen := HeaderBytes + len(p.Payload)
@@ -532,6 +537,7 @@ func (ep *Endpoint) serialize(p *Packet, n int) {
 		vc = VCLocked
 	}
 	hdr := AppendHeader(ep.hdrScratch[:0], &p.Header)
+	tm := pktTimes{queued: ep.net.clk.Cycle()}
 	q := ep.sendQ
 	for i := 0; i < n; i++ {
 		lo := i * fb
@@ -539,22 +545,16 @@ func (ep *Endpoint) serialize(p *Packet, n int) {
 		if hi > wireLen {
 			hi = wireLen
 		}
-		si := q.stagePush()
-		q.ring.pktID[si] = p.ID
 		var fl uint8
 		if i == 0 {
 			fl |= slotHead
-			q.ring.hdr[si] = p.Header
-			q.ring.times[si] = pktTimes{queued: ep.net.clk.Cycle()}
 		}
 		if i == n-1 {
 			fl |= slotTail
 		}
-		q.ring.flags[si] = fl
-		q.ring.vc[si] = vc
-		q.ring.hops[si] = 0
-		q.ring.dlen[si] = uint16(hi - lo)
-		dst := q.ring.data[si*q.stride : si*q.stride+(hi-lo)]
+		si := q.stagePush()
+		q.slots[si] = flitSlot{pktID: p.ID, hdr: p.Header, times: tm, dlen: uint16(hi - lo), flags: fl, vc: vc}
+		dst := q.payload(si)
 		// The flit's bytes straddle the header/payload boundary of the
 		// wire image; copy each segment from its source.
 		off := 0
@@ -643,16 +643,15 @@ func (ep *Endpoint) eval(cycle int64) {
 	q := ep.sendQ
 	if q.clen > 0 {
 		hs := q.slot(0)
-		lane := ep.router.lanes[ep.port][q.ring.vc[hs]]
+		s := &q.slots[hs]
+		lane := &ep.router.lanes[ep.port*NumVCs+int(s.vc)]
 		if lane.canPush(1) {
-			si := lane.stagePush()
-			lane.ring.copySlot(si, &q.ring, hs, q.stride)
-			fl := q.ring.flags[hs]
-			if fl&slotHead != 0 {
-				lane.ring.times[si].injected = cycle
-				ep.inject(cycle, q.ring.pktID[hs], q.ring.hdr[hs].Dst)
+			si := lane.stageCopy(q, hs)
+			if s.flags&slotHead != 0 {
+				lane.slots[si].times.injected = cycle
+				ep.inject(cycle, s.pktID, s.hdr.Dst)
 			}
-			if fl&slotTail != 0 {
+			if s.flags&slotTail != 0 {
 				ep.pending--
 				ep.net.queued--
 			}
@@ -662,18 +661,13 @@ func (ep *Endpoint) eval(cycle int64) {
 	// Ejection: only when the receive queue has room (backpressure).
 	if ep.recvQ.CanPush(1) && ep.ej.clen > 0 {
 		hs := ep.ej.slot(0)
-		s := &ep.ej.ring
-		if s.flags[hs]&slotHead != 0 {
-			ep.rxTimes = s.times[hs]
+		s := &ep.ej.slots[hs]
+		head := s.flags&slotHead != 0
+		if head {
+			ep.rxTimes = s.times
 		}
-		pkt, err := ep.reasm.feed(
-			s.pktID[hs],
-			s.flags[hs]&slotHead != 0,
-			s.flags[hs]&slotTail != 0,
-			s.data[hs*ep.ej.stride:hs*ep.ej.stride+int(s.dlen[hs])],
-			&ep.net.pool,
-		)
-		hops := s.hops[hs]
+		pkt, err := ep.reasm.feed(s.pktID, head, s.flags&slotTail != 0, ep.ej.payload(hs), &ep.net.pool)
+		hops := s.hops
 		ep.ej.pop()
 		if err != nil {
 			panic(fmt.Sprintf("transport: %v: %v", ep.node, err))

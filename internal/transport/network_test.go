@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 
 	"gonoc/internal/noctypes"
@@ -252,14 +251,19 @@ func checkTorusLinks(t *testing.T, net *Network, w, h int) {
 				{portEast, portWest, 1, 0, w}, {portWest, portEast, -1, 0, w},
 				{portSouth, portNorth, 0, 1, h}, {portNorth, portSouth, 0, -1, h},
 			} {
-				want, next := []*flitQ{nil, nil}, -1
+				var nb *Router
 				if l.size > 1 {
-					nb := net.routers[(y+l.dy+h)%h*w+(x+l.dx+w)%w]
-					want, next = nb.lanes[l.in], nb.index
+					nb = net.routers[(y+l.dy+h)%h*w+(x+l.dx+w)%w]
 				}
-				if !slices.Equal(r.outs[l.out], want) || net.adj[r.index][l.out] != next {
-					t.Fatalf("%dx%d torus: %s output %d feeds %v (adj %d), want %v (adj %d)",
-						w, h, r.name, l.out, r.outs[l.out], net.adj[r.index][l.out], want, next)
+				for v := 0; v < NumVCs; v++ {
+					got, want := r.outs[l.out*NumVCs+v], (*flitQ)(nil)
+					if nb != nil {
+						want = &nb.lanes[l.in*NumVCs+v]
+					}
+					if got != want || got != nil && got.sw != nb {
+						t.Fatalf("%dx%d torus: %s output %d VC%d feeds lane %p, want %p",
+							w, h, r.name, l.out, v, got, want)
+					}
 				}
 			}
 		}
@@ -633,6 +637,30 @@ func TestEndpointBuildAllocs(t *testing.T) {
 	small, large := build(16), build(32)
 	if per := (large - small) / 16; per > 3 {
 		t.Fatalf("%.2f allocations per added endpoint (16 nodes: %.0f, 32 nodes: %.0f), want at most 3", per, small, large)
+	}
+}
+
+// TestMeshBuildAllocs: a switch is a handful of flat tables, each
+// carved once (its lanes' slots and payload bytes in one piece each),
+// so growing a mesh from 4x4 to 8x8 costs at most 20 allocations per
+// added switch and endpoint (31.25 when every lane had eight slot
+// arrays and every table per-port rows).
+func TestMeshBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	build := func(side int) float64 {
+		spec := MeshSpec{W: side, H: side, Nodes: map[noctypes.NodeID]Coord{}}
+		for i := 0; i < side*side; i++ {
+			spec.Nodes[noctypes.NodeID(i+1)] = Coord{X: i % side, Y: i / side}
+		}
+		return testing.AllocsPerRun(20, func() {
+			NewMesh(sim.NewClock(sim.NewKernel(), "noc", sim.Nanosecond, 0), NetConfig{}, spec)
+		})
+	}
+	small, large := build(4), build(8)
+	if per := (large - small) / 48; per > 20 {
+		t.Fatalf("%.2f allocations per added switch and endpoint (4x4: %.0f, 8x8: %.0f), want at most 20", per, small, large)
 	}
 }
 

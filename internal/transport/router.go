@@ -30,9 +30,8 @@ func (m SwitchingMode) String() string {
 	return "store-and-forward"
 }
 
-type laneRef struct{ port, vc int }
-
-var noLane = laneRef{-1, -1}
+// noLane marks an output no lane holds and a lane allocated no output.
+const noLane = -1
 
 // RouterStats aggregates a switch's activity.
 type RouterStats struct {
@@ -47,12 +46,14 @@ type RouterStats struct {
 	OutStall   []uint64 // per-output cycles a granted output moved no flit
 }
 
-// Router is an N-port NoC switch. It owns its input buffers (one
-// struct-of-arrays flit lane per port per virtual channel); its outputs
-// are references to the downstream hop's input lanes or to an
-// endpoint's ejection buffer. It is not a clocked component itself: the
-// owning Network drives every switch that is not idle and commits the
-// touched lanes in one batched pass per clock edge.
+// Router is an N-port NoC switch. It owns its input buffers (one flit
+// lane per port per virtual channel); its outputs are references to the
+// downstream hop's input lanes or to an endpoint's ejection buffer.
+// Every per-lane table, and the outputs' downstream lanes, is one flat
+// slice indexed by lane port*NumVCs+vc, the occupancy mask's bit. It is
+// not a clocked component itself: the owning Network drives every
+// switch that is not idle and commits the touched lanes in one batched
+// pass per clock edge.
 //
 // Arbitration: an output is held by one packet from head to tail
 // (wormhole) or for a buffered packet's full streaming (store-and-
@@ -70,15 +71,14 @@ type Router struct {
 	index int      // position in the network's router list
 	net   *Network // the owning fabric: switching mode, QoS, flit width and cut-through admission
 
-	lanes    [][]*flitQ // [port][vc] input lanes (owned)
-	outs     [][]*flitQ // [port][vc] downstream lanes (referenced)
-	laneHdr  [][]Header // [port][vc] header of packet in flight
-	laneAl   [][]int    // [port][vc] allocated output, -1
-	outHold  []laneRef  // per output: lane holding it
-	holds    int        // outputs held: entries of outHold other than noLane
-	outFreed []int64    // per output: cycle its last tail left, -1; not reallocatable in that cycle
-	outLock  []int32    // per output: locked-for source NodeID, -1
-	rr       []int      // per output: round-robin port pointer
+	lanes    []flitQ  // per lane: input lane (owned)
+	outs     []*flitQ // per lane of an output: downstream lane (referenced), nil when unconnected
+	laneAl   []int    // per lane: allocated output, noLane
+	outHold  []int    // per output: lane holding it, noLane
+	holds    int      // outputs held: entries of outHold other than noLane
+	outFreed []int64  // per output: cycle its last tail left, -1; not reallocatable in that cycle
+	outLock  []int32  // per output: locked-for source NodeID, -1
+	rr       []int    // per output: round-robin port pointer
 
 	// route is the routing table, indexed by destination NodeID: the
 	// output port a packet for that node leaves through, -1 for a node
@@ -98,13 +98,13 @@ type Router struct {
 	req []outReq
 
 	// vcOut, when non-nil, rewrites a flit's virtual channel as it leaves
-	// the switch: vcOut[in][out] is the VC flits arriving on input port
-	// `in` travel on after leaving output `out` (-1 keeps the flit's
-	// current VC). Ring and torus builders use it for dateline VC
+	// the switch: vcOut[in*ports+out] is the VC flits arriving on input
+	// port `in` travel on after leaving output `out` (-1 keeps the
+	// flit's current VC). Ring and torus builders use it for dateline VC
 	// switching (Dally/Seitz): a packet crossing the wrap link moves to
 	// the escape VC, which breaks the channel-dependency cycle a ring
 	// would otherwise close.
-	vcOut [][]int8
+	vcOut []int8
 
 	// probe, when non-nil, observes flits, stalls and VC allocations,
 	// and buffer occupancy when sample is set (Network.SetProbe
@@ -120,7 +120,7 @@ type Router struct {
 // outReq is one output's best requester so far in a cycle's
 // allocation pass.
 type outReq struct {
-	win  laneRef
+	win  int               // lane
 	rank int               // round-robin rank of win (lower wins)
 	pri  noctypes.Priority // win's priority (QoS only)
 	n    int               // requesters at pri; all requesters without QoS
@@ -128,59 +128,42 @@ type outReq struct {
 
 // newRouter creates a switch with numPorts ports on n: its input lanes
 // join the network's batched commit pass, and it takes the next index
-// in n.routers and a row of unconnected ports in n.adj. Builders wire
-// its outputs afterwards with link and attach.
+// in n.routers. Builders wire its outputs afterwards with link and
+// attach.
 func newRouter(n *Network, name string, numPorts int) *Router {
+	nl := numPorts * NumVCs
 	r := &Router{
-		name:  name,
-		index: len(n.routers),
-		net:   n,
-		route: make([]int32, len(n.eps)),
-		occ:   make([]uint64, (numPorts*NumVCs+63)/64),
+		name:     name,
+		index:    len(n.routers),
+		net:      n,
+		lanes:    n.addLanes(name, nl, n.cfg.BufDepth),
+		outs:     make([]*flitQ, nl),
+		laneAl:   make([]int, nl),
+		outHold:  make([]int, numPorts),
+		outFreed: make([]int64, numPorts),
+		outLock:  make([]int32, numPorts),
+		rr:       make([]int, numPorts),
+		req:      make([]outReq, numPorts),
+		route:    make([]int32, len(n.eps)),
+		occ:      make([]uint64, (nl+63)/64),
 	}
 	for i := range r.route {
 		r.route[i] = -1
 	}
-	// Per-port rows are windows of one array per table, indexed like the
-	// lanes: lane port*NumVCs+vc.
-	r.lanes = make([][]*flitQ, numPorts)
-	r.outs = make([][]*flitQ, numPorts)
-	r.laneHdr = make([][]Header, numPorts)
-	r.laneAl = make([][]int, numPorts)
-	lanes := n.addLanes(name, numPorts*NumVCs, n.cfg.BufDepth)
-	refs := make([]*flitQ, 2*numPorts*NumVCs) // input lanes, then outputs' downstream lanes
-	hdrs := make([]Header, numPorts*NumVCs)
-	als := make([]int, numPorts*NumVCs)
-	for p := 0; p < numPorts; p++ {
-		lo, hi := p*NumVCs, (p+1)*NumVCs
-		r.lanes[p] = refs[lo:hi:hi]
-		r.outs[p] = refs[numPorts*NumVCs+lo : numPorts*NumVCs+hi : numPorts*NumVCs+hi]
-		r.laneHdr[p] = hdrs[lo:hi:hi]
-		r.laneAl[p] = als[lo:hi:hi]
-		for v := 0; v < NumVCs; v++ {
-			i := lo + v
-			lane := &lanes[i]
-			lane.occ, lane.bit = &r.occ[i/64], 1<<(i%64)
-			r.lanes[p][v] = lane
-			r.laneAl[p][v] = -1
-		}
+	for i := range r.lanes {
+		lane := &r.lanes[i]
+		lane.sw = r
+		lane.occ, lane.bit = &r.occ[i/64], 1<<(i%64)
+		r.laneAl[i] = -1
 	}
-	r.outHold = make([]laneRef, numPorts)
-	r.outFreed = make([]int64, numPorts)
-	r.outLock = make([]int32, numPorts)
-	r.rr = make([]int, numPorts)
-	r.req = make([]outReq, numPorts)
-	adj := make([]int, numPorts)
 	for o := range r.outHold {
 		r.outHold[o] = noLane
 		r.outFreed[o] = -1
 		r.outLock[o] = -1
-		adj[o] = -1
 	}
 	r.stats.OutBusy = make([]uint64, numPorts)
 	r.stats.OutStall = make([]uint64, numPorts)
 	n.routers = append(n.routers, r)
-	n.adj = append(n.adj, adj)
 	return r
 }
 
@@ -188,7 +171,7 @@ func newRouter(n *Network, name string, numPorts int) *Router {
 func (r *Router) Name() string { return r.name }
 
 // Ports returns the number of ports.
-func (r *Router) Ports() int { return len(r.lanes) }
+func (r *Router) Ports() int { return len(r.outHold) }
 
 // Stats returns a copy of the router's counters.
 func (r *Router) Stats() RouterStats {
@@ -200,7 +183,7 @@ func (r *Router) Stats() RouterStats {
 
 // setRoute declares that packets for node leave through port.
 func (r *Router) setRoute(node noctypes.NodeID, port int) {
-	if port < 0 || port >= len(r.lanes) {
+	if port < 0 || port >= len(r.outHold) {
 		panic(fmt.Sprintf("transport: router %q: route %v -> bad port %d", r.name, node, port))
 	}
 	r.route[node] = int32(port)
@@ -221,24 +204,14 @@ func (r *Router) routeFor(dst noctypes.NodeID) int {
 // out on virtual channel vc (overriding the VC they arrived on). Lazily
 // allocates the rewrite table; unset pairs keep the flit's VC.
 func (r *Router) setVCOut(in, out int, vc uint8) {
+	ports := len(r.outHold)
 	if r.vcOut == nil {
-		r.vcOut = make([][]int8, len(r.lanes))
-		for p := range r.vcOut {
-			row := make([]int8, len(r.lanes))
-			for o := range row {
-				row[o] = -1
-			}
-			r.vcOut[p] = row
+		r.vcOut = make([]int8, ports*ports)
+		for i := range r.vcOut {
+			r.vcOut[i] = -1
 		}
 	}
-	r.vcOut[in][out] = int8(vc)
-}
-
-// connectOut wires output port o to the given per-VC downstream lanes.
-func (r *Router) connectOut(o int, vcBufs [NumVCs]*flitQ) {
-	for v := 0; v < NumVCs; v++ {
-		r.outs[o][v] = vcBufs[v]
-	}
+	r.vcOut[in*ports+out] = int8(vc)
 }
 
 // idle reports whether eval would do nothing this cycle: no input lane
@@ -267,12 +240,11 @@ func (r *Router) eval(cycle int64) {
 	}
 
 	// Phase 1: continuing packets move one flit toward their held output.
-	for o := range r.outHold {
-		ln := r.outHold[o]
-		if ln == noLane {
+	for o, l := range r.outHold {
+		if l == noLane {
 			continue
 		}
-		if !r.moveFlit(cycle, o, ln) {
+		if !r.moveFlit(cycle, o, l) {
 			r.noteStall(cycle, o)
 		}
 	}
@@ -282,7 +254,7 @@ func (r *Router) eval(cycle int64) {
 
 // allocate is phase 2 of eval: it grants outputs that were free at cycle
 // start. One input-driven pass visits each unallocated lane in the
-// occupancy mask once, in ascending (port, VC) order; an empty lane has
+// occupancy mask once, in ascending lane order; an empty lane has
 // no head to request with, so skipping it changes nothing. A ready head
 // requests exactly one output, its route, and each output keeps its
 // best requester (see request). Outputs are then granted in ascending
@@ -298,11 +270,10 @@ func (r *Router) allocate(cycle int64) {
 	}
 	for wi, w := range r.occ {
 		for w != 0 {
-			i := wi*64 + bits.TrailingZeros64(w)
+			l := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
-			p, v := i/NumVCs, i%NumVCs
-			if r.laneAl[p][v] == -1 {
-				r.request(cycle, p, v, -1)
+			if r.laneAl[l] == -1 {
+				r.request(cycle, l, -1)
 			}
 		}
 	}
@@ -312,32 +283,30 @@ func (r *Router) allocate(cycle int64) {
 			continue
 		}
 		r.stats.BusyStalls += uint64(q.n - 1)
-		win := q.win
-		lane := r.lanes[win.port][win.vc]
-		hs := lane.slot(0)
-		r.outHold[o] = win
+		l := q.win
+		r.outHold[o] = l
 		r.holds++
-		r.laneAl[win.port][win.vc] = o
-		r.laneHdr[win.port][win.vc] = lane.ring.hdr[hs]
-		r.rr[o] = win.port + 1
+		r.laneAl[l] = o
+		r.rr[o] = l/NumVCs + 1
 		if r.probe != nil {
-			hdr := &lane.ring.hdr[hs]
+			lane := &r.lanes[l]
+			s := &lane.slots[lane.slot(0)]
 			r.probe.Event(obs.Event{
-				Kind: obs.KindVCAlloc, Cycle: cycle, PktID: lane.ring.pktID[hs],
-				Src: hdr.Src, Dst: hdr.Dst,
-				Router: r.index, Port: o, VC: r.outVC(win.port, o, lane.ring.vc[hs]),
+				Kind: obs.KindVCAlloc, Cycle: cycle, PktID: s.pktID,
+				Src: s.hdr.Src, Dst: s.hdr.Dst,
+				Router: r.index, Port: o, VC: r.outVC(l/NumVCs, o, s.vc),
 			})
 		}
-		if !r.moveFlit(cycle, o, win) {
+		if !r.moveFlit(cycle, o, l) {
 			r.noteStall(cycle, o)
 		}
-		if r.laneAl[win.port][win.vc] == -1 {
-			r.request(cycle, win.port, win.vc, o)
+		if r.laneAl[l] == -1 {
+			r.request(cycle, l, o)
 		}
 	}
 }
 
-// request files lane (port,vc)'s head packet, if ready, as a request for
+// request files lane l's head packet, if ready, as a request for
 // its route's output, provided that output comes after `after`, was free
 // at the start of cycle and is connected. A lock reservation for another
 // source denies the request (LockStalls); on a cut-through fabric so
@@ -345,15 +314,15 @@ func (r *Router) allocate(cycle int64) {
 // output keeps the best requester: highest priority under QoS, then
 // lowest round-robin rank — ports in order from rr[o], VCLocked before
 // VCNormal on one port so unlocking packets are never starved.
-func (r *Router) request(cycle int64, port, vc, after int) {
-	hs, ok := r.ready(port, vc)
+func (r *Router) request(cycle int64, l, after int) {
+	hs, ok := r.ready(l)
 	if !ok {
 		return
 	}
-	lane := r.lanes[port][vc]
-	hdr := &lane.ring.hdr[hs]
+	s := &r.lanes[l].slots[hs]
+	hdr := &s.hdr
 	o := r.routeFor(hdr.Dst)
-	if o <= after || r.outHold[o] != noLane || r.outFreed[o] == cycle || r.outs[o][VCNormal] == nil {
+	if o <= after || r.outHold[o] != noLane || r.outFreed[o] == cycle || r.outs[o*NumVCs] == nil {
 		return
 	}
 	if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
@@ -363,15 +332,16 @@ func (r *Router) request(cycle int64, port, vc, after int) {
 	// Virtual-cut-through admission: grant only with space for the whole
 	// packet downstream (canPush keeps the check consistent with the
 	// lanes' one-cycle credit semantics).
+	port, vc := l/NumVCs, l%NumVCs
 	if r.net.cutThrough {
 		need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.net.cfg.FlitBytes)
-		if !r.outs[o][r.outVC(port, o, lane.ring.vc[hs])].canPush(need) {
+		if !r.outs[o*NumVCs+int(r.outVC(port, o, s.vc))].canPush(need) {
 			return
 		}
 	}
-	d := port - r.rr[o] // rr[o] is at most len(r.lanes)
+	d := port - r.rr[o] // rr[o] is at most the port count
 	if d < 0 {
-		d += len(r.lanes)
+		d += len(r.outHold)
 	}
 	rank := d*NumVCs + (NumVCs - 1 - vc)
 	q := &r.req[o]
@@ -381,11 +351,11 @@ func (r *Router) request(cycle int64, port, vc, after int) {
 	}
 	switch {
 	case q.n == 0 || pri > q.pri:
-		*q = outReq{win: laneRef{port, vc}, rank: rank, pri: pri, n: 1}
+		*q = outReq{win: l, rank: rank, pri: pri, n: 1}
 	case pri == q.pri:
 		q.n++
 		if rank < q.rank {
-			q.win, q.rank = laneRef{port, vc}, rank
+			q.win, q.rank = l, rank
 		}
 	}
 }
@@ -404,46 +374,44 @@ func (r *Router) noteStall(cycle int64, o int) {
 // ejection ports alias one buffer across both VCs; the duplicate sample
 // is skipped so the heatmap's VC1 column stays meaningful.
 func (r *Router) sampleBuffers(cycle int64) {
-	for o := range r.outs {
-		for v := 0; v < NumVCs; v++ {
-			dst := r.outs[o][v]
-			if dst == nil || (v > 0 && dst == r.outs[o][v-1]) {
-				continue
-			}
-			r.probe.Event(obs.Event{
-				Kind: obs.KindBufSample, Cycle: cycle,
-				Router: r.index, Port: o, VC: uint8(v), Val: dst.len(),
-			})
+	for i, dst := range r.outs {
+		v := i % NumVCs
+		if dst == nil || (v > 0 && dst == r.outs[i-1]) {
+			continue
 		}
+		r.probe.Event(obs.Event{
+			Kind: obs.KindBufSample, Cycle: cycle,
+			Router: r.index, Port: i / NumVCs, VC: uint8(v), Val: dst.len(),
+		})
 	}
 }
 
-// moveFlit attempts to forward one flit from lane ln through output o,
+// moveFlit attempts to forward one flit from lane l through output o,
 // handling tail release and lock reservation bookkeeping. It reports
 // whether a flit moved (false = a stall cycle for the output). The move
-// is slot-to-slot: a struct-of-arrays copy from the input lane's head
-// into the downstream lane's staging slot, with the VC rewrite and hop
-// count applied in place.
-func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
-	lane := r.lanes[ln.port][ln.vc]
+// is slot-to-slot: one struct copy and one payload copy from the input
+// lane's head into the downstream lane's staging slot, with the VC
+// rewrite and hop count applied in place. The tail carries its packet's
+// header, so the lock bookkeeping reads it there.
+func (r *Router) moveFlit(cycle int64, o, l int) bool {
+	lane := &r.lanes[l]
 	if lane.clen == 0 {
 		return false // wormhole bubble: body flits not yet arrived
 	}
 	hs := lane.slot(0)
-	vc := r.outVC(ln.port, o, lane.ring.vc[hs])
-	dst := r.outs[o][vc]
+	s := &lane.slots[hs]
+	vc := r.outVC(l/NumVCs, o, s.vc)
+	dst := r.outs[o*NumVCs+int(vc)]
 	if dst == nil {
 		panic(fmt.Sprintf("transport: router %q output %d has no VC%d buffer", r.name, o, vc))
 	}
 	if !dst.canPush(1) {
 		return false // downstream backpressure
 	}
-	si := dst.stagePush()
-	dst.ring.copySlot(si, &lane.ring, hs, lane.stride)
-	dst.ring.vc[si] = vc
-	dst.ring.hops[si] = lane.ring.hops[hs] + 1
-	pktID := lane.ring.pktID[hs]
-	tail := lane.ring.flags[hs]&slotTail != 0
+	d := &dst.slots[dst.stageCopy(lane, hs)]
+	d.vc = vc
+	d.hops++
+	pktID, tail, hdr := s.pktID, s.flags&slotTail != 0, s.hdr
 	lane.pop()
 	r.stats.FlitsMoved++
 	r.stats.OutBusy[o]++
@@ -455,11 +423,10 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 	}
 	if tail {
 		r.stats.PktsMoved++
-		hdr := r.laneHdr[ln.port][ln.vc]
 		r.outHold[o] = noLane
 		r.holds--
 		r.outFreed[o] = cycle
-		r.laneAl[ln.port][ln.vc] = -1
+		r.laneAl[l] = -1
 		// Lock reservations persist between the packets of a locked
 		// sequence and dissolve when the unlocking packet's tail passes.
 		if hdr.Locked {
@@ -477,30 +444,31 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 // with channel vc travels on after leaving output o.
 func (r *Router) outVC(in, o int, vc uint8) uint8 {
 	if r.vcOut != nil {
-		if nv := r.vcOut[in][o]; nv >= 0 {
+		if nv := r.vcOut[in*len(r.outHold)+o]; nv >= 0 {
 			return uint8(nv)
 		}
 	}
 	return vc
 }
 
-// ready reports whether the lane at (port,vc) has a packet ready to
-// request an output: a committed head flit, and — in store-and-forward
-// mode — the packet's tail already buffered. It returns the head slot's
-// ring index.
-func (r *Router) ready(port, vc int) (int, bool) {
-	lane := r.lanes[port][vc]
+// ready reports whether lane l has a packet ready to request an
+// output: a committed head flit, and — in store-and-forward mode — the
+// packet's tail already buffered. It returns the head slot's ring
+// index.
+func (r *Router) ready(l int) (int, bool) {
+	lane := &r.lanes[l]
 	if lane.clen == 0 {
 		return 0, false
 	}
 	hs := lane.slot(0)
-	if lane.ring.flags[hs]&slotHead == 0 {
+	fl := lane.slots[hs].flags
+	if fl&slotHead == 0 {
 		return 0, false
 	}
-	if r.net.cfg.Mode == StoreAndForward && lane.ring.flags[hs]&slotTail == 0 {
+	if r.net.cfg.Mode == StoreAndForward && fl&slotTail == 0 {
 		found := false
 		for i := 1; i < lane.clen; i++ {
-			if lane.ring.flags[lane.slot(i)]&slotTail != 0 {
+			if lane.slots[lane.slot(i)].flags&slotTail != 0 {
 				found = true
 				break
 			}

@@ -18,19 +18,16 @@ func refAllocate(r *Router, cycle int64) {
 		if r.outHold[o] != noLane || r.outFreed[o] == cycle {
 			continue
 		}
-		if r.outs[o][VCNormal] == nil {
+		if r.outs[o*NumVCs] == nil {
 			continue
 		}
 		win := refArbitrate(r, o)
 		if win == noLane {
 			continue
 		}
-		lane := r.lanes[win.port][win.vc]
-		hs := lane.slot(0)
 		r.outHold[o] = win
-		r.laneAl[win.port][win.vc] = o
-		r.laneHdr[win.port][win.vc] = lane.ring.hdr[hs]
-		r.rr[o] = win.port + 1
+		r.laneAl[win] = o
+		r.rr[o] = win/NumVCs + 1
 		if !r.moveFlit(cycle, o, win) {
 			r.noteStall(cycle, o)
 		}
@@ -38,23 +35,24 @@ func refAllocate(r *Router, cycle int64) {
 }
 
 // refArbitrate picks the winning lane for free output o, or noLane.
-func refArbitrate(r *Router, o int) laneRef {
+func refArbitrate(r *Router, o int) int {
 	type cand struct {
-		ln  laneRef
-		pri noctypes.Priority
+		port, vc int
+		pri      noctypes.Priority
 	}
 	var cands []cand
-	for p := range r.lanes {
+	for p := 0; p < r.Ports(); p++ {
 		for v := 0; v < NumVCs; v++ {
-			if r.laneAl[p][v] != -1 {
+			l := p*NumVCs + v
+			if r.laneAl[l] != -1 {
 				continue
 			}
-			hs, ok := r.ready(p, v)
+			hs, ok := r.ready(l)
 			if !ok {
 				continue
 			}
-			lane := r.lanes[p][v]
-			hdr := &lane.ring.hdr[hs]
+			s := &r.lanes[l].slots[hs]
+			hdr := &s.hdr
 			if r.routeFor(hdr.Dst) != o {
 				continue
 			}
@@ -64,11 +62,11 @@ func refArbitrate(r *Router, o int) laneRef {
 			}
 			if r.net.cutThrough {
 				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.net.cfg.FlitBytes)
-				if !r.outs[o][r.outVC(p, o, lane.ring.vc[hs])].canPush(need) {
+				if !r.outs[o*NumVCs+int(r.outVC(p, o, s.vc))].canPush(need) {
 					continue
 				}
 			}
-			cands = append(cands, cand{laneRef{p, v}, hdr.Priority})
+			cands = append(cands, cand{p, v, hdr.Priority})
 		}
 	}
 	if len(cands) == 0 {
@@ -91,12 +89,12 @@ func refArbitrate(r *Router, o int) laneRef {
 	}
 	best := noLane
 	bestRank := 1 << 30
-	n := len(r.lanes)
+	n := r.Ports()
 	for _, c := range cands {
-		rank := ((c.ln.port-r.rr[o])%n+n)%n*NumVCs + (NumVCs - 1 - c.ln.vc)
+		rank := ((c.port-r.rr[o])%n+n)%n*NumVCs + (NumVCs - 1 - c.vc)
 		if rank < bestRank {
 			bestRank = rank
-			best = c.ln
+			best = c.port*NumVCs + c.vc
 		}
 	}
 	if len(cands) > 1 {
@@ -110,8 +108,11 @@ func refArbitrate(r *Router, o int) laneRef {
 const allocCycle = 7
 
 // allocState builds a crossbar router in a random mid-cycle state drawn
-// from seed: committed flits with random head/tail flags, destinations,
-// sources, priorities and lock bits in every input lane; held, freed,
+// from seed: committed flits with random head/tail flags in every input
+// lane, each carrying a header, as serialize stamps every flit of a
+// packet: a head draws a new header (destination, source, priority and
+// lock bits), and the flits behind it carry it, so tails drive the
+// lock bookkeeping as they do in the fabric; held, freed,
 // locked and unconnected outputs; random round-robin pointers, dateline
 // VC rewrites, and partly filled (committed and staged) ejection
 // buffers. The same seed and config always build the same state, so two
@@ -135,26 +136,26 @@ func allocState(seed int64, mode SwitchingMode, qos, cutThrough bool) *Router {
 	r := net.Routers()[0]
 
 	var pktID uint64
-	for p := range r.lanes {
-		for v := 0; v < NumVCs; v++ {
-			lane := r.lanes[p][v]
-			for i := rng.Intn(cfg.BufDepth + 1); i > 0; i-- {
-				pktID++
-				f := Flit{PktID: pktID, VC: uint8(v), Head: rng.Intn(2) == 0, Tail: rng.Intn(2) == 0}
-				if f.Head {
-					f.Hdr = Header{
-						Dst:        nodes[rng.Intn(ports)],
-						Src:        nodes[rng.Intn(ports)],
-						Priority:   noctypes.Priority(rng.Intn(noctypes.NumPriorities)),
-						PayloadLen: uint32(rng.Intn(64)),
-						Locked:     rng.Intn(4) == 0,
-						Unlock:     rng.Intn(2) == 0,
-					}
+	for l := range r.lanes {
+		lane := &r.lanes[l]
+		var hdr Header // the lane's packet in flight; none before its first flit
+		for i := rng.Intn(cfg.BufDepth + 1); i > 0; i-- {
+			pktID++
+			f := Flit{PktID: pktID, VC: uint8(l % NumVCs), Head: rng.Intn(2) == 0, Tail: rng.Intn(2) == 0}
+			if f.Head || hdr == (Header{}) {
+				hdr = Header{
+					Dst:        nodes[rng.Intn(ports)],
+					Src:        nodes[rng.Intn(ports)],
+					Priority:   noctypes.Priority(rng.Intn(noctypes.NumPriorities)),
+					PayloadLen: uint32(rng.Intn(64)),
+					Locked:     rng.Intn(4) == 0,
+					Unlock:     rng.Intn(2) == 0,
 				}
-				lane.pushFlit(f)
 			}
-			lane.commit()
+			f.Hdr = hdr
+			lane.pushFlit(f)
 		}
+		lane.commit()
 	}
 	for _, id := range nodes {
 		ej := net.Endpoint(id).ej
@@ -178,33 +179,30 @@ func allocState(seed int64, mode SwitchingMode, qos, cutThrough bool) *Router {
 		}
 		switch rng.Intn(5) {
 		case 0: // held by a random unallocated lane
-			p, v := rng.Intn(ports), rng.Intn(NumVCs)
-			if r.laneAl[p][v] == -1 {
-				r.outHold[o] = laneRef{p, v}
-				r.laneAl[p][v] = o
+			if l := rng.Intn(ports * NumVCs); r.laneAl[l] == -1 {
+				r.outHold[o] = l
+				r.laneAl[l] = o
 			}
 		case 1:
 			r.outFreed[o] = allocCycle
 		case 2: // unconnected, like a mesh edge port
-			r.outs[o] = make([]*flitQ, NumVCs)
+			clear(r.outs[o*NumVCs : (o+1)*NumVCs])
 		}
 	}
 	return r
 }
 
 // allocDigest renders everything switch allocation may touch: grants,
-// round-robin pointers, lane allocations and headers, output marks and
-// locks, counters, and input/downstream queue positions.
+// round-robin pointers, lane allocations, output marks and locks,
+// counters, and input/downstream queue positions.
 func allocDigest(r *Router) string {
-	s := fmt.Sprintf("hold=%v al=%v hdr=%v rr=%v freed=%v lock=%v stats=%+v\n",
-		r.outHold, r.laneAl, r.laneHdr, r.rr, r.outFreed, r.outLock, r.stats)
-	for p := range r.lanes {
-		for v := 0; v < NumVCs; v++ {
-			s += fmt.Sprintf("in%d.%d head=%d clen=%d\n", p, v, r.lanes[p][v].head, r.lanes[p][v].clen)
-		}
+	s := fmt.Sprintf("hold=%v al=%v rr=%v freed=%v lock=%v stats=%+v\n",
+		r.outHold, r.laneAl, r.rr, r.outFreed, r.outLock, r.stats)
+	for l := range r.lanes {
+		s += fmt.Sprintf("in%d head=%d clen=%d\n", l, r.lanes[l].head, r.lanes[l].clen)
 	}
-	for o := range r.outs {
-		if q := r.outs[o][VCNormal]; q != nil {
+	for o := 0; o < r.Ports(); o++ {
+		if q := r.outs[o*NumVCs]; q != nil {
 			s += fmt.Sprintf("out%d clen=%d pend=%d\n", o, q.clen, q.pend)
 		}
 	}
@@ -245,7 +243,7 @@ func TestAllocateSingleFlitDrain(t *testing.T) {
 		clk := sim.NewClock(sim.NewKernel(), "drain", sim.Nanosecond, 0)
 		net := NewCrossbar(clk, NetConfig{FlitBytes: 32}, []noctypes.NodeID{1, 2, 3})
 		r := net.Routers()[0]
-		lane := r.lanes[0][VCNormal]
+		lane := &r.lanes[0]
 		for i, dst := range []noctypes.NodeID{2, 3} {
 			lane.pushFlit(Flit{PktID: uint64(i + 1), Head: true, Tail: true, Hdr: Header{Src: 1, Dst: dst}})
 		}
@@ -287,16 +285,13 @@ func TestBusyStallsCountsLostArbitration(t *testing.T) {
 func occupancyMismatch(net *Network) string {
 	for _, r := range net.Routers() {
 		lanes := 0
-		for p := range r.lanes {
-			for v := 0; v < NumVCs; v++ {
-				i := p*NumVCs + v
-				set := r.occ[i/64]&(1<<(i%64)) != 0
-				if n := r.lanes[p][v].clen; set != (n > 0) {
-					return fmt.Sprintf("%s in%d.vc%d: bit %v with %d committed flits", r.name, p, v, set, n)
-				}
-				if set {
-					lanes++
-				}
+		for i := range r.lanes {
+			set := r.occ[i/64]&(1<<(i%64)) != 0
+			if n := r.lanes[i].clen; set != (n > 0) {
+				return fmt.Sprintf("%s in%d.vc%d: bit %v with %d committed flits", r.name, i/NumVCs, i%NumVCs, set, n)
+			}
+			if set {
+				lanes++
 			}
 		}
 		bits := 0

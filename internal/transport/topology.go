@@ -290,7 +290,7 @@ func torusRoute(W, H int) func(x, y int, c Coord) int {
 // their VC.
 func (r *Router) dateline(out int, wrap bool, enter ...int) {
 	if wrap {
-		for in := range r.lanes {
+		for in := range r.outHold {
 			r.setVCOut(in, out, 1)
 		}
 		return
