@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,5 +304,75 @@ func TestRunFinishingMidLineStreamEndsTerminal(t *testing.T) {
 	end, lines := streamEnd(t, ts.URL+"/v1/runs/"+st.ID+"/progress?interval=10ms", nil)
 	if end.Phase != "done" || end.Cycles != 100 || end.PointsDone != 1 || end.PointsTotal != 1 {
 		t.Fatalf("stream of %d lines ended on phase %s at %d cycles, want done at 100", lines, end.Phase, end.Cycles)
+	}
+}
+
+// TestQueuedRunClockStartsAtClaim: a run's session clock starts when a
+// worker claims it. With one worker, a run held about 300 ms behind a
+// blocked run freezes with the t_ms of its own execution, far below
+// the wait (301 when the clock started at submission); a progress
+// stream opened on it while it is queued writes its first line once
+// the run has started. A stream opened on a run cancelled while queued
+// is its one terminal line: idle, at 0 cycles.
+func TestQueuedRunClockStartsAtClaim(t *testing.T) {
+	const blockSeed, queuedSeed, cancelSeed = 151, 152, 153
+	const wait = 300 * time.Millisecond
+	release := make(chan struct{})
+	exec := func(sc *scenario.Scenario, rig *metrics.Rig) ([]byte, error) {
+		switch sc.Seed {
+		case blockSeed:
+			<-release
+		case queuedSeed:
+			rig.Profile.Advance(1000)
+		}
+		return []byte("{}\n"), nil
+	}
+	s, ts := newTestServer(t, Config{Workers: 1}, exec)
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // before the server's shutdown, should the test fail early
+	blocker := decodeStatus(t, post(t, ts, testScenarioBytes(t, blockSeed)))
+	waitState(t, ts, blocker.ID, stateRunning)
+	queued := decodeStatus(t, post(t, ts, testScenarioBytes(t, queuedSeed)))
+	cancelled := decodeStatus(t, post(t, ts, testScenarioBytes(t, cancelSeed)))
+
+	// The stream on the run to cancel waits for it to start; the
+	// cancellation ends it with the terminal line.
+	cancelStream := make(chan []byte, 1)
+	go func() {
+		var body []byte
+		if resp, err := http.Get(ts.URL + "/v1/runs/" + cancelled.ID + "/progress?interval=10ms"); err == nil {
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		cancelStream <- body
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if !s.lookup(cancelled.ID).cancel("injected cancellation") {
+		t.Fatal("queued run could not be cancelled")
+	}
+	snaps, err := metrics.ParseSnapshots(bytes.NewReader(<-cancelStream))
+	if err != nil || len(snaps) != 1 || snaps[0].Phase != "idle" || snaps[0].Cycles != 0 {
+		t.Fatalf("stream of the run cancelled while queued: %+v (%v), want one idle line at 0 cycles", snaps, err)
+	}
+
+	var releasedAt atomic.Int64
+	go func() {
+		time.Sleep(wait)
+		releasedAt.Store(time.Now().UnixNano())
+		unblock()
+	}()
+	var firstAt time.Time
+	end, _ := streamEnd(t, ts.URL+"/v1/runs/"+queued.ID+"/progress?interval=10ms", func() { firstAt = time.Now() })
+	if firstAt.UnixNano() < releasedAt.Load() || releasedAt.Load() == 0 {
+		t.Fatal("the stream on the queued run wrote a line before the run started")
+	}
+	frozen := progressLine(t, ts.URL, queued.ID)
+	if end.Cycles != 1000 || frozen.Cycles != 1000 {
+		t.Fatalf("stream ended at %d cycles and froze at %d, want 1000", end.Cycles, frozen.Cycles)
+	}
+	if limit := float64(wait.Milliseconds()) / 3; frozen.TMS > limit || end.TMS > limit {
+		t.Fatalf("t_ms %.1f (stream %.1f) after %v in the queue, want below %.0f: the clock counts the queue wait",
+			frozen.TMS, end.TMS, wait, limit)
 	}
 }

@@ -18,7 +18,8 @@ const defaultProgressInterval = 250 * time.Millisecond
 // cycles with an interval rate, point counters with an ETA, and
 // the full per-run metrics dump (per-router flit/stall counters: the
 // live congestion view) — until the run reaches a terminal state or
-// the client goes away. The stream is JSONL (application/x-ndjson,
+// the client goes away. On a queued run the stream starts when a
+// worker claims the run. The stream is JSONL (application/x-ndjson,
 // metrics.ParseSnapshots reads it back) unless the client asks for
 // Server-Sent Events with "Accept: text/event-stream", in which case
 // each line is framed as one "data:" event. Each line is flushed as it
@@ -55,6 +56,17 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	flusher, _ := w.(http.Flusher)
 
 	rig, final := r.live()
+	if rig == nil && final.Line == nil {
+		// A queued run's stream starts when a worker claims the run, or
+		// is its terminal line if the run is cancelled first.
+		select {
+		case <-req.Context().Done():
+			return
+		case <-r.startCh:
+		case <-r.doneCh:
+		}
+		rig, final = r.live()
+	}
 	if rig == nil {
 		// A finished run's stream is its one frozen terminal line.
 		out.Write(final.Line)

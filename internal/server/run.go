@@ -44,16 +44,19 @@ type run struct {
 	result []byte
 	// sc and rig are what the run executes with: the scenario and its
 	// own metrics rig (registry + self-profile + progress, the backing
-	// of the /progress stream). The terminal transition drops both and
-	// keeps final, the rig's last snapshot rendered, so a finished run
-	// holds only bytes and reports the values it had when it finished.
+	// of the /progress stream). The rig is built when a worker claims
+	// the run, so its session clock starts then, not at submission. The
+	// terminal transition drops both and keeps final, the rig's last
+	// snapshot rendered, so a finished run holds only bytes and reports
+	// the values it had when it finished.
 	sc    *scenario.Scenario
 	rig   *metrics.Rig
 	final metrics.Frozen
 
-	// doneCh closes on the first terminal transition; the progress
-	// stream and the conformance tests select on it.
-	doneCh chan struct{}
+	// startCh closes when a worker claims the run, and doneCh on the
+	// first terminal transition; the progress stream and the
+	// conformance tests select on them.
+	startCh, doneCh chan struct{}
 }
 
 // runID derives the run id from the scenario fingerprint: the first 16
@@ -70,10 +73,10 @@ func runID(fp string) string {
 func newRun(id, fp string, digest [sha256.Size]byte, sc *scenario.Scenario) *run {
 	return &run{
 		id: id, fp: fp, digest: digest, name: sc.Name, mode: sc.Mode(),
-		sc:     sc,
-		rig:    metrics.NewRig(),
-		state:  stateQueued,
-		doneCh: make(chan struct{}),
+		sc:      sc,
+		state:   stateQueued,
+		startCh: make(chan struct{}),
+		doneCh:  make(chan struct{}),
 	}
 }
 
@@ -103,8 +106,9 @@ func (r *run) errorMessage() string {
 	return r.errMsg
 }
 
-// begin claims the run for a worker and hands it the scenario and rig
-// to execute with; false means it was cancelled while queued.
+// begin claims the run for a worker and hands it the scenario and a
+// new rig, whose session starts now, to execute with; false means it
+// was cancelled while queued.
 func (r *run) begin() (*scenario.Scenario, *metrics.Rig, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -112,6 +116,8 @@ func (r *run) begin() (*scenario.Scenario, *metrics.Rig, bool) {
 		return nil, nil, false
 	}
 	r.state = stateRunning
+	r.rig = metrics.NewRig()
+	close(r.startCh)
 	return r.sc, r.rig, true
 }
 
@@ -154,16 +160,20 @@ func (r *run) cancel(msg string) bool {
 // finishLocked is every terminal transition. It freezes the rig's
 // state and drops the rig and the scenario: a simulation that outlives
 // its timeout keeps moving its own rig, and a stream opened earlier
-// keeps reading it, but the run no longer changes. Call with r.mu held.
+// keeps reading it, but the run no longer changes. A run that never
+// started freezes a fresh rig: idle, at 0 cycles. Call with r.mu held.
 func (r *run) finishLocked(st runState, msg string, result []byte) {
 	r.state, r.errMsg, r.result = st, msg, result
+	if r.rig == nil {
+		r.rig = metrics.NewRig()
+	}
 	r.final = r.rig.Freeze()
 	r.sc, r.rig = nil, nil
 	close(r.doneCh)
 }
 
-// live returns the rig of a run that has not finished, or nil and the
-// frozen record of one that has.
+// live returns the rig of a running run, or nil and the frozen record
+// of a finished one; nil and the zero record mean it is queued.
 func (r *run) live() (*metrics.Rig, metrics.Frozen) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -73,7 +73,7 @@ type Router struct {
 
 	lanes    []flitQ  // per lane: input lane (owned)
 	outs     []*flitQ // per lane of an output: downstream lane (referenced), nil when unconnected
-	laneAl   []int    // per lane: allocated output, noLane
+	laneAl   []int    // per lane: allocated output, -1
 	outHold  []int    // per output: lane holding it, noLane
 	holds    int      // outputs held: entries of outHold other than noLane
 	outFreed []int64  // per output: cycle its last tail left, -1; not reallocatable in that cycle
