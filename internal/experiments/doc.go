@@ -29,7 +29,8 @@
 //	E16 — hybrid-fidelity error bounds: the loosely-timed analytic
 //	      link model vs cycle-accurate ground truth on its operating
 //	      envelope (latency within 5%, throughput within 1%, >= 2x
-//	      speedup), saturated built-ins as fallback stress rows
+//	      speedup; >= 1.3x on mesh64-hybrid's configuration),
+//	      saturated built-ins as fallback stress rows
 //
 
 // The per-experiment handbook — which paper claim each experiment
