@@ -55,7 +55,7 @@ var goldenRuns = []struct {
 
 // TestTopologyGoldenResults pins the full measured Result of a seeded
 // run on every topology against committed goldens. This is the batched-
-// transport byte-identity contract: the struct-of-arrays hot path must
+// transport byte-identity contract: the flit-slot hot path must
 // reproduce the seed-pinned outputs exactly on every fabric shape.
 func TestTopologyGoldenResults(t *testing.T) {
 	for _, g := range goldenRuns {

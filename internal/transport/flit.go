@@ -5,8 +5,9 @@ import "fmt"
 // Flit is a flow-control unit: the atom that switches and links move. A
 // packet of N wire bytes becomes ceil(N/flitBytes) flits. The head flit
 // carries a decoded copy of the header so switches can route without
-// reparsing bytes; the byte stream remains the canonical content and is
-// what reassembly decodes.
+// reparsing bytes (inside the fabric every flit of a packet carries it,
+// so a switch reads the lock flags from the tail it forwards); the byte
+// stream remains the canonical content and is what reassembly decodes.
 type Flit struct {
 	PktID uint64
 	VC    uint8 // virtual channel (VCNormal or VCLocked)
@@ -52,8 +53,8 @@ type Reassembler struct {
 }
 
 // feed consumes one flit, given field-wise: endpoint ejection reads
-// flit fields straight out of struct-of-arrays slots, so no Flit value
-// is ever materialized. When the flit completes a packet, the decoded
+// them straight out of the flit's slot, so no Flit value is ever
+// materialized. When the flit completes a packet, the decoded
 // packet is returned, its descriptor and payload storage drawn from
 // pool (the network's free list; see Network.Recycle). Errors indicate
 // fabric bugs (interleaving or corruption) and are fatal.

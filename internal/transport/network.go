@@ -398,11 +398,9 @@ func (n *Network) walk(src *Endpoint, dst noctypes.NodeID, hop func(router, port
 		}
 		port := r.routeFor(dst)
 		hop(r.index, port)
-		next := r.outs[port*NumVCs]
-		if next == nil || next.sw == nil {
+		if r = r.outs[port*NumVCs].sw; r == nil {
 			return
 		}
-		r = next.sw
 	}
 }
 

@@ -30,7 +30,7 @@ func (m SwitchingMode) String() string {
 	return "store-and-forward"
 }
 
-// noLane marks an output no lane holds and a lane allocated no output.
+// noLane marks an output no lane holds.
 const noLane = -1
 
 // RouterStats aggregates a switch's activity.
