@@ -31,11 +31,17 @@
 //
 // The builders share each building step. newNetwork makes every
 // endpoint's ejection buffer and send queue in one piece per fabric;
-// newRouter makes a switch and gives it its index and adjacency row;
-// link wires one switch output to a neighbour's input lanes and
-// records the hop; attach connects an endpoint. Mesh and torus are one
-// grid builder: a torus is the mesh plus wrap links, a shorter-way
-// route function and dateline VC rewrites.
+// newRouter makes a switch, gives it its index, and carves its tables,
+// each one flat slice indexed by lane (port*NumVCs+vc); link wires one
+// switch output to a neighbour's input lanes, and a route walk follows
+// that hop through the lanes' switch; attach connects an endpoint.
+// Mesh and torus are one grid builder: a torus is the mesh plus wrap
+// links, a shorter-way route function and dateline VC rewrites.
+//
+// A flit store is one ring of pointer-free slot structs plus a block of
+// payload bytes, so a flit moves one hop as one struct copy and one
+// byte copy. Every flit of a packet carries its header: a switch reads
+// a packet's lock flags from the tail it forwards.
 //
 // Endpoint.TrySend is the one send path at both fidelities: it assigns
 // the packet ID, checks and sizes the packet, and then serializes it
