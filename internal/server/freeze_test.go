@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"io"
 	"net/http"
 	"reflect"
 	"sync"
@@ -336,22 +335,17 @@ func TestQueuedRunClockStartsAtClaim(t *testing.T) {
 	queued := decodeStatus(t, post(t, ts, testScenarioBytes(t, queuedSeed)))
 	cancelled := decodeStatus(t, post(t, ts, testScenarioBytes(t, cancelSeed)))
 
-	// The stream on the run to cancel waits for it to start; the
-	// cancellation ends it with the terminal line.
-	cancelStream := make(chan []byte, 1)
-	go func() {
-		var body []byte
-		if resp, err := http.Get(ts.URL + "/v1/runs/" + cancelled.ID + "/progress?interval=10ms"); err == nil {
-			body, _ = io.ReadAll(resp.Body)
-			resp.Body.Close()
-		}
-		cancelStream <- body
-	}()
-	time.Sleep(50 * time.Millisecond)
+	// A stream on a queued run sends its headers and waits for the run
+	// to start; the cancellation ends it with the terminal line.
+	resp, err := http.Get(ts.URL + "/v1/runs/" + cancelled.ID + "/progress?interval=10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !s.lookup(cancelled.ID).cancel("injected cancellation") {
 		t.Fatal("queued run could not be cancelled")
 	}
-	snaps, err := metrics.ParseSnapshots(bytes.NewReader(<-cancelStream))
+	snaps, err := metrics.ParseSnapshots(resp.Body)
+	resp.Body.Close()
 	if err != nil || len(snaps) != 1 || snaps[0].Phase != "idle" || snaps[0].Cycles != 0 {
 		t.Fatalf("stream of the run cancelled while queued: %+v (%v), want one idle line at 0 cycles", snaps, err)
 	}

@@ -58,7 +58,11 @@ func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	rig, final := r.live()
 	if rig == nil && final.Line == nil {
 		// A queued run's stream starts when a worker claims the run, or
-		// is its terminal line if the run is cancelled first.
+		// is its terminal line if the run is cancelled first. The
+		// headers go out now, so the client sees the stream open.
+		if flusher != nil {
+			flusher.Flush()
+		}
 		select {
 		case <-req.Context().Done():
 			return
